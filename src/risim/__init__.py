@@ -17,6 +17,7 @@ from .center import (
     SessionLedger,
 )
 from .concentrator import ConcentratorConfig, VisibilityMap, broadcast, receive
+from .config import load_scenario, scenario_from_dict
 from .domain import (
     ConcentratorReport,
     ConfigError,
@@ -88,10 +89,12 @@ __all__ = [
     "detail_sweep",
     "encode_frame",
     "generate_trace",
+    "load_scenario",
     "meter_id",
     "receive",
     "run_ri",
     "run_ti",
+    "scenario_from_dict",
     "worst_case_load",
 ]
 

@@ -218,38 +218,49 @@ class SessionLedger:
 
     def gap_runs(self) -> list[list[int]]:
         """Maximal runs of consecutive lost sessions, as wire numbers."""
-        runs: list[list[int]] = []
-        prev = None
+        return [
+            [a % self.modulus for a in range(first, last + 1)]
+            for first, last in self._runs()
+        ]
+
+    def _runs(self):
+        """Maximal lost runs as (first, last) unrolled sessions, in order."""
+        first = last = None
         for a in sorted(self._gaps):
-            if prev is not None and a == prev + 1:
-                runs[-1].append(a % self.modulus)
-            else:
-                runs.append([a % self.modulus])
-            prev = a
-        return runs
+            if last is not None and a == last + 1:
+                last = a
+                continue
+            if last is not None:
+                yield first, last
+            first = last = a
+        if last is not None:
+            yield first, last
 
-    def _neighbors(self, run_abs: list[int]):
-        """Bounding accepted sessions of a contiguous lost run.
+    def _bracket(self, first: int, last: int) -> tuple[int, int, int] | None:
+        """(t_lo, t_hi, lost_quanta) bounding the lost run first..last.
 
-        A None lower bound means the run starts at the installation boundary
-        (time zero, zero lifetime quanta); a None upper bound marks a
-        trailing run that nothing has closed yet.
+        The bounds are the reception times of the accepted sessions on
+        either side, and the lost quantum events are the difference of
+        their lifetime counters.  A run that starts at the known initial
+        session is measured from the installation origin instead (time
+        zero, zero lifetime quanta).  None when nothing bounds the run: a
+        trailing run nothing has closed yet, or one before first contact
+        whose start is unknown.
         """
-        return (
-            self._accepted.get(run_abs[0] - 1),
-            self._accepted.get(run_abs[-1] + 1),
-        )
-
-    def _runs_abs(self) -> list[list[int]]:
-        runs: list[list[int]] = []
-        prev = None
-        for a in sorted(self._gaps):
-            if prev is not None and a == prev + 1:
-                runs[-1].append(a)
-            else:
-                runs.append([a])
-            prev = a
-        return runs
+        upper = self._accepted.get(last + 1)
+        if upper is None:
+            return None
+        lower = self._accepted.get(first - 1)
+        if lower is not None:
+            t_lo, base_quanta = lower.rx_time_ms, lower.cumulative_quanta
+        elif first == self.initial_session:
+            t_lo, base_quanta = 0, 0
+        else:
+            return None
+        lost = upper.cumulative_quanta - base_quanta
+        if upper.message_type is MessageType.QUANTUM_EVENT:
+            lost -= 1
+        return t_lo, upper.rx_time_ms, lost
 
     # -- reconstruction ----------------------------------------------------
 
@@ -279,13 +290,12 @@ class SessionLedger:
         )
         recovered = 0
         trailing = 0
-        for lo, hi, quanta in self.bounded_runs():
-            lo_time = lo.rx_time_ms if lo is not None else 0
-            if quanta <= 0 or lo_time < t0:
+        for t_lo, t_hi, quanta in self.bounded_runs():
+            if quanta <= 0 or t_lo < t0:
                 continue
-            if hi.rx_time_ms <= t1:
+            if t_hi <= t1:
                 recovered += quanta
-            elif lo_time <= t1:
+            elif t_lo <= t1:
                 trailing += quanta
         return ReconstructionResult(
             meter_id=self.meter_id,
@@ -296,32 +306,10 @@ class SessionLedger:
             trailing_uncertainty_du=trailing * quantum_du,
         )
 
-    def bounded_runs(self):
-        """(lower, upper, lost_quantum_events) per gap run with an upper bound.
-
-        ``lower`` is None for a pre-first-contact run, which is measured from
-        the installation origin instead of an accepted session.
-        """
-        out = []
-        for run in self._runs_abs():
-            lower, upper = self._neighbors(run)
-            if upper is None:
-                continue  # trailing run: nothing bounds it yet
-            if lower is None:
-                before_ok = (
-                    self.initial_session is not None
-                    and run[0] == self.initial_session
-                )
-                if not before_ok:
-                    continue
-                base_quanta = 0
-            else:
-                base_quanta = lower.cumulative_quanta
-            lost = upper.cumulative_quanta - base_quanta
-            if upper.message_type is MessageType.QUANTUM_EVENT:
-                lost -= 1
-            out.append((lower, upper, lost))
-        return out
+    def bounded_runs(self) -> list[tuple[int, int, int]]:
+        """(t_lo, t_hi, lost_quanta) of every lost run something bounds."""
+        brackets = (self._bracket(first, last) for first, last in self._runs())
+        return [b for b in brackets if b is not None]
 
     # -- lost-time restoration --------------------------------------------
 
@@ -344,24 +332,16 @@ class SessionLedger:
             raise ValueError("gap run must be contiguous sessions")
         if any(a not in self._gaps for a in run_abs):
             raise ValueError("gap run contains sessions not known to be lost")
-        lower, upper = self._neighbors(run_abs)
-        if upper is None:
+        bracket = self._bracket(run_abs[0], run_abs[-1])
+        if bracket is None:
             return []
-        if lower is None:
-            if self.initial_session is None or run_abs[0] != self.initial_session:
-                return []
-            t_lo = 0
-        else:
-            t_lo = lower.rx_time_ms
-        t_hi = upper.rx_time_ms
-        k = len(run_abs)
+        t_lo, t_hi, _ = bracket
         if t_hi <= t_lo:
             # degenerate zero-width bracket; pin everything at the boundary
             return [(s % self.modulus, float(t_lo)) for s in run_abs]
+        k = len(run_abs)
         if profile is None:
-            times = [
-                t_lo + (t_hi - t_lo) * Fraction(i, k + 1) for i in range(1, k + 1)
-            ]
+            times = evenly_spaced(t_lo, t_hi, k)
         else:
             times = _profile_quantiles(profile, t_lo, t_hi, k)
         return [(s % self.modulus, float(t)) for s, t in zip(run_abs, times)]
@@ -488,6 +468,11 @@ class MonitoringCenter:
         ]
 
 
+def evenly_spaced(t_lo, t_hi, k: int) -> list[Fraction]:
+    """The k points that cut [t_lo, t_hi] into k + 1 equal parts, exactly."""
+    return [t_lo + (t_hi - t_lo) * Fraction(i, k + 1) for i in range(1, k + 1)]
+
+
 def _profile_quantiles(profile: ConsumerProfile, t_lo: int, t_hi: int,
                        k: int) -> list[Fraction]:
     """k interior quantile times of the profile's mass over (t_lo, t_hi).
@@ -495,51 +480,24 @@ def _profile_quantiles(profile: ConsumerProfile, t_lo: int, t_hi: int,
     The profile is a piecewise-constant density over wall-clock hours,
     repeating daily; its cumulative mass is piecewise linear and strictly
     increasing (weights are positive), so quantiles are unique and strictly
-    interior.
+    interior.  One forward sweep over the hour pieces of the bracket places
+    all k of them, each at the earliest time its target mass is reached.
     """
     weights = [Fraction(w).limit_denominator(10**12) for w in profile.hourly_weights]
-
-    def mass_to(t: Fraction) -> Fraction:
-        """Profile mass accumulated from t_lo to t."""
-        total = Fraction(0)
-        # whole days first, then the partial day hour by hour
-        lo = Fraction(t_lo)
-        span = t - lo
-        day_mass = sum(weights)
-        full_days, rem = divmod(span, _DAY)
-        total += day_mass * full_days
-        cursor = lo + full_days * _DAY
-        while rem > 0:
-            hour_idx = int((cursor // _HOUR) % 24)
-            hour_end = (cursor // _HOUR + 1) * _HOUR
-            step = min(rem, hour_end - cursor)
-            total += weights[hour_idx] * step / _HOUR
-            cursor += step
-            rem -= step
-        return total
-
-    total_mass = mass_to(Fraction(t_hi))
-    out = []
-    for i in range(1, k + 1):
-        target = total_mass * Fraction(i, k + 1)
-        out.append(_invert_mass(weights, t_lo, t_hi, target))
-    return out
-
-
-def _invert_mass(weights: list[Fraction], t_lo: int, t_hi: int,
-                 target: Fraction) -> Fraction:
-    """Earliest time t in (t_lo, t_hi) with mass(t_lo .. t) == target."""
-    acc = Fraction(0)
-    cursor = Fraction(t_lo)
-    end = Fraction(t_hi)
-    while cursor < end:
-        hour_idx = int((cursor // _HOUR) % 24)
-        hour_end = (cursor // _HOUR + 1) * _HOUR
-        step = min(end, hour_end) - cursor
-        gain = weights[hour_idx] * step / _HOUR
-        if acc + gain >= target:
-            # linear inside the hour; weights are positive so gain > 0 here
-            return cursor + (target - acc) * _HOUR / weights[hour_idx]
-        acc += gain
+    pieces = []  # (start, profile mass, weight) per wall-clock hour overlap
+    cursor = t_lo
+    while cursor < t_hi:
+        hour = cursor // _HOUR
+        step = min(t_hi, (hour + 1) * _HOUR) - cursor
+        weight = weights[hour % 24]
+        pieces.append((cursor, weight * step / _HOUR, weight))
         cursor += step
-    return end
+    targets = evenly_spaced(0, sum(mass for _, mass, _ in pieces), k)
+    out: list[Fraction] = []
+    acc = Fraction(0)
+    for start, mass, weight in pieces:
+        # linear inside the hour; weights are positive so mass > 0 here
+        while len(out) < k and acc + mass >= targets[len(out)]:
+            out.append(start + (targets[len(out)] - acc) * _HOUR / weight)
+        acc += mass
+    return out

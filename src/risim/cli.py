@@ -1,8 +1,8 @@
 """Command-line front end: run, sweep, compare, replay.
 
-Exit codes: 0 success, 1 for IO failures or a replay mismatch, 2 for
-configuration errors.  RI_SIM_SEED in the environment overrides every other
-seed source, then --seed, then the scenario file.
+Exit codes: 0 success, 1 for IO failures, a malformed log or a replay
+mismatch, 2 for configuration errors.  RI_SIM_SEED in the environment
+overrides every other seed source, then --seed, then the scenario file.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 from .config import load_scenario, parse_sweep_values, single_kind
 from .domain import BASE_UNIT, ConfigError
 from .eventlog import (
+    MalformedLog,
     read_events,
     read_ledger_snapshots,
     replay_center,
@@ -210,6 +211,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MalformedLog as exc:
+        print(f"malformed log: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

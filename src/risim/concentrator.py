@@ -1,9 +1,9 @@
 """Concentrator: the timestamping relay between meters and the center.
 
 A concentrator hears broadcasts on lossy one-way links, stamps whatever
-arrives with its own (possibly skewed) clock, and forwards the report plus a
-small self-state block upstream.  It keeps no per-meter state and never
-deduplicates; that is the center's job.
+arrives with its own (possibly skewed) clock, and forwards the report
+upstream.  It keeps no per-meter state and never deduplicates; that is the
+center's job.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .domain import (
     CONCENTRATOR_NAMESPACE,
     ConcentratorReport,
-    ConcentratorState,
     ConfigError,
     MeterMessage,
     id_namespace,
@@ -40,14 +39,13 @@ class ConcentratorConfig:
             raise ConfigError(f"uplink loss must be a probability: {self.uplink_loss}")
 
 
-def receive(cfg: ConcentratorConfig, msg: MeterMessage, true_time_ms: int,
-            state: ConcentratorState | None = None) -> ConcentratorReport:
+def receive(cfg: ConcentratorConfig, msg: MeterMessage,
+            true_time_ms: int) -> ConcentratorReport:
     """Stamp an incoming message with this concentrator's clock."""
     return ConcentratorReport(
         message=msg,
         concentrator_id=cfg.id,
         rx_time_ms=true_time_ms + cfg.clock_skew_ms,
-        state=state or ConcentratorState(),
     )
 
 

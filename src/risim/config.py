@@ -340,20 +340,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return scenario_from_dict(obj)
 
 
-def full_visibility_building(
-    meters: list[tuple[MeterConfig, TraceSpec]],
-    concentrators: list[ConcentratorConfig],
-    radio_loss: float = 0.0,
-) -> Building:
-    """Wire every meter to every concentrator at one shared loss rate."""
-    cids = [c.id for c in concentrators]
-    sims = tuple(
-        SimMeter(config=cfg, trace=spec, links=tuple((cid, radio_loss) for cid in cids))
-        for cfg, spec in meters
-    )
-    return Building(meters=sims, concentrators=tuple(concentrators))
-
-
 def single_kind(scenario: ScenarioConfig) -> ResourceKind:
     """The one resource kind a homogeneous scenario uses; error if mixed."""
     kinds = {sm.config.kind for sm in scenario.meters()}

@@ -208,9 +208,6 @@ class QualityVector:
             out.append(round(v * DECI))
         return cls(kind, tuple(out))
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(v / DECI for v in self.values)
-
     @classmethod
     def nominal(cls, kind: ResourceKind) -> QualityVector:
         return cls(kind, NOMINAL_QUALITY_DU[kind])
@@ -258,19 +255,12 @@ class MeterMessage:
 
 
 @dataclass(frozen=True)
-class ConcentratorState:
-    uplink_ok: bool = True
-    queue_depth: int = 0
-
-
-@dataclass(frozen=True)
 class ConcentratorReport:
     """A meter message stamped with reception time by one concentrator."""
 
     message: MeterMessage
     concentrator_id: int
     rx_time_ms: int
-    state: ConcentratorState = ConcentratorState()
 
 
 # ---------------------------------------------------------------------------

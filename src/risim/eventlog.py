@@ -17,6 +17,10 @@ from .center import MonitoringCenter
 from .domain import ConcentratorReport, Registry, decode_frame
 
 
+class MalformedLog(ValueError):
+    """Raised when a log line cannot be read back as a record or frame."""
+
+
 class EventKind(Enum):
     QUANTUM_EVENT = "quantum_event"
     HEARTBEAT = "heartbeat"
@@ -72,10 +76,13 @@ def write_events(path: Path, records) -> None:
 def read_events(path: Path) -> list[EventLogRecord]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(EventLogRecord.from_json(line))
+                try:
+                    out.append(EventLogRecord.from_json(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise MalformedLog(f"{path} line {lineno}: not a record: {exc}") from None
     return out
 
 
@@ -89,10 +96,13 @@ def write_ledger_snapshots(path: Path, snapshots: list[dict]) -> None:
 def read_ledger_snapshots(path: Path) -> list[dict]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(json.loads(line))
+                try:
+                    out.append(json.loads(line))
+                except ValueError as exc:
+                    raise MalformedLog(f"{path} line {lineno}: not JSON: {exc}") from None
     return out
 
 
@@ -101,23 +111,28 @@ def replay_center(records) -> MonitoringCenter:
 
     Only ``center_ingest`` records matter; every one carries the full frame
     plus reception metadata, so the rebuilt ledgers must equal the originals
-    exactly if the log is faithful.
+    exactly if the log is faithful.  A record whose frame or fields cannot
+    be read raises MalformedLog naming its ``seq``.
     """
     registry = Registry()
     center = MonitoringCenter(registry, initial_session=0)
     for rec in records:
         if rec.kind is not EventKind.CENTER_INGEST:
             continue
-        msg = decode_frame(bytes.fromhex(rec.payload["frame_hex"]))
-        if not registry.has_meter(msg.meter_id):
-            registry.add_meter(msg.meter_id, msg.kind)
-        center.ingest(
-            ConcentratorReport(
+        try:
+            msg = decode_frame(bytes.fromhex(rec.payload["frame_hex"]))
+            if not registry.has_meter(msg.meter_id):
+                registry.add_meter(msg.meter_id, msg.kind)
+            report = ConcentratorReport(
                 message=msg,
                 concentrator_id=rec.payload["concentrator_id"],
                 rx_time_ms=rec.payload["rx_time_ms"],
             )
-        )
+        except KeyError as exc:
+            raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedLog(f"seq {rec.seq}: {exc}") from None
+        center.ingest(report)
     return center
 
 

@@ -193,7 +193,6 @@ class MeterRun:
     def events(self) -> Iterator[tuple[int, MeterMessage]]:
         cfg = self.cfg
         quality = cfg.quality or QualityVector.nominal(cfg.kind)
-        horizon = self.trace.horizon_ms
         cursor = Fraction(0)
         for seg_start, seg_end, rate in self.trace.segments():
             while cursor < seg_end:
@@ -236,20 +235,6 @@ class MeterRun:
                 if self.runtime.battery_remaining <= 0:
                     self.depleted_at_ms = int(cursor) if cursor == int(cursor) else math.ceil(cursor)
                     return
-        # idle tail: heartbeats may still be due through the horizon end
-        while self.runtime.battery_remaining > 0:
-            t_hb = self.runtime.last_tx_ms + cfg.heartbeat_interval_ms
-            if t_hb > horizon:
-                break
-            if not self._drain_until(cursor, t_hb):
-                return
-            rt, msg = heartbeat_check(self.runtime, cfg, t_hb, quality)
-            self.runtime = rt
-            yield t_hb, msg
-            cursor = Fraction(t_hb)
-            if rt.battery_remaining <= 0:
-                self.depleted_at_ms = t_hb
-                return
 
     def _drain_until(self, t_from: Fraction, t_to) -> bool:
         """Apply idle drain over [t_from, t_to); False when the battery dies."""

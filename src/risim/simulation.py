@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .center import MonitoringCenter, SessionLedger
+from .center import MonitoringCenter, SessionLedger, evenly_spaced
 from .concentrator import ConcentratorConfig, VisibilityMap, broadcast, receive
 from .domain import (
     BASE_UNIT,
@@ -273,9 +273,8 @@ def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
     metrics: dict[int, DetailMetric] = {}
     for sm in meters:
         mid = sm.config.id
-        steps = [(t, reg) for t, reg in readings.get(mid, [])]
         mse = _step_mean_square(
-            traces.get(mid), _as_increments(steps),
+            traces.get(mid), _as_increments(readings.get(mid, [])),
             scenario.rmse_grid_ms, scenario.horizon_ms,
         )
         metrics[mid] = DetailMetric(
@@ -312,13 +311,8 @@ def reconstruction_steps(ledger: SessionLedger | None,
     for rec in ledger.accepted_sessions():
         if rec.message_type is MessageType.QUANTUM_EVENT:
             jumps.append((Fraction(rec.rx_time_ms), quantum_du))
-    for lower, upper, quanta in ledger.bounded_runs():
-        if quanta <= 0:
-            continue
-        t_lo = Fraction(lower.rx_time_ms if lower is not None else 0)
-        t_hi = Fraction(upper.rx_time_ms)
-        for i in range(1, quanta + 1):
-            jumps.append((t_lo + (t_hi - t_lo) * Fraction(i, quanta + 1), quantum_du))
+    for t_lo, t_hi, quanta in ledger.bounded_runs():
+        jumps.extend((t, quantum_du) for t in evenly_spaced(t_lo, t_hi, quanta))
     jumps.sort(key=lambda j: j[0])
     return jumps
 

@@ -129,9 +129,6 @@ class ConsumptionTrace:
     def total_du(self) -> Fraction:
         return self.cumulative_du(self.horizon_ms)
 
-    def max_rate_du_per_hour(self) -> Fraction:
-        return max(rate for _, rate in self.breakpoints)
-
     def scaled(self, factor) -> ConsumptionTrace:
         """Same shape with every rate multiplied by ``factor``."""
         f = Fraction(factor)

@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risim.center import (
     ConsumerProfile,
@@ -20,6 +22,7 @@ from risim.center import (
     MonitoringCenter,
     NoData,
     SessionLedger,
+    _profile_quantiles,
 )
 from risim.domain import (
     ConcentratorReport,
@@ -345,6 +348,62 @@ def test_profile_quantiles_shift_toward_heavy_evening():
     placed = ledger.interpolate_lost_times([1, 2, 3], profile)
     for _, t in placed:
         assert 18 * HOUR < t < 19 * HOUR
+
+
+def _reference_profile_quantiles(profile, t_lo, t_hi, k):
+    """Per-target hour walk: total mass first, then one walk from t_lo per quantile."""
+    weights = [Fraction(w).limit_denominator(10**12) for w in profile.hourly_weights]
+
+    def mass_to(t):
+        total = Fraction(0)
+        lo = Fraction(t_lo)
+        span = t - lo
+        day_mass = sum(weights)
+        full_days, rem = divmod(span, 24 * HOUR)
+        total += day_mass * full_days
+        cursor = lo + full_days * 24 * HOUR
+        while rem > 0:
+            hour_idx = int((cursor // HOUR) % 24)
+            hour_end = (cursor // HOUR + 1) * HOUR
+            step = min(rem, hour_end - cursor)
+            total += weights[hour_idx] * step / HOUR
+            cursor += step
+            rem -= step
+        return total
+
+    def invert_mass(target):
+        acc = Fraction(0)
+        cursor = Fraction(t_lo)
+        end = Fraction(t_hi)
+        while cursor < end:
+            hour_idx = int((cursor // HOUR) % 24)
+            hour_end = (cursor // HOUR + 1) * HOUR
+            step = min(end, hour_end) - cursor
+            gain = weights[hour_idx] * step / HOUR
+            if acc + gain >= target:
+                return cursor + (target - acc) * HOUR / weights[hour_idx]
+            acc += gain
+            cursor += step
+        return end
+
+    total_mass = mass_to(Fraction(t_hi))
+    return [invert_mass(total_mass * Fraction(i, k + 1)) for i in range(1, k + 1)]
+
+
+@settings(deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 500), min_size=24, max_size=24),
+    t_lo=st.integers(0, 3 * 24 * HOUR),
+    width=st.integers(1, 3 * 24 * HOUR),
+    k=st.integers(1, 40),
+)
+def test_profile_quantile_sweep_matches_per_target_walk(counts, t_lo, width, k):
+    masses = [c if c > 0 else 1e-3 for c in counts]
+    profile = ConsumerProfile(MID, tuple(m / sum(masses) for m in masses))
+    got = _profile_quantiles(profile, t_lo, t_lo + width, k)
+    assert got == _reference_profile_quantiles(profile, t_lo, t_lo + width, k)
+    assert all(t_lo < t < t_lo + width for t in got)
+    assert got == sorted(got)
 
 
 def test_degenerate_bracket_pins_to_boundary():
