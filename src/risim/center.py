@@ -97,11 +97,14 @@ class SessionLedger:
     """Wrap-aware per-meter session bookkeeping.
 
     Sessions are unrolled onto an unbounded internal axis, so a 32-bit
-    counter wrap is invisible to gap accounting.  When ``initial_session``
-    is given the center knows where the meter's numbering began (normal for
-    a registered installation) and messages lost before first contact are
-    tracked as gaps; without it the ledger anchors at the first session it
-    happens to see.
+    counter wrap is invisible to gap accounting.  The accepted sessions are
+    the whole record: every known-lost session is a hole between two of
+    them, derived when asked, so memory grows with what arrived and not with
+    how far a session number jumped.  When ``initial_session`` is given the
+    center knows where the meter's numbering began (normal for a registered
+    installation) and messages lost before first contact are tracked as
+    gaps; without it the ledger anchors at the first session it happens to
+    see.
     """
 
     def __init__(self, meter_id: int, *, initial_session: int | None = None,
@@ -110,9 +113,7 @@ class SessionLedger:
         self.modulus = modulus
         self.initial_session = initial_session
         self._accepted: dict[int, AcceptedSession] = {}
-        self._gaps: set[int] = set()
-        self._min_abs: int | None = None
-        self._max_abs: int | None = None
+        self._max_abs: int | None = None  # highest accepted, the unroll reference
         self.stale_replays = 0
         self.conflict_sessions: set[int] = set()
 
@@ -128,7 +129,12 @@ class SessionLedger:
 
     @property
     def first_covered(self) -> int | None:
-        return None if self._min_abs is None else self._min_abs % self.modulus
+        if not self._accepted:
+            return None
+        lowest = min(self._accepted)
+        if self.initial_session is not None:
+            lowest = min(lowest, self.initial_session)
+        return lowest % self.modulus
 
     def accepted_sessions(self) -> list[AcceptedSession]:
         return [self._accepted[a] for a in sorted(self._accepted)]
@@ -188,79 +194,45 @@ class SessionLedger:
             frame=encode_frame(msg),
             seen={(report.concentrator_id, report.rx_time_ms)},
         )
-        self._gaps.discard(abs_session)
-        if self._max_abs is None:
-            if self.initial_session is not None:
-                start = self.initial_session
-                self._gaps.update(range(start, abs_session))
-                self._min_abs = min(start, abs_session)
-            else:
-                self._min_abs = abs_session
+        if self._max_abs is None or abs_session > self._max_abs:
             self._max_abs = abs_session
-        else:
-            if abs_session > self._max_abs:
-                self._gaps.update(
-                    a for a in range(self._max_abs + 1, abs_session)
-                )
-                self._max_abs = abs_session
-            elif abs_session < self._min_abs:
-                self._gaps.update(
-                    a for a in range(abs_session + 1, self._min_abs)
-                )
-                self._min_abs = abs_session
         return IngestOutcome.ACCEPTED
 
     # -- gaps --------------------------------------------------------------
 
     def detect_gaps(self) -> list[int]:
         """Known-lost sessions as wire numbers, in emission order."""
-        return [a % self.modulus for a in sorted(self._gaps)]
+        return [s for run in self.gap_runs() for s in run]
 
     def gap_runs(self) -> list[list[int]]:
         """Maximal runs of consecutive lost sessions, as wire numbers."""
         return [
             [a % self.modulus for a in range(first, last + 1)]
-            for first, last in self._runs()
+            for first, last, *_ in self._runs()
         ]
 
     def _runs(self):
-        """Maximal lost runs as (first, last) unrolled sessions, in order."""
-        first = last = None
-        for a in sorted(self._gaps):
-            if last is not None and a == last + 1:
-                last = a
-                continue
-            if last is not None:
-                yield first, last
-            first = last = a
-        if last is not None:
-            yield first, last
+        """Maximal lost runs as (first, last, t_lo, t_hi, lost_quanta), in order.
 
-    def _bracket(self, first: int, last: int) -> tuple[int, int, int] | None:
-        """(t_lo, t_hi, lost_quanta) bounding the lost run first..last.
-
-        The bounds are the reception times of the accepted sessions on
-        either side, and the lost quantum events are the difference of
-        their lifetime counters.  A run that starts at the known initial
-        session is measured from the installation origin instead (time
-        zero, zero lifetime quanta).  None when nothing bounds the run: a
-        trailing run nothing has closed yet, or one before first contact
-        whose start is unknown.
+        ``first`` and ``last`` are unrolled sessions.  Each run is a hole
+        between two accepted sessions, bounded by their reception times, and
+        its lost quantum events are the difference of their lifetime
+        counters.  Below the lowest accepted session lies the lead-in from a
+        known initial session, measured from the installation origin (time
+        zero, zero lifetime quanta).  Nothing above the highest accepted
+        session is known to be lost, so every run is bounded.
         """
-        upper = self._accepted.get(last + 1)
-        if upper is None:
-            return None
-        lower = self._accepted.get(first - 1)
-        if lower is not None:
-            t_lo, base_quanta = lower.rx_time_ms, lower.cumulative_quanta
-        elif first == self.initial_session:
-            t_lo, base_quanta = 0, 0
-        else:
-            return None
-        lost = upper.cumulative_quanta - base_quanta
-        if upper.message_type is MessageType.QUANTUM_EVENT:
-            lost -= 1
-        return t_lo, upper.rx_time_ms, lost
+        t_lo, base_quanta = 0, 0
+        unseen = self.initial_session  # lowest session not yet accounted for
+        for a in sorted(self._accepted):
+            rec = self._accepted[a]
+            if unseen is not None and a > unseen:
+                lost = rec.cumulative_quanta - base_quanta
+                if rec.message_type is MessageType.QUANTUM_EVENT:
+                    lost -= 1
+                yield unseen, a - 1, t_lo, rec.rx_time_ms, lost
+            t_lo, base_quanta = rec.rx_time_ms, rec.cumulative_quanta
+            unseen = a + 1
 
     # -- reconstruction ----------------------------------------------------
 
@@ -307,9 +279,8 @@ class SessionLedger:
         )
 
     def bounded_runs(self) -> list[tuple[int, int, int]]:
-        """(t_lo, t_hi, lost_quanta) of every lost run something bounds."""
-        brackets = (self._bracket(first, last) for first, last in self._runs())
-        return [b for b in brackets if b is not None]
+        """(t_lo, t_hi, lost_quanta) of every lost run, in order."""
+        return [(t_lo, t_hi, lost) for _, _, t_lo, t_hi, lost in self._runs()]
 
     # -- lost-time restoration --------------------------------------------
 
@@ -321,21 +292,22 @@ class SessionLedger:
         Uniform spacing between the bounding reception times by default;
         with a profile, spacing proportional to the profile's hour-of-day
         mass.  Estimates are strictly inside the bounding timestamps and
-        strictly increasing.  A run nothing has closed yet (no upper bound)
-        cannot be placed and yields an empty list; retry once a later
-        session arrives.
+        strictly increasing.  Only a whole run, as ``gap_runs`` lists it,
+        has accepted sessions on both sides to place it by; a part of one
+        yields an empty list.
         """
         if not gap_run:
             return []
         run_abs = [self._unroll(s) for s in gap_run]
         if any(b - a != 1 for a, b in zip(run_abs, run_abs[1:])):
             raise ValueError("gap run must be contiguous sessions")
-        if any(a not in self._gaps for a in run_abs):
+        for first, last, t_lo, t_hi, _ in self._runs():
+            if first <= run_abs[0] and run_abs[-1] <= last:
+                break
+        else:
             raise ValueError("gap run contains sessions not known to be lost")
-        bracket = self._bracket(run_abs[0], run_abs[-1])
-        if bracket is None:
+        if (first, last) != (run_abs[0], run_abs[-1]):
             return []
-        t_lo, t_hi, _ = bracket
         if t_hi <= t_lo:
             # degenerate zero-width bracket; pin everything at the boundary
             return [(s % self.modulus, float(t_lo)) for s in run_abs]
@@ -431,18 +403,16 @@ class SessionLedger:
 class MonitoringCenter:
     """All per-meter ledgers plus the registry that scopes them."""
 
-    def __init__(self, registry: Registry, *, initial_session: int | None = 0) -> None:
+    def __init__(self, registry: Registry) -> None:
         self.registry = registry
-        self._initial = initial_session
         self._ledgers: dict[int, SessionLedger] = {}
 
     def ledger(self, meter_id: int) -> SessionLedger:
         if meter_id not in self._ledgers:
             if not self.registry.has_meter(meter_id):
                 raise KeyError(f"meter not registered: {meter_id:#x}")
-            self._ledgers[meter_id] = SessionLedger(
-                meter_id, initial_session=self._initial
-            )
+            # a registered meter numbers its sessions from 0 at installation
+            self._ledgers[meter_id] = SessionLedger(meter_id, initial_session=0)
         return self._ledgers[meter_id]
 
     def ingest(self, report: ConcentratorReport) -> IngestOutcome:

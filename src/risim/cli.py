@@ -97,6 +97,10 @@ def _metrics_rows(mode: str, scenario: ScenarioConfig, result) -> list[list]:
     window = (0, scenario.horizon_ms)
     kinds = {sm.config.id: sm.config.kind for sm in scenario.meters()}
     if mode == "ri":
+        # reception times: a frame emitted in [0, horizon] is stamped with
+        # its concentrator's skew, so the window widens by the extreme skews
+        skews = [c.clock_skew_ms for c in scenario.concentrators()]
+        window = (min(0, *skews), scenario.horizon_ms + max(0, *skews))
         recon = {r.meter_id: r for r in result.center.reconstruct_all(window)}
         for mid in sorted(kinds):
             r = recon[mid]

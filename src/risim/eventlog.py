@@ -115,7 +115,7 @@ def replay_center(records) -> MonitoringCenter:
     be read raises MalformedLog naming its ``seq``.
     """
     registry = Registry()
-    center = MonitoringCenter(registry, initial_session=0)
+    center = MonitoringCenter(registry)
     for rec in records:
         if rec.kind is not EventKind.CENTER_INGEST:
             continue

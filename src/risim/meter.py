@@ -39,7 +39,6 @@ class MeterConfig:
     idle_drain_per_hour: Fraction = Fraction(0)
     drift_rate: Fraction = Fraction(0)     # quantum inflation per emitted quantum
     max_flow_du_per_hour: Fraction | None = None
-    dead_meter_accumulates: bool = False
     quality: QualityVector | None = None   # fixed readout; None means nominal
 
     def __post_init__(self) -> None:
@@ -90,7 +89,7 @@ def effective_quantum_du(cfg: MeterConfig, rt: MeterRuntime) -> Fraction:
 
 
 def _message(cfg: MeterConfig, rt: MeterRuntime, session: int,
-             mtype: MessageType, quality: QualityVector | None) -> MeterMessage:
+             mtype: MessageType) -> MeterMessage:
     if cfg.battery_capacity > 0:
         frac = max(Fraction(0), min(Fraction(1), rt.battery_remaining / cfg.battery_capacity))
     else:
@@ -100,7 +99,7 @@ def _message(cfg: MeterConfig, rt: MeterRuntime, session: int,
         session=session % SESSION_MOD,
         kind=cfg.kind,
         message_type=mtype,
-        quality=quality or cfg.quality or QualityVector.nominal(cfg.kind),
+        quality=cfg.quality or QualityVector.nominal(cfg.kind),
         state=MeterState(
             battery_level=round(frac * 200) / 200,
             cumulative_quanta=rt.cumulative_quanta % 2**32,
@@ -108,22 +107,19 @@ def _message(cfg: MeterConfig, rt: MeterRuntime, session: int,
     )
 
 
-def ingest_flow(rt: MeterRuntime, cfg: MeterConfig, amount_du, now_ms: int,
-                quality: QualityVector | None = None,
-                ) -> tuple[MeterRuntime, list[MeterMessage]]:
+def ingest_flow(rt: MeterRuntime, cfg: MeterConfig, amount_du,
+                now_ms: int) -> tuple[MeterRuntime, list[MeterMessage]]:
     """Register ``amount_du`` of consumption ending at ``now_ms``.
 
     Emits one message per effective-quantum crossing; with zero drift that is
     exactly floor((residual + amount) / quantum) messages.  A dead battery
-    neither emits nor, by default, accumulates: flow past the moment of death
-    is simply never registered.
+    neither emits nor accumulates: flow past the moment of death is simply
+    never registered.
     """
     amount = Fraction(amount_du)
     if amount < 0:
         raise ValueError("consumption amount must be nonnegative")
     if rt.battery_remaining <= 0:
-        if cfg.dead_meter_accumulates:
-            rt = replace(rt, residual_du=rt.residual_du + amount)
         return rt, []
     residual = rt.residual_du + amount
     session = rt.next_session
@@ -141,7 +137,7 @@ def ingest_flow(rt: MeterRuntime, cfg: MeterConfig, amount_du, now_ms: int,
         quanta += 1
         battery -= cfg.tx_cost
         snapshot = replace(rt, battery_remaining=battery, cumulative_quanta=quanta)
-        messages.append(_message(cfg, snapshot, session, MessageType.QUANTUM_EVENT, quality))
+        messages.append(_message(cfg, snapshot, session, MessageType.QUANTUM_EVENT))
         session += 1
     rt = replace(
         rt,
@@ -154,9 +150,8 @@ def ingest_flow(rt: MeterRuntime, cfg: MeterConfig, amount_du, now_ms: int,
     return rt, messages
 
 
-def heartbeat_check(rt: MeterRuntime, cfg: MeterConfig, now_ms: int,
-                    quality: QualityVector | None = None,
-                    ) -> tuple[MeterRuntime, MeterMessage | None]:
+def heartbeat_check(rt: MeterRuntime, cfg: MeterConfig,
+                    now_ms: int) -> tuple[MeterRuntime, MeterMessage | None]:
     """Emit a liveness message if the meter has been silent a full interval."""
     if rt.battery_remaining <= 0:
         return rt, None
@@ -164,7 +159,7 @@ def heartbeat_check(rt: MeterRuntime, cfg: MeterConfig, now_ms: int,
         return rt, None
     battery = rt.battery_remaining - cfg.tx_cost
     snapshot = replace(rt, battery_remaining=battery)
-    msg = _message(cfg, snapshot, rt.next_session, MessageType.HEARTBEAT, quality)
+    msg = _message(cfg, snapshot, rt.next_session, MessageType.HEARTBEAT)
     rt = replace(
         rt,
         next_session=rt.next_session + 1,
@@ -192,7 +187,6 @@ class MeterRun:
 
     def events(self) -> Iterator[tuple[int, MeterMessage]]:
         cfg = self.cfg
-        quality = cfg.quality or QualityVector.nominal(cfg.kind)
         cursor = Fraction(0)
         for seg_start, seg_end, rate in self.trace.segments():
             while cursor < seg_end:
@@ -211,7 +205,7 @@ class MeterRun:
                     rt = self.runtime
                     amount = effective_quantum_du(cfg, rt) - rt.residual_du
                     when = math.ceil(t_cross)
-                    rt, msgs = ingest_flow(rt, cfg, amount, when, quality)
+                    rt, msgs = ingest_flow(rt, cfg, amount, when)
                     self.runtime = rt
                     yield when, msgs[0]
                     cursor = t_cross
@@ -221,7 +215,7 @@ class MeterRun:
                     rt = self.runtime
                     sipped = rate * (t_hb - cursor) / MS_PER_HOUR
                     rt = replace(rt, residual_du=rt.residual_du + sipped)
-                    rt, msg = heartbeat_check(rt, cfg, t_hb, quality)
+                    rt, msg = heartbeat_check(rt, cfg, t_hb)
                     self.runtime = rt
                     yield t_hb, msg
                     cursor = Fraction(t_hb)

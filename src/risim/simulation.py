@@ -153,7 +153,7 @@ def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
     vis = scenario.visibility()
     conc = {c.id: c for c in scenario.concentrators()}
     traces = _generate_traces(scenario)
-    center = MonitoringCenter(registry, initial_session=0)
+    center = MonitoringCenter(registry)
 
     emissions: list[tuple[int, int, int, object]] = []
     runs: dict[int, MeterRun] = {}

@@ -209,7 +209,7 @@ def test_04_multipath_dedup_equivalence():
     registry = tri.build_registry()
     for _ in range(10):
         rng.shuffle(ingests)
-        center = MonitoringCenter(registry, initial_session=0)
+        center = MonitoringCenter(registry)
         for payload in ingests:
             center.ingest(ConcentratorReport(
                 message=decode_frame(bytes.fromhex(payload["frame_hex"])),

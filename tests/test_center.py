@@ -9,6 +9,7 @@ consumption amount to an exact value.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -156,36 +157,105 @@ def test_gap_across_counter_wrap():
     assert ledger.highest_session == 1
 
 
+def _cap_bursts(lost, lo, hi, cap):
+    """``lost`` with every burst of ``cap`` consecutive sessions broken."""
+    lost = set(lost)
+    run = 0
+    for i in range(lo, hi):
+        run = run + 1 if i in lost else 0
+        if run >= cap:
+            lost.discard(i)
+            run = 0
+    return lost
+
+
+def _expected_runs(lost, lo, hi):
+    """Maximal runs of ``lost`` indices in [lo, hi), as (first, last)."""
+    runs = []
+    for i in range(lo, hi):
+        if i not in lost:
+            continue
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return runs
+
+
 def test_wrap_oracle_brute_force_small_modulus():
     """Random lossy sequences at modulus 256: gaps must equal the lost set.
 
     The oracle is the generator itself: emit consecutive sessions (wire =
-    index mod 256), drop a random subset, feed survivors in emission order
-    (the channel loses but does not reorder).  Loss bursts are capped below
-    half the counter range, the wrap rule's operating envelope.
+    index mod 256), drop a random subset, and feed the survivors in
+    emission order.  Loss bursts are capped below half the counter range,
+    the wrap rule's operating envelope.  A second feed reorders survivors
+    by up to 24 sessions, which also brings arrivals below the lowest
+    session accepted so far; its bursts are capped at a quarter range so
+    burst plus reordering stays inside the envelope.  Each feed goes to a
+    ledger anchored at the true start, so pre-contact losses are tracked
+    too, and to one with no initial session, which anchors at its first
+    arrival.  Reception time is 10 ms per index and the lifetime counter
+    counts from the start, so each lost run is bracketed by its neighbours
+    and loses exactly its length in quanta.
     """
     mod = 256
+    displacement = 24
     rng = random.Random(4242)
+    arrivals_below_lowest = 0
     for trial in range(40):
         n = rng.randint(5, 900)
         start = rng.randint(0, 5 * mod)
         lost = {i for i in range(start, start + n) if rng.random() < 0.3}
         # cap loss bursts so consecutive survivors stay within half range
-        run = 0
-        for i in range(start, start + n):
-            run = run + 1 if i in lost else 0
-            if run >= mod // 2 - 1:
-                lost.discard(i)
-                run = 0
+        lost = _cap_bursts(lost, start, start + n, mod // 2 - 1)
         survivors = [i for i in range(start, start + n) if i not in lost]
         if not survivors:
             continue
-        # anchor at the true start so pre-contact losses are tracked too
-        ledger = SessionLedger(MID, initial_session=start, modulus=mod)
-        _feed(ledger, [_report(i % mod, 10 * i, quanta=i + 1) for i in survivors])
-        expected_gaps = [i % mod for i in range(start, max(survivors))
-                         if i in lost]
-        assert ledger.detect_gaps() == expected_gaps, f"trial {trial}"
+        lost_r = _cap_bursts(lost, start, start + n, mod // 4)
+        reordered = sorted(
+            (i for i in range(start, start + n) if i not in lost_r),
+            key=lambda i: i + rng.randint(0, displacement),
+        )
+        lowest = reordered[0]
+        for i in reordered:
+            arrivals_below_lowest += i < lowest
+            lowest = min(lowest, i)
+        for dropped, order in ((lost, survivors), (lost_r, reordered)):
+            for initial in (start, None):
+                ledger = SessionLedger(MID, initial_session=initial, modulus=mod)
+                _feed(ledger, [_report(i % mod, 10 * i, quanta=i - start + 1)
+                               for i in order])
+                lo = start if initial is not None else min(order)
+                hi = max(order)
+                runs = _expected_runs(dropped, lo, hi)
+                where = f"trial {trial}, initial {initial}, reordered {order is reordered}"
+                assert ledger.first_covered == lo % mod, where
+                assert ledger.detect_gaps() == [
+                    i % mod for i in range(lo, hi) if i in dropped
+                ], where
+                assert ledger.gap_runs() == [
+                    [i % mod for i in range(a, b + 1)] for a, b in runs
+                ], where
+                assert ledger.bounded_runs() == [
+                    (10 * (a - 1) if a > start else 0, 10 * (b + 1), b - a + 1)
+                    for a, b in runs
+                ], where
+    assert arrivals_below_lowest > 0
+
+
+def test_forged_session_jump_allocates_no_gap_entries():
+    """A jump of 10**6 sessions is one lost run, not 10**6 ledger entries."""
+    ledger = SessionLedger(MID, initial_session=0)
+    reports = [_report(0, 1000), _report(10**6, 2000)]
+    tracemalloc.start()
+    try:
+        _feed(ledger, reports)
+        runs = ledger.bounded_runs()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert runs == [(1000, 2000, 10**6 - 1)]
+    assert peak < 2**20, f"peak {peak} B"
 
 
 # ---------------------------------------------------------------------------

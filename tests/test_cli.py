@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from risim.cli import main
-from risim.eventlog import read_csv, read_events
+from risim.config import load_scenario
+from risim.eventlog import read_csv, read_events, read_ledger_snapshots
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -67,7 +68,7 @@ SHIPPED_DIGESTS = {
     "default.json": (
         "221317bc8ddbb46d96870172bf769248a9ab32aecd3f2adb47bc4ccfc090ed53",
         "14dcf79454b35f2159e04722b2eb3022c0a5b21639b9cd361930bcfcdc905113",
-        "4e67408d2f4524a937a4de34f18cbea91342b92d448c188a1b75abfa6c213233",
+        "0d6892f58721e19cb0cda43ccd6bf5144348d495b1f4d41974fc773c8b3e3632",
     ),
     "night_idle.json": (
         "1cd97d534ec60c81f48f0b766e1b7db11c2bef0c6b1e9a0d93166c7bf297b3b0",
@@ -82,17 +83,50 @@ SHIPPED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
-def test_shipped_scenarios_match_golden_hashes(tmp_path, monkeypatch, name):
-    monkeypatch.delenv("RI_SIM_SEED", raising=False)
-    out = tmp_path / "out"
-    assert main(["run", str(SCENARIOS / name), "--out", str(out)]) == 0
+@pytest.fixture(scope="module", params=sorted(SHIPPED_DIGESTS))
+def shipped_run(request, tmp_path_factory):
+    """(name, output directory) of one ``risim run`` per shipped scenario."""
+    out = tmp_path_factory.mktemp("shipped") / "out"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("RI_SIM_SEED", raising=False)
+        assert main(["run", str(SCENARIOS / request.param), "--out", str(out)]) == 0
+    return request.param, out
+
+
+def test_shipped_scenarios_match_golden_hashes(shipped_run):
+    name, out = shipped_run
     assert main(["replay", str(out)]) == 0
     digests = tuple(
         hashlib.sha256((out / f).read_bytes()).hexdigest()
         for f in ("events.ndjson", "ledgers.ndjson", "metrics.csv")
     )
     assert digests == SHIPPED_DIGESTS[name]
+
+
+def test_shipped_ri_rows_account_for_every_quantum(shipped_run):
+    """Received + recovered + trailing quanta equal the lifetime count.
+
+    The lifetime count is the cumulative quanta of the highest session the
+    center accepted, so every frame it accepted is in the ``ri`` row, also
+    one a skewed concentrator stamped after the horizon.
+    """
+    name, out = shipped_run
+    quantum = {sm.config.id: sm.config.quantum_du
+               for sm in load_scenario(SCENARIOS / name).meters()}
+    lifetime = {}
+    for snap in read_ledger_snapshots(out / "ledgers.ndjson"):
+        [top] = [row for row in snap["sessions"]
+                 if row["session"] == snap["highest_session"]]
+        lifetime[snap["meter_id"]] = top["cumulative_quanta"]
+    _, rows = read_csv(out / "metrics.csv")
+    ri_rows = [row for row in rows if row["mode"] == "ri"]
+    assert len(ri_rows) == len(quantum)
+    for row in ri_rows:
+        mid = int(row["meter_id"], 16)
+        trailing, rest = divmod(int(row["trailing_uncertainty_du"]), quantum[mid])
+        assert rest == 0, row
+        total = int(row["quanta_received"]) + int(row["quanta_recovered"]) + trailing
+        assert total == lifetime.get(mid, 0), row
 
 
 def test_seed_flag_changes_the_run(tmp_path):
