@@ -217,9 +217,9 @@ class SessionLedger:
         ``first`` and ``last`` are unrolled sessions.  Each run is a hole
         between two accepted sessions, bounded by their reception times, and
         its lost quantum events are the difference of their lifetime
-        counters.  Below the lowest accepted session lies the lead-in from a
-        known initial session, measured from the installation origin (time
-        zero, zero lifetime quanta).  Nothing above the highest accepted
+        counters modulo 2**32, the counter's wrap.  Below the lowest accepted
+        session lies the lead-in from a known initial session, measured from
+        the installation origin (time zero, zero lifetime quanta).  Nothing above the highest accepted
         session is known to be lost, so every run is bounded.
         """
         t_lo, base_quanta = 0, 0
@@ -227,7 +227,7 @@ class SessionLedger:
         for a in sorted(self._accepted):
             rec = self._accepted[a]
             if unseen is not None and a > unseen:
-                lost = rec.cumulative_quanta - base_quanta
+                lost = (rec.cumulative_quanta - base_quanta) % 2**32
                 if rec.message_type is MessageType.QUANTUM_EVENT:
                     lost -= 1
                 yield unseen, a - 1, t_lo, rec.rx_time_ms, lost

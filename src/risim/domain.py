@@ -47,14 +47,6 @@ class ResourceKind(Enum):
     GAS = "gas"
     GENERIC_SENSOR = "generic_sensor"
 
-    @property
-    def base_unit(self) -> str:
-        return BASE_UNIT[self]
-
-    @property
-    def quality_fields(self) -> tuple[str, ...]:
-        return QUALITY_FIELDS[self]
-
 
 BASE_UNIT = {
     ResourceKind.COLD_WATER: "ml",
@@ -164,11 +156,6 @@ def session_delta(a: int, b: int, modulus: int = SESSION_MOD) -> int:
     """
     d = (b - a) % modulus
     return d if d < modulus // 2 else d - modulus
-
-
-def session_wire(value: int, modulus: int = SESSION_MOD) -> int:
-    """Fold an unbounded session index back onto the wire counter range."""
-    return value % modulus
 
 
 # ---------------------------------------------------------------------------

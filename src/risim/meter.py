@@ -88,12 +88,11 @@ def effective_quantum_du(cfg: MeterConfig, rt: MeterRuntime) -> Fraction:
     return cfg.quantum_du * (1 + cfg.drift_rate * Fraction(rt.cumulative_quanta))
 
 
-def _message(cfg: MeterConfig, rt: MeterRuntime, session: int,
+def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
              mtype: MessageType) -> MeterMessage:
-    if cfg.battery_capacity > 0:
-        frac = max(Fraction(0), min(Fraction(1), rt.battery_remaining / cfg.battery_capacity))
-    else:
-        frac = Fraction(0)
+    """The frame content of one transmission, after it spent ``tx_cost``."""
+    cap = cfg.battery_capacity
+    frac = min(max(battery, 0), cap) / cap if cap > 0 else 0
     return MeterMessage(
         meter_id=cfg.id,
         session=session % SESSION_MOD,
@@ -102,7 +101,7 @@ def _message(cfg: MeterConfig, rt: MeterRuntime, session: int,
         quality=cfg.quality or QualityVector.nominal(cfg.kind),
         state=MeterState(
             battery_level=round(frac * 200) / 200,
-            cumulative_quanta=rt.cumulative_quanta % 2**32,
+            cumulative_quanta=quanta % 2**32,
         ),
     )
 
@@ -136,8 +135,7 @@ def ingest_flow(rt: MeterRuntime, cfg: MeterConfig, amount_du,
         residual -= eff
         quanta += 1
         battery -= cfg.tx_cost
-        snapshot = replace(rt, battery_remaining=battery, cumulative_quanta=quanta)
-        messages.append(_message(cfg, snapshot, session, MessageType.QUANTUM_EVENT))
+        messages.append(_message(cfg, battery, quanta, session, MessageType.QUANTUM_EVENT))
         session += 1
     rt = replace(
         rt,
@@ -158,8 +156,7 @@ def heartbeat_check(rt: MeterRuntime, cfg: MeterConfig,
     if now_ms - rt.last_tx_ms < cfg.heartbeat_interval_ms:
         return rt, None
     battery = rt.battery_remaining - cfg.tx_cost
-    snapshot = replace(rt, battery_remaining=battery)
-    msg = _message(cfg, snapshot, rt.next_session, MessageType.HEARTBEAT)
+    msg = _message(cfg, battery, rt.cumulative_quanta, rt.next_session, MessageType.HEARTBEAT)
     rt = replace(
         rt,
         next_session=rt.next_session + 1,
@@ -172,11 +169,14 @@ def heartbeat_check(rt: MeterRuntime, cfg: MeterConfig,
 class MeterRun:
     """Exact event schedule for one meter over one trace.
 
-    Crossing instants are rational solutions on the piecewise-constant trace;
-    the logged time is the first whole millisecond at or after the instant,
-    so ordering and conservation are exact.  Events at exactly the horizon
-    are included.  After iteration, ``runtime`` holds the final state and
-    ``depleted_at_ms`` the battery death time if it died inside the horizon.
+    Crossing instants are rational solutions on the piecewise-constant trace.
+    Each step registers the flow up to the next instant through
+    ``ingest_flow`` and then calls ``heartbeat_check``, both at the first
+    whole millisecond at or after the instant, so ordering and conservation
+    are exact.  Events at exactly the horizon are included.  After iteration,
+    ``runtime`` holds the final state and ``depleted_at_ms`` the battery
+    death time if it died inside the horizon (0 for a meter installed with
+    an empty battery).
     """
 
     def __init__(self, cfg: MeterConfig, trace: ConsumptionTrace) -> None:
@@ -187,47 +187,34 @@ class MeterRun:
 
     def events(self) -> Iterator[tuple[int, MeterMessage]]:
         cfg = self.cfg
+        if self.runtime.battery_remaining <= 0:
+            self.depleted_at_ms = 0
+            return
         cursor = Fraction(0)
-        for seg_start, seg_end, rate in self.trace.segments():
+        for _, seg_end, rate in self.trace.segments():
             while cursor < seg_end:
+                # step to the segment end, the heartbeat deadline or the
+                # crossing, whichever comes first; a crossing at the deadline
+                # transmits and so resets it
                 rt = self.runtime
-                t_cross = None
+                step_to = min(seg_end, rt.last_tx_ms + cfg.heartbeat_interval_ms)
                 if rate > 0:
                     need = effective_quantum_du(cfg, rt) - rt.residual_du
-                    t = cursor + need * MS_PER_HOUR / rate
-                    if t <= seg_end:
-                        t_cross = t
-                t_hb = rt.last_tx_ms + cfg.heartbeat_interval_ms
-                hb_due = t_hb <= seg_end
-                if t_cross is not None and (not hb_due or math.ceil(t_cross) <= t_hb):
-                    if not self._drain_until(cursor, t_cross):
-                        return
-                    rt = self.runtime
-                    amount = effective_quantum_du(cfg, rt) - rt.residual_du
-                    when = math.ceil(t_cross)
-                    rt, msgs = ingest_flow(rt, cfg, amount, when)
-                    self.runtime = rt
-                    yield when, msgs[0]
-                    cursor = t_cross
-                elif hb_due:
-                    if not self._drain_until(cursor, t_hb):
-                        return
-                    rt = self.runtime
-                    sipped = rate * (t_hb - cursor) / MS_PER_HOUR
-                    rt = replace(rt, residual_du=rt.residual_du + sipped)
-                    rt, msg = heartbeat_check(rt, cfg, t_hb)
-                    self.runtime = rt
-                    yield t_hb, msg
-                    cursor = Fraction(t_hb)
-                else:
-                    if not self._drain_until(cursor, seg_end):
-                        return
-                    rt = self.runtime
-                    sipped = rate * (seg_end - cursor) / MS_PER_HOUR
-                    self.runtime = replace(rt, residual_du=rt.residual_du + sipped)
-                    cursor = Fraction(seg_end)
-                if self.runtime.battery_remaining <= 0:
-                    self.depleted_at_ms = int(cursor) if cursor == int(cursor) else math.ceil(cursor)
+                    step_to = min(step_to, cursor + need * MS_PER_HOUR / rate)
+                if not self._drain_until(cursor, step_to):
+                    return
+                now = math.ceil(step_to)
+                amount = rate * (step_to - cursor) / MS_PER_HOUR
+                rt, msgs = ingest_flow(self.runtime, cfg, amount, now)
+                rt, heartbeat = heartbeat_check(rt, cfg, now)
+                self.runtime = rt
+                for msg in msgs:
+                    yield now, msg
+                if heartbeat is not None:
+                    yield now, heartbeat
+                cursor = step_to
+                if rt.battery_remaining <= 0:
+                    self.depleted_at_ms = now
                     return
 
     def _drain_until(self, t_from: Fraction, t_to) -> bool:

@@ -8,6 +8,7 @@ plus seed reproduces its event log byte for byte.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -155,17 +156,17 @@ def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
     traces = _generate_traces(scenario)
     center = MonitoringCenter(registry)
 
-    emissions: list[tuple[int, int, int, object]] = []
-    runs: dict[int, MeterRun] = {}
-    for sm in sorted(scenario.meters(), key=lambda m: m.config.id):
-        mid = sm.config.id
-        if mid not in traces:
-            continue
-        run = MeterRun(sm.config, traces[mid])
-        for t, msg in run.events():
-            emissions.append((t, mid, msg.session, msg))
-        runs[mid] = run
-    emissions.sort(key=lambda e: (e[0], e[1], e[2]))
+    runs = {
+        sm.config.id: MeterRun(sm.config, traces[sm.config.id])
+        for sm in scenario.meters()
+        if sm.config.id in traces
+    }
+    # each meter's stream is ordered by (time, session), so merging them gives
+    # the global (time, meter, session) order without holding every emission
+    emissions = heapq.merge(
+        *(run.events() for run in runs.values()),
+        key=lambda e: (e[0], e[1].meter_id, e[1].session),
+    )
 
     rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM))
     records: list[EventLogRecord] = []
@@ -178,7 +179,8 @@ def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
         records.append(EventLogRecord(seq, t, kind, payload))
         seq += 1
 
-    for t, mid, session, msg in emissions:
+    for t, msg in emissions:
+        mid, session = msg.meter_id, msg.session
         frame = encode_frame(msg)
         counts[mid] = counts.get(mid, 0) + 1
         octets[mid] = octets.get(mid, 0) + len(frame)

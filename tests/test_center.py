@@ -157,6 +157,15 @@ def test_gap_across_counter_wrap():
     assert ledger.highest_session == 1
 
 
+def test_lost_quanta_counted_across_lifetime_counter_wrap():
+    # the counter goes 2^32-1 -> (lost 0) -> 1: one quantum event was lost
+    ledger = SessionLedger(MID)
+    ledger.ingest(_report(0, 1000, quanta=2**32 - 1))
+    ledger.ingest(_report(2, 3000, quanta=1))
+    assert ledger.bounded_runs() == [(1000, 3000, 1)]
+    assert ledger.reconstruct(1000, (0, 10_000)).quanta_recovered == 1
+
+
 def _cap_bursts(lost, lo, hi, cap):
     """``lost`` with every burst of ``cap`` consecutive sessions broken."""
     lost = set(lost)

@@ -10,7 +10,7 @@ import pytest
 
 from risim.cli import main
 from risim.config import load_scenario
-from risim.eventlog import read_csv, read_events, read_ledger_snapshots
+from risim.eventlog import EventKind, read_csv, read_events, read_ledger_snapshots
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -156,6 +156,24 @@ def test_replay_round_trip(tmp_path):
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     assert main(["replay", str(out)]) == 0
+
+
+def test_meters_installed_with_empty_battery_run_and_replay(tmp_path):
+    # one with flow, one idle with a heartbeat due inside the horizon
+    scn = _write_scenario(tmp_path, buildings=[{
+        "concentrators": [{"serial": 1}],
+        "meters": [
+            {"serial": 1, "kind": "cold_water", "battery_capacity": 0,
+             "trace": {"kind": "constant", "params": {"rate": "20l/h"}}},
+            {"serial": 2, "kind": "cold_water", "battery_capacity": 0,
+             "heartbeat_interval": "1h", "trace": {"kind": "zero"}},
+        ],
+    }])
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == 0
+    assert main(["replay", str(out)]) == 0
+    assert not [r for r in read_events(out / "events.ndjson")
+                if r.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT)]
 
 
 def _shift_rx_time(payload):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,7 +26,6 @@ from risim.domain import (
     id_serial,
     meter_id,
     session_delta,
-    session_wire,
 )
 
 
@@ -225,10 +222,3 @@ def test_session_delta_brute_force_small_width():
             assert -mod // 2 < d <= mod // 2 - 1 or d == -mod // 2
             # no other representative of b is closer to a
             assert abs(d) == min(abs(d), mod - abs(d))
-
-
-def test_session_wire_folds_back():
-    rng = random.Random(7)
-    for _ in range(200):
-        base = rng.randrange(2**40)
-        assert session_wire(base) == base % SESSION_MOD

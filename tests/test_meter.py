@@ -9,6 +9,8 @@ floor(T / heartbeat_interval) heartbeats over T ms.
 from __future__ import annotations
 
 import inspect
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import risim.meter as meter_mod
-from risim.domain import MS_PER_DAY, MS_PER_HOUR, MessageType, MeterMessage, ResourceKind, meter_id
+from risim.domain import (
+    MS_PER_DAY,
+    MS_PER_HOUR,
+    MessageType,
+    MeterMessage,
+    ResourceKind,
+    encode_frame,
+    meter_id,
+)
 from risim.meter import (
     MeterConfig,
     MeterRun,
@@ -159,6 +169,18 @@ def test_heartbeat_skipped_when_dead():
     assert rt2 == rt
 
 
+@pytest.mark.parametrize("rate", [Fraction(5000), Fraction(0)])
+def test_meter_installed_dead_never_transmits(rate):
+    # an empty battery at installation: no frame, depleted from time zero
+    cfg = _cfg(quantum_du=1000, battery_capacity=Fraction(0),
+               heartbeat_interval_ms=MS_PER_HOUR)
+    trace = ConsumptionTrace(MID, ((0, rate),), MS_PER_DAY)
+    run = MeterRun(cfg, trace)
+    assert list(run.events()) == []
+    assert run.depleted_at_ms == 0
+    assert battery_lifetime(cfg, trace) == 0
+
+
 def test_battery_lifetime_closed_form_heartbeat_only():
     # capacity 10, cost 1 per message, daily heartbeat: the 10th heartbeat
     # at day 10 spends the last unit, so depletion lands exactly there
@@ -257,3 +279,97 @@ def test_meter_has_no_receive_surface():
         for param in inspect.signature(fn).parameters.values():
             assert param.annotation != MeterMessage.__name__
             assert "MeterMessage" not in str(param.annotation)
+
+
+class _ThreeBranchRun(MeterRun):
+    """Reference schedule: one branch per crossing, heartbeat and segment end.
+
+    Each branch does its own drain, flow top-up and transmission, so it
+    checks the single step rule of ``MeterRun.events`` independently: both
+    must give the same frames, times, depletion and final state.
+    """
+
+    def events(self):
+        cfg = self.cfg
+        cursor = Fraction(0)
+        for seg_start, seg_end, rate in self.trace.segments():
+            while cursor < seg_end:
+                rt = self.runtime
+                t_cross = None
+                if rate > 0:
+                    need = effective_quantum_du(cfg, rt) - rt.residual_du
+                    t = cursor + need * MS_PER_HOUR / rate
+                    if t <= seg_end:
+                        t_cross = t
+                t_hb = rt.last_tx_ms + cfg.heartbeat_interval_ms
+                hb_due = t_hb <= seg_end
+                if t_cross is not None and (not hb_due or math.ceil(t_cross) <= t_hb):
+                    if not self._drain_until(cursor, t_cross):
+                        return
+                    rt = self.runtime
+                    amount = effective_quantum_du(cfg, rt) - rt.residual_du
+                    when = math.ceil(t_cross)
+                    rt, msgs = ingest_flow(rt, cfg, amount, when)
+                    self.runtime = rt
+                    yield when, msgs[0]
+                    cursor = t_cross
+                elif hb_due:
+                    if not self._drain_until(cursor, t_hb):
+                        return
+                    rt = self.runtime
+                    sipped = rate * (t_hb - cursor) / MS_PER_HOUR
+                    rt = replace(rt, residual_du=rt.residual_du + sipped)
+                    rt, msg = heartbeat_check(rt, cfg, t_hb)
+                    self.runtime = rt
+                    yield t_hb, msg
+                    cursor = Fraction(t_hb)
+                else:
+                    if not self._drain_until(cursor, seg_end):
+                        return
+                    rt = self.runtime
+                    sipped = rate * (seg_end - cursor) / MS_PER_HOUR
+                    self.runtime = replace(rt, residual_du=rt.residual_du + sipped)
+                    cursor = Fraction(seg_end)
+                if self.runtime.battery_remaining <= 0:
+                    self.depleted_at_ms = int(cursor) if cursor == int(cursor) else math.ceil(cursor)
+                    return
+
+
+# Rates that put crossings on whole minutes, so that a crossing often meets a
+# heartbeat deadline exactly, mixed with arbitrary rational rates.
+_rates = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(0), Fraction(3000), Fraction(6000),
+                     Fraction(7000), Fraction(1234, 7)]),
+    st.fractions(min_value=0, max_value=9000, max_denominator=13),
+)
+
+
+@st.composite
+def _schedules(draw):
+    horizon_min = draw(st.integers(min_value=2, max_value=12 * 60))
+    starts = draw(st.lists(st.integers(min_value=1, max_value=horizon_min - 1),
+                           unique=True, max_size=8))
+    breakpoints = tuple(
+        (m * 60_000, draw(_rates)) for m in [0] + sorted(starts)
+    )
+    cfg = _cfg(
+        quantum_du=draw(st.sampled_from([500, 777, 1000])),
+        heartbeat_interval_ms=draw(st.sampled_from([10, 20, 30, 60, 150])) * 60_000,
+        battery_capacity=draw(st.fractions(min_value=1, max_value=200, max_denominator=4)),
+        tx_cost=draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2)])),
+        idle_drain_per_hour=draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(5)])),
+        drift_rate=draw(st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 50)])),
+    )
+    return cfg, ConsumptionTrace(MID, breakpoints, horizon_min * 60_000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_schedules())
+def test_schedule_matches_three_branch_reference(schedule):
+    cfg, trace = schedule
+    run, ref = MeterRun(cfg, trace), _ThreeBranchRun(cfg, trace)
+    got = [(t, encode_frame(m)) for t, m in run.events()]
+    want = [(t, encode_frame(m)) for t, m in ref.events()]
+    assert got == want
+    assert run.depleted_at_ms == ref.depleted_at_ms
+    assert run.runtime == ref.runtime
