@@ -197,7 +197,13 @@ class QualityVector:
 
     @classmethod
     def nominal(cls, kind: ResourceKind) -> QualityVector:
-        return cls(kind, NOMINAL_QUALITY_DU[kind])
+        """The shared nominal readout of ``kind``, built once per kind."""
+        return _NOMINAL_QUALITY[kind]
+
+
+_NOMINAL_QUALITY = {
+    kind: QualityVector(kind, values) for kind, values in NOMINAL_QUALITY_DU.items()
+}
 
 
 @dataclass(frozen=True)

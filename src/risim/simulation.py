@@ -248,7 +248,8 @@ def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
 
 
 def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
-    """Run the polling baseline: every meter reports its register each Δt."""
+    """Run the polling baseline: every meter reports its register each Δt
+    while its battery lasts."""
     scenario.validate()
     traces = _generate_traces(scenario)
     dt = scenario.ti_poll_interval_ms
@@ -258,10 +259,13 @@ def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
 
     meters = sorted(scenario.meters(), key=lambda m: m.config.id)
     n_polls = scenario.horizon_ms // dt if scenario.horizon_ms else 0
+    budget = {sm.config.id: _ti_polls_sent(sm.config, dt, n_polls) for sm in meters}
     for k in range(1, n_polls + 1):
         t = k * dt
         for sm in meters:
             mid = sm.config.id
+            if k > budget[mid]:
+                continue
             register = int(traces[mid].cumulative_du(t))
             readings.setdefault(mid, []).append((t, register))
             records.append(EventLogRecord(seq, t, EventKind.TI_READING, {
@@ -287,6 +291,20 @@ def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
             mean_square_du=mse,
         )
     return TiRunResult(records, readings, metrics, traces, seq)
+
+
+def _ti_polls_sent(cfg: MeterConfig, dt: int, n_polls: int) -> int:
+    """How many of ``n_polls`` polls a meter sends before its battery is empty.
+
+    Poll k at k·dt goes out while the battery is above zero before it, the
+    rule ``ingest_flow`` applies: capacity − (k−1)·tx_cost − idle drain up to
+    k·dt > 0, i.e. k·per_poll < capacity + tx_cost.
+    """
+    per_poll = cfg.tx_cost + cfg.idle_drain_per_hour * dt / MS_PER_HOUR
+    headroom = cfg.battery_capacity + cfg.tx_cost
+    if per_poll == 0:
+        return n_polls if headroom > 0 else 0
+    return max(0, min(n_polls, math.ceil(headroom / per_poll) - 1))
 
 
 def _as_increments(levels: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -321,22 +339,48 @@ def reconstruction_steps(ledger: SessionLedger | None,
 
 def _step_mean_square(trace: ConsumptionTrace | None, steps, grid_ms: int,
                       horizon_ms: int) -> Fraction:
-    """Exact mean squared deciunit error of a step curve on the metric grid."""
+    """Exact mean squared deciunit error of a step curve on the metric grid.
+
+    The grid points are k·grid_ms for k = 0..horizon_ms // grid_ms, and a
+    (time, integer increment) step counts at every point at or after its
+    time.  Between the grid indices where a trace segment or a step begins,
+    the error is linear in k, so the squared sum of each such piece is a
+    closed form in its length, Σk and Σk².  Scaled by
+    MS_PER_HOUR · lcm(rate denominators), every term is an integer, so the
+    cost is O(segments + steps) and the result is exact.
+    """
     if horizon_ms == 0 or trace is None:
         return Fraction(0)
-    ordered = sorted(steps, key=lambda s: s[0])
-    acc = Fraction(0)
-    n = 0
-    level = 0
-    idx = 0
-    for t in range(0, horizon_ms + 1, grid_ms):
-        while idx < len(ordered) and ordered[idx][0] <= t:
-            level += ordered[idx][1]
-            idx += 1
-        err = trace.cumulative_du(t) - level
-        acc += err * err
-        n += 1
-    return acc / n
+    n_points = horizon_ms // grid_ms + 1
+    # the first grid index at or after each step's time
+    jumps = sorted(
+        (-(-t.numerator // (t.denominator * grid_ms)), inc) for t, inc in steps if inc
+    )
+    segments = trace.segments()
+    lcm = math.lcm(*(rate.denominator for _, _, rate in segments))
+    scale = MS_PER_HOUR * lcm
+    # past its horizon the trace holds its total
+    segments.append((trace.horizon_ms, n_points * grid_ms, Fraction(0)))
+    acc = 0
+    consumed = 0   # scaled consumption at the segment start
+    level = 0      # scaled step curve
+    j = 0
+    for start, end, rate in segments:
+        slope = lcm * rate.numerator // rate.denominator   # scaled du per ms
+        k = -(-start // grid_ms)
+        stop = min(-(-end // grid_ms), n_points)
+        while k < stop:
+            while j < len(jumps) and jumps[j][0] <= k:
+                level += scale * jumps[j][1]
+                j += 1
+            nxt = min(stop, jumps[j][0]) if j < len(jumps) else stop
+            n = nxt - k
+            a = consumed + slope * (k * grid_ms - start) - level   # error at k
+            b = slope * grid_ms                                    # per grid step
+            acc += n * a * a + a * b * n * (n - 1) + b * b * ((n - 1) * n * (2 * n - 1) // 6)
+            k = nxt
+        consumed += slope * (end - start)
+    return Fraction(acc, scale * scale * n_points)
 
 
 # ---------------------------------------------------------------------------

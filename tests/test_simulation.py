@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risim.concentrator import ConcentratorConfig
 from risim.domain import (
@@ -23,13 +25,16 @@ from risim.simulation import (
     ScenarioConfig,
     SimMeter,
     TI_READING_BYTES,
+    _step_mean_square,
+    _ti_lifetime_estimate,
+    _ti_polls_sent,
     compare_runs,
     detail_sweep,
     run_ri,
     run_ti,
     worst_case_load,
 )
-from risim.traces import DIURNAL_SHAPE, TraceSpec, generate_trace
+from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
 
 CID = concentrator_id(1)
 
@@ -290,6 +295,139 @@ def test_polling_messages_independent_of_consumption():
         horizon_ms=MS_PER_DAY, ti_poll_interval_ms=MS_PER_HOUR)
     assert run_ti(idle).metrics[meter_id(1)].message_count == 24
     assert run_ti(busy).metrics[meter_id(1)].message_count == 24
+
+
+def test_polling_meter_with_empty_battery_sends_nothing():
+    sc = _scenario(
+        [(_water(1, battery_capacity=0),
+          TraceSpec("constant", {"rate_du_per_hour": 2500}))],
+        horizon_ms=4 * MS_PER_HOUR,
+        ti_poll_interval_ms=MS_PER_HOUR,
+    )
+    res = run_ti(sc)
+    assert not [r for r in res.records if r.kind is EventKind.TI_READING]
+    assert res.metrics[meter_id(1)].message_count == 0
+    assert res.metrics[meter_id(1)].bytes_sent == 0
+
+
+def test_polling_stops_when_the_battery_runs_out():
+    # before poll k the battery holds 5 - (k-1)·1 - k·1 = 6 - 2k: 4 and 2 go
+    # out, poll 3 would start at exactly 0 and does not
+    cfg = _water(1, battery_capacity=5, tx_cost=1, idle_drain_per_hour=1)
+    sc = _scenario(
+        [(cfg, TraceSpec("constant", {"rate_du_per_hour": 2500}))],
+        horizon_ms=6 * MS_PER_HOUR,
+        ti_poll_interval_ms=MS_PER_HOUR,
+    )
+    _, ti, rows = compare_runs(sc)
+    assert ti.readings[meter_id(1)] == [(MS_PER_HOUR, 2500), (2 * MS_PER_HOUR, 5000)]
+    assert ti.metrics[meter_id(1)].message_count == 2
+    polls = [r.payload["poll_index"] for r in ti.records if r.kind is EventKind.TI_READING]
+    assert polls == [1, 2]
+    # the closed-form lifetime, 2.5 h, falls between the last poll sent and the next
+    life = next(r for r in rows if r.mode == "ti").battery_lifetime_ms
+    assert 2 * MS_PER_HOUR <= life < 3 * MS_PER_HOUR
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.fractions(min_value=0, max_value=60, max_denominator=6),
+    tx_cost=st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2), Fraction(5)]),
+    drain=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2), Fraction(7)]),
+    dt=st.sampled_from([MS_PER_MINUTE, 15 * MS_PER_MINUTE, MS_PER_HOUR, 5 * MS_PER_HOUR]),
+    n_polls=st.integers(min_value=0, max_value=80),
+)
+def test_polls_sent_follow_the_per_poll_battery_rule(capacity, tx_cost, drain, dt, n_polls):
+    cfg = _water(1, battery_capacity=capacity, tx_cost=tx_cost, idle_drain_per_hour=drain)
+    sent = 0
+    for k in range(1, n_polls + 1):
+        if capacity - (k - 1) * tx_cost - drain * k * dt / MS_PER_HOUR <= 0:
+            break
+        sent += 1
+    assert _ti_polls_sent(cfg, dt, n_polls) == sent
+    life = _ti_lifetime_estimate(cfg, _scenario([], 0, ti_poll_interval_ms=dt))
+    if life is not None and sent < n_polls:
+        assert life - dt <= sent * dt <= life + dt
+
+
+# ---------------------------------------------------------------------------
+# reconstruction error on the metric grid
+
+def _grid_mean_square(trace, steps, grid_ms, horizon_ms):
+    """Reference: walk every grid point and evaluate the trace there."""
+    if horizon_ms == 0 or trace is None:
+        return Fraction(0)
+    ordered = sorted(steps, key=lambda s: s[0])
+    acc = Fraction(0)
+    n = 0
+    level = 0
+    idx = 0
+    for t in range(0, horizon_ms + 1, grid_ms):
+        while idx < len(ordered) and ordered[idx][0] <= t:
+            level += ordered[idx][1]
+            idx += 1
+        err = trace.cumulative_du(t) - level
+        acc += err * err
+        n += 1
+    return acc / n
+
+
+_metric_rates = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(min_value=0, max_value=10**7),
+              st.sampled_from([1, 3, 7, 12, 100, 997])),
+)
+
+
+@st.composite
+def _metric_cases(draw):
+    """A trace (or None), steps, a grid and a horizon for the mean square.
+
+    Grids are drawn to keep at most a few hundred points for the reference,
+    or longer than the horizon; the trace's own horizon is usually the
+    metric horizon and sometimes shorter or longer.  Step times are ints
+    and Fractions, negative, on grid points and past the last grid point and
+    the horizon; increments include zero.
+    """
+    horizon = draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=20_000)))
+    low = max(1, horizon // 300)
+    grid = draw(st.one_of(st.integers(min_value=low, max_value=low + 97),
+                          st.integers(min_value=horizon + 1, max_value=2 * horizon + 5)))
+    span = draw(st.one_of(st.just(max(horizon, 1)),
+                          st.integers(min_value=1, max_value=2 * horizon + 2)))
+    starts = draw(st.lists(st.integers(min_value=1, max_value=max(span - 1, 1)),
+                           unique=True, max_size=8))
+    rates = draw(st.lists(_metric_rates, min_size=len(starts) + 1, max_size=len(starts) + 1))
+    points = tuple(zip([0] + sorted(s for s in starts if s < span), rates))
+    trace = None if draw(st.integers(min_value=0, max_value=9)) == 0 else (
+        ConsumptionTrace(1, points, span))
+    times = st.one_of(
+        st.integers(min_value=-3 * grid, max_value=horizon + 3 * grid),
+        st.fractions(min_value=-3 * grid, max_value=horizon + 3 * grid, max_denominator=9),
+        st.integers(min_value=-1, max_value=horizon // grid + 2).map(lambda k: k * grid),
+        st.integers(min_value=-1, max_value=horizon // grid + 2).map(lambda k: Fraction(k * grid)),
+    )
+    increments = st.one_of(st.just(0), st.integers(min_value=1, max_value=5000))
+    steps = draw(st.lists(st.tuples(times, increments), max_size=25))
+    return trace, steps, grid, horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(_metric_cases())
+def test_step_mean_square_equals_grid_walk(case):
+    trace, steps, grid, horizon = case
+    assert _step_mean_square(trace, steps, grid, horizon) == _grid_mean_square(
+        trace, steps, grid, horizon)
+
+
+def test_step_mean_square_of_a_month_on_a_one_ms_grid():
+    # 2.6e9 grid points and no steps: the error at point k is rate·k/H, and
+    # Σ_{k=0..K} k² / (K + 1) = K(2K + 1)/6
+    rate = Fraction(7000, 3)
+    horizon = 30 * MS_PER_DAY
+    trace = ConsumptionTrace(1, ((0, rate),), horizon)
+    expected = (rate / MS_PER_HOUR) ** 2 * Fraction(horizon * (2 * horizon + 1), 6)
+    assert _step_mean_square(trace, [], 1, horizon) == expected
 
 
 # ---------------------------------------------------------------------------
