@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
-MS_PER_SECOND = 1_000
 MS_PER_MINUTE = 60_000
 MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000

@@ -11,10 +11,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .center import MonitoringCenter, SessionLedger, evenly_spaced
 from .concentrator import ConcentratorConfig, VisibilityMap, broadcast, receive
@@ -182,6 +181,7 @@ def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
     for t, msg in emissions:
         mid, session = msg.meter_id, msg.session
         frame = encode_frame(msg)
+        frame_hex = frame.hex()
         counts[mid] = counts.get(mid, 0) + 1
         octets[mid] = octets.get(mid, 0) + len(frame)
         ekind = (
@@ -191,7 +191,7 @@ def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
         )
         emit(ekind, t, {
             "cumulative_quanta": msg.state.cumulative_quanta,
-            "frame_hex": frame.hex(),
+            "frame_hex": frame_hex,
             "meter_id": mid,
             "resource": msg.kind.value,
             "session": session,
@@ -223,7 +223,7 @@ def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
             outcome = center.ingest(report)
             emit(EventKind.CENTER_INGEST, t, {
                 "concentrator_id": cid,
-                "frame_hex": frame.hex(),
+                "frame_hex": frame_hex,
                 "meter_id": mid,
                 "outcome": outcome.value,
                 "rx_time_ms": report.rx_time_ms,
@@ -504,8 +504,11 @@ class LoadReport:
 
     ``bound_per_second`` is the aggregate rate ceiling (sum of max flow over
     quantum per meter); ``bucket_ceiling`` is the hard per-second count
-    ceiling that also accounts for quantization of slow emitters, which is
-    what the measured peak can never pass.
+    ceiling, the sum of ceil(1000 ms / period) per meter.  It also accounts
+    for quantization of slow emitters: m events of one progression share a
+    second only if (m - 1) * period < 1000 ms, because each lands at the
+    first whole millisecond at or after its exact instant.  The measured
+    peak can never pass it.
     """
 
     peak_per_second: int
@@ -520,6 +523,7 @@ def worst_case_load(scenario: ScenarioConfig) -> LoadReport:
     Emission times at constant flow form an exact arithmetic progression, so
     per-second counts come from integer arithmetic rather than an event
     loop; the times are identical to what the full engine would produce.
+    Meters with the same event period share one progression, counted once.
     Heartbeat traffic (at most one message per interval per meter) is
     outside the consumption-driven measurement, and batteries are assumed
     ample: depletion could only lower the peak.  Raises LoadBoundExceeded
@@ -528,41 +532,31 @@ def worst_case_load(scenario: ScenarioConfig) -> LoadReport:
     """
     scenario.validate()
     horizon = scenario.horizon_ms
-    seconds = (horizon + 999) // 1000
-    totals = np.zeros(max(seconds, 1), dtype=np.int64)
     bound_per_hour = Fraction(0)
-    bucket_ceiling = 0
-    total = 0
+    periods: Counter[tuple[int, int]] = Counter()
     for sm in scenario.meters():
         cfg = sm.config
         flow = cfg.max_flow_du_per_hour
         if flow is None:
             raise ConfigError(f"meter {cfg.id:#x} declares no max flow rate")
         bound_per_hour += Fraction(flow) / cfg.quantum_du
-        if flow == 0 or horizon == 0:
-            continue
-        period = Fraction(cfg.quantum_du) * MS_PER_HOUR / flow   # ms per event
-        a, b = period.numerator, period.denominator
-        n_events = (horizon * b) // a
-        total += n_events
-        # a 1000 ms bucket spans 999 whole-ms steps, so it holds at most
-        # floor(999 / period) + 1 events of one progression
-        bucket_ceiling += (999 * b) // a + 1
-        # events land at ceil(k * a / b); count per bucket via the exact
-        # cumulative #\{k : k*a/b <= T\} = floor(T*b/a), capped at n_events
-        uppers = np.minimum(np.arange(1, seconds + 1, dtype=np.int64) * 1000 - 1, horizon)
-        lowers = np.arange(0, seconds, dtype=np.int64) * 1000 - 1
-        lowers[0] = 0
-        if b * (horizon + 1000) < 2**62:
-            cum_hi = np.minimum(n_events, (uppers * b) // a)
-            cum_lo = np.minimum(n_events, (lowers * b) // a)
-            totals[:seconds] += cum_hi - cum_lo
-        else:
-            for j in range(seconds):
-                hi = min(n_events, (int(uppers[j]) * b) // a)
-                lo = min(n_events, (int(lowers[j]) * b) // a)
-                totals[j] += hi - lo
-    peak = int(totals.max()) if seconds else 0
+        if flow and horizon:
+            period = Fraction(cfg.quantum_du) * MS_PER_HOUR / flow   # ms per event
+            periods[period.numerator, period.denominator] += 1
+    # events land at ceil(k * a / b), so #{events at or before T} is
+    # floor(T * b / a); second j counts the events after edge j up to edge
+    # j + 1, with edges 0, 999, 1999, ... and the last one cut at the horizon
+    edges = [0, *range(999, horizon + 999, 1000)]
+    edges[-1] = min(edges[-1], horizon)
+    cumulative = [0] * len(edges)
+    bucket_ceiling = 0
+    total = 0
+    for (a, b), count in periods.items():
+        cumulative = [c + count * (e * b // a) for c, e in zip(cumulative, edges)]
+        total += count * (horizon * b // a)
+        # m events fit in one second only if (m - 1) * a / b < 1000
+        bucket_ceiling += count * ((1000 * b - 1) // a + 1)
+    peak = max((hi - lo for lo, hi in zip(cumulative, cumulative[1:])), default=0)
     if peak > bucket_ceiling:
         raise LoadBoundExceeded(
             f"measured peak {peak}/s exceeds the bucket ceiling {bucket_ceiling}/s"

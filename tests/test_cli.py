@@ -4,15 +4,32 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import risim
 from risim.cli import main
 from risim.config import load_scenario
 from risim.eventlog import EventKind, read_csv, read_events, read_ledger_snapshots
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def test_cli_import_leaves_numpy_out():
+    # risim has no runtime dependency: a fresh interpreter that imports the
+    # CLI must not pull in numpy
+    src = str(Path(risim.__file__).resolve().parents[1])
+    probe = "import sys, risim.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _write_scenario(tmp_path, name="scenario.json", **overrides):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,13 @@ from risim.domain import (
     MS_PER_DAY,
     MS_PER_HOUR,
     MS_PER_MINUTE,
+    MessageType,
     ResourceKind,
     concentrator_id,
     meter_id,
 )
 from risim.eventlog import EventKind
-from risim.meter import MeterConfig
+from risim.meter import MeterConfig, MeterRun
 from risim.simulation import (
     Building,
     ScenarioConfig,
@@ -518,6 +520,75 @@ def test_load_sums_over_meters():
     report = worst_case_load(sc)
     assert report.bound_per_second == 5
     assert report.peak_per_second == 5
+
+
+def _quantum_event_times(sc: ScenarioConfig) -> list[int]:
+    """Emission times of every meter's own schedule, heartbeats left out."""
+    times = []
+    for sm in sc.meters() if sc.horizon_ms else ():
+        trace = generate_trace(sm.trace, sc.seed, sc.horizon_ms, sm.config.id)
+        times.extend(
+            t for t, msg in MeterRun(sm.config, trace).events()
+            if msg.message_type is MessageType.QUANTUM_EVENT
+        )
+    return times
+
+
+def test_load_ceiling_admits_millisecond_rounding():
+    # a period just under 500 ms: crossings 32 to 34, at about 15,999.0,
+    # 16,499.0 and 16,998.98 ms, round up into one second, three frames
+    # that are 999.94 ms apart as exact instants
+    flow = Fraction(7_200_430)
+    cfg = _water(1, quantum_du=1000, max_flow_du_per_hour=flow,
+                 heartbeat_interval_ms=MS_PER_DAY)
+    sc = _scenario([(cfg, TraceSpec("constant", {"rate_du_per_hour": flow}))],
+                   horizon_ms=60_000)
+    assert [t for t in _quantum_event_times(sc) if t // 1000 == 16] == [16_000, 16_500, 16_999]
+    report = worst_case_load(sc)
+    assert report.peak_per_second == 3
+    assert report.bucket_ceiling == 3
+
+
+def test_load_counts_huge_periods_exactly():
+    # one event per 3·10¹² hours: the period numerator is far past 2⁶³
+    cfg = _water(1, quantum_du=1000, max_flow_du_per_hour=Fraction(1, 3_000_000_000))
+    sc = _scenario([(cfg, TraceSpec("zero"))], horizon_ms=MS_PER_HOUR)
+    report = worst_case_load(sc)
+    assert report.peak_per_second == 0
+    assert report.total_messages == 0
+    assert report.bucket_ceiling == 1
+
+
+# event periods in ms: near 1000/m, where the per-second ceiling is tight,
+# or anywhere from 100 ms to 5 s
+_periods = st.one_of(
+    st.builds(lambda m, ppm: Fraction(1000, m) * (1 + Fraction(ppm, 10**6)),
+              st.integers(1, 4), st.integers(-20_000, 20_000)),
+    st.builds(lambda d, x: Fraction(d * 100 + x, d),
+              st.integers(1, 1000), st.integers(0, 4_900_000)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    specs=st.lists(st.tuples(st.integers(1, 5000), _periods), min_size=1, max_size=3),
+    horizon=st.integers(0, 60_000),
+)
+def test_load_matches_engine_emissions(specs, horizon):
+    meters = []
+    for k, (quantum, period) in enumerate(specs, start=1):
+        flow = quantum * MS_PER_HOUR / period
+        cfg = _water(k, quantum_du=quantum, max_flow_du_per_hour=flow,
+                     heartbeat_interval_ms=2 * horizon + 1)
+        meters.append((cfg, TraceSpec("constant", {"rate_du_per_hour": flow})))
+    sc = _scenario(meters, horizon_ms=horizon)
+    times = _quantum_event_times(sc)
+    seconds = -(-horizon // 1000)
+    per_second = Counter(t // 1000 for t in times if t // 1000 < seconds)
+    report = worst_case_load(sc)
+    assert report.peak_per_second == max(per_second.values(), default=0)
+    assert report.total_messages == len(times)
+    assert report.peak_per_second <= report.bucket_ceiling
 
 
 # ---------------------------------------------------------------------------
