@@ -187,10 +187,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_replay(args) -> int:
     rundir = Path(args.rundir)
-    records = read_events(rundir / "events.ndjson")
+    rebuilt = replay_center(read_events(rundir / "events.ndjson")).snapshots()
     expected = read_ledger_snapshots(rundir / "ledgers.ndjson")
-    center = replay_center(records)
-    rebuilt = center.snapshots()
     if rebuilt == expected:
         print(f"replay ok: {len(rebuilt)} ledgers match")
         return 0

@@ -21,6 +21,7 @@ from .domain import (
     MS_PER_HOUR,
     ResourceKind,
     concentrator_id,
+    id_serial,
     meter_id,
 )
 from .meter import MeterConfig
@@ -62,6 +63,14 @@ def _fraction(value, field: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{field}: not a number: {value!r}") from None
     raise ConfigError(f"{field}: expected a number, got {type(value).__name__}")
+
+
+def _number(convert, value, field: str):
+    """``convert(value)`` for a plain number field such as a loss or skew."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
 
 
 def parse_duration_ms(value, field: str) -> int:
@@ -187,7 +196,9 @@ def _trace_spec(obj: dict, kind: ResourceKind, where: str) -> TraceSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where}: trace needs a 'kind'")
     tkind = obj["kind"]
-    params = dict(obj.get("params", {}))
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where}: trace params must be an object")
     converted: dict = {}
     for name, raw in params.items():
         if name in _TRACE_RATE_PARAMS:
@@ -199,6 +210,8 @@ def _trace_spec(obj: dict, kind: ResourceKind, where: str) -> TraceSpec:
                 raw, kind, f"{where}: trace param daily_total"
             )
         elif name == "burst_duration":
+            if not isinstance(raw, list) or len(raw) != 2:
+                raise ConfigError(f"{where}: burst_duration must be a [low, high] pair")
             lo, hi = raw
             converted["burst_duration_ms"] = (
                 parse_duration_ms(lo, f"{where}: burst_duration low"),
@@ -209,10 +222,15 @@ def _trace_spec(obj: dict, kind: ResourceKind, where: str) -> TraceSpec:
     seed = obj.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise ConfigError(f"{where}: trace seed must be an integer")
-    return TraceSpec(kind=tkind, params=converted, seed=seed)
+    try:
+        return TraceSpec(kind=tkind, params=converted, seed=seed)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _meter_from_dict(obj: dict, building_idx: int) -> tuple[MeterConfig, TraceSpec, list | None]:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"building {building_idx}: every meter must be an object")
     serial = obj.get("serial")
     if not isinstance(serial, int):
         raise ConfigError(
@@ -220,7 +238,7 @@ def _meter_from_dict(obj: dict, building_idx: int) -> tuple[MeterConfig, TraceSp
         )
     where = f"meter {serial}"
     kind_name = obj.get("kind")
-    kind = _KIND_BY_NAME.get(kind_name)
+    kind = _KIND_BY_NAME.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
         known = ", ".join(sorted(_KIND_BY_NAME))
         raise ConfigError(f"{where}: unknown kind {kind_name!r} (expected {known})")
@@ -261,40 +279,53 @@ def _meter_from_dict(obj: dict, building_idx: int) -> tuple[MeterConfig, TraceSp
 
 
 def _building_from_dict(obj: dict, idx: int) -> Building:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"building {idx}: must be an object")
     conc_objs = obj.get("concentrators")
-    if not conc_objs:
-        raise ConfigError(f"building {idx}: needs at least one concentrator")
+    if not conc_objs or not isinstance(conc_objs, list):
+        raise ConfigError(f"building {idx}: needs a list of at least one concentrator")
     concentrators = []
     for c in conc_objs:
-        serial = c.get("serial")
+        serial = c.get("serial") if isinstance(c, dict) else None
         if not isinstance(serial, int):
             raise ConfigError(f"building {idx}: every concentrator needs an integer 'serial'")
+        where = f"concentrator {serial}"
+        try:
+            cid = concentrator_id(serial)
+        except ValueError as exc:
+            raise ConfigError(f"building {idx}: {exc}") from None
         concentrators.append(
             ConcentratorConfig(
-                id=concentrator_id(serial),
-                clock_skew_ms=int(c.get("clock_skew_ms", 0)),
-                max_skew_ms=int(c.get("max_skew_ms", 1000)),
-                uplink_loss=float(c.get("uplink_loss", 0.0)),
+                id=cid,
+                clock_skew_ms=_number(int, c.get("clock_skew_ms", 0), f"{where}: clock_skew_ms"),
+                max_skew_ms=_number(int, c.get("max_skew_ms", 1000), f"{where}: max_skew_ms"),
+                uplink_loss=_number(float, c.get("uplink_loss", 0.0), f"{where}: uplink_loss"),
             )
         )
-    cids = [c.id for c in concentrators]
+    cid_by_serial = {id_serial(c.id): c.id for c in concentrators}
     full = obj.get("visibility", "full")
-    radio_loss = float(obj.get("radio_loss", 0.0))
+    radio_loss = _number(float, obj.get("radio_loss", 0.0), f"building {idx}: radio_loss")
+    m_objs = obj.get("meters", [])
+    if not isinstance(m_objs, list):
+        raise ConfigError(f"building {idx}: meters must be a list")
     meters = []
-    for m_obj in obj.get("meters", []):
+    for m_obj in m_objs:
         cfg, trace, links_obj = _meter_from_dict(m_obj, idx)
         if links_obj is not None:
+            if not isinstance(links_obj, list):
+                raise ConfigError(f"meter {m_obj['serial']}: links must be a list")
             links = []
             for link in links_obj:
-                cserial = link.get("concentrator")
-                cid = concentrator_id(cserial) if isinstance(cserial, int) else None
-                if cid not in cids:
+                cserial = link.get("concentrator") if isinstance(link, dict) else None
+                cid = cid_by_serial.get(cserial) if isinstance(cserial, int) else None
+                if cid is None:
                     raise ConfigError(
                         f"meter {m_obj['serial']}: link to unknown concentrator {cserial!r}"
                     )
-                links.append((cid, float(link.get("loss", 0.0))))
+                loss = _number(float, link.get("loss", 0.0), f"meter {m_obj['serial']}: link loss")
+                links.append((cid, loss))
         elif full == "full":
-            links = [(cid, radio_loss) for cid in cids]
+            links = [(cid, radio_loss) for cid in cid_by_serial.values()]
         else:
             raise ConfigError(
                 f"meter {m_obj['serial']}: no links and building visibility is {full!r}"
@@ -309,8 +340,8 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
     if "horizon" not in obj:
         raise ConfigError("scenario needs a 'horizon'")
     buildings = obj.get("buildings")
-    if not buildings:
-        raise ConfigError("scenario needs at least one building")
+    if not buildings or not isinstance(buildings, list):
+        raise ConfigError("scenario needs a list of at least one building")
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("scenario seed must be an integer")

@@ -111,12 +111,12 @@ class MalformedFrame(ValueError):
     """Raised when a byte string cannot be decoded as a protocol frame."""
 
 
-class DuplicateIdError(ValueError):
-    """Raised when a registry is loaded with a non-unique identifier."""
-
-
 class ConfigError(ValueError):
     """Raised for invalid scenario configuration, with the offending field."""
+
+
+class DuplicateIdError(ConfigError):
+    """Raised when a registry is loaded with a non-unique identifier."""
 
 
 # ---------------------------------------------------------------------------

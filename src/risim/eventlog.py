@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 from .center import MonitoringCenter
 from .domain import ConcentratorReport, Registry, decode_frame
@@ -73,17 +74,21 @@ def write_events(path: Path, records) -> None:
             fh.write("\n")
 
 
-def read_events(path: Path) -> list[EventLogRecord]:
-    out = []
+def read_events(path: Path) -> Iterator[EventLogRecord]:
+    """The log's records, one line at a time; ``seq`` must run 0, 1, 2, ..."""
+    seq = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
                 try:
-                    out.append(EventLogRecord.from_json(line))
+                    rec = EventLogRecord.from_json(line)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise MalformedLog(f"{path} line {lineno}: not a record: {exc}") from None
-    return out
+                if rec.seq != seq:
+                    raise MalformedLog(f"{path} line {lineno}: seq {rec.seq}, expected {seq}")
+                seq += 1
+                yield rec
 
 
 def write_ledger_snapshots(path: Path, snapshots: list[dict]) -> None:
@@ -100,9 +105,12 @@ def read_ledger_snapshots(path: Path) -> list[dict]:
             line = line.strip()
             if line:
                 try:
-                    out.append(json.loads(line))
+                    snap = json.loads(line)
                 except ValueError as exc:
                     raise MalformedLog(f"{path} line {lineno}: not JSON: {exc}") from None
+                if not isinstance(snap, dict) or type(snap.get("meter_id")) is not int:
+                    raise MalformedLog(f"{path} line {lineno}: not a ledger snapshot")
+                out.append(snap)
     return out
 
 

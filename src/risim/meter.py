@@ -39,7 +39,6 @@ class MeterConfig:
     idle_drain_per_hour: Fraction = Fraction(0)
     drift_rate: Fraction = Fraction(0)     # quantum inflation per emitted quantum
     max_flow_du_per_hour: Fraction | None = None
-    quality: QualityVector | None = None   # fixed readout; None means nominal
 
     def __post_init__(self) -> None:
         if self.quantum_du is None:
@@ -98,7 +97,7 @@ def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
         session=session % SESSION_MOD,
         kind=cfg.kind,
         message_type=mtype,
-        quality=cfg.quality or QualityVector.nominal(cfg.kind),
+        quality=QualityVector.nominal(cfg.kind),
         state=MeterState(
             battery_level=round(frac * 200) / 200,
             cumulative_quanta=quanta % 2**32,

@@ -98,10 +98,6 @@ class ScenarioConfig:
                         f"meter {sm.config.id:#x} links to undeclared "
                         f"concentrator {cid:#x}"
                     )
-            if sm.trace.kind not in ("zero", "constant", "diurnal", "appliance"):
-                raise ConfigError(
-                    f"meter {sm.config.id:#x}: unknown trace kind {sm.trace.kind!r}"
-                )
         self.visibility().require_coverage(m.config.id for m in self.meters())
 
 
@@ -545,8 +541,9 @@ def worst_case_load(scenario: ScenarioConfig) -> LoadReport:
             periods[period.numerator, period.denominator] += 1
     # events land at ceil(k * a / b), so #{events at or before T} is
     # floor(T * b / a); second j counts the events after edge j up to edge
-    # j + 1, with edges 0, 999, 1999, ... and the last one cut at the horizon
-    edges = [0, *range(999, horizon + 999, 1000)]
+    # j + 1, with edges 0, 999, 1999, ... and the last one cut at the horizon,
+    # so second horizon // 1000 holds a frame sent exactly at the horizon
+    edges = [0, *range(999, 1000 * (horizon // 1000 + 1), 1000)]
     edges[-1] = min(edges[-1], horizon)
     cumulative = [0] * len(edges)
     bucket_ceiling = 0

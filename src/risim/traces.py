@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .domain import MS_PER_DAY, MS_PER_HOUR
+from .domain import MS_PER_DAY, MS_PER_HOUR, ConfigError
 
 _MASK64 = 2**64 - 1
 
@@ -55,9 +55,22 @@ class TraceSpec:
     and the meter id.
     """
 
-    kind: str                      # zero | constant | diurnal | appliance
+    kind: str                      # one of TRACE_KINDS
     params: dict = field(default_factory=dict)
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        """Check the recipe here, so a bad one fails before any run starts."""
+        read = TRACE_KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if read is None:
+            known = ", ".join(TRACE_KINDS)
+            raise ConfigError(f"unknown trace kind {self.kind!r} (expected {known})")
+        try:
+            read(self.params)
+        except KeyError as exc:
+            raise ConfigError(f"{self.kind} trace needs parameter {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{self.kind} trace: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -153,24 +166,54 @@ def generate_trace(spec: TraceSpec, seed: int, horizon_ms: int,
     if spec.kind == "zero":
         points = ((0, Fraction(0)),)
     elif spec.kind == "constant":
-        points = ((0, Fraction(spec.params["rate_du_per_hour"])),)
+        points = ((0, _constant_params(spec.params)),)
     elif spec.kind == "diurnal":
         points = _diurnal_points(spec.params, eff, horizon_ms)
-    elif spec.kind == "appliance":
-        points = _appliance_points(spec.params, eff, horizon_ms)
     else:
-        raise ValueError(f"unknown trace kind: {spec.kind!r}")
+        points = _appliance_points(spec.params, eff, horizon_ms)
     return ConsumptionTrace(meter_id, points, horizon_ms)
 
 
-def _diurnal_points(params: dict, seed: int, horizon_ms: int):
+def _constant_params(params: dict) -> Fraction:
+    return Fraction(params["rate_du_per_hour"])
+
+
+def _diurnal_params(params: dict) -> tuple[Fraction, int, tuple]:
+    """Daily total, jitter and hourly shape; raises on an invalid recipe."""
     daily = Fraction(params["daily_total_du"])
     jitter = int(params.get("jitter_pct", 20))
     shape = tuple(params.get("shape", DIURNAL_SHAPE))
     if len(shape) != 24 or any(w < 0 for w in shape) or sum(shape) == 0:
         raise ValueError("diurnal shape must be 24 nonnegative weights")
     if not 0 <= jitter < 100:
-        raise ValueError("jitter_pct must be in [0, 100)")
+        raise ValueError(f"jitter_pct must be in [0, 100), got {jitter}")
+    return daily, jitter, shape
+
+
+def _appliance_params(params: dict) -> tuple[Fraction, tuple, Fraction, tuple]:
+    """Base rate, bursts per day, burst rate and burst duration range."""
+    base = Fraction(params.get("base_rate_du_per_hour", 0))
+    n_lo, n_hi = params.get("bursts_per_day", (2, 6))
+    burst_rate = Fraction(params["burst_rate_du_per_hour"])
+    d_lo, d_hi = params.get("burst_duration_ms", (5 * 60_000, 30 * 60_000))
+    if not all(isinstance(n, int) for n in (n_lo, n_hi, d_lo, d_hi)):
+        raise ValueError("burst counts and durations must be integers")
+    if burst_rate < 0 or base < 0 or d_lo <= 0 or d_hi < d_lo or not 0 <= n_lo <= n_hi:
+        raise ValueError("bad appliance parameters")
+    return base, (n_lo, n_hi), burst_rate, (d_lo, d_hi)
+
+
+#: each trace kind and the reader that checks its parameters
+TRACE_KINDS = {
+    "zero": lambda params: None,
+    "constant": _constant_params,
+    "diurnal": _diurnal_params,
+    "appliance": _appliance_params,
+}
+
+
+def _diurnal_points(params: dict, seed: int, horizon_ms: int):
+    daily, jitter, shape = _diurnal_params(params)
     rng = random.Random(seed)
     total = sum(shape)
     points = []
@@ -184,12 +227,7 @@ def _diurnal_points(params: dict, seed: int, horizon_ms: int):
 
 
 def _appliance_points(params: dict, seed: int, horizon_ms: int):
-    base = Fraction(params.get("base_rate_du_per_hour", 0))
-    n_lo, n_hi = params.get("bursts_per_day", (2, 6))
-    burst_rate = Fraction(params["burst_rate_du_per_hour"])
-    d_lo, d_hi = params.get("burst_duration_ms", (5 * 60_000, 30 * 60_000))
-    if burst_rate < 0 or base < 0 or d_lo <= 0 or d_hi < d_lo or n_lo > n_hi:
-        raise ValueError("bad appliance parameters")
+    base, (n_lo, n_hi), burst_rate, (d_lo, d_hi) = _appliance_params(params)
     rng = random.Random(seed)
     deltas: dict[int, Fraction] = {}
     days = (horizon_ms + MS_PER_DAY - 1) // MS_PER_DAY

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,13 @@ import pytest
 import risim
 from risim.cli import main
 from risim.config import load_scenario
-from risim.eventlog import EventKind, read_csv, read_events, read_ledger_snapshots
+from risim.eventlog import (
+    EventKind,
+    read_csv,
+    read_events,
+    read_ledger_snapshots,
+    replay_center,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -248,6 +255,121 @@ def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
         assert where in err
 
 
+def _delete_line(lines, i):
+    del lines[i]
+    return f"line {i + 1}: seq {i + 1}, expected {i}"
+
+
+def _duplicate_line(lines, i):
+    lines.insert(i, lines[i])
+    return f"line {i + 2}: seq {i}, expected {i + 1}"
+
+
+@pytest.mark.parametrize("edit", [_delete_line, _duplicate_line])
+def test_replay_rejects_a_seq_gap_or_repeat(tmp_path, capsys, edit):
+    """``seq`` runs 0, 1, 2, ...; a lost or repeated delivery line is caught
+    although the ledgers it leaves behind still match."""
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    main(["run", str(scn), "--out", str(out)])
+    lines = (out / "events.ndjson").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if '"kind":"delivery"' in line)
+    where = edit(lines, first)
+    (out / "events.ndjson").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert where in err
+
+
+@pytest.mark.parametrize("line", ["{}", "[1]", '"x"'])
+def test_replay_rejects_a_ledger_line_that_is_not_a_snapshot(tmp_path, capsys, line):
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    main(["run", str(scn), "--out", str(out)])
+    ledgers = out / "ledgers.ndjson"
+    n_lines = ledgers.read_text().count("\n")
+    ledgers.write_text(ledgers.read_text() + line + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"line {n_lines + 1}:" in err
+
+
+def _replay_peak_bytes(path) -> int:
+    tracemalloc.start()
+    try:
+        replay_center(read_events(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_replay_memory_does_not_grow_with_the_log(tmp_path):
+    # one idle gas meter polled every minute: about 1,400 log lines a day,
+    # nearly all ti_reading, and a ledger that stays a few heartbeats long
+    peaks = {}
+    for horizon in ("1d", "4d"):
+        scn = _write_scenario(tmp_path, horizon=horizon, poll_interval="1min", buildings=[{
+            "concentrators": [{"serial": 1}],
+            "meters": [{"serial": 1, "kind": "gas"}],
+        }])
+        out = tmp_path / horizon
+        assert main(["run", str(scn), "--out", str(out), "--mode", "both"]) == 0
+        peaks[horizon] = _replay_peak_bytes(out / "events.ndjson")
+    assert peaks["4d"] <= 1.5 * peaks["1d"], peaks
+
+
+def _concentrator(obj):
+    return obj["buildings"][0]["concentrators"][0]
+
+
+def _meters(obj):
+    return obj["buildings"][0]["meters"]
+
+
+@pytest.mark.parametrize("edit, names", [
+    pytest.param(lambda o: _concentrator(o).update(clock_skew_ms="fast"),
+                 "clock_skew_ms", id="clock_skew_not_a_number"),
+    pytest.param(lambda o: _concentrator(o).update(uplink_loss="x"),
+                 "uplink_loss", id="uplink_loss_not_a_number"),
+    pytest.param(lambda o: o["buildings"][0].update(radio_loss=[1]),
+                 "radio_loss", id="radio_loss_a_list"),
+    pytest.param(lambda o: _meters(o)[0].update(links=[{"concentrator": 1, "loss": "a"}]),
+                 "meter 1", id="link_loss_not_a_number"),
+    pytest.param(lambda o: _meters(o).append("meter 3"),
+                 "building 0", id="meter_a_string"),
+    pytest.param(lambda o: _meters(o)[1].update(trace={"kind": "appliance", "params": {
+                     "burst_rate": "2kWh/h", "burst_duration": "5min"}}),
+                 "meter 2", id="burst_duration_not_a_pair"),
+    pytest.param(lambda o: _meters(o)[1].update(trace={"kind": "constant"}),
+                 "meter 2", id="constant_without_rate"),
+    pytest.param(lambda o: _meters(o)[0].update(trace={"kind": "diurnal", "params": {}}),
+                 "meter 1", id="diurnal_without_daily_total"),
+    pytest.param(lambda o: _meters(o)[0]["trace"]["params"].update(jitter_pct=150),
+                 "meter 1", id="jitter_out_of_range"),
+    pytest.param(lambda o: _meters(o)[1].update(serial=1),
+                 "duplicate meter id", id="duplicate_meter_serial"),
+    pytest.param(lambda o: o["buildings"][0].update(meters=5),
+                 "building 0", id="meters_not_a_list"),
+    pytest.param(lambda o: _meters(o)[0].update(kind=["gas"]),
+                 "meter 1", id="kind_a_list"),
+    pytest.param(lambda o: _concentrator(o).update(serial=-1),
+                 "building 0", id="concentrator_serial_out_of_range"),
+])
+def test_malformed_scenario_value_is_one_config_error_line(tmp_path, capsys, edit, names):
+    scn = _write_scenario(tmp_path)
+    obj = json.loads(scn.read_text())
+    edit(obj)
+    scn.write_text(json.dumps(obj))
+    assert main(["run", str(scn), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert names in err
+
+
 def test_missing_scenario_file_is_io_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
 
@@ -321,7 +443,7 @@ def test_events_log_fields_are_self_describing(tmp_path):
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
-    records = read_events(out / "events.ndjson")
+    records = list(read_events(out / "events.ndjson"))
     kinds = {r.kind.value for r in records}
     assert "quantum_event" in kinds and "ti_reading" in kinds
     for rec in records:

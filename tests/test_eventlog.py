@@ -52,7 +52,7 @@ def test_event_file_round_trip(tmp_path):
     raw = path.read_bytes()
     assert raw.count(b"\n") == 5
     assert b"\r" not in raw  # LF only
-    assert read_events(path) == records
+    assert list(read_events(path)) == records
 
 
 def test_csv_uses_crlf_and_header(tmp_path):

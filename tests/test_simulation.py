@@ -549,6 +549,22 @@ def test_load_ceiling_admits_millisecond_rounding():
     assert report.bucket_ceiling == 3
 
 
+def test_load_counts_a_frame_sent_at_the_horizon():
+    # one event per 1000 ms over a 1000 ms horizon: each meter's only frame
+    # goes out at exactly 1000 ms, in the second that starts at the horizon
+    flow = Fraction(3_600_000)
+    meters = [
+        (_water(k, quantum_du=1000, max_flow_du_per_hour=flow, heartbeat_interval_ms=MS_PER_DAY),
+         TraceSpec("constant", {"rate_du_per_hour": flow}))
+        for k in range(1, 4)
+    ]
+    sc = _scenario(meters, horizon_ms=1000)
+    assert _quantum_event_times(sc) == [1000, 1000, 1000]
+    report = worst_case_load(sc)
+    assert report.total_messages == 3
+    assert report.peak_per_second == 3
+
+
 def test_load_counts_huge_periods_exactly():
     # one event per 3·10¹² hours: the period numerator is far past 2⁶³
     cfg = _water(1, quantum_du=1000, max_flow_du_per_hour=Fraction(1, 3_000_000_000))
@@ -583,8 +599,7 @@ def test_load_matches_engine_emissions(specs, horizon):
         meters.append((cfg, TraceSpec("constant", {"rate_du_per_hour": flow})))
     sc = _scenario(meters, horizon_ms=horizon)
     times = _quantum_event_times(sc)
-    seconds = -(-horizon // 1000)
-    per_second = Counter(t // 1000 for t in times if t // 1000 < seconds)
+    per_second = Counter(t // 1000 for t in times if t // 1000 <= horizon // 1000)
     report = worst_case_load(sc)
     assert report.peak_per_second == max(per_second.values(), default=0)
     assert report.total_messages == len(times)
