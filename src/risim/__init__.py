@@ -34,7 +34,7 @@ from .domain import (
     encode_frame,
     meter_id,
 )
-from .meter import MeterConfig, MeterRun, MeterRuntime, battery_lifetime
+from .meter import MeterConfig, MeterRun, battery_lifetime
 from .simulation import (
     Building,
     CompareRow,
@@ -68,7 +68,6 @@ __all__ = [
     "MeterConfig",
     "MeterMessage",
     "MeterRun",
-    "MeterRuntime",
     "MeterState",
     "MonitoringCenter",
     "NoData",

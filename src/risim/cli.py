@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -192,11 +193,16 @@ def _cmd_replay(args) -> int:
     if rebuilt == expected:
         print(f"replay ok: {len(rebuilt)} ledgers match")
         return 0
+    lines = Counter(s["meter_id"] for s in expected)
     exp_by_id = {s["meter_id"]: s for s in expected}
     got_by_id = {s["meter_id"]: s for s in rebuilt}
-    for mid in sorted(set(exp_by_id) | set(got_by_id)):
-        if exp_by_id.get(mid) != got_by_id.get(mid):
-            print(f"replay mismatch at meter {mid:#x}", file=sys.stderr)
+    bad = [mid for mid in sorted(set(exp_by_id) | set(got_by_id))
+           if lines[mid] > 1 or exp_by_id.get(mid) != got_by_id.get(mid)]
+    for mid in bad:
+        repeated = f": {lines[mid]} ledger lines" if lines[mid] > 1 else ""
+        print(f"replay mismatch at meter {mid:#x}{repeated}", file=sys.stderr)
+    if not bad:
+        print("replay mismatch: ledger lines are not in meter id order", file=sys.stderr)
     return 1
 
 

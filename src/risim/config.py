@@ -65,12 +65,21 @@ def _fraction(value, field: str) -> Fraction:
     raise ConfigError(f"{field}: expected a number, got {type(value).__name__}")
 
 
-def _number(convert, value, field: str):
-    """``convert(value)`` for a plain number field such as a loss or skew."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
+def _number(value, field: str) -> float:
+    """A plain number field such as a loss; a boolean is not a number."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{field}: expected a number, got {value!r}")
+
+
+def _integer(value, field: str) -> int:
+    """A whole-number field such as a clock skew in ms, taken as is."""
+    if type(value) is not int:
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return value
 
 
 def parse_duration_ms(value, field: str) -> int:
@@ -297,14 +306,14 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
         concentrators.append(
             ConcentratorConfig(
                 id=cid,
-                clock_skew_ms=_number(int, c.get("clock_skew_ms", 0), f"{where}: clock_skew_ms"),
-                max_skew_ms=_number(int, c.get("max_skew_ms", 1000), f"{where}: max_skew_ms"),
-                uplink_loss=_number(float, c.get("uplink_loss", 0.0), f"{where}: uplink_loss"),
+                clock_skew_ms=_integer(c.get("clock_skew_ms", 0), f"{where}: clock_skew_ms"),
+                max_skew_ms=_integer(c.get("max_skew_ms", 1000), f"{where}: max_skew_ms"),
+                uplink_loss=_number(c.get("uplink_loss", 0.0), f"{where}: uplink_loss"),
             )
         )
     cid_by_serial = {id_serial(c.id): c.id for c in concentrators}
     full = obj.get("visibility", "full")
-    radio_loss = _number(float, obj.get("radio_loss", 0.0), f"building {idx}: radio_loss")
+    radio_loss = _number(obj.get("radio_loss", 0.0), f"building {idx}: radio_loss")
     m_objs = obj.get("meters", [])
     if not isinstance(m_objs, list):
         raise ConfigError(f"building {idx}: meters must be a list")
@@ -322,7 +331,7 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
                     raise ConfigError(
                         f"meter {m_obj['serial']}: link to unknown concentrator {cserial!r}"
                     )
-                loss = _number(float, link.get("loss", 0.0), f"meter {m_obj['serial']}: link loss")
+                loss = _number(link.get("loss", 0.0), f"meter {m_obj['serial']}: link loss")
                 links.append((cid, loss))
         elif full == "full":
             links = [(cid, radio_loss) for cid in cid_by_serial.values()]

@@ -1,14 +1,13 @@
-"""Meter state machine: quantum emission, idle heartbeats, battery, drift.
+"""Meter schedule: quantum emission, idle heartbeats, battery, drift.
 
-Operations are pure state transitions (runtime in, new runtime out).  A meter
-has no receive path at all: it only transmits, which is what guarantees it
-cannot be addressed or reconfigured over the air.
+A meter has no receive path at all: it only transmits, which is what
+guarantees it cannot be addressed or reconfigured over the air.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -57,36 +56,6 @@ class MeterConfig:
             raise ValueError("max flow must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MeterRuntime:
-    """Mutable-by-replacement device state between transmissions."""
-
-    residual_du: Fraction
-    next_session: int
-    last_tx_ms: int
-    battery_remaining: Fraction
-    cumulative_quanta: int
-
-    @classmethod
-    def installed(cls, cfg: MeterConfig) -> MeterRuntime:
-        return cls(
-            residual_du=Fraction(0),
-            next_session=0,
-            last_tx_ms=0,
-            battery_remaining=cfg.battery_capacity,
-            cumulative_quanta=0,
-        )
-
-
-def effective_quantum_du(cfg: MeterConfig, rt: MeterRuntime) -> Fraction:
-    """Current emission threshold: the nominal quantum inflated by drift.
-
-    Drift is linear in lifetime quanta, e.g. a rate of 1e-6 after 1e5 quanta
-    inflates a 1000 du quantum to 1100 du.
-    """
-    return cfg.quantum_du * (1 + cfg.drift_rate * Fraction(rt.cumulative_quanta))
-
-
 def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
              mtype: MessageType) -> MeterMessage:
     """The frame content of one transmission, after it spent ``tx_cost``."""
@@ -105,131 +74,73 @@ def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
     )
 
 
-def ingest_flow(rt: MeterRuntime, cfg: MeterConfig, amount_du,
-                now_ms: int) -> tuple[MeterRuntime, list[MeterMessage]]:
-    """Register ``amount_du`` of consumption ending at ``now_ms``.
-
-    Emits one message per effective-quantum crossing; with zero drift that is
-    exactly floor((residual + amount) / quantum) messages.  A dead battery
-    neither emits nor accumulates: flow past the moment of death is simply
-    never registered.
-    """
-    amount = Fraction(amount_du)
-    if amount < 0:
-        raise ValueError("consumption amount must be nonnegative")
-    if rt.battery_remaining <= 0:
-        return rt, []
-    residual = rt.residual_du + amount
-    session = rt.next_session
-    battery = rt.battery_remaining
-    quanta = rt.cumulative_quanta
-    messages: list[MeterMessage] = []
-    while True:
-        eff = cfg.quantum_du * (1 + cfg.drift_rate * Fraction(quanta))
-        if residual < eff:
-            break
-        if battery <= 0:
-            residual = Fraction(0)  # sensor died mid-stream; the rest is lost
-            break
-        residual -= eff
-        quanta += 1
-        battery -= cfg.tx_cost
-        messages.append(_message(cfg, battery, quanta, session, MessageType.QUANTUM_EVENT))
-        session += 1
-    rt = replace(
-        rt,
-        residual_du=residual,
-        next_session=session,
-        battery_remaining=battery,
-        cumulative_quanta=quanta,
-        last_tx_ms=now_ms if messages else rt.last_tx_ms,
-    )
-    return rt, messages
-
-
-def heartbeat_check(rt: MeterRuntime, cfg: MeterConfig,
-                    now_ms: int) -> tuple[MeterRuntime, MeterMessage | None]:
-    """Emit a liveness message if the meter has been silent a full interval."""
-    if rt.battery_remaining <= 0:
-        return rt, None
-    if now_ms - rt.last_tx_ms < cfg.heartbeat_interval_ms:
-        return rt, None
-    battery = rt.battery_remaining - cfg.tx_cost
-    msg = _message(cfg, battery, rt.cumulative_quanta, rt.next_session, MessageType.HEARTBEAT)
-    rt = replace(
-        rt,
-        next_session=rt.next_session + 1,
-        battery_remaining=battery,
-        last_tx_ms=now_ms,
-    )
-    return rt, msg
-
-
 class MeterRun:
     """Exact event schedule for one meter over one trace.
 
-    Crossing instants are rational solutions on the piecewise-constant trace.
-    Each step registers the flow up to the next instant through
-    ``ingest_flow`` and then calls ``heartbeat_check``, both at the first
-    whole millisecond at or after the instant, so ordering and conservation
-    are exact.  Events at exactly the horizon are included.  After iteration,
-    ``runtime`` holds the final state and ``depleted_at_ms`` the battery
-    death time if it died inside the horizon (0 for a meter installed with
-    an empty battery).
+    Every instant is closed-form on the piecewise-constant trace.  Quantum
+    n is sent when the registered flow reaches its lifetime threshold
+    ``q·n + q·d·n(n−1)/2`` (quantum q, drift rate d), a heartbeat at
+    ``last_tx + interval`` unless a crossing lies at or before it, and idle
+    drain kills the meter at ``(capacity − tx_cost·sent)·1 h / drain``.
+    Each frame is sent at the first whole millisecond at or after its
+    instant; events at exactly the horizon are included.  After iteration,
+    ``battery_remaining`` holds the final battery and ``depleted_at_ms`` the
+    death time if the battery died inside the horizon (0 for a meter
+    installed with an empty battery).
     """
 
     def __init__(self, cfg: MeterConfig, trace: ConsumptionTrace) -> None:
         self.cfg = cfg
         self.trace = trace
-        self.runtime = MeterRuntime.installed(cfg)
+        self.battery_remaining = cfg.battery_capacity
         self.depleted_at_ms: int | None = None
 
     def events(self) -> Iterator[tuple[int, MeterMessage]]:
         cfg = self.cfg
-        if self.runtime.battery_remaining <= 0:
+        q, d, interval = cfg.quantum_du, cfg.drift_rate, cfg.heartbeat_interval_ms
+        cap, cost, drain = cfg.battery_capacity, cfg.tx_cost, cfg.idle_drain_per_hour
+        if cap <= 0:
             self.depleted_at_ms = 0
             return
-        cursor = Fraction(0)
-        for _, seg_end, rate in self.trace.segments():
-            while cursor < seg_end:
-                # step to the segment end, the heartbeat deadline or the
-                # crossing, whichever comes first; a crossing at the deadline
-                # transmits and so resets it
-                rt = self.runtime
-                step_to = min(seg_end, rt.last_tx_ms + cfg.heartbeat_interval_ms)
+        sent = quanta = last_tx = 0
+        consumed = Fraction(0)  # registered flow at the segment start
+        death = cap * MS_PER_HOUR / drain if drain else None
+        for start, end, rate in self.trace.segments():
+            while True:
+                n = quanta + 1
+                crossing = None
                 if rate > 0:
-                    need = effective_quantum_du(cfg, rt) - rt.residual_du
-                    step_to = min(step_to, cursor + need * MS_PER_HOUR / rate)
-                if not self._drain_until(cursor, step_to):
+                    threshold = q * n + q * d * (n * (n - 1) // 2)
+                    crossing = start + (threshold - consumed) * MS_PER_HOUR / rate
+                beat = last_tx + interval
+                if crossing is not None and crossing <= min(end, beat):
+                    at, mtype = crossing, MessageType.QUANTUM_EVENT
+                    quanta = n
+                elif beat <= end:
+                    at, mtype = beat, MessageType.HEARTBEAT
+                else:
+                    break
+                if death is not None and death <= at:
+                    self._die(death, 0)
                     return
-                now = math.ceil(step_to)
-                amount = rate * (step_to - cursor) / MS_PER_HOUR
-                rt, msgs = ingest_flow(self.runtime, cfg, amount, now)
-                rt, heartbeat = heartbeat_check(rt, cfg, now)
-                self.runtime = rt
-                for msg in msgs:
-                    yield now, msg
-                if heartbeat is not None:
-                    yield now, heartbeat
-                cursor = step_to
-                if rt.battery_remaining <= 0:
-                    self.depleted_at_ms = now
+                sent += 1
+                battery = cap - cost * sent - drain * at / MS_PER_HOUR
+                last_tx = math.ceil(at)
+                yield last_tx, _message(cfg, battery, quanta, sent - 1, mtype)
+                if battery <= 0:
+                    self._die(at, battery)
                     return
+                if drain:
+                    death = (cap - cost * sent) * MS_PER_HOUR / drain
+            if death is not None and death <= end:
+                self._die(death, 0)
+                return
+            consumed += rate * (end - start) / MS_PER_HOUR
+        self.battery_remaining = cap - cost * sent - drain * self.trace.horizon_ms / MS_PER_HOUR
 
-    def _drain_until(self, t_from: Fraction, t_to) -> bool:
-        """Apply idle drain over [t_from, t_to); False when the battery dies."""
-        cfg = self.cfg
-        rt = self.runtime
-        if cfg.idle_drain_per_hour == 0 or t_to <= t_from:
-            return True
-        death = t_from + rt.battery_remaining * MS_PER_HOUR / cfg.idle_drain_per_hour
-        if death <= t_to:
-            self.runtime = replace(rt, battery_remaining=Fraction(0))
-            self.depleted_at_ms = math.ceil(death)
-            return False
-        spent = cfg.idle_drain_per_hour * (Fraction(t_to) - t_from) / MS_PER_HOUR
-        self.runtime = replace(rt, battery_remaining=rt.battery_remaining - spent)
-        return True
+    def _die(self, at, battery) -> None:
+        self.depleted_at_ms = math.ceil(at)
+        self.battery_remaining = Fraction(battery)
 
 
 def battery_lifetime(cfg: MeterConfig, trace: ConsumptionTrace) -> int | None:

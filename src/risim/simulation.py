@@ -293,7 +293,7 @@ def _ti_polls_sent(cfg: MeterConfig, dt: int, n_polls: int) -> int:
     """How many of ``n_polls`` polls a meter sends before its battery is empty.
 
     Poll k at k·dt goes out while the battery is above zero before it, the
-    rule ``ingest_flow`` applies: capacity − (k−1)·tx_cost − idle drain up to
+    rule of the emission schedule: capacity − (k−1)·tx_cost − idle drain up to
     k·dt > 0, i.e. k·per_poll < capacity + tx_cost.
     """
     per_poll = cfg.tx_cost + cfg.idle_drain_per_hour * dt / MS_PER_HOUR
@@ -474,7 +474,7 @@ def _ri_lifetime_estimate(cfg: MeterConfig, run: MeterRun | None,
         return None
     if run.depleted_at_ms is not None:
         return run.depleted_at_ms
-    consumed = cfg.battery_capacity - run.runtime.battery_remaining
+    consumed = cfg.battery_capacity - run.battery_remaining
     if consumed <= 0:
         return None
     return int(cfg.battery_capacity * horizon_ms / consumed)

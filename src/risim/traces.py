@@ -26,6 +26,9 @@ DIURNAL_SHAPE = (
 TRACE_STREAM = 1
 CHANNEL_STREAM = 2
 
+#: ceiling on an appliance trace's ``bursts_per_day``: one burst start a minute
+MAX_BURSTS_PER_DAY = 1440
+
 
 def _splitmix64(x: int) -> int:
     z = (x + 0x9E3779B97F4A7C15) & _MASK64
@@ -200,6 +203,8 @@ def _appliance_params(params: dict) -> tuple[Fraction, tuple, Fraction, tuple]:
         raise ValueError("burst counts and durations must be integers")
     if burst_rate < 0 or base < 0 or d_lo <= 0 or d_hi < d_lo or not 0 <= n_lo <= n_hi:
         raise ValueError("bad appliance parameters")
+    if n_hi > MAX_BURSTS_PER_DAY:
+        raise ValueError(f"bursts_per_day must be at most {MAX_BURSTS_PER_DAY}, got {n_hi}")
     return base, (n_lo, n_hi), burst_rate, (d_lo, d_hi)
 
 

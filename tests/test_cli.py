@@ -298,6 +298,31 @@ def test_replay_rejects_a_ledger_line_that_is_not_a_snapshot(tmp_path, capsys, l
     assert f"line {n_lines + 1}:" in err
 
 
+def _repeat_first_ledger(lines):
+    lines.append(lines[0])
+    return f"replay mismatch at meter {json.loads(lines[0])['meter_id']:#x}: 2 ledger lines"
+
+
+def _swap_first_ledgers(lines):
+    lines[0], lines[1] = lines[1], lines[0]
+    return "replay mismatch: ledger lines are not in meter id order"
+
+
+@pytest.mark.parametrize("edit", [_repeat_first_ledger, _swap_first_ledgers])
+def test_replay_names_a_repeated_or_reordered_ledger(tmp_path, capsys, edit):
+    """Every ledger line still matches its meter, yet the file differs."""
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    main(["run", str(scn), "--out", str(out)])
+    ledgers = out / "ledgers.ndjson"
+    lines = ledgers.read_text().splitlines()
+    message = edit(lines)
+    ledgers.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
 def _replay_peak_bytes(path) -> int:
     tracemalloc.start()
     try:
@@ -358,6 +383,21 @@ def _meters(obj):
                  "meter 1", id="kind_a_list"),
     pytest.param(lambda o: _concentrator(o).update(serial=-1),
                  "building 0", id="concentrator_serial_out_of_range"),
+    pytest.param(lambda o: _concentrator(o).update(clock_skew_ms=12.7),
+                 "clock_skew_ms", id="clock_skew_a_fraction"),
+    pytest.param(lambda o: _concentrator(o).update(clock_skew_ms=True),
+                 "clock_skew_ms", id="clock_skew_a_boolean"),
+    pytest.param(lambda o: _concentrator(o).update(max_skew_ms=999.9),
+                 "max_skew_ms", id="max_skew_a_fraction"),
+    pytest.param(lambda o: _concentrator(o).update(uplink_loss=True),
+                 "uplink_loss", id="uplink_loss_a_boolean"),
+    pytest.param(lambda o: o["buildings"][0].update(radio_loss=True),
+                 "radio_loss", id="radio_loss_a_boolean"),
+    pytest.param(lambda o: _meters(o)[0].update(links=[{"concentrator": 1, "loss": True}]),
+                 "meter 1", id="link_loss_a_boolean"),
+    pytest.param(lambda o: _meters(o)[1].update(trace={"kind": "appliance", "params": {
+                     "burst_rate": "2kWh/h", "bursts_per_day": [1, 10**30]}}),
+                 "bursts_per_day", id="bursts_per_day_unbounded"),
 ])
 def test_malformed_scenario_value_is_one_config_error_line(tmp_path, capsys, edit, names):
     scn = _write_scenario(tmp_path)

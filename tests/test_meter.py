@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -27,15 +27,7 @@ from risim.domain import (
     encode_frame,
     meter_id,
 )
-from risim.meter import (
-    MeterConfig,
-    MeterRun,
-    MeterRuntime,
-    battery_lifetime,
-    effective_quantum_du,
-    heartbeat_check,
-    ingest_flow,
-)
+from risim.meter import MeterConfig, MeterRun, _message, battery_lifetime
 from risim.traces import ConsumptionTrace
 
 MID = meter_id(7)
@@ -47,23 +39,26 @@ def _cfg(**kw) -> MeterConfig:
     return MeterConfig(**base)
 
 
+def _flow_trace(chunks) -> ConsumptionTrace:
+    """Chunk i of consumption delivered evenly over second i."""
+    return ConsumptionTrace(
+        MID,
+        tuple((1000 * i, Fraction(c) * MS_PER_HOUR / 1000) for i, c in enumerate(chunks)),
+        1000 * len(chunks),
+    )
+
+
 def _run_flow(cfg, chunks):
-    rt = MeterRuntime.installed(cfg)
-    out = []
-    t = 0
-    for amount in chunks:
-        t += 1000
-        rt, msgs = ingest_flow(rt, cfg, amount, t)
-        out.extend(msgs)
-    return rt, out
+    run = MeterRun(cfg, _flow_trace(chunks))
+    return run, [m for _, m in run.events()]
 
 
 def test_emission_count_is_floor_of_total_over_quantum():
     # oracle: floor(C / Q) for C = 12345 du, Q = 1000 du is 12
     cfg = _cfg(quantum_du=1000)
-    rt, msgs = _run_flow(cfg, [12345])
+    run, msgs = _run_flow(cfg, [12345])
     assert len(msgs) == 12
-    assert rt.residual_du == 345
+    assert run.battery_remaining == cfg.battery_capacity - 12
     assert [m.session for m in msgs] == list(range(12))
     assert all(m.message_type is MessageType.QUANTUM_EVENT for m in msgs)
     assert [m.state.cumulative_quanta for m in msgs] == list(range(1, 13))
@@ -82,27 +77,26 @@ def test_emission_count_invariant_under_flow_splitting(total, cuts):
     for p in points + [total]:
         chunks.append(p - prev)
         prev = p
-    rt_whole, msgs_whole = _run_flow(cfg, [total])
-    rt_split, msgs_split = _run_flow(cfg, chunks)
+    run_whole, msgs_whole = _run_flow(cfg, [total])
+    run_split, msgs_split = _run_flow(cfg, chunks)
     assert len(msgs_whole) == total // 700
     assert [(m.session, m.state.cumulative_quanta) for m in msgs_whole] == [
         (m.session, m.state.cumulative_quanta) for m in msgs_split
     ]
-    assert rt_whole.residual_du == rt_split.residual_du
-    assert rt_whole.battery_remaining == rt_split.battery_remaining
+    assert run_whole.battery_remaining == run_split.battery_remaining
 
 
 def test_zero_flow_emits_nothing():
     cfg = _cfg()
-    rt, msgs = _run_flow(cfg, [0, 0, 0])
+    run, msgs = _run_flow(cfg, [0, 0, 0])
     assert msgs == []
-    assert rt.next_session == 0
+    assert run.battery_remaining == cfg.battery_capacity
 
 
 def test_negative_flow_rejected():
-    cfg = _cfg()
+    # a meter sees flow only through its trace, which refuses a negative rate
     with pytest.raises(ValueError):
-        ingest_flow(MeterRuntime.installed(cfg), cfg, -1, 0)
+        ConsumptionTrace(MID, ((0, Fraction(1000)), (1000, Fraction(-1))), MS_PER_HOUR)
 
 
 def test_heartbeat_count_on_idle_trace():
@@ -127,18 +121,43 @@ def test_heartbeat_suppressed_while_consumption_talks():
     assert all(m.message_type is MessageType.QUANTUM_EVENT for _, m in events)
 
 
+def _lifetime_threshold(q, d, n):
+    """Registered flow at which quantum n is sent: sum of q·(1 + d·j), j < n."""
+    return q * n + q * d * n * (n - 1) / 2
+
+
+# at 3600 du/h (1 du/s) every threshold in du is the crossing time in seconds
+_DU_PER_SECOND = Fraction(3600)
+
+
 def test_drift_inflates_effective_quantum():
-    # 1e-6 per quantum after 1e5 quanta inflates 1000 du to exactly 1100 du
-    cfg = _cfg(quantum_du=1000, drift_rate=Fraction(1, 1_000_000))
-    rt = MeterRuntime.installed(cfg)
-    rt = MeterRuntime(
-        residual_du=rt.residual_du,
-        next_session=rt.next_session,
-        last_tx_ms=rt.last_tx_ms,
-        battery_remaining=rt.battery_remaining,
-        cumulative_quanta=100_000,
-    )
-    assert effective_quantum_du(cfg, rt) == 1100
+    # 1e-2 per quantum after 10 quanta inflates 1000 du to exactly 1100 du:
+    # quantum 11 comes 1100 s after quantum 10
+    cfg = _cfg(quantum_du=1000, drift_rate=Fraction(1, 100))
+    trace = ConsumptionTrace(MID, ((0, _DU_PER_SECOND),), MS_PER_DAY)
+    times = [t for t, _ in MeterRun(cfg, trace).events()]
+    assert times[:11] == [1000 * _lifetime_threshold(1000, cfg.drift_rate, n)
+                          for n in range(1, 12)]
+    assert times[10] - times[9] == 1100 * 1000
+
+
+def test_drifting_meter_sends_one_quantum_per_lifetime_threshold():
+    # oracle: max{n : q·n + q·d·n(n−1)/2 <= total}, over more than 10**5 quanta
+    q, d = 1000, Fraction(1, 10**6)
+    cfg = _cfg(quantum_du=q, drift_rate=d)
+    trace = ConsumptionTrace(MID, ((0, _DU_PER_SECOND),), 10**6 * 105_060 + 61)
+    total = trace.total_du()
+    # the root of the quadratic, then corrected exactly
+    expected = int(2 * total / (q + math.sqrt(q * q + 2 * q * d * total)))
+    while _lifetime_threshold(q, d, expected + 1) <= total:
+        expected += 1
+    while _lifetime_threshold(q, d, expected) > total:
+        expected -= 1
+    assert expected > 10**5
+    events = list(MeterRun(cfg, trace).events())
+    assert len(events) == expected
+    assert all(m.message_type is MessageType.QUANTUM_EVENT for _, m in events)
+    assert events[-1][1].state.cumulative_quanta == expected
 
 
 def test_drifting_meter_underreports():
@@ -153,20 +172,23 @@ def test_drifting_meter_underreports():
 
 def test_dead_battery_emits_nothing():
     cfg = _cfg(quantum_du=1000, battery_capacity=Fraction(5), tx_cost=Fraction(1))
-    rt, msgs = _run_flow(cfg, [20_000])
+    # 20 quanta of flow in the first second, 10 more in the second
+    run, msgs = _run_flow(cfg, [20_000, 10_000])
     assert len(msgs) == 5  # capacity / tx_cost transmissions, then silence
-    assert rt.battery_remaining == 0
-    rt2, more = ingest_flow(rt, cfg, 10_000, 99_000)
-    assert more == []
-    assert rt2.residual_du == rt.residual_du  # dead meters do not even meter
+    assert run.battery_remaining == 0
+    # the fifth quantum is complete 5/20 of the way through the first second
+    assert run.depleted_at_ms == 250
 
 
 def test_heartbeat_skipped_when_dead():
-    cfg = _cfg(battery_capacity=Fraction(0))
-    rt = MeterRuntime.installed(cfg)
-    rt2, msg = heartbeat_check(rt, cfg, 10 * MS_PER_DAY)
-    assert msg is None
-    assert rt2 == rt
+    # capacity 3 and an hourly heartbeat: three heartbeats, then silence
+    cfg = _cfg(battery_capacity=Fraction(3), heartbeat_interval_ms=MS_PER_HOUR)
+    trace = ConsumptionTrace(MID, ((0, Fraction(0)),), 10 * MS_PER_DAY)
+    run = MeterRun(cfg, trace)
+    events = list(run.events())
+    assert [t for t, _ in events] == [MS_PER_HOUR, 2 * MS_PER_HOUR, 3 * MS_PER_HOUR]
+    assert run.depleted_at_ms == 3 * MS_PER_HOUR
+    assert run.battery_remaining == 0
 
 
 @pytest.mark.parametrize("rate", [Fraction(5000), Fraction(0)])
@@ -281,12 +303,156 @@ def test_meter_has_no_receive_surface():
             assert "MeterMessage" not in str(param.annotation)
 
 
-class _ThreeBranchRun(MeterRun):
+# ---------------------------------------------------------------------------
+# reference schedules: the per-step state machine MeterRun's closed form replaced
+
+
+@dataclass(frozen=True)
+class MeterRuntime:
+    """Mutable-by-replacement device state between transmissions."""
+
+    residual_du: Fraction
+    next_session: int
+    last_tx_ms: int
+    battery_remaining: Fraction
+    cumulative_quanta: int
+
+    @classmethod
+    def installed(cls, cfg: MeterConfig) -> MeterRuntime:
+        return cls(Fraction(0), 0, 0, cfg.battery_capacity, 0)
+
+
+def effective_quantum_du(cfg: MeterConfig, rt: MeterRuntime) -> Fraction:
+    """Current emission threshold: the nominal quantum inflated by drift."""
+    return cfg.quantum_du * (1 + cfg.drift_rate * Fraction(rt.cumulative_quanta))
+
+
+def ingest_flow(rt: MeterRuntime, cfg: MeterConfig, amount_du,
+                now_ms: int) -> tuple[MeterRuntime, list[MeterMessage]]:
+    """Register ``amount_du`` ending at ``now_ms``: one message per crossing.
+
+    A dead battery neither emits nor accumulates.
+    """
+    amount = Fraction(amount_du)
+    if rt.battery_remaining <= 0:
+        return rt, []
+    residual = rt.residual_du + amount
+    session = rt.next_session
+    battery = rt.battery_remaining
+    quanta = rt.cumulative_quanta
+    messages: list[MeterMessage] = []
+    while True:
+        eff = cfg.quantum_du * (1 + cfg.drift_rate * Fraction(quanta))
+        if residual < eff:
+            break
+        if battery <= 0:
+            residual = Fraction(0)  # sensor died mid-stream; the rest is lost
+            break
+        residual -= eff
+        quanta += 1
+        battery -= cfg.tx_cost
+        messages.append(_message(cfg, battery, quanta, session, MessageType.QUANTUM_EVENT))
+        session += 1
+    rt = replace(
+        rt,
+        residual_du=residual,
+        next_session=session,
+        battery_remaining=battery,
+        cumulative_quanta=quanta,
+        last_tx_ms=now_ms if messages else rt.last_tx_ms,
+    )
+    return rt, messages
+
+
+def heartbeat_check(rt: MeterRuntime, cfg: MeterConfig,
+                    now_ms: int) -> tuple[MeterRuntime, MeterMessage | None]:
+    """Emit a liveness message if the meter has been silent a full interval."""
+    if rt.battery_remaining <= 0:
+        return rt, None
+    if now_ms - rt.last_tx_ms < cfg.heartbeat_interval_ms:
+        return rt, None
+    battery = rt.battery_remaining - cfg.tx_cost
+    msg = _message(cfg, battery, rt.cumulative_quanta, rt.next_session, MessageType.HEARTBEAT)
+    rt = replace(
+        rt,
+        next_session=rt.next_session + 1,
+        battery_remaining=battery,
+        last_tx_ms=now_ms,
+    )
+    return rt, msg
+
+
+class _StepRun:
+    """Reference schedule: step to the next crossing, deadline or segment end.
+
+    Each step registers the flow up to the next instant through
+    ``ingest_flow`` and then calls ``heartbeat_check``, both at the first
+    whole millisecond at or after the instant.
+    """
+
+    def __init__(self, cfg: MeterConfig, trace: ConsumptionTrace) -> None:
+        self.cfg = cfg
+        self.trace = trace
+        self.runtime = MeterRuntime.installed(cfg)
+        self.depleted_at_ms: int | None = None
+
+    @property
+    def battery_remaining(self) -> Fraction:
+        return self.runtime.battery_remaining
+
+    def events(self):
+        cfg = self.cfg
+        if self.runtime.battery_remaining <= 0:
+            self.depleted_at_ms = 0
+            return
+        cursor = Fraction(0)
+        for _, seg_end, rate in self.trace.segments():
+            while cursor < seg_end:
+                # step to the segment end, the heartbeat deadline or the
+                # crossing, whichever comes first; a crossing at the deadline
+                # transmits and so resets it
+                rt = self.runtime
+                step_to = min(seg_end, rt.last_tx_ms + cfg.heartbeat_interval_ms)
+                if rate > 0:
+                    need = effective_quantum_du(cfg, rt) - rt.residual_du
+                    step_to = min(step_to, cursor + need * MS_PER_HOUR / rate)
+                if not self._drain_until(cursor, step_to):
+                    return
+                now = math.ceil(step_to)
+                amount = rate * (step_to - cursor) / MS_PER_HOUR
+                rt, msgs = ingest_flow(self.runtime, cfg, amount, now)
+                rt, heartbeat = heartbeat_check(rt, cfg, now)
+                self.runtime = rt
+                for msg in msgs:
+                    yield now, msg
+                if heartbeat is not None:
+                    yield now, heartbeat
+                cursor = step_to
+                if rt.battery_remaining <= 0:
+                    self.depleted_at_ms = now
+                    return
+
+    def _drain_until(self, t_from: Fraction, t_to) -> bool:
+        """Apply idle drain over [t_from, t_to); False when the battery dies."""
+        cfg = self.cfg
+        rt = self.runtime
+        if cfg.idle_drain_per_hour == 0 or t_to <= t_from:
+            return True
+        death = t_from + rt.battery_remaining * MS_PER_HOUR / cfg.idle_drain_per_hour
+        if death <= t_to:
+            self.runtime = replace(rt, battery_remaining=Fraction(0))
+            self.depleted_at_ms = math.ceil(death)
+            return False
+        spent = cfg.idle_drain_per_hour * (Fraction(t_to) - t_from) / MS_PER_HOUR
+        self.runtime = replace(rt, battery_remaining=rt.battery_remaining - spent)
+        return True
+
+
+class _ThreeBranchRun(_StepRun):
     """Reference schedule: one branch per crossing, heartbeat and segment end.
 
     Each branch does its own drain, flow top-up and transmission, so it
-    checks the single step rule of ``MeterRun.events`` independently: both
-    must give the same frames, times, depletion and final state.
+    checks the single step rule of ``_StepRun.events`` independently.
     """
 
     def events(self):
@@ -365,11 +531,13 @@ def _schedules(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_schedules())
-def test_schedule_matches_three_branch_reference(schedule):
+def test_schedule_matches_step_references(schedule):
+    """The closed-form schedule gives the frames, times, depletion and final
+    battery of both per-step references."""
     cfg, trace = schedule
-    run, ref = MeterRun(cfg, trace), _ThreeBranchRun(cfg, trace)
+    run = MeterRun(cfg, trace)
     got = [(t, encode_frame(m)) for t, m in run.events()]
-    want = [(t, encode_frame(m)) for t, m in ref.events()]
-    assert got == want
-    assert run.depleted_at_ms == ref.depleted_at_ms
-    assert run.runtime == ref.runtime
+    for ref in (_StepRun(cfg, trace), _ThreeBranchRun(cfg, trace)):
+        assert [(t, encode_frame(m)) for t, m in ref.events()] == got
+        assert ref.depleted_at_ms == run.depleted_at_ms
+        assert ref.battery_remaining == run.battery_remaining

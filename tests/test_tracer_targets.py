@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from risim.meter import MeterRun
 
 _TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -30,3 +33,10 @@ def test_tracer_target_resolves(key, module, path):
         assert hasattr(owner, part), f"{key}: {module}.{path} has no {part!r}"
         owner = getattr(owner, part)
     assert callable(owner), f"{key}: {module}.{path} is not callable"
+
+
+def test_meter_schedule_is_a_generator():
+    # the tracer charges the schedule to meter.schedule step by step only
+    # when MeterRun.events is a generator; a list-returning version would
+    # still resolve by name and move that time into simulation.engine
+    assert inspect.isgeneratorfunction(MeterRun.events)
