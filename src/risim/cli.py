@@ -138,11 +138,8 @@ def _cmd_run(args) -> int:
         records.extend(ri.records)
         rows.extend(_metrics_rows("ri", scenario, ri))
         snapshots = ri.center.snapshots()
-        next_seq = ri.next_seq
-    else:
-        next_seq = 0
     if mode in ("ti", "both"):
-        ti = run_ti(scenario, start_seq=next_seq)
+        ti = run_ti(scenario, start_seq=len(records))
         records.extend(ti.records)
         rows.extend(_metrics_rows("ti", scenario, ti))
     write_events(out / "events.ndjson", records)

@@ -76,9 +76,6 @@ class VisibilityMap:
     def links_for(self, meter_id: int) -> tuple[tuple[int, float], ...]:
         return self._links.get(meter_id, ())
 
-    def meters(self) -> list[int]:
-        return sorted(self._links)
-
     def require_coverage(self, meter_ids) -> None:
         """Every registered meter must be audible somewhere."""
         orphans = [m for m in meter_ids if not self._links.get(m)]

@@ -23,6 +23,7 @@ from .domain import (
     concentrator_id,
     id_serial,
     meter_id,
+    whole_number,
 )
 from .meter import MeterConfig
 from .simulation import Building, ScenarioConfig, SimMeter
@@ -75,23 +76,12 @@ def _number(value, field: str) -> float:
     raise ConfigError(f"{field}: expected a number, got {value!r}")
 
 
-def _integer(value, field: str) -> int:
-    """A whole-number field such as a clock skew in ms, taken as is."""
-    if type(value) is not int:
-        raise ConfigError(f"{field}: expected an integer, got {value!r}")
-    return value
-
-
 def parse_duration_ms(value, field: str) -> int:
     """Duration to integer milliseconds; bare integers are already ms."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{field}: expected a duration, got a boolean")
-    if isinstance(value, int):
-        if value < 0:
+    if not isinstance(value, str):
+        if whole_number(value, field) < 0:
             raise ConfigError(f"{field}: duration must be nonnegative, got {value}")
         return value
-    if not isinstance(value, str):
-        raise ConfigError(f"{field}: expected a duration string, got {value!r}")
     m = _QTY_RE.match(value)
     if not m:
         raise ConfigError(f"{field}: cannot parse duration {value!r}")
@@ -228,11 +218,8 @@ def _trace_spec(obj: dict, kind: ResourceKind, where: str) -> TraceSpec:
             )
         else:
             converted[name] = raw
-    seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError(f"{where}: trace seed must be an integer")
     try:
-        return TraceSpec(kind=tkind, params=converted, seed=seed)
+        return TraceSpec(kind=tkind, params=converted, seed=obj.get("seed"))
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -240,11 +227,7 @@ def _trace_spec(obj: dict, kind: ResourceKind, where: str) -> TraceSpec:
 def _meter_from_dict(obj: dict, building_idx: int) -> tuple[MeterConfig, TraceSpec, list | None]:
     if not isinstance(obj, dict):
         raise ConfigError(f"building {building_idx}: every meter must be an object")
-    serial = obj.get("serial")
-    if not isinstance(serial, int):
-        raise ConfigError(
-            f"building {building_idx}: every meter needs an integer 'serial'"
-        )
+    serial = whole_number(obj.get("serial"), f"building {building_idx}: meter serial")
     where = f"meter {serial}"
     kind_name = obj.get("kind")
     kind = _KIND_BY_NAME.get(kind_name) if isinstance(kind_name, str) else None
@@ -295,9 +278,9 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
         raise ConfigError(f"building {idx}: needs a list of at least one concentrator")
     concentrators = []
     for c in conc_objs:
-        serial = c.get("serial") if isinstance(c, dict) else None
-        if not isinstance(serial, int):
-            raise ConfigError(f"building {idx}: every concentrator needs an integer 'serial'")
+        if not isinstance(c, dict):
+            raise ConfigError(f"building {idx}: every concentrator must be an object")
+        serial = whole_number(c.get("serial"), f"building {idx}: concentrator serial")
         where = f"concentrator {serial}"
         try:
             cid = concentrator_id(serial)
@@ -306,8 +289,8 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
         concentrators.append(
             ConcentratorConfig(
                 id=cid,
-                clock_skew_ms=_integer(c.get("clock_skew_ms", 0), f"{where}: clock_skew_ms"),
-                max_skew_ms=_integer(c.get("max_skew_ms", 1000), f"{where}: max_skew_ms"),
+                clock_skew_ms=whole_number(c.get("clock_skew_ms", 0), f"{where}: clock_skew_ms"),
+                max_skew_ms=whole_number(c.get("max_skew_ms", 1000), f"{where}: max_skew_ms"),
                 uplink_loss=_number(c.get("uplink_loss", 0.0), f"{where}: uplink_loss"),
             )
         )
@@ -325,8 +308,12 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
                 raise ConfigError(f"meter {m_obj['serial']}: links must be a list")
             links = []
             for link in links_obj:
-                cserial = link.get("concentrator") if isinstance(link, dict) else None
-                cid = cid_by_serial.get(cserial) if isinstance(cserial, int) else None
+                if not isinstance(link, dict):
+                    raise ConfigError(f"meter {m_obj['serial']}: every link must be an object")
+                cserial = whole_number(
+                    link.get("concentrator"), f"meter {m_obj['serial']}: link concentrator"
+                )
+                cid = cid_by_serial.get(cserial)
                 if cid is None:
                     raise ConfigError(
                         f"meter {m_obj['serial']}: link to unknown concentrator {cserial!r}"
@@ -351,11 +338,8 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
     buildings = obj.get("buildings")
     if not buildings or not isinstance(buildings, list):
         raise ConfigError("scenario needs a list of at least one building")
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("scenario seed must be an integer")
-    scenario = ScenarioConfig(
-        seed=seed,
+    return ScenarioConfig(
+        seed=obj.get("seed", 0),
         horizon_ms=parse_duration_ms(obj["horizon"], "horizon"),
         mode=obj.get("mode", "ri"),
         ti_poll_interval_ms=parse_duration_ms(
@@ -366,8 +350,6 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
             _building_from_dict(b, i) for i, b in enumerate(buildings)
         ),
     )
-    scenario.validate()
-    return scenario
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

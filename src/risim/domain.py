@@ -119,6 +119,13 @@ class DuplicateIdError(ConfigError):
     """Raised when a registry is loaded with a non-unique identifier."""
 
 
+def whole_number(value, field: str) -> int:
+    """An integer input field, taken as is: a bool, float or string is refused."""
+    if type(value) is not int:
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # identifiers
 

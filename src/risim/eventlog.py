@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .center import MonitoringCenter
-from .domain import ConcentratorReport, Registry, decode_frame
+from .domain import ConcentratorReport, Registry, decode_frame, whole_number
 
 
 class MalformedLog(ValueError):
@@ -133,8 +133,8 @@ def replay_center(records) -> MonitoringCenter:
                 registry.add_meter(msg.meter_id, msg.kind)
             report = ConcentratorReport(
                 message=msg,
-                concentrator_id=rec.payload["concentrator_id"],
-                rx_time_ms=rec.payload["rx_time_ms"],
+                concentrator_id=whole_number(rec.payload["concentrator_id"], "concentrator_id"),
+                rx_time_ms=whole_number(rec.payload["rx_time_ms"], "rx_time_ms"),
             )
         except KeyError as exc:
             raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None

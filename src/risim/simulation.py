@@ -25,6 +25,8 @@ from .domain import (
     MessageType,
     Registry,
     encode_frame,
+    frame_size,
+    whole_number,
 )
 from .eventlog import EventKind, EventLogRecord
 from .meter import MeterConfig, MeterRun
@@ -56,12 +58,17 @@ class Building:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A whole scenario; it checks itself when built, ``replace`` included."""
+
     seed: int
     horizon_ms: int
     buildings: tuple[Building, ...]
     mode: str = "ri"                       # ri | ti | both
     ti_poll_interval_ms: int = MS_PER_HOUR
     rmse_grid_ms: int = MS_PER_MINUTE
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def meters(self) -> list[SimMeter]:
         return [m for b in self.buildings for m in b.meters]
@@ -81,6 +88,7 @@ class ScenarioConfig:
         return VisibilityMap({sm.config.id: list(sm.links) for sm in self.meters()})
 
     def validate(self) -> None:
+        whole_number(self.seed, "scenario seed")
         if self.mode not in ("ri", "ti", "both"):
             raise ConfigError(f"unknown mode: {self.mode!r}")
         if self.horizon_ms < 0:
@@ -119,7 +127,6 @@ class RiRunResult:
     metrics: dict[int, DetailMetric]
     traces: dict[int, ConsumptionTrace]
     runs: dict[int, MeterRun]
-    next_seq: int
 
 
 @dataclass
@@ -128,7 +135,6 @@ class TiRunResult:
     readings: dict[int, list[tuple[int, int]]]
     metrics: dict[int, DetailMetric]
     traces: dict[int, ConsumptionTrace]
-    next_seq: int
 
 
 def _generate_traces(scenario: ScenarioConfig) -> dict[int, ConsumptionTrace]:
@@ -142,9 +148,8 @@ def _generate_traces(scenario: ScenarioConfig) -> dict[int, ConsumptionTrace]:
     }
 
 
-def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
+def run_ri(scenario: ScenarioConfig) -> RiRunResult:
     """Run the event-driven mode end to end and ingest at the center."""
-    scenario.validate()
     registry = scenario.build_registry()
     vis = scenario.visibility()
     conc = {c.id: c for c in scenario.concentrators()}
@@ -165,9 +170,8 @@ def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
 
     rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM))
     records: list[EventLogRecord] = []
-    seq = start_seq
+    seq = 0
     counts: dict[int, int] = {}
-    octets: dict[int, int] = {}
 
     def emit(kind: EventKind, t: int, payload: dict) -> None:
         nonlocal seq
@@ -176,10 +180,8 @@ def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
 
     for t, msg in emissions:
         mid, session = msg.meter_id, msg.session
-        frame = encode_frame(msg)
-        frame_hex = frame.hex()
+        frame_hex = encode_frame(msg).hex()
         counts[mid] = counts.get(mid, 0) + 1
-        octets[mid] = octets.get(mid, 0) + len(frame)
         ekind = (
             EventKind.QUANTUM_EVENT
             if msg.message_type is MessageType.QUANTUM_EVENT
@@ -237,16 +239,15 @@ def run_ri(scenario: ScenarioConfig, start_seq: int = 0) -> RiRunResult:
             meter_id=mid,
             rmse_du=math.sqrt(float(mse)),
             message_count=counts.get(mid, 0),
-            bytes_sent=octets.get(mid, 0),
+            bytes_sent=counts.get(mid, 0) * frame_size(sm.config.kind),
             mean_square_du=mse,
         )
-    return RiRunResult(records, center, metrics, traces, runs, seq)
+    return RiRunResult(records, center, metrics, traces, runs)
 
 
 def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
     """Run the polling baseline: every meter reports its register each Δt
     while its battery lasts."""
-    scenario.validate()
     traces = _generate_traces(scenario)
     dt = scenario.ti_poll_interval_ms
     records: list[EventLogRecord] = []
@@ -286,7 +287,7 @@ def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
             bytes_sent=TI_READING_BYTES * len(readings.get(mid, [])),
             mean_square_du=mse,
         )
-    return TiRunResult(records, readings, metrics, traces, seq)
+    return TiRunResult(records, readings, metrics, traces)
 
 
 def _ti_polls_sent(cfg: MeterConfig, dt: int, n_polls: int) -> int:
@@ -444,7 +445,7 @@ class CompareRow:
 def compare_runs(scenario: ScenarioConfig) -> tuple[RiRunResult, TiRunResult, list[CompareRow]]:
     """Paired event-driven and polling runs over the same traces."""
     ri = run_ri(scenario)
-    ti = run_ti(scenario, start_seq=ri.next_seq)
+    ti = run_ti(scenario, start_seq=len(ri.records))
     rows: list[CompareRow] = []
     for sm in sorted(scenario.meters(), key=lambda m: m.config.id):
         mid = sm.config.id
@@ -526,7 +527,6 @@ def worst_case_load(scenario: ScenarioConfig) -> LoadReport:
     if the measured peak somehow passes the hard bucket ceiling, which
     would mean the counting itself is broken.
     """
-    scenario.validate()
     horizon = scenario.horizon_ms
     bound_per_hour = Fraction(0)
     periods: Counter[tuple[int, int]] = Counter()

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .domain import MS_PER_DAY, MS_PER_HOUR, ConfigError
+from .domain import MS_PER_DAY, MS_PER_HOUR, ConfigError, whole_number
 
 _MASK64 = 2**64 - 1
 
@@ -68,6 +68,8 @@ class TraceSpec:
         if read is None:
             known = ", ".join(TRACE_KINDS)
             raise ConfigError(f"unknown trace kind {self.kind!r} (expected {known})")
+        if self.seed is not None:
+            whole_number(self.seed, "trace seed")
         try:
             read(self.params)
         except KeyError as exc:
@@ -184,7 +186,7 @@ def _constant_params(params: dict) -> Fraction:
 def _diurnal_params(params: dict) -> tuple[Fraction, int, tuple]:
     """Daily total, jitter and hourly shape; raises on an invalid recipe."""
     daily = Fraction(params["daily_total_du"])
-    jitter = int(params.get("jitter_pct", 20))
+    jitter = whole_number(params.get("jitter_pct", 20), "jitter_pct")
     shape = tuple(params.get("shape", DIURNAL_SHAPE))
     if len(shape) != 24 or any(w < 0 for w in shape) or sum(shape) == 0:
         raise ValueError("diurnal shape must be 24 nonnegative weights")
@@ -196,11 +198,11 @@ def _diurnal_params(params: dict) -> tuple[Fraction, int, tuple]:
 def _appliance_params(params: dict) -> tuple[Fraction, tuple, Fraction, tuple]:
     """Base rate, bursts per day, burst rate and burst duration range."""
     base = Fraction(params.get("base_rate_du_per_hour", 0))
-    n_lo, n_hi = params.get("bursts_per_day", (2, 6))
+    n_lo, n_hi = (whole_number(n, "bursts_per_day")
+                  for n in params.get("bursts_per_day", (2, 6)))
     burst_rate = Fraction(params["burst_rate_du_per_hour"])
-    d_lo, d_hi = params.get("burst_duration_ms", (5 * 60_000, 30 * 60_000))
-    if not all(isinstance(n, int) for n in (n_lo, n_hi, d_lo, d_hi)):
-        raise ValueError("burst counts and durations must be integers")
+    d_lo, d_hi = (whole_number(d, "burst_duration_ms")
+                  for d in params.get("burst_duration_ms", (5 * 60_000, 30 * 60_000)))
     if burst_rate < 0 or base < 0 or d_lo <= 0 or d_hi < d_lo or not 0 <= n_lo <= n_hi:
         raise ValueError("bad appliance parameters")
     if n_hi > MAX_BURSTS_PER_DAY:

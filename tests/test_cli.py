@@ -220,18 +220,38 @@ def _drop_concentrator(payload):
     del payload["concentrator_id"]
 
 
+def _rx_time_a_string(payload):
+    payload["rx_time_ms"] = str(payload["rx_time_ms"])
+
+
+def _concentrator_a_list_on_a_copy(payload):
+    if payload["outcome"] != "duplicate":
+        return False
+    payload["concentrator_id"] = [payload["concentrator_id"]]
+
+
 @pytest.mark.parametrize("log, tamper", [
     pytest.param("events.ndjson", _shift_rx_time, id="rx_time_shifted"),
     pytest.param("events.ndjson", _truncate_frame, id="frame_truncated"),
     pytest.param("events.ndjson", _non_hex_frame, id="frame_not_hex"),
     pytest.param("events.ndjson", _odd_length_frame, id="frame_odd_length"),
     pytest.param("events.ndjson", _drop_concentrator, id="payload_key_missing"),
+    pytest.param("events.ndjson", _rx_time_a_string, id="rx_time_a_string"),
+    pytest.param("events.ndjson", _concentrator_a_list_on_a_copy,
+                 id="concentrator_a_list_on_a_copy"),
     pytest.param("events.ndjson", None, id="events_not_json"),
     pytest.param("ledgers.ndjson", None, id="ledgers_not_json"),
 ])
 def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
-    """A tampered log fails replay; an unreadable one fails in one stderr line."""
+    """A tampered log fails replay; an unreadable one fails in one stderr line.
+
+    A tamper that returns False skips that ingest record for a later one.  A
+    second concentrator, 5 ms slow, hears duplicate copies of most frames.
+    """
     scn = _write_scenario(tmp_path)
+    obj = json.loads(scn.read_text())
+    obj["buildings"][0]["concentrators"].append({"serial": 2, "clock_skew_ms": 5})
+    scn.write_text(json.dumps(obj))
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     lines = (out / log).read_text().splitlines()
@@ -241,8 +261,7 @@ def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
             where = f"line {i + 1}:"
             break
         obj = json.loads(line)
-        if obj["kind"] == "center_ingest":
-            tamper(obj["payload"])
+        if obj["kind"] == "center_ingest" and tamper(obj["payload"]) is not False:
             lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
             where = f"seq {obj['seq']}:"
             break
@@ -398,6 +417,21 @@ def _meters(obj):
     pytest.param(lambda o: _meters(o)[1].update(trace={"kind": "appliance", "params": {
                      "burst_rate": "2kWh/h", "bursts_per_day": [1, 10**30]}}),
                  "bursts_per_day", id="bursts_per_day_unbounded"),
+    pytest.param(lambda o: _meters(o)[0].update(serial=True),
+                 "meter serial", id="meter_serial_a_boolean"),
+    pytest.param(lambda o: _concentrator(o).update(serial=True),
+                 "concentrator serial", id="concentrator_serial_a_boolean"),
+    pytest.param(lambda o: _meters(o)[0].update(links=[{"concentrator": True}]),
+                 "link concentrator", id="link_concentrator_a_boolean"),
+    pytest.param(lambda o: _meters(o)[0]["trace"].update(seed=True),
+                 "trace seed", id="trace_seed_a_boolean"),
+    pytest.param(lambda o: _meters(o)[0]["trace"]["params"].update(jitter_pct=5.7),
+                 "jitter_pct", id="jitter_a_fraction"),
+    pytest.param(lambda o: _meters(o)[0]["trace"]["params"].update(jitter_pct=True),
+                 "jitter_pct", id="jitter_a_boolean"),
+    pytest.param(lambda o: _meters(o)[1].update(trace={"kind": "appliance", "params": {
+                     "burst_rate": "2kWh/h", "bursts_per_day": [True, True]}}),
+                 "bursts_per_day", id="bursts_per_day_booleans"),
 ])
 def test_malformed_scenario_value_is_one_config_error_line(tmp_path, capsys, edit, names):
     scn = _write_scenario(tmp_path)

@@ -1,0 +1,124 @@
+"""Bounded fuzz of outside input: one scalar of a scenario or of a logged
+ingest record is replaced with a value of the wrong kind, and the CLI must
+answer with its exit code and at most one stderr line, never a traceback."""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from risim.cli import main
+
+HOSTILE = [True, 1.5, -1, "x", None, [], {}]
+
+SCENARIO = {
+    "seed": 3,
+    "horizon": "6h",
+    "mode": "both",
+    "poll_interval": "1h",
+    "metric_grid": "10min",
+    "buildings": [{
+        "concentrators": [
+            {"serial": 1, "clock_skew_ms": 5, "max_skew_ms": 50, "uplink_loss": 0.1},
+            {"serial": 2},
+        ],
+        "radio_loss": 0.2,
+        "meters": [
+            {"serial": 1, "kind": "cold_water", "quantum": "10l",
+             "heartbeat_interval": "2h",
+             "trace": {"kind": "diurnal", "seed": 4,
+                       "params": {"daily_total": "200l", "jitter_pct": 10}},
+             "links": [{"concentrator": 1, "loss": 0.1},
+                       {"concentrator": 2, "loss": 0.3}]},
+            {"serial": 2, "kind": "electricity", "battery_capacity": 1000,
+             "tx_cost": 1, "idle_drain_per_hour": 0, "drift_rate": 0,
+             "max_flow": "5kWh/h",
+             "trace": {"kind": "appliance",
+                       "params": {"base_rate": "100Wh/h", "burst_rate": "2kWh/h",
+                                  "bursts_per_day": [1, 3],
+                                  "burst_duration": ["5min", "20min"]}}},
+        ],
+    }],
+}
+
+#: fields that take JSON integers only, by key; every element of a
+#: ``bursts_per_day`` pair is one too
+WHOLE_NUMBER_KEYS = {"seed", "serial", "clock_skew_ms", "max_skew_ms",
+                     "concentrator", "jitter_pct"}
+
+
+def _scalar_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in _scalar_paths(child, (*path, key))]
+
+
+def _replaced(obj, path, value):
+    out = copy.deepcopy(obj)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _cli(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(_scalar_paths(SCENARIO)), value=st.sampled_from(HOSTILE))
+def test_scenario_scalar_fuzz_is_exit_zero_or_one_config_error_line(path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        scn = Path(tmp) / "scenario.json"
+        scn.write_text(json.dumps(_replaced(SCENARIO, path, value)))
+        code, err = _cli(["run", str(scn), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2), (path, value, err)
+    if code == 2:
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+    whole = path[-1] in WHOLE_NUMBER_KEYS or "bursts_per_day" in path
+    if whole and (value is True or value == 1.5):
+        assert code == 2, (path, value)
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "scenario.json").write_text(json.dumps(SCENARIO))
+    assert _cli(["run", str(base / "scenario.json"), "--out", str(base / "out")])[0] == 0
+    return base / "out"
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), value=st.sampled_from(HOSTILE))
+def test_log_ingest_field_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, value):
+    lines = (run_dir / "events.ndjson").read_text().splitlines()
+    ingests = [i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line]
+    i = data.draw(st.sampled_from(ingests))
+    rec = json.loads(lines[i])
+    field = data.draw(st.sampled_from(sorted(rec["payload"])))
+    rec["payload"][field] = value
+    lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(run_dir / "ledgers.ndjson", tmp)
+        (Path(tmp) / "events.ndjson").write_text("\n".join(lines) + "\n")
+        code, err = _cli(["replay", tmp])
+    assert code in (0, 1), (field, value, err)
+    if code == 1:
+        assert err.count("\n") == 1, (field, value, err)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -240,9 +241,14 @@ def test_clock_skew_shifts_reception_times():
 
 
 def test_validation_rejects_bad_scenarios():
+    """A ScenarioConfig checks itself when built, with no validate() call."""
     good = [(_water(1), TraceSpec("zero"))]
     with pytest.raises(ConfigError):
-        _scenario(good, horizon_ms=MS_PER_HOUR, mode="warp").validate()
+        _scenario(good, horizon_ms=MS_PER_HOUR, mode="warp")
+    with pytest.raises(ConfigError):
+        replace(_scenario(good, horizon_ms=MS_PER_HOUR), mode="warp")
+    with pytest.raises(ConfigError, match="scenario seed"):
+        _scenario(good, horizon_ms=MS_PER_HOUR, seed=True)
     with pytest.raises(ConfigError):
         # meter linked to a concentrator that is not declared anywhere
         ScenarioConfig(
@@ -255,7 +261,7 @@ def test_validation_rejects_bad_scenarios():
                 ),),
                 concentrators=(ConcentratorConfig(CID),),
             ),),
-        ).validate()
+        )
     with pytest.raises(ConfigError):
         # meter with no links at all
         ScenarioConfig(
@@ -265,7 +271,7 @@ def test_validation_rejects_bad_scenarios():
                 meters=(SimMeter(config=_water(1), trace=TraceSpec("zero"), links=()),),
                 concentrators=(ConcentratorConfig(CID),),
             ),),
-        ).validate()
+        )
 
 
 # ---------------------------------------------------------------------------
