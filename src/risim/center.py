@@ -24,7 +24,7 @@ from .domain import (
 
 #: mass assigned to an empty hour when a profile is normalized, so that
 #: estimated timestamps can never collapse onto a zero-measure interval
-PROFILE_SMOOTHING_EPS = 1e-3
+PROFILE_SMOOTHING_EPS = Fraction(1, 1000)
 
 #: an hour of wall clock, in milliseconds
 _HOUR = 3_600_000
@@ -82,15 +82,15 @@ class ConsumerProfile:
     """Hour-of-day consumption weights learned from accepted events."""
 
     meter_id: int
-    hourly_weights: tuple[float, ...]
+    hourly_weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(self.hourly_weights) != 24:
             raise ValueError("profile needs exactly 24 hourly weights")
-        if any(w <= 0 for w in self.hourly_weights):
-            raise ValueError("profile weights must be positive after smoothing")
-        if abs(sum(self.hourly_weights) - 1.0) > 1e-9:
-            raise ValueError("profile weights must sum to 1")
+        if not all(isinstance(w, Fraction) and w > 0 for w in self.hourly_weights):
+            raise ValueError("profile weights must be positive Fractions after smoothing")
+        if sum(self.hourly_weights) != 1:
+            raise ValueError("profile weights must sum to exactly 1")
 
 
 class SessionLedger:
@@ -286,7 +286,7 @@ class SessionLedger:
 
     def interpolate_lost_times(self, gap_run: list[int],
                                profile: ConsumerProfile | None = None,
-                               ) -> list[tuple[int, float]]:
+                               ) -> list[tuple[int, Fraction]]:
         """Estimate emission times for one contiguous run of lost sessions.
 
         Uniform spacing between the bounding reception times by default;
@@ -310,13 +310,13 @@ class SessionLedger:
             return []
         if t_hi <= t_lo:
             # degenerate zero-width bracket; pin everything at the boundary
-            return [(s % self.modulus, float(t_lo)) for s in run_abs]
+            return [(s % self.modulus, Fraction(t_lo)) for s in run_abs]
         k = len(run_abs)
         if profile is None:
             times = evenly_spaced(t_lo, t_hi, k)
         else:
             times = _profile_quantiles(profile, t_lo, t_hi, k)
-        return [(s % self.modulus, float(t)) for s, t in zip(run_abs, times)]
+        return [(s % self.modulus, t) for s, t in zip(run_abs, times)]
 
     # -- profile learning --------------------------------------------------
 
@@ -343,12 +343,12 @@ class SessionLedger:
             counts[(rec.rx_time_ms // _HOUR) % 24] += 1
         masses = [c if c > 0 else PROFILE_SMOOTHING_EPS for c in counts]
         total = sum(masses)
-        return ConsumerProfile(self.meter_id, tuple(m / total for m in masses))
+        return ConsumerProfile(self.meter_id, tuple(Fraction(m) / total for m in masses))
 
     # -- drift correction --------------------------------------------------
 
     def correct_drift(self, quantum_du: int,
-                      checkpoints: list[tuple[int, int]]) -> float:
+                      checkpoints: list[tuple[int, int]]) -> Fraction:
         """Least-squares scale aligning reconstructed amounts to references.
 
         ``checkpoints`` are (time_ms, true_cumulative_du) pairs from an
@@ -370,7 +370,7 @@ class SessionLedger:
         den = sum((q * quantum_du) ** 2 for q, _ in pairs)
         if den == 0:
             raise InsufficientData("no reconstructed consumption at any checkpoint")
-        return num / den
+        return Fraction(num, den)
 
     # -- snapshots ---------------------------------------------------------
 
@@ -453,7 +453,7 @@ def _profile_quantiles(profile: ConsumerProfile, t_lo: int, t_hi: int,
     interior.  One forward sweep over the hour pieces of the bracket places
     all k of them, each at the earliest time its target mass is reached.
     """
-    weights = [Fraction(w).limit_denominator(10**12) for w in profile.hourly_weights]
+    weights = profile.hourly_weights
     pieces = []  # (start, profile mass, weight) per wall-clock hour overlap
     cursor = t_lo
     while cursor < t_hi:

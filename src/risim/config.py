@@ -184,6 +184,25 @@ def parse_sweep_values(param: str, text: str,
 
 _KIND_BY_NAME = {k.value: k for k in ResourceKind}
 
+#: every key the loader reads, per object; any other key is a config error
+_KEYS = {
+    "scenario": ("seed", "horizon", "mode", "poll_interval", "metric_grid", "buildings"),
+    "building": ("concentrators", "radio_loss", "meters"),
+    "concentrator": ("serial", "clock_skew_ms", "max_skew_ms", "uplink_loss"),
+    "meter": ("serial", "kind", "quantum", "heartbeat_interval", "battery_capacity",
+              "tx_cost", "idle_drain_per_hour", "drift_rate", "max_flow", "trace", "links"),
+    "link": ("concentrator", "loss"),
+    "trace": ("kind", "params", "seed"),
+}
+
+#: every trace parameter the loader reads, per trace kind
+_TRACE_PARAMS = {
+    "zero": (),
+    "constant": ("rate",),
+    "diurnal": ("daily_total", "jitter_pct", "shape"),
+    "appliance": ("base_rate", "burst_rate", "bursts_per_day", "burst_duration"),
+}
+
 _TRACE_RATE_PARAMS = {
     "rate": "rate_du_per_hour",
     "base_rate": "base_rate_du_per_hour",
@@ -191,13 +210,24 @@ _TRACE_RATE_PARAMS = {
 }
 
 
+def _known_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    """Refuse any key the loader does not read, so a misspelt one cannot pass."""
+    for key in obj:
+        if key not in known:
+            expected = ", ".join(known) or "none"
+            raise ConfigError(f"{where}: unknown key {key!r} (expected {expected})")
+
+
 def _trace_spec(obj: dict, kind: ResourceKind, where: str) -> TraceSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where}: trace needs a 'kind'")
+    _known_keys(obj, _KEYS["trace"], f"{where}: trace")
     tkind = obj["kind"]
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{where}: trace params must be an object")
+    if isinstance(tkind, str) and tkind in _TRACE_PARAMS:
+        _known_keys(params, _TRACE_PARAMS[tkind], f"{where}: {tkind} trace params")
     converted: dict = {}
     for name, raw in params.items():
         if name in _TRACE_RATE_PARAMS:
@@ -229,6 +259,7 @@ def _meter_from_dict(obj: dict, building_idx: int) -> tuple[MeterConfig, TraceSp
         raise ConfigError(f"building {building_idx}: every meter must be an object")
     serial = whole_number(obj.get("serial"), f"building {building_idx}: meter serial")
     where = f"meter {serial}"
+    _known_keys(obj, _KEYS["meter"], where)
     kind_name = obj.get("kind")
     kind = _KIND_BY_NAME.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
@@ -273,6 +304,7 @@ def _meter_from_dict(obj: dict, building_idx: int) -> tuple[MeterConfig, TraceSp
 def _building_from_dict(obj: dict, idx: int) -> Building:
     if not isinstance(obj, dict):
         raise ConfigError(f"building {idx}: must be an object")
+    _known_keys(obj, _KEYS["building"], f"building {idx}")
     conc_objs = obj.get("concentrators")
     if not conc_objs or not isinstance(conc_objs, list):
         raise ConfigError(f"building {idx}: needs a list of at least one concentrator")
@@ -282,6 +314,7 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
             raise ConfigError(f"building {idx}: every concentrator must be an object")
         serial = whole_number(c.get("serial"), f"building {idx}: concentrator serial")
         where = f"concentrator {serial}"
+        _known_keys(c, _KEYS["concentrator"], where)
         try:
             cid = concentrator_id(serial)
         except ValueError as exc:
@@ -295,7 +328,6 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
             )
         )
     cid_by_serial = {id_serial(c.id): c.id for c in concentrators}
-    full = obj.get("visibility", "full")
     radio_loss = _number(obj.get("radio_loss", 0.0), f"building {idx}: radio_loss")
     m_objs = obj.get("meters", [])
     if not isinstance(m_objs, list):
@@ -310,6 +342,7 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
             for link in links_obj:
                 if not isinstance(link, dict):
                     raise ConfigError(f"meter {m_obj['serial']}: every link must be an object")
+                _known_keys(link, _KEYS["link"], f"meter {m_obj['serial']}: link")
                 cserial = whole_number(
                     link.get("concentrator"), f"meter {m_obj['serial']}: link concentrator"
                 )
@@ -320,12 +353,8 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
                     )
                 loss = _number(link.get("loss", 0.0), f"meter {m_obj['serial']}: link loss")
                 links.append((cid, loss))
-        elif full == "full":
-            links = [(cid, radio_loss) for cid in cid_by_serial.values()]
         else:
-            raise ConfigError(
-                f"meter {m_obj['serial']}: no links and building visibility is {full!r}"
-            )
+            links = [(cid, radio_loss) for cid in cid_by_serial.values()]
         meters.append(SimMeter(config=cfg, trace=trace, links=tuple(links)))
     return Building(meters=tuple(meters), concentrators=tuple(concentrators))
 
@@ -333,6 +362,7 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ConfigError("scenario root must be a JSON object")
+    _known_keys(obj, _KEYS["scenario"], "scenario")
     if "horizon" not in obj:
         raise ConfigError("scenario needs a 'horizon'")
     buildings = obj.get("buildings")

@@ -251,22 +251,24 @@ def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
     traces = _generate_traces(scenario)
     dt = scenario.ti_poll_interval_ms
     records: list[EventLogRecord] = []
-    readings: dict[int, list[tuple[int, int]]] = {}
     seq = start_seq
 
     meters = sorted(scenario.meters(), key=lambda m: m.config.id)
     n_polls = scenario.horizon_ms // dt if scenario.horizon_ms else 0
-    budget = {sm.config.id: _ti_polls_sent(sm.config, dt, n_polls) for sm in meters}
+    poll_times = [k * dt for k in range(1, n_polls + 1)]
+    readings: dict[int, list[tuple[int, int]]] = {}
+    for sm in meters:
+        polls = _ti_polls_sent(sm.config, dt, n_polls)
+        if polls:
+            readings[sm.config.id] = _registers_at(traces[sm.config.id], poll_times[:polls])
     for k in range(1, n_polls + 1):
-        t = k * dt
         for sm in meters:
-            mid = sm.config.id
-            if k > budget[mid]:
+            polled = readings.get(sm.config.id, ())
+            if k > len(polled):
                 continue
-            register = int(traces[mid].cumulative_du(t))
-            readings.setdefault(mid, []).append((t, register))
+            t, register = polled[k - 1]
             records.append(EventLogRecord(seq, t, EventKind.TI_READING, {
-                "meter_id": mid,
+                "meter_id": sm.config.id,
                 "poll_index": k,
                 "register_du": register,
                 "unit": BASE_UNIT[sm.config.kind],
@@ -288,6 +290,24 @@ def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
             mean_square_du=mse,
         )
     return TiRunResult(records, readings, metrics, traces)
+
+
+def _registers_at(trace: ConsumptionTrace, times: list[int]) -> list[tuple[int, int]]:
+    """(t, whole deciunits consumed through t) for each of ``times``.
+
+    The times are increasing and inside the trace's horizon, so one forward
+    pass over the trace's segments reads them all.
+    """
+    segments = iter(trace.segments())
+    start, end, rate = next(segments)
+    consumed = Fraction(0)
+    out = []
+    for t in times:
+        while t > end:
+            consumed += rate * (end - start) / MS_PER_HOUR
+            start, end, rate = next(segments)
+        out.append((t, int(consumed + rate * (t - start) / MS_PER_HOUR)))
+    return out
 
 
 def _ti_polls_sent(cfg: MeterConfig, dt: int, n_polls: int) -> int:

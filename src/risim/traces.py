@@ -187,9 +187,12 @@ def _diurnal_params(params: dict) -> tuple[Fraction, int, tuple]:
     """Daily total, jitter and hourly shape; raises on an invalid recipe."""
     daily = Fraction(params["daily_total_du"])
     jitter = whole_number(params.get("jitter_pct", 20), "jitter_pct")
-    shape = tuple(params.get("shape", DIURNAL_SHAPE))
-    if len(shape) != 24 or any(w < 0 for w in shape) or sum(shape) == 0:
-        raise ValueError("diurnal shape must be 24 nonnegative weights")
+    shape = params.get("shape", DIURNAL_SHAPE)
+    if not isinstance(shape, (list, tuple)) or len(shape) != 24:
+        raise ValueError("diurnal shape must be a list of 24 weights")
+    shape = tuple(whole_number(w, "shape") for w in shape)
+    if any(w < 0 for w in shape) or sum(shape) == 0:
+        raise ValueError("diurnal shape must be 24 nonnegative weights, not all zero")
     if not 0 <= jitter < 100:
         raise ValueError(f"jitter_pct must be in [0, 100), got {jitter}")
     return daily, jitter, shape

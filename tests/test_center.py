@@ -405,7 +405,7 @@ def test_profile_directed_interpolation_follows_mass():
     # profile: half the daily mass in hour 0, a quarter in hour 1, the rest
     # spread thin; one lost event between rx 0 and rx 2h must land where
     # half the bracket's mass sits: 0.5*t/h = 0.375 => t = 45 min
-    weights = [0.5, 0.25] + [0.25 / 22] * 22
+    weights = [Fraction(1, 2), Fraction(1, 4)] + [Fraction(1, 88)] * 22
     profile = ConsumerProfile(MID, tuple(weights))
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(0, 0))
@@ -418,8 +418,8 @@ def test_profile_directed_interpolation_follows_mass():
 def test_profile_quantiles_shift_toward_heavy_evening():
     # all-but-epsilon mass at hour 18: estimates for a day-long bracket
     # cluster inside that hour rather than spreading uniformly
-    weights = [1e-4] * 24
-    weights[18] = 1 - 23e-4
+    weights = [Fraction(1, 10_000)] * 24
+    weights[18] = 1 - Fraction(23, 10_000)
     profile = ConsumerProfile(MID, tuple(weights))
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(0, 0))
@@ -429,9 +429,13 @@ def test_profile_quantiles_shift_toward_heavy_evening():
         assert 18 * HOUR < t < 19 * HOUR
 
 
-def _reference_profile_quantiles(profile, t_lo, t_hi, k):
-    """Per-target hour walk: total mass first, then one walk from t_lo per quantile."""
-    weights = [Fraction(w).limit_denominator(10**12) for w in profile.hourly_weights]
+def _reference_profile_quantiles(hourly_weights, t_lo, t_hi, k):
+    """Per-target hour walk: total mass first, then one walk from t_lo per quantile.
+
+    Weights given as binary floats are first rounded to the nearest rational
+    with a denominator of at most 10**12, as the float profile pipeline did.
+    """
+    weights = [Fraction(w).limit_denominator(10**12) for w in hourly_weights]
 
     def mass_to(t):
         total = Fraction(0)
@@ -477,12 +481,40 @@ def _reference_profile_quantiles(profile, t_lo, t_hi, k):
     k=st.integers(1, 40),
 )
 def test_profile_quantile_sweep_matches_per_target_walk(counts, t_lo, width, k):
-    masses = [c if c > 0 else 1e-3 for c in counts]
-    profile = ConsumerProfile(MID, tuple(m / sum(masses) for m in masses))
+    masses = [c if c > 0 else Fraction(1, 1000) for c in counts]
+    profile = ConsumerProfile(MID, tuple(Fraction(m) / sum(masses) for m in masses))
     got = _profile_quantiles(profile, t_lo, t_lo + width, k)
-    assert got == _reference_profile_quantiles(profile, t_lo, t_lo + width, k)
+    assert got == _reference_profile_quantiles(profile.hourly_weights, t_lo, t_lo + width, k)
     assert all(t_lo < t < t_lo + width for t in got)
     assert got == sorted(got)
+
+
+@settings(deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 500), min_size=24, max_size=24),
+    t_lo=st.integers(0, 3 * 24 * HOUR),
+    width=st.integers(1, 3 * 24 * HOUR),
+    k=st.integers(1, 40),
+)
+def test_exact_profile_quantiles_stay_within_a_millisecond_of_float_weights(
+        counts, t_lo, width, k):
+    masses = [c if c > 0 else Fraction(1, 1000) for c in counts]
+    profile = ConsumerProfile(MID, tuple(Fraction(m) / sum(masses) for m in masses))
+    got = _profile_quantiles(profile, t_lo, t_lo + width, k)
+    assert all(t_lo < t < t_lo + width for t in got)
+    assert all(a < b for a, b in zip(got, got[1:]))
+    float_masses = [c if c > 0 else 1e-3 for c in counts]
+    float_weights = [m / sum(float_masses) for m in float_masses]
+    want = _reference_profile_quantiles(float_weights, t_lo, t_lo + width, k)
+    assert all(abs(a - b) <= 1 for a, b in zip(got, want))
+
+
+def test_two_lost_sessions_land_on_exact_thirds():
+    ledger = SessionLedger(MID, initial_session=0)
+    ledger.ingest(_report(0, 0))
+    ledger.ingest(_report(3, 1000))
+    assert ledger.interpolate_lost_times([1, 2]) == [
+        (1, Fraction(1000, 3)), (2, Fraction(2000, 3))]
 
 
 def test_degenerate_bracket_pins_to_boundary():
@@ -505,6 +537,20 @@ def test_build_profile_uniform_when_rate_constant():
     assert len(profile.hourly_weights) == 24
     for w in profile.hourly_weights:
         assert w == pytest.approx(1 / 24)
+
+
+def test_build_profile_weights_are_fractions_summing_to_one():
+    ledger = SessionLedger(MID, initial_session=0)
+    # three events in hour 0 and one in hour 5 of each of two days; the
+    # other 22 hours get the smoothing mass
+    _feed(ledger, [
+        _report(s, (s // 4) * 24 * HOUR + (5 * HOUR if s % 4 == 3 else s % 4))
+        for s in range(8)
+    ])
+    weights = ledger.build_profile().hourly_weights
+    assert all(type(w) is Fraction for w in weights)
+    assert sum(weights) == 1
+    assert weights[0] == 6 / (8 + 22 * Fraction(1, 1000))
 
 
 def test_build_profile_requires_full_day_span():
@@ -563,6 +609,12 @@ def test_drift_correction_recovers_ten_percent_miscalibration():
     assert s == pytest.approx(1.1, rel=1e-9)
 
 
+def test_drift_correction_is_exact():
+    ledger = _loaded_ledger(2000)
+    checkpoints = [(1000_000, 1100 * 1000), (2000_000, 2200 * 1000)]
+    assert ledger.correct_drift(1000, checkpoints) == Fraction(11, 10)
+
+
 def test_drift_correction_needs_two_checkpoints():
     ledger = _loaded_ledger(2000)
     with pytest.raises(InsufficientData):
@@ -605,4 +657,6 @@ def test_profile_weights_validation():
         ConsumerProfile(MID, tuple([1.0] + [0.0] * 23))
     with pytest.raises(ValueError):
         ConsumerProfile(MID, tuple([0.5] * 24))
+    with pytest.raises(ValueError):  # sums to exactly 1, but not in Fractions
+        ConsumerProfile(MID, tuple([1 / 32] * 16 + [1 / 16] * 8))
     ConsumerProfile(MID, tuple([Fraction(1, 24)] * 24))

@@ -432,6 +432,21 @@ def _meters(obj):
     pytest.param(lambda o: _meters(o)[1].update(trace={"kind": "appliance", "params": {
                      "burst_rate": "2kWh/h", "bursts_per_day": [True, True]}}),
                  "bursts_per_day", id="bursts_per_day_booleans"),
+    pytest.param(lambda o: _meters(o)[0]["trace"]["params"].update(shape=[True] * 24),
+                 "shape", id="shape_booleans"),
+    pytest.param(lambda o: _meters(o)[0]["trace"]["params"].update(shape=[1.5] * 24),
+                 "shape", id="shape_fractions"),
+    pytest.param(lambda o: _meters(o)[0]["trace"]["params"].update(shape="1" * 24),
+                 "shape", id="shape_a_string"),
+    pytest.param(lambda o: _meters(o)[0].update(quantm="5l"),
+                 "'quantm'", id="unknown_meter_key"),
+    pytest.param(lambda o: _meters(o)[0]["trace"]["params"].update(jiter_pct=50),
+                 "'jiter_pct'", id="unknown_trace_param"),
+    pytest.param(lambda o: o.update(horizn="1d"), "'horizn'", id="unknown_root_key"),
+    pytest.param(lambda o: o["buildings"][0].update(visibility="full"),
+                 "'visibility'", id="visibility_is_not_a_key"),
+    pytest.param(lambda o: _meters(o)[0].update(links=[{"concentrator": 1, "los": 0.1}]),
+                 "'los'", id="unknown_link_key"),
 ])
 def test_malformed_scenario_value_is_one_config_error_line(tmp_path, capsys, edit, names):
     scn = _write_scenario(tmp_path)

@@ -1,6 +1,7 @@
 """Bounded fuzz of outside input: one scalar of a scenario or of a logged
-ingest record is replaced with a value of the wrong kind, and the CLI must
-answer with its exit code and at most one stderr line, never a traceback."""
+ingest record is replaced with a value of the wrong kind, or a scenario
+object gains a key the loader does not read, and the CLI must answer with
+its exit code and at most one stderr line, never a traceback."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risim.cli import main
+from risim.config import _KEYS, _TRACE_PARAMS
 
 HOSTILE = [True, 1.5, -1, "x", None, [], {}]
 
@@ -55,6 +57,9 @@ SCENARIO = {
 WHOLE_NUMBER_KEYS = {"seed", "serial", "clock_skew_ms", "max_skew_ms",
                      "concentrator", "jitter_pct"}
 
+#: every key the loader reads at some level of a scenario file
+READ_KEYS = {key for keys in (*_KEYS.values(), *_TRACE_PARAMS.values()) for key in keys}
+
 
 def _scalar_paths(node, path=()):
     if isinstance(node, dict):
@@ -64,6 +69,17 @@ def _scalar_paths(node, path=()):
     else:
         return [path]
     return [p for key, child in items for p in _scalar_paths(child, (*path, key))]
+
+
+def _object_paths(node, path=()):
+    """Paths to every JSON object in ``node``, trace params included."""
+    if isinstance(node, dict):
+        own, items = [path], node.items()
+    elif isinstance(node, list):
+        own, items = [], enumerate(node)
+    else:
+        return []
+    return own + [p for key, child in items for p in _object_paths(child, (*path, key))]
 
 
 def _replaced(obj, path, value):
@@ -95,6 +111,20 @@ def test_scenario_scalar_fuzz_is_exit_zero_or_one_config_error_line(path, value)
     whole = path[-1] in WHOLE_NUMBER_KEYS or "bursts_per_day" in path
     if whole and (value is True or value == 1.5):
         assert code == 2, (path, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(_object_paths(SCENARIO)),
+       key=st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True).filter(
+           lambda k: k not in READ_KEYS))
+def test_scenario_unread_key_is_one_config_error_line_naming_it(path, key):
+    with tempfile.TemporaryDirectory() as tmp:
+        scn = Path(tmp) / "scenario.json"
+        scn.write_text(json.dumps(_replaced(SCENARIO, (*path, key), 1)))
+        code, err = _cli(["run", str(scn), "--out", str(Path(tmp) / "out")])
+    assert code == 2, (path, key, err)
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert repr(key) in err, (path, key, err)
 
 
 @pytest.fixture(scope="module")

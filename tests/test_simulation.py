@@ -358,6 +358,36 @@ def test_polls_sent_follow_the_per_poll_battery_rule(capacity, tx_cost, drain, d
         assert life - dt <= sent * dt <= life + dt
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    traces=st.lists(st.tuples(st.sampled_from(["appliance", "diurnal"]),
+                              st.integers(0, 2**32)), min_size=1, max_size=3),
+    horizon=st.integers(min_value=1, max_value=2 * MS_PER_DAY),
+    dt=st.sampled_from([MS_PER_MINUTE, 7 * MS_PER_MINUTE, MS_PER_HOUR, 5 * MS_PER_HOUR]),
+    capacity=st.integers(min_value=0, max_value=40),
+)
+def test_poll_registers_equal_cumulative_consumption(traces, horizon, dt, capacity):
+    params = {
+        "appliance": {"base_rate_du_per_hour": Fraction(7, 3),
+                      "burst_rate_du_per_hour": 5000, "bursts_per_day": (0, 30),
+                      "burst_duration_ms": (1, 3 * MS_PER_HOUR)},
+        "diurnal": {"daily_total_du": Fraction(10_001, 3)},
+    }
+    meters = [(_water(i + 1, battery_capacity=capacity),
+               TraceSpec(kind, params[kind], seed=seed))
+              for i, (kind, seed) in enumerate(traces)]
+    res = run_ti(_scenario(meters, horizon, ti_poll_interval_ms=dt))
+    for cfg, _ in meters:
+        trace = res.traces[cfg.id]
+        sent = _ti_polls_sent(cfg, dt, horizon // dt)
+        assert res.readings.get(cfg.id, []) == [
+            (k * dt, int(trace.cumulative_du(k * dt))) for k in range(1, sent + 1)]
+    polls = [(r.payload["poll_index"], r.payload["meter_id"], r.payload["register_du"])
+             for r in res.records]
+    assert polls == sorted(polls)
+    assert len(polls) == sum(len(v) for v in res.readings.values())
+
+
 # ---------------------------------------------------------------------------
 # reconstruction error on the metric grid
 
