@@ -44,6 +44,7 @@ from .simulation import (
     SimMeter,
     compare_runs,
     detail_sweep,
+    rmse_text,
     run_ri,
     run_ti,
     worst_case_load,
@@ -91,6 +92,7 @@ __all__ = [
     "load_scenario",
     "meter_id",
     "receive",
+    "rmse_text",
     "run_ri",
     "run_ti",
     "scenario_from_dict",

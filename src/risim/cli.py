@@ -29,6 +29,7 @@ from .simulation import (
     ScenarioConfig,
     compare_runs,
     detail_sweep,
+    rmse_text,
     run_ri,
     run_ti,
 )
@@ -110,7 +111,7 @@ def _metrics_rows(mode: str, scenario: ScenarioConfig, result) -> list[list]:
                 "ri", f"{mid:#x}", window[0], window[1],
                 r.quanta_received, r.quanta_recovered, r.amount_du,
                 r.trailing_uncertainty_du, BASE_UNIT[kinds[mid]],
-                f"{m.rmse_du:.6f}", m.message_count, m.bytes_sent,
+                rmse_text(m.mean_square_du), m.message_count, m.bytes_sent,
             ])
     else:
         for mid in sorted(kinds):
@@ -120,7 +121,7 @@ def _metrics_rows(mode: str, scenario: ScenarioConfig, result) -> list[list]:
             rows.append([
                 "ti", f"{mid:#x}", window[0], window[1],
                 "", "", register, "", BASE_UNIT[kinds[mid]],
-                f"{m.rmse_du:.6f}", m.message_count, m.bytes_sent,
+                rmse_text(m.mean_square_du), m.message_count, m.bytes_sent,
             ])
     return rows
 
@@ -157,7 +158,7 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "sweep.csv", SWEEP_HEADER, [
-        [r.value, r.label, f"{r.rmse_du:.6f}", r.message_count, r.bytes_sent]
+        [r.value, r.label, rmse_text(r.mean_square_du), r.message_count, r.bytes_sent]
         for r in rows
     ])
     print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
@@ -174,7 +175,7 @@ def _cmd_compare(args) -> int:
     write_csv(out / "compare.csv", COMPARE_HEADER, [
         [
             r.mode, f"{r.meter_id:#x}", r.message_count, r.bytes_sent,
-            f"{r.rmse_du:.6f}",
+            rmse_text(r.mean_square_du),
             r.battery_lifetime_ms if r.battery_lifetime_ms is not None else "",
         ]
         for r in rows

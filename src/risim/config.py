@@ -56,24 +56,12 @@ def _fraction(value, field: str) -> Fraction:
         raise ConfigError(f"{field}: expected a number, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
+    if isinstance(value, (float, str)):
         try:
-            return Fraction(value.strip())
+            return Fraction(str(value).strip())
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{field}: not a number: {value!r}") from None
     raise ConfigError(f"{field}: expected a number, got {type(value).__name__}")
-
-
-def _number(value, field: str) -> float:
-    """A plain number field such as a loss; a boolean is not a number."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{field}: expected a number, got {value!r}")
 
 
 def parse_duration_ms(value, field: str) -> int:
@@ -324,11 +312,11 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
                 id=cid,
                 clock_skew_ms=whole_number(c.get("clock_skew_ms", 0), f"{where}: clock_skew_ms"),
                 max_skew_ms=whole_number(c.get("max_skew_ms", 1000), f"{where}: max_skew_ms"),
-                uplink_loss=_number(c.get("uplink_loss", 0.0), f"{where}: uplink_loss"),
+                uplink_loss=_fraction(c.get("uplink_loss", 0), f"{where}: uplink_loss"),
             )
         )
     cid_by_serial = {id_serial(c.id): c.id for c in concentrators}
-    radio_loss = _number(obj.get("radio_loss", 0.0), f"building {idx}: radio_loss")
+    radio_loss = _fraction(obj.get("radio_loss", 0), f"building {idx}: radio_loss")
     m_objs = obj.get("meters", [])
     if not isinstance(m_objs, list):
         raise ConfigError(f"building {idx}: meters must be a list")
@@ -351,7 +339,7 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
                     raise ConfigError(
                         f"meter {m_obj['serial']}: link to unknown concentrator {cserial!r}"
                     )
-                loss = _number(link.get("loss", 0.0), f"meter {m_obj['serial']}: link loss")
+                loss = _fraction(link.get("loss", 0), f"meter {m_obj['serial']}: link loss")
                 links.append((cid, loss))
         else:
             links = [(cid, radio_loss) for cid in cid_by_serial.values()]

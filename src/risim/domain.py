@@ -16,10 +16,6 @@ MS_PER_MINUTE = 60_000
 MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000
 
-#: deciunits per base unit: every protocol quantity is an integer count of
-#: tenths of its kind's base unit, so frames never carry fractions.
-DECI = 10
-
 #: session counters are unsigned 32-bit and wrap modulo this value
 SESSION_MOD = 2**32
 
@@ -192,16 +188,6 @@ class QualityVector:
                 raise ValueError(f"quality field {name} out of 16-bit range: {v}")
 
     @classmethod
-    def from_floats(cls, kind: ResourceKind, *values: float) -> QualityVector:
-        """Build from base-unit floats, rounding to deciunits."""
-        out = []
-        for v in values:
-            if v != v or v in (float("inf"), float("-inf")):
-                raise ValueError(f"non-finite quality value: {v}")
-            out.append(round(v * DECI))
-        return cls(kind, tuple(out))
-
-    @classmethod
     def nominal(cls, kind: ResourceKind) -> QualityVector:
         """The shared nominal readout of ``kind``, built once per kind."""
         return _NOMINAL_QUALITY[kind]
@@ -216,15 +202,15 @@ _NOMINAL_QUALITY = {
 class MeterState:
     """Self-reported device health carried in every message."""
 
-    battery_level: float = 1.0          # fraction, quantized to 0.5% on the wire
+    battery: int = 200                  # wire byte: 0..200 in steps of 0.5 %
     tamper_flag: bool = False
     sensor_fault: bool = False
     clockless_idle: bool = False
     cumulative_quanta: int = 0          # emission quanta since installation
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.battery_level <= 1.0:
-            raise ValueError(f"battery level out of [0, 1]: {self.battery_level}")
+        if type(self.battery) is not int or not 0 <= self.battery <= 200:
+            raise ValueError(f"battery must be a byte in 0..200, got {self.battery!r}")
         if self.cumulative_quanta < 0:
             raise ValueError("cumulative_quanta must be nonnegative")
 
@@ -287,8 +273,7 @@ def encode_frame(msg: MeterMessage) -> bytes:
         | (FLAG_SENSOR_FAULT if st.sensor_fault else 0)
         | (FLAG_CLOCKLESS_IDLE if st.clockless_idle else 0)
     )
-    battery = round(st.battery_level * 200)
-    tail = struct.pack("<BBI", battery, flags, st.cumulative_quanta % 2**32)
+    tail = struct.pack("<BBI", st.battery, flags, st.cumulative_quanta % 2**32)
     return head + qual + tail
 
 
@@ -323,7 +308,7 @@ def decode_frame(data: bytes) -> MeterMessage:
     if battery > 200:
         raise MalformedFrame(f"battery byte out of range: {battery}")
     state = MeterState(
-        battery_level=battery / 200,
+        battery=battery,
         tamper_flag=bool(flags & FLAG_TAMPER),
         sensor_fault=bool(flags & FLAG_SENSOR_FAULT),
         clockless_idle=bool(flags & FLAG_CLOCKLESS_IDLE),

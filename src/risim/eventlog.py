@@ -60,8 +60,8 @@ class EventLogRecord:
     def from_json(cls, line: str) -> EventLogRecord:
         obj = json.loads(line)
         return cls(
-            seq=obj["seq"],
-            sim_time_ms=obj["sim_time_ms"],
+            seq=whole_number(obj["seq"], "seq"),
+            sim_time_ms=whole_number(obj["sim_time_ms"], "sim_time_ms"),
             kind=EventKind(obj["kind"]),
             payload=obj["payload"],
         )

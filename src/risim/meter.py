@@ -59,8 +59,6 @@ class MeterConfig:
 def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
              mtype: MessageType) -> MeterMessage:
     """The frame content of one transmission, after it spent ``tx_cost``."""
-    cap = cfg.battery_capacity
-    frac = min(max(battery, 0), cap) / cap if cap > 0 else 0
     return MeterMessage(
         meter_id=cfg.id,
         session=session % SESSION_MOD,
@@ -68,7 +66,7 @@ def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
         message_type=mtype,
         quality=QualityVector.nominal(cfg.kind),
         state=MeterState(
-            battery_level=round(frac * 200) / 200,
+            battery=round(max(battery, 0) * 200 / cfg.battery_capacity),
             cumulative_quanta=quanta % 2**32,
         ),
     )

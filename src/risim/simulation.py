@@ -12,11 +12,12 @@ import heapq
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .center import MonitoringCenter, SessionLedger, evenly_spaced
-from .concentrator import ConcentratorConfig, VisibilityMap, broadcast, receive
+from .concentrator import (DRAW_SCALE, ConcentratorConfig, VisibilityMap, broadcast,
+                           loss_threshold, receive)
 from .domain import (
     BASE_UNIT,
     ConfigError,
@@ -47,7 +48,7 @@ class SimMeter:
 
     config: MeterConfig
     trace: TraceSpec
-    links: tuple[tuple[int, float], ...]   # (concentrator_id, loss)
+    links: tuple[tuple[int, Fraction], ...]   # (concentrator_id, loss)
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,9 @@ class DetailMetric:
     """Reconstruction fidelity and channel cost for one meter and mode."""
 
     meter_id: int
-    rmse_du: float
     message_count: int
     bytes_sent: int
-    mean_square_du: Fraction = field(repr=False, default_factory=lambda: Fraction(0))
+    mean_square_du: Fraction
 
 
 @dataclass
@@ -153,6 +153,7 @@ def run_ri(scenario: ScenarioConfig) -> RiRunResult:
     registry = scenario.build_registry()
     vis = scenario.visibility()
     conc = {c.id: c for c in scenario.concentrators()}
+    uplink = {cid: loss_threshold(c.uplink_loss) for cid, c in conc.items()}
     traces = _generate_traces(scenario)
     center = MonitoringCenter(registry)
 
@@ -208,8 +209,8 @@ def run_ri(scenario: ScenarioConfig) -> RiRunResult:
                 "meter_id": mid,
                 "session": session,
             })
-            ccfg = conc[cid]
-            if ccfg.uplink_loss > 0 and rng.random() < ccfg.uplink_loss:
+            threshold = uplink[cid]
+            if threshold > 0 and rng.random() * DRAW_SCALE < threshold:
                 emit(EventKind.DROP, t, {
                     "concentrator_id": cid,
                     "meter_id": mid,
@@ -217,7 +218,7 @@ def run_ri(scenario: ScenarioConfig) -> RiRunResult:
                     "stage": "uplink",
                 })
                 continue
-            report = receive(ccfg, msg, t)
+            report = receive(conc[cid], msg, t)
             outcome = center.ingest(report)
             emit(EventKind.CENTER_INGEST, t, {
                 "concentrator_id": cid,
@@ -237,7 +238,6 @@ def run_ri(scenario: ScenarioConfig) -> RiRunResult:
         mse = _step_mean_square(trace, steps, scenario.rmse_grid_ms, scenario.horizon_ms)
         metrics[mid] = DetailMetric(
             meter_id=mid,
-            rmse_du=math.sqrt(float(mse)),
             message_count=counts.get(mid, 0),
             bytes_sent=counts.get(mid, 0) * frame_size(sm.config.kind),
             mean_square_du=mse,
@@ -284,7 +284,6 @@ def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
         )
         metrics[mid] = DetailMetric(
             meter_id=mid,
-            rmse_du=math.sqrt(float(mse)),
             message_count=len(readings.get(mid, [])),
             bytes_sent=TI_READING_BYTES * len(readings.get(mid, [])),
             mean_square_du=mse,
@@ -400,6 +399,13 @@ def _step_mean_square(trace: ConsumptionTrace | None, steps, grid_ms: int,
     return Fraction(acc, scale * scale * n_points)
 
 
+def rmse_text(mean_square: Fraction) -> str:
+    """The exact root of ``mean_square`` rounded half up to 6 decimals: u millionths,
+    u = ⌊(√(4·10¹²·m) + 1) / 2⌋, which the integer root of ⌊4·10¹²·m⌋ gives as well."""
+    micro = (math.isqrt(math.floor(4 * 10**12 * mean_square)) + 1) // 2
+    return f"{micro // 10**6}.{micro % 10**6:06d}"
+
+
 # ---------------------------------------------------------------------------
 # sweeps and comparisons
 
@@ -407,10 +413,9 @@ def _step_mean_square(trace: ConsumptionTrace | None, steps, grid_ms: int,
 class SweepRow:
     value: int            # quantum in deciunits, or poll interval in ms
     label: str
-    rmse_du: float
     message_count: int
     bytes_sent: int
-    mean_square_du: Fraction = field(repr=False, default_factory=lambda: Fraction(0))
+    mean_square_du: Fraction
 
 
 def detail_sweep(scenario: ScenarioConfig, param: str,
@@ -444,7 +449,6 @@ def detail_sweep(scenario: ScenarioConfig, param: str,
         rows.append(SweepRow(
             value=value,
             label=label,
-            rmse_du=math.sqrt(float(mse)),
             message_count=sum(m.message_count for m in per),
             bytes_sent=sum(m.bytes_sent for m in per),
             mean_square_du=mse,
@@ -458,7 +462,7 @@ class CompareRow:
     meter_id: int
     message_count: int
     bytes_sent: int
-    rmse_du: float
+    mean_square_du: Fraction
     battery_lifetime_ms: int | None
 
 
@@ -474,7 +478,7 @@ def compare_runs(scenario: ScenarioConfig) -> tuple[RiRunResult, TiRunResult, li
             meter_id=mid,
             message_count=ri.metrics[mid].message_count,
             bytes_sent=ri.metrics[mid].bytes_sent,
-            rmse_du=ri.metrics[mid].rmse_du,
+            mean_square_du=ri.metrics[mid].mean_square_du,
             battery_lifetime_ms=_ri_lifetime_estimate(sm.config, ri.runs.get(mid), scenario.horizon_ms),
         ))
         rows.append(CompareRow(
@@ -482,7 +486,7 @@ def compare_runs(scenario: ScenarioConfig) -> tuple[RiRunResult, TiRunResult, li
             meter_id=mid,
             message_count=ti.metrics[mid].message_count,
             bytes_sent=ti.metrics[mid].bytes_sent,
-            rmse_du=ti.metrics[mid].rmse_du,
+            mean_square_du=ti.metrics[mid].mean_square_du,
             battery_lifetime_ms=_ti_lifetime_estimate(sm.config, scenario),
         ))
     return ri, ti, rows

@@ -198,14 +198,20 @@ def _diurnal_params(params: dict) -> tuple[Fraction, int, tuple]:
     return daily, jitter, shape
 
 
+def _pair(value, field: str) -> tuple[int, int]:
+    """A [low, high] range of whole numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{field} must be a [low, high] pair, got {value!r}")
+    return whole_number(value[0], field), whole_number(value[1], field)
+
+
 def _appliance_params(params: dict) -> tuple[Fraction, tuple, Fraction, tuple]:
     """Base rate, bursts per day, burst rate and burst duration range."""
     base = Fraction(params.get("base_rate_du_per_hour", 0))
-    n_lo, n_hi = (whole_number(n, "bursts_per_day")
-                  for n in params.get("bursts_per_day", (2, 6)))
+    n_lo, n_hi = _pair(params.get("bursts_per_day", (2, 6)), "bursts_per_day")
     burst_rate = Fraction(params["burst_rate_du_per_hour"])
-    d_lo, d_hi = (whole_number(d, "burst_duration_ms")
-                  for d in params.get("burst_duration_ms", (5 * 60_000, 30 * 60_000)))
+    d_lo, d_hi = _pair(params.get("burst_duration_ms", (5 * 60_000, 30 * 60_000)),
+                       "burst_duration_ms")
     if burst_rate < 0 or base < 0 or d_lo <= 0 or d_hi < d_lo or not 0 <= n_lo <= n_hi:
         raise ValueError("bad appliance parameters")
     if n_hi > MAX_BURSTS_PER_DAY:

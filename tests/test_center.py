@@ -44,7 +44,7 @@ HOUR = 3_600_000
 
 
 def _report(session, rx_ms, *, cid=CID1, mtype=MessageType.QUANTUM_EVENT,
-            quanta=None, battery=1.0) -> ConcentratorReport:
+            quanta=None, battery=200) -> ConcentratorReport:
     msg = MeterMessage(
         meter_id=MID,
         session=session,
@@ -52,7 +52,7 @@ def _report(session, rx_ms, *, cid=CID1, mtype=MessageType.QUANTUM_EVENT,
         message_type=mtype,
         quality=QualityVector.nominal(ResourceKind.COLD_WATER),
         state=MeterState(
-            battery_level=battery,
+            battery=battery,
             cumulative_quanta=session + 1 if quanta is None else quanta,
         ),
     )

@@ -284,10 +284,32 @@ def _duplicate_line(lines, i):
     return f"line {i + 2}: seq {i}, expected {i + 1}"
 
 
-@pytest.mark.parametrize("edit", [_delete_line, _duplicate_line])
+def _set_top_field(lines, i, key, value):
+    obj = json.loads(lines[i])
+    obj[key] = value(obj[key])
+    lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return f"line {i + 1}: not a record: {key}"
+
+
+def _seq_a_boolean(lines, i):
+    return _set_top_field(lines, i, "seq", lambda seq: True)
+
+
+def _seq_a_float(lines, i):
+    return _set_top_field(lines, i, "seq", float)
+
+
+def _half_ms_on_an_ingest_line(lines, i):
+    j = next(j for j in range(i, len(lines)) if '"kind":"center_ingest"' in lines[j])
+    return _set_top_field(lines, j, "sim_time_ms", lambda t: t + 0.5)
+
+
+@pytest.mark.parametrize("edit", [_delete_line, _duplicate_line, _seq_a_boolean,
+                                  _seq_a_float, _half_ms_on_an_ingest_line])
 def test_replay_rejects_a_seq_gap_or_repeat(tmp_path, capsys, edit):
     """``seq`` runs 0, 1, 2, ...; a lost or repeated delivery line is caught
-    although the ledgers it leaves behind still match."""
+    although the ledgers it leaves behind still match, and so is a ``seq``
+    or ``sim_time_ms`` that is not a whole number."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
@@ -374,6 +396,12 @@ def _meters(obj):
     return obj["buildings"][0]["meters"]
 
 
+def _bursts_per_day(value):
+    """An edit giving meter 2 an appliance trace with this ``bursts_per_day``."""
+    return lambda o: _meters(o)[1].update(trace={"kind": "appliance", "params": {
+        "burst_rate": "2kWh/h", "bursts_per_day": value}})
+
+
 @pytest.mark.parametrize("edit, names", [
     pytest.param(lambda o: _concentrator(o).update(clock_skew_ms="fast"),
                  "clock_skew_ms", id="clock_skew_not_a_number"),
@@ -432,6 +460,9 @@ def _meters(obj):
     pytest.param(lambda o: _meters(o)[1].update(trace={"kind": "appliance", "params": {
                      "burst_rate": "2kWh/h", "bursts_per_day": [True, True]}}),
                  "bursts_per_day", id="bursts_per_day_booleans"),
+    pytest.param(_bursts_per_day(5), "bursts_per_day", id="bursts_per_day_a_number"),
+    pytest.param(_bursts_per_day([1, 2, 3]), "bursts_per_day", id="bursts_per_day_a_triple"),
+    pytest.param(_bursts_per_day([1]), "bursts_per_day", id="bursts_per_day_a_single"),
     pytest.param(lambda o: _meters(o)[0]["trace"]["params"].update(shape=[True] * 24),
                  "shape", id="shape_booleans"),
     pytest.param(lambda o: _meters(o)[0]["trace"]["params"].update(shape=[1.5] * 24),

@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from risim.concentrator import ConcentratorConfig, VisibilityMap, broadcast, receive
+from risim.concentrator import (
+    DRAW_SCALE,
+    ConcentratorConfig,
+    VisibilityMap,
+    broadcast,
+    loss_threshold,
+    receive,
+)
 from risim.domain import (
     ConfigError,
     MessageType,
@@ -119,3 +129,41 @@ def test_unknown_meter_has_no_links():
     vis = VisibilityMap({MID: [(CID1, 0.0)]})
     assert vis.links_for(meter_id(42)) == ()
     assert broadcast(vis, _msg(), random.Random(0)) != []
+
+
+# ---------------------------------------------------------------------------
+# loss thresholds
+
+def _draws_around(t, data) -> list[int]:
+    """The draws on both sides of threshold ``t``, plus one drawn anywhere."""
+    near = [k for k in (t - 1, t) if 0 <= k < DRAW_SCALE]
+    return near + [data.draw(st.integers(0, DRAW_SCALE - 1))]
+
+
+@given(loss=st.fractions(min_value=0, max_value=1), data=st.data())
+def test_loss_threshold_loses_exactly_the_draws_below_the_loss(loss, data):
+    t = loss_threshold(loss)
+    for k in _draws_around(t, data):
+        assert (k < t) == (Fraction(k, DRAW_SCALE) < loss)
+
+
+@given(loss=st.floats(min_value=0, max_value=1), data=st.data())
+def test_loss_threshold_decides_a_float_loss_as_a_float_compare(loss, data):
+    t = loss_threshold(loss)
+    for k in _draws_around(t, data):
+        assert (k < t) == (k / DRAW_SCALE < loss)
+
+
+def test_loss_threshold_endpoints():
+    assert loss_threshold(0) == loss_threshold(0.0) == 0
+    assert loss_threshold(1) == loss_threshold(1.0) == DRAW_SCALE
+
+
+def test_broadcast_decides_each_draw_as_a_float_compare():
+    losses = (0.01, 0.1, 0.15, 0.2, 0.25, 0.3, 0.5)
+    cids = [concentrator_id(n) for n in range(1, len(losses) + 1)]
+    vis = VisibilityMap({MID: list(zip(cids, losses))})
+    rng, ref = random.Random(5), random.Random(5)
+    for _ in range(500):
+        want = [(cid, ref.random() >= loss) for cid, loss in zip(cids, losses)]
+        assert broadcast(vis, _msg(), rng) == want

@@ -64,8 +64,6 @@ def test_quality_schema_fixed_per_kind():
     assert QUALITY_FIELDS[ResourceKind.HEAT] == ("temperature_c", "pressure_kpa")
     with pytest.raises(ValueError):
         QualityVector(ResourceKind.COLD_WATER, (200,))  # wrong arity
-    with pytest.raises(ValueError):
-        QualityVector.from_floats(ResourceKind.GAS, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +75,7 @@ def test_frame_length_by_layout():
     assert frame_size(ResourceKind.ELECTRICITY) == 25
     assert frame_size(ResourceKind.GAS) == 23
     assert frame_size(ResourceKind.GENERIC_SENSOR) == 23
-    msg = _message(quality=QualityVector.from_floats(ResourceKind.COLD_WATER, 20.0, 300.0))
+    msg = _message(quality=QualityVector(ResourceKind.COLD_WATER, (200, 3000)))
     frame = encode_frame(msg)
     assert len(frame) == 25
 
@@ -93,8 +91,8 @@ def test_round_trip_identity_simple():
     msg = _message(
         kind=ResourceKind.ELECTRICITY,
         session=41,
-        quality=QualityVector.from_floats(ResourceKind.ELECTRICITY, 230.0, 50.0),
-        state=MeterState(battery_level=0.5, cumulative_quanta=41,
+        quality=QualityVector(ResourceKind.ELECTRICITY, (2300, 500)),
+        state=MeterState(battery=100, cumulative_quanta=41,
                          tamper_flag=True, clockless_idle=True),
     )
     assert decode_frame(encode_frame(msg)) == msg
@@ -125,7 +123,7 @@ def test_round_trip_identity_randomized(kind, session, serial, mtype, battery,
         message_type=mtype,
         quality=QualityVector(kind, values),
         state=MeterState(
-            battery_level=battery / 200,
+            battery=battery,
             tamper_flag=tamper,
             sensor_fault=fault,
             clockless_idle=idle,
@@ -161,7 +159,7 @@ def test_invalid_messages_unrepresentable():
     with pytest.raises(ValueError):
         _message(session=SESSION_MOD)
     with pytest.raises(ValueError):
-        MeterState(battery_level=1.5)
+        MeterState(battery=201)
     with pytest.raises(ValueError):
         QualityVector(ResourceKind.GAS, (2**15,))
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Bounded fuzz of outside input: one scalar of a scenario or of a logged
-ingest record is replaced with a value of the wrong kind, or a scenario
-object gains a key the loader does not read, and the CLI must answer with
-its exit code and at most one stderr line, never a traceback."""
+ingest record (a payload field, ``seq`` or ``sim_time_ms``) is replaced
+with a value of the wrong kind, or a scenario object gains a key the
+loader does not read, and the CLI must answer with its exit code and at
+most one stderr line, never a traceback."""
 
 from __future__ import annotations
 
@@ -56,6 +57,9 @@ SCENARIO = {
 #: ``bursts_per_day`` pair is one too
 WHOLE_NUMBER_KEYS = {"seed", "serial", "clock_skew_ms", "max_skew_ms",
                      "concentrator", "jitter_pct"}
+
+#: the fields of a log record outside its payload, both whole numbers
+TOP_LEVEL = ("seq", "sim_time_ms")
 
 #: every key the loader reads at some level of a scenario file
 READ_KEYS = {key for keys in (*_KEYS.values(), *_TRACE_PARAMS.values()) for key in keys}
@@ -142,8 +146,8 @@ def test_log_ingest_field_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, va
     ingests = [i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line]
     i = data.draw(st.sampled_from(ingests))
     rec = json.loads(lines[i])
-    field = data.draw(st.sampled_from(sorted(rec["payload"])))
-    rec["payload"][field] = value
+    field = data.draw(st.sampled_from([*sorted(rec["payload"]), *TOP_LEVEL]))
+    (rec if field in TOP_LEVEL else rec["payload"])[field] = value
     lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copy(run_dir / "ledgers.ndjson", tmp)
@@ -152,3 +156,5 @@ def test_log_ingest_field_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, va
     assert code in (0, 1), (field, value, err)
     if code == 1:
         assert err.count("\n") == 1, (field, value, err)
+    if field in TOP_LEVEL:
+        assert code == 1, (field, value)

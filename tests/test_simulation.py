@@ -33,6 +33,7 @@ from risim.simulation import (
     _ti_polls_sent,
     compare_runs,
     detail_sweep,
+    rmse_text,
     run_ri,
     run_ti,
     worst_case_load,
@@ -659,7 +660,7 @@ def test_compare_quiet_meter_heavily_favors_event_mode():
     assert by_mode["ti"].message_count == 24
     assert by_mode["ti"].message_count >= 10 * by_mode["ri"].message_count
     # event-mode error never exceeds one quantum of lag
-    assert by_mode["ri"].rmse_du < 1000
+    assert by_mode["ri"].mean_square_du < 1000**2
 
 
 def test_compare_battery_estimates_favor_quiet_event_mode():
@@ -675,3 +676,23 @@ def test_compare_battery_estimates_favor_quiet_event_mode():
     ti_life = by_mode["ti"].battery_lifetime_ms
     assert ti_life == 1000 * MS_PER_HOUR  # closed form: capacity / per-poll cost
     assert ri_life is not None and ri_life > ti_life
+
+
+# ---------------------------------------------------------------------------
+# printed RMSE
+
+def test_rmse_text_examples():
+    assert rmse_text(Fraction(0)) == "0.000000"
+    assert rmse_text(Fraction(1, 4)) == "0.500000"
+    assert rmse_text(Fraction(2)) == "1.414214"
+    assert rmse_text(Fraction(10**6)) == "1000.000000"
+    # a root of exactly half a millionth rounds up
+    assert rmse_text(Fraction(1, 4 * 10**12)) == "0.000001"
+
+
+@given(m=st.fractions(min_value=0, max_value=10**15))
+def test_rmse_text_is_the_exact_root_rounded_half_up(m):
+    whole, frac = rmse_text(m).split(".")
+    assert len(frac) == 6
+    u = int(whole) * 10**6 + int(frac)
+    assert max(2 * u - 1, 0) ** 2 <= 4 * 10**12 * m < (2 * u + 1) ** 2
