@@ -377,6 +377,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{p}: invalid JSON: nested too deeply") from None
     return scenario_from_dict(obj)
 
 

@@ -25,7 +25,6 @@ class MalformedLog(ValueError):
 class EventKind(Enum):
     QUANTUM_EVENT = "quantum_event"
     HEARTBEAT = "heartbeat"
-    DELIVERY = "delivery"
     DROP = "drop"
     TI_READING = "ti_reading"
     CENTER_INGEST = "center_ingest"
@@ -83,7 +82,7 @@ def read_events(path: Path) -> Iterator[EventLogRecord]:
             if line:
                 try:
                     rec = EventLogRecord.from_json(line)
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise MalformedLog(f"{path} line {lineno}: not a record: {exc}") from None
                 if rec.seq != seq:
                     raise MalformedLog(f"{path} line {lineno}: seq {rec.seq}, expected {seq}")
@@ -106,7 +105,7 @@ def read_ledger_snapshots(path: Path) -> list[dict]:
             if line:
                 try:
                     snap = json.loads(line)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise MalformedLog(f"{path} line {lineno}: not JSON: {exc}") from None
                 if not isinstance(snap, dict) or type(snap.get("meter_id")) is not int:
                     raise MalformedLog(f"{path} line {lineno}: not a ledger snapshot")

@@ -44,6 +44,8 @@ class MeterConfig:
             object.__setattr__(self, "quantum_du", DEFAULT_QUANTUM_DU[self.kind])
         for name in ("battery_capacity", "tx_cost", "idle_drain_per_hour", "drift_rate"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if self.max_flow_du_per_hour is not None:
+            object.__setattr__(self, "max_flow_du_per_hour", Fraction(self.max_flow_du_per_hour))
         if self.quantum_du <= 0:
             raise ValueError("quantum must be positive")
         if self.heartbeat_interval_ms <= 0:

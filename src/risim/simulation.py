@@ -204,11 +204,6 @@ def run_ri(scenario: ScenarioConfig) -> RiRunResult:
                     "stage": "radio",
                 })
                 continue
-            emit(EventKind.DELIVERY, t, {
-                "concentrator_id": cid,
-                "meter_id": mid,
-                "session": session,
-            })
             threshold = uplink[cid]
             if threshold > 0 and rng.random() * DRAW_SCALE < threshold:
                 emit(EventKind.DROP, t, {
@@ -559,7 +554,7 @@ def worst_case_load(scenario: ScenarioConfig) -> LoadReport:
         flow = cfg.max_flow_du_per_hour
         if flow is None:
             raise ConfigError(f"meter {cfg.id:#x} declares no max flow rate")
-        bound_per_hour += Fraction(flow) / cfg.quantum_du
+        bound_per_hour += flow / cfg.quantum_du
         if flow and horizon:
             period = Fraction(cfg.quantum_du) * MS_PER_HOUR / flow   # ms per event
             periods[period.numerator, period.denominator] += 1

@@ -90,17 +90,17 @@ def test_run_is_reproducible_by_hash(tmp_path):
 # purpose and says why in CHANGES.md.
 SHIPPED_DIGESTS = {
     "default.json": (
-        "221317bc8ddbb46d96870172bf769248a9ab32aecd3f2adb47bc4ccfc090ed53",
+        "d7691be657c97dd753ef29796ba9bb7116f13018866648fe2513f04ed59eab93",
         "14dcf79454b35f2159e04722b2eb3022c0a5b21639b9cd361930bcfcdc905113",
         "0d6892f58721e19cb0cda43ccd6bf5144348d495b1f4d41974fc773c8b3e3632",
     ),
     "night_idle.json": (
-        "1cd97d534ec60c81f48f0b766e1b7db11c2bef0c6b1e9a0d93166c7bf297b3b0",
+        "3edc25c6bb7ff4da32d0c37b84fe7fbcb3b465b8bbfc467e03c2040a32066fd5",
         "1bc3b61047e6efbde9b910eccc32a634edab7c5910c1dd685615edd76642decb",
         "e65cd4ad9dd8303ef22ca1af8bf9c03f2715fe9b15fbe263b3acba1985c0748c",
     ),
     "zero_consumption_48h.json": (
-        "e7188d026dec2a1e6e589b2ad065147ca5c853027649bc8d38629794a77258bc",
+        "8ba0fe2fb4c903333cfd8741d3dbcd9ac239c0ddcaf368a10a8122c262d7cea8",
         "45b55a83a7bc94d41f6b7c8f3694bce8341d455f95cd0cf4dee3e689e351a2c6",
         "71aae9756026165d14c4b03f1e069bfe79b716b2c24fcdeb3d86f8ba501277ac",
     ),
@@ -304,17 +304,29 @@ def _half_ms_on_an_ingest_line(lines, i):
     return _set_top_field(lines, j, "sim_time_ms", lambda t: t + 0.5)
 
 
+def _kind_retired(lines, i):
+    _set_top_field(lines, i, "kind", lambda kind: "delivery")
+    return f"line {i + 1}: not a record: 'delivery'"
+
+
+def _nested_too_deeply(lines, i):
+    lines[i] = "[" * 200_000
+    return f"line {i + 1}: not a record"
+
+
 @pytest.mark.parametrize("edit", [_delete_line, _duplicate_line, _seq_a_boolean,
-                                  _seq_a_float, _half_ms_on_an_ingest_line])
+                                  _seq_a_float, _half_ms_on_an_ingest_line,
+                                  _kind_retired, _nested_too_deeply])
 def test_replay_rejects_a_seq_gap_or_repeat(tmp_path, capsys, edit):
-    """``seq`` runs 0, 1, 2, ...; a lost or repeated delivery line is caught
+    """``seq`` runs 0, 1, 2, ...; a lost or repeated drop line is caught
     although the ledgers it leaves behind still match, and so is a ``seq``
-    or ``sim_time_ms`` that is not a whole number."""
+    or ``sim_time_ms`` that is not a whole number, a kind the log no longer
+    has, and a line nested too deeply to parse."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     lines = (out / "events.ndjson").read_text().splitlines()
-    first = next(i for i, line in enumerate(lines) if '"kind":"delivery"' in line)
+    first = next(i for i, line in enumerate(lines) if '"kind":"drop"' in line)
     where = edit(lines, first)
     (out / "events.ndjson").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -324,7 +336,9 @@ def test_replay_rejects_a_seq_gap_or_repeat(tmp_path, capsys, edit):
     assert where in err
 
 
-@pytest.mark.parametrize("line", ["{}", "[1]", '"x"'])
+@pytest.mark.parametrize("line", [
+    "{}", "[1]", '"x"', pytest.param("[" * 200_000, id="nested_too_deeply"),
+])
 def test_replay_rejects_a_ledger_line_that_is_not_a_snapshot(tmp_path, capsys, line):
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
@@ -488,6 +502,15 @@ def test_malformed_scenario_value_is_one_config_error_line(tmp_path, capsys, edi
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert names in err
+
+
+def test_scenario_nested_too_deeply_is_one_config_error_line(tmp_path, capsys):
+    scn = tmp_path / "deep.json"
+    scn.write_text("[" * 200_000)
+    assert main(["run", str(scn), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert str(scn) in err
 
 
 def test_missing_scenario_file_is_io_error(tmp_path):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,15 +20,24 @@ from risim.eventlog import (
 
 
 def test_json_lines_are_canonical():
-    rec = EventLogRecord(3, 1500, EventKind.DELIVERY,
-                         {"meter_id": 9, "concentrator_id": 4, "session": 0})
+    rec = EventLogRecord(3, 1500, EventKind.DROP,
+                         {"meter_id": 9, "concentrator_id": 4, "session": 0,
+                          "stage": "uplink"})
     line = rec.to_json()
     # keys alphabetical, no whitespace: byte-stable across runs
     assert line == (
-        '{"kind":"delivery","payload":{"concentrator_id":4,"meter_id":9,'
-        '"session":0},"seq":3,"sim_time_ms":1500}'
+        '{"kind":"drop","payload":{"concentrator_id":4,"meter_id":9,'
+        '"session":0,"stage":"uplink"},"seq":3,"sim_time_ms":1500}'
     )
     assert EventLogRecord.from_json(line) == rec
+
+
+def test_protocol_lists_exactly_the_record_kinds():
+    protocol = (Path(__file__).resolve().parents[1] / "protocol.md").read_text()
+    section = protocol.split("\n## Event log", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^\* (.*?):", section, re.MULTILINE)
+    named = [kind for bullet in bullets for kind in re.findall(r"`(\w+)`", bullet)]
+    assert sorted(named) == sorted(kind.value for kind in EventKind)
 
 
 def test_payload_key_order_does_not_change_bytes():

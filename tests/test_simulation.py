@@ -146,17 +146,77 @@ def test_event_stream_counts_are_consistent():
         seed=77,
     )
     res = run_ri(sc)
-    by_kind = {}
-    for rec in res.records:
-        by_kind[rec.kind] = by_kind.get(rec.kind, 0) + 1
-    emitted = by_kind.get(EventKind.QUANTUM_EVENT, 0)
-    delivered = by_kind.get(EventKind.DELIVERY, 0)
-    dropped = by_kind.get(EventKind.DROP, 0)
+    by_kind = Counter(rec.kind for rec in res.records)
+    drops = Counter(rec.payload["stage"] for rec in res.records if rec.kind is EventKind.DROP)
+    emitted = by_kind[EventKind.QUANTUM_EVENT]
+    ingested = by_kind[EventKind.CENTER_INGEST]
     assert emitted == 15
-    assert delivered + dropped == emitted  # one link per meter
-    assert by_kind.get(EventKind.CENTER_INGEST, 0) == delivered
+    assert ingested + drops["radio"] + drops["uplink"] == emitted  # one link per meter
+    # one concentrator with a lossless uplink: the ledger holds each copy heard once
+    heard = res.center.ledgers()[meter_id(1)].accepted_count()
+    assert ingested + drops["uplink"] == heard
     # sequence numbers are gapless and start at zero
     assert [rec.seq for rec in res.records] == list(range(len(res.records)))
+
+
+_LOSSES = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 5)])
+
+
+@st.composite
+def _lossy_scenarios(draw):
+    """1-3 meters on 1-3 concentrators, losses of 0, 1 and between, up to 2 h."""
+    concs = [
+        ConcentratorConfig(concentrator_id(k), clock_skew_ms=draw(st.integers(-5, 5)),
+                           uplink_loss=draw(_LOSSES))
+        for k in range(1, draw(st.integers(1, 3)) + 1)
+    ]
+    meters = tuple(
+        SimMeter(
+            config=_water(serial, quantum_du=1000, heartbeat_interval_ms=draw(
+                st.sampled_from([10 * MS_PER_MINUTE, MS_PER_DAY]))),
+            trace=TraceSpec("constant", {"rate_du_per_hour": 1000 * draw(st.integers(0, 20))}),
+            # links listed in any order: the log walks them in concentrator-id order
+            links=tuple((c.id, draw(_LOSSES)) for c in draw(
+                st.lists(st.sampled_from(concs), min_size=1, max_size=len(concs), unique=True))),
+        )
+        for serial in range(1, draw(st.integers(1, 3)) + 1)
+    )
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**32)),
+        horizon_ms=MS_PER_MINUTE * draw(st.integers(0, 120)),
+        buildings=(Building(meters=meters, concentrators=tuple(concs)),),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lossy_scenarios())
+def test_each_emission_is_followed_by_one_outcome_line_per_link(sc):
+    """An emission line, then per link in concentrator-id order a radio drop,
+    an uplink drop or an ingest of that copy; a loss of 0 or 1 rules stages out."""
+    links = {sm.config.id: dict(sm.links) for sm in sc.meters()}
+    uplink = {c.id: c.uplink_loss for c in sc.concentrators()}
+    records = run_ri(sc).records
+    i = 0
+    while i < len(records):
+        emission = records[i]
+        assert emission.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT)
+        mid, session = emission.payload["meter_id"], emission.payload["session"]
+        cids = sorted(links[mid])
+        outcomes = records[i + 1:i + 1 + len(cids)]
+        assert all(r.kind in (EventKind.DROP, EventKind.CENTER_INGEST) for r in outcomes)
+        assert [r.payload["concentrator_id"] for r in outcomes] == cids
+        for rec, cid in zip(outcomes, cids):
+            assert (rec.sim_time_ms, rec.payload["meter_id"], rec.payload["session"]) == (
+                emission.sim_time_ms, mid, session)
+            stage = rec.payload["stage"] if rec.kind is EventKind.DROP else "ingest"
+            link, up = links[mid][cid], uplink[cid]
+            allowed = {"radio"} if link > 0 else set()
+            if link < 1 and up > 0:
+                allowed.add("uplink")
+            if link < 1 and up < 1:
+                allowed.add("ingest")
+            assert stage in allowed
+        i += 1 + len(cids)
 
 
 def test_crossing_times_match_closed_form_schedule():
@@ -514,6 +574,18 @@ def test_load_bound_twelve_liters_per_minute():
     assert report.bound_per_second == 2
     assert report.peak_per_second == 2
     assert report.total_messages == 7200
+
+
+def test_load_is_the_same_for_a_float_int_or_fraction_flow():
+    reports = [
+        worst_case_load(_scenario(
+            [(_water(1, max_flow_du_per_hour=flow), TraceSpec("zero"))],
+            horizon_ms=MS_PER_HOUR,
+        ))
+        for flow in (120_000.0, 120_000, Fraction(120_000))
+    ]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].total_messages > 0
 
 
 def test_load_zero_flow_meter_contributes_nothing():
