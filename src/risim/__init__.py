@@ -34,6 +34,7 @@ from .domain import (
     encode_frame,
     meter_id,
 )
+from .eventlog import EventLog
 from .meter import MeterConfig, MeterRun, battery_lifetime
 from .simulation import (
     Building,
@@ -60,6 +61,7 @@ __all__ = [
     "ConsumerProfile",
     "ConsumptionTrace",
     "DuplicateIdError",
+    "EventLog",
     "IngestOutcome",
     "InsufficientData",
     "LoadBoundExceeded",

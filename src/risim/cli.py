@@ -17,6 +17,7 @@ from pathlib import Path
 from .config import load_scenario, parse_sweep_values, single_kind
 from .domain import BASE_UNIT, ConfigError
 from .eventlog import (
+    EventLog,
     MalformedLog,
     read_events,
     read_ledger_snapshots,
@@ -131,22 +132,20 @@ def _cmd_run(args) -> int:
     mode = args.mode or scenario.mode
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records: list = []
     rows: list[list] = []
     snapshots: list[dict] = []
-    if mode in ("ri", "both"):
-        ri = run_ri(scenario)
-        records.extend(ri.records)
-        rows.extend(_metrics_rows("ri", scenario, ri))
-        snapshots = ri.center.snapshots()
-    if mode in ("ti", "both"):
-        ti = run_ti(scenario, start_seq=len(records))
-        records.extend(ti.records)
-        rows.extend(_metrics_rows("ti", scenario, ti))
-    write_events(out / "events.ndjson", records)
+    with open(out / "events.ndjson", "w", encoding="utf-8", newline="\n") as fh:
+        log = EventLog(lambda rec: write_events(fh, (rec,)))
+        if mode in ("ri", "both"):
+            ri = run_ri(scenario, log)
+            rows.extend(_metrics_rows("ri", scenario, ri))
+            snapshots = ri.center.snapshots()
+        if mode in ("ti", "both"):
+            ti = run_ti(scenario, log)
+            rows.extend(_metrics_rows("ti", scenario, ti))
     write_ledger_snapshots(out / "ledgers.ndjson", snapshots)
     write_csv(out / "metrics.csv", METRICS_HEADER, rows)
-    print(f"wrote {len(records)} events for {len(rows)} meter rows to {out}")
+    print(f"wrote {log.seq} events for {len(rows)} meter rows to {out}")
     return 0
 
 
@@ -167,10 +166,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = _apply_seed(load_scenario(args.scenario), args.seed)
-    ri, ti, rows = compare_runs(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_events(out / "events.ndjson", ri.records + ti.records)
+    with open(out / "events.ndjson", "w", encoding="utf-8", newline="\n") as fh:
+        ri, _, rows = compare_runs(scenario, EventLog(lambda rec: write_events(fh, (rec,))))
     write_ledger_snapshots(out / "ledgers.ndjson", ri.center.snapshots())
     write_csv(out / "compare.csv", COMPARE_HEADER, [
         [

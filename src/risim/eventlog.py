@@ -58,6 +58,8 @@ class EventLogRecord:
     @classmethod
     def from_json(cls, line: str) -> EventLogRecord:
         obj = json.loads(line)
+        if not isinstance(obj["payload"], dict):
+            raise ValueError("payload is not a JSON object")
         return cls(
             seq=whole_number(obj["seq"], "seq"),
             sim_time_ms=whole_number(obj["sim_time_ms"], "sim_time_ms"),
@@ -66,11 +68,24 @@ class EventLogRecord:
         )
 
 
-def write_events(path: Path, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(rec.to_json())
-            fh.write("\n")
+class EventLog:
+    """Numbers each record with the next ``seq`` and hands it to ``sink``; runs
+    that share a log share its numbering, so ``ti`` goes on where ``ri`` stopped."""
+
+    def __init__(self, sink) -> None:
+        self._sink = sink
+        self.seq = 0   # the next record's seq, so also the count emitted
+
+    def emit(self, kind: EventKind, t: int, payload: dict) -> None:
+        self._sink(EventLogRecord(self.seq, t, kind, payload))
+        self.seq += 1
+
+
+def write_events(fh, records) -> None:
+    """Append ``records`` to an open text file, one canonical line each."""
+    for rec in records:
+        fh.write(rec.to_json())
+        fh.write("\n")
 
 
 def read_events(path: Path) -> Iterator[EventLogRecord]:

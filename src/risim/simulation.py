@@ -29,7 +29,7 @@ from .domain import (
     frame_size,
     whole_number,
 )
-from .eventlog import EventKind, EventLogRecord
+from .eventlog import EventKind, EventLog
 from .meter import MeterConfig, MeterRun
 from .traces import CHANNEL_STREAM, ConsumptionTrace, TraceSpec, generate_trace, mix_seed
 
@@ -122,7 +122,6 @@ class DetailMetric:
 
 @dataclass
 class RiRunResult:
-    records: list[EventLogRecord]
     center: MonitoringCenter
     metrics: dict[int, DetailMetric]
     traces: dict[int, ConsumptionTrace]
@@ -131,7 +130,6 @@ class RiRunResult:
 
 @dataclass
 class TiRunResult:
-    records: list[EventLogRecord]
     readings: dict[int, list[tuple[int, int]]]
     metrics: dict[int, DetailMetric]
     traces: dict[int, ConsumptionTrace]
@@ -148,8 +146,9 @@ def _generate_traces(scenario: ScenarioConfig) -> dict[int, ConsumptionTrace]:
     }
 
 
-def run_ri(scenario: ScenarioConfig) -> RiRunResult:
-    """Run the event-driven mode end to end and ingest at the center."""
+def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult:
+    """Run the event-driven mode end to end and ingest at the center, handing
+    each record to ``log`` as it happens; with no log none is built."""
     registry = scenario.build_registry()
     vis = scenario.visibility()
     conc = {c.id: c for c in scenario.concentrators()}
@@ -170,65 +169,50 @@ def run_ri(scenario: ScenarioConfig) -> RiRunResult:
     )
 
     rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM))
-    records: list[EventLogRecord] = []
-    seq = 0
     counts: dict[int, int] = {}
-
-    def emit(kind: EventKind, t: int, payload: dict) -> None:
-        nonlocal seq
-        records.append(EventLogRecord(seq, t, kind, payload))
-        seq += 1
-
     for t, msg in emissions:
         mid, session = msg.meter_id, msg.session
-        frame_hex = encode_frame(msg).hex()
         counts[mid] = counts.get(mid, 0) + 1
-        ekind = (
-            EventKind.QUANTUM_EVENT
-            if msg.message_type is MessageType.QUANTUM_EVENT
-            else EventKind.HEARTBEAT
-        )
-        emit(ekind, t, {
-            "cumulative_quanta": msg.state.cumulative_quanta,
-            "frame_hex": frame_hex,
-            "meter_id": mid,
-            "resource": msg.kind.value,
-            "session": session,
-        })
-        for cid, delivered in broadcast(vis, msg, rng):
-            if not delivered:
-                emit(EventKind.DROP, t, {
-                    "concentrator_id": cid,
-                    "meter_id": mid,
-                    "session": session,
-                    "stage": "radio",
-                })
-                continue
-            threshold = uplink[cid]
-            if threshold > 0 and rng.random() * DRAW_SCALE < threshold:
-                emit(EventKind.DROP, t, {
-                    "concentrator_id": cid,
-                    "meter_id": mid,
-                    "session": session,
-                    "stage": "uplink",
-                })
-                continue
-            report = receive(conc[cid], msg, t)
-            outcome = center.ingest(report)
-            emit(EventKind.CENTER_INGEST, t, {
-                "concentrator_id": cid,
+        if log is not None:
+            frame_hex = encode_frame(msg).hex()
+            quantum = msg.message_type is MessageType.QUANTUM_EVENT
+            log.emit(EventKind.QUANTUM_EVENT if quantum else EventKind.HEARTBEAT, t, {
+                "cumulative_quanta": msg.state.cumulative_quanta,
                 "frame_hex": frame_hex,
                 "meter_id": mid,
-                "outcome": outcome.value,
-                "rx_time_ms": report.rx_time_ms,
+                "resource": msg.kind.value,
                 "session": session,
             })
+        # every radio draw of the emission first, then one uplink draw per
+        # copy that got through, in concentrator-id order
+        for cid, delivered in broadcast(vis, msg, rng):
+            threshold = uplink[cid]
+            if delivered and not (threshold > 0 and rng.random() * DRAW_SCALE < threshold):
+                report = receive(conc[cid], msg, t)
+                outcome = center.ingest(report)
+                if log is not None:
+                    log.emit(EventKind.CENTER_INGEST, t, {
+                        "concentrator_id": cid,
+                        "frame_hex": frame_hex,
+                        "meter_id": mid,
+                        "outcome": outcome.value,
+                        "rx_time_ms": report.rx_time_ms,
+                        "session": session,
+                    })
+            elif log is not None:
+                log.emit(EventKind.DROP, t, {
+                    "concentrator_id": cid,
+                    "meter_id": mid,
+                    "session": session,
+                    "stage": "uplink" if delivered else "radio",
+                })
 
     metrics: dict[int, DetailMetric] = {}
+    ledgers = center.ledgers()
     for sm in scenario.meters():
         mid = sm.config.id
         trace = traces.get(mid)
-        ledger = center.ledgers().get(mid)
+        ledger = ledgers.get(mid)
         steps = reconstruction_steps(ledger, sm.config.quantum_du) if ledger else []
         mse = _step_mean_square(trace, steps, scenario.rmse_grid_ms, scenario.horizon_ms)
         metrics[mid] = DetailMetric(
@@ -237,16 +221,14 @@ def run_ri(scenario: ScenarioConfig) -> RiRunResult:
             bytes_sent=counts.get(mid, 0) * frame_size(sm.config.kind),
             mean_square_du=mse,
         )
-    return RiRunResult(records, center, metrics, traces, runs)
+    return RiRunResult(center, metrics, traces, runs)
 
 
-def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
+def run_ti(scenario: ScenarioConfig, log: EventLog | None = None) -> TiRunResult:
     """Run the polling baseline: every meter reports its register each Δt
-    while its battery lasts."""
+    while its battery lasts, one ``ti_reading`` record per poll to ``log``."""
     traces = _generate_traces(scenario)
     dt = scenario.ti_poll_interval_ms
-    records: list[EventLogRecord] = []
-    seq = start_seq
 
     meters = sorted(scenario.meters(), key=lambda m: m.config.id)
     n_polls = scenario.horizon_ms // dt if scenario.horizon_ms else 0
@@ -256,19 +238,18 @@ def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
         polls = _ti_polls_sent(sm.config, dt, n_polls)
         if polls:
             readings[sm.config.id] = _registers_at(traces[sm.config.id], poll_times[:polls])
-    for k in range(1, n_polls + 1):
-        for sm in meters:
-            polled = readings.get(sm.config.id, ())
-            if k > len(polled):
-                continue
-            t, register = polled[k - 1]
-            records.append(EventLogRecord(seq, t, EventKind.TI_READING, {
-                "meter_id": sm.config.id,
-                "poll_index": k,
-                "register_du": register,
-                "unit": BASE_UNIT[sm.config.kind],
-            }))
-            seq += 1
+    if log is not None:
+        for k in range(1, n_polls + 1):
+            for sm in meters:
+                polled = readings.get(sm.config.id, ())
+                if k <= len(polled):
+                    t, register = polled[k - 1]
+                    log.emit(EventKind.TI_READING, t, {
+                        "meter_id": sm.config.id,
+                        "poll_index": k,
+                        "register_du": register,
+                        "unit": BASE_UNIT[sm.config.kind],
+                    })
 
     metrics: dict[int, DetailMetric] = {}
     for sm in meters:
@@ -283,7 +264,7 @@ def run_ti(scenario: ScenarioConfig, start_seq: int = 0) -> TiRunResult:
             bytes_sent=TI_READING_BYTES * len(readings.get(mid, [])),
             mean_square_du=mse,
         )
-    return TiRunResult(records, readings, metrics, traces)
+    return TiRunResult(readings, metrics, traces)
 
 
 def _registers_at(trace: ConsumptionTrace, times: list[int]) -> list[tuple[int, int]]:
@@ -434,8 +415,7 @@ def detail_sweep(scenario: ScenarioConfig, param: str,
                 ))
                 for b in scenario.buildings
             ))
-            result = run_ri(variant)
-            metrics = result.metrics
+            metrics = run_ri(variant).metrics
         else:
             variant = replace(scenario, ti_poll_interval_ms=value)
             metrics = run_ti(variant).metrics
@@ -461,10 +441,11 @@ class CompareRow:
     battery_lifetime_ms: int | None
 
 
-def compare_runs(scenario: ScenarioConfig) -> tuple[RiRunResult, TiRunResult, list[CompareRow]]:
-    """Paired event-driven and polling runs over the same traces."""
-    ri = run_ri(scenario)
-    ti = run_ti(scenario, start_seq=len(ri.records))
+def compare_runs(scenario: ScenarioConfig, log: EventLog | None = None
+                 ) -> tuple[RiRunResult, TiRunResult, list[CompareRow]]:
+    """Paired event-driven and polling runs over the same traces, in one log."""
+    ri = run_ri(scenario, log)
+    ti = run_ti(scenario, log)
     rows: list[CompareRow] = []
     for sm in sorted(scenario.meters(), key=lambda m: m.config.id):
         mid = sm.config.id

@@ -30,7 +30,7 @@ from risim.domain import (
     decode_frame,
     meter_id,
 )
-from risim.eventlog import EventKind
+from risim.eventlog import EventKind, EventLog
 from risim.meter import MeterConfig, MeterRun, battery_lifetime
 from risim.simulation import (
     Building,
@@ -139,9 +139,10 @@ def test_03_exact_recovery_under_loss():
                 seed=9000 + run_no,
                 loss=loss,
             )
-            res = run_ri(sc)
+            records = []
+            res = run_ri(sc, EventLog(records.append))
             emitted = {}
-            for rec in res.records:
+            for rec in records:
                 if rec.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT):
                     emitted[rec.payload["session"]] = rec.kind
             n_qe = sum(1 for v in emitted.values() if v is EventKind.QUANTUM_EVENT)
@@ -190,7 +191,8 @@ def test_04_multipath_dedup_equivalence():
         meters(), horizon_ms=6 * MS_PER_HOUR, seed=4,
         concentrators=[ConcentratorConfig(concentrator_id(1))],
     )
-    res_tri = run_ri(tri)
+    tri_records = []
+    res_tri = run_ri(tri, EventLog(tri_records.append))
     res_uni = run_ri(uni)
     core_tri = [lg.snapshot(include_reception_stats=False)
                 for lg in res_tri.center.ledgers().values()]
@@ -202,7 +204,7 @@ def test_04_multipath_dedup_equivalence():
             assert rec.report_count == 3
 
     # replaying the same reports in 10 shuffled orders changes nothing
-    ingests = [rec.payload for rec in res_tri.records
+    ingests = [rec.payload for rec in tri_records
                if rec.kind is EventKind.CENTER_INGEST]
     reference = res_tri.center.snapshots()
     rng = random.Random(2024)
@@ -228,12 +230,13 @@ def test_05_idle_traffic_reduction():
         horizon_ms=48 * MS_PER_HOUR,
         ti_poll_interval_ms=MS_PER_HOUR,
     )
-    ri, ti, rows = compare_runs(sc)
+    records = []
+    _, _, rows = compare_runs(sc, EventLog(records.append))
     by_mode = {r.mode: r for r in rows}
     assert by_mode["ri"].message_count == 2
     assert by_mode["ti"].message_count == 48
     assert by_mode["ti"].message_count >= 20 * by_mode["ri"].message_count
-    hb = [r for r in ri.records if r.kind is EventKind.HEARTBEAT]
+    hb = [r for r in records if r.kind is EventKind.HEARTBEAT]
     assert [r.sim_time_ms for r in hb] == [MS_PER_DAY, 2 * MS_PER_DAY]
     _verdict(5, "idle traffic reduction")
 
@@ -409,7 +412,8 @@ def test_11_profile_guided_restoration():
             seed=31_000 + seed,
             loss=0.2,
         )
-        res = run_ri(sc)
+        records = []
+        res = run_ri(sc, EventLog(records.append))
         ledger = res.center.ledgers().get(mid)
         if ledger is None or ledger.is_empty:
             continue
@@ -419,7 +423,7 @@ def test_11_profile_guided_restoration():
             continue
         true_time = {
             rec.payload["session"]: rec.sim_time_ms
-            for rec in res.records
+            for rec in records
             if rec.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT)
         }
         by_wire = {rec.abs_session % 2**32: rec for rec in ledger.accepted_sessions()}

@@ -314,14 +314,21 @@ def _nested_too_deeply(lines, i):
     return f"line {i + 1}: not a record"
 
 
+def _payload_a_number(lines, i):
+    j = next(j for j in range(i, len(lines)) if '"kind":"quantum_event"' in lines[j])
+    _set_top_field(lines, j, "payload", lambda payload: 5)
+    return f"line {j + 1}: not a record: payload"
+
+
 @pytest.mark.parametrize("edit", [_delete_line, _duplicate_line, _seq_a_boolean,
                                   _seq_a_float, _half_ms_on_an_ingest_line,
-                                  _kind_retired, _nested_too_deeply])
+                                  _kind_retired, _nested_too_deeply, _payload_a_number])
 def test_replay_rejects_a_seq_gap_or_repeat(tmp_path, capsys, edit):
     """``seq`` runs 0, 1, 2, ...; a lost or repeated drop line is caught
     although the ledgers it leaves behind still match, and so is a ``seq``
     or ``sim_time_ms`` that is not a whole number, a kind the log no longer
-    has, and a line nested too deeply to parse."""
+    has, a line nested too deeply to parse, and a ``payload`` that is not a
+    JSON object on a line replay would otherwise skip."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
@@ -400,6 +407,37 @@ def test_replay_memory_does_not_grow_with_the_log(tmp_path):
         assert main(["run", str(scn), "--out", str(out), "--mode", "both"]) == 0
         peaks[horizon] = _replay_peak_bytes(out / "events.ndjson")
     assert peaks["4d"] <= 1.5 * peaks["1d"], peaks
+
+
+def test_run_memory_does_not_hold_the_log(tmp_path):
+    # one meter heard by three lossy concentrators: four log lines per
+    # emission, and a ledger of one entry per emission heard at all
+    scn = _write_scenario(tmp_path, horizon="4h", mode="ri", buildings=[{
+        "concentrators": [{"serial": 1}, {"serial": 2}, {"serial": 3}],
+        "radio_loss": 0.3,
+        "meters": [{"serial": 1, "kind": "cold_water",
+                    "trace": {"kind": "constant", "params": {"rate": "30l/h"}}}],
+    }])
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["run", str(scn), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a run that holds every record peaks at about 4.0 times the log's bytes
+    # here; one that writes each record as it happens, at about 2.2
+    assert peak < 3 * (out / "events.ndjson").stat().st_size
+
+
+@pytest.mark.parametrize("name", ["night_idle.json", "zero_consumption_48h.json"])
+def test_compare_and_run_both_write_the_same_logs(tmp_path, name):
+    """Both commands stream ``ri`` then ``ti`` into one log, ``seq`` carrying on."""
+    scn = SCENARIOS / name
+    assert main(["compare", str(scn), "--out", str(tmp_path / "compare")]) == 0
+    assert main(["run", str(scn), "--out", str(tmp_path / "run"), "--mode", "both"]) == 0
+    for log in ("events.ndjson", "ledgers.ndjson"):
+        assert (tmp_path / "compare" / log).read_bytes() == (tmp_path / "run" / log).read_bytes()
 
 
 def _concentrator(obj):

@@ -59,7 +59,8 @@ def test_event_file_round_trip(tmp_path):
         for i in range(5)
     ]
     path = tmp_path / "events.ndjson"
-    write_events(path, records)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_events(fh, records)
     raw = path.read_bytes()
     assert raw.count(b"\n") == 5
     assert b"\r" not in raw  # LF only
@@ -119,7 +120,8 @@ def test_replay_rebuilds_from_frames():
 
 def test_log_file_is_plain_json_lines(tmp_path):
     path = tmp_path / "events.ndjson"
-    write_events(path, [EventLogRecord(0, 0, EventKind.DROP, {"meter_id": 1})])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_events(fh, [EventLogRecord(0, 0, EventKind.DROP, {"meter_id": 1})])
     for line in path.read_text().splitlines():
         obj = json.loads(line)  # every line parses standalone
         assert set(obj) == {"kind", "payload", "seq", "sim_time_ms"}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from risim import compare_runs, decode_frame, detail_sweep, scenario_from_dict
+from risim import EventLog, compare_runs, decode_frame, detail_sweep, scenario_from_dict
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -50,14 +50,15 @@ def _lossy_night_idle() -> dict:
 ])
 def test_no_float_is_held_from_scenario_to_results(obj):
     scenario = scenario_from_dict(obj)
-    ri, ti, rows = compare_runs(scenario)
+    records = []
+    ri, ti, rows = compare_runs(scenario, EventLog(records.append))
     sweep = detail_sweep(scenario, "dt", [(60_000, "1min"), (3_600_000, "1h")])
     frames = [decode_frame(bytes.fromhex(rec.payload["frame_hex"]))
-              for rec in ri.records if "frame_hex" in rec.payload]
+              for rec in records if "frame_hex" in rec.payload]
     assert frames
     held = {
         "scenario": scenario, "ri.metrics": ri.metrics, "ti.metrics": ti.metrics,
-        "compare rows": rows, "sweep rows": sweep, "records": ri.records + ti.records,
+        "compare rows": rows, "sweep rows": sweep, "records": records,
         "frames": frames,
     }
     found = [p for where, value in held.items() for p in _floats(value, where)]

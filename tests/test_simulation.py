@@ -21,7 +21,7 @@ from risim.domain import (
     concentrator_id,
     meter_id,
 )
-from risim.eventlog import EventKind
+from risim.eventlog import EventKind, EventLog
 from risim.meter import MeterConfig, MeterRun
 from risim.simulation import (
     Building,
@@ -145,9 +145,10 @@ def test_event_stream_counts_are_consistent():
         loss=0.4,
         seed=77,
     )
-    res = run_ri(sc)
-    by_kind = Counter(rec.kind for rec in res.records)
-    drops = Counter(rec.payload["stage"] for rec in res.records if rec.kind is EventKind.DROP)
+    records = []
+    res = run_ri(sc, EventLog(records.append))
+    by_kind = Counter(rec.kind for rec in records)
+    drops = Counter(rec.payload["stage"] for rec in records if rec.kind is EventKind.DROP)
     emitted = by_kind[EventKind.QUANTUM_EVENT]
     ingested = by_kind[EventKind.CENTER_INGEST]
     assert emitted == 15
@@ -156,7 +157,7 @@ def test_event_stream_counts_are_consistent():
     heard = res.center.ledgers()[meter_id(1)].accepted_count()
     assert ingested + drops["uplink"] == heard
     # sequence numbers are gapless and start at zero
-    assert [rec.seq for rec in res.records] == list(range(len(res.records)))
+    assert [rec.seq for rec in records] == list(range(len(records)))
 
 
 _LOSSES = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 5)])
@@ -195,7 +196,8 @@ def test_each_emission_is_followed_by_one_outcome_line_per_link(sc):
     an uplink drop or an ingest of that copy; a loss of 0 or 1 rules stages out."""
     links = {sm.config.id: dict(sm.links) for sm in sc.meters()}
     uplink = {c.id: c.uplink_loss for c in sc.concentrators()}
-    records = run_ri(sc).records
+    records = []
+    run_ri(sc, EventLog(records.append))
     i = 0
     while i < len(records):
         emission = records[i]
@@ -226,8 +228,9 @@ def test_crossing_times_match_closed_form_schedule():
           TraceSpec("constant", {"rate_du_per_hour": 10_000}))],
         horizon_ms=MS_PER_HOUR,
     )
-    res = run_ri(sc)
-    times = [r.sim_time_ms for r in res.records if r.kind is EventKind.QUANTUM_EVENT]
+    records = []
+    run_ri(sc, EventLog(records.append))
+    times = [r.sim_time_ms for r in records if r.kind is EventKind.QUANTUM_EVENT]
     assert times == [k * 360_000 for k in range(1, 11)]
 
 
@@ -258,8 +261,9 @@ def test_run_is_deterministic_byte_for_byte():
         loss=0.3,
         seed=123,
     )
-    lines_a = [r.to_json() for r in run_ri(sc).records]
-    lines_b = [r.to_json() for r in run_ri(sc).records]
+    lines_a, lines_b = [], []
+    run_ri(sc, EventLog(lambda r: lines_a.append(r.to_json())))
+    run_ri(sc, EventLog(lambda r: lines_b.append(r.to_json())))
     assert lines_a == lines_b
 
 
@@ -373,8 +377,9 @@ def test_polling_meter_with_empty_battery_sends_nothing():
         horizon_ms=4 * MS_PER_HOUR,
         ti_poll_interval_ms=MS_PER_HOUR,
     )
-    res = run_ti(sc)
-    assert not [r for r in res.records if r.kind is EventKind.TI_READING]
+    records = []
+    res = run_ti(sc, EventLog(records.append))
+    assert not [r for r in records if r.kind is EventKind.TI_READING]
     assert res.metrics[meter_id(1)].message_count == 0
     assert res.metrics[meter_id(1)].bytes_sent == 0
 
@@ -388,10 +393,11 @@ def test_polling_stops_when_the_battery_runs_out():
         horizon_ms=6 * MS_PER_HOUR,
         ti_poll_interval_ms=MS_PER_HOUR,
     )
-    _, ti, rows = compare_runs(sc)
+    records = []
+    _, ti, rows = compare_runs(sc, EventLog(records.append))
     assert ti.readings[meter_id(1)] == [(MS_PER_HOUR, 2500), (2 * MS_PER_HOUR, 5000)]
     assert ti.metrics[meter_id(1)].message_count == 2
-    polls = [r.payload["poll_index"] for r in ti.records if r.kind is EventKind.TI_READING]
+    polls = [r.payload["poll_index"] for r in records if r.kind is EventKind.TI_READING]
     assert polls == [1, 2]
     # the closed-form lifetime, 2.5 h, falls between the last poll sent and the next
     life = next(r for r in rows if r.mode == "ti").battery_lifetime_ms
@@ -437,14 +443,15 @@ def test_poll_registers_equal_cumulative_consumption(traces, horizon, dt, capaci
     meters = [(_water(i + 1, battery_capacity=capacity),
                TraceSpec(kind, params[kind], seed=seed))
               for i, (kind, seed) in enumerate(traces)]
-    res = run_ti(_scenario(meters, horizon, ti_poll_interval_ms=dt))
+    records = []
+    res = run_ti(_scenario(meters, horizon, ti_poll_interval_ms=dt), EventLog(records.append))
     for cfg, _ in meters:
         trace = res.traces[cfg.id]
         sent = _ti_polls_sent(cfg, dt, horizon // dt)
         assert res.readings.get(cfg.id, []) == [
             (k * dt, int(trace.cumulative_du(k * dt))) for k in range(1, sent + 1)]
     polls = [(r.payload["poll_index"], r.payload["meter_id"], r.payload["register_du"])
-             for r in res.records]
+             for r in records]
     assert polls == sorted(polls)
     assert len(polls) == sum(len(v) for v in res.readings.values())
 
@@ -614,8 +621,9 @@ def test_load_analysis_agrees_with_event_engine():
         horizon_ms=3 * MS_PER_HOUR,
     )
     analytic = worst_case_load(sc)
-    res = run_ri(sc)
-    emitted = sum(1 for r in res.records if r.kind is EventKind.QUANTUM_EVENT)
+    records = []
+    run_ri(sc, EventLog(records.append))
+    emitted = sum(1 for r in records if r.kind is EventKind.QUANTUM_EVENT)
     assert emitted == analytic.total_messages
 
 
