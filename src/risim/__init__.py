@@ -11,6 +11,7 @@ from .center import (
     ConsumerProfile,
     IngestOutcome,
     InsufficientData,
+    LostRun,
     MonitoringCenter,
     NoData,
     ReconstructionResult,
@@ -66,6 +67,7 @@ __all__ = [
     "InsufficientData",
     "LoadBoundExceeded",
     "LoadReport",
+    "LostRun",
     "MalformedFrame",
     "MessageType",
     "MeterConfig",

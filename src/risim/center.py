@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .domain import (
     ConcentratorReport,
@@ -61,6 +62,22 @@ class AcceptedSession:
     @property
     def report_count(self) -> int:
         return len(self.seen)
+
+
+class LostRun(NamedTuple):
+    """A maximal run of consecutive lost sessions and what bounds it.
+
+    ``first`` is a wire number and the run may wrap past the counter's top
+    to 0.  ``t_lo`` and ``t_hi`` are the reception times of the accepted
+    sessions around it (``t_lo`` is 0 for the lead-in from a known initial
+    session), and ``quanta`` is how many of its sessions were quantum events.
+    """
+
+    first: int
+    count: int
+    t_lo: int
+    t_hi: int
+    quanta: int
 
 
 @dataclass(frozen=True)
@@ -198,30 +215,21 @@ class SessionLedger:
             self._max_abs = abs_session
         return IngestOutcome.ACCEPTED
 
-    # -- gaps --------------------------------------------------------------
+    # -- lost runs ---------------------------------------------------------
 
-    def detect_gaps(self) -> list[int]:
-        """Known-lost sessions as wire numbers, in emission order."""
-        return [s for run in self.gap_runs() for s in run]
+    def lost_runs(self) -> list[LostRun]:
+        """Every maximal run of known-lost sessions, in emission order.
 
-    def gap_runs(self) -> list[list[int]]:
-        """Maximal runs of consecutive lost sessions, as wire numbers."""
-        return [
-            [a % self.modulus for a in range(first, last + 1)]
-            for first, last, *_ in self._runs()
-        ]
-
-    def _runs(self):
-        """Maximal lost runs as (first, last, t_lo, t_hi, lost_quanta), in order.
-
-        ``first`` and ``last`` are unrolled sessions.  Each run is a hole
-        between two accepted sessions, bounded by their reception times, and
-        its lost quantum events are the difference of their lifetime
-        counters modulo 2**32, the counter's wrap.  Below the lowest accepted
-        session lies the lead-in from a known initial session, measured from
-        the installation origin (time zero, zero lifetime quanta).  Nothing above the highest accepted
-        session is known to be lost, so every run is bounded.
+        Each run is a hole between two accepted sessions, bounded by their
+        reception times, and its lost quantum events are the difference of
+        their lifetime counters modulo 2**32, the counter's wrap.  Below the
+        lowest accepted session lies the lead-in from a known initial
+        session, measured from the installation origin (time zero, zero
+        lifetime quanta).  Nothing above the highest accepted session is
+        known to be lost, so every run is bounded, and its size does not
+        depend on how many sessions it spans.
         """
+        runs = []
         t_lo, base_quanta = 0, 0
         unseen = self.initial_session  # lowest session not yet accounted for
         for a in sorted(self._accepted):
@@ -230,9 +238,11 @@ class SessionLedger:
                 lost = (rec.cumulative_quanta - base_quanta) % 2**32
                 if rec.message_type is MessageType.QUANTUM_EVENT:
                     lost -= 1
-                yield unseen, a - 1, t_lo, rec.rx_time_ms, lost
+                runs.append(LostRun(unseen % self.modulus, a - unseen,
+                                    t_lo, rec.rx_time_ms, lost))
             t_lo, base_quanta = rec.rx_time_ms, rec.cumulative_quanta
             unseen = a + 1
+        return runs
 
     # -- reconstruction ----------------------------------------------------
 
@@ -262,13 +272,13 @@ class SessionLedger:
         )
         recovered = 0
         trailing = 0
-        for t_lo, t_hi, quanta in self.bounded_runs():
-            if quanta <= 0 or t_lo < t0:
+        for run in self.lost_runs():
+            if run.quanta <= 0 or run.t_lo < t0:
                 continue
-            if t_hi <= t1:
-                recovered += quanta
-            elif t_lo <= t1:
-                trailing += quanta
+            if run.t_hi <= t1:
+                recovered += run.quanta
+            elif run.t_lo <= t1:
+                trailing += run.quanta
         return ReconstructionResult(
             meter_id=self.meter_id,
             window=(t0, t1),
@@ -278,45 +288,27 @@ class SessionLedger:
             trailing_uncertainty_du=trailing * quantum_du,
         )
 
-    def bounded_runs(self) -> list[tuple[int, int, int]]:
-        """(t_lo, t_hi, lost_quanta) of every lost run, in order."""
-        return [(t_lo, t_hi, lost) for _, _, t_lo, t_hi, lost in self._runs()]
-
     # -- lost-time restoration --------------------------------------------
 
-    def interpolate_lost_times(self, gap_run: list[int],
+    def interpolate_lost_times(self, run: LostRun,
                                profile: ConsumerProfile | None = None,
                                ) -> list[tuple[int, Fraction]]:
-        """Estimate emission times for one contiguous run of lost sessions.
+        """Estimate an emission time for every session of one lost run.
 
-        Uniform spacing between the bounding reception times by default;
-        with a profile, spacing proportional to the profile's hour-of-day
-        mass.  Estimates are strictly inside the bounding timestamps and
-        strictly increasing.  Only a whole run, as ``gap_runs`` lists it,
-        has accepted sessions on both sides to place it by; a part of one
-        yields an empty list.
+        Uniform spacing between the run's bounding reception times by
+        default; with a profile, spacing proportional to the profile's
+        hour-of-day mass.  Estimates are strictly inside the bounding
+        timestamps and strictly increasing.
         """
-        if not gap_run:
-            return []
-        run_abs = [self._unroll(s) for s in gap_run]
-        if any(b - a != 1 for a, b in zip(run_abs, run_abs[1:])):
-            raise ValueError("gap run must be contiguous sessions")
-        for first, last, t_lo, t_hi, _ in self._runs():
-            if first <= run_abs[0] and run_abs[-1] <= last:
-                break
-        else:
-            raise ValueError("gap run contains sessions not known to be lost")
-        if (first, last) != (run_abs[0], run_abs[-1]):
-            return []
-        if t_hi <= t_lo:
+        sessions = [(run.first + i) % self.modulus for i in range(run.count)]
+        if run.t_hi <= run.t_lo:
             # degenerate zero-width bracket; pin everything at the boundary
-            return [(s % self.modulus, Fraction(t_lo)) for s in run_abs]
-        k = len(run_abs)
+            return [(s, Fraction(run.t_lo)) for s in sessions]
         if profile is None:
-            times = evenly_spaced(t_lo, t_hi, k)
+            times = evenly_spaced(run.t_lo, run.t_hi, run.count)
         else:
-            times = _profile_quantiles(profile, t_lo, t_hi, k)
-        return [(s % self.modulus, t) for s, t in zip(run_abs, times)]
+            times = _profile_quantiles(profile, run.t_lo, run.t_hi, run.count)
+        return list(zip(sessions, times))
 
     # -- profile learning --------------------------------------------------
 
@@ -374,30 +366,27 @@ class SessionLedger:
 
     # -- snapshots ---------------------------------------------------------
 
-    def snapshot(self, include_reception_stats: bool = True) -> dict:
+    def snapshot(self) -> dict:
         """Canonical JSON-safe view; two equal ledgers give equal snapshots."""
-        sessions = []
-        for rec in self.accepted_sessions():
-            row = {
-                "session": rec.abs_session % self.modulus,
-                "rx_time_ms": rec.rx_time_ms,
-                "rx_concentrator": rec.rx_concentrator,
-                "type": rec.message_type.value,
-                "cumulative_quanta": rec.cumulative_quanta,
-            }
-            if include_reception_stats:
-                row["report_count"] = rec.report_count
-            sessions.append(row)
-        snap = {
+        return {
             "meter_id": self.meter_id,
             "initial_session": self.initial_session,
             "first_covered": self.first_covered,
             "highest_session": self.highest_session,
-            "sessions": sessions,
-            "gaps": self.detect_gaps(),
+            "sessions": [
+                {
+                    "session": rec.abs_session % self.modulus,
+                    "rx_time_ms": rec.rx_time_ms,
+                    "rx_concentrator": rec.rx_concentrator,
+                    "type": rec.message_type.value,
+                    "cumulative_quanta": rec.cumulative_quanta,
+                    "report_count": rec.report_count,
+                }
+                for rec in self.accepted_sessions()
+            ],
+            "gaps": [[run.first, run.count] for run in self.lost_runs()],
             "conflicts": sorted(a % self.modulus for a in self.conflict_sessions),
         }
-        return snap
 
 
 class MonitoringCenter:
@@ -431,11 +420,8 @@ class MonitoringCenter:
             out.append(ledger.reconstruct(self.registry.meter(mid).quantum_du, window))
         return out
 
-    def snapshots(self, include_reception_stats: bool = True) -> list[dict]:
-        return [
-            self._ledgers[mid].snapshot(include_reception_stats)
-            for mid in sorted(self._ledgers)
-        ]
+    def snapshots(self) -> list[dict]:
+        return [self._ledgers[mid].snapshot() for mid in sorted(self._ledgers)]
 
 
 def evenly_spaced(t_lo, t_hi, k: int) -> list[Fraction]:

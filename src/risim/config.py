@@ -372,9 +372,10 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
+        obj = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except RecursionError:

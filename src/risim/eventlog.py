@@ -91,12 +91,11 @@ def write_events(fh, records) -> None:
 def read_events(path: Path) -> Iterator[EventLogRecord]:
     """The log's records, one line at a time; ``seq`` must run 0, 1, 2, ..."""
     seq = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
+            if line.strip():
                 try:
-                    rec = EventLogRecord.from_json(line)
+                    rec = EventLogRecord.from_json(line.decode("utf-8"))
                 except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise MalformedLog(f"{path} line {lineno}: not a record: {exc}") from None
                 if rec.seq != seq:
@@ -114,12 +113,11 @@ def write_ledger_snapshots(path: Path, snapshots: list[dict]) -> None:
 
 def read_ledger_snapshots(path: Path) -> list[dict]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
+            if line.strip():
                 try:
-                    snap = json.loads(line)
+                    snap = json.loads(line.decode("utf-8"))
                 except (ValueError, RecursionError) as exc:
                     raise MalformedLog(f"{path} line {lineno}: not JSON: {exc}") from None
                 if not isinstance(snap, dict) or type(snap.get("meter_id")) is not int:

@@ -323,8 +323,8 @@ def reconstruction_steps(ledger: SessionLedger | None,
     for rec in ledger.accepted_sessions():
         if rec.message_type is MessageType.QUANTUM_EVENT:
             jumps.append((Fraction(rec.rx_time_ms), quantum_du))
-    for t_lo, t_hi, quanta in ledger.bounded_runs():
-        jumps.extend((t, quantum_du) for t in evenly_spaced(t_lo, t_hi, quanta))
+    for run in ledger.lost_runs():
+        jumps.extend((t, quantum_du) for t in evenly_spaced(run.t_lo, run.t_hi, run.quanta))
     jumps.sort(key=lambda j: j[0])
     return jumps
 

@@ -154,14 +154,15 @@ def test_03_exact_recovery_under_loss():
             lost = set(emitted) - accepted
             top_accepted = max(accepted)
             recon = ledger.reconstruct(quantum, (0, sc.horizon_ms))
+            gaps = {(r.first + i) % 2**32 for r in ledger.lost_runs() for i in range(r.count)}
             if max(emitted) in accepted:
                 # final message delivered: everything is pinned down
-                assert set(ledger.detect_gaps()) == lost, f"run {run_no}"
+                assert gaps == lost, f"run {run_no}"
                 assert recon.amount_du == n_qe * quantum, f"run {run_no}"
                 exact_checked += 1
             else:
                 known_lost = {s for s in lost if s < top_accepted}
-                assert set(ledger.detect_gaps()) == known_lost, f"run {run_no}"
+                assert gaps == known_lost, f"run {run_no}"
                 assert recon.amount_du <= n_qe * quantum, f"run {run_no}"
     assert exact_checked >= 50  # the exact branch was genuinely exercised
     _verdict(3, "exact recovery under loss")
@@ -194,11 +195,15 @@ def test_04_multipath_dedup_equivalence():
     tri_records = []
     res_tri = run_ri(tri, EventLog(tri_records.append))
     res_uni = run_ri(uni)
-    core_tri = [lg.snapshot(include_reception_stats=False)
-                for lg in res_tri.center.ledgers().values()]
-    core_uni = [lg.snapshot(include_reception_stats=False)
-                for lg in res_uni.center.ledgers().values()]
-    assert core_tri == core_uni
+
+    def without_report_counts(center):
+        snaps = center.snapshots()
+        for snap in snaps:
+            for row in snap["sessions"]:
+                del row["report_count"]
+        return snaps
+
+    assert without_report_counts(res_tri.center) == without_report_counts(res_uni.center)
     for lg in res_tri.center.ledgers().values():
         for rec in lg.accepted_sessions():
             assert rec.report_count == 3
@@ -429,13 +434,11 @@ def test_11_profile_guided_restoration():
         by_wire = {rec.abs_session % 2**32: rec for rec in ledger.accepted_sessions()}
         run_uni = run_pro = 0.0
         n_lost = 0
-        for gap_run in ledger.gap_runs():
-            uni = ledger.interpolate_lost_times(gap_run)
-            pro = ledger.interpolate_lost_times(gap_run, profile)
-            if not uni:
-                continue  # trailing run, nothing brackets it yet
-            lower = by_wire.get(gap_run[0] - 1)
-            upper = by_wire.get(gap_run[-1] + 1)
+        for run in ledger.lost_runs():
+            uni = ledger.interpolate_lost_times(run)
+            pro = ledger.interpolate_lost_times(run, profile)
+            lower = by_wire.get(run.first - 1)
+            upper = by_wire.get(run.first + run.count)
             t_lo = lower.rx_time_ms if lower is not None else 0
             t_hi = upper.rx_time_ms
             for (s_u, t_u), (s_p, t_p) in zip(uni, pro):

@@ -20,6 +20,7 @@ from risim.center import (
     ConsumerProfile,
     IngestOutcome,
     InsufficientData,
+    LostRun,
     MonitoringCenter,
     NoData,
     SessionLedger,
@@ -69,8 +70,7 @@ def _feed(ledger, reports):
 def test_gap_from_skipped_sessions():
     ledger = SessionLedger(MID)
     _feed(ledger, [_report(s, s * 1000) for s in (1, 2, 4, 5)])
-    assert ledger.detect_gaps() == [3]
-    assert ledger.gap_runs() == [[3]]
+    assert ledger.lost_runs() == [LostRun(3, 1, 2000, 4000, 1)]
 
 
 def test_outcome_sequence():
@@ -81,7 +81,7 @@ def test_outcome_sequence():
     assert ledger.stale_replays == 1
     # same session, different payload bytes: tamper evidence
     assert ledger.ingest(_report(0, 1500, quanta=9)) is IngestOutcome.CONFLICT
-    assert ledger.detect_gaps() == []
+    assert ledger.lost_runs() == []
     snap = ledger.snapshot()
     assert snap["conflicts"] == [0]
     # first payload is kept
@@ -123,16 +123,16 @@ def test_snapshot_identical_for_any_arrival_order():
         if reference is None:
             reference = snap
         assert snap == reference
-    assert reference["gaps"] == [0, 4, 5, 11]  # 0 lost before first contact
+    assert reference["gaps"] == [[0, 1], [4, 2], [11, 1]]  # 0 lost before first contact
 
 
 def test_reingesting_duplicates_is_idempotent():
     ledger = SessionLedger(MID)
     reports = [_report(s, 1000 * s) for s in range(5)]
     _feed(ledger, reports)
-    snap1 = ledger.snapshot(include_reception_stats=False)
-    _feed(ledger, reports)  # byte-exact replays
-    snap2 = ledger.snapshot(include_reception_stats=False)
+    snap1 = ledger.snapshot()
+    _feed(ledger, reports)  # byte-exact replays leave even the report counts
+    snap2 = ledger.snapshot()
     assert snap1 == snap2
     assert ledger.stale_replays == 5
 
@@ -153,7 +153,7 @@ def test_gap_across_counter_wrap():
     ledger.ingest(_report(top - 2, 1000, quanta=1))
     ledger.ingest(_report(top - 1, 2000, quanta=2))
     ledger.ingest(_report(1, 3000, quanta=4))
-    assert ledger.detect_gaps() == [0]
+    assert ledger.lost_runs() == [LostRun(0, 1, 2000, 3000, 1)]
     assert ledger.highest_session == 1
 
 
@@ -162,7 +162,7 @@ def test_lost_quanta_counted_across_lifetime_counter_wrap():
     ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 1000, quanta=2**32 - 1))
     ledger.ingest(_report(2, 3000, quanta=1))
-    assert ledger.bounded_runs() == [(1000, 3000, 1)]
+    assert ledger.lost_runs() == [LostRun(1, 1, 1000, 3000, 1)]
     assert ledger.reconstruct(1000, (0, 10_000)).quanta_recovered == 1
 
 
@@ -205,12 +205,13 @@ def test_wrap_oracle_brute_force_small_modulus():
     too, and to one with no initial session, which anchors at its first
     arrival.  Reception time is 10 ms per index and the lifetime counter
     counts from the start, so each lost run is bracketed by its neighbours
-    and loses exactly its length in quanta.
+    and loses exactly its length in quanta.  Some runs wrap past 255 to 0.
     """
     mod = 256
     displacement = 24
     rng = random.Random(4242)
     arrivals_below_lowest = 0
+    wrapped_runs = 0
     for trial in range(40):
         n = rng.randint(5, 900)
         start = rng.randint(0, 5 * mod)
@@ -237,34 +238,42 @@ def test_wrap_oracle_brute_force_small_modulus():
                 lo = start if initial is not None else min(order)
                 hi = max(order)
                 runs = _expected_runs(dropped, lo, hi)
+                wrapped_runs += sum(a // mod != b // mod for a, b in runs)
                 where = f"trial {trial}, initial {initial}, reordered {order is reordered}"
                 assert ledger.first_covered == lo % mod, where
-                assert ledger.detect_gaps() == [
+                lost_runs = ledger.lost_runs()
+                assert [s for r in lost_runs for s, _ in ledger.interpolate_lost_times(r)] == [
                     i % mod for i in range(lo, hi) if i in dropped
                 ], where
-                assert ledger.gap_runs() == [
-                    [i % mod for i in range(a, b + 1)] for a, b in runs
-                ], where
-                assert ledger.bounded_runs() == [
-                    (10 * (a - 1) if a > start else 0, 10 * (b + 1), b - a + 1)
+                assert lost_runs == [
+                    LostRun(a % mod, b - a + 1,
+                            10 * (a - 1) if a > start else 0, 10 * (b + 1), b - a + 1)
                     for a, b in runs
                 ], where
+                assert ledger.snapshot()["gaps"] == [
+                    [a % mod, b - a + 1] for a, b in runs
+                ], where
     assert arrivals_below_lowest > 0
+    assert wrapped_runs > 0
 
 
 def test_forged_session_jump_allocates_no_gap_entries():
-    """A jump of 10**6 sessions is one lost run, not 10**6 ledger entries."""
-    ledger = SessionLedger(MID, initial_session=0)
-    reports = [_report(0, 1000), _report(10**6, 2000)]
-    tracemalloc.start()
-    try:
-        _feed(ledger, reports)
-        runs = ledger.bounded_runs()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert runs == [(1000, 2000, 10**6 - 1)]
-    assert peak < 2**20, f"peak {peak} B"
+    """A forward jump of 10**6 sessions, or of the widest one the wrap rule
+    reads as forward, is one lost run, in the ledger and in its snapshot."""
+    for jump in (10**6, 2**31 - 1):
+        ledger = SessionLedger(MID, initial_session=0)
+        reports = [_report(0, 1000), _report(jump, 2000)]
+        tracemalloc.start()
+        try:
+            _feed(ledger, reports)
+            runs = ledger.lost_runs()
+            snap = ledger.snapshot()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert runs == [LostRun(1, jump - 1, 1000, 2000, jump - 1)]
+        assert snap["gaps"] == [[1, jump - 1]]
+        assert peak < 2**20, f"jump {jump}: peak {peak} B"
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +295,7 @@ def test_reconstruct_recovers_losses_before_first_contact():
     # 3 quantum events are known to predate it (4 minus the one it carries)
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(3, 7000))
-    assert ledger.detect_gaps() == [0, 1, 2]
+    assert ledger.lost_runs() == [LostRun(0, 3, 0, 7000, 3)]
     result = ledger.reconstruct(1000, (0, 10_000))
     assert result.quanta_received == 1
     assert result.quanta_recovered == 3
@@ -298,7 +307,7 @@ def test_lost_heartbeats_add_no_consumption():
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(0, 1000, quanta=1))
     ledger.ingest(_report(2, 3000, quanta=2))
-    assert ledger.detect_gaps() == [1]
+    assert ledger.lost_runs() == [LostRun(1, 1, 1000, 3000, 0)]
     result = ledger.reconstruct(1000, (0, 10_000))
     assert result.quanta_received == 2
     assert result.quanta_recovered == 0
@@ -341,7 +350,7 @@ def test_unbounded_trailing_loss_is_invisible():
     result = ledger.reconstruct(1000, (0, 10_000))
     assert result.quanta_received == 1
     assert result.quanta_recovered == 0
-    assert ledger.detect_gaps() == []
+    assert ledger.lost_runs() == []
 
 
 def test_reconstruct_errors():
@@ -362,8 +371,8 @@ def test_uniform_interpolation_midpoint():
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(0, 1000))
     ledger.ingest(_report(2, 2000))
-    placed = ledger.interpolate_lost_times([1])
-    assert placed == [(1, 1500.0)]
+    [run] = ledger.lost_runs()
+    assert ledger.interpolate_lost_times(run) == [(1, 1500.0)]
 
 
 def test_uniform_interpolation_quartiles():
@@ -372,7 +381,8 @@ def test_uniform_interpolation_quartiles():
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(0, 0))
     ledger.ingest(_report(4, 600_000))
-    placed = ledger.interpolate_lost_times([1, 2, 3])
+    [run] = ledger.lost_runs()
+    placed = ledger.interpolate_lost_times(run)
     assert placed == [(1, 150_000.0), (2, 300_000.0), (3, 450_000.0)]
 
 
@@ -380,7 +390,9 @@ def test_interpolation_is_strictly_interior_and_increasing():
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(0, 1000))
     ledger.ingest(_report(9, 1010))
-    placed = ledger.interpolate_lost_times(list(range(1, 9)))
+    [run] = ledger.lost_runs()
+    placed = ledger.interpolate_lost_times(run)
+    assert [s for s, _ in placed] == list(range(1, 9))
     times = [t for _, t in placed]
     assert all(1000 < t < 1010 for t in times)
     assert times == sorted(times)
@@ -392,13 +404,10 @@ def test_interpolation_open_run_yields_nothing_until_closed():
     ledger.ingest(_report(0, 1000))
     ledger.ingest(_report(3, 4000))
     ledger.ingest(_report(6, 9000))
-    assert ledger.detect_gaps() == [1, 2, 4, 5]
+    runs = ledger.lost_runs()
+    assert [(r.first, r.count) for r in runs] == [(1, 2), (4, 2)]
     # sessions 4,5 sit between accepted 3 and 6: placeable
-    assert len(ledger.interpolate_lost_times([4, 5])) == 2
-    with pytest.raises(ValueError):
-        ledger.interpolate_lost_times([2, 4])  # not contiguous
-    with pytest.raises(ValueError):
-        ledger.interpolate_lost_times([3])  # not lost
+    assert len(ledger.interpolate_lost_times(runs[1])) == 2
 
 
 def test_profile_directed_interpolation_follows_mass():
@@ -410,7 +419,8 @@ def test_profile_directed_interpolation_follows_mass():
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(0, 0))
     ledger.ingest(_report(2, 2 * HOUR))
-    [(sess, t)] = ledger.interpolate_lost_times([1], profile)
+    [run] = ledger.lost_runs()
+    [(sess, t)] = ledger.interpolate_lost_times(run, profile)
     assert sess == 1
     assert t == pytest.approx(45 * 60_000, abs=1)
 
@@ -424,7 +434,9 @@ def test_profile_quantiles_shift_toward_heavy_evening():
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(0, 0))
     ledger.ingest(_report(4, 24 * HOUR))
-    placed = ledger.interpolate_lost_times([1, 2, 3], profile)
+    [run] = ledger.lost_runs()
+    placed = ledger.interpolate_lost_times(run, profile)
+    assert [s for s, _ in placed] == [1, 2, 3]
     for _, t in placed:
         assert 18 * HOUR < t < 19 * HOUR
 
@@ -513,7 +525,8 @@ def test_two_lost_sessions_land_on_exact_thirds():
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(0, 0))
     ledger.ingest(_report(3, 1000))
-    assert ledger.interpolate_lost_times([1, 2]) == [
+    [run] = ledger.lost_runs()
+    assert ledger.interpolate_lost_times(run) == [
         (1, Fraction(1000, 3)), (2, Fraction(2000, 3))]
 
 
@@ -521,7 +534,8 @@ def test_degenerate_bracket_pins_to_boundary():
     ledger = SessionLedger(MID, initial_session=0)
     ledger.ingest(_report(0, 5000))
     ledger.ingest(_report(2, 5000))  # same reception instant
-    assert ledger.interpolate_lost_times([1]) == [(1, 5000.0)]
+    [run] = ledger.lost_runs()
+    assert ledger.interpolate_lost_times(run) == [(1, 5000.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ from risim.eventlog import (
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
+#: a lone 0xff byte, carried in a str as its surrogate escape
+NOT_UTF8 = b"\xff".decode("utf-8", "surrogateescape")
+
+
+def _encoded(text: str) -> bytes:
+    """``text`` as UTF-8, with each surrogate escape back as its raw byte."""
+    return text.encode("utf-8", "surrogateescape")
+
 
 def test_cli_import_leaves_numpy_out():
     # risim has no runtime dependency: a fresh interpreter that imports the
@@ -91,7 +99,7 @@ def test_run_is_reproducible_by_hash(tmp_path):
 SHIPPED_DIGESTS = {
     "default.json": (
         "d7691be657c97dd753ef29796ba9bb7116f13018866648fe2513f04ed59eab93",
-        "14dcf79454b35f2159e04722b2eb3022c0a5b21639b9cd361930bcfcdc905113",
+        "a931ab1d7a75cf6b1da23089ffc3475046e92e105a78f37c81a4f0686343054d",
         "0d6892f58721e19cb0cda43ccd6bf5144348d495b1f4d41974fc773c8b3e3632",
     ),
     "night_idle.json": (
@@ -320,22 +328,29 @@ def _payload_a_number(lines, i):
     return f"line {j + 1}: not a record: payload"
 
 
+def _not_utf8(lines, i):
+    lines[i] += NOT_UTF8
+    return f"line {i + 1}: not a record: 'utf-8' codec can't decode byte 0xff"
+
+
 @pytest.mark.parametrize("edit", [_delete_line, _duplicate_line, _seq_a_boolean,
                                   _seq_a_float, _half_ms_on_an_ingest_line,
-                                  _kind_retired, _nested_too_deeply, _payload_a_number])
+                                  _kind_retired, _nested_too_deeply, _payload_a_number,
+                                  _not_utf8])
 def test_replay_rejects_a_seq_gap_or_repeat(tmp_path, capsys, edit):
     """``seq`` runs 0, 1, 2, ...; a lost or repeated drop line is caught
     although the ledgers it leaves behind still match, and so is a ``seq``
     or ``sim_time_ms`` that is not a whole number, a kind the log no longer
-    has, a line nested too deeply to parse, and a ``payload`` that is not a
-    JSON object on a line replay would otherwise skip."""
+    has, a line nested too deeply to parse, a ``payload`` that is not a
+    JSON object on a line replay would otherwise skip, and a line that is
+    not UTF-8."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     lines = (out / "events.ndjson").read_text().splitlines()
     first = next(i for i, line in enumerate(lines) if '"kind":"drop"' in line)
     where = edit(lines, first)
-    (out / "events.ndjson").write_text("\n".join(lines) + "\n")
+    (out / "events.ndjson").write_bytes(_encoded("\n".join(lines) + "\n"))
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
     err = capsys.readouterr().err
@@ -345,6 +360,7 @@ def test_replay_rejects_a_seq_gap_or_repeat(tmp_path, capsys, edit):
 
 @pytest.mark.parametrize("line", [
     "{}", "[1]", '"x"', pytest.param("[" * 200_000, id="nested_too_deeply"),
+    pytest.param(NOT_UTF8, id="not_utf8"),
 ])
 def test_replay_rejects_a_ledger_line_that_is_not_a_snapshot(tmp_path, capsys, line):
     scn = _write_scenario(tmp_path)
@@ -352,7 +368,7 @@ def test_replay_rejects_a_ledger_line_that_is_not_a_snapshot(tmp_path, capsys, l
     main(["run", str(scn), "--out", str(out)])
     ledgers = out / "ledgers.ndjson"
     n_lines = ledgers.read_text().count("\n")
-    ledgers.write_text(ledgers.read_text() + line + "\n")
+    ledgers.write_bytes(_encoded(ledgers.read_text() + line + "\n"))
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
     err = capsys.readouterr().err
@@ -542,9 +558,13 @@ def test_malformed_scenario_value_is_one_config_error_line(tmp_path, capsys, edi
     assert names in err
 
 
-def test_scenario_nested_too_deeply_is_one_config_error_line(tmp_path, capsys):
-    scn = tmp_path / "deep.json"
-    scn.write_text("[" * 200_000)
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 200_000, id="nested_too_deeply"),
+    pytest.param('{"seed": 1' + NOT_UTF8 + "}", id="not_utf8"),
+])
+def test_unparsable_scenario_is_one_config_error_line(tmp_path, capsys, text):
+    scn = tmp_path / "scenario.json"
+    scn.write_bytes(_encoded(text))
     assert main(["run", str(scn), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1

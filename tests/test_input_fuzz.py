@@ -2,7 +2,8 @@
 ingest record (a payload field, ``seq`` or ``sim_time_ms``) is replaced
 with a value of the wrong kind, or a scenario object gains a key the
 loader does not read, and the CLI must answer with its exit code and at
-most one stderr line, never a traceback."""
+most one stderr line, never a traceback.  A logged frame forged to a far
+session must not cost replay memory in proportion to the jump."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import io
 import json
 import shutil
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from risim.cli import main
 from risim.config import _KEYS, _TRACE_PARAMS
+from risim.domain import decode_frame, encode_frame
 
 HOSTILE = [True, 1.5, -1, "x", None, [], {}]
 
@@ -158,3 +162,30 @@ def test_log_ingest_field_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, va
         assert err.count("\n") == 1, (field, value, err)
     if field in TOP_LEVEL:
         assert code == 1, (field, value)
+
+
+def test_log_frame_forged_to_the_widest_forward_jump_replays_in_bounded_memory(run_dir):
+    """One ingest frame re-encoded to session 2**31 - 1, the widest jump the
+    wrap rule reads as forward: replay names the one meter that no longer
+    matches, and its memory stays a small multiple of the run's bytes."""
+    lines = (run_dir / "events.ndjson").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line)
+    rec = json.loads(lines[i])
+    msg = replace(decode_frame(bytes.fromhex(rec["payload"]["frame_hex"])), session=2**31 - 1)
+    rec["payload"].update(frame_hex=encode_frame(msg).hex(), session=msg.session)
+    lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(run_dir / "ledgers.ndjson", tmp)
+        (Path(tmp) / "events.ndjson").write_text("\n".join(lines) + "\n")
+        run_bytes = sum(f.stat().st_size for f in Path(tmp).iterdir())
+        tracemalloc.start()
+        try:
+            code, err = _cli(["replay", tmp])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 1, err
+    assert err == f"replay mismatch at meter {msg.meter_id:#x}\n"
+    # an unforged replay peaks at about 1.8 times the run's bytes; a
+    # 10**6 jump listed session by session peaked at about 900 times
+    assert peak < 4 * run_bytes, (peak, run_bytes)

@@ -132,7 +132,7 @@ def test_lossless_run_delivers_every_quantum():
     assert res.metrics[mid].message_count == 36
     ledger = res.center.ledgers()[mid]
     assert ledger.accepted_count() == 36
-    assert ledger.detect_gaps() == []
+    assert ledger.lost_runs() == []
     recon = ledger.reconstruct(1000, (0, sc.horizon_ms))
     assert recon.amount_du == 36_000
     assert recon.amount_du == res.traces[mid].total_du()
