@@ -6,7 +6,6 @@ guarantees it cannot be addressed or reconfigured over the air.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -58,22 +57,6 @@ class MeterConfig:
             raise ValueError("max flow must be nonnegative")
 
 
-def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
-             mtype: MessageType) -> MeterMessage:
-    """The frame content of one transmission, after it spent ``tx_cost``."""
-    return MeterMessage(
-        meter_id=cfg.id,
-        session=session % SESSION_MOD,
-        kind=cfg.kind,
-        message_type=mtype,
-        quality=QualityVector.nominal(cfg.kind),
-        state=MeterState(
-            battery=round(max(battery, 0) * 200 / cfg.battery_capacity),
-            cumulative_quanta=quanta % 2**32,
-        ),
-    )
-
-
 class MeterRun:
     """Exact event schedule for one meter over one trace.
 
@@ -87,6 +70,9 @@ class MeterRun:
     ``battery_remaining`` holds the final battery and ``depleted_at_ms`` the
     death time if the battery died inside the horizon (0 for a meter
     installed with an empty battery).
+
+    The closed form is evaluated in integers: per frame only the numerators
+    below change, and ``Fraction`` arithmetic runs once per segment or run.
     """
 
     def __init__(self, cfg: MeterConfig, trace: ConsumptionTrace) -> None:
@@ -97,50 +83,92 @@ class MeterRun:
 
     def events(self) -> Iterator[tuple[int, MeterMessage]]:
         cfg = self.cfg
-        q, d, interval = cfg.quantum_du, cfg.drift_rate, cfg.heartbeat_interval_ms
         cap, cost, drain = cfg.battery_capacity, cfg.tx_cost, cfg.idle_drain_per_hour
         if cap <= 0:
             self.depleted_at_ms = 0
             return
+        q, interval = cfg.quantum_du, cfg.heartbeat_interval_ms
+        dn, dd = cfg.drift_rate.numerator, cfg.drift_rate.denominator
+        meter, kind = cfg.id, cfg.kind
+        quality = QualityVector.nominal(kind)
+        # In wire units the battery at instant A/Q after s sends is
+        # 200 − r·s − g·A/Q.  Over unit·Q, with unit = rd·gd, its numerator is
+        # Q·left − per_ms·A, where left = (200 − r·s)·unit and per_ms = g·unit:
+        # its sign says whether the battery is empty, and its quotient rounded
+        # half to even is the battery byte.
+        r = 200 * cost / cap
+        g = 200 * drain / (MS_PER_HOUR * cap)
+        unit = r.denominator * g.denominator
+        step, per_ms = r.numerator * g.denominator, g.numerator * r.denominator
+        left = 200 * unit
         sent = quanta = last_tx = 0
         consumed = Fraction(0)  # registered flow at the segment start
-        death = cap * MS_PER_HOUR / drain if drain else None
         for start, end, rate in self.trace.segments():
+            a = rate.numerator
+            if a:
+                # quantum n lies num(n)/den after the segment start, with
+                # num(n) = n·(lin + quad·(n − 1)) − base
+                b, c, dc = rate.denominator, consumed.numerator, consumed.denominator
+                k = 2 * dd * dc
+                lin = k * q * MS_PER_HOUR * b
+                quad = dc * q * dn * MS_PER_HOUR * b
+                base = 2 * dd * c * MS_PER_HOUR * b
+                den = k * a
             while True:
-                n = quanta + 1
-                crossing = None
-                if rate > 0:
-                    threshold = q * n + q * d * (n * (n - 1) // 2)
-                    crossing = start + (threshold - consumed) * MS_PER_HOUR / rate
                 beat = last_tx + interval
-                if crossing is not None and crossing <= min(end, beat):
-                    at, mtype = crossing, MessageType.QUANTUM_EVENT
+                if a:
+                    # t is the crossing's emission ms; end and beat are whole
+                    # ms, so the crossing lies at or before them exactly when
+                    # t does, and it wins a tie with the heartbeat
+                    n = quanta + 1
+                    num = n * (lin + quad * quanta) - base
+                    t = start - (-num // den)
+                if a and t <= end and t <= beat:
                     quanta = n
+                    mtype = MessageType.QUANTUM_EVENT
+                    at_q, at_a = den, start * den + num
                 elif beat <= end:
-                    at, mtype = beat, MessageType.HEARTBEAT
+                    t = beat
+                    mtype = MessageType.HEARTBEAT
+                    at_q, at_a = 1, beat
                 else:
                     break
-                if death is not None and death <= at:
-                    self._die(death, 0)
+                # empty before the frame: drain killed the meter at
+                # left / per_ms (without drain, left > 0 between frames)
+                level = at_q * left - per_ms * at_a
+                if level <= 0:
+                    self._die(-(-left // per_ms), Fraction(0))
                     return
                 sent += 1
-                battery = cap - cost * sent - drain * at / MS_PER_HOUR
-                last_tx = math.ceil(at)
-                yield last_tx, _message(cfg, battery, quanta, sent - 1, mtype)
-                if battery <= 0:
-                    self._die(at, battery)
+                left -= step
+                level -= at_q * step
+                byte = 0
+                if level > 0:
+                    whole = unit * at_q
+                    byte, rest = divmod(level, whole)
+                    rest *= 2
+                    if rest > whole or (rest == whole and byte & 1):
+                        byte += 1
+                last_tx = t
+                state = MeterState(byte, cumulative_quanta=quanta % 2**32)
+                yield t, MeterMessage(meter, (sent - 1) % SESSION_MOD, kind, mtype, quality, state)
+                if level <= 0:
+                    self._die(t, self._battery(sent, Fraction(at_a, at_q)))
                     return
-                if drain:
-                    death = (cap - cost * sent) * MS_PER_HOUR / drain
-            if death is not None and death <= end:
-                self._die(death, 0)
+            if left <= per_ms * end:
+                self._die(-(-left // per_ms), Fraction(0))
                 return
             consumed += rate * (end - start) / MS_PER_HOUR
-        self.battery_remaining = cap - cost * sent - drain * self.trace.horizon_ms / MS_PER_HOUR
+        self.battery_remaining = self._battery(sent, self.trace.horizon_ms)
 
-    def _die(self, at, battery) -> None:
-        self.depleted_at_ms = math.ceil(at)
-        self.battery_remaining = Fraction(battery)
+    def _battery(self, sent: int, at: Fraction | int) -> Fraction:
+        cfg = self.cfg
+        return (cfg.battery_capacity - cfg.tx_cost * sent
+                - cfg.idle_drain_per_hour * at / MS_PER_HOUR)
+
+    def _die(self, at_ms: int, battery: Fraction) -> None:
+        self.depleted_at_ms = at_ms
+        self.battery_remaining = battery
 
 
 def battery_lifetime(cfg: MeterConfig, trace: ConsumptionTrace) -> int | None:

@@ -273,15 +273,21 @@ def _registers_at(trace: ConsumptionTrace, times: list[int]) -> list[tuple[int, 
     The times are increasing and inside the trace's horizon, so one forward
     pass over the trace's segments reads them all.
     """
-    segments = iter(trace.segments())
-    start, end, rate = next(segments)
-    consumed = Fraction(0)
     out = []
-    for t in times:
-        while t > end:
-            consumed += rate * (end - start) / MS_PER_HOUR
-            start, end, rate = next(segments)
-        out.append((t, int(consumed + rate * (t - start) / MS_PER_HOUR)))
+    i = 0
+    consumed = Fraction(0)
+    for start, end, rate in trace.segments():
+        if i == len(times):
+            break
+        # consumed + rate·(t − start)/1 h = (c·b·1 h + d·a·(t − start)) / (d·b·1 h)
+        c, d = consumed.numerator, consumed.denominator
+        a, b = rate.numerator, rate.denominator
+        top, per_ms, scale = c * b * MS_PER_HOUR, d * a, d * b * MS_PER_HOUR
+        while i < len(times) and times[i] <= end:
+            t = times[i]
+            out.append((t, (top + per_ms * (t - start)) // scale))
+            i += 1
+        consumed += rate * (end - start) / MS_PER_HOUR
     return out
 
 

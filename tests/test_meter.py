@@ -8,6 +8,7 @@ floor(T / heartbeat_interval) heartbeats over T ms.
 
 from __future__ import annotations
 
+import cProfile
 import inspect
 import math
 from dataclasses import dataclass, replace
@@ -23,11 +24,14 @@ from risim.domain import (
     MS_PER_HOUR,
     MessageType,
     MeterMessage,
+    MeterState,
+    QualityVector,
     ResourceKind,
+    SESSION_MOD,
     encode_frame,
     meter_id,
 )
-from risim.meter import MeterConfig, MeterRun, _message, battery_lifetime
+from risim.meter import MeterConfig, MeterRun, battery_lifetime
 from risim.traces import ConsumptionTrace
 
 MID = meter_id(7)
@@ -180,6 +184,15 @@ def test_dead_battery_emits_nothing():
     assert run.depleted_at_ms == 250
 
 
+def test_battery_byte_rounds_half_to_even():
+    # capacity 80 spends 2.5 wire units per send: 197.5, 192.5 and 187.5
+    # round to the even byte, as round() of the exact level does
+    cfg = _cfg(battery_capacity=Fraction(80), tx_cost=Fraction(1))
+    trace = ConsumptionTrace(MID, ((0, Fraction(60_000)),), MS_PER_HOUR)
+    events = list(MeterRun(cfg, trace).events())
+    assert [m.state.battery for _, m in events[:6]] == [198, 195, 192, 190, 188, 185]
+
+
 def test_heartbeat_skipped_when_dead():
     # capacity 3 and an hourly heartbeat: three heartbeats, then silence
     cfg = _cfg(battery_capacity=Fraction(3), heartbeat_interval_ms=MS_PER_HOUR)
@@ -303,8 +316,45 @@ def test_meter_has_no_receive_surface():
             assert "MeterMessage" not in str(param.annotation)
 
 
+@pytest.mark.parametrize("drain", [Fraction(0), Fraction(1)])
+def test_schedule_builds_no_fraction_per_frame(drain):
+    """Fraction arithmetic runs once per segment or run, never per frame: a
+    pass over 10**4 quanta on one segment builds fewer than 50 of them."""
+    cfg = _cfg(quantum_du=1000, idle_drain_per_hour=drain)
+    trace = ConsumptionTrace(MID, ((0, Fraction(10**6)),), 10 * MS_PER_HOUR)
+    run = MeterRun(cfg, trace)
+    profile = cProfile.Profile()
+    profile.enable()
+    frames = sum(1 for _ in run.events())
+    profile.disable()
+    assert frames == 10**4
+    profile.create_stats()
+    # newer Pythons build arithmetic results through _from_coprime_ints
+    source = Fraction.__new__.__code__.co_filename
+    built = sum(stat[1] for (path, _, name), stat in profile.stats.items()
+                if path == source and name in ("__new__", "_from_coprime_ints"))
+    assert built < 50
+
+
 # ---------------------------------------------------------------------------
 # reference schedules: the per-step state machine MeterRun's closed form replaced
+
+
+def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
+             mtype: MessageType) -> MeterMessage:
+    """The frame of one transmission, after it spent ``tx_cost``: the
+    battery byte is ``round`` of an exact ``Fraction``, ties to even."""
+    return MeterMessage(
+        meter_id=cfg.id,
+        session=session % SESSION_MOD,
+        kind=cfg.kind,
+        message_type=mtype,
+        quality=QualityVector.nominal(cfg.kind),
+        state=MeterState(
+            battery=round(max(battery, 0) * 200 / cfg.battery_capacity),
+            cumulative_quanta=quanta % 2**32,
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -395,6 +445,7 @@ class _StepRun:
         self.trace = trace
         self.runtime = MeterRuntime.installed(cfg)
         self.depleted_at_ms: int | None = None
+        self.instants: list[Fraction] = []  # exact instant of each frame
 
     @property
     def battery_remaining(self) -> Fraction:
@@ -424,8 +475,10 @@ class _StepRun:
                 rt, heartbeat = heartbeat_check(rt, cfg, now)
                 self.runtime = rt
                 for msg in msgs:
+                    self.instants.append(step_to)
                     yield now, msg
                 if heartbeat is not None:
+                    self.instants.append(step_to)
                     yield now, heartbeat
                 cursor = step_to
                 if rt.battery_remaining <= 0:
@@ -507,6 +560,14 @@ _rates = st.one_of(
     st.sampled_from([Fraction(0), Fraction(0), Fraction(3000), Fraction(6000),
                      Fraction(7000), Fraction(1234, 7)]),
     st.fractions(min_value=0, max_value=9000, max_denominator=13),
+    st.fractions(min_value=0, max_value=9000, max_denominator=10**6),
+)
+
+# Capacities 16 and 80 put some battery levels at exactly half a wire unit.
+_capacities = st.one_of(
+    st.sampled_from([Fraction(16), Fraction(80)]),
+    st.fractions(min_value=1, max_value=200, max_denominator=4),
+    st.fractions(min_value=1, max_value=200, max_denominator=10**6),
 )
 
 
@@ -518,15 +579,38 @@ def _schedules(draw):
     breakpoints = tuple(
         (m * 60_000, draw(_rates)) for m in [0] + sorted(starts)
     )
+    quantum = draw(st.sampled_from([1, 500, 777, 1000]))
+    # a free send with a 1 du quantum would make up to 10**5 frames
+    costs = ([Fraction(0)] if quantum > 1 else []) + [Fraction(1), Fraction(3, 2)]
     cfg = _cfg(
-        quantum_du=draw(st.sampled_from([500, 777, 1000])),
+        quantum_du=quantum,
         heartbeat_interval_ms=draw(st.sampled_from([10, 20, 30, 60, 150])) * 60_000,
-        battery_capacity=draw(st.fractions(min_value=1, max_value=200, max_denominator=4)),
-        tx_cost=draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2)])),
+        battery_capacity=draw(_capacities),
+        tx_cost=draw(st.sampled_from(costs)),
         idle_drain_per_hour=draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(5)])),
         drift_rate=draw(st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 50)])),
     )
-    return cfg, ConsumptionTrace(MID, breakpoints, horizon_min * 60_000)
+    trace = ConsumptionTrace(MID, breakpoints, horizon_min * 60_000)
+    # An interval as long as the first frame's time, if that frame is a
+    # crossing, puts the crossing exactly on the heartbeat deadline.
+    if draw(st.booleans()):
+        first = next(_StepRun(cfg, trace).events(), None)
+        if first is not None and first[1].message_type is MessageType.QUANTUM_EVENT:
+            cfg = replace(cfg, heartbeat_interval_ms=first[0])
+    # Drain that puts the death exactly on a crossing or a heartbeat: frame j
+    # at instant t (drain leaves instants alone) finds the battery at
+    # capacity − tx_cost·j − drain·t / 1 h, which is zero for this drain.
+    tie = draw(st.sampled_from([None, MessageType.QUANTUM_EVENT, MessageType.HEARTBEAT]))
+    if tie is not None:
+        ref = _StepRun(replace(cfg, idle_drain_per_hour=Fraction(0)), trace)
+        sent = [msg for _, msg in ref.events()]
+        frames = [(j, at) for j, (msg, at) in enumerate(zip(sent, ref.instants))
+                  if msg.message_type is tie]
+        if frames:
+            j, at = draw(st.sampled_from(frames))
+            drain = (cfg.battery_capacity - cfg.tx_cost * j) * MS_PER_HOUR / at
+            cfg = replace(cfg, idle_drain_per_hour=drain)
+    return cfg, trace
 
 
 @settings(max_examples=150, deadline=None)
