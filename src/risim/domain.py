@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 MS_PER_MINUTE = 60_000
 MS_PER_HOUR = 3_600_000
@@ -187,17 +188,6 @@ class QualityVector:
             if not -(2**15) <= v < 2**15:
                 raise ValueError(f"quality field {name} out of 16-bit range: {v}")
 
-    @classmethod
-    def nominal(cls, kind: ResourceKind) -> QualityVector:
-        """The shared nominal readout of ``kind``, built once per kind."""
-        return _NOMINAL_QUALITY[kind]
-
-
-_NOMINAL_QUALITY = {
-    kind: QualityVector(kind, values) for kind, values in NOMINAL_QUALITY_DU.items()
-}
-
-
 @dataclass(frozen=True)
 class MeterState:
     """Self-reported device health carried in every message."""
@@ -239,11 +229,10 @@ class MeterMessage:
             raise ValueError("quality vector kind does not match message kind")
 
 
-@dataclass(frozen=True)
-class ConcentratorReport:
-    """A meter message stamped with reception time by one concentrator."""
+class ConcentratorReport(NamedTuple):
+    """A meter's wire frame stamped with reception time by one concentrator."""
 
-    message: MeterMessage
+    frame: bytes
     concentrator_id: int
     rx_time_ms: int
 
@@ -254,6 +243,11 @@ class ConcentratorReport:
 def frame_size(kind: ResourceKind) -> int:
     """Encoded frame length in bytes for the given kind."""
     return 21 + 2 * len(QUALITY_FIELDS[kind])
+
+
+#: per kind tag, a frame's meter id, session, battery, flags and cumulative quanta
+_HEADER = {tag: struct.Struct(f"<3xQI{2 * len(QUALITY_FIELDS[kind])}xBBI")
+           for kind, tag in _KIND_TAG.items()}
 
 
 def encode_frame(msg: MeterMessage) -> bytes:
@@ -277,13 +271,14 @@ def encode_frame(msg: MeterMessage) -> bytes:
     return head + qual + tail
 
 
-def decode_frame(data: bytes) -> MeterMessage:
-    """Parse a wire frame back into a message.
+def frame_header(data: bytes) -> tuple[ResourceKind, MessageType, int, int, int]:
+    """Check a wire frame against the decoder rules and read its
+    (kind, message type, meter id, session, cumulative quanta).
 
     Raises:
         MalformedFrame: on bad version, unknown kind or type tag, a length
-            that does not match the declared kind, or an out-of-range
-            battery byte.
+            that does not match the declared kind, an out-of-range battery
+            byte, or a reserved flag bit set.
     """
     if len(data) < 3:
         raise MalformedFrame(f"frame too short: {len(data)} bytes")
@@ -296,32 +291,41 @@ def decode_frame(data: bytes) -> MeterMessage:
     mtype = _TAG_TYPE.get(type_tag)
     if mtype is None:
         raise MalformedFrame(f"unknown message type tag: {type_tag}")
-    expected = frame_size(kind)
-    if len(data) != expected:
+    layout = _HEADER[kind_tag]
+    if len(data) != layout.size:
         raise MalformedFrame(
-            f"{kind.value} frame must be {expected} bytes, got {len(data)}"
+            f"{kind.value} frame must be {layout.size} bytes, got {len(data)}"
         )
-    _, _, _, mid, session = struct.unpack_from("<BBBQI", data, 0)
-    nfields = len(QUALITY_FIELDS[kind])
-    values = struct.unpack_from(f"<{nfields}h", data, 15)
-    battery, flags, cumulative = struct.unpack_from("<BBI", data, 15 + 2 * nfields)
+    mid, session, battery, flags, cumulative = layout.unpack(data)
     if battery > 200:
         raise MalformedFrame(f"battery byte out of range: {battery}")
-    state = MeterState(
-        battery=battery,
-        tamper_flag=bool(flags & FLAG_TAMPER),
-        sensor_fault=bool(flags & FLAG_SENSOR_FAULT),
-        clockless_idle=bool(flags & FLAG_CLOCKLESS_IDLE),
-        cumulative_quanta=cumulative,
-    )
-    return MeterMessage(
-        meter_id=mid,
-        session=session,
-        kind=kind,
-        message_type=mtype,
-        quality=QualityVector(kind, tuple(values)),
-        state=state,
-    )
+    if flags & 0xF8:   # bits 3-7 are reserved
+        raise MalformedFrame(f"reserved flag bits set: {flags:#04x}")
+    return kind, mtype, mid, session, cumulative
+
+
+def decode_frame(data: bytes) -> MeterMessage:
+    """Parse a wire frame into a message; raises MalformedFrame as ``frame_header`` does."""
+    kind, mtype, mid, session, cumulative = frame_header(data)
+    nfields = len(QUALITY_FIELDS[kind])
+    quality = QualityVector(kind, struct.unpack_from(f"<{nfields}h", data, 15))
+    battery, flags = data[15 + 2 * nfields], data[16 + 2 * nfields]
+    state = MeterState(battery, bool(flags & FLAG_TAMPER), bool(flags & FLAG_SENSOR_FAULT),
+                       bool(flags & FLAG_CLOCKLESS_IDLE), cumulative)
+    return MeterMessage(mid, session, kind, mtype, quality, state)
+
+
+def frame_builder(meter_id: int, kind: ResourceKind, mtype: MessageType):
+    """``build(session, battery, flags, cumulative)`` for one meter's frames
+    of one type: what ``encode_frame`` gives for the kind's nominal quality,
+    as a fixed prefix plus one ``struct.pack``."""
+    prefix = struct.pack("<BBBQ", FRAME_VERSION, _KIND_TAG[kind], _TYPE_TAG[mtype], meter_id)
+    quality = struct.pack(f"<{len(QUALITY_FIELDS[kind])}h", *NOMINAL_QUALITY_DU[kind])
+    pack = struct.Struct(f"<I{len(quality)}sBBI").pack
+
+    def build(session: int, battery: int, flags: int, cumulative: int) -> bytes:
+        return prefix + pack(session, quality, battery, flags, cumulative)
+    return build
 
 
 # ---------------------------------------------------------------------------

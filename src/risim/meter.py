@@ -15,11 +15,9 @@ from .domain import (
     MS_PER_DAY,
     MS_PER_HOUR,
     MessageType,
-    MeterMessage,
-    MeterState,
-    QualityVector,
     ResourceKind,
     SESSION_MOD,
+    frame_builder,
 )
 from .traces import ConsumptionTrace
 
@@ -81,7 +79,8 @@ class MeterRun:
         self.battery_remaining = cfg.battery_capacity
         self.depleted_at_ms: int | None = None
 
-    def events(self) -> Iterator[tuple[int, MeterMessage]]:
+    def events(self) -> Iterator[tuple[int, int, int, bytes]]:
+        """(emission ms, meter id, session, frame) per transmission, in order."""
         cfg = self.cfg
         cap, cost, drain = cfg.battery_capacity, cfg.tx_cost, cfg.idle_drain_per_hour
         if cap <= 0:
@@ -89,8 +88,9 @@ class MeterRun:
             return
         q, interval = cfg.quantum_du, cfg.heartbeat_interval_ms
         dn, dd = cfg.drift_rate.numerator, cfg.drift_rate.denominator
-        meter, kind = cfg.id, cfg.kind
-        quality = QualityVector.nominal(kind)
+        meter = cfg.id
+        quantum_frame = frame_builder(meter, cfg.kind, MessageType.QUANTUM_EVENT)
+        heartbeat_frame = frame_builder(meter, cfg.kind, MessageType.HEARTBEAT)
         # In wire units the battery at instant A/Q after s sends is
         # 200 − r·s − g·A/Q.  Over unit·Q, with unit = rd·gd, its numerator is
         # Q·left − per_ms·A, where left = (200 − r·s)·unit and per_ms = g·unit:
@@ -125,11 +125,11 @@ class MeterRun:
                     t = start - (-num // den)
                 if a and t <= end and t <= beat:
                     quanta = n
-                    mtype = MessageType.QUANTUM_EVENT
+                    build = quantum_frame
                     at_q, at_a = den, start * den + num
                 elif beat <= end:
                     t = beat
-                    mtype = MessageType.HEARTBEAT
+                    build = heartbeat_frame
                     at_q, at_a = 1, beat
                 else:
                     break
@@ -150,8 +150,8 @@ class MeterRun:
                     if rest > whole or (rest == whole and byte & 1):
                         byte += 1
                 last_tx = t
-                state = MeterState(byte, cumulative_quanta=quanta % 2**32)
-                yield t, MeterMessage(meter, (sent - 1) % SESSION_MOD, kind, mtype, quality, state)
+                session = (sent - 1) % SESSION_MOD
+                yield t, meter, session, build(session, byte, 0, quanta % 2**32)
                 if level <= 0:
                     self._die(t, self._battery(sent, Fraction(at_a, at_q)))
                     return
@@ -169,15 +169,3 @@ class MeterRun:
     def _die(self, at_ms: int, battery: Fraction) -> None:
         self.depleted_at_ms = at_ms
         self.battery_remaining = battery
-
-
-def battery_lifetime(cfg: MeterConfig, trace: ConsumptionTrace) -> int | None:
-    """Simulated time at which the battery reaches zero.
-
-    Returns None when the battery outlasts the trace horizon, as an explicit
-    survives-the-window marker rather than a sentinel number.
-    """
-    run = MeterRun(cfg, trace)
-    for _ in run.events():
-        pass
-    return run.depleted_at_ms

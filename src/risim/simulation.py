@@ -25,7 +25,8 @@ from .domain import (
     MS_PER_MINUTE,
     MessageType,
     Registry,
-    encode_frame,
+    encode_frame,  # unused here; perfbench's tracer patches this name
+    frame_header,
     frame_size,
     whole_number,
 )
@@ -161,34 +162,31 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
         for sm in scenario.meters()
         if sm.config.id in traces
     }
-    # each meter's stream is ordered by (time, session), so merging them gives
-    # the global (time, meter, session) order without holding every emission
-    emissions = heapq.merge(
-        *(run.events() for run in runs.values()),
-        key=lambda e: (e[0], e[1].meter_id, e[1].session),
-    )
+    # each meter yields (time, meter, session, frame) tuples in order, so merging
+    # them gives the global (time, meter, session) order without holding them all
+    emissions = heapq.merge(*(run.events() for run in runs.values()))
 
     rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM))
     counts: dict[int, int] = {}
-    for t, msg in emissions:
-        mid, session = msg.meter_id, msg.session
+    for t, mid, session, frame in emissions:
         counts[mid] = counts.get(mid, 0) + 1
         if log is not None:
-            frame_hex = encode_frame(msg).hex()
-            quantum = msg.message_type is MessageType.QUANTUM_EVENT
+            frame_hex = frame.hex()
+            kind, mtype, _, _, cumulative = frame_header(frame)
+            quantum = mtype is MessageType.QUANTUM_EVENT
             log.emit(EventKind.QUANTUM_EVENT if quantum else EventKind.HEARTBEAT, t, {
-                "cumulative_quanta": msg.state.cumulative_quanta,
+                "cumulative_quanta": cumulative,
                 "frame_hex": frame_hex,
                 "meter_id": mid,
-                "resource": msg.kind.value,
+                "resource": kind.value,
                 "session": session,
             })
         # every radio draw of the emission first, then one uplink draw per
         # copy that got through, in concentrator-id order
-        for cid, delivered in broadcast(vis, msg, rng):
+        for cid, delivered in broadcast(vis, mid, rng):
             threshold = uplink[cid]
             if delivered and not (threshold > 0 and rng.random() * DRAW_SCALE < threshold):
-                report = receive(conc[cid], msg, t)
+                report = receive(conc[cid], frame, t)
                 outcome = center.ingest(report)
                 if log is not None:
                     log.emit(EventKind.CENTER_INGEST, t, {

@@ -141,23 +141,6 @@ class ConsumptionTrace:
         start, rate = self.breakpoints[i]
         return self._prefix[i] + rate * (Fraction(t) - start) / MS_PER_HOUR
 
-    def consumed_between(self, a_ms, b_ms) -> Fraction:
-        return self.cumulative_du(b_ms) - self.cumulative_du(a_ms)
-
-    def total_du(self) -> Fraction:
-        return self.cumulative_du(self.horizon_ms)
-
-    def scaled(self, factor) -> ConsumptionTrace:
-        """Same shape with every rate multiplied by ``factor``."""
-        f = Fraction(factor)
-        if f < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return ConsumptionTrace(
-            self.meter_id,
-            tuple((t, r * f) for t, r in self.breakpoints),
-            self.horizon_ms,
-        )
-
 
 def generate_trace(spec: TraceSpec, seed: int, horizon_ms: int,
                    meter_id: int = 0) -> ConsumptionTrace:

@@ -27,11 +27,10 @@ from risim.domain import (
     Registry,
     ResourceKind,
     concentrator_id,
-    decode_frame,
     meter_id,
 )
 from risim.eventlog import EventKind, EventLog
-from risim.meter import MeterConfig, MeterRun, battery_lifetime
+from risim.meter import MeterConfig, MeterRun
 from risim.simulation import (
     Building,
     ScenarioConfig,
@@ -42,6 +41,8 @@ from risim.simulation import (
     worst_case_load,
 )
 from risim.traces import ConsumptionTrace, TraceSpec, generate_trace
+
+from oracles import battery_lifetime, scaled, total_du
 
 
 def _verdict(num: int, name: str) -> None:
@@ -83,8 +84,8 @@ def test_01_conservation_and_quantization():
         cfg = MeterConfig(id=mid, kind=ResourceKind.COLD_WATER,
                           quantum_du=quantum,
                           heartbeat_interval_ms=30 * MS_PER_DAY)
-        events = [(t, m.session) for t, m in MeterRun(cfg, trace).events()]
-        expected = trace.total_du() // quantum
+        events = [(t, session) for t, _, session, _ in MeterRun(cfg, trace).events()]
+        expected = total_du(trace) // quantum
         assert len(events) == expected, f"trial {trial}"
         # refine the trace: split every segment in half, same rates
         refined = []
@@ -94,7 +95,7 @@ def test_01_conservation_and_quantization():
             if mid_t > a:
                 refined.append((mid_t, rate))
         trace2 = ConsumptionTrace(mid, tuple(refined), horizon)
-        events2 = [(t, m.session) for t, m in MeterRun(cfg, trace2).events()]
+        events2 = [(t, session) for t, _, session, _ in MeterRun(cfg, trace2).events()]
         assert events2 == events, f"trial {trial}: segmentation changed emissions"
     elapsed = time.monotonic() - t_start
     assert elapsed < 10, f"took {elapsed:.1f}s"
@@ -146,7 +147,7 @@ def test_03_exact_recovery_under_loss():
                 if rec.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT):
                     emitted[rec.payload["session"]] = rec.kind
             n_qe = sum(1 for v in emitted.values() if v is EventKind.QUANTUM_EVENT)
-            assert n_qe == res.traces[mid].total_du() // quantum
+            assert n_qe == total_du(res.traces[mid]) // quantum
             ledger = res.center.ledgers().get(mid)
             if ledger is None or ledger.is_empty:
                 continue
@@ -219,7 +220,7 @@ def test_04_multipath_dedup_equivalence():
         center = MonitoringCenter(registry)
         for payload in ingests:
             center.ingest(ConcentratorReport(
-                message=decode_frame(bytes.fromhex(payload["frame_hex"])),
+                frame=bytes.fromhex(payload["frame_hex"]),
                 concentrator_id=payload["concentrator_id"],
                 rx_time_ms=payload["rx_time_ms"],
             ))
@@ -311,7 +312,7 @@ def test_08_battery_lifetime_model():
         seed=0, horizon_ms=30 * MS_PER_DAY, meter_id=cfg.id,
     )
     life_single = battery_lifetime(cfg, base)
-    life_double = battery_lifetime(cfg, base.scaled(2))
+    life_double = battery_lifetime(cfg, scaled(base, 2))
     assert life_single is not None and life_double is not None
     assert life_double < life_single
 

@@ -28,6 +28,8 @@ from risim.center import (
 )
 from risim.domain import (
     ConcentratorReport,
+    MalformedFrame,
+    NOMINAL_QUALITY_DU,
     MessageType,
     MeterMessage,
     MeterState,
@@ -35,10 +37,13 @@ from risim.domain import (
     Registry,
     ResourceKind,
     concentrator_id,
+    decode_frame,
+    encode_frame,
     meter_id,
 )
 
 MID = meter_id(3)
+WATER_QUALITY = NOMINAL_QUALITY_DU[ResourceKind.COLD_WATER]
 CID1 = concentrator_id(1)
 CID2 = concentrator_id(2)
 HOUR = 3_600_000
@@ -51,13 +56,13 @@ def _report(session, rx_ms, *, cid=CID1, mtype=MessageType.QUANTUM_EVENT,
         session=session,
         kind=ResourceKind.COLD_WATER,
         message_type=mtype,
-        quality=QualityVector.nominal(ResourceKind.COLD_WATER),
+        quality=QualityVector(ResourceKind.COLD_WATER, WATER_QUALITY),
         state=MeterState(
             battery=battery,
             cumulative_quanta=session + 1 if quanta is None else quanta,
         ),
     )
-    return ConcentratorReport(message=msg, concentrator_id=cid, rx_time_ms=rx_ms)
+    return ConcentratorReport(frame=encode_frame(msg), concentrator_id=cid, rx_time_ms=rx_ms)
 
 
 def _feed(ledger, reports):
@@ -653,6 +658,49 @@ def test_center_routes_and_scopes_by_registry():
         center.ledger(meter_id(999))
     [result] = center.reconstruct_all((0, 10_000))
     assert result.amount_du == 1000
+
+
+def _set(offset, value):
+    def mutate(frame: bytes) -> bytes:
+        out = bytearray(frame)
+        out[offset] = value
+        return bytes(out)
+    return mutate
+
+
+#: frames that decode_frame rejects, made from a good cold-water frame
+#: (25 bytes: battery at 19, flags at 20)
+HOSTILE_FRAMES = {
+    "reserved flag bit": _set(20, 0x08),
+    "battery 201": _set(19, 201),
+    "unknown kind tag": _set(1, 0xEE),
+    "gas kind tag on a water-sized frame": _set(1, 5),
+    "unknown type tag": _set(2, 0),
+    "version 2": _set(0, 2),
+    "one byte short": lambda frame: frame[:-1],
+    "one byte long": lambda frame: frame + b"\x00",
+}
+
+
+@pytest.mark.parametrize("session", [1, 2])  # a new session, an accepted one
+@pytest.mark.parametrize("mutation", sorted(HOSTILE_FRAMES))
+def test_center_rejects_hostile_frame_and_changes_nothing(mutation, session):
+    registry = Registry()
+    registry.add_meter(MID, ResourceKind.COLD_WATER)
+    center = MonitoringCenter(registry)
+    center.ingest(_report(0, 1000))
+    center.ingest(_report(2, 3000))
+    before = center.ledger(MID).snapshot()
+    good = _report(session, 2000, cid=CID2)
+    bad = good._replace(frame=HOSTILE_FRAMES[mutation](good.frame))
+    with pytest.raises(MalformedFrame):
+        decode_frame(bad.frame)
+    with pytest.raises(MalformedFrame):
+        center.ingest(bad)
+    with pytest.raises(MalformedFrame):
+        center.ledger(MID).ingest(bad)
+    assert center.ledger(MID).snapshot() == before
+    assert center.ledger(MID).stale_replays == 0
 
 
 def test_center_reports_zero_rows_for_silent_meters():

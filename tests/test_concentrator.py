@@ -19,12 +19,14 @@ from risim.concentrator import (
 )
 from risim.domain import (
     ConfigError,
+    NOMINAL_QUALITY_DU,
     MessageType,
     MeterMessage,
     MeterState,
     QualityVector,
     ResourceKind,
     concentrator_id,
+    encode_frame,
     meter_id,
 )
 
@@ -33,23 +35,22 @@ CID1 = concentrator_id(1)
 CID2 = concentrator_id(2)
 
 
-def _msg(session=0) -> MeterMessage:
-    return MeterMessage(
-        meter_id=MID,
-        session=session,
-        kind=ResourceKind.COLD_WATER,
-        message_type=MessageType.QUANTUM_EVENT,
-        quality=QualityVector.nominal(ResourceKind.COLD_WATER),
-        state=MeterState(),
-    )
+FRAME = encode_frame(MeterMessage(
+    meter_id=MID,
+    session=0,
+    kind=ResourceKind.COLD_WATER,
+    message_type=MessageType.QUANTUM_EVENT,
+    quality=QualityVector(ResourceKind.COLD_WATER, NOMINAL_QUALITY_DU[ResourceKind.COLD_WATER]),
+    state=MeterState(),
+))
 
 
 def test_reception_stamps_skewed_clock():
     cfg = ConcentratorConfig(id=CID1, clock_skew_ms=-250)
-    report = receive(cfg, _msg(), 10_000)
+    report = receive(cfg, FRAME, 10_000)
     assert report.rx_time_ms == 9_750
     assert report.concentrator_id == CID1
-    assert report.message is not None and report.message.session == 0
+    assert report.frame == FRAME
 
 
 def test_skew_beyond_declared_bound_rejected():
@@ -93,8 +94,8 @@ def test_broadcast_draws_in_concentrator_id_order():
     # stream is consumed identically however the config was written
     vis_a = VisibilityMap({MID: [(CID2, 0.5), (CID1, 0.5)]})
     vis_b = VisibilityMap({MID: [(CID1, 0.5), (CID2, 0.5)]})
-    out_a = broadcast(vis_a, _msg(), random.Random(123))
-    out_b = broadcast(vis_b, _msg(), random.Random(123))
+    out_a = broadcast(vis_a, MID, random.Random(123))
+    out_b = broadcast(vis_b, MID, random.Random(123))
     assert out_a == out_b
     assert [cid for cid, _ in out_a] == [CID1, CID2]
 
@@ -103,14 +104,14 @@ def test_broadcast_lossless_always_delivers():
     vis = VisibilityMap({MID: [(CID1, 0.0), (CID2, 0.0)]})
     rng = random.Random(5)
     for _ in range(100):
-        assert all(ok for _, ok in broadcast(vis, _msg(), rng))
+        assert all(ok for _, ok in broadcast(vis, MID, rng))
 
 
 def test_broadcast_certain_loss_never_delivers():
     vis = VisibilityMap({MID: [(CID1, 1.0)]})
     rng = random.Random(5)
     for _ in range(100):
-        assert not any(ok for _, ok in broadcast(vis, _msg(), rng))
+        assert not any(ok for _, ok in broadcast(vis, MID, rng))
 
 
 def test_at_least_one_delivery_rate_matches_independence_law():
@@ -120,7 +121,7 @@ def test_at_least_one_delivery_rate_matches_independence_law():
     rng = random.Random(20240817)
     trials = 10_000
     hits = sum(
-        1 for _ in range(trials) if any(ok for _, ok in broadcast(vis, _msg(), rng))
+        1 for _ in range(trials) if any(ok for _, ok in broadcast(vis, MID, rng))
     )
     assert abs(hits / trials - 0.75) < 0.02
 
@@ -128,7 +129,7 @@ def test_at_least_one_delivery_rate_matches_independence_law():
 def test_unknown_meter_has_no_links():
     vis = VisibilityMap({MID: [(CID1, 0.0)]})
     assert vis.links_for(meter_id(42)) == ()
-    assert broadcast(vis, _msg(), random.Random(0)) != []
+    assert broadcast(vis, MID, random.Random(0)) != []
 
 
 # ---------------------------------------------------------------------------
@@ -166,4 +167,4 @@ def test_broadcast_decides_each_draw_as_a_float_compare():
     rng, ref = random.Random(5), random.Random(5)
     for _ in range(500):
         want = [(cid, ref.random() >= loss) for cid, loss in zip(cids, losses)]
-        assert broadcast(vis, _msg(), rng) == want
+        assert broadcast(vis, MID, rng) == want

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from risim.domain import (
     BASE_UNIT,
@@ -11,6 +11,7 @@ from risim.domain import (
     DuplicateIdError,
     MalformedFrame,
     MessageType,
+    NOMINAL_QUALITY_DU,
     MeterMessage,
     MeterState,
     QUALITY_FIELDS,
@@ -21,6 +22,8 @@ from risim.domain import (
     concentrator_id,
     decode_frame,
     encode_frame,
+    frame_builder,
+    frame_header,
     frame_size,
     id_namespace,
     id_serial,
@@ -36,7 +39,7 @@ def _message(kind=ResourceKind.COLD_WATER, session=0, serial=1,
         session=session,
         kind=kind,
         message_type=message_type,
-        quality=quality or QualityVector.nominal(kind),
+        quality=quality or QualityVector(kind, NOMINAL_QUALITY_DU[kind]),
         state=state or MeterState(),
     )
 
@@ -153,6 +156,89 @@ def test_decode_rejects_malformed():
         decode_frame(bytes(bad_battery))
     with pytest.raises(MalformedFrame):
         decode_frame(b"")
+    # flags bits 3-7 are reserved: such a frame would not re-encode to itself
+    gas = encode_frame(_message(kind=ResourceKind.GAS, message_type=MessageType.HEARTBEAT))
+    for bit in range(3, 8):
+        reserved = bytearray(gas)
+        reserved[18] |= 1 << bit
+        with pytest.raises(MalformedFrame, match="reserved flag bits"):
+            decode_frame(bytes(reserved))
+
+
+def _header_or_error(frame: bytes):
+    try:
+        return frame_header(frame)
+    except MalformedFrame as exc:
+        return str(exc)
+
+
+def _decoded_or_error(frame: bytes):
+    try:
+        msg = decode_frame(frame)
+    except MalformedFrame as exc:
+        return str(exc)
+    return msg.kind, msg.message_type, msg.meter_id, msg.session, msg.state.cumulative_quanta
+
+
+@st.composite
+def _frames(draw):
+    """A valid frame over every kind, both types, every battery byte and flag
+    combination, and sessions and counters up to 2**32 - 1, with its message."""
+    kind = draw(st.sampled_from(list(ResourceKind)))
+    flags = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        values = NOMINAL_QUALITY_DU[kind]
+    else:
+        values = tuple(draw(st.integers(-(2**15), 2**15 - 1)) for _ in QUALITY_FIELDS[kind])
+    msg = MeterMessage(
+        meter_id=draw(st.integers(0, 2**64 - 1)),
+        session=draw(st.integers(0, SESSION_MOD - 1)),
+        kind=kind,
+        message_type=draw(st.sampled_from(list(MessageType))),
+        quality=QualityVector(kind, values),
+        state=MeterState(
+            battery=draw(st.integers(0, 200)),
+            tamper_flag=bool(flags & 1),
+            sensor_fault=bool(flags & 2),
+            clockless_idle=bool(flags & 4),
+            cumulative_quanta=draw(st.integers(0, 2**32 - 1)),
+        ),
+    )
+    return encode_frame(msg), msg, flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_frames())
+def test_header_read_and_builder_match_the_codec(case):
+    frame, msg, flags = case
+    assert frame_header(frame) == (msg.kind, msg.message_type, msg.meter_id,
+                                   msg.session, msg.state.cumulative_quanta)
+    assert decode_frame(frame) == msg
+    assert encode_frame(decode_frame(frame)) == frame
+    if msg.quality.values == NOMINAL_QUALITY_DU[msg.kind]:
+        build = frame_builder(msg.meter_id, msg.kind, msg.message_type)
+        assert build(msg.session, msg.state.battery, flags,
+                     msg.state.cumulative_quanta) == frame
+
+
+#: offsets of the version, kind, type, battery and flags bytes
+_CHECKED_BYTES = (0, 1, 2, -6, -5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_frames(), data=st.data())
+def test_header_read_rejects_exactly_what_decode_rejects(case, data):
+    frame = case[0]
+    mutants = [frame[:-1], frame + bytes([data.draw(st.integers(0, 255))])]
+    for offset in _CHECKED_BYTES:
+        mutant = bytearray(frame)
+        mutant[offset] = data.draw(st.integers(0, 255))
+        mutants.append(bytes(mutant))
+    for mutant in mutants:
+        got = _header_or_error(mutant)
+        assert got == _decoded_or_error(mutant)
+        if isinstance(got, tuple):
+            assert encode_frame(decode_frame(mutant)) == mutant
 
 
 def test_invalid_messages_unrepresentable():
@@ -167,7 +253,7 @@ def test_invalid_messages_unrepresentable():
         MeterMessage(
             meter_id=meter_id(1), session=0, kind=ResourceKind.GAS,
             message_type=MessageType.QUANTUM_EVENT,
-            quality=QualityVector.nominal(ResourceKind.COLD_WATER),
+            quality=QualityVector(ResourceKind.COLD_WATER, (120, 3000)),
             state=MeterState(),
         )
 

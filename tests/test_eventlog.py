@@ -18,6 +18,8 @@ from risim.eventlog import (
     write_events,
 )
 
+from oracles import accepted_count
+
 
 def test_json_lines_are_canonical():
     rec = EventLogRecord(3, 1500, EventKind.DROP,
@@ -88,7 +90,7 @@ def test_replay_ignores_non_ingest_records():
 
 def test_replay_rebuilds_from_frames():
     from risim.domain import (
-        MessageType, MeterMessage, MeterState, QualityVector, ResourceKind,
+        NOMINAL_QUALITY_DU, MessageType, MeterMessage, MeterState, QualityVector, ResourceKind,
         concentrator_id, encode_frame, meter_id,
     )
     mid = meter_id(5)
@@ -97,7 +99,7 @@ def test_replay_rebuilds_from_frames():
         msg = MeterMessage(
             meter_id=mid, session=s, kind=ResourceKind.HEAT,
             message_type=MessageType.QUANTUM_EVENT,
-            quality=QualityVector.nominal(ResourceKind.HEAT),
+            quality=QualityVector(ResourceKind.HEAT, NOMINAL_QUALITY_DU[ResourceKind.HEAT]),
             state=MeterState(cumulative_quanta=s + 1),
         )
         frames.append(encode_frame(msg))
@@ -114,7 +116,7 @@ def test_replay_rebuilds_from_frames():
     ]
     center = replay_center(records)
     ledger = center.ledgers()[mid]
-    assert ledger.accepted_count() == 3
+    assert accepted_count(ledger) == 3
     assert [r.rx_time_ms for r in ledger.accepted_sessions()] == [1000, 2000, 3000]
 
 

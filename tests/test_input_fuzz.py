@@ -1,8 +1,8 @@
 """Bounded fuzz of outside input: one scalar of a scenario or of a logged
 ingest record (a payload field, ``seq`` or ``sim_time_ms``) is replaced
-with a value of the wrong kind, or a scenario object gains a key the
-loader does not read, and the CLI must answer with its exit code and at
-most one stderr line, never a traceback.  A logged frame forged to a far
+with a value of the wrong kind, a scenario object gains a key the loader
+does not read, or one byte of a logged frame is changed, and the CLI must
+answer with its exit code and at most one stderr line, never a traceback.  A logged frame forged to a far
 session must not cost replay memory in proportion to the jump."""
 
 from __future__ import annotations
@@ -162,6 +162,44 @@ def test_log_ingest_field_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, va
         assert err.count("\n") == 1, (field, value, err)
     if field in TOP_LEVEL:
         assert code == 1, (field, value)
+
+
+def _at(frame: bytes, offset: int, value: int) -> bytes:
+    out = bytearray(frame)
+    out[offset] = value
+    return bytes(out)
+
+
+#: byte changes to a logged frame: each breaks a decoder rule, except the
+#: swap to another known kind tag, which decodes when the sizes agree
+FRAME_MUTATIONS = {
+    "reserved flag bit": lambda f: _at(f, len(f) - 5, f[-5] | 0x08),
+    "battery 201": lambda f: _at(f, len(f) - 6, 201),
+    "unknown kind tag": lambda f: _at(f, 1, 0xEE),
+    "other kind tag": lambda f: _at(f, 1, f[1] % 6 + 1),
+    "one byte short": lambda f: f[:-1],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mutation=st.sampled_from(sorted(FRAME_MUTATIONS)))
+def test_log_frame_byte_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, mutation):
+    lines = (run_dir / "events.ndjson").read_text().splitlines()
+    ingests = [i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line]
+    i = data.draw(st.sampled_from(ingests))
+    rec = json.loads(lines[i])
+    frame = bytes.fromhex(rec["payload"]["frame_hex"])
+    rec["payload"]["frame_hex"] = FRAME_MUTATIONS[mutation](frame).hex()
+    lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(run_dir / "ledgers.ndjson", tmp)
+        (Path(tmp) / "events.ndjson").write_text("\n".join(lines) + "\n")
+        code, err = _cli(["replay", tmp])
+    assert code in (0, 1), (mutation, err)
+    if code == 1:
+        assert err.count("\n") == 1 and "Traceback" not in err, (mutation, err)
+    if mutation != "other kind tag":
+        assert code == 1 and err.startswith(f"malformed log: seq {rec['seq']}:"), (mutation, err)
 
 
 def test_log_frame_forged_to_the_widest_forward_jump_replays_in_bounded_memory(run_dir):

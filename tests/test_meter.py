@@ -22,17 +22,21 @@ import risim.meter as meter_mod
 from risim.domain import (
     MS_PER_DAY,
     MS_PER_HOUR,
+    NOMINAL_QUALITY_DU,
     MessageType,
     MeterMessage,
     MeterState,
     QualityVector,
     ResourceKind,
     SESSION_MOD,
+    decode_frame,
     encode_frame,
     meter_id,
 )
-from risim.meter import MeterConfig, MeterRun, battery_lifetime
+from risim.meter import MeterConfig, MeterRun
 from risim.traces import ConsumptionTrace
+
+from oracles import battery_lifetime, scaled, total_du
 
 MID = meter_id(7)
 
@@ -52,9 +56,14 @@ def _flow_trace(chunks) -> ConsumptionTrace:
     )
 
 
+def _sent(run: MeterRun) -> list[tuple[int, MeterMessage]]:
+    """(time, message) per frame of ``run``, read back by the library codec."""
+    return [(t, decode_frame(frame)) for t, _, _, frame in run.events()]
+
+
 def _run_flow(cfg, chunks):
     run = MeterRun(cfg, _flow_trace(chunks))
-    return run, [m for _, m in run.events()]
+    return run, [m for _, m in _sent(run)]
 
 
 def test_emission_count_is_floor_of_total_over_quantum():
@@ -107,7 +116,7 @@ def test_heartbeat_count_on_idle_trace():
     # oracle: floor(T / interval); 3 days exactly is 3 daily heartbeats
     cfg = _cfg()
     trace = ConsumptionTrace(MID, ((0, Fraction(0)),), 3 * MS_PER_DAY)
-    events = list(MeterRun(cfg, trace).events())
+    events = _sent(MeterRun(cfg, trace))
     assert [t for t, _ in events] == [MS_PER_DAY, 2 * MS_PER_DAY, 3 * MS_PER_DAY]
     assert all(m.message_type is MessageType.HEARTBEAT for _, m in events)
     # heartbeats consume session numbers like any other message
@@ -120,7 +129,7 @@ def test_heartbeat_suppressed_while_consumption_talks():
     # interval never becomes due over 2 days of such flow
     cfg = _cfg(quantum_du=1000, heartbeat_interval_ms=MS_PER_DAY)
     trace = ConsumptionTrace(MID, ((0, Fraction(500)),), 2 * MS_PER_DAY)
-    events = list(MeterRun(cfg, trace).events())
+    events = _sent(MeterRun(cfg, trace))
     assert len(events) == 24
     assert all(m.message_type is MessageType.QUANTUM_EVENT for _, m in events)
 
@@ -139,7 +148,7 @@ def test_drift_inflates_effective_quantum():
     # quantum 11 comes 1100 s after quantum 10
     cfg = _cfg(quantum_du=1000, drift_rate=Fraction(1, 100))
     trace = ConsumptionTrace(MID, ((0, _DU_PER_SECOND),), MS_PER_DAY)
-    times = [t for t, _ in MeterRun(cfg, trace).events()]
+    times = [t for t, _ in _sent(MeterRun(cfg, trace))]
     assert times[:11] == [1000 * _lifetime_threshold(1000, cfg.drift_rate, n)
                           for n in range(1, 12)]
     assert times[10] - times[9] == 1100 * 1000
@@ -150,7 +159,7 @@ def test_drifting_meter_sends_one_quantum_per_lifetime_threshold():
     q, d = 1000, Fraction(1, 10**6)
     cfg = _cfg(quantum_du=q, drift_rate=d)
     trace = ConsumptionTrace(MID, ((0, _DU_PER_SECOND),), 10**6 * 105_060 + 61)
-    total = trace.total_du()
+    total = total_du(trace)
     # the root of the quadratic, then corrected exactly
     expected = int(2 * total / (q + math.sqrt(q * q + 2 * q * d * total)))
     while _lifetime_threshold(q, d, expected + 1) <= total:
@@ -158,7 +167,7 @@ def test_drifting_meter_sends_one_quantum_per_lifetime_threshold():
     while _lifetime_threshold(q, d, expected) > total:
         expected -= 1
     assert expected > 10**5
-    events = list(MeterRun(cfg, trace).events())
+    events = _sent(MeterRun(cfg, trace))
     assert len(events) == expected
     assert all(m.message_type is MessageType.QUANTUM_EVENT for _, m in events)
     assert events[-1][1].state.cumulative_quanta == expected
@@ -189,7 +198,7 @@ def test_battery_byte_rounds_half_to_even():
     # round to the even byte, as round() of the exact level does
     cfg = _cfg(battery_capacity=Fraction(80), tx_cost=Fraction(1))
     trace = ConsumptionTrace(MID, ((0, Fraction(60_000)),), MS_PER_HOUR)
-    events = list(MeterRun(cfg, trace).events())
+    events = _sent(MeterRun(cfg, trace))
     assert [m.state.battery for _, m in events[:6]] == [198, 195, 192, 190, 188, 185]
 
 
@@ -198,7 +207,7 @@ def test_heartbeat_skipped_when_dead():
     cfg = _cfg(battery_capacity=Fraction(3), heartbeat_interval_ms=MS_PER_HOUR)
     trace = ConsumptionTrace(MID, ((0, Fraction(0)),), 10 * MS_PER_DAY)
     run = MeterRun(cfg, trace)
-    events = list(run.events())
+    events = _sent(run)
     assert [t for t, _ in events] == [MS_PER_HOUR, 2 * MS_PER_HOUR, 3 * MS_PER_HOUR]
     assert run.depleted_at_ms == 3 * MS_PER_HOUR
     assert run.battery_remaining == 0
@@ -243,7 +252,7 @@ def test_doubling_consumption_shortens_battery_life():
     cfg = _cfg(quantum_du=1000, battery_capacity=Fraction(50), tx_cost=Fraction(1),
                heartbeat_interval_ms=10 * MS_PER_DAY)
     slow = ConsumptionTrace(MID, ((0, Fraction(2000)),), 5 * MS_PER_DAY)
-    fast = slow.scaled(2)
+    fast = scaled(slow, 2)
     t_slow = battery_lifetime(cfg, slow)
     t_fast = battery_lifetime(cfg, fast)
     assert t_slow is not None and t_fast is not None
@@ -257,7 +266,7 @@ def test_crossing_times_exact_on_constant_rate():
     # 1 quantum per 6 minutes: crossings at exact 360000 ms multiples
     cfg = _cfg(quantum_du=1000)
     trace = ConsumptionTrace(MID, ((0, Fraction(10_000)),), MS_PER_HOUR)
-    events = list(MeterRun(cfg, trace).events())
+    events = _sent(MeterRun(cfg, trace))
     assert [t for t, _ in events] == [k * 360_000 for k in range(1, 11)]
 
 
@@ -265,9 +274,9 @@ def test_crossing_time_rounds_up_to_next_millisecond():
     # rate 3000 du/h, quantum 1000 du: first crossing at 1/3 h = 1200000 ms
     # exactly; rate 7000 du/h: at 3600000/7 ms = 514285.71.., logged at 514286
     cfg = _cfg(quantum_du=1000)
-    t1 = list(MeterRun(cfg, ConsumptionTrace(MID, ((0, Fraction(3000)),), MS_PER_HOUR)).events())
+    t1 = _sent(MeterRun(cfg, ConsumptionTrace(MID, ((0, Fraction(3000)),), MS_PER_HOUR)))
     assert t1[0][0] == 1_200_000
-    t2 = list(MeterRun(cfg, ConsumptionTrace(MID, ((0, Fraction(7000)),), MS_PER_HOUR)).events())
+    t2 = _sent(MeterRun(cfg, ConsumptionTrace(MID, ((0, Fraction(7000)),), MS_PER_HOUR)))
     assert t2[0][0] == 514_286
 
 
@@ -275,7 +284,7 @@ def test_event_at_exact_horizon_is_included():
     # 1000 du over exactly one hour crosses at the horizon itself
     cfg = _cfg(quantum_du=1000)
     trace = ConsumptionTrace(MID, ((0, Fraction(1000)),), MS_PER_HOUR)
-    events = list(MeterRun(cfg, trace).events())
+    events = _sent(MeterRun(cfg, trace))
     assert [t for t, _ in events] == [MS_PER_HOUR]
 
 
@@ -288,9 +297,9 @@ def test_meter_run_conservation_on_varied_trace():
          (9 * MS_PER_HOUR, Fraction(1234, 7))),
         24 * MS_PER_HOUR,
     )
-    events = list(MeterRun(cfg, trace).events())
+    events = _sent(MeterRun(cfg, trace))
     quantum_events = [m for _, m in events if m.message_type is MessageType.QUANTUM_EVENT]
-    assert len(quantum_events) == trace.total_du() // 777
+    assert len(quantum_events) == total_du(trace) // 777
 
 
 def test_sessions_gapless_across_message_types():
@@ -299,7 +308,7 @@ def test_sessions_gapless_across_message_types():
     trace = ConsumptionTrace(
         MID, ((0, Fraction(6000)), (30 * 60_000, Fraction(0))), 5 * MS_PER_HOUR
     )
-    events = list(MeterRun(cfg, trace).events())
+    events = _sent(MeterRun(cfg, trace))
     assert [m.session for _, m in events] == list(range(len(events)))
     kinds = [m.message_type for _, m in events]
     assert kinds[:3] == [MessageType.QUANTUM_EVENT] * 3
@@ -349,7 +358,7 @@ def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
         session=session % SESSION_MOD,
         kind=cfg.kind,
         message_type=mtype,
-        quality=QualityVector.nominal(cfg.kind),
+        quality=QualityVector(cfg.kind, NOMINAL_QUALITY_DU[cfg.kind]),
         state=MeterState(
             battery=round(max(battery, 0) * 200 / cfg.battery_capacity),
             cumulative_quanta=quanta % 2**32,
@@ -620,7 +629,11 @@ def test_schedule_matches_step_references(schedule):
     battery of both per-step references."""
     cfg, trace = schedule
     run = MeterRun(cfg, trace)
-    got = [(t, encode_frame(m)) for t, m in run.events()]
+    events = list(run.events())
+    got = [(t, frame) for t, _, _, frame in events]
+    # each frame goes out with its own meter id and session
+    assert [(mid, session) for _, mid, session, _ in events] == [
+        (m.meter_id, m.session) for m in (decode_frame(frame) for _, frame in got)]
     for ref in (_StepRun(cfg, trace), _ThreeBranchRun(cfg, trace)):
         assert [(t, encode_frame(m)) for t, m in ref.events()] == got
         assert ref.depleted_at_ms == run.depleted_at_ms

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cProfile
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -17,11 +18,15 @@ from risim.domain import (
     MS_PER_HOUR,
     MS_PER_MINUTE,
     MessageType,
+    MeterMessage,
+    MeterState,
     ResourceKind,
     concentrator_id,
+    decode_frame,
+    encode_frame,
     meter_id,
 )
-from risim.eventlog import EventKind, EventLog
+from risim.eventlog import EventKind, EventLog, replay_center
 from risim.meter import MeterConfig, MeterRun
 from risim.simulation import (
     Building,
@@ -39,6 +44,8 @@ from risim.simulation import (
     worst_case_load,
 )
 from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
+
+from oracles import accepted_count, consumed_between, total_du
 
 CID = concentrator_id(1)
 
@@ -70,18 +77,18 @@ def test_constant_trace_closed_form():
     trace = generate_trace(spec, seed=1, horizon_ms=2 * MS_PER_HOUR)
     assert trace.cumulative_du(MS_PER_HOUR) == 6000
     assert trace.cumulative_du(90 * MS_PER_MINUTE) == 9000
-    assert trace.total_du() == 12000
+    assert total_du(trace) == 12000
 
 
 def test_zero_trace_consumes_nothing():
     trace = generate_trace(TraceSpec("zero"), seed=1, horizon_ms=MS_PER_DAY)
-    assert trace.total_du() == 0
+    assert total_du(trace) == 0
 
 
 def test_diurnal_total_within_jitter_envelope():
     spec = TraceSpec("diurnal", {"daily_total_du": 100_000, "jitter_pct": 20})
     trace = generate_trace(spec, seed=3, horizon_ms=MS_PER_DAY)
-    assert 80_000 <= trace.total_du() <= 120_000
+    assert 80_000 <= total_du(trace) <= 120_000
 
 
 def test_diurnal_evening_beats_predawn():
@@ -89,8 +96,8 @@ def test_diurnal_evening_beats_predawn():
     assert DIURNAL_SHAPE[18] / DIURNAL_SHAPE[3] > 1.5
     spec = TraceSpec("diurnal", {"daily_total_du": 100_000})
     trace = generate_trace(spec, seed=5, horizon_ms=MS_PER_DAY)
-    evening = trace.consumed_between(18 * MS_PER_HOUR, 19 * MS_PER_HOUR)
-    predawn = trace.consumed_between(3 * MS_PER_HOUR, 4 * MS_PER_HOUR)
+    evening = consumed_between(trace, 18 * MS_PER_HOUR, 19 * MS_PER_HOUR)
+    predawn = consumed_between(trace, 3 * MS_PER_HOUR, 4 * MS_PER_HOUR)
     assert evening > predawn
 
 
@@ -131,11 +138,11 @@ def test_lossless_run_delivers_every_quantum():
     mid = meter_id(1)
     assert res.metrics[mid].message_count == 36
     ledger = res.center.ledgers()[mid]
-    assert ledger.accepted_count() == 36
+    assert accepted_count(ledger) == 36
     assert ledger.lost_runs() == []
     recon = ledger.reconstruct(1000, (0, sc.horizon_ms))
     assert recon.amount_du == 36_000
-    assert recon.amount_du == res.traces[mid].total_du()
+    assert recon.amount_du == total_du(res.traces[mid])
 
 
 def test_event_stream_counts_are_consistent():
@@ -154,7 +161,7 @@ def test_event_stream_counts_are_consistent():
     assert emitted == 15
     assert ingested + drops["radio"] + drops["uplink"] == emitted  # one link per meter
     # one concentrator with a lossless uplink: the ledger holds each copy heard once
-    heard = res.center.ledgers()[meter_id(1)].accepted_count()
+    heard = accepted_count(res.center.ledgers()[meter_id(1)])
     assert ingested + drops["uplink"] == heard
     # sequence numbers are gapless and start at zero
     assert [rec.seq for rec in records] == list(range(len(records)))
@@ -287,9 +294,47 @@ def test_multi_concentrator_duplicates_collapse():
     )
     res = run_ri(sc)
     ledger = res.center.ledgers()[meter_id(1)]
-    assert ledger.accepted_count() == 6
+    assert accepted_count(ledger) == 6
     for rec in ledger.accepted_sessions():
         assert rec.report_count == 3  # heard by all three, stored once
+
+
+def test_run_and_replay_build_no_message_and_encode_nothing():
+    """A frame goes from meter to center as its bytes: a logged lossy run on
+    three concentrators, and its replay, build no MeterMessage or MeterState
+    and never call encode_frame.  Calls are counted, not timed."""
+    concs = [ConcentratorConfig(concentrator_id(k), uplink_loss=Fraction(1, 5))
+             for k in (1, 2, 3)]
+    sc = _scenario(
+        [(_water(1, heartbeat_interval_ms=10 * MS_PER_MINUTE),
+          TraceSpec("constant", {"rate_du_per_hour": 6000})),
+         (MeterConfig(id=meter_id(2), kind=ResourceKind.GAS,
+                      heartbeat_interval_ms=10 * MS_PER_MINUTE), TraceSpec("zero"))],
+        horizon_ms=2 * MS_PER_HOUR,
+        loss=0.3,
+        concentrators=concs,
+    )
+    records = []
+    profile = cProfile.Profile()
+    profile.enable()
+    res = run_ri(sc, EventLog(records.append))
+    replayed = replay_center(records)
+    profile.disable()
+    assert replayed.snapshots() == res.center.snapshots()
+    outcomes = Counter(r.payload["outcome"] for r in records if r.kind is EventKind.CENTER_INGEST)
+    assert outcomes["accepted"] > 0 and outcomes["duplicate"] > 0
+    profile.create_stats()
+    watched = {
+        (code.co_filename, code.co_firstlineno, code.co_name): label
+        for label, code in (("MeterMessage", MeterMessage.__post_init__.__code__),
+                            ("MeterState", MeterState.__post_init__.__code__),
+                            ("encode_frame", encode_frame.__code__))
+    }
+    calls = Counter({label: 0 for label in watched.values()})
+    for key, stat in profile.stats.items():
+        if key in watched:
+            calls[watched[key]] += stat[1]
+    assert calls == {"MeterMessage": 0, "MeterState": 0, "encode_frame": 0}
 
 
 def test_clock_skew_shifts_reception_times():
@@ -645,8 +690,8 @@ def _quantum_event_times(sc: ScenarioConfig) -> list[int]:
     for sm in sc.meters() if sc.horizon_ms else ():
         trace = generate_trace(sm.trace, sc.seed, sc.horizon_ms, sm.config.id)
         times.extend(
-            t for t, msg in MeterRun(sm.config, trace).events()
-            if msg.message_type is MessageType.QUANTUM_EVENT
+            t for t, _, _, frame in MeterRun(sm.config, trace).events()
+            if decode_frame(frame).message_type is MessageType.QUANTUM_EVENT
         )
     return times
 
