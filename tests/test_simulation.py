@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cProfile
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -24,9 +25,10 @@ from risim.domain import (
     concentrator_id,
     decode_frame,
     encode_frame,
+    frame_header,
     meter_id,
 )
-from risim.eventlog import EventKind, EventLog, replay_center
+from risim.eventlog import EventKind, EventLog, EventLogRecord, replay_center
 from risim.meter import MeterConfig, MeterRun
 from risim.simulation import (
     Building,
@@ -45,7 +47,7 @@ from risim.simulation import (
 )
 from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
 
-from oracles import accepted_count, consumed_between, total_du
+from oracles import accepted_count, consumed_between, record_sink, total_du
 
 CID = concentrator_id(1)
 
@@ -153,7 +155,7 @@ def test_event_stream_counts_are_consistent():
         seed=77,
     )
     records = []
-    res = run_ri(sc, EventLog(records.append))
+    res = run_ri(sc, EventLog(record_sink(records)))
     by_kind = Counter(rec.kind for rec in records)
     drops = Counter(rec.payload["stage"] for rec in records if rec.kind is EventKind.DROP)
     emitted = by_kind[EventKind.QUANTUM_EVENT]
@@ -204,7 +206,7 @@ def test_each_emission_is_followed_by_one_outcome_line_per_link(sc):
     links = {sm.config.id: dict(sm.links) for sm in sc.meters()}
     uplink = {c.id: c.uplink_loss for c in sc.concentrators()}
     records = []
-    run_ri(sc, EventLog(records.append))
+    run_ri(sc, EventLog(record_sink(records)))
     i = 0
     while i < len(records):
         emission = records[i]
@@ -236,7 +238,7 @@ def test_crossing_times_match_closed_form_schedule():
         horizon_ms=MS_PER_HOUR,
     )
     records = []
-    run_ri(sc, EventLog(records.append))
+    run_ri(sc, EventLog(record_sink(records)))
     times = [r.sim_time_ms for r in records if r.kind is EventKind.QUANTUM_EVENT]
     assert times == [k * 360_000 for k in range(1, 11)]
 
@@ -269,8 +271,8 @@ def test_run_is_deterministic_byte_for_byte():
         seed=123,
     )
     lines_a, lines_b = [], []
-    run_ri(sc, EventLog(lambda r: lines_a.append(r.to_json())))
-    run_ri(sc, EventLog(lambda r: lines_b.append(r.to_json())))
+    run_ri(sc, EventLog(lines_a.append))
+    run_ri(sc, EventLog(lines_b.append))
     assert lines_a == lines_b
 
 
@@ -299,13 +301,12 @@ def test_multi_concentrator_duplicates_collapse():
         assert rec.report_count == 3  # heard by all three, stored once
 
 
-def test_run_and_replay_build_no_message_and_encode_nothing():
-    """A frame goes from meter to center as its bytes: a logged lossy run on
-    three concentrators, and its replay, build no MeterMessage or MeterState
-    and never call encode_frame.  Calls are counted, not timed."""
+def _lossy_on_three_concentrators(**kw) -> ScenarioConfig:
+    """Two meters, one with heartbeats, heard by three concentrators with
+    radio loss 0.3 and uplink loss 1/5: every record kind and ingest outcome."""
     concs = [ConcentratorConfig(concentrator_id(k), uplink_loss=Fraction(1, 5))
              for k in (1, 2, 3)]
-    sc = _scenario(
+    return _scenario(
         [(_water(1, heartbeat_interval_ms=10 * MS_PER_MINUTE),
           TraceSpec("constant", {"rate_du_per_hour": 6000})),
          (MeterConfig(id=meter_id(2), kind=ResourceKind.GAS,
@@ -313,28 +314,86 @@ def test_run_and_replay_build_no_message_and_encode_nothing():
         horizon_ms=2 * MS_PER_HOUR,
         loss=0.3,
         concentrators=concs,
+        **kw,
     )
+
+
+def _calls(profile: cProfile.Profile, **functions) -> dict[str, int]:
+    """How often ``profile`` saw each of ``functions`` called, by keyword."""
+    profile.create_stats()
+    codes = {(fn.__code__.co_filename, fn.__code__.co_firstlineno, fn.__code__.co_name): name
+             for name, fn in functions.items()}
+    calls = dict.fromkeys(functions, 0)
+    for key, stat in profile.stats.items():
+        if key in codes:
+            calls[codes[key]] += stat[1]
+    return calls
+
+
+def test_run_and_replay_build_no_message_and_encode_nothing():
+    """A frame goes from meter to center as its bytes: a logged lossy run on
+    three concentrators, and its replay, build no MeterMessage or MeterState
+    and never call encode_frame.  Calls are counted, not timed."""
+    sc = _lossy_on_three_concentrators()
     records = []
     profile = cProfile.Profile()
     profile.enable()
-    res = run_ri(sc, EventLog(records.append))
+    res = run_ri(sc, EventLog(record_sink(records)))
     replayed = replay_center(records)
     profile.disable()
     assert replayed.snapshots() == res.center.snapshots()
     outcomes = Counter(r.payload["outcome"] for r in records if r.kind is EventKind.CENTER_INGEST)
     assert outcomes["accepted"] > 0 and outcomes["duplicate"] > 0
-    profile.create_stats()
-    watched = {
-        (code.co_filename, code.co_firstlineno, code.co_name): label
-        for label, code in (("MeterMessage", MeterMessage.__post_init__.__code__),
-                            ("MeterState", MeterState.__post_init__.__code__),
-                            ("encode_frame", encode_frame.__code__))
-    }
-    calls = Counter({label: 0 for label in watched.values()})
-    for key, stat in profile.stats.items():
-        if key in watched:
-            calls[watched[key]] += stat[1]
+    calls = _calls(profile, MeterMessage=MeterMessage.__post_init__,
+                   MeterState=MeterState.__post_init__, encode_frame=encode_frame)
     assert calls == {"MeterMessage": 0, "MeterState": 0, "encode_frame": 0}
+
+
+def test_logged_runs_build_no_record_and_dump_no_json():
+    """The event log is written from its templates: a logged ``both``-mode
+    run builds no EventLogRecord and calls json.dumps for no record, and
+    every line it wrote is the reference line of the record it parses to."""
+    sc = _lossy_on_three_concentrators(mode="both")
+    lines = []
+    log = EventLog(lines.append)
+    profile = cProfile.Profile()
+    profile.enable()
+    run_ri(sc, log)
+    run_ti(sc, log)
+    profile.disable()
+    calls = _calls(profile, record=EventLogRecord.__post_init__, dumps=json.dumps)
+    assert calls == {"record": 0, "dumps": 0}
+    records = [EventLogRecord.from_json(line) for line in lines]
+    assert [rec.to_json() + "\n" for rec in records] == lines
+    assert [rec.seq for rec in records] == list(range(log.seq))
+    assert set(rec.kind for rec in records) == set(EventKind)
+    assert {rec.payload["stage"] for rec in records if rec.kind is EventKind.DROP} == {
+        "radio", "uplink"}
+
+
+def test_each_delivered_copy_has_its_header_read_once():
+    """The center reads a copy's header once, to route it and to fold it into
+    the ledger: a logged run reads one header per emission (for its record)
+    and one per ingest, and replay one per ingest to register the meter and
+    one to ingest it."""
+    sc = _lossy_on_three_concentrators()
+    lines = []
+    profile = cProfile.Profile()
+    profile.enable()
+    res = run_ri(sc, EventLog(lines.append))
+    profile.disable()
+    records = [EventLogRecord.from_json(line) for line in lines]
+    kinds = Counter(rec.kind for rec in records)
+    emissions = kinds[EventKind.QUANTUM_EVENT] + kinds[EventKind.HEARTBEAT]
+    ingests = kinds[EventKind.CENTER_INGEST]
+    assert emissions > 0 and ingests > emissions
+    assert _calls(profile, frame_header=frame_header) == {"frame_header": emissions + ingests}
+    profile = cProfile.Profile()
+    profile.enable()
+    replayed = replay_center(records)
+    profile.disable()
+    assert replayed.snapshots() == res.center.snapshots()
+    assert _calls(profile, frame_header=frame_header) == {"frame_header": 2 * ingests}
 
 
 def test_clock_skew_shifts_reception_times():
@@ -423,7 +482,7 @@ def test_polling_meter_with_empty_battery_sends_nothing():
         ti_poll_interval_ms=MS_PER_HOUR,
     )
     records = []
-    res = run_ti(sc, EventLog(records.append))
+    res = run_ti(sc, EventLog(record_sink(records)))
     assert not [r for r in records if r.kind is EventKind.TI_READING]
     assert res.metrics[meter_id(1)].message_count == 0
     assert res.metrics[meter_id(1)].bytes_sent == 0
@@ -439,7 +498,7 @@ def test_polling_stops_when_the_battery_runs_out():
         ti_poll_interval_ms=MS_PER_HOUR,
     )
     records = []
-    _, ti, rows = compare_runs(sc, EventLog(records.append))
+    _, ti, rows = compare_runs(sc, EventLog(record_sink(records)))
     assert ti.readings[meter_id(1)] == [(MS_PER_HOUR, 2500), (2 * MS_PER_HOUR, 5000)]
     assert ti.metrics[meter_id(1)].message_count == 2
     polls = [r.payload["poll_index"] for r in records if r.kind is EventKind.TI_READING]
@@ -489,7 +548,7 @@ def test_poll_registers_equal_cumulative_consumption(traces, horizon, dt, capaci
                TraceSpec(kind, params[kind], seed=seed))
               for i, (kind, seed) in enumerate(traces)]
     records = []
-    res = run_ti(_scenario(meters, horizon, ti_poll_interval_ms=dt), EventLog(records.append))
+    res = run_ti(_scenario(meters, horizon, ti_poll_interval_ms=dt), EventLog(record_sink(records)))
     for cfg, _ in meters:
         trace = res.traces[cfg.id]
         sent = _ti_polls_sent(cfg, dt, horizon // dt)
@@ -667,7 +726,7 @@ def test_load_analysis_agrees_with_event_engine():
     )
     analytic = worst_case_load(sc)
     records = []
-    run_ri(sc, EventLog(records.append))
+    run_ri(sc, EventLog(record_sink(records)))
     emitted = sum(1 for r in records if r.kind is EventKind.QUANTUM_EVENT)
     assert emitted == analytic.total_messages
 
