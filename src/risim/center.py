@@ -41,15 +41,11 @@ class InsufficientData(ValueError):
     """Raised when an estimator's minimum input requirements are not met."""
 
 
-class IngestOutcome(Enum):
+class IngestOutcome(str, Enum):
     ACCEPTED = "accepted"        # new session
     DUPLICATE = "duplicate"      # same session from another path
     STALE = "stale"              # byte-for-byte replay of a seen report
     CONFLICT = "conflict"        # same session, different payload: tamper signal
-
-    # members are singletons compared by identity, so hashing by identity is
-    # exact, and a lookup keyed by an outcome calls no Python-level __hash__
-    __hash__ = object.__hash__
 
 
 @dataclass
@@ -386,7 +382,7 @@ class SessionLedger:
                     "session": rec.abs_session % self.modulus,
                     "rx_time_ms": rec.rx_time_ms,
                     "rx_concentrator": rec.rx_concentrator,
-                    "type": rec.message_type.value,
+                    "type": rec.message_type,
                     "cumulative_quanta": rec.cumulative_quanta,
                     "report_count": rec.report_count,
                 }

@@ -33,8 +33,10 @@ FLAG_SENSOR_FAULT = 0x02
 FLAG_CLOCKLESS_IDLE = 0x04
 
 
-class ResourceKind(Enum):
-    """Metered resource families, each with one canonical base unit."""
+class ResourceKind(str, Enum):
+    """Metered resource families, each with one canonical base unit.  Like
+    every protocol word, a member is its own string; messages format ``.value``,
+    since Python 3.11+ formats a member as ``Class.NAME``."""
 
     COLD_WATER = "cold_water"
     HOT_WATER = "hot_water"
@@ -85,7 +87,7 @@ NOMINAL_QUALITY_DU = {
 }
 
 
-class MessageType(Enum):
+class MessageType(str, Enum):
     QUANTUM_EVENT = "quantum_event"
     HEARTBEAT = "heartbeat"
 

@@ -24,7 +24,7 @@ class MalformedLog(ValueError):
     """Raised when a log line cannot be read back as a record or frame."""
 
 
-class EventKind(Enum):
+class EventKind(str, Enum):
     QUANTUM_EVENT = "quantum_event"
     HEARTBEAT = "heartbeat"
     DROP = "drop"
@@ -72,16 +72,12 @@ class EventLogRecord:
 
 #: the payload values that are strings from a closed set, each as its JSON
 #: text; a template looks its strings up here, so a string outside the set
-#: raises KeyError instead of writing a line that the reader would refuse
+#: raises KeyError instead of writing a line that the reader would refuse.
+#: Members are their own words, so a member and its value find the same entry.
 _JSON_TEXT = {
     text: json.dumps(text)
-    for text in (
-        *(kind.value for kind in EventKind),
-        *(kind.value for kind in ResourceKind),
-        *(outcome.value for outcome in IngestOutcome),
-        *BASE_UNIT.values(),
-        "radio", "uplink",   # drop stages
-    )
+    for text in (*EventKind, *ResourceKind, *IngestOutcome, *BASE_UNIT.values(),
+                 "radio", "uplink")   # the last two are the drop stages
 }
 
 
@@ -99,9 +95,11 @@ class EventLog:
         self._sink = sink
         self.seq = 0   # the next record's seq, so also the count emitted
 
-    def emission(self, kind: str, t: int, meter_id: int, session: int, resource: str,
-                 cumulative_quanta: int, frame: bytes) -> None:
-        """A ``quantum_event`` or ``heartbeat`` record: one frame a meter sent."""
+    def emission(self, t: int, frame: bytes) -> None:
+        """A ``quantum_event`` or ``heartbeat`` record: one frame a meter sent,
+        with its meter id, session, kind, resource and counter read from the
+        frame.  A frame that breaks the decoder rules raises MalformedFrame."""
+        resource, kind, meter_id, session, cumulative_quanta = frame_header(frame)
         self._sink(
             f'{{"kind":{_JSON_TEXT[kind]},"payload":{{"cumulative_quanta":{cumulative_quanta},'
             f'"frame_hex":"{frame.hex()}","meter_id":{meter_id},'
@@ -220,10 +218,3 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
-
-
-def read_csv(path: Path) -> tuple[list[str], list[dict]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        return list(reader.fieldnames or []), rows

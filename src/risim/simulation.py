@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .center import IngestOutcome, MonitoringCenter, SessionLedger, evenly_spaced
+from .center import MonitoringCenter, SessionLedger, evenly_spaced
 from .concentrator import (DRAW_SCALE, ConcentratorConfig, VisibilityMap, broadcast,
                            loss_threshold, receive)
 from .domain import (
@@ -26,11 +26,10 @@ from .domain import (
     MessageType,
     Registry,
     encode_frame,  # unused here; perfbench's tracer patches this name
-    frame_header,
     frame_size,
     whole_number,
 )
-from .eventlog import EventKind, EventLog
+from .eventlog import EventLog
 from .meter import MeterConfig, MeterRun
 from .traces import CHANNEL_STREAM, ConsumptionTrace, TraceSpec, generate_trace, mix_seed
 
@@ -167,17 +166,11 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
     emissions = heapq.merge(*(run.events() for run in runs.values()))
 
     rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM))
-    # the log's strings, mapped once so that no record reads an Enum's value
-    resource = {sm.config.id: sm.config.kind.value for sm in scenario.meters()}
-    outcome_text = {outcome: outcome.value for outcome in IngestOutcome}
-    quantum, heartbeat = EventKind.QUANTUM_EVENT.value, EventKind.HEARTBEAT.value
     counts: dict[int, int] = {}
     for t, mid, session, frame in emissions:
         counts[mid] = counts.get(mid, 0) + 1
         if log is not None:
-            _, mtype, _, _, cumulative = frame_header(frame)
-            log.emission(quantum if mtype is MessageType.QUANTUM_EVENT else heartbeat,
-                         t, mid, session, resource[mid], cumulative, frame)
+            log.emission(t, frame)
         # every radio draw of the emission first, then one uplink draw per
         # copy that got through, in concentrator-id order
         for cid, delivered in broadcast(vis, mid, rng):
@@ -186,8 +179,7 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
                 report = receive(conc[cid], frame, t)
                 outcome = center.ingest(report)
                 if log is not None:
-                    log.ingest(t, mid, session, cid, report.rx_time_ms,
-                               outcome_text[outcome], frame)
+                    log.ingest(t, mid, session, cid, report.rx_time_ms, outcome, frame)
             elif log is not None:
                 log.drop(t, mid, session, cid, "uplink" if delivered else "radio")
 
@@ -296,22 +288,22 @@ def _as_increments(levels: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def reconstruction_steps(ledger: SessionLedger | None,
-                         quantum_du: int) -> list[tuple[Fraction, int]]:
-    """(time, increment_du) jumps of the center's reconstructed curve.
+                         quantum_du: int) -> list[tuple[int | Fraction, int]]:
+    """(time, increment_du) jumps of the center's reconstructed curve, in no
+    particular order: ``_step_mean_square`` places and sorts them.
 
-    Accepted quantum events jump at their reception times; quanta recovered
-    inside bounded gaps jump at uniform quantile times between the bounding
-    receptions, keeping every step exactly one quantum tall.
+    Accepted quantum events jump at their integer reception times; quanta
+    recovered inside bounded gaps jump at uniform quantile times between the
+    bounding receptions, keeping every step exactly one quantum tall.
     """
     if ledger is None or ledger.is_empty:
         return []
-    jumps: list[tuple[Fraction, int]] = []
+    jumps: list[tuple[int | Fraction, int]] = []
     for rec in ledger.accepted_sessions():
         if rec.message_type is MessageType.QUANTUM_EVENT:
-            jumps.append((Fraction(rec.rx_time_ms), quantum_du))
+            jumps.append((rec.rx_time_ms, quantum_du))
     for run in ledger.lost_runs():
         jumps.extend((t, quantum_du) for t in evenly_spaced(run.t_lo, run.t_hi, run.quanta))
-    jumps.sort(key=lambda j: j[0])
     return jumps
 
 

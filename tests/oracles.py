@@ -4,7 +4,9 @@ oracles share no code with what they check beyond the trace's own
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
+from pathlib import Path
 
 from risim.center import SessionLedger
 from risim.eventlog import EventLogRecord
@@ -53,3 +55,11 @@ def record_sink(records: list):
     record, through the reader's own ``EventLogRecord.from_json``, and
     appends it to ``records``."""
     return lambda line: records.append(EventLogRecord.from_json(line))
+
+
+def read_csv(path: Path) -> tuple[list[str], list[dict]]:
+    """A CSV file's header and its rows as dicts keyed by that header."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+        return list(reader.fieldnames or []), rows

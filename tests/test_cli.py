@@ -17,11 +17,12 @@ from risim.cli import main
 from risim.config import load_scenario
 from risim.eventlog import (
     EventKind,
-    read_csv,
     read_events,
     read_ledger_snapshots,
     replay_center,
 )
+
+from oracles import read_csv
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

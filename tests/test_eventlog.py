@@ -10,19 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from risim.center import IngestOutcome
-from risim.domain import BASE_UNIT, ResourceKind
+from risim.domain import (BASE_UNIT, NOMINAL_QUALITY_DU, MalformedFrame, MessageType,
+                          MeterMessage, MeterState, QualityVector, ResourceKind, encode_frame)
 from risim.eventlog import (
     EventKind,
     EventLog,
     EventLogRecord,
-    read_csv,
     read_events,
     replay_center,
     write_csv,
     write_events,
 )
 
-from oracles import accepted_count
+from oracles import accepted_count, read_csv
 
 
 def test_json_lines_are_canonical():
@@ -138,27 +138,35 @@ def test_log_file_is_plain_json_lines(tmp_path):
 
 
 _WHOLE = st.integers(min_value=0, max_value=2**64)
+_WIRE32 = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @st.composite
 def _template_calls(draw):
     """(method name, arguments, kind, sim_time_ms, payload) for one record of
-    any kind, with ints up to 2**64 and every string its field can hold."""
+    any kind, with ints up to 2**64 and every string its field can hold; an
+    emission is its frame, whose meter id, session and counter are drawn in
+    the wire's 64 and 32 bits."""
     t, mid, session = draw(_WHOLE), draw(_WHOLE), draw(_WHOLE)
     frame = draw(st.binary(max_size=64))
     which = draw(st.sampled_from(list(EventKind)))
     if which in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT):
-        resource = draw(st.sampled_from([kind.value for kind in ResourceKind]))
-        cumulative = draw(_WHOLE)
-        return ("emission", (which.value, t, mid, session, resource, cumulative, frame),
+        resource = draw(st.sampled_from(list(ResourceKind)))
+        mid = draw(st.integers(min_value=0, max_value=2**64 - 1))
+        session, cumulative = draw(_WIRE32), draw(_WIRE32)
+        frame = encode_frame(MeterMessage(
+            mid, session, resource, MessageType(which.value),
+            QualityVector(resource, NOMINAL_QUALITY_DU[resource]),
+            MeterState(battery=draw(st.integers(0, 200)), cumulative_quanta=cumulative)))
+        return ("emission", (t, frame),
                 which, t, {"cumulative_quanta": cumulative, "frame_hex": frame.hex(),
-                           "meter_id": mid, "resource": resource, "session": session})
+                           "meter_id": mid, "resource": resource.value, "session": session})
     if which is EventKind.CENTER_INGEST:
         cid, rx = draw(_WHOLE), draw(_WHOLE)
-        outcome = draw(st.sampled_from([o.value for o in IngestOutcome]))
+        outcome = draw(st.sampled_from(list(IngestOutcome)))
         return ("ingest", (t, mid, session, cid, rx, outcome, frame),
                 which, t, {"concentrator_id": cid, "frame_hex": frame.hex(), "meter_id": mid,
-                           "outcome": outcome, "rx_time_ms": rx, "session": session})
+                           "outcome": outcome.value, "rx_time_ms": rx, "session": session})
     if which is EventKind.DROP:
         cid = draw(_WHOLE)
         stage = draw(st.sampled_from(["radio", "uplink"]))
@@ -194,3 +202,28 @@ def test_templates_refuse_a_string_outside_the_vocabulary():
     with pytest.raises(KeyError):
         log.ti_reading(0, 1, 1, 0, "m\u00b3")
     assert log.seq == 0
+
+
+def test_an_emission_of_a_malformed_frame_writes_nothing():
+    frame = encode_frame(MeterMessage(
+        7, 3, ResourceKind.GAS, MessageType.HEARTBEAT,
+        QualityVector(ResourceKind.GAS, NOMINAL_QUALITY_DU[ResourceKind.GAS]), MeterState()))
+    lines = []
+    log = EventLog(lines.append)
+    for bad in (frame[:-1], b"\x02" + frame[1:], frame[:2], frame[:-5] + b"\x08" + frame[-4:]):
+        with pytest.raises(MalformedFrame):
+            log.emission(0, bad)
+    assert log.seq == 0 and lines == []
+    log.emission(0, frame)
+    assert log.seq == 1 and len(lines) == 1
+
+
+@pytest.mark.parametrize("member", [*ResourceKind, *MessageType, *IngestOutcome, *EventKind],
+                         ids=lambda member: f"{type(member).__name__}.{member.name}")
+def test_a_protocol_word_is_its_own_string(member):
+    """A member equals its word, hashes like it, is dumped to JSON as it, and
+    finds an entry keyed by it: nothing has to translate it."""
+    assert member == member.value
+    assert hash(member) == hash(member.value)
+    assert json.dumps(member) == json.dumps(member.value)
+    assert {member.value: 1}[member] == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cProfile
+import enum
 import json
 from collections import Counter
 from dataclasses import replace
@@ -40,6 +41,7 @@ from risim.simulation import (
     _ti_polls_sent,
     compare_runs,
     detail_sweep,
+    reconstruction_steps,
     rmse_text,
     run_ri,
     run_ti,
@@ -369,6 +371,44 @@ def test_logged_runs_build_no_record_and_dump_no_json():
     assert set(rec.kind for rec in records) == set(EventKind)
     assert {rec.payload["stage"] for rec in records if rec.kind is EventKind.DROP} == {
         "radio", "uplink"}
+
+
+def test_logged_run_and_its_snapshots_call_nothing_in_enum():
+    """Protocol words are their own strings, so nothing translates them: a
+    logged run and its ledger snapshots make no call into ``enum.py``."""
+    sc = _lossy_on_three_concentrators()
+    lines = []
+    profile = cProfile.Profile()
+    profile.enable()
+    res = run_ri(sc, EventLog(lines.append))
+    snapshots = res.center.snapshots()
+    profile.disable()
+    profile.create_stats()
+    assert lines and any(snap["sessions"] for snap in snapshots)
+    assert sum(stat[1] for (filename, _, _), stat in profile.stats.items()
+               if filename == enum.__file__) == 0
+
+
+def test_reconstruction_steps_compare_no_fraction():
+    """Received quanta jump at their integer reception times and the steps
+    are left unsorted, since ``_step_mean_square`` orders them itself: a
+    lossy ledger's steps cost no Fraction comparison, and their order does
+    not change the metric."""
+    sc = _lossy_on_three_concentrators()
+    res = run_ri(sc)
+    mid = meter_id(1)
+    ledger = res.center.ledgers()[mid]
+    assert any(run.quanta for run in ledger.lost_runs())
+    profile = cProfile.Profile()
+    profile.enable()
+    steps = reconstruction_steps(ledger, 1000)
+    profile.disable()
+    assert _calls(profile, richcmp=Fraction._richcmp) == {"richcmp": 0}
+    assert {type(t) for t, _ in steps} == {int, Fraction}
+    mse = _step_mean_square(res.traces[mid], steps, MS_PER_MINUTE, sc.horizon_ms)
+    assert mse == res.metrics[mid].mean_square_du
+    assert mse == _step_mean_square(res.traces[mid], sorted(steps, reverse=True),
+                                    MS_PER_MINUTE, sc.horizon_ms)
 
 
 def test_each_delivered_copy_has_its_header_read_once():
