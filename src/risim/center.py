@@ -48,11 +48,11 @@ class IngestOutcome(str, Enum):
     CONFLICT = "conflict"        # same session, different payload: tamper signal
 
 
-@dataclass
+@dataclass(slots=True)
 class AcceptedSession:
-    """One deduplicated session as the center remembers it."""
+    """One deduplicated session as the center remembers it; its ledger keys
+    it by its unrolled session number."""
 
-    abs_session: int
     rx_time_ms: int
     rx_concentrator: int
     message_type: MessageType
@@ -70,8 +70,8 @@ class LostRun(NamedTuple):
 
     ``first`` is a wire number and the run may wrap past the counter's top
     to 0.  ``t_lo`` and ``t_hi`` are the reception times of the accepted
-    sessions around it (``t_lo`` is 0 for the lead-in from a known initial
-    session), and ``quanta`` is how many of its sessions were quantum events.
+    sessions around it (``t_lo`` is 0 for the lead-in from session 0), and
+    ``quanta`` is how many of its sessions were quantum events.
     """
 
     first: int
@@ -118,18 +118,15 @@ class SessionLedger:
     counter wrap is invisible to gap accounting.  The accepted sessions are
     the whole record: every known-lost session is a hole between two of
     them, derived when asked, so memory grows with what arrived and not with
-    how far a session number jumped.  When ``initial_session`` is given the
-    center knows where the meter's numbering began (normal for a registered
-    installation) and messages lost before first contact are tracked as
-    gaps; without it the ledger anchors at the first session it happens to
-    see.
+    how far a session number jumped.  A meter numbers its sessions from 0
+    at installation, so messages lost before first contact are gaps too.
+    ``modulus`` is the counter's range; only tests shrink it, to make wraps
+    cheap to reach.
     """
 
-    def __init__(self, meter_id: int, *, initial_session: int | None = None,
-                 modulus: int = SESSION_MOD) -> None:
+    def __init__(self, meter_id: int, *, modulus: int = SESSION_MOD) -> None:
         self.meter_id = meter_id
         self.modulus = modulus
-        self.initial_session = initial_session
         self._accepted: dict[int, AcceptedSession] = {}
         self._max_abs: int | None = None  # highest accepted, the unroll reference
         self.stale_replays = 0
@@ -149,22 +146,15 @@ class SessionLedger:
     def first_covered(self) -> int | None:
         if not self._accepted:
             return None
-        lowest = min(self._accepted)
-        if self.initial_session is not None:
-            lowest = min(lowest, self.initial_session)
-        return lowest % self.modulus
+        return min(min(self._accepted), 0) % self.modulus
 
     def accepted_sessions(self) -> list[AcceptedSession]:
         return [self._accepted[a] for a in sorted(self._accepted)]
 
     def _unroll(self, session: int) -> int:
         """Map a wire counter value onto the unbounded internal axis."""
-        if self._max_abs is None:
-            anchor = self.initial_session if self.initial_session is not None else session
-            return anchor + session_delta(anchor % self.modulus, session, self.modulus)
-        return self._max_abs + session_delta(
-            self._max_abs % self.modulus, session, self.modulus
-        )
+        base = 0 if self._max_abs is None else self._max_abs
+        return base + session_delta(base % self.modulus, session, self.modulus)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -207,7 +197,6 @@ class SessionLedger:
                 record.rx_concentrator = report.concentrator_id
             return IngestOutcome.DUPLICATE
         self._accepted[abs_session] = AcceptedSession(
-            abs_session=abs_session,
             rx_time_ms=report.rx_time_ms,
             rx_concentrator=report.concentrator_id,
             message_type=mtype,
@@ -227,18 +216,18 @@ class SessionLedger:
         Each run is a hole between two accepted sessions, bounded by their
         reception times, and its lost quantum events are the difference of
         their lifetime counters modulo 2**32, the counter's wrap.  Below the
-        lowest accepted session lies the lead-in from a known initial
-        session, measured from the installation origin (time zero, zero
-        lifetime quanta).  Nothing above the highest accepted session is
-        known to be lost, so every run is bounded, and its size does not
-        depend on how many sessions it spans.
+        lowest accepted session lies the lead-in from session 0, measured
+        from the installation origin (time zero, zero lifetime quanta).
+        Nothing above the highest accepted session is known to be lost, so
+        every run is bounded, and its size does not depend on how many
+        sessions it spans.
         """
         runs = []
         t_lo, base_quanta = 0, 0
-        unseen = self.initial_session  # lowest session not yet accounted for
+        unseen = 0  # lowest session not yet accounted for
         for a in sorted(self._accepted):
             rec = self._accepted[a]
-            if unseen is not None and a > unseen:
+            if a > unseen:
                 lost = (rec.cumulative_quanta - base_quanta) % 2**32
                 if rec.message_type is MessageType.QUANTUM_EVENT:
                     lost -= 1
@@ -259,7 +248,7 @@ class SessionLedger:
         those count as recovered when both bounds lie inside the window, and
         as trailing uncertainty when the run straddles the window's end.
         Losses before first contact are recovered the same way against the
-        installation point when the initial session is known.
+        installation point.
         """
         t0, t1 = window
         if t0 > t1:
@@ -374,19 +363,19 @@ class SessionLedger:
         """Canonical JSON-safe view; two equal ledgers give equal snapshots."""
         return {
             "meter_id": self.meter_id,
-            "initial_session": self.initial_session,
+            "initial_session": 0,
             "first_covered": self.first_covered,
             "highest_session": self.highest_session,
             "sessions": [
                 {
-                    "session": rec.abs_session % self.modulus,
+                    "session": a % self.modulus,
                     "rx_time_ms": rec.rx_time_ms,
                     "rx_concentrator": rec.rx_concentrator,
                     "type": rec.message_type,
                     "cumulative_quanta": rec.cumulative_quanta,
                     "report_count": rec.report_count,
                 }
-                for rec in self.accepted_sessions()
+                for a, rec in sorted(self._accepted.items())
             ],
             "gaps": [[run.first, run.count] for run in self.lost_runs()],
             "conflicts": sorted(a % self.modulus for a in self.conflict_sessions),
@@ -404,8 +393,7 @@ class MonitoringCenter:
         if meter_id not in self._ledgers:
             if not self.registry.has_meter(meter_id):
                 raise KeyError(f"meter not registered: {meter_id:#x}")
-            # a registered meter numbers its sessions from 0 at installation
-            self._ledgers[meter_id] = SessionLedger(meter_id, initial_session=0)
+            self._ledgers[meter_id] = SessionLedger(meter_id)
         return self._ledgers[meter_id]
 
     def ingest(self, report: ConcentratorReport) -> IngestOutcome:

@@ -186,8 +186,9 @@ def replay_center(records) -> MonitoringCenter:
 
     Only ``center_ingest`` records matter; every one carries the full frame
     plus reception metadata, so the rebuilt ledgers must equal the originals
-    exactly if the log is faithful.  Each frame is checked once against the
-    decoder rules and its bytes go to the center.  A record whose frame or
+    exactly if the log is faithful.  Each logged frame goes to the center,
+    whose header read is the only one, except that a meter's first logged
+    copy is read once more to register the meter.  A record whose frame or
     fields cannot be read raises MalformedLog naming its ``seq``.
     """
     registry = Registry()
@@ -196,18 +197,20 @@ def replay_center(records) -> MonitoringCenter:
         if rec.kind is not EventKind.CENTER_INGEST:
             continue
         try:
-            frame = bytes.fromhex(rec.payload["frame_hex"])
-            kind, _, mid, _, _ = frame_header(frame)
-            if not registry.has_meter(mid):
-                registry.add_meter(mid, kind)
             report = ConcentratorReport(
-                frame, whole_number(rec.payload["concentrator_id"], "concentrator_id"),
+                bytes.fromhex(rec.payload["frame_hex"]),
+                whole_number(rec.payload["concentrator_id"], "concentrator_id"),
                 whole_number(rec.payload["rx_time_ms"], "rx_time_ms"))
+            try:
+                center.ingest(report)
+            except KeyError:  # the meter's first logged copy: register it
+                kind, _, mid, _, _ = frame_header(report.frame)
+                registry.add_meter(mid, kind)
+                center.ingest(report)
         except KeyError as exc:
             raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None
         except (TypeError, ValueError) as exc:
             raise MalformedLog(f"seq {rec.seq}: {exc}") from None
-        center.ingest(report)
     return center
 
 

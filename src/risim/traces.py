@@ -8,7 +8,6 @@ never accumulates rounding error.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -113,14 +112,6 @@ class ConsumptionTrace:
             norm.append((t, rate))
             prev = t
         object.__setattr__(self, "breakpoints", tuple(norm))
-        # prefix sums of consumption at each breakpoint, for O(log n) queries
-        starts = [t for t, _ in norm]
-        prefix = [Fraction(0)]
-        for i in range(1, len(norm)):
-            t0, r0 = norm[i - 1]
-            prefix.append(prefix[-1] + r0 * (norm[i][0] - t0) / MS_PER_HOUR)
-        object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_prefix", prefix)
 
     def segments(self) -> list[tuple[int, int, Fraction]]:
         """(start_ms, end_ms, rate) triples covering [0, horizon)."""
@@ -137,9 +128,8 @@ class ConsumptionTrace:
     def cumulative_du(self, t_ms) -> Fraction:
         """Exact consumption from time zero through ``t_ms`` (clamped)."""
         t = min(max(t_ms, 0), self.horizon_ms)
-        i = bisect_right(self._starts, t) - 1
-        start, rate = self.breakpoints[i]
-        return self._prefix[i] + rate * (Fraction(t) - start) / MS_PER_HOUR
+        return sum((rate * (Fraction(min(t, end)) - start) / MS_PER_HOUR
+                    for start, end, rate in self.segments() if start < t), Fraction(0))
 
 
 def generate_trace(spec: TraceSpec, seed: int, horizon_ms: int,

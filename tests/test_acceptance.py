@@ -151,7 +151,7 @@ def test_03_exact_recovery_under_loss():
             ledger = res.center.ledgers().get(mid)
             if ledger is None or ledger.is_empty:
                 continue
-            accepted = {r.abs_session % 2**32 for r in ledger.accepted_sessions()}
+            accepted = {row["session"] for row in ledger.snapshot()["sessions"]}
             lost = set(emitted) - accepted
             top_accepted = max(accepted)
             recon = ledger.reconstruct(quantum, (0, sc.horizon_ms))
@@ -432,7 +432,7 @@ def test_11_profile_guided_restoration():
             for rec in records
             if rec.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT)
         }
-        by_wire = {rec.abs_session % 2**32: rec for rec in ledger.accepted_sessions()}
+        by_wire = {row["session"]: row for row in ledger.snapshot()["sessions"]}
         run_uni = run_pro = 0.0
         n_lost = 0
         for run in ledger.lost_runs():
@@ -440,8 +440,8 @@ def test_11_profile_guided_restoration():
             pro = ledger.interpolate_lost_times(run, profile)
             lower = by_wire.get(run.first - 1)
             upper = by_wire.get(run.first + run.count)
-            t_lo = lower.rx_time_ms if lower is not None else 0
-            t_hi = upper.rx_time_ms
+            t_lo = lower["rx_time_ms"] if lower is not None else 0
+            t_hi = upper["rx_time_ms"]
             for (s_u, t_u), (s_p, t_p) in zip(uni, pro):
                 assert s_u == s_p
                 assert t_lo < t_u < t_hi

@@ -9,11 +9,12 @@ consumption amount to an exact value.
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risim.center import (
@@ -41,6 +42,9 @@ from risim.domain import (
     encode_frame,
     meter_id,
 )
+from risim.eventlog import EventLog, replay_center
+
+from oracles import ReferenceCenter, record_sink
 
 MID = meter_id(3)
 WATER_QUALITY = NOMINAL_QUALITY_DU[ResourceKind.COLD_WATER]
@@ -75,7 +79,7 @@ def _feed(ledger, reports):
 def test_gap_from_skipped_sessions():
     ledger = SessionLedger(MID)
     _feed(ledger, [_report(s, s * 1000) for s in (1, 2, 4, 5)])
-    assert ledger.lost_runs() == [LostRun(3, 1, 2000, 4000, 1)]
+    assert ledger.lost_runs() == [LostRun(0, 1, 0, 1000, 1), LostRun(3, 1, 2000, 4000, 1)]
 
 
 def test_outcome_sequence():
@@ -122,7 +126,7 @@ def test_snapshot_identical_for_any_arrival_order():
     for _ in range(10):
         shuffled = reports[:]
         rng.shuffle(shuffled)
-        ledger = SessionLedger(MID, initial_session=0)
+        ledger = SessionLedger(MID)
         _feed(ledger, shuffled)
         snap = ledger.snapshot()
         if reference is None:
@@ -199,18 +203,17 @@ def _expected_runs(lost, lo, hi):
 def test_wrap_oracle_brute_force_small_modulus():
     """Random lossy sequences at modulus 256: gaps must equal the lost set.
 
-    The oracle is the generator itself: emit consecutive sessions (wire =
-    index mod 256), drop a random subset, and feed the survivors in
-    emission order.  Loss bursts are capped below half the counter range,
-    the wrap rule's operating envelope.  A second feed reorders survivors
-    by up to 24 sessions, which also brings arrivals below the lowest
-    session accepted so far; its bursts are capped at a quarter range so
-    burst plus reordering stays inside the envelope.  Each feed goes to a
-    ledger anchored at the true start, so pre-contact losses are tracked
-    too, and to one with no initial session, which anchors at its first
-    arrival.  Reception time is 10 ms per index and the lifetime counter
-    counts from the start, so each lost run is bracketed by its neighbours
-    and loses exactly its length in quanta.  Some runs wrap past 255 to 0.
+    The oracle is the generator itself: emit consecutive sessions from 0,
+    the numbering origin (wire = index mod 256), drop a random subset, and
+    feed the survivors in emission order.  Loss bursts are capped below
+    half the counter range, the wrap rule's operating envelope.  A second
+    feed reorders survivors by up to 24 sessions, which also brings
+    arrivals below the lowest session accepted so far; its bursts are
+    capped at a quarter range so burst plus reordering stays inside the
+    envelope.  Losses before first contact are a lead-in run from 0.
+    Reception time is 10 ms per index and the lifetime counter counts from
+    the start, so each lost run is bracketed by its neighbours and loses
+    exactly its length in quanta.  Some runs wrap past 255 to 0.
     """
     mod = 256
     displacement = 24
@@ -219,16 +222,15 @@ def test_wrap_oracle_brute_force_small_modulus():
     wrapped_runs = 0
     for trial in range(40):
         n = rng.randint(5, 900)
-        start = rng.randint(0, 5 * mod)
-        lost = {i for i in range(start, start + n) if rng.random() < 0.3}
+        lost = {i for i in range(n) if rng.random() < 0.3}
         # cap loss bursts so consecutive survivors stay within half range
-        lost = _cap_bursts(lost, start, start + n, mod // 2 - 1)
-        survivors = [i for i in range(start, start + n) if i not in lost]
+        lost = _cap_bursts(lost, 0, n, mod // 2 - 1)
+        survivors = [i for i in range(n) if i not in lost]
         if not survivors:
             continue
-        lost_r = _cap_bursts(lost, start, start + n, mod // 4)
+        lost_r = _cap_bursts(lost, 0, n, mod // 4)
         reordered = sorted(
-            (i for i in range(start, start + n) if i not in lost_r),
+            (i for i in range(n) if i not in lost_r),
             key=lambda i: i + rng.randint(0, displacement),
         )
         lowest = reordered[0]
@@ -236,28 +238,24 @@ def test_wrap_oracle_brute_force_small_modulus():
             arrivals_below_lowest += i < lowest
             lowest = min(lowest, i)
         for dropped, order in ((lost, survivors), (lost_r, reordered)):
-            for initial in (start, None):
-                ledger = SessionLedger(MID, initial_session=initial, modulus=mod)
-                _feed(ledger, [_report(i % mod, 10 * i, quanta=i - start + 1)
-                               for i in order])
-                lo = start if initial is not None else min(order)
-                hi = max(order)
-                runs = _expected_runs(dropped, lo, hi)
-                wrapped_runs += sum(a // mod != b // mod for a, b in runs)
-                where = f"trial {trial}, initial {initial}, reordered {order is reordered}"
-                assert ledger.first_covered == lo % mod, where
-                lost_runs = ledger.lost_runs()
-                assert [s for r in lost_runs for s, _ in ledger.interpolate_lost_times(r)] == [
-                    i % mod for i in range(lo, hi) if i in dropped
-                ], where
-                assert lost_runs == [
-                    LostRun(a % mod, b - a + 1,
-                            10 * (a - 1) if a > start else 0, 10 * (b + 1), b - a + 1)
-                    for a, b in runs
-                ], where
-                assert ledger.snapshot()["gaps"] == [
-                    [a % mod, b - a + 1] for a, b in runs
-                ], where
+            ledger = SessionLedger(MID, modulus=mod)
+            _feed(ledger, [_report(i % mod, 10 * i, quanta=i + 1) for i in order])
+            hi = max(order)
+            runs = _expected_runs(dropped, 0, hi)
+            wrapped_runs += sum(a // mod != b // mod for a, b in runs)
+            where = f"trial {trial}, reordered {order is reordered}"
+            assert ledger.first_covered == 0, where
+            lost_runs = ledger.lost_runs()
+            assert [s for r in lost_runs for s, _ in ledger.interpolate_lost_times(r)] == [
+                i % mod for i in range(hi) if i in dropped
+            ], where
+            assert lost_runs == [
+                LostRun(a % mod, b - a + 1, 10 * (a - 1) if a > 0 else 0, 10 * (b + 1), b - a + 1)
+                for a, b in runs
+            ], where
+            assert ledger.snapshot()["gaps"] == [
+                [a % mod, b - a + 1] for a, b in runs
+            ], where
     assert arrivals_below_lowest > 0
     assert wrapped_runs > 0
 
@@ -266,7 +264,7 @@ def test_forged_session_jump_allocates_no_gap_entries():
     """A forward jump of 10**6 sessions, or of the widest one the wrap rule
     reads as forward, is one lost run, in the ledger and in its snapshot."""
     for jump in (10**6, 2**31 - 1):
-        ledger = SessionLedger(MID, initial_session=0)
+        ledger = SessionLedger(MID)
         reports = [_report(0, 1000), _report(jump, 2000)]
         tracemalloc.start()
         try:
@@ -281,12 +279,146 @@ def test_forged_session_jump_allocates_no_gap_entries():
         assert peak < 2**20, f"jump {jump}: peak {peak} B"
 
 
+#: the widest forward step the wrap rule reads as forward
+_MAX_JUMP = 2**31 - 1
+#: how many ms after its emission a copy may arrive, out of order
+_WINDOW = 6
+
+#: one emission: the step from the previous session index (a step of k loses
+#: the k - 1 sessions between), whether it is a quantum event, how many
+#: quantum events the skipped sessions held (taken modulo the step), and per
+#: concentrator the copy's fate (0 lost, 1 delivered, 2 delivered and
+#: replayed, 3 delivered along with a forged frame) and its arrival delay
+_EMISSION = st.tuples(
+    st.one_of(st.just(1), st.integers(2, 4), st.integers(_MAX_JUMP - 3, _MAX_JUMP)),
+    st.booleans(),
+    st.integers(0, _MAX_JUMP),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, _WINDOW)), min_size=4, max_size=4),
+)
+#: concentrator clock skews, meters (kind, emissions) and a reconstruction window
+_PLANS = st.tuples(
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    st.lists(st.tuples(st.sampled_from(list(ResourceKind)),
+                       st.lists(_EMISSION, min_size=1, max_size=10)),
+             min_size=1, max_size=3),
+    st.tuples(st.integers(0, 40), st.integers(0, 40)),
+)
+_DELIVERED = [(1, 0)] * 4
+#: one meter whose session index passes 2**32 after three widest jumps, so
+#: its last lost run wraps past the counter's top
+_WRAPPING_PLAN = ([0], [(ResourceKind.COLD_WATER,
+                         [(1, True, 0, _DELIVERED)] + [(_MAX_JUMP, True, 5, _DELIVERED)] * 3)],
+                  (0, 40))
+
+
+def _frame(mid, kind, index, quantum_event, cumulative, battery=200) -> bytes:
+    return encode_frame(MeterMessage(
+        meter_id=mid,
+        session=index % 2**32,
+        kind=kind,
+        message_type=MessageType.QUANTUM_EVENT if quantum_event else MessageType.HEARTBEAT,
+        quality=QualityVector(kind, NOMINAL_QUALITY_DU[kind]),
+        state=MeterState(battery=battery, cumulative_quanta=cumulative % 2**32),
+    ))
+
+
+def _arrivals(plan) -> list[tuple[int, int, ConcentratorReport]]:
+    """The (meter id, true session index, report) of every copy the center
+    receives, in arrival order.
+
+    Meter k emits every 2 ms from its session index 0 and lifetime count 0;
+    concentrator c stamps a copy with the emission time plus its skew.
+    Copies arrive in the order of emission time plus delay, so arrivals
+    shuffle within a small window; a replay arrives a window later and a
+    forged frame (another battery byte) within the window.  An arrival more
+    than half the counter range from the highest index that arrived before
+    it is outside the wrap rule's envelope and counts as lost.
+    """
+    skews, meters, _ = plan
+    timed = []
+    for k, (kind, emissions) in enumerate(meters):
+        mid = meter_id(k + 1)
+        index, cumulative = -1, 0
+        for n, (step, quantum_event, skipped, fates) in enumerate(emissions):
+            index += step
+            cumulative += skipped % step + quantum_event
+            t = 2 * (n + 1)
+            frame = _frame(mid, kind, index, quantum_event, cumulative)
+            for c, skew in enumerate(skews):
+                fate, delay = fates[c]
+                report = ConcentratorReport(frame, concentrator_id(c + 1), t + skew)
+                if fate:
+                    timed.append((t + delay, mid, index, report))
+                if fate == 2:
+                    timed.append((t + delay + _WINDOW, mid, index, report))
+                if fate == 3:
+                    forged = _frame(mid, kind, index, quantum_event, cumulative, battery=199)
+                    timed.append((t + _WINDOW - delay, mid, index, report._replace(frame=forged)))
+    timed.sort(key=lambda a: a[0])
+    highest: dict[int, int] = {}
+    arrivals = []
+    for _, mid, index, report in timed:
+        top = highest.get(mid, 0)
+        if -2**31 <= index - top < 2**31:
+            arrivals.append((mid, index, report))
+            highest[mid] = max(top, index)
+    return arrivals
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=_PLANS)
+@example(plan=_WRAPPING_PLAN)
+def test_center_matches_the_brute_force_reference(plan):
+    """Streams from 1-3 meters over 1-4 skewed concentrators, with losses,
+    duplicates, exact replays, forged frames, jumps of up to 2**31 - 1
+    sessions and shuffled arrivals: the center's outcomes, snapshots and
+    reconstructions are the reference's, and replaying its ingest records
+    rebuilds it."""
+    _, meters, (a, b) = plan
+    registry = Registry()
+    for k, (kind, _) in enumerate(meters):
+        registry.add_meter(meter_id(k + 1), kind)
+    center = MonitoringCenter(registry)
+    reference = ReferenceCenter({mid: registry.meter(mid).quantum_du
+                                 for mid in registry.meter_ids()})
+    records = []
+    log = EventLog(record_sink(records))
+    for mid, index, report in _arrivals(plan):
+        outcome = center.ingest(report)
+        assert outcome == reference.ingest(index, report)
+        log.ingest(report.rx_time_ms, mid, index % 2**32, report.concentrator_id,
+                   report.rx_time_ms, outcome, report.frame)
+    assert center.snapshots() == reference.snapshots()
+    window = (min(a, b), max(a, b))
+    assert center.reconstruct_all(window) == reference.reconstruct_all(window)
+    assert replay_center(records).snapshots() == center.snapshots()
+
+
+def test_session_flood_keeps_one_record():
+    """20,000 copies of one session from one concentrator, each at its own
+    reception time, fold into one session cheaply."""
+    frame = _report(0, 0).frame
+    times = list(range(1000, 21_000))
+    random.Random(5).shuffle(times)
+    reports = [ConcentratorReport(frame, CID1, t) for t in times]
+    ledger = SessionLedger(MID)
+    start = time.perf_counter()
+    outcomes = _feed(ledger, reports)
+    elapsed = time.perf_counter() - start
+    assert outcomes[0] is IngestOutcome.ACCEPTED
+    assert set(outcomes[1:]) == {IngestOutcome.DUPLICATE}
+    [rec] = ledger.accepted_sessions()
+    assert rec.report_count == 20_000
+    assert rec.rx_time_ms == 1000
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 
 def test_reconstruct_recovers_bounded_losses_exactly():
     # sessions 0..7 emitted, 5 and 6 lost; counters pin the lost events to 2
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     _feed(ledger, [_report(s, 1000 * (s + 1)) for s in (0, 1, 2, 3, 4, 7)])
     result = ledger.reconstruct(1000, (0, 10_000))
     assert result.quanta_received == 6
@@ -298,7 +430,7 @@ def test_reconstruct_recovers_bounded_losses_exactly():
 def test_reconstruct_recovers_losses_before_first_contact():
     # sessions 0..2 lost on the radio; session 3 arrives with counter 4, so
     # 3 quantum events are known to predate it (4 minus the one it carries)
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(3, 7000))
     assert ledger.lost_runs() == [LostRun(0, 3, 0, 7000, 3)]
     result = ledger.reconstruct(1000, (0, 10_000))
@@ -309,7 +441,7 @@ def test_reconstruct_recovers_losses_before_first_contact():
 
 def test_lost_heartbeats_add_no_consumption():
     # session 1 was a heartbeat and got lost: a gap, but zero recovered du
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 1000, quanta=1))
     ledger.ingest(_report(2, 3000, quanta=2))
     assert ledger.lost_runs() == [LostRun(1, 1, 1000, 3000, 0)]
@@ -321,7 +453,7 @@ def test_lost_heartbeats_add_no_consumption():
 
 def test_mixed_lost_run_recovers_only_quantum_events():
     # lost run holds 2 quantum events and 1 heartbeat: counters see only 2
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 1000, quanta=1))
     # sessions 1 (QE, q=2), 2 (HB, q=2), 3 (QE, q=3) all lost
     ledger.ingest(_report(4, 9000, quanta=4))
@@ -334,7 +466,7 @@ def test_mixed_lost_run_recovers_only_quantum_events():
 def test_trailing_gap_is_uncertain_not_recovered():
     # the gap's upper bound lies beyond the window end: its quanta are
     # reported as trailing uncertainty, not folded into the window amount
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     _feed(ledger, [_report(s, 1000 * (s + 1)) for s in (0, 1, 2)])
     ledger.ingest(_report(5, 50_000))
     result = ledger.reconstruct(1000, (0, 10_000))
@@ -349,7 +481,7 @@ def test_trailing_gap_is_uncertain_not_recovered():
 
 
 def test_unbounded_trailing_loss_is_invisible():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 1000))
     # nothing after session 0 ever arrives: no gap is even known yet
     result = ledger.reconstruct(1000, (0, 10_000))
@@ -373,7 +505,7 @@ def test_reconstruct_errors():
 # lost-time restoration
 
 def test_uniform_interpolation_midpoint():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 1000))
     ledger.ingest(_report(2, 2000))
     [run] = ledger.lost_runs()
@@ -383,7 +515,7 @@ def test_uniform_interpolation_midpoint():
 def test_uniform_interpolation_quartiles():
     # three lost sessions between receptions at 0 and 10 min land at the
     # quartile times 2.5, 5, 7.5 min
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 0))
     ledger.ingest(_report(4, 600_000))
     [run] = ledger.lost_runs()
@@ -392,7 +524,7 @@ def test_uniform_interpolation_quartiles():
 
 
 def test_interpolation_is_strictly_interior_and_increasing():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 1000))
     ledger.ingest(_report(9, 1010))
     [run] = ledger.lost_runs()
@@ -405,7 +537,7 @@ def test_interpolation_is_strictly_interior_and_increasing():
 
 
 def test_interpolation_open_run_yields_nothing_until_closed():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 1000))
     ledger.ingest(_report(3, 4000))
     ledger.ingest(_report(6, 9000))
@@ -421,7 +553,7 @@ def test_profile_directed_interpolation_follows_mass():
     # half the bracket's mass sits: 0.5*t/h = 0.375 => t = 45 min
     weights = [Fraction(1, 2), Fraction(1, 4)] + [Fraction(1, 88)] * 22
     profile = ConsumerProfile(MID, tuple(weights))
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 0))
     ledger.ingest(_report(2, 2 * HOUR))
     [run] = ledger.lost_runs()
@@ -436,7 +568,7 @@ def test_profile_quantiles_shift_toward_heavy_evening():
     weights = [Fraction(1, 10_000)] * 24
     weights[18] = 1 - Fraction(23, 10_000)
     profile = ConsumerProfile(MID, tuple(weights))
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 0))
     ledger.ingest(_report(4, 24 * HOUR))
     [run] = ledger.lost_runs()
@@ -527,7 +659,7 @@ def test_exact_profile_quantiles_stay_within_a_millisecond_of_float_weights(
 
 
 def test_two_lost_sessions_land_on_exact_thirds():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 0))
     ledger.ingest(_report(3, 1000))
     [run] = ledger.lost_runs()
@@ -536,7 +668,7 @@ def test_two_lost_sessions_land_on_exact_thirds():
 
 
 def test_degenerate_bracket_pins_to_boundary():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 5000))
     ledger.ingest(_report(2, 5000))  # same reception instant
     [run] = ledger.lost_runs()
@@ -547,7 +679,7 @@ def test_degenerate_bracket_pins_to_boundary():
 # profile learning
 
 def test_build_profile_uniform_when_rate_constant():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     # one event per hour for 48 hours: every hour bin gets the same count
     _feed(ledger, [
         _report(s, s * HOUR + HOUR // 2) for s in range(48)
@@ -559,7 +691,7 @@ def test_build_profile_uniform_when_rate_constant():
 
 
 def test_build_profile_weights_are_fractions_summing_to_one():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     # three events in hour 0 and one in hour 5 of each of two days; the
     # other 22 hours get the smoothing mass
     _feed(ledger, [
@@ -573,14 +705,14 @@ def test_build_profile_weights_are_fractions_summing_to_one():
 
 
 def test_build_profile_requires_full_day_span():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     _feed(ledger, [_report(s, s * HOUR) for s in range(10)])
     with pytest.raises(InsufficientData):
         ledger.build_profile()
 
 
 def test_build_profile_ignores_heartbeats():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     reports = [_report(s, s * HOUR + 1, quanta=s + 1) for s in range(30)]
     reports.append(_report(30, 30 * HOUR, mtype=MessageType.HEARTBEAT, quanta=30))
     _feed(ledger, reports)
@@ -591,7 +723,7 @@ def test_build_profile_ignores_heartbeats():
 
 
 def test_empty_hours_get_smoothed_not_zeroed():
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     # events only in hour 0 of each day
     _feed(ledger, [
         _report(s, s * 24 * HOUR + 1000) for s in range(3)
@@ -607,7 +739,7 @@ def test_empty_hours_get_smoothed_not_zeroed():
 def _loaded_ledger(n, quantum_scale=1.0):
     """Ledger fed n quantum events; true consumption runs at 1000 du per
     event times quantum_scale (a miscalibrated sensor under-counts)."""
-    ledger = SessionLedger(MID, initial_session=0)
+    ledger = SessionLedger(MID)
     _feed(ledger, [_report(s, (s + 1) * 1000) for s in range(n)])
     return ledger
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from risim.eventlog import (
 from oracles import read_csv
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 #: a lone 0xff byte, carried in a str as its surrogate escape
 NOT_UTF8 = b"\xff".decode("utf-8", "surrogateescape")
@@ -134,6 +136,46 @@ def test_shipped_scenarios_match_golden_hashes(shipped_run):
         for f in ("events.ndjson", "ledgers.ndjson", "metrics.csv")
     )
     assert digests == SHIPPED_DIGESTS[name]
+
+
+#: events, ledgers and metrics digests of ``risim run`` on each benchmark
+#: workload at seed 7; these cover five lossy links and uplink loss, which
+#: the shipped scenarios do not
+WORKLOAD_DIGESTS = {
+    "district_week": (
+        "f7161f402803d3e341b9f1a66a07d09dd6fd992077d42e5a4087440e345e6e27",
+        "bb66655ff5e30c79004e967bb7283046ce7de9c9330a3a44d71a891edddda489",
+        "4adbc1534e8bb5f9b60f268553ff035111d522e6a25c6b85055f37672fa42c2c",
+    ),
+    "idle_fleet": (
+        "eec0453dc014360b494a381eae227fdb49390820e8b1ae8c5b2177ed794a7605",
+        "c1acb7bf3121c92e75ca4e79a0f96967767c484ccb9339ce7eb6f97045776df7",
+        "7c21aff79ae1874a532a6e2e78354ccdc998ba9bff8ba3720395f7437e824de3",
+    ),
+    "lossy_multipath": (
+        "07d18767741416f42b4972eb9c92a57f7f7ae1f6034901e4229983432df0fa19",
+        "f57052c8b7011931442978c596730a34a3f1109ada4a813e9ad58b8c6beea626",
+        "8737d135b3b02ec77d04f48a7bbcc6a9826b9eb5c6150b05877b7ad8e7ad1c21",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
+def test_benchmark_workloads_match_their_digests(workload, tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(workloads.WORKLOADS[workload](7)))
+    out = tmp_path / "out"
+    monkeypatch.delenv("RI_SIM_SEED", raising=False)
+    assert main(["run", str(scenario), "--out", str(out)]) == 0
+    assert main(["replay", str(out)]) == 0
+    digests = tuple(
+        hashlib.sha256((out / f).read_bytes()).hexdigest()
+        for f in ("events.ndjson", "ledgers.ndjson", "metrics.csv")
+    )
+    assert digests == WORKLOAD_DIGESTS[workload]
 
 
 def test_shipped_ri_rows_account_for_every_quantum(shipped_run):
