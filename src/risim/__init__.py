@@ -17,7 +17,7 @@ from .center import (
     ReconstructionResult,
     SessionLedger,
 )
-from .concentrator import ConcentratorConfig, VisibilityMap, broadcast, receive
+from .concentrator import ConcentratorConfig, broadcast, receive
 from .config import load_scenario, scenario_from_dict
 from .domain import (
     ConcentratorReport,
@@ -84,7 +84,6 @@ __all__ = [
     "SessionLedger",
     "SimMeter",
     "TraceSpec",
-    "VisibilityMap",
     "broadcast",
     "compare_runs",
     "concentrator_id",

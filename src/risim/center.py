@@ -286,22 +286,10 @@ class SessionLedger:
     def interpolate_lost_times(self, run: LostRun,
                                profile: ConsumerProfile | None = None,
                                ) -> list[tuple[int, Fraction]]:
-        """Estimate an emission time for every session of one lost run.
-
-        Uniform spacing between the run's bounding reception times by
-        default; with a profile, spacing proportional to the profile's
-        hour-of-day mass.  Estimates are strictly inside the bounding
-        timestamps and strictly increasing.
-        """
+        """Estimate an emission time for every session of one lost run,
+        placed by ``place_lost``."""
         sessions = [(run.first + i) % self.modulus for i in range(run.count)]
-        if run.t_hi <= run.t_lo:
-            # degenerate zero-width bracket; pin everything at the boundary
-            return [(s, Fraction(run.t_lo)) for s in sessions]
-        if profile is None:
-            times = evenly_spaced(run.t_lo, run.t_hi, run.count)
-        else:
-            times = _profile_quantiles(profile, run.t_lo, run.t_hi, run.count)
-        return list(zip(sessions, times))
+        return list(zip(sessions, place_lost(run.t_lo, run.t_hi, run.count, profile)))
 
     # -- profile learning --------------------------------------------------
 
@@ -418,8 +406,15 @@ class MonitoringCenter:
         return [self._ledgers[mid].snapshot() for mid in sorted(self._ledgers)]
 
 
-def evenly_spaced(t_lo, t_hi, k: int) -> list[Fraction]:
-    """The k points that cut [t_lo, t_hi] into k + 1 equal parts, exactly."""
+def place_lost(t_lo, t_hi, k: int, profile: ConsumerProfile | None = None) -> list[Fraction]:
+    """The times of a run's k lost events, strictly increasing inside (t_lo, t_hi):
+    the points that cut it into k + 1 equal parts, or with a profile into
+    k + 1 parts of equal profile mass.  All k sit at t_lo when a skewed clock
+    stamped the run's upper bound no later than its lower one."""
+    if t_hi <= t_lo:
+        return [Fraction(t_lo)] * k
+    if profile is not None:
+        return _profile_quantiles(profile, t_lo, t_hi, k)
     return [t_lo + (t_hi - t_lo) * Fraction(i, k + 1) for i in range(1, k + 1)]
 
 
@@ -442,7 +437,7 @@ def _profile_quantiles(profile: ConsumerProfile, t_lo: int, t_hi: int,
         weight = weights[hour % 24]
         pieces.append((cursor, weight * step / _HOUR, weight))
         cursor += step
-    targets = evenly_spaced(0, sum(mass for _, mass, _ in pieces), k)
+    targets = place_lost(0, sum(mass for _, mass, _ in pieces), k)
     out: list[Fraction] = []
     acc = Fraction(0)
     for start, mass, weight in pieces:

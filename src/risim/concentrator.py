@@ -54,47 +54,20 @@ def receive(cfg: ConcentratorConfig, frame: bytes, true_time_ms: int) -> Concent
     return ConcentratorReport(frame, cfg.id, true_time_ms + cfg.clock_skew_ms)
 
 
-class VisibilityMap:
-    """Static radio adjacency: which concentrators hear which meters.
-
-    Each link carries its own independent loss probability, held as its
-    ``loss_threshold``.  Links are kept in concentrator-id order so that
-    delivery draws consume the random stream in a reproducible order.
+def broadcast(links, rng: random.Random) -> list[tuple[int, str | None]]:
+    """The channel rule for one emission over its meter's (concentrator_id,
+    radio threshold, uplink threshold) links, in concentrator-id order: every
+    radio draw first, then one uplink draw per heard copy whose uplink
+    threshold is above 0.  Returns (concentrator_id, lost) per link, where
+    ``lost`` is None for a copy that reaches the center, else its drop stage.
     """
-
-    def __init__(self, links: dict[int, list[tuple[int, Fraction]]]) -> None:
-        self._links: dict[int, tuple[tuple[int, int], ...]] = {}
-        for mid, pairs in links.items():
-            seen = set()
-            for cid, loss in pairs:
-                if cid in seen:
-                    raise ConfigError(
-                        f"meter {mid:#x}: duplicate link to concentrator {cid:#x}"
-                    )
-                if not 0 <= loss <= 1:
-                    raise ConfigError(
-                        f"meter {mid:#x}: link loss must be a probability, got {loss}"
-                    )
-                seen.add(cid)
-            self._links[mid] = tuple(sorted((cid, loss_threshold(loss)) for cid, loss in pairs))
-
-    def links_for(self, meter_id: int) -> tuple[tuple[int, int], ...]:
-        """(concentrator_id, loss threshold) per link, in concentrator-id order."""
-        return self._links.get(meter_id, ())
-
-    def require_coverage(self, meter_ids) -> None:
-        """Every registered meter must be audible somewhere."""
-        orphans = [m for m in meter_ids if not self._links.get(m)]
-        if orphans:
-            listed = ", ".join(f"{m:#x}" for m in orphans)
-            raise ConfigError(f"meters with no concentrator link: {listed}")
-
-
-def broadcast(vis: VisibilityMap, meter_id: int,
-              rng: random.Random) -> list[tuple[int, bool]]:
-    """One Bernoulli delivery draw per visible link, in concentrator-id order.
-
-    Returns (concentrator_id, delivered) pairs; losses are independent across
-    links, so one transmission can reach several concentrators at once.
-    """
-    return [(cid, rng.random() * DRAW_SCALE >= t) for cid, t in vis.links_for(meter_id)]
+    heard = [rng.random() * DRAW_SCALE >= radio for _, radio, _ in links]
+    fates = []
+    for (cid, _, uplink), ok in zip(links, heard):
+        if not ok:
+            fates.append((cid, "radio"))
+        elif uplink > 0 and rng.random() * DRAW_SCALE < uplink:
+            fates.append((cid, "uplink"))
+        else:
+            fates.append((cid, None))
+    return fates

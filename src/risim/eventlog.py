@@ -21,7 +21,8 @@ from .domain import decode_frame  # unused here; perfbench's tracer patches this
 
 
 class MalformedLog(ValueError):
-    """Raised when a log line cannot be read back as a record or frame."""
+    """Raised when a log line cannot be read back as a record or frame, or
+    when an ingest's logged outcome is not the one its replay gives."""
 
 
 class EventKind(str, Enum):
@@ -188,8 +189,9 @@ def replay_center(records) -> MonitoringCenter:
     plus reception metadata, so the rebuilt ledgers must equal the originals
     exactly if the log is faithful.  Each logged frame goes to the center,
     whose header read is the only one, except that a meter's first logged
-    copy is read once more to register the meter.  A record whose frame or
-    fields cannot be read raises MalformedLog naming its ``seq``.
+    copy is read once more to register the meter.  A record whose fields or
+    frame cannot be read, or whose ``outcome`` the center does not return,
+    raises MalformedLog naming its ``seq``.
     """
     registry = Registry()
     center = MonitoringCenter(registry)
@@ -201,16 +203,19 @@ def replay_center(records) -> MonitoringCenter:
                 bytes.fromhex(rec.payload["frame_hex"]),
                 whole_number(rec.payload["concentrator_id"], "concentrator_id"),
                 whole_number(rec.payload["rx_time_ms"], "rx_time_ms"))
+            logged = rec.payload["outcome"]
             try:
-                center.ingest(report)
+                outcome = center.ingest(report)
             except KeyError:  # the meter's first logged copy: register it
                 kind, _, mid, _, _ = frame_header(report.frame)
                 registry.add_meter(mid, kind)
-                center.ingest(report)
+                outcome = center.ingest(report)
         except KeyError as exc:
             raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None
         except (TypeError, ValueError) as exc:
             raise MalformedLog(f"seq {rec.seq}: {exc}") from None
+        if outcome != logged:
+            raise MalformedLog(f"seq {rec.seq}: outcome {logged!r}, replay gives {outcome.value!r}")
     return center
 
 

@@ -15,9 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .center import MonitoringCenter, SessionLedger, evenly_spaced
-from .concentrator import (DRAW_SCALE, ConcentratorConfig, VisibilityMap, broadcast,
-                           loss_threshold, receive)
+from .center import MonitoringCenter, SessionLedger, place_lost
+from .concentrator import ConcentratorConfig, broadcast, loss_threshold, receive
 from .domain import (
     BASE_UNIT,
     ConfigError,
@@ -85,9 +84,6 @@ class ScenarioConfig:
             reg.add_concentrator(c.id)
         return reg
 
-    def visibility(self) -> VisibilityMap:
-        return VisibilityMap({sm.config.id: list(sm.links) for sm in self.meters()})
-
     def validate(self) -> None:
         whole_number(self.seed, "scenario seed")
         if self.mode not in ("ri", "ti", "both"):
@@ -101,13 +97,17 @@ class ScenarioConfig:
         registry = self.build_registry()   # raises on duplicate ids
         known = set(registry.concentrator_ids())
         for sm in self.meters():
-            for cid, _ in sm.links:
+            mid, cids = sm.config.id, [cid for cid, _ in sm.links]
+            for cid, loss in sm.links:
                 if cid not in known:
-                    raise ConfigError(
-                        f"meter {sm.config.id:#x} links to undeclared "
-                        f"concentrator {cid:#x}"
-                    )
-        self.visibility().require_coverage(m.config.id for m in self.meters())
+                    raise ConfigError(f"meter {mid:#x} links to undeclared concentrator {cid:#x}")
+                if cids.count(cid) > 1:
+                    raise ConfigError(f"meter {mid:#x}: duplicate link to concentrator {cid:#x}")
+                if not 0 <= loss <= 1:
+                    raise ConfigError(f"meter {mid:#x}: link loss must be a probability, got {loss}")
+        orphans = [f"{sm.config.id:#x}" for sm in self.meters() if not sm.links]
+        if orphans:
+            raise ConfigError(f"meters with no concentrator link: {', '.join(orphans)}")
 
 
 @dataclass
@@ -150,9 +150,12 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
     """Run the event-driven mode end to end and ingest at the center, handing
     each record to ``log`` as it happens; with no log none is built."""
     registry = scenario.build_registry()
-    vis = scenario.visibility()
     conc = {c.id: c for c in scenario.concentrators()}
-    uplink = {cid: loss_threshold(c.uplink_loss) for cid, c in conc.items()}
+    # per meter, (concentrator, radio threshold, uplink threshold) by concentrator id
+    links = {sm.config.id: tuple(sorted((cid, loss_threshold(loss),
+                                         loss_threshold(conc[cid].uplink_loss))
+                                        for cid, loss in sm.links))
+             for sm in scenario.meters()}
     traces = _generate_traces(scenario)
     center = MonitoringCenter(registry)
 
@@ -171,17 +174,14 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
         counts[mid] = counts.get(mid, 0) + 1
         if log is not None:
             log.emission(t, frame)
-        # every radio draw of the emission first, then one uplink draw per
-        # copy that got through, in concentrator-id order
-        for cid, delivered in broadcast(vis, mid, rng):
-            threshold = uplink[cid]
-            if delivered and not (threshold > 0 and rng.random() * DRAW_SCALE < threshold):
+        for cid, lost in broadcast(links[mid], rng):
+            if lost is None:
                 report = receive(conc[cid], frame, t)
                 outcome = center.ingest(report)
                 if log is not None:
                     log.ingest(t, mid, session, cid, report.rx_time_ms, outcome, frame)
             elif log is not None:
-                log.drop(t, mid, session, cid, "uplink" if delivered else "radio")
+                log.drop(t, mid, session, cid, lost)
 
     metrics: dict[int, DetailMetric] = {}
     ledgers = center.ledgers()
@@ -293,8 +293,9 @@ def reconstruction_steps(ledger: SessionLedger | None,
     particular order: ``_step_mean_square`` places and sorts them.
 
     Accepted quantum events jump at their integer reception times; quanta
-    recovered inside bounded gaps jump at uniform quantile times between the
-    bounding receptions, keeping every step exactly one quantum tall.
+    recovered inside bounded gaps jump at the uniform times ``place_lost``
+    gives between the bounding receptions, keeping every step exactly one
+    quantum tall.
     """
     if ledger is None or ledger.is_empty:
         return []
@@ -303,7 +304,7 @@ def reconstruction_steps(ledger: SessionLedger | None,
         if rec.message_type is MessageType.QUANTUM_EVENT:
             jumps.append((rec.rx_time_ms, quantum_du))
     for run in ledger.lost_runs():
-        jumps.extend((t, quantum_du) for t in evenly_spaced(run.t_lo, run.t_hi, run.quanta))
+        jumps.extend((t, quantum_du) for t in place_lost(run.t_lo, run.t_hi, run.quanta))
     return jumps
 
 

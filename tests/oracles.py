@@ -1,18 +1,34 @@
 """Reference helpers that only tests call, kept out of the package so the
 oracles share no code with what they check beyond the trace's own
-``cumulative_du``, the frame decoder and the result types."""
+``cumulative_du`` and generator, the frame codec, the seed mixer and the
+result types."""
 
 from __future__ import annotations
 
 import csv
+import math
+import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 from risim.center import ReconstructionResult, SessionLedger
-from risim.domain import ConcentratorReport, MessageType, decode_frame
+from risim.domain import (
+    MS_PER_HOUR,
+    NOMINAL_QUALITY_DU,
+    SESSION_MOD,
+    ConcentratorReport,
+    MessageType,
+    MeterMessage,
+    MeterState,
+    QualityVector,
+    decode_frame,
+    encode_frame,
+)
 from risim.eventlog import EventLogRecord
 from risim.meter import MeterConfig, MeterRun
-from risim.traces import ConsumptionTrace
+from risim.simulation import ScenarioConfig
+from risim.traces import CHANNEL_STREAM, ConsumptionTrace, generate_trace, mix_seed
 
 
 def battery_lifetime(cfg: MeterConfig, trace: ConsumptionTrace) -> int | None:
@@ -174,3 +190,234 @@ class ReferenceCenter:
 
     def reconstruct_all(self, window: tuple[int, int]) -> list[ReconstructionResult]:
         return [self.reconstruct(meter, window) for meter in sorted(self.quantum_du)]
+
+
+# ---------------------------------------------------------------------------
+# reference schedule: the per-step state machine MeterRun's closed form replaced
+
+
+def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
+             mtype: MessageType) -> MeterMessage:
+    """The frame of one transmission, after it spent ``tx_cost``: the
+    battery byte is ``round`` of an exact ``Fraction``, ties to even."""
+    return MeterMessage(
+        meter_id=cfg.id,
+        session=session % SESSION_MOD,
+        kind=cfg.kind,
+        message_type=mtype,
+        quality=QualityVector(cfg.kind, NOMINAL_QUALITY_DU[cfg.kind]),
+        state=MeterState(
+            battery=round(max(battery, 0) * 200 / cfg.battery_capacity),
+            cumulative_quanta=quanta % 2**32,
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class MeterRuntime:
+    """Mutable-by-replacement device state between transmissions."""
+
+    residual_du: Fraction
+    next_session: int
+    last_tx_ms: int
+    battery_remaining: Fraction
+    cumulative_quanta: int
+
+    @classmethod
+    def installed(cls, cfg: MeterConfig) -> MeterRuntime:
+        return cls(Fraction(0), 0, 0, cfg.battery_capacity, 0)
+
+
+def effective_quantum_du(cfg: MeterConfig, rt: MeterRuntime) -> Fraction:
+    """Current emission threshold: the nominal quantum inflated by drift."""
+    return cfg.quantum_du * (1 + cfg.drift_rate * Fraction(rt.cumulative_quanta))
+
+
+def ingest_flow(rt: MeterRuntime, cfg: MeterConfig, amount_du,
+                now_ms: int) -> tuple[MeterRuntime, list[MeterMessage]]:
+    """Register ``amount_du`` ending at ``now_ms``: one message per crossing.
+
+    A dead battery neither emits nor accumulates.
+    """
+    amount = Fraction(amount_du)
+    if rt.battery_remaining <= 0:
+        return rt, []
+    residual = rt.residual_du + amount
+    session = rt.next_session
+    battery = rt.battery_remaining
+    quanta = rt.cumulative_quanta
+    messages: list[MeterMessage] = []
+    while True:
+        eff = cfg.quantum_du * (1 + cfg.drift_rate * Fraction(quanta))
+        if residual < eff:
+            break
+        if battery <= 0:
+            residual = Fraction(0)  # sensor died mid-stream; the rest is lost
+            break
+        residual -= eff
+        quanta += 1
+        battery -= cfg.tx_cost
+        messages.append(_message(cfg, battery, quanta, session, MessageType.QUANTUM_EVENT))
+        session += 1
+    rt = replace(
+        rt,
+        residual_du=residual,
+        next_session=session,
+        battery_remaining=battery,
+        cumulative_quanta=quanta,
+        last_tx_ms=now_ms if messages else rt.last_tx_ms,
+    )
+    return rt, messages
+
+
+def heartbeat_check(rt: MeterRuntime, cfg: MeterConfig,
+                    now_ms: int) -> tuple[MeterRuntime, MeterMessage | None]:
+    """Emit a liveness message if the meter has been silent a full interval."""
+    if rt.battery_remaining <= 0:
+        return rt, None
+    if now_ms - rt.last_tx_ms < cfg.heartbeat_interval_ms:
+        return rt, None
+    battery = rt.battery_remaining - cfg.tx_cost
+    msg = _message(cfg, battery, rt.cumulative_quanta, rt.next_session, MessageType.HEARTBEAT)
+    rt = replace(
+        rt,
+        next_session=rt.next_session + 1,
+        battery_remaining=battery,
+        last_tx_ms=now_ms,
+    )
+    return rt, msg
+
+
+class _StepRun:
+    """Reference schedule: step to the next crossing, deadline or segment end.
+
+    Each step registers the flow up to the next instant through
+    ``ingest_flow`` and then calls ``heartbeat_check``, both at the first
+    whole millisecond at or after the instant.
+    """
+
+    def __init__(self, cfg: MeterConfig, trace: ConsumptionTrace) -> None:
+        self.cfg = cfg
+        self.trace = trace
+        self.runtime = MeterRuntime.installed(cfg)
+        self.depleted_at_ms: int | None = None
+        self.instants: list[Fraction] = []  # exact instant of each frame
+
+    @property
+    def battery_remaining(self) -> Fraction:
+        return self.runtime.battery_remaining
+
+    def events(self):
+        cfg = self.cfg
+        if self.runtime.battery_remaining <= 0:
+            self.depleted_at_ms = 0
+            return
+        cursor = Fraction(0)
+        for _, seg_end, rate in self.trace.segments():
+            while cursor < seg_end:
+                # step to the segment end, the heartbeat deadline or the
+                # crossing, whichever comes first; a crossing at the deadline
+                # transmits and so resets it
+                rt = self.runtime
+                step_to = min(seg_end, rt.last_tx_ms + cfg.heartbeat_interval_ms)
+                if rate > 0:
+                    need = effective_quantum_du(cfg, rt) - rt.residual_du
+                    step_to = min(step_to, cursor + need * MS_PER_HOUR / rate)
+                if not self._drain_until(cursor, step_to):
+                    return
+                now = math.ceil(step_to)
+                amount = rate * (step_to - cursor) / MS_PER_HOUR
+                rt, msgs = ingest_flow(self.runtime, cfg, amount, now)
+                rt, heartbeat = heartbeat_check(rt, cfg, now)
+                self.runtime = rt
+                for msg in msgs:
+                    self.instants.append(step_to)
+                    yield now, msg
+                if heartbeat is not None:
+                    self.instants.append(step_to)
+                    yield now, heartbeat
+                cursor = step_to
+                if rt.battery_remaining <= 0:
+                    self.depleted_at_ms = now
+                    return
+
+    def _drain_until(self, t_from: Fraction, t_to) -> bool:
+        """Apply idle drain over [t_from, t_to); False when the battery dies."""
+        cfg = self.cfg
+        rt = self.runtime
+        if cfg.idle_drain_per_hour == 0 or t_to <= t_from:
+            return True
+        death = t_from + rt.battery_remaining * MS_PER_HOUR / cfg.idle_drain_per_hour
+        if death <= t_to:
+            self.runtime = replace(rt, battery_remaining=Fraction(0))
+            self.depleted_at_ms = math.ceil(death)
+            return False
+        spent = cfg.idle_drain_per_hour * (Fraction(t_to) - t_from) / MS_PER_HOUR
+        self.runtime = replace(rt, battery_remaining=rt.battery_remaining - spent)
+        return True
+
+
+# ---------------------------------------------------------------------------
+# reference run: run_ri's records and ledgers from protocol.md
+
+
+class ReferenceRun:
+    """``run_ri`` written from protocol.md's rules, to check it against.
+
+    Each meter's frames come from ``_StepRun``, encoded with
+    ``encode_frame``.  All emissions are taken in (time, meter, session)
+    order, and one ``random.Random(mix_seed(seed, CHANNEL_STREAM))`` decides
+    every copy: all radio draws of an emission in concentrator-id order,
+    then one uplink draw for each heard copy whose concentrator's uplink
+    loss is above 0, again in concentrator-id order.  A draw below its loss,
+    compared as exact fractions, loses the copy.  Each delivered copy reaches
+    a ``ReferenceCenter`` at the emission time plus its concentrator's skew,
+    with its true session index.
+    """
+
+    def __init__(self, scenario: ScenarioConfig) -> None:
+        self.scenario = scenario
+        self.center = ReferenceCenter(
+            {sm.config.id: sm.config.quantum_du for sm in scenario.meters()})
+
+    def records(self):
+        """The run's log records as dicts: ``seq``, ``sim_time_ms``, ``kind``
+        and ``payload``, in log order."""
+        sc = self.scenario
+        skew = {c.id: c.clock_skew_ms for c in sc.concentrators()}
+        uplink = {c.id: Fraction(c.uplink_loss) for c in sc.concentrators()}
+        links = {sm.config.id: sorted((cid, Fraction(loss)) for cid, loss in sm.links)
+                 for sm in sc.meters()}
+        emissions = []
+        for sm in sc.meters():
+            trace = generate_trace(sm.trace, sc.seed, sc.horizon_ms, sm.config.id)
+            for index, (t, msg) in enumerate(_StepRun(sm.config, trace).events()):
+                emissions.append((t, sm.config.id, index, msg))
+        emissions.sort(key=lambda e: e[:3])
+
+        rng = random.Random(mix_seed(sc.seed, CHANNEL_STREAM))
+        seq = 0
+        for t, mid, index, msg in emissions:
+            frame = encode_frame(msg)
+            radio = [Fraction(rng.random()) < loss for _, loss in links[mid]]
+            lost = ["radio" if dropped else None for dropped in radio]
+            for i, (cid, _) in enumerate(links[mid]):
+                if lost[i] is None and uplink[cid] > 0 and Fraction(rng.random()) < uplink[cid]:
+                    lost[i] = "uplink"
+
+            yield {"seq": seq, "sim_time_ms": t, "kind": msg.message_type.value, "payload": {
+                "cumulative_quanta": msg.state.cumulative_quanta, "frame_hex": frame.hex(),
+                "meter_id": mid, "resource": msg.kind.value, "session": msg.session}}
+            seq += 1
+            for (cid, _), stage in zip(links[mid], lost):
+                if stage is None:
+                    rx_time = t + skew[cid]
+                    outcome = self.center.ingest(index, ConcentratorReport(frame, cid, rx_time))
+                    yield {"seq": seq, "sim_time_ms": t, "kind": "center_ingest", "payload": {
+                        "concentrator_id": cid, "frame_hex": frame.hex(), "meter_id": mid,
+                        "outcome": outcome, "rx_time_ms": rx_time, "session": msg.session}}
+                else:
+                    yield {"seq": seq, "sim_time_ms": t, "kind": "drop", "payload": {
+                        "concentrator_id": cid, "meter_id": mid, "session": msg.session,
+                        "stage": stage}}
+                seq += 1

@@ -26,6 +26,7 @@ from risim.center import (
     NoData,
     SessionLedger,
     _profile_quantiles,
+    place_lost,
 )
 from risim.domain import (
     ConcentratorReport,
@@ -43,6 +44,7 @@ from risim.domain import (
     meter_id,
 )
 from risim.eventlog import EventLog, replay_center
+from risim.simulation import reconstruction_steps
 
 from oracles import ReferenceCenter, record_sink
 
@@ -673,6 +675,21 @@ def test_degenerate_bracket_pins_to_boundary():
     ledger.ingest(_report(2, 5000))  # same reception instant
     [run] = ledger.lost_runs()
     assert ledger.interpolate_lost_times(run) == [(1, 5000.0)]
+
+
+def test_a_run_stamped_backwards_places_its_lost_events_at_its_lower_bound():
+    # a late-running concentrator stamps session 0 at 500 ms and another
+    # stamps session 2 at 100 ms: the lost quantum sits at 500 ms both in the
+    # timing estimate and in the metric's step curve
+    ledger = SessionLedger(MID)
+    ledger.ingest(_report(0, 500))
+    ledger.ingest(_report(2, 100, cid=CID2))
+    [run] = ledger.lost_runs()
+    assert (run.t_lo, run.t_hi, run.quanta) == (500, 100, 1)
+    assert ledger.interpolate_lost_times(run) == [(1, 500)]
+    assert sorted(reconstruction_steps(ledger, 1000)) == [(100, 1000), (500, 1000), (500, 1000)]
+    profile = ConsumerProfile(MID, (Fraction(1, 24),) * 24)
+    assert place_lost(500, 100, 2, profile) == place_lost(500, 500, 2) == [500, 500]
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,10 @@ def _concentrator_a_list_on_a_copy(payload):
     payload["concentrator_id"] = [payload["concentrator_id"]]
 
 
+def _accepted_logged_as_duplicate(payload):
+    payload["outcome"] = "duplicate"
+
+
 @pytest.mark.parametrize("log, tamper", [
     pytest.param("events.ndjson", _shift_rx_time, id="rx_time_shifted"),
     pytest.param("events.ndjson", _truncate_frame, id="frame_truncated"),
@@ -290,6 +294,8 @@ def _concentrator_a_list_on_a_copy(payload):
     pytest.param("events.ndjson", _rx_time_a_string, id="rx_time_a_string"),
     pytest.param("events.ndjson", _concentrator_a_list_on_a_copy,
                  id="concentrator_a_list_on_a_copy"),
+    pytest.param("events.ndjson", _accepted_logged_as_duplicate,
+                 id="accepted_logged_as_duplicate"),
     pytest.param("events.ndjson", None, id="events_not_json"),
     pytest.param("ledgers.ndjson", None, id="ledgers_not_json"),
 ])

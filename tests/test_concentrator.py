@@ -1,18 +1,20 @@
-"""Concentrator stamping, visibility, and channel loss statistics."""
+"""Concentrator stamping, link checks, and the channel rule and its loss statistics."""
 
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from risim.cli import main
 from risim.concentrator import (
     DRAW_SCALE,
     ConcentratorConfig,
-    VisibilityMap,
     broadcast,
     loss_threshold,
     receive,
@@ -29,6 +31,9 @@ from risim.domain import (
     encode_frame,
     meter_id,
 )
+from risim.meter import MeterConfig
+from risim.simulation import Building, ScenarioConfig, SimMeter
+from risim.traces import TraceSpec
 
 MID = meter_id(1)
 CID1 = concentrator_id(1)
@@ -70,66 +75,126 @@ def test_uplink_loss_must_be_probability():
         ConcentratorConfig(id=CID1, uplink_loss=1.5)
 
 
-def test_visibility_rejects_duplicate_link():
-    with pytest.raises(ConfigError):
-        VisibilityMap({MID: [(CID1, 0.1), (CID1, 0.2)]})
+def _scenario(*links):
+    """One idle meter with ``links`` and two declared concentrators."""
+    meter = SimMeter(MeterConfig(MID, ResourceKind.COLD_WATER), TraceSpec("zero"), links)
+    concs = (ConcentratorConfig(CID1), ConcentratorConfig(CID2))
+    return ScenarioConfig(seed=0, horizon_ms=0, buildings=(Building((meter,), concs),))
 
 
-def test_visibility_rejects_bad_loss():
-    with pytest.raises(ConfigError):
-        VisibilityMap({MID: [(CID1, -0.1)]})
+def test_scenario_rejects_duplicate_link():
+    with pytest.raises(ConfigError) as err:
+        _scenario((CID1, 0.1), (CID1, 0.2))
+    assert str(err.value) == f"meter {MID:#x}: duplicate link to concentrator {CID1:#x}"
+
+
+def test_scenario_rejects_bad_link_loss():
+    with pytest.raises(ConfigError) as err:
+        _scenario((CID1, -0.1))
+    assert str(err.value) == f"meter {MID:#x}: link loss must be a probability, got -0.1"
 
 
 def test_coverage_check_names_orphans():
-    vis = VisibilityMap({MID: [(CID1, 0.0)]})
-    vis.require_coverage([MID])
-    other = meter_id(99)
+    covered = _scenario((CID1, 0.0))
+    orphan, other = (SimMeter(MeterConfig(meter_id(n), ResourceKind.GAS), TraceSpec("zero"), ())
+                     for n in (98, 99))
+    building = replace(covered.buildings[0], meters=(*covered.buildings[0].meters, orphan, other))
     with pytest.raises(ConfigError) as err:
-        vis.require_coverage([MID, other])
-    assert f"{other:#x}" in str(err.value)
+        replace(covered, buildings=(building,))
+    assert str(err.value) == (
+        f"meters with no concentrator link: {meter_id(98):#x}, {meter_id(99):#x}")
 
 
-def test_broadcast_draws_in_concentrator_id_order():
-    # links listed out of order are still drawn low-id first, so the random
-    # stream is consumed identically however the config was written
-    vis_a = VisibilityMap({MID: [(CID2, 0.5), (CID1, 0.5)]})
-    vis_b = VisibilityMap({MID: [(CID1, 0.5), (CID2, 0.5)]})
-    out_a = broadcast(vis_a, MID, random.Random(123))
-    out_b = broadcast(vis_b, MID, random.Random(123))
-    assert out_a == out_b
-    assert [cid for cid, _ in out_a] == [CID1, CID2]
+def _run(tmp_path, name, scenario) -> dict[str, bytes]:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / name
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    return {f: (out / f).read_bytes() for f in ("events.ndjson", "ledgers.ndjson", "metrics.csv")}
+
+
+def test_broadcast_draws_in_concentrator_id_order(tmp_path):
+    # links and concentrators listed in reverse are still drawn low id first,
+    # so the random stream is consumed identically however the config was
+    # written, and every artifact is byte-identical
+    concentrators = [{"serial": n, "clock_skew_ms": 3 * n, "uplink_loss": loss}
+                     for n, loss in ((1, 0.3), (2, 0), (3, 0.5))]
+    meters = [
+        {"serial": 1, "kind": "cold_water", "heartbeat_interval": "10min",
+         "trace": {"kind": "constant", "params": {"rate": "30l/h"}},
+         "links": [{"concentrator": n, "loss": loss}
+                   for n, loss in ((1, 0.2), (2, 0.4), (3, 0.1))]},
+        {"serial": 2, "kind": "gas", "heartbeat_interval": "7min",
+         "trace": {"kind": "zero"},
+         "links": [{"concentrator": n, "loss": 0.25} for n in (3, 1)]},
+    ]
+    forward = {"seed": 5, "horizon": "3h", "buildings": [
+        {"concentrators": concentrators, "meters": meters}]}
+    reverse = {"seed": 5, "horizon": "3h", "buildings": [{
+        "concentrators": concentrators[::-1],
+        "meters": [{**m, "links": m["links"][::-1]} for m in meters]}]}
+    got = _run(tmp_path, "forward", forward)
+    assert _run(tmp_path, "reverse", reverse) == got
+    assert got["events.ndjson"].count(b'"stage":"uplink"') > 0
+
+
+def _links(*losses, uplink=0):
+    """One link per loss, to concentrators 1, 2, ... in id order."""
+    return tuple((concentrator_id(n), loss_threshold(loss), loss_threshold(uplink))
+                 for n, loss in enumerate(losses, 1))
 
 
 def test_broadcast_lossless_always_delivers():
-    vis = VisibilityMap({MID: [(CID1, 0.0), (CID2, 0.0)]})
+    links = _links(0.0, 0.0)
     rng = random.Random(5)
     for _ in range(100):
-        assert all(ok for _, ok in broadcast(vis, MID, rng))
+        assert all(lost is None for _, lost in broadcast(links, rng))
 
 
 def test_broadcast_certain_loss_never_delivers():
-    vis = VisibilityMap({MID: [(CID1, 1.0)]})
+    links = _links(1.0, uplink=0.5)
     rng = random.Random(5)
     for _ in range(100):
-        assert not any(ok for _, ok in broadcast(vis, MID, rng))
+        assert broadcast(links, rng) == [(CID1, "radio")]
 
 
 def test_at_least_one_delivery_rate_matches_independence_law():
     # two independent links at loss 0.5 each: P(at least one) = 1 - 0.5^2
     # = 0.75; 10000 seeded trials sit within +/-0.02 of that
-    vis = VisibilityMap({MID: [(CID1, 0.5), (CID2, 0.5)]})
+    links = _links(0.5, 0.5)
     rng = random.Random(20240817)
     trials = 10_000
     hits = sum(
-        1 for _ in range(trials) if any(ok for _, ok in broadcast(vis, MID, rng))
+        1 for _ in range(trials) if any(lost is None for _, lost in broadcast(links, rng))
     )
     assert abs(hits / trials - 0.75) < 0.02
 
 
-def test_unknown_meter_has_no_links():
-    vis = VisibilityMap({MID: [(CID1, 0.0)]})
-    assert vis.links_for(meter_id(42)) == ()
-    assert broadcast(vis, MID, random.Random(0)) != []
+def test_broadcast_draws_uplinks_after_every_radio_draw():
+    # concentrators 1-4: lossy radio links, and lossy uplinks on 1, 2 and 4;
+    # each emission draws the four radio links, then one uplink per heard
+    # copy on a lossy uplink, both in concentrator-id order
+    radio = (0.3, 0.5, 0.2, 0.4)
+    uplinks = (0.5, 0.25, 0, 1)
+    cids = [concentrator_id(n) for n in range(1, 5)]
+    links = tuple((cid, loss_threshold(r), loss_threshold(u))
+                  for cid, r, u in zip(cids, radio, uplinks))
+    rng, ref = random.Random(11), random.Random(11)
+    stages = set()
+    for _ in range(500):
+        heard = [ref.random() >= r for r in radio]
+        want = []
+        for cid, ok, u in zip(cids, heard, uplinks):
+            if not ok:
+                want.append((cid, "radio"))
+            elif u > 0 and ref.random() < u:
+                want.append((cid, "uplink"))
+            else:
+                want.append((cid, None))
+        assert broadcast(links, rng) == want
+        stages.update(lost for _, lost in want)
+    assert stages == {None, "radio", "uplink"}
+    assert rng.random() == ref.random()   # no draw more or fewer
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +228,9 @@ def test_loss_threshold_endpoints():
 def test_broadcast_decides_each_draw_as_a_float_compare():
     losses = (0.01, 0.1, 0.15, 0.2, 0.25, 0.3, 0.5)
     cids = [concentrator_id(n) for n in range(1, len(losses) + 1)]
-    vis = VisibilityMap({MID: list(zip(cids, losses))})
+    links = _links(*losses)
     rng, ref = random.Random(5), random.Random(5)
     for _ in range(500):
-        want = [(cid, ref.random() >= loss) for cid, loss in zip(cids, losses)]
-        assert broadcast(vis, MID, rng) == want
+        want = [(cid, None if ref.random() >= loss else "radio")
+                for cid, loss in zip(cids, losses)]
+        assert broadcast(links, rng) == want

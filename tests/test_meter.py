@@ -11,7 +11,7 @@ from __future__ import annotations
 import cProfile
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,13 +22,9 @@ import risim.meter as meter_mod
 from risim.domain import (
     MS_PER_DAY,
     MS_PER_HOUR,
-    NOMINAL_QUALITY_DU,
     MessageType,
     MeterMessage,
-    MeterState,
-    QualityVector,
     ResourceKind,
-    SESSION_MOD,
     decode_frame,
     encode_frame,
     meter_id,
@@ -36,7 +32,8 @@ from risim.domain import (
 from risim.meter import MeterConfig, MeterRun
 from risim.traces import ConsumptionTrace
 
-from oracles import battery_lifetime, scaled, total_du
+from oracles import (_StepRun, battery_lifetime, effective_quantum_du, heartbeat_check,
+                     ingest_flow, scaled, total_du)
 
 MID = meter_id(7)
 
@@ -346,168 +343,8 @@ def test_schedule_builds_no_fraction_per_frame(drain):
 
 
 # ---------------------------------------------------------------------------
-# reference schedules: the per-step state machine MeterRun's closed form replaced
-
-
-def _message(cfg: MeterConfig, battery: Fraction, quanta: int, session: int,
-             mtype: MessageType) -> MeterMessage:
-    """The frame of one transmission, after it spent ``tx_cost``: the
-    battery byte is ``round`` of an exact ``Fraction``, ties to even."""
-    return MeterMessage(
-        meter_id=cfg.id,
-        session=session % SESSION_MOD,
-        kind=cfg.kind,
-        message_type=mtype,
-        quality=QualityVector(cfg.kind, NOMINAL_QUALITY_DU[cfg.kind]),
-        state=MeterState(
-            battery=round(max(battery, 0) * 200 / cfg.battery_capacity),
-            cumulative_quanta=quanta % 2**32,
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class MeterRuntime:
-    """Mutable-by-replacement device state between transmissions."""
-
-    residual_du: Fraction
-    next_session: int
-    last_tx_ms: int
-    battery_remaining: Fraction
-    cumulative_quanta: int
-
-    @classmethod
-    def installed(cls, cfg: MeterConfig) -> MeterRuntime:
-        return cls(Fraction(0), 0, 0, cfg.battery_capacity, 0)
-
-
-def effective_quantum_du(cfg: MeterConfig, rt: MeterRuntime) -> Fraction:
-    """Current emission threshold: the nominal quantum inflated by drift."""
-    return cfg.quantum_du * (1 + cfg.drift_rate * Fraction(rt.cumulative_quanta))
-
-
-def ingest_flow(rt: MeterRuntime, cfg: MeterConfig, amount_du,
-                now_ms: int) -> tuple[MeterRuntime, list[MeterMessage]]:
-    """Register ``amount_du`` ending at ``now_ms``: one message per crossing.
-
-    A dead battery neither emits nor accumulates.
-    """
-    amount = Fraction(amount_du)
-    if rt.battery_remaining <= 0:
-        return rt, []
-    residual = rt.residual_du + amount
-    session = rt.next_session
-    battery = rt.battery_remaining
-    quanta = rt.cumulative_quanta
-    messages: list[MeterMessage] = []
-    while True:
-        eff = cfg.quantum_du * (1 + cfg.drift_rate * Fraction(quanta))
-        if residual < eff:
-            break
-        if battery <= 0:
-            residual = Fraction(0)  # sensor died mid-stream; the rest is lost
-            break
-        residual -= eff
-        quanta += 1
-        battery -= cfg.tx_cost
-        messages.append(_message(cfg, battery, quanta, session, MessageType.QUANTUM_EVENT))
-        session += 1
-    rt = replace(
-        rt,
-        residual_du=residual,
-        next_session=session,
-        battery_remaining=battery,
-        cumulative_quanta=quanta,
-        last_tx_ms=now_ms if messages else rt.last_tx_ms,
-    )
-    return rt, messages
-
-
-def heartbeat_check(rt: MeterRuntime, cfg: MeterConfig,
-                    now_ms: int) -> tuple[MeterRuntime, MeterMessage | None]:
-    """Emit a liveness message if the meter has been silent a full interval."""
-    if rt.battery_remaining <= 0:
-        return rt, None
-    if now_ms - rt.last_tx_ms < cfg.heartbeat_interval_ms:
-        return rt, None
-    battery = rt.battery_remaining - cfg.tx_cost
-    msg = _message(cfg, battery, rt.cumulative_quanta, rt.next_session, MessageType.HEARTBEAT)
-    rt = replace(
-        rt,
-        next_session=rt.next_session + 1,
-        battery_remaining=battery,
-        last_tx_ms=now_ms,
-    )
-    return rt, msg
-
-
-class _StepRun:
-    """Reference schedule: step to the next crossing, deadline or segment end.
-
-    Each step registers the flow up to the next instant through
-    ``ingest_flow`` and then calls ``heartbeat_check``, both at the first
-    whole millisecond at or after the instant.
-    """
-
-    def __init__(self, cfg: MeterConfig, trace: ConsumptionTrace) -> None:
-        self.cfg = cfg
-        self.trace = trace
-        self.runtime = MeterRuntime.installed(cfg)
-        self.depleted_at_ms: int | None = None
-        self.instants: list[Fraction] = []  # exact instant of each frame
-
-    @property
-    def battery_remaining(self) -> Fraction:
-        return self.runtime.battery_remaining
-
-    def events(self):
-        cfg = self.cfg
-        if self.runtime.battery_remaining <= 0:
-            self.depleted_at_ms = 0
-            return
-        cursor = Fraction(0)
-        for _, seg_end, rate in self.trace.segments():
-            while cursor < seg_end:
-                # step to the segment end, the heartbeat deadline or the
-                # crossing, whichever comes first; a crossing at the deadline
-                # transmits and so resets it
-                rt = self.runtime
-                step_to = min(seg_end, rt.last_tx_ms + cfg.heartbeat_interval_ms)
-                if rate > 0:
-                    need = effective_quantum_du(cfg, rt) - rt.residual_du
-                    step_to = min(step_to, cursor + need * MS_PER_HOUR / rate)
-                if not self._drain_until(cursor, step_to):
-                    return
-                now = math.ceil(step_to)
-                amount = rate * (step_to - cursor) / MS_PER_HOUR
-                rt, msgs = ingest_flow(self.runtime, cfg, amount, now)
-                rt, heartbeat = heartbeat_check(rt, cfg, now)
-                self.runtime = rt
-                for msg in msgs:
-                    self.instants.append(step_to)
-                    yield now, msg
-                if heartbeat is not None:
-                    self.instants.append(step_to)
-                    yield now, heartbeat
-                cursor = step_to
-                if rt.battery_remaining <= 0:
-                    self.depleted_at_ms = now
-                    return
-
-    def _drain_until(self, t_from: Fraction, t_to) -> bool:
-        """Apply idle drain over [t_from, t_to); False when the battery dies."""
-        cfg = self.cfg
-        rt = self.runtime
-        if cfg.idle_drain_per_hour == 0 or t_to <= t_from:
-            return True
-        death = t_from + rt.battery_remaining * MS_PER_HOUR / cfg.idle_drain_per_hour
-        if death <= t_to:
-            self.runtime = replace(rt, battery_remaining=Fraction(0))
-            self.depleted_at_ms = math.ceil(death)
-            return False
-        spent = cfg.idle_drain_per_hour * (Fraction(t_to) - t_from) / MS_PER_HOUR
-        self.runtime = replace(rt, battery_remaining=rt.battery_remaining - spent)
-        return True
+# reference schedules: the per-step state machines MeterRun's closed form
+# replaced; ``_StepRun`` lives in oracles.py, which its whole-run reference shares
 
 
 class _ThreeBranchRun(_StepRun):

@@ -49,7 +49,7 @@ from risim.simulation import (
 )
 from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
 
-from oracles import accepted_count, consumed_between, record_sink, total_du
+from oracles import ReferenceRun, accepted_count, consumed_between, record_sink, total_du
 
 CID = concentrator_id(1)
 
@@ -230,6 +230,60 @@ def test_each_emission_is_followed_by_one_outcome_line_per_link(sc):
                 allowed.add("ingest")
             assert stage in allowed
         i += 1 + len(cids)
+
+
+@st.composite
+def _reference_scenarios(draw):
+    """1-4 meters of three kinds on 1-3 skewed concentrators, losses of 0, 1
+    and between, up to 2 h.  Heartbeats and crossings fall on whole minutes,
+    so meters often emit in the same millisecond; drift, idle drain and
+    batteries of a few frames come in too."""
+    concs = [
+        ConcentratorConfig(concentrator_id(k), clock_skew_ms=draw(st.integers(-50, 50)),
+                           uplink_loss=draw(_LOSSES))
+        for k in range(1, draw(st.integers(1, 3)) + 1)
+    ]
+    meters = tuple(
+        SimMeter(
+            config=MeterConfig(
+                id=meter_id(serial),
+                kind=draw(st.sampled_from([ResourceKind.COLD_WATER, ResourceKind.ELECTRICITY,
+                                           ResourceKind.GAS])),
+                quantum_du=draw(st.sampled_from([500, 1000])),
+                heartbeat_interval_ms=MS_PER_MINUTE * draw(st.sampled_from([5, 10, 15, 60])),
+                battery_capacity=draw(st.sampled_from([Fraction(10**6), Fraction(5, 2)])),
+                idle_drain_per_hour=draw(st.sampled_from([Fraction(0), Fraction(1, 2)])),
+                drift_rate=draw(st.sampled_from([Fraction(0), Fraction(1, 100)])),
+            ),
+            trace=draw(st.sampled_from([
+                TraceSpec("zero"),
+                TraceSpec("constant", {"rate_du_per_hour": 6000}),
+                TraceSpec("constant", {"rate_du_per_hour": 12_000}),
+                TraceSpec("diurnal", {"daily_total_du": 200_000, "jitter_pct": 10}),
+            ])),
+            links=tuple((c.id, draw(_LOSSES)) for c in draw(
+                st.lists(st.sampled_from(concs), min_size=1, max_size=len(concs), unique=True))),
+        )
+        for serial in range(1, draw(st.integers(1, 4)) + 1)
+    )
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**32)),
+        horizon_ms=MS_PER_MINUTE * draw(st.integers(10, 120)),
+        buildings=(Building(meters=meters, concentrators=tuple(concs)),),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reference_scenarios())
+def test_run_ri_matches_the_reference_run(sc):
+    """run_ri's records, ``seq`` and outcomes included, and its ledgers are
+    those of ReferenceRun, which follows protocol.md step by step."""
+    records = []
+    res = run_ri(sc, EventLog(record_sink(records)))
+    ref = ReferenceRun(sc)
+    assert [{"seq": r.seq, "sim_time_ms": r.sim_time_ms, "kind": r.kind, "payload": r.payload}
+            for r in records] == list(ref.records())
+    assert res.center.snapshots() == ref.center.snapshots()
 
 
 def test_crossing_times_match_closed_form_schedule():

@@ -10,13 +10,22 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import risim.simulation
+from risim.config import load_scenario
+from risim.domain import MS_PER_HOUR
+from risim.eventlog import EventKind, EventLog
 from risim.meter import MeterRun
 
-_TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from oracles import record_sink
+
+_ROOT = Path(__file__).resolve().parent.parent
+_TRACER = _ROOT / "perfbench" / "tracer.py"
 
 
 def _targets():
@@ -40,3 +49,25 @@ def test_meter_schedule_is_a_generator():
     # when MeterRun.events is a generator; a list-returning version would
     # still resolve by name and move that time into simulation.engine
     assert inspect.isgeneratorfunction(MeterRun.events)
+
+
+def test_a_logged_run_calls_the_channel_targets_once_per_emission_and_copy(monkeypatch):
+    # concentrator.broadcast_s is the time in these two names; a run_ri that
+    # stopped calling them would read 0 there and fail nothing else
+    targets = [(module, path) for key, module, path in _targets()
+               if key == "concentrator.broadcast"]
+    assert targets == [("risim.simulation", "broadcast"), ("risim.simulation", "receive")]
+    calls = Counter()
+    for _, name in targets:
+        def counted(*args, _real=getattr(risim.simulation, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(risim.simulation, name, counted)
+    scenario = replace(load_scenario(_ROOT / "scenarios" / "default.json"),
+                       horizon_ms=6 * MS_PER_HOUR)
+    records = []
+    risim.simulation.run_ri(scenario, EventLog(record_sink(records)))
+    kinds = Counter(rec.kind for rec in records)
+    assert kinds[EventKind.DROP] > 0
+    assert calls["broadcast"] == kinds[EventKind.QUANTUM_EVENT] + kinds[EventKind.HEARTBEAT] > 0
+    assert calls["receive"] == kinds[EventKind.CENTER_INGEST] > 0
