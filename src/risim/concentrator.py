@@ -29,6 +29,16 @@ def loss_threshold(loss) -> int:
     return -(-Fraction(loss) * DRAW_SCALE // 1)
 
 
+def probability(loss, what: str) -> Fraction:
+    """A loss given to the Python API, as an exact Fraction: an int, float or
+    Fraction in [0, 1].  Anything else, a bool included, raises ConfigError
+    starting with ``what``."""
+    number = isinstance(loss, (int, float, Fraction)) and not isinstance(loss, bool)
+    if not (number and 0 <= loss <= 1):
+        raise ConfigError(f"{what} must be a probability, got {loss if number else repr(loss)}")
+    return Fraction(loss)
+
+
 @dataclass(frozen=True)
 class ConcentratorConfig:
     id: int
@@ -37,7 +47,6 @@ class ConcentratorConfig:
     uplink_loss: Fraction = Fraction(0)   # 0 means a reliable wired uplink
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "uplink_loss", Fraction(self.uplink_loss))
         if id_namespace(self.id) != CONCENTRATOR_NAMESPACE:
             raise ConfigError(f"not a concentrator id: {self.id:#x}")
         if abs(self.clock_skew_ms) > self.max_skew_ms:
@@ -45,8 +54,8 @@ class ConcentratorConfig:
                 f"concentrator {self.id:#x}: clock skew {self.clock_skew_ms} ms "
                 f"exceeds the declared bound {self.max_skew_ms} ms"
             )
-        if not 0 <= self.uplink_loss <= 1:
-            raise ConfigError(f"uplink loss must be a probability: {self.uplink_loss}")
+        loss = probability(self.uplink_loss, f"concentrator {self.id:#x}: uplink loss")
+        object.__setattr__(self, "uplink_loss", loss)
 
 
 def receive(cfg: ConcentratorConfig, frame: bytes, true_time_ms: int) -> ConcentratorReport:

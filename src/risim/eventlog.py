@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -144,20 +145,97 @@ def write_events(fh, records) -> None:
         fh.write("\n")
 
 
-def read_events(path: Path) -> Iterator[EventLogRecord]:
-    """The log's records, one line at a time; ``seq`` must run 0, 1, 2, ..."""
+#: the integers of a line as the templates write them: no sign or leading zero,
+#: at most 19 digits, and a minus sign for the fields that may be negative
+_WHOLE = rb"(?:0|[1-9][0-9]{0,18})"
+_SIGNED = rb"(?:0|-?[1-9][0-9]{0,18})"
+_HEX = rb'"((?:[0-9a-f]{2})*)"'
+
+
+def _words(words) -> bytes:
+    """A group matching any of ``words`` as its JSON text."""
+    return b"(" + b"|".join(re.escape(_JSON_TEXT[word].encode()) for word in words) + b")"
+
+
+def _line(kind: EventKind, payload: bytes) -> re.Pattern:
+    """The pattern of a ``kind`` line with these payload fields; ``seq`` is its last group."""
+    return re.compile(b'{"kind":%s,"payload":{%s},"seq":(%s),"sim_time_ms":%s}\n' % (
+        re.escape(_JSON_TEXT[kind].encode()), payload, _WHOLE, _WHOLE))
+
+
+_EMISSION = (b'"cumulative_quanta":%s,"frame_hex":%s,"meter_id":%s,"resource":%s,"session":%s'
+             % (_WHOLE, _HEX, _WHOLE, _words(ResourceKind), _WHOLE))
+
+#: one pattern per record kind, keyed by the kind's word: the inverse of its
+#: ``EventLog`` template, so a line that matches is the line the writer wrote
+#: for the record that ``EventLogRecord.from_json`` reads from it
+_LINE = {kind.encode(): _line(kind, payload) for kind, payload in (
+    (EventKind.QUANTUM_EVENT, _EMISSION),
+    (EventKind.HEARTBEAT, _EMISSION),
+    (EventKind.CENTER_INGEST,
+     b'"concentrator_id":(%s),"frame_hex":%s,"meter_id":%s,"outcome":%s,'
+     b'"rx_time_ms":(%s),"session":%s' % (_WHOLE, _HEX, _WHOLE, _words(IngestOutcome),
+                                           _SIGNED, _WHOLE)),
+    (EventKind.DROP, b'"concentrator_id":%s,"meter_id":%s,"session":%s,"stage":%s'
+     % (_WHOLE, _WHOLE, _WHOLE, _words(("radio", "uplink")))),
+    (EventKind.TI_READING, b'"meter_id":%s,"poll_index":%s,"register_du":%s,"unit":%s'
+     % (_WHOLE, _WHOLE, _SIGNED, _words(BASE_UNIT.values()))),
+)}
+_INGEST = _LINE[EventKind.CENTER_INGEST.encode()]
+
+#: a logged outcome's JSON text, as the word that JSON reads from it
+_OUTCOME = {_JSON_TEXT[outcome].encode(): outcome.value for outcome in IngestOutcome}
+
+
+def read_events(path: Path) -> Iterator[tuple[int, bytes, int, int, object]]:
+    """Each ``center_ingest`` of the log, one line at a time, as (seq, frame,
+    concentrator_id, rx_time_ms, logged outcome); ``seq`` must run 0, 1, 2, ...
+
+    Each line is checked against its kind's template (``_LINE``), and a line
+    of another kind yields nothing and builds nothing.  A line that does not
+    match is read as JSON by ``EventLogRecord.from_json``, which also takes
+    other spacing, key order, line endings, uppercase hex and longer integers,
+    and a line or ingest field that cannot be read raises MalformedLog naming
+    its line or ``seq``.
+    """
     seq = 0
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            if line.strip():
+            pattern = _LINE.get(line[9:line.find(b'"', 9)])   # the word after {"kind":"
+            match = pattern.fullmatch(line) if pattern else None
+            if match is not None:
+                got = int(match[match.lastindex])
+            elif not line.strip():
+                continue
+            else:
                 try:
                     rec = EventLogRecord.from_json(line.decode("utf-8"))
                 except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise MalformedLog(f"{path} line {lineno}: not a record: {exc}") from None
-                if rec.seq != seq:
-                    raise MalformedLog(f"{path} line {lineno}: seq {rec.seq}, expected {seq}")
-                seq += 1
-                yield rec
+                got = rec.seq
+            if got != seq:
+                raise MalformedLog(f"{path} line {lineno}: seq {got}, expected {seq}")
+            seq += 1
+            if match is None:
+                if rec.kind is EventKind.CENTER_INGEST:
+                    yield _ingest_fields(rec)
+            elif pattern is _INGEST:
+                cid, frame_hex, outcome, rx_time_ms, _ = match.groups()
+                yield (got, bytes.fromhex(frame_hex.decode()), int(cid), int(rx_time_ms),
+                       _OUTCOME[outcome])
+
+
+def _ingest_fields(rec: EventLogRecord) -> tuple[int, bytes, int, int, object]:
+    """The fields replay reads from an ingest record that was read as JSON."""
+    try:
+        return (rec.seq, bytes.fromhex(rec.payload["frame_hex"]),
+                whole_number(rec.payload["concentrator_id"], "concentrator_id"),
+                whole_number(rec.payload["rx_time_ms"], "rx_time_ms"),
+                rec.payload["outcome"])
+    except KeyError as exc:
+        raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedLog(f"seq {rec.seq}: {exc}") from None
 
 
 def write_ledger_snapshots(path: Path, snapshots: list[dict]) -> None:
@@ -182,40 +260,31 @@ def read_ledger_snapshots(path: Path) -> list[dict]:
     return out
 
 
-def replay_center(records) -> MonitoringCenter:
-    """Rebuild a fresh center purely from logged ingest events.
+def replay_center(ingests) -> MonitoringCenter:
+    """Rebuild a fresh center from a log's ingests, as ``read_events`` yields them.
 
-    Only ``center_ingest`` records matter; every one carries the full frame
-    plus reception metadata, so the rebuilt ledgers must equal the originals
-    exactly if the log is faithful.  Each logged frame goes to the center,
-    whose header read is the only one, except that a meter's first logged
-    copy is read once more to register the meter.  A record whose fields or
-    frame cannot be read, or whose ``outcome`` the center does not return,
-    raises MalformedLog naming its ``seq``.
+    Every ``center_ingest`` carries the full frame plus reception metadata, so
+    the rebuilt ledgers must equal the originals exactly if the log is
+    faithful.  Each logged frame goes to the center, whose header read is the
+    only one, except that a meter's first logged copy is read once more to
+    register the meter.  A frame the center cannot take, or an ``outcome``
+    that it does not return, raises MalformedLog naming the record's ``seq``.
     """
     registry = Registry()
     center = MonitoringCenter(registry)
-    for rec in records:
-        if rec.kind is not EventKind.CENTER_INGEST:
-            continue
+    for seq, frame, concentrator_id, rx_time_ms, logged in ingests:
+        report = ConcentratorReport(frame, concentrator_id, rx_time_ms)
         try:
-            report = ConcentratorReport(
-                bytes.fromhex(rec.payload["frame_hex"]),
-                whole_number(rec.payload["concentrator_id"], "concentrator_id"),
-                whole_number(rec.payload["rx_time_ms"], "rx_time_ms"))
-            logged = rec.payload["outcome"]
             try:
                 outcome = center.ingest(report)
             except KeyError:  # the meter's first logged copy: register it
-                kind, _, mid, _, _ = frame_header(report.frame)
+                kind, _, mid, _, _ = frame_header(frame)
                 registry.add_meter(mid, kind)
                 outcome = center.ingest(report)
-        except KeyError as exc:
-            raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None
-        except (TypeError, ValueError) as exc:
-            raise MalformedLog(f"seq {rec.seq}: {exc}") from None
+        except ValueError as exc:
+            raise MalformedLog(f"seq {seq}: {exc}") from None
         if outcome != logged:
-            raise MalformedLog(f"seq {rec.seq}: outcome {logged!r}, replay gives {outcome.value!r}")
+            raise MalformedLog(f"seq {seq}: outcome {logged!r}, replay gives {outcome.value!r}")
     return center
 
 

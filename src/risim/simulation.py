@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .center import MonitoringCenter, SessionLedger, place_lost
-from .concentrator import ConcentratorConfig, broadcast, loss_threshold, receive
+from .concentrator import ConcentratorConfig, broadcast, loss_threshold, probability, receive
 from .domain import (
     BASE_UNIT,
     ConfigError,
@@ -103,8 +103,7 @@ class ScenarioConfig:
                     raise ConfigError(f"meter {mid:#x} links to undeclared concentrator {cid:#x}")
                 if cids.count(cid) > 1:
                     raise ConfigError(f"meter {mid:#x}: duplicate link to concentrator {cid:#x}")
-                if not 0 <= loss <= 1:
-                    raise ConfigError(f"meter {mid:#x}: link loss must be a probability, got {loss}")
+                probability(loss, f"meter {mid:#x}: link loss")
         orphans = [f"{sm.config.id:#x}" for sm in self.meters() if not sm.links]
         if orphans:
             raise ConfigError(f"meters with no concentrator link: {', '.join(orphans)}")

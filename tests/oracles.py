@@ -1,7 +1,7 @@
 """Reference helpers that only tests call, kept out of the package so the
 oracles share no code with what they check beyond the trace's own
-``cumulative_du`` and generator, the frame codec, the seed mixer and the
-result types."""
+``cumulative_du`` and generator, the frame codec, the seed mixer, the
+result types and the log record's JSON form."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from risim.center import ReconstructionResult, SessionLedger
 from risim.domain import (
@@ -24,8 +25,9 @@ from risim.domain import (
     QualityVector,
     decode_frame,
     encode_frame,
+    whole_number,
 )
-from risim.eventlog import EventLogRecord
+from risim.eventlog import EventKind, EventLogRecord, MalformedLog, write_events
 from risim.meter import MeterConfig, MeterRun
 from risim.simulation import ScenarioConfig
 from risim.traces import CHANNEL_STREAM, ConsumptionTrace, generate_trace, mix_seed
@@ -72,6 +74,51 @@ def record_sink(records: list):
     record, through the reader's own ``EventLogRecord.from_json``, and
     appends it to ``records``."""
     return lambda line: records.append(EventLogRecord.from_json(line))
+
+
+def write_records(path: Path, records) -> Path:
+    """Write ``records`` to ``path`` as an event log, one ``to_json`` line each."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_events(fh, records)
+    return path
+
+
+def read_records(path: Path) -> Iterator[EventLogRecord]:
+    """Every record of an event log, one line at a time, each read as JSON by
+    ``EventLogRecord.from_json``; ``seq`` must run 0, 1, 2, ...  This is the
+    whole-record reader that ``read_events``'s per-kind patterns replace, with
+    its acceptance and its messages."""
+    seq = 0
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    rec = EventLogRecord.from_json(line.decode("utf-8"))
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                    raise MalformedLog(f"{path} line {lineno}: not a record: {exc}") from None
+                if rec.seq != seq:
+                    raise MalformedLog(f"{path} line {lineno}: seq {rec.seq}, expected {seq}")
+                seq += 1
+                yield rec
+
+
+def reference_ingests(records) -> Iterator[tuple]:
+    """(seq, frame, concentrator_id, rx_time_ms, logged outcome) of each
+    ``center_ingest`` in ``records``, read with the field checks and messages
+    that replay made on whole records."""
+    for rec in records:
+        if rec.kind is not EventKind.CENTER_INGEST:
+            continue
+        try:
+            frame = bytes.fromhex(rec.payload["frame_hex"])
+            cid = whole_number(rec.payload["concentrator_id"], "concentrator_id")
+            rx_time_ms = whole_number(rec.payload["rx_time_ms"], "rx_time_ms")
+            logged = rec.payload["outcome"]
+        except KeyError as exc:
+            raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedLog(f"seq {rec.seq}: {exc}") from None
+        yield rec.seq, frame, cid, rx_time_ms, logged
 
 
 def read_csv(path: Path) -> tuple[list[str], list[dict]]:

@@ -9,9 +9,11 @@ consumption amount to an exact value.
 from __future__ import annotations
 
 import random
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,10 +45,10 @@ from risim.domain import (
     encode_frame,
     meter_id,
 )
-from risim.eventlog import EventLog, replay_center
+from risim.eventlog import EventLog, read_events, replay_center
 from risim.simulation import reconstruction_steps
 
-from oracles import ReferenceCenter, record_sink
+from oracles import ReferenceCenter, record_sink, write_records
 
 MID = meter_id(3)
 WATER_QUALITY = NOMINAL_QUALITY_DU[ResourceKind.COLD_WATER]
@@ -393,7 +395,9 @@ def test_center_matches_the_brute_force_reference(plan):
     assert center.snapshots() == reference.snapshots()
     window = (min(a, b), max(a, b))
     assert center.reconstruct_all(window) == reference.reconstruct_all(window)
-    assert replay_center(records).snapshots() == center.snapshots()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_records(Path(tmp) / "events.ndjson", records)
+        assert replay_center(read_events(path)).snapshots() == center.snapshots()
 
 
 def test_session_flood_keeps_one_record():

@@ -23,7 +23,7 @@ from risim.eventlog import (
     replay_center,
 )
 
-from oracles import read_csv
+from oracles import read_csv, read_records
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -247,7 +247,7 @@ def test_meters_installed_with_empty_battery_run_and_replay(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(scn), "--out", str(out)]) == 0
     assert main(["replay", str(out)]) == 0
-    assert not [r for r in read_events(out / "events.ndjson")
+    assert not [r for r in read_records(out / "events.ndjson")
                 if r.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT)]
 
 
@@ -329,6 +329,27 @@ def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert where in err
+
+
+def test_replay_accepts_a_log_the_templates_would_not_write(tmp_path, capsys):
+    """Replay reads a line that no template writes as JSON, as it always
+    has: a log with CRLF endings, one ingest line with JSON's default spaced
+    separators and another with its frame in uppercase hex replays ok."""
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    main(["run", str(scn), "--out", str(out)])
+    lines = (out / "events.ndjson").read_text().splitlines()
+    first, second = [i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line][:2]
+    lines[first] = json.dumps(json.loads(lines[first]), indent=None)
+    obj = json.loads(lines[second])
+    upper = obj["payload"]["frame_hex"].upper()
+    assert upper != obj["payload"]["frame_hex"]
+    obj["payload"]["frame_hex"] = upper
+    lines[second] = json.dumps(obj, separators=(",", ":"))
+    (out / "events.ndjson").write_bytes("".join(line + "\r\n" for line in lines).encode())
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("replay ok: ")
 
 
 def _delete_line(lines, i):
@@ -693,7 +714,7 @@ def test_events_log_fields_are_self_describing(tmp_path):
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
-    records = list(read_events(out / "events.ndjson"))
+    records = list(read_records(out / "events.ndjson"))
     kinds = {r.kind.value for r in records}
     assert "quantum_event" in kinds and "ti_reading" in kinds
     for rec in records:

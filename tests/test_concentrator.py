@@ -75,6 +75,19 @@ def test_uplink_loss_must_be_probability():
         ConcentratorConfig(id=CID1, uplink_loss=1.5)
 
 
+@pytest.mark.parametrize("loss, shown", [(True, "True"), ("0.1", "'0.1'"), (None, "None")])
+def test_a_loss_that_is_not_a_number_is_a_config_error(loss, shown):
+    """A library caller's loss is an int, float or Fraction: a bool, a string
+    or None is refused with a ConfigError naming the concentrator or meter,
+    for an uplink and for a link alike."""
+    with pytest.raises(ConfigError) as err:
+        ConcentratorConfig(id=CID1, uplink_loss=loss)
+    assert str(err.value) == f"concentrator {CID1:#x}: uplink loss must be a probability, got {shown}"
+    with pytest.raises(ConfigError) as err:
+        _scenario((CID1, loss))
+    assert str(err.value) == f"meter {MID:#x}: link loss must be a probability, got {shown}"
+
+
 def _scenario(*links):
     """One idle meter with ``links`` and two declared concentrators."""
     meter = SimMeter(MeterConfig(MID, ResourceKind.COLD_WATER), TraceSpec("zero"), links)

@@ -13,16 +13,20 @@ from risim.center import IngestOutcome
 from risim.domain import (BASE_UNIT, NOMINAL_QUALITY_DU, MalformedFrame, MessageType,
                           MeterMessage, MeterState, QualityVector, ResourceKind, encode_frame)
 from risim.eventlog import (
+    _JSON_TEXT,
+    _LINE,
     EventKind,
     EventLog,
     EventLogRecord,
+    MalformedLog,
     read_events,
     replay_center,
     write_csv,
     write_events,
 )
 
-from oracles import accepted_count, read_csv
+from oracles import (accepted_count, read_csv, read_records, reference_ingests,
+                     write_records)
 
 
 def test_json_lines_are_canonical():
@@ -70,7 +74,7 @@ def test_event_file_round_trip(tmp_path):
     raw = path.read_bytes()
     assert raw.count(b"\n") == 5
     assert b"\r" not in raw  # LF only
-    assert list(read_events(path)) == records
+    assert list(read_records(path)) == records
 
 
 def test_csv_uses_crlf_and_header(tmp_path):
@@ -83,16 +87,16 @@ def test_csv_uses_crlf_and_header(tmp_path):
     assert rows == [{"a": "1", "b": "x"}, {"a": "2", "b": "y,z"}]
 
 
-def test_replay_ignores_non_ingest_records():
+def test_replay_ignores_non_ingest_records(tmp_path):
     records = [
         EventLogRecord(0, 10, EventKind.QUANTUM_EVENT, {"meter_id": 1}),
         EventLogRecord(1, 10, EventKind.DROP, {"meter_id": 1}),
     ]
-    center = replay_center(records)
+    center = replay_center(read_events(write_records(tmp_path / "events.ndjson", records)))
     assert center.ledgers() == {}
 
 
-def test_replay_rebuilds_from_frames():
+def test_replay_rebuilds_from_frames(tmp_path):
     from risim.domain import (
         NOMINAL_QUALITY_DU, MessageType, MeterMessage, MeterState, QualityVector, ResourceKind,
         concentrator_id, encode_frame, meter_id,
@@ -118,7 +122,7 @@ def test_replay_rebuilds_from_frames():
         })
         for i in range(3)
     ]
-    center = replay_center(records)
+    center = replay_center(read_events(write_records(tmp_path / "events.ndjson", records)))
     ledger = center.ledgers()[mid]
     assert accepted_count(ledger) == 3
     assert [r.rx_time_ms for r in ledger.accepted_sessions()] == [1000, 2000, 3000]
@@ -227,3 +231,123 @@ def test_a_protocol_word_is_its_own_string(member):
     assert hash(member) == hash(member.value)
     assert json.dumps(member) == json.dumps(member.value)
     assert {member.value: 1}[member] == 1
+
+
+# ---------------------------------------------------------------------------
+# the per-kind patterns against the whole-record reader
+
+
+def test_every_word_a_template_writes_is_read_by_its_kinds_pattern():
+    """The writer's vocabulary and the reader's cannot drift apart: lines
+    that use every word of ``_JSON_TEXT`` each match their kind's pattern."""
+    lines = []
+    log = EventLog(lines.append)
+    for resource in ResourceKind:
+        for mtype in MessageType:
+            log.emission(0, encode_frame(MeterMessage(
+                1, 0, resource, mtype,
+                QualityVector(resource, NOMINAL_QUALITY_DU[resource]), MeterState())))
+    for outcome in IngestOutcome:
+        log.ingest(0, 1, 0, 2, -3, outcome, b"\x01")
+    for stage in ("radio", "uplink"):
+        log.drop(0, 1, 0, 2, stage)
+    for unit in BASE_UNIT.values():
+        log.ti_reading(0, 1, 0, -4, unit)
+    assert {word for word, text in _JSON_TEXT.items()
+            if any(text in line for line in lines)} == set(_JSON_TEXT)
+    for line in lines:
+        assert _LINE[json.loads(line)["kind"].encode()].fullmatch(line.encode()), line
+
+
+#: what an edit sets one field to: the fuzz's hostile values, a negative
+#: number and a 25-digit integer, or another whole number
+_HOSTILE = st.sampled_from([True, 1.5, "5", -1, 10**24 + 7]) | st.integers(0, 10**20)
+_EDITS = ["value", "prefix", "remove", "reorder", "spaces", "upper", "crlf", "blank", "repeat",
+          "delete"]
+
+
+@st.composite
+def _log_lines(draw):
+    """(lines, edited): 1-6 template lines numbered from 0, and whether one of
+    them was edited into a line no template writes: a field set to a hostile
+    value, a "0", "-", "+" or " " written before a field's value, a key
+    removed or moved first, spaces after the separators, uppercase hex, a
+    CRLF ending, or a blank line before it; or one line repeated or deleted."""
+    lines = []
+    log = EventLog(lines.append)
+    for method, args, _, _, _ in draw(st.lists(_template_calls(), min_size=1, max_size=6)):
+        getattr(log, method)(*args)
+    edit = draw(st.sampled_from([None, *_EDITS]))
+    if edit is None:
+        return lines, False
+    i = draw(st.integers(0, len(lines) - 1))
+    obj = json.loads(lines[i])
+    node, key = draw(st.sampled_from([(obj, key) for key in sorted(obj)] +
+                                     [(obj["payload"], key) for key in sorted(obj["payload"])]))
+    if edit in ("value", "remove", "reorder"):
+        if edit == "value":
+            node[key] = draw(_HOSTILE)
+        elif edit == "remove":
+            del node[key]
+        else:
+            node.update({k: node.pop(k) for k in sorted(node) if k != key})
+        lines[i] = json.dumps(obj, sort_keys=edit != "reorder", separators=(",", ":")) + "\n"
+    elif edit == "spaces":
+        lines[i] = json.dumps(obj, sort_keys=True) + "\n"
+    elif edit == "prefix":
+        lines[i] = lines[i].replace(f'"{key}":', f'"{key}":' + draw(st.sampled_from("0-+ ")), 1)
+    elif edit == "upper":
+        lines[i] = re.sub(r'(?<="frame_hex":")[0-9a-f]*', lambda m: m[0].upper(), lines[i])
+    elif edit == "crlf":
+        lines[i] = lines[i][:-1] + "\r\n"
+    elif edit == "blank":
+        lines.insert(i, draw(st.sampled_from(["\n", " \r\n"])))
+    elif edit == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        del lines[i]
+    return lines, True
+
+
+def _read_all(ingests) -> tuple[list, str | None]:
+    """What an ingest iterator yields up to its MalformedLog, and that message."""
+    out = []
+    try:
+        for ingest in ingests:
+            out.append(ingest)
+    except MalformedLog as exc:
+        return out, str(exc)
+    return out, None
+
+
+def _replayed(ingests) -> list[dict] | str:
+    """The ledgers ``replay_center`` rebuilds from ``ingests``, or its MalformedLog message."""
+    try:
+        return replay_center(ingests).snapshots()
+    except MalformedLog as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("log") / "events.ndjson"
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=_log_lines())
+def test_read_events_matches_the_whole_record_reader(log_path, drawn):
+    """On template lines and on lines edited away from the templates,
+    ``read_events`` yields the ingests, and raises the MalformedLog, that
+    reading every line as a whole record does, and so replay rebuilds the
+    same ledgers or raises the same message.  An unedited line whose integers
+    have at most 19 digits is matched by its kind's pattern."""
+    lines, edited = drawn
+    log_path.write_bytes("".join(lines).encode())
+    assert _read_all(read_events(log_path)) == _read_all(reference_ingests(read_records(log_path)))
+    assert _replayed(read_events(log_path)) == _replayed(reference_ingests(read_records(log_path)))
+    for line in ([] if edited else lines):
+        obj = json.loads(line)
+        ints = [v for v in (obj["seq"], obj["sim_time_ms"], *obj["payload"].values())
+                if type(v) is int]
+        if max(map(abs, ints)) < 10**19:
+            assert _LINE[obj["kind"].encode()].fullmatch(line.encode()), line

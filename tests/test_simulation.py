@@ -29,7 +29,7 @@ from risim.domain import (
     frame_header,
     meter_id,
 )
-from risim.eventlog import EventKind, EventLog, EventLogRecord, replay_center
+from risim.eventlog import EventKind, EventLog, EventLogRecord, read_events, replay_center
 from risim.meter import MeterConfig, MeterRun
 from risim.simulation import (
     Building,
@@ -49,7 +49,8 @@ from risim.simulation import (
 )
 from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
 
-from oracles import ReferenceRun, accepted_count, consumed_between, record_sink, total_du
+from oracles import (ReferenceRun, accepted_count, consumed_between, record_sink, total_du,
+                     write_records)
 
 CID = concentrator_id(1)
 
@@ -386,7 +387,7 @@ def _calls(profile: cProfile.Profile, **functions) -> dict[str, int]:
     return calls
 
 
-def test_run_and_replay_build_no_message_and_encode_nothing():
+def test_run_and_replay_build_no_message_and_encode_nothing(tmp_path):
     """A frame goes from meter to center as its bytes: a logged lossy run on
     three concentrators, and its replay, build no MeterMessage or MeterState
     and never call encode_frame.  Calls are counted, not timed."""
@@ -395,7 +396,10 @@ def test_run_and_replay_build_no_message_and_encode_nothing():
     profile = cProfile.Profile()
     profile.enable()
     res = run_ri(sc, EventLog(record_sink(records)))
-    replayed = replay_center(records)
+    profile.disable()
+    path = write_records(tmp_path / "events.ndjson", records)
+    profile.enable()
+    replayed = replay_center(read_events(path))
     profile.disable()
     assert replayed.snapshots() == res.center.snapshots()
     outcomes = Counter(r.payload["outcome"] for r in records if r.kind is EventKind.CENTER_INGEST)
@@ -425,6 +429,25 @@ def test_logged_runs_build_no_record_and_dump_no_json():
     assert set(rec.kind for rec in records) == set(EventKind)
     assert {rec.payload["stage"] for rec in records if rec.kind is EventKind.DROP} == {
         "radio", "uplink"}
+
+
+def test_replay_of_a_written_log_builds_no_record_and_loads_no_json(tmp_path):
+    """Replay reads the lines the templates wrote by their patterns: replaying
+    a logged ``both``-mode run, with every record kind, builds no
+    EventLogRecord and calls json.loads for no line."""
+    sc = _lossy_on_three_concentrators(mode="both")
+    path = tmp_path / "events.ndjson"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        log = EventLog(fh.write)
+        res = run_ri(sc, log)
+        run_ti(sc, log)
+    profile = cProfile.Profile()
+    profile.enable()
+    replayed = replay_center(read_events(path))
+    profile.disable()
+    assert replayed.snapshots() == res.center.snapshots()
+    assert _calls(profile, record=EventLogRecord.__post_init__, loads=json.loads) == {
+        "record": 0, "loads": 0}
 
 
 def test_logged_run_and_its_snapshots_call_nothing_in_enum():
@@ -465,7 +488,7 @@ def test_reconstruction_steps_compare_no_fraction():
                                     MS_PER_MINUTE, sc.horizon_ms)
 
 
-def test_each_delivered_copy_has_its_header_read_once():
+def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     """The center reads a copy's header once, to route it and to fold it into
     the ledger: a logged run reads one header per emission (for its record)
     and one per ingest, and replay one per ingest, plus two for each meter's
@@ -482,9 +505,10 @@ def test_each_delivered_copy_has_its_header_read_once():
     ingests = kinds[EventKind.CENTER_INGEST]
     assert emissions > 0 and ingests > emissions
     assert _calls(profile, frame_header=frame_header) == {"frame_header": emissions + ingests}
+    path = write_records(tmp_path / "events.ndjson", records)
     profile = cProfile.Profile()
     profile.enable()
-    replayed = replay_center(records)
+    replayed = replay_center(read_events(path))
     profile.disable()
     assert replayed.snapshots() == res.center.snapshots()
     meters = len({rec.payload["meter_id"] for rec in records
