@@ -9,10 +9,11 @@ exactly too.  Only the *times* of lost events need estimating.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .domain import (
     ConcentratorReport,
@@ -21,6 +22,8 @@ from .domain import (
     SESSION_MOD,
     encode_frame,  # unused here; perfbench's tracer patches this name
     frame_header,
+    frame_quanta,
+    frame_type,
     session_delta,
 )
 
@@ -31,6 +34,9 @@ PROFILE_SMOOTHING_EPS = Fraction(1, 1000)
 #: an hour of wall clock, in milliseconds
 _HOUR = 3_600_000
 _DAY = 24 * _HOUR
+
+#: each message type as its JSON text, looked up once per snapshot row
+_TYPE_TEXT = {mtype: json.dumps(mtype) for mtype in MessageType}
 
 
 class NoData(ValueError):
@@ -48,21 +54,16 @@ class IngestOutcome(str, Enum):
     CONFLICT = "conflict"        # same session, different payload: tamper signal
 
 
-@dataclass(slots=True)
-class AcceptedSession:
-    """One deduplicated session as the center remembers it; its ledger keys
-    it by its unrolled session number."""
+class SessionRow(NamedTuple):
+    """One accepted session as its snapshot row, built when asked: type and
+    counter are read from the kept frame."""
 
+    session: int
     rx_time_ms: int
     rx_concentrator: int
-    message_type: MessageType
+    type: MessageType
     cumulative_quanta: int
-    frame: bytes
-    seen: set  # (concentrator_id, rx_time_ms) pairs observed for this session
-
-    @property
-    def report_count(self) -> int:
-        return len(self.seen)
+    report_count: int
 
 
 class LostRun(NamedTuple):
@@ -122,12 +123,25 @@ class SessionLedger:
     at installation, so messages lost before first contact are gaps too.
     ``modulus`` is the counter's range; only tests shrink it, to make wraps
     cheap to reach.
+
+    An accepted session is one row, keyed by its unrolled number: its frame,
+    its earliest reception (time, and concentrator as an index into the
+    ledger's id table) and how many distinct copies arrived.  The message
+    type and the lifetime counter are read from the frame when asked.  The
+    copies other than a row's earliest are kept in one table per ledger,
+    only to tell an exact replay from a new copy.
     """
 
     def __init__(self, meter_id: int, *, modulus: int = SESSION_MOD) -> None:
         self.meter_id = meter_id
         self.modulus = modulus
-        self._accepted: dict[int, AcceptedSession] = {}
+        # unrolled session -> (frame, rx_time_ms, concentrator index, report count)
+        self._rows: dict[int, tuple[bytes, int, int, int]] = {}
+        self._concentrators: list[int] = []         # concentrator ids by index
+        self._index: dict[int, int] = {}            # concentrator id -> index
+        # (session, index, rx_time_ms) of every copy but each row's earliest; a
+        # dict used as a set, since its table takes about half a set's bytes
+        self._others: dict[tuple[int, int, int], None] = {}
         self._max_abs: int | None = None  # highest accepted, the unroll reference
         self.stale_replays = 0
         self.conflict_sessions: set[int] = set()
@@ -136,7 +150,7 @@ class SessionLedger:
 
     @property
     def is_empty(self) -> bool:
-        return not self._accepted
+        return not self._rows
 
     @property
     def highest_session(self) -> int | None:
@@ -144,17 +158,29 @@ class SessionLedger:
 
     @property
     def first_covered(self) -> int | None:
-        if not self._accepted:
+        if not self._rows:
             return None
-        return min(min(self._accepted), 0) % self.modulus
+        return min(min(self._rows), 0) % self.modulus
 
-    def accepted_sessions(self) -> list[AcceptedSession]:
-        return [self._accepted[a] for a in sorted(self._accepted)]
+    def accepted_sessions(self) -> list[SessionRow]:
+        """Every accepted session as its snapshot row, in session order."""
+        ids = self._concentrators
+        return [SessionRow(a % self.modulus, rx, ids[c], frame_type(frame),
+                           frame_quanta(frame), count)
+                for a, (frame, rx, c, count) in sorted(self._rows.items())]
+
+    def quantum_times(self) -> list[int]:
+        """The reception times of the accepted quantum events, in no particular order."""
+        return [rx for frame, rx, _, _ in self._rows.values()
+                if frame_type(frame) is MessageType.QUANTUM_EVENT]
 
     def _unroll(self, session: int) -> int:
         """Map a wire counter value onto the unbounded internal axis."""
         base = 0 if self._max_abs is None else self._max_abs
-        return base + session_delta(base % self.modulus, session, self.modulus)
+        delta = session_delta(base % self.modulus, session, self.modulus)
+        # most duplicates name the highest session: hand back the int that keys
+        # its row, so that the copy's entry in _others allocates no other
+        return base + delta if delta else base
 
     # -- ingestion ---------------------------------------------------------
 
@@ -167,46 +193,47 @@ class SessionLedger:
         flagged as tamper evidence and the first is kept.  A frame that
         breaks the decoder rules raises MalformedFrame and changes nothing.
         """
-        _, mtype, mid, session, cumulative = frame_header(report.frame)
+        _, _, mid, session, _ = frame_header(report.frame)
         if mid != self.meter_id:
             raise ValueError(
                 f"report for meter {mid:#x} fed to ledger of {self.meter_id:#x}"
             )
-        return self._fold(report, mtype, session, cumulative)
+        return self._fold(report, session)
 
-    def _fold(self, report: ConcentratorReport, mtype: MessageType, session: int,
-              cumulative: int) -> IngestOutcome:
+    def _fold(self, report: ConcentratorReport, session: int) -> IngestOutcome:
         """``ingest`` for a report whose header has been read and whose meter
         id is this ledger's."""
+        frame, cid, rx = report
         abs_session = self._unroll(session)
-        record = self._accepted.get(abs_session)
-        if record is not None:
-            if report.frame != record.frame:
-                self.conflict_sessions.add(abs_session)
-                return IngestOutcome.CONFLICT
-            key = (report.concentrator_id, report.rx_time_ms)
-            if key in record.seen:
-                self.stale_replays += 1
-                return IngestOutcome.STALE
-            record.seen.add(key)
-            if (report.rx_time_ms, report.concentrator_id) < (
-                record.rx_time_ms,
-                record.rx_concentrator,
-            ):
-                record.rx_time_ms = report.rx_time_ms
-                record.rx_concentrator = report.concentrator_id
-            return IngestOutcome.DUPLICATE
-        self._accepted[abs_session] = AcceptedSession(
-            rx_time_ms=report.rx_time_ms,
-            rx_concentrator=report.concentrator_id,
-            message_type=mtype,
-            cumulative_quanta=cumulative,
-            frame=report.frame,
-            seen={(report.concentrator_id, report.rx_time_ms)},
-        )
-        if self._max_abs is None or abs_session > self._max_abs:
-            self._max_abs = abs_session
-        return IngestOutcome.ACCEPTED
+        row = self._rows.get(abs_session)
+        if row is None:
+            self._rows[abs_session] = (frame, rx, self._concentrator(cid), 1)
+            if self._max_abs is None or abs_session > self._max_abs:
+                self._max_abs = abs_session
+            return IngestOutcome.ACCEPTED
+        kept, first_rx, first_c, count = row
+        if frame != kept:
+            self.conflict_sessions.add(abs_session)
+            return IngestOutcome.CONFLICT
+        c = self._concentrator(cid)
+        if (rx == first_rx and c == first_c) or (abs_session, c, rx) in self._others:
+            self.stale_replays += 1
+            return IngestOutcome.STALE
+        if (rx, cid) < (first_rx, self._concentrators[first_c]):
+            self._others[abs_session, first_c, first_rx] = None
+            self._rows[abs_session] = (kept, rx, c, count + 1)
+        else:
+            self._others[abs_session, c, rx] = None
+            self._rows[abs_session] = (kept, first_rx, first_c, count + 1)
+        return IngestOutcome.DUPLICATE
+
+    def _concentrator(self, cid: int) -> int:
+        """The index of concentrator ``cid`` in this ledger's id table, added if new."""
+        c = self._index.get(cid)
+        if c is None:
+            c = self._index[cid] = len(self._concentrators)
+            self._concentrators.append(cid)
+        return c
 
     # -- lost runs ---------------------------------------------------------
 
@@ -222,18 +249,19 @@ class SessionLedger:
         every run is bounded, and its size does not depend on how many
         sessions it spans.
         """
+        rows = self._rows
         runs = []
-        t_lo, base_quanta = 0, 0
+        t_lo, below = 0, None   # the accepted session below, None for installation
         unseen = 0  # lowest session not yet accounted for
-        for a in sorted(self._accepted):
-            rec = self._accepted[a]
+        for a in sorted(rows):
+            frame, rx, _, _ = rows[a]
             if a > unseen:
-                lost = (rec.cumulative_quanta - base_quanta) % 2**32
-                if rec.message_type is MessageType.QUANTUM_EVENT:
+                base = 0 if below is None else frame_quanta(below)
+                lost = (frame_quanta(frame) - base) % 2**32
+                if frame_type(frame) is MessageType.QUANTUM_EVENT:
                     lost -= 1
-                runs.append(LostRun(unseen % self.modulus, a - unseen,
-                                    t_lo, rec.rx_time_ms, lost))
-            t_lo, base_quanta = rec.rx_time_ms, rec.cumulative_quanta
+                runs.append(LostRun(unseen % self.modulus, a - unseen, t_lo, rx, lost))
+            t_lo, below = rx, frame
             unseen = a + 1
         return runs
 
@@ -253,16 +281,11 @@ class SessionLedger:
         t0, t1 = window
         if t0 > t1:
             raise ValueError(f"window is not ordered: {window}")
-        if not self._accepted:
+        if not self._rows:
             raise NoData(f"ledger for meter {self.meter_id:#x} is empty")
         if quantum_du <= 0:
             raise ValueError("quantum must be positive")
-        received = sum(
-            1
-            for rec in self._accepted.values()
-            if rec.message_type is MessageType.QUANTUM_EVENT
-            and t0 <= rec.rx_time_ms <= t1
-        )
+        received = sum(1 for t in self.quantum_times() if t0 <= t <= t1)
         recovered = 0
         trailing = 0
         for run in self.lost_runs():
@@ -299,21 +322,17 @@ class SessionLedger:
         Requires at least a full day's span of accepted events so every
         wall-clock hour had a chance to be observed.
         """
-        events = [
-            rec
-            for rec in self._accepted.values()
-            if rec.message_type is MessageType.QUANTUM_EVENT
-        ]
-        if not events:
+        times = self.quantum_times()
+        if not times:
             raise InsufficientData("no accepted quantum events to learn from")
-        span = max(r.rx_time_ms for r in events) - min(r.rx_time_ms for r in events)
+        span = max(times) - min(times)
         if span < _DAY:
             raise InsufficientData(
                 f"profile needs a full day of history, have {span} ms"
             )
         counts = [0] * 24
-        for rec in events:
-            counts[(rec.rx_time_ms // _HOUR) % 24] += 1
+        for t in times:
+            counts[(t // _HOUR) % 24] += 1
         masses = [c if c > 0 else PROFILE_SMOOTHING_EPS for c in counts]
         total = sum(masses)
         return ConsumerProfile(self.meter_id, tuple(Fraction(m) / total for m in masses))
@@ -347,27 +366,36 @@ class SessionLedger:
 
     # -- snapshots ---------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Canonical JSON-safe view; two equal ledgers give equal snapshots."""
+    def _head(self) -> dict:
+        """The snapshot without its ``sessions``."""
         return {
             "meter_id": self.meter_id,
             "initial_session": 0,
             "first_covered": self.first_covered,
             "highest_session": self.highest_session,
-            "sessions": [
-                {
-                    "session": a % self.modulus,
-                    "rx_time_ms": rec.rx_time_ms,
-                    "rx_concentrator": rec.rx_concentrator,
-                    "type": rec.message_type,
-                    "cumulative_quanta": rec.cumulative_quanta,
-                    "report_count": rec.report_count,
-                }
-                for a, rec in sorted(self._accepted.items())
-            ],
             "gaps": [[run.first, run.count] for run in self.lost_runs()],
             "conflicts": sorted(a % self.modulus for a in self.conflict_sessions),
         }
+
+    def snapshot(self) -> dict:
+        """Canonical JSON-safe view; two equal ledgers give equal snapshots."""
+        return {**self._head(), "sessions": [row._asdict() for row in self.accepted_sessions()]}
+
+    def snapshot_text(self) -> Iterator[str]:
+        """The snapshot's ``ledgers.ndjson`` line, ending in a newline, in
+        pieces of one session row each: the text of ``json.dumps(snapshot(),
+        sort_keys=True, separators=(",", ":"))``, built from the rows without
+        a dict per session.  ``sessions`` sorts after every other key, so the
+        head is the rest of the snapshot dumped with its closing brace cut."""
+        yield json.dumps(self._head(), sort_keys=True, separators=(",", ":"))[:-1]
+        yield ',"sessions":['
+        ids, modulus, sep = self._concentrators, self.modulus, ""
+        for a, (frame, rx, c, count) in sorted(self._rows.items()):
+            yield (f'{sep}{{"cumulative_quanta":{frame_quanta(frame)},"report_count":{count},'
+                   f'"rx_concentrator":{ids[c]},"rx_time_ms":{rx},"session":{a % modulus},'
+                   f'"type":{_TYPE_TEXT[frame_type(frame)]}}}')
+            sep = ","
+        yield "]}\n"
 
 
 class MonitoringCenter:
@@ -386,8 +414,8 @@ class MonitoringCenter:
 
     def ingest(self, report: ConcentratorReport) -> IngestOutcome:
         """Route a report to its meter's ledger, reading its header once."""
-        _, mtype, mid, session, cumulative = frame_header(report.frame)
-        return self.ledger(mid)._fold(report, mtype, session, cumulative)
+        _, _, mid, session, _ = frame_header(report.frame)
+        return self.ledger(mid)._fold(report, session)
 
     def ledgers(self) -> dict[int, SessionLedger]:
         return dict(sorted(self._ledgers.items()))
@@ -402,8 +430,11 @@ class MonitoringCenter:
             out.append(ledger.reconstruct(self.registry.meter(mid).quantum_du, window))
         return out
 
-    def snapshots(self) -> list[dict]:
-        return [self._ledgers[mid].snapshot() for mid in sorted(self._ledgers)]
+    def snapshots(self) -> Iterator[str]:
+        """The text of ``ledgers.ndjson``, one line per ledger in meter id
+        order, in the pieces that ``SessionLedger.snapshot_text`` gives."""
+        for mid in sorted(self._ledgers):
+            yield from self._ledgers[mid].snapshot_text()
 
 
 def place_lost(t_lo, t_hi, k: int, profile: ConsumerProfile | None = None) -> list[Fraction]:

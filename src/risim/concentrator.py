@@ -17,6 +17,7 @@ from .domain import (
     ConcentratorReport,
     ConfigError,
     id_namespace,
+    whole_number,
 )
 
 
@@ -49,10 +50,12 @@ class ConcentratorConfig:
     def __post_init__(self) -> None:
         if id_namespace(self.id) != CONCENTRATOR_NAMESPACE:
             raise ConfigError(f"not a concentrator id: {self.id:#x}")
-        if abs(self.clock_skew_ms) > self.max_skew_ms:
+        skew = whole_number(self.clock_skew_ms, f"concentrator {self.id:#x}: clock_skew_ms")
+        bound = whole_number(self.max_skew_ms, f"concentrator {self.id:#x}: max_skew_ms")
+        if abs(skew) > bound:
             raise ConfigError(
-                f"concentrator {self.id:#x}: clock skew {self.clock_skew_ms} ms "
-                f"exceeds the declared bound {self.max_skew_ms} ms"
+                f"concentrator {self.id:#x}: clock skew {skew} ms "
+                f"exceeds the declared bound {bound} ms"
             )
         loss = probability(self.uplink_loss, f"concentrator {self.id:#x}: uplink loss")
         object.__setattr__(self, "uplink_loss", loss)

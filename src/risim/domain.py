@@ -306,6 +306,16 @@ def frame_header(data: bytes) -> tuple[ResourceKind, MessageType, int, int, int]
     return kind, mtype, mid, session, cumulative
 
 
+def frame_type(data: bytes) -> MessageType:
+    """The message type of a frame that ``frame_header`` accepted: its byte 2."""
+    return _TAG_TYPE[data[2]]
+
+
+def frame_quanta(data: bytes) -> int:
+    """The cumulative quanta of a frame that ``frame_header`` accepted: its last 4 bytes."""
+    return int.from_bytes(data[-4:], "little")
+
+
 def decode_frame(data: bytes) -> MeterMessage:
     """Parse a wire frame into a message; raises MalformedFrame as ``frame_header`` does."""
     kind, mtype, mid, session, cumulative = frame_header(data)

@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .center import IngestOutcome, MonitoringCenter
+from .center import IngestOutcome, MonitoringCenter, SessionLedger
 from .domain import (BASE_UNIT, ConcentratorReport, Registry, ResourceKind, frame_header,
                      whole_number)
 from .domain import decode_frame  # unused here; perfbench's tracer patches this name
@@ -238,26 +238,54 @@ def _ingest_fields(rec: EventLogRecord) -> tuple[int, bytes, int, int, object]:
         raise MalformedLog(f"seq {rec.seq}: {exc}") from None
 
 
-def write_ledger_snapshots(path: Path, snapshots: list[dict]) -> None:
+def write_ledger_snapshots(path: Path, text: Iterable[str]) -> None:
+    """Write ``ledgers.ndjson`` from its text in the pieces that
+    ``MonitoringCenter.snapshots`` yields, each as it comes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for snap in snapshots:
-            fh.write(json.dumps(snap, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(text)
 
 
-def read_ledger_snapshots(path: Path) -> list[dict]:
-    out = []
+def check_ledger_lines(path: Path, ledgers: dict[int, SessionLedger]
+                       ) -> Iterator[tuple[int, bool]]:
+    """The meter id of each ``ledgers.ndjson`` line and whether the line is
+    that meter's ledger in ``ledgers``, which holds them in meter id order;
+    one line at a time, blank lines skipped.
+
+    The n-th line matches at once when its bytes are the n-th ledger's line
+    as ``SessionLedger.snapshot_text`` writes it.  Any other line is read as
+    JSON and matches when it equals its meter's ``snapshot()``, so other
+    spacing, key order or line endings still match.  A line that is not a
+    UTF-8 JSON object with an integer ``meter_id`` raises MalformedLog
+    naming it.
+    """
+    in_order = iter(ledgers.values())
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    snap = json.loads(line.decode("utf-8"))
-                except (ValueError, RecursionError) as exc:
-                    raise MalformedLog(f"{path} line {lineno}: not JSON: {exc}") from None
-                if not isinstance(snap, dict) or type(snap.get("meter_id")) is not int:
-                    raise MalformedLog(f"{path} line {lineno}: not a ledger snapshot")
-                out.append(snap)
-    return out
+            if not line.strip():
+                continue
+            ledger = next(in_order, None)
+            if ledger is not None and _is_line(line, ledger):
+                yield ledger.meter_id, True
+                continue
+            try:
+                snap = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
+                raise MalformedLog(f"{path} line {lineno}: not JSON: {exc}") from None
+            if not isinstance(snap, dict) or type(snap.get("meter_id")) is not int:
+                raise MalformedLog(f"{path} line {lineno}: not a ledger snapshot")
+            ledger = ledgers.get(snap["meter_id"])
+            yield snap["meter_id"], ledger is not None and snap == ledger.snapshot()
+
+
+def _is_line(line: bytes, ledger: SessionLedger) -> bool:
+    """Whether ``line`` is ``ledger``'s line, compared a rendered piece at a time."""
+    at = 0
+    for piece in ledger.snapshot_text():
+        piece = piece.encode()
+        if not line.startswith(piece, at):
+            return False
+        at += len(piece)
+    return at == len(line)
 
 
 def replay_center(ingests) -> MonitoringCenter:

@@ -22,7 +22,6 @@ from .domain import (
     ConfigError,
     MS_PER_HOUR,
     MS_PER_MINUTE,
-    MessageType,
     Registry,
     encode_frame,  # unused here; perfbench's tracer patches this name
     frame_size,
@@ -298,10 +297,7 @@ def reconstruction_steps(ledger: SessionLedger | None,
     """
     if ledger is None or ledger.is_empty:
         return []
-    jumps: list[tuple[int | Fraction, int]] = []
-    for rec in ledger.accepted_sessions():
-        if rec.message_type is MessageType.QUANTUM_EVENT:
-            jumps.append((rec.rx_time_ms, quantum_du))
+    jumps: list[tuple[int | Fraction, int]] = [(t, quantum_du) for t in ledger.quantum_times()]
     for run in ledger.lost_runs():
         jumps.extend((t, quantum_du) for t in place_lost(run.t_lo, run.t_hi, run.quanta))
     return jumps

@@ -6,6 +6,7 @@ result types and the log record's JSON form."""
 from __future__ import annotations
 
 import csv
+import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -140,11 +141,13 @@ class ReferenceCenter:
     time) copy of those bytes.  The session's reception is the earliest
     copy, the lowest concentrator id breaking a tie.  The lost sessions are
     the indices from 0 up to the highest kept one that nothing was kept
-    under.
+    under.  A snapshot writes an index as its wire number, the index modulo
+    ``modulus``, the session counter's range.
     """
 
-    def __init__(self, quantum_du: dict[int, int]) -> None:
+    def __init__(self, quantum_du: dict[int, int], modulus: int = 2**32) -> None:
         self.quantum_du = quantum_du   # every registered meter and its quantum
+        self.modulus = modulus
         self.sessions: dict[int, dict[int, dict]] = {}   # meter -> index -> session
         self.conflicts: dict[int, set[int]] = {}          # meter -> indices
 
@@ -189,7 +192,7 @@ class ReferenceCenter:
             session = sessions[index]
             rx_time, concentrator = self._received(session)
             rows.append({
-                "session": index % 2**32,
+                "session": index % self.modulus,
                 "rx_time_ms": rx_time,
                 "rx_concentrator": concentrator,
                 "type": session["message"].message_type,
@@ -200,14 +203,20 @@ class ReferenceCenter:
             "meter_id": meter,
             "initial_session": 0,
             "first_covered": 0,
-            "highest_session": max(sessions) % 2**32,
+            "highest_session": max(sessions) % self.modulus,
             "sessions": rows,
-            "gaps": [[first % 2**32, count] for first, count, _, _ in self.lost_runs(meter)],
-            "conflicts": sorted(i % 2**32 for i in self.conflicts.get(meter, ())),
+            "gaps": [[first % self.modulus, count]
+                     for first, count, _, _ in self.lost_runs(meter)],
+            "conflicts": sorted(i % self.modulus for i in self.conflicts.get(meter, ())),
         }
 
     def snapshots(self) -> list[dict]:
         return [self.snapshot(meter) for meter in sorted(self.sessions)]
+
+    def ledgers_text(self) -> str:
+        """``ledgers.ndjson`` as whole lines: each snapshot through ``json.dumps``."""
+        return "".join(json.dumps(snap, sort_keys=True, separators=(",", ":")) + "\n"
+                       for snap in self.snapshots())
 
     def reconstruct(self, meter: int, window: tuple[int, int]) -> ReconstructionResult:
         """Received quanta inside the window, plus each lost run's quanta

@@ -8,6 +8,7 @@ consumption amount to an exact value.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import tempfile
 import time
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import risim.center
 from risim.center import (
     ConsumerProfile,
     IngestOutcome,
@@ -40,13 +42,15 @@ from risim.domain import (
     QualityVector,
     Registry,
     ResourceKind,
+    SESSION_MOD,
     concentrator_id,
     decode_frame,
     encode_frame,
     meter_id,
 )
+from risim.config import scenario_from_dict
 from risim.eventlog import EventLog, read_events, replay_center
-from risim.simulation import reconstruction_steps
+from risim.simulation import reconstruction_steps, run_ri
 
 from oracles import ReferenceCenter, record_sink, write_records
 
@@ -392,12 +396,95 @@ def test_center_matches_the_brute_force_reference(plan):
         assert outcome == reference.ingest(index, report)
         log.ingest(report.rx_time_ms, mid, index % 2**32, report.concentrator_id,
                    report.rx_time_ms, outcome, report.frame)
-    assert center.snapshots() == reference.snapshots()
+    assert "".join(center.snapshots()) == reference.ledgers_text()
     window = (min(a, b), max(a, b))
     assert center.reconstruct_all(window) == reference.reconstruct_all(window)
     with tempfile.TemporaryDirectory() as tmp:
         path = write_records(Path(tmp) / "events.ndjson", records)
-        assert replay_center(read_events(path)).snapshots() == center.snapshots()
+        assert "".join(replay_center(read_events(path)).snapshots()) == reference.ledgers_text()
+
+
+#: concentrator ids, two of them past 64 bits, and reception times, three of
+#: them past 64 bits: replay's JSON fallback reads integers of any size
+_LEDGER_IDS = st.sampled_from([CID1, CID2, 2**64 + 7, 2**70])
+_LEDGER_RX = st.one_of(st.integers(-2, 3), st.sampled_from([2**63, -2**63 - 1, 10**30]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(modulus=st.sampled_from([8, SESSION_MOD]),
+       copies=st.lists(st.tuples(st.integers(-2, 3), _LEDGER_IDS, _LEDGER_RX, st.booleans(),
+                                 st.none() | st.integers(0, 99)),
+                       min_size=1, max_size=30))
+def test_ledger_line_is_the_reference_snapshot_dumped(modulus, copies):
+    """One ledger fed conflicts, exact replays, duplicates that arrive
+    earlier, reception times tied across concentrators, session and counter
+    wraps, negative reception times and integers past 64 bits writes, a row
+    at a time, the line ``json.dumps`` gives for ReferenceCenter's snapshot.
+
+    Each copy is (step from the highest index so far, concentrator, reception
+    time, forged, replay).  A forged copy carries another battery byte.  A
+    copy with a replay number sends an earlier copy again instead, unless its
+    index is now more than half the counter range below the highest.  Index
+    n is a heartbeat when n % 3 == 0, and its counter wraps past 2**32 - 1."""
+    ledger = SessionLedger(MID, modulus=modulus)
+    reference = ReferenceCenter({MID: 1000}, modulus=modulus)
+    top = 0
+    sent = []
+    for step, cid, rx, forged, replay in copies:
+        if replay is not None and sent:
+            index, report = sent[replay % len(sent)]
+            if index - top < -modulus // 2:   # lost: outside the wrap rule's envelope
+                continue
+        else:
+            index = max(0, top + step)
+            report = _report(index % modulus, rx, cid=cid, quanta=(index - 5) % 2**32,
+                             mtype=(MessageType.HEARTBEAT if index % 3 == 0
+                                    else MessageType.QUANTUM_EVENT),
+                             battery=199 if forged else 200)
+        top = max(top, index)
+        sent.append((index, report))
+        assert ledger.ingest(report) == reference.ingest(index, report)
+    assert "".join(ledger.snapshot_text()) == reference.ledgers_text()
+    assert ledger.snapshot() == reference.snapshot(MID)
+
+
+def _workload(name: str, seed: int) -> dict:
+    """A benchmark workload's scenario, as ``perfbench/workloads.py`` generates it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[name](seed)
+
+
+def test_center_holds_at_most_250_bytes_per_accepted_session(monkeypatch):
+    """A session is its frame and its earliest reception.  The copies an
+    in-process ``run_ri`` of district_week (seed 7, log discarded) hands the
+    center are ingested again into a fresh center under tracemalloc, which
+    traces only that: what stays allocated in center.py is at most 250 bytes
+    per accepted session.  A record object with a set of copies per session
+    took 462."""
+    scenario = scenario_from_dict(_workload("district_week", 7))
+    reports = []
+    ingest = MonitoringCenter.ingest
+    monkeypatch.setattr(MonitoringCenter, "ingest",
+                        lambda center, report: reports.append(report) or ingest(center, report))
+    run = run_ri(scenario, EventLog(lambda line: None))
+    monkeypatch.undo()
+    center = MonitoringCenter(scenario.build_registry())
+    tracemalloc.start()
+    try:
+        for report in reports:
+            center.ingest(report)
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, risim.center.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert "".join(center.snapshots()) == "".join(run.center.snapshots())
+    sessions = sum(len(ledger.accepted_sessions()) for ledger in center.ledgers().values())
+    assert sessions > 10_000
+    held_bytes = sum(stat.size for stat in held.statistics("filename"))
+    assert held_bytes <= 250 * sessions, f"{held_bytes / sessions:.0f} B per session"
 
 
 def test_session_flood_keeps_one_record():

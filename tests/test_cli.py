@@ -19,7 +19,6 @@ from risim.config import load_scenario
 from risim.eventlog import (
     EventKind,
     read_events,
-    read_ledger_snapshots,
     replay_center,
 )
 
@@ -189,7 +188,7 @@ def test_shipped_ri_rows_account_for_every_quantum(shipped_run):
     quantum = {sm.config.id: sm.config.quantum_du
                for sm in load_scenario(SCENARIOS / name).meters()}
     lifetime = {}
-    for snap in read_ledger_snapshots(out / "ledgers.ndjson"):
+    for snap in map(json.loads, (out / "ledgers.ndjson").read_text().splitlines()):
         [top] = [row for row in snap["sessions"]
                  if row["session"] == snap["highest_session"]]
         lifetime[snap["meter_id"]] = top["cumulative_quanta"]
@@ -446,6 +445,25 @@ def test_replay_rejects_a_ledger_line_that_is_not_a_snapshot(tmp_path, capsys, l
     assert f"line {n_lines + 1}:" in err
 
 
+def test_replay_accepts_ledgers_written_with_other_spacing_and_key_order(tmp_path, capsys):
+    """A ledger line that is not the bytes the writer gives is compared as
+    JSON: ``ledgers.ndjson`` dumped again with spaced separators and every
+    object's keys reversed still replays ok."""
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    main(["run", str(scn), "--out", str(out)])
+    ledgers = out / "ledgers.ndjson"
+    text = ""
+    for snap in map(json.loads, ledgers.read_text().splitlines()):
+        snap["sessions"] = [dict(reversed(row.items())) for row in snap["sessions"]]
+        text += json.dumps(dict(reversed(snap.items()))) + "\n"
+    assert text != ledgers.read_text() and '{"type": ' in text
+    ledgers.write_text(text)
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("replay ok: ")
+
+
 def _repeat_first_ledger(lines):
     lines.append(lines[0])
     return f"replay mismatch at meter {json.loads(lines[0])['meter_id']:#x}: 2 ledger lines"
@@ -495,15 +513,18 @@ def test_replay_memory_does_not_grow_with_the_log(tmp_path):
     assert peaks["4d"] <= 1.5 * peaks["1d"], peaks
 
 
-def test_run_memory_does_not_hold_the_log(tmp_path):
-    # one meter heard by three lossy concentrators: four log lines per
-    # emission, and a ledger of one entry per emission heard at all
-    scn = _write_scenario(tmp_path, horizon="4h", mode="ri", buildings=[{
+def _one_meter_three_lossy_concentrators(tmp_path):
+    # four log lines per emission, and a ledger of one entry per emission heard at all
+    return _write_scenario(tmp_path, horizon="4h", mode="ri", buildings=[{
         "concentrators": [{"serial": 1}, {"serial": 2}, {"serial": 3}],
         "radio_loss": 0.3,
         "meters": [{"serial": 1, "kind": "cold_water",
                     "trace": {"kind": "constant", "params": {"rate": "30l/h"}}}],
     }])
+
+
+def test_run_memory_does_not_hold_the_log(tmp_path):
+    scn = _one_meter_three_lossy_concentrators(tmp_path)
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -514,6 +535,32 @@ def test_run_memory_does_not_hold_the_log(tmp_path):
     # a run that holds every record peaks at about 4.0 times the log's bytes
     # here; one that writes each record as it happens, at about 2.2
     assert peak < 3 * (out / "events.ndjson").stat().st_size
+
+
+def test_ledgers_are_written_a_session_row_at_a_time(tmp_path, monkeypatch):
+    """While ``ledgers.ndjson`` is written, the heap rises by at most half
+    the file's size: here one ledger is the whole file, so a writer that
+    built a ledger's line, or a dict per session, would rise by more than it."""
+    write = risim.cli.write_ledger_snapshots
+    rises = []
+
+    def traced_write(path, text):
+        at_open = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write(path, text)
+        rises.append(tracemalloc.get_traced_memory()[1] - at_open)
+
+    monkeypatch.setattr(risim.cli, "write_ledger_snapshots", traced_write)
+    scn = _one_meter_three_lossy_concentrators(tmp_path)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["run", str(scn), "--out", str(out)]) == 0
+    finally:
+        tracemalloc.stop()
+    # a whole line through json.dumps rose by about 7.7 times the file here
+    [rise] = rises
+    assert rise <= 0.5 * (out / "ledgers.ndjson").stat().st_size
 
 
 @pytest.mark.parametrize("name", ["night_idle.json", "zero_consumption_48h.json"])

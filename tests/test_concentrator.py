@@ -88,6 +88,17 @@ def test_a_loss_that_is_not_a_number_is_a_config_error(loss, shown):
     assert str(err.value) == f"meter {MID:#x}: link loss must be a probability, got {shown}"
 
 
+@pytest.mark.parametrize("field", ["clock_skew_ms", "max_skew_ms"])
+@pytest.mark.parametrize("value, shown", [(True, "True"), (1.5, "1.5"), ("5", "'5'"),
+                                          (None, "None")])
+def test_a_skew_that_is_not_a_whole_number_is_a_config_error(field, value, shown):
+    """A library caller's skew and skew bound are ints, as the scenario
+    loader reads them: anything else is a ConfigError naming the concentrator."""
+    with pytest.raises(ConfigError) as err:
+        ConcentratorConfig(id=CID1, **{field: value})
+    assert str(err.value) == f"concentrator {CID1:#x}: {field}: expected an integer, got {shown}"
+
+
 def _scenario(*links):
     """One idle meter with ``links`` and two declared concentrators."""
     meter = SimMeter(MeterConfig(MID, ResourceKind.COLD_WATER), TraceSpec("zero"), links)

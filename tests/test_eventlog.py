@@ -320,10 +320,11 @@ def _read_all(ingests) -> tuple[list, str | None]:
     return out, None
 
 
-def _replayed(ingests) -> list[dict] | str:
-    """The ledgers ``replay_center`` rebuilds from ``ingests``, or its MalformedLog message."""
+def _replayed(ingests) -> str:
+    """The text of the ledgers ``replay_center`` rebuilds from ``ingests``, or
+    its MalformedLog message."""
     try:
-        return replay_center(ingests).snapshots()
+        return "".join(replay_center(ingests).snapshots())
     except MalformedLog as exc:
         return str(exc)
 

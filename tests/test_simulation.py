@@ -284,7 +284,7 @@ def test_run_ri_matches_the_reference_run(sc):
     ref = ReferenceRun(sc)
     assert [{"seq": r.seq, "sim_time_ms": r.sim_time_ms, "kind": r.kind, "payload": r.payload}
             for r in records] == list(ref.records())
-    assert res.center.snapshots() == ref.center.snapshots()
+    assert "".join(res.center.snapshots()) == ref.center.ledgers_text()
 
 
 def test_crossing_times_match_closed_form_schedule():
@@ -401,7 +401,7 @@ def test_run_and_replay_build_no_message_and_encode_nothing(tmp_path):
     profile.enable()
     replayed = replay_center(read_events(path))
     profile.disable()
-    assert replayed.snapshots() == res.center.snapshots()
+    assert "".join(replayed.snapshots()) == "".join(res.center.snapshots())
     outcomes = Counter(r.payload["outcome"] for r in records if r.kind is EventKind.CENTER_INGEST)
     assert outcomes["accepted"] > 0 and outcomes["duplicate"] > 0
     calls = _calls(profile, MeterMessage=MeterMessage.__post_init__,
@@ -445,7 +445,7 @@ def test_replay_of_a_written_log_builds_no_record_and_loads_no_json(tmp_path):
     profile.enable()
     replayed = replay_center(read_events(path))
     profile.disable()
-    assert replayed.snapshots() == res.center.snapshots()
+    assert "".join(replayed.snapshots()) == "".join(res.center.snapshots())
     assert _calls(profile, record=EventLogRecord.__post_init__, loads=json.loads) == {
         "record": 0, "loads": 0}
 
@@ -458,10 +458,10 @@ def test_logged_run_and_its_snapshots_call_nothing_in_enum():
     profile = cProfile.Profile()
     profile.enable()
     res = run_ri(sc, EventLog(lines.append))
-    snapshots = res.center.snapshots()
+    text = "".join(res.center.snapshots())
     profile.disable()
     profile.create_stats()
-    assert lines and any(snap["sessions"] for snap in snapshots)
+    assert lines and '"sessions":[{' in text
     assert sum(stat[1] for (filename, _, _), stat in profile.stats.items()
                if filename == enum.__file__) == 0
 
@@ -510,7 +510,7 @@ def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     profile.enable()
     replayed = replay_center(read_events(path))
     profile.disable()
-    assert replayed.snapshots() == res.center.snapshots()
+    assert "".join(replayed.snapshots()) == "".join(res.center.snapshots())
     meters = len({rec.payload["meter_id"] for rec in records
                   if rec.kind is EventKind.CENTER_INGEST})
     assert meters > 0
