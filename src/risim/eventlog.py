@@ -16,8 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .center import IngestOutcome, MonitoringCenter, SessionLedger
-from .domain import (BASE_UNIT, ConcentratorReport, Registry, ResourceKind, frame_header,
-                     whole_number)
+from .domain import BASE_UNIT, ConcentratorReport, Registry, ResourceKind, frame_header
 from .domain import decode_frame  # unused here; perfbench's tracer patches this name
 
 
@@ -57,18 +56,6 @@ class EventLogRecord:
             },
             sort_keys=True,
             separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> EventLogRecord:
-        obj = json.loads(line)
-        if not isinstance(obj["payload"], dict):
-            raise ValueError("payload is not a JSON object")
-        return cls(
-            seq=whole_number(obj["seq"], "seq"),
-            sim_time_ms=whole_number(obj["sim_time_ms"], "sim_time_ms"),
-            kind=EventKind(obj["kind"]),
-            payload=obj["payload"],
         )
 
 
@@ -146,9 +133,9 @@ def write_events(fh, records) -> None:
 
 
 #: the integers of a line as the templates write them: no sign or leading zero,
-#: at most 19 digits, and a minus sign for the fields that may be negative
-_WHOLE = rb"(?:0|[1-9][0-9]{0,18})"
-_SIGNED = rb"(?:0|-?[1-9][0-9]{0,18})"
+#: of any length, and a minus sign for the fields that may be negative
+_WHOLE = rb"(?:0|[1-9][0-9]*)"
+_SIGNED = rb"(?:0|-?[1-9][0-9]*)"
 _HEX = rb'"((?:[0-9a-f]{2})*)"'
 
 
@@ -167,8 +154,7 @@ _EMISSION = (b'"cumulative_quanta":%s,"frame_hex":%s,"meter_id":%s,"resource":%s
              % (_WHOLE, _HEX, _WHOLE, _words(ResourceKind), _WHOLE))
 
 #: one pattern per record kind, keyed by the kind's word: the inverse of its
-#: ``EventLog`` template, so a line that matches is the line the writer wrote
-#: for the record that ``EventLogRecord.from_json`` reads from it
+#: ``EventLog`` template, so a line that matches is a line the writer writes
 _LINE = {kind.encode(): _line(kind, payload) for kind, payload in (
     (EventKind.QUANTUM_EVENT, _EMISSION),
     (EventKind.HEARTBEAT, _EMISSION),
@@ -191,51 +177,32 @@ def read_events(path: Path) -> Iterator[tuple[int, bytes, int, int, object]]:
     """Each ``center_ingest`` of the log, one line at a time, as (seq, frame,
     concentrator_id, rx_time_ms, logged outcome); ``seq`` must run 0, 1, 2, ...
 
-    Each line is checked against its kind's template (``_LINE``), and a line
-    of another kind yields nothing and builds nothing.  A line that does not
-    match is read as JSON by ``EventLogRecord.from_json``, which also takes
-    other spacing, key order, line endings, uppercase hex and longer integers,
-    and a line or ingest field that cannot be read raises MalformedLog naming
-    its line or ``seq``.
+    Each line must match its kind's template (``_LINE``), and a line of
+    another kind yields nothing and builds nothing.  A line that does not
+    match, or that holds an integer too long to read, raises MalformedLog
+    naming it and the ``seq`` it should carry.
     """
     seq = 0
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             pattern = _LINE.get(line[9:line.find(b'"', 9)])   # the word after {"kind":"
             match = pattern.fullmatch(line) if pattern else None
-            if match is not None:
+            if match is None:
+                raise MalformedLog(f"{path} line {lineno}: seq {seq}: not a line EventLog writes")
+            try:
                 got = int(match[match.lastindex])
-            elif not line.strip():
-                continue
-            else:
-                try:
-                    rec = EventLogRecord.from_json(line.decode("utf-8"))
-                except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                    raise MalformedLog(f"{path} line {lineno}: not a record: {exc}") from None
-                got = rec.seq
+                if pattern is _INGEST:
+                    cid, frame_hex, outcome, rx_time_ms, _ = match.groups()
+                    ingest = (got, bytes.fromhex(frame_hex.decode()), int(cid), int(rx_time_ms),
+                              _OUTCOME[outcome])
+            except ValueError:   # more digits than int() reads: sys.get_int_max_str_digits()
+                raise MalformedLog(f"{path} line {lineno}: seq {seq}: an integer too long to read"
+                                   ) from None
             if got != seq:
                 raise MalformedLog(f"{path} line {lineno}: seq {got}, expected {seq}")
             seq += 1
-            if match is None:
-                if rec.kind is EventKind.CENTER_INGEST:
-                    yield _ingest_fields(rec)
-            elif pattern is _INGEST:
-                cid, frame_hex, outcome, rx_time_ms, _ = match.groups()
-                yield (got, bytes.fromhex(frame_hex.decode()), int(cid), int(rx_time_ms),
-                       _OUTCOME[outcome])
-
-
-def _ingest_fields(rec: EventLogRecord) -> tuple[int, bytes, int, int, object]:
-    """The fields replay reads from an ingest record that was read as JSON."""
-    try:
-        return (rec.seq, bytes.fromhex(rec.payload["frame_hex"]),
-                whole_number(rec.payload["concentrator_id"], "concentrator_id"),
-                whole_number(rec.payload["rx_time_ms"], "rx_time_ms"),
-                rec.payload["outcome"])
-    except KeyError as exc:
-        raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None
-    except (TypeError, ValueError) as exc:
-        raise MalformedLog(f"seq {rec.seq}: {exc}") from None
+            if pattern is _INGEST:
+                yield ingest
 
 
 def write_ledger_snapshots(path: Path, text: Iterable[str]) -> None:
@@ -245,36 +212,23 @@ def write_ledger_snapshots(path: Path, text: Iterable[str]) -> None:
         fh.writelines(text)
 
 
-def check_ledger_lines(path: Path, ledgers: dict[int, SessionLedger]
-                       ) -> Iterator[tuple[int, bool]]:
-    """The meter id of each ``ledgers.ndjson`` line and whether the line is
-    that meter's ledger in ``ledgers``, which holds them in meter id order;
-    one line at a time, blank lines skipped.
-
-    The n-th line matches at once when its bytes are the n-th ledger's line
-    as ``SessionLedger.snapshot_text`` writes it.  Any other line is read as
-    JSON and matches when it equals its meter's ``snapshot()``, so other
-    spacing, key order or line endings still match.  A line that is not a
-    UTF-8 JSON object with an integer ``meter_id`` raises MalformedLog
-    naming it.
+def check_ledger_lines(path: Path, ledgers: dict[int, SessionLedger]) -> Iterator[str]:
+    """Where ``ledgers.ndjson`` differs from ``ledgers``, which holds them in
+    meter id order, one line at a time: the n-th line must be the n-th
+    ledger's line as ``SessionLedger.snapshot_text`` writes it.  Each
+    mismatch is named by the meter whose line it is not, by a line that no
+    ledger is left for, or by a meter that has no line.
     """
     in_order = iter(ledgers.values())
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
             ledger = next(in_order, None)
-            if ledger is not None and _is_line(line, ledger):
-                yield ledger.meter_id, True
-                continue
-            try:
-                snap = json.loads(line.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:
-                raise MalformedLog(f"{path} line {lineno}: not JSON: {exc}") from None
-            if not isinstance(snap, dict) or type(snap.get("meter_id")) is not int:
-                raise MalformedLog(f"{path} line {lineno}: not a ledger snapshot")
-            ledger = ledgers.get(snap["meter_id"])
-            yield snap["meter_id"], ledger is not None and snap == ledger.snapshot()
+            if ledger is None:
+                yield f"{path.name} line {lineno}: replay rebuilt {len(ledgers)} ledgers"
+            elif not _is_line(line, ledger):
+                yield f"meter {ledger.meter_id:#x}"
+    for ledger in in_order:
+        yield f"meter {ledger.meter_id:#x}: {path.name} has no line for it"
 
 
 def _is_line(line: bytes, ledger: SessionLedger) -> bool:

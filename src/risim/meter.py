@@ -18,6 +18,7 @@ from .domain import (
     ResourceKind,
     SESSION_MOD,
     frame_builder,
+    whole_number,
 )
 from .traces import ConsumptionTrace
 
@@ -43,9 +44,10 @@ class MeterConfig:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.max_flow_du_per_hour is not None:
             object.__setattr__(self, "max_flow_du_per_hour", Fraction(self.max_flow_du_per_hour))
-        if self.quantum_du <= 0:
+        where = f"meter {self.id:#x}"
+        if whole_number(self.quantum_du, f"{where}: quantum_du") <= 0:
             raise ValueError("quantum must be positive")
-        if self.heartbeat_interval_ms <= 0:
+        if whole_number(self.heartbeat_interval_ms, f"{where}: heartbeat_interval_ms") <= 0:
             raise ValueError("heartbeat interval must be positive")
         if self.battery_capacity < 0 or self.tx_cost < 0:
             raise ValueError("battery parameters must be nonnegative")

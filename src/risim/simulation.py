@@ -87,11 +87,11 @@ class ScenarioConfig:
         whole_number(self.seed, "scenario seed")
         if self.mode not in ("ri", "ti", "both"):
             raise ConfigError(f"unknown mode: {self.mode!r}")
-        if self.horizon_ms < 0:
+        if whole_number(self.horizon_ms, "scenario horizon_ms") < 0:
             raise ConfigError("horizon must be nonnegative")
-        if self.ti_poll_interval_ms <= 0:
+        if whole_number(self.ti_poll_interval_ms, "scenario ti_poll_interval_ms") <= 0:
             raise ConfigError("poll interval must be positive")
-        if self.rmse_grid_ms <= 0:
+        if whole_number(self.rmse_grid_ms, "scenario rmse_grid_ms") <= 0:
             raise ConfigError("metric grid must be positive")
         registry = self.build_registry()   # raises on duplicate ids
         known = set(registry.concentrator_ids())

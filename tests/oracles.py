@@ -14,8 +14,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from risim.center import ReconstructionResult, SessionLedger
+from risim.center import IngestOutcome, ReconstructionResult, SessionLedger
 from risim.domain import (
+    BASE_UNIT,
     MS_PER_HOUR,
     NOMINAL_QUALITY_DU,
     SESSION_MOD,
@@ -24,6 +25,7 @@ from risim.domain import (
     MeterMessage,
     MeterState,
     QualityVector,
+    ResourceKind,
     decode_frame,
     encode_frame,
     whole_number,
@@ -70,11 +72,24 @@ def scaled(trace: ConsumptionTrace, factor) -> ConsumptionTrace:
     )
 
 
+def from_json(line: str) -> EventLogRecord:
+    """A log line read back as a record, by ``json.loads``: the reference
+    reader, which also takes lines that no ``EventLog`` template writes."""
+    obj = json.loads(line)
+    if not isinstance(obj["payload"], dict):
+        raise ValueError("payload is not a JSON object")
+    return EventLogRecord(
+        seq=whole_number(obj["seq"], "seq"),
+        sim_time_ms=whole_number(obj["sim_time_ms"], "sim_time_ms"),
+        kind=EventKind(obj["kind"]),
+        payload=obj["payload"],
+    )
+
+
 def record_sink(records: list):
     """An ``EventLog`` sink that parses each line it is given back into a
-    record, through the reader's own ``EventLogRecord.from_json``, and
-    appends it to ``records``."""
-    return lambda line: records.append(EventLogRecord.from_json(line))
+    record, through ``from_json``, and appends it to ``records``."""
+    return lambda line: records.append(from_json(line))
 
 
 def write_records(path: Path, records) -> Path:
@@ -86,21 +101,63 @@ def write_records(path: Path, records) -> Path:
 
 def read_records(path: Path) -> Iterator[EventLogRecord]:
     """Every record of an event log, one line at a time, each read as JSON by
-    ``EventLogRecord.from_json``; ``seq`` must run 0, 1, 2, ...  This is the
-    whole-record reader that ``read_events``'s per-kind patterns replace, with
-    its acceptance and its messages."""
+    ``from_json``; ``seq`` must run 0, 1, 2, ...  This is the whole-record
+    reader that ``read_events``'s per-kind patterns replaced, with its
+    acceptance and its messages."""
     seq = 0
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    rec = EventLogRecord.from_json(line.decode("utf-8"))
+                    rec = from_json(line.decode("utf-8"))
                 except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise MalformedLog(f"{path} line {lineno}: not a record: {exc}") from None
                 if rec.seq != seq:
                     raise MalformedLog(f"{path} line {lineno}: seq {rec.seq}, expected {seq}")
                 seq += 1
                 yield rec
+
+
+#: each kind's payload fields, as ``EventLog`` writes them: "whole" is an int
+#: of at least 0, "signed" any int, "hex" lowercase hex of whole bytes, and a
+#: set is the words the field may hold
+_EMISSION_FIELDS = {"cumulative_quanta": "whole", "frame_hex": "hex", "meter_id": "whole",
+                    "resource": {kind.value for kind in ResourceKind}, "session": "whole"}
+_TEMPLATE_FIELDS = {
+    EventKind.QUANTUM_EVENT: _EMISSION_FIELDS,
+    EventKind.HEARTBEAT: _EMISSION_FIELDS,
+    EventKind.CENTER_INGEST: {"concentrator_id": "whole", "frame_hex": "hex", "meter_id": "whole",
+                              "outcome": {outcome.value for outcome in IngestOutcome},
+                              "rx_time_ms": "signed", "session": "whole"},
+    EventKind.DROP: {"concentrator_id": "whole", "meter_id": "whole", "session": "whole",
+                     "stage": {"radio", "uplink"}},
+    EventKind.TI_READING: {"meter_id": "whole", "poll_index": "whole", "register_du": "signed",
+                           "unit": set(BASE_UNIT.values())},
+}
+
+
+def _has_type(value, field_type) -> bool:
+    if field_type == "hex":
+        try:
+            return type(value) is str and bytes.fromhex(value).hex() == value
+        except ValueError:
+            return False
+    if field_type in ("whole", "signed"):
+        return type(value) is int and (field_type == "signed" or value >= 0)
+    return type(value) is str and value in field_type
+
+
+def is_written_line(line: bytes) -> bool:
+    """Whether ``line`` is one that an ``EventLog`` template writes: its bytes
+    are ``from_json(line).to_json()`` and a newline, its payload keys are its
+    kind's, and every value is of its field's type and vocabulary."""
+    try:
+        rec = from_json(line.decode("utf-8"))
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return False
+    fields = _TEMPLATE_FIELDS[rec.kind]
+    return ((rec.to_json() + "\n").encode() == line and set(rec.payload) == set(fields)
+            and all(_has_type(rec.payload[key], kind) for key, kind in fields.items()))
 
 
 def reference_ingests(records) -> Iterator[tuple]:
@@ -418,7 +475,8 @@ class _StepRun:
 
 
 class ReferenceRun:
-    """``run_ri`` written from protocol.md's rules, to check it against.
+    """``run_ri`` and ``run_ti`` written from protocol.md's rules, to check them
+    against.
 
     Each meter's frames come from ``_StepRun``, encoded with
     ``encode_frame``.  All emissions are taken in (time, meter, session)
@@ -429,6 +487,12 @@ class ReferenceRun:
     compared as exact fractions, loses the copy.  Each delivered copy reaches
     a ``ReferenceCenter`` at the emission time plus its concentrator's skew,
     with its true session index.
+
+    Polls go out at k · poll interval, k = 1, 2, ... up to the horizon, to
+    every meter in meter id order.  A meter's battery is stepped poll by
+    poll: it loses the idle drain of each interval, and a poll is sent, and
+    costs ``tx_cost``, only while the battery is above zero before it.  The
+    reading is the whole deciunits the trace has consumed by the poll.
     """
 
     def __init__(self, scenario: ScenarioConfig) -> None:
@@ -436,23 +500,38 @@ class ReferenceRun:
         self.center = ReferenceCenter(
             {sm.config.id: sm.config.quantum_du for sm in scenario.meters()})
 
-    def records(self):
-        """The run's log records as dicts: ``seq``, ``sim_time_ms``, ``kind``
-        and ``payload``, in log order."""
+    def records(self, mode: str = "ri"):
+        """The log records of a run in ``mode`` (``ri``, ``ti`` or ``both``) as
+        dicts: ``seq``, ``sim_time_ms``, ``kind`` and ``payload``, in log
+        order; under ``both`` the ``ti`` records are numbered on from the
+        last ``ri`` one."""
+        parts = {"ri": (self._ri,), "ti": (self._ti,), "both": (self._ri, self._ti)}[mode]
+        seq = 0
+        for part in parts:
+            for t, kind, payload in part():
+                yield {"seq": seq, "sim_time_ms": t, "kind": kind, "payload": payload}
+                seq += 1
+
+    def _traces(self) -> dict[int, ConsumptionTrace]:
+        sc = self.scenario
+        return {sm.config.id: generate_trace(sm.trace, sc.seed, sc.horizon_ms, sm.config.id)
+                for sm in sc.meters()}
+
+    def _ri(self):
+        """(sim_time_ms, kind, payload) of each ``run_ri`` record."""
         sc = self.scenario
         skew = {c.id: c.clock_skew_ms for c in sc.concentrators()}
         uplink = {c.id: Fraction(c.uplink_loss) for c in sc.concentrators()}
         links = {sm.config.id: sorted((cid, Fraction(loss)) for cid, loss in sm.links)
                  for sm in sc.meters()}
+        traces = self._traces()
         emissions = []
         for sm in sc.meters():
-            trace = generate_trace(sm.trace, sc.seed, sc.horizon_ms, sm.config.id)
-            for index, (t, msg) in enumerate(_StepRun(sm.config, trace).events()):
+            for index, (t, msg) in enumerate(_StepRun(sm.config, traces[sm.config.id]).events()):
                 emissions.append((t, sm.config.id, index, msg))
         emissions.sort(key=lambda e: e[:3])
 
         rng = random.Random(mix_seed(sc.seed, CHANNEL_STREAM))
-        seq = 0
         for t, mid, index, msg in emissions:
             frame = encode_frame(msg)
             radio = [Fraction(rng.random()) < loss for _, loss in links[mid]]
@@ -461,19 +540,34 @@ class ReferenceRun:
                 if lost[i] is None and uplink[cid] > 0 and Fraction(rng.random()) < uplink[cid]:
                     lost[i] = "uplink"
 
-            yield {"seq": seq, "sim_time_ms": t, "kind": msg.message_type.value, "payload": {
+            yield t, msg.message_type.value, {
                 "cumulative_quanta": msg.state.cumulative_quanta, "frame_hex": frame.hex(),
-                "meter_id": mid, "resource": msg.kind.value, "session": msg.session}}
-            seq += 1
+                "meter_id": mid, "resource": msg.kind.value, "session": msg.session}
             for (cid, _), stage in zip(links[mid], lost):
                 if stage is None:
                     rx_time = t + skew[cid]
                     outcome = self.center.ingest(index, ConcentratorReport(frame, cid, rx_time))
-                    yield {"seq": seq, "sim_time_ms": t, "kind": "center_ingest", "payload": {
+                    yield t, "center_ingest", {
                         "concentrator_id": cid, "frame_hex": frame.hex(), "meter_id": mid,
-                        "outcome": outcome, "rx_time_ms": rx_time, "session": msg.session}}
+                        "outcome": outcome, "rx_time_ms": rx_time, "session": msg.session}
                 else:
-                    yield {"seq": seq, "sim_time_ms": t, "kind": "drop", "payload": {
-                        "concentrator_id": cid, "meter_id": mid, "session": msg.session,
-                        "stage": stage}}
-                seq += 1
+                    yield t, "drop", {"concentrator_id": cid, "meter_id": mid,
+                                      "session": msg.session, "stage": stage}
+
+    def _ti(self):
+        """(sim_time_ms, kind, payload) of each ``run_ti`` record."""
+        sc = self.scenario
+        dt = sc.ti_poll_interval_ms
+        meters = sorted((sm.config for sm in sc.meters()), key=lambda cfg: cfg.id)
+        traces = self._traces()
+        battery = {cfg.id: cfg.battery_capacity for cfg in meters}
+        for k in range(1, sc.horizon_ms // dt + 1):
+            t = k * dt
+            for cfg in meters:
+                battery[cfg.id] -= cfg.idle_drain_per_hour * Fraction(dt, MS_PER_HOUR)
+                if battery[cfg.id] > 0:
+                    battery[cfg.id] -= cfg.tx_cost
+                    yield t, "ti_reading", {
+                        "meter_id": cfg.id, "poll_index": k,
+                        "register_du": math.floor(traces[cfg.id].cumulative_du(t)),
+                        "unit": BASE_UNIT[cfg.kind]}

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -313,8 +314,10 @@ def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
     lines = (out / log).read_text().splitlines()
     for i, line in enumerate(lines):
         if tamper is None:
-            lines[i] = line[: len(line) // 2]  # cut mid-object: not JSON
-            where = f"line {i + 1}:"
+            # cut mid-object: no longer the line the writer wrote
+            where = (f"line {i + 1}:" if log == "events.ndjson" else
+                     f"replay mismatch at meter {json.loads(line)['meter_id']:#x}\n")
+            lines[i] = line[: len(line) // 2]
             break
         obj = json.loads(line)
         if obj["kind"] == "center_ingest" and tamper(obj["payload"]) is not False:
@@ -330,25 +333,76 @@ def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
         assert where in err
 
 
-def test_replay_accepts_a_log_the_templates_would_not_write(tmp_path, capsys):
-    """Replay reads a line that no template writes as JSON, as it always
-    has: a log with CRLF endings, one ingest line with JSON's default spaced
-    separators and another with its frame in uppercase hex replays ok."""
+def _spaced(line):
+    return json.dumps(json.loads(line), sort_keys=True)
+
+
+def _uppercase_hex(line):
+    obj = json.loads(line)
+    upper = obj["payload"]["frame_hex"].upper()
+    assert upper != obj["payload"]["frame_hex"]
+    obj["payload"]["frame_hex"] = upper
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _crlf(line):
+    return line + "\r"
+
+
+def test_replay_refuses_a_log_the_templates_would_not_write(tmp_path, capsys):
+    """Replay reads a log only as ``risim run`` writes it: an ingest line with
+    JSON's default spaced separators, its frame in uppercase hex or a CRLF
+    ending is refused, each in one stderr line naming the line and its seq."""
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    main(["run", str(scn), "--out", str(out)])
+    written = (out / "events.ndjson").read_text().splitlines()
+    i = next(i for i, line in enumerate(written) if '"kind":"center_ingest"' in line)
+    for edit in (_spaced, _uppercase_hex, _crlf):
+        lines = list(written)
+        lines[i] = edit(lines[i])
+        (out / "events.ndjson").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 1, edit
+        err = capsys.readouterr().err
+        assert err.endswith(f" line {i + 1}: seq {i}: not a line EventLog writes\n"), err
+        assert err.startswith("malformed log: ") and err.count("\n") == 1, err
+
+
+def test_replay_reads_integers_of_any_length(tmp_path, capsys):
+    """A gas meter whose heartbeats fall 3 * 10**19 ms apart writes 20-digit
+    times, and its log replays ok."""
+    scn = _write_scenario(tmp_path, horizon=10**20, poll_interval=2 * 10**19, buildings=[{
+        "concentrators": [{"serial": 1}],
+        "meters": [{"serial": 1, "kind": "gas", "heartbeat_interval": 3 * 10**19}],
+    }])
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out), "--mode", "both"]) == 0
+    lines = (out / "events.ndjson").read_text().splitlines()
+    assert len(lines) == 11 and '"rx_time_ms":30000000000000000000,' in lines[1]
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 0
+    assert capsys.readouterr().out == "replay ok: 1 ledgers match\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() reads integers of any length here")
+@pytest.mark.parametrize("field", ["seq", "rx_time_ms"])
+def test_replay_refuses_an_integer_too_long_to_read(tmp_path, capsys, field):
+    """A 5,000-digit integer matches the template, but int() refuses it
+    (Python caps a conversion at 4,300 digits): one line naming the line."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     lines = (out / "events.ndjson").read_text().splitlines()
-    first, second = [i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line][:2]
-    lines[first] = json.dumps(json.loads(lines[first]), indent=None)
-    obj = json.loads(lines[second])
-    upper = obj["payload"]["frame_hex"].upper()
-    assert upper != obj["payload"]["frame_hex"]
-    obj["payload"]["frame_hex"] = upper
-    lines[second] = json.dumps(obj, separators=(",", ":"))
-    (out / "events.ndjson").write_bytes("".join(line + "\r\n" for line in lines).encode())
+    i = next(i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line)
+    lines[i] = re.sub(f'"{field}":[0-9]+', f'"{field}":' + "7" * 5000, lines[i])
+    (out / "events.ndjson").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["replay", str(out)]) == 0
-    assert capsys.readouterr().out.startswith("replay ok: ")
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"malformed log: {out / 'events.ndjson'} line {i + 1}: seq {i}: " \
+                  "an integer too long to read\n"
 
 
 def _delete_line(lines, i):
@@ -361,11 +415,16 @@ def _duplicate_line(lines, i):
     return f"line {i + 2}: seq {i}, expected {i + 1}"
 
 
+def _not_written(i):
+    """The message for the line at index ``i``, which no template writes."""
+    return f"line {i + 1}: seq {i}: not a line EventLog writes"
+
+
 def _set_top_field(lines, i, key, value):
     obj = json.loads(lines[i])
     obj[key] = value(obj[key])
     lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return f"line {i + 1}: not a record: {key}"
+    return _not_written(i)
 
 
 def _seq_a_boolean(lines, i):
@@ -382,24 +441,22 @@ def _half_ms_on_an_ingest_line(lines, i):
 
 
 def _kind_retired(lines, i):
-    _set_top_field(lines, i, "kind", lambda kind: "delivery")
-    return f"line {i + 1}: not a record: 'delivery'"
+    return _set_top_field(lines, i, "kind", lambda kind: "delivery")
 
 
 def _nested_too_deeply(lines, i):
     lines[i] = "[" * 200_000
-    return f"line {i + 1}: not a record"
+    return _not_written(i)
 
 
 def _payload_a_number(lines, i):
     j = next(j for j in range(i, len(lines)) if '"kind":"quantum_event"' in lines[j])
-    _set_top_field(lines, j, "payload", lambda payload: 5)
-    return f"line {j + 1}: not a record: payload"
+    return _set_top_field(lines, j, "payload", lambda payload: 5)
 
 
 def _not_utf8(lines, i):
     lines[i] += NOT_UTF8
-    return f"line {i + 1}: not a record: 'utf-8' codec can't decode byte 0xff"
+    return _not_written(i)
 
 
 @pytest.mark.parametrize("edit", [_delete_line, _duplicate_line, _seq_a_boolean,
@@ -412,7 +469,7 @@ def test_replay_rejects_a_seq_gap_or_repeat(tmp_path, capsys, edit):
     or ``sim_time_ms`` that is not a whole number, a kind the log no longer
     has, a line nested too deeply to parse, a ``payload`` that is not a
     JSON object on a line replay would otherwise skip, and a line that is
-    not UTF-8."""
+    not UTF-8: each is not a line the templates write."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
@@ -445,38 +502,47 @@ def test_replay_rejects_a_ledger_line_that_is_not_a_snapshot(tmp_path, capsys, l
     assert f"line {n_lines + 1}:" in err
 
 
-def test_replay_accepts_ledgers_written_with_other_spacing_and_key_order(tmp_path, capsys):
-    """A ledger line that is not the bytes the writer gives is compared as
-    JSON: ``ledgers.ndjson`` dumped again with spaced separators and every
-    object's keys reversed still replays ok."""
+def _reversed_keys(snap):
+    snap["sessions"] = [dict(reversed(row.items())) for row in snap["sessions"]]
+    return json.dumps(dict(reversed(snap.items())), separators=(",", ":"))
+
+
+def test_replay_refuses_ledgers_written_with_other_spacing_and_key_order(tmp_path, capsys):
+    """A ledger line is compared as the bytes the writer gives: the first
+    line of ``ledgers.ndjson`` dumped again with spaced separators, or with
+    every object's keys reversed, is a mismatch at its meter."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     ledgers = out / "ledgers.ndjson"
-    text = ""
-    for snap in map(json.loads, ledgers.read_text().splitlines()):
-        snap["sessions"] = [dict(reversed(row.items())) for row in snap["sessions"]]
-        text += json.dumps(dict(reversed(snap.items()))) + "\n"
-    assert text != ledgers.read_text() and '{"type": ' in text
-    ledgers.write_text(text)
-    capsys.readouterr()
-    assert main(["replay", str(out)]) == 0
-    assert capsys.readouterr().out.startswith("replay ok: ")
+    written = ledgers.read_text().splitlines()
+    snap = json.loads(written[0])
+    for edit in (lambda obj: json.dumps(obj, sort_keys=True), _reversed_keys):
+        first = edit(json.loads(written[0]))
+        assert first != written[0] and json.loads(first) == snap
+        ledgers.write_text("\n".join([first, *written[1:]]) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 1
+        assert capsys.readouterr().err == f"replay mismatch at meter {snap['meter_id']:#x}\n"
 
 
 def _repeat_first_ledger(lines):
     lines.append(lines[0])
-    return f"replay mismatch at meter {json.loads(lines[0])['meter_id']:#x}: 2 ledger lines"
+    return (f"replay mismatch at ledgers.ndjson line {len(lines)}: "
+            f"replay rebuilt {len(lines) - 1} ledgers")
 
 
 def _swap_first_ledgers(lines):
     lines[0], lines[1] = lines[1], lines[0]
-    return "replay mismatch: ledger lines are not in meter id order"
+    return "\n".join(f"replay mismatch at meter {json.loads(line)['meter_id']:#x}"
+                     for line in (lines[1], lines[0]))
 
 
 @pytest.mark.parametrize("edit", [_repeat_first_ledger, _swap_first_ledgers])
 def test_replay_names_a_repeated_or_reordered_ledger(tmp_path, capsys, edit):
-    """Every ledger line still matches its meter, yet the file differs."""
+    """Every ledger line is still some meter's line, yet the file differs:
+    a line past the last ledger is named, and so is each meter whose line
+    is not where its ledger is."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -160,3 +161,27 @@ def test_shipped_scenario_files_load():
         sc = load_scenario(path)
         assert sc.horizon_ms > 0
         assert sc.meters()
+
+
+
+_METER_INTS = ("quantum_du", "heartbeat_interval_ms")
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    (field, value, shown)
+    for field in ("horizon_ms", "ti_poll_interval_ms", "rmse_grid_ms", *_METER_INTS)
+    for value, shown in [(True, "True"), (1.5, "1.5"), ("5", "'5'"), (None, "None"),
+                         (3600000.0, "3600000.0")]
+    if (field, value) != ("quantum_du", None)
+])
+def test_an_integer_field_of_the_python_api_is_a_config_error(field, value, shown):
+    """A library caller's horizon, poll interval, metric grid, quantum and
+    heartbeat interval are ints, as the scenario loader reads them: anything
+    else is a ConfigError naming the field, and the meter for a meter's."""
+    sc = scenario_from_dict(_scenario_dict())
+    meter = sc.meters()[0].config
+    where = f"meter {meter.id:#x}:" if field in _METER_INTS else "scenario"
+    with pytest.raises(ConfigError) as err:
+        replace(meter if field in _METER_INTS else sc, **{field: value})
+    assert str(err.value) == f"{where} {field}: expected an integer, got {shown}"
+

@@ -25,8 +25,8 @@ from risim.eventlog import (
     write_events,
 )
 
-from oracles import (accepted_count, read_csv, read_records, reference_ingests,
-                     write_records)
+from oracles import (accepted_count, from_json, is_written_line, read_csv, read_records,
+                     reference_ingests, write_records)
 
 
 def test_json_lines_are_canonical():
@@ -39,7 +39,7 @@ def test_json_lines_are_canonical():
         '{"kind":"drop","payload":{"concentrator_id":4,"meter_id":9,'
         '"session":0,"stage":"uplink"},"seq":3,"sim_time_ms":1500}'
     )
-    assert EventLogRecord.from_json(line) == rec
+    assert from_json(line) == rec
 
 
 def test_protocol_lists_exactly_the_record_kinds():
@@ -88,12 +88,17 @@ def test_csv_uses_crlf_and_header(tmp_path):
 
 
 def test_replay_ignores_non_ingest_records(tmp_path):
-    records = [
-        EventLogRecord(0, 10, EventKind.QUANTUM_EVENT, {"meter_id": 1}),
-        EventLogRecord(1, 10, EventKind.DROP, {"meter_id": 1}),
-    ]
-    center = replay_center(read_events(write_records(tmp_path / "events.ndjson", records)))
-    assert center.ledgers() == {}
+    path = tmp_path / "events.ndjson"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        log = EventLog(fh.write)
+        log.emission(10, encode_frame(MeterMessage(
+            1, 0, ResourceKind.GAS, MessageType.QUANTUM_EVENT,
+            QualityVector(ResourceKind.GAS, NOMINAL_QUALITY_DU[ResourceKind.GAS]),
+            MeterState(cumulative_quanta=1))))
+        log.drop(10, 1, 0, 2, "radio")
+        log.ti_reading(20, 1, 1, 5, "l")
+    assert list(read_events(path)) == []
+    assert replay_center(read_events(path)).ledgers() == {}
 
 
 def test_replay_rebuilds_from_frames(tmp_path):
@@ -269,10 +274,10 @@ _EDITS = ["value", "prefix", "remove", "reorder", "spaces", "upper", "crlf", "bl
 @st.composite
 def _log_lines(draw):
     """(lines, edited): 1-6 template lines numbered from 0, and whether one of
-    them was edited into a line no template writes: a field set to a hostile
-    value, a "0", "-", "+" or " " written before a field's value, a key
-    removed or moved first, spaces after the separators, uppercase hex, a
-    CRLF ending, or a blank line before it; or one line repeated or deleted."""
+    them was edited: a field set to a hostile value, a "0", "-", "+" or " "
+    written before a field's value, a key removed or moved first, spaces
+    after the separators, uppercase hex, a CRLF ending, or a blank line
+    before it; or one line repeated or deleted."""
     lines = []
     log = EventLog(lines.append)
     for method, args, _, _, _ in draw(st.lists(_template_calls(), min_size=1, max_size=6)):
@@ -337,18 +342,30 @@ def log_path(tmp_path_factory) -> Path:
 @settings(max_examples=400, deadline=None)
 @given(drawn=_log_lines())
 def test_read_events_matches_the_whole_record_reader(log_path, drawn):
-    """On template lines and on lines edited away from the templates,
-    ``read_events`` yields the ingests, and raises the MalformedLog, that
-    reading every line as a whole record does, and so replay rebuilds the
-    same ledgers or raises the same message.  An unedited line whose integers
-    have at most 19 digits is matched by its kind's pattern."""
+    """On a log of lines that the templates write, ``read_events`` yields the
+    ingests, and raises the MalformedLog, that reading every line as a whole
+    record does, and so replay rebuilds the same ledgers or raises the same
+    message; each such line is matched by its kind's pattern.  On a log
+    edited so that some line is not one the templates write, as
+    ``is_written_line`` tells, it yields the ingests before the first such
+    line and then raises a MalformedLog naming that line."""
     lines, edited = drawn
     log_path.write_bytes("".join(lines).encode())
-    assert _read_all(read_events(log_path)) == _read_all(reference_ingests(read_records(log_path)))
-    assert _replayed(read_events(log_path)) == _replayed(reference_ingests(read_records(log_path)))
-    for line in ([] if edited else lines):
-        obj = json.loads(line)
-        ints = [v for v in (obj["seq"], obj["sim_time_ms"], *obj["payload"].values())
-                if type(v) is int]
-        if max(map(abs, ints)) < 10**19:
-            assert _LINE[obj["kind"].encode()].fullmatch(line.encode()), line
+    written = [is_written_line(line.encode()) for line in lines]
+    assert edited or all(written)
+    if all(written):
+        assert _read_all(read_events(log_path)) == _read_all(
+            reference_ingests(read_records(log_path)))
+        assert _replayed(read_events(log_path)) == _replayed(
+            reference_ingests(read_records(log_path)))
+        for line in lines:
+            assert _LINE[json.loads(line)["kind"].encode()].fullmatch(line.encode()), line
+        return
+    bad = written.index(False)
+    head = log_path.with_name("head.ndjson")
+    head.write_bytes("".join(lines[:bad]).encode())
+    want, head_error = _read_all(reference_ingests(read_records(head)))
+    assert head_error is None
+    got, message = _read_all(read_events(log_path))
+    assert got == want
+    assert message == f"{log_path} line {bad + 1}: seq {bad}: not a line EventLog writes"

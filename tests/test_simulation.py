@@ -49,8 +49,8 @@ from risim.simulation import (
 )
 from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
 
-from oracles import (ReferenceRun, accepted_count, consumed_between, record_sink, total_du,
-                     write_records)
+from oracles import (ReferenceRun, accepted_count, consumed_between, from_json, record_sink,
+                     total_du, write_records)
 
 CID = concentrator_id(1)
 
@@ -271,6 +271,7 @@ def _reference_scenarios(draw):
         seed=draw(st.integers(0, 2**32)),
         horizon_ms=MS_PER_MINUTE * draw(st.integers(10, 120)),
         buildings=(Building(meters=meters, concentrators=tuple(concs)),),
+        ti_poll_interval_ms=MS_PER_MINUTE * draw(st.sampled_from([1, 7, 30, 60])),
     )
 
 
@@ -278,12 +279,16 @@ def _reference_scenarios(draw):
 @given(_reference_scenarios())
 def test_run_ri_matches_the_reference_run(sc):
     """run_ri's records, ``seq`` and outcomes included, and its ledgers are
-    those of ReferenceRun, which follows protocol.md step by step."""
+    those of ReferenceRun, which follows protocol.md step by step; so are
+    the ``ti_reading`` records that run_ti then writes to the same log, as
+    ``risim run --mode both`` does."""
     records = []
-    res = run_ri(sc, EventLog(record_sink(records)))
+    log = EventLog(record_sink(records))
+    res = run_ri(sc, log)
+    run_ti(sc, log)
     ref = ReferenceRun(sc)
     assert [{"seq": r.seq, "sim_time_ms": r.sim_time_ms, "kind": r.kind, "payload": r.payload}
-            for r in records] == list(ref.records())
+            for r in records] == list(ref.records("both"))
     assert "".join(res.center.snapshots()) == ref.center.ledgers_text()
 
 
@@ -423,7 +428,7 @@ def test_logged_runs_build_no_record_and_dump_no_json():
     profile.disable()
     calls = _calls(profile, record=EventLogRecord.__post_init__, dumps=json.dumps)
     assert calls == {"record": 0, "dumps": 0}
-    records = [EventLogRecord.from_json(line) for line in lines]
+    records = [from_json(line) for line in lines]
     assert [rec.to_json() + "\n" for rec in records] == lines
     assert [rec.seq for rec in records] == list(range(log.seq))
     assert set(rec.kind for rec in records) == set(EventKind)
@@ -499,7 +504,7 @@ def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     profile.enable()
     res = run_ri(sc, EventLog(lines.append))
     profile.disable()
-    records = [EventLogRecord.from_json(line) for line in lines]
+    records = [from_json(line) for line in lines]
     kinds = Counter(rec.kind for rec in records)
     emissions = kinds[EventKind.QUANTUM_EVENT] + kinds[EventKind.HEARTBEAT]
     ingests = kinds[EventKind.CENTER_INGEST]
