@@ -28,9 +28,7 @@ class MalformedLog(ValueError):
 class EventKind(str, Enum):
     QUANTUM_EVENT = "quantum_event"
     HEARTBEAT = "heartbeat"
-    DROP = "drop"
     TI_READING = "ti_reading"
-    CENTER_INGEST = "center_ingest"
 
 
 @dataclass(frozen=True)
@@ -84,34 +82,19 @@ class EventLog:
         self._sink = sink
         self.seq = 0   # the next record's seq, so also the count emitted
 
-    def emission(self, t: int, frame: bytes) -> None:
+    def emission(self, t: int, frame: bytes, links) -> None:
         """A ``quantum_event`` or ``heartbeat`` record: one frame a meter sent,
         with its meter id, session, kind, resource and counter read from the
-        frame.  A frame that breaks the decoder rules raises MalformedFrame."""
+        frame, and its copy's fate on each link: (concentrator_id, drop stage)
+        or (concentrator_id, outcome, rx_time_ms).  A frame that breaks the
+        decoder rules raises MalformedFrame."""
         resource, kind, meter_id, session, cumulative_quanta = frame_header(frame)
+        fates = ",".join([f"[{link[0]},{_JSON_TEXT[link[1]]}]" if len(link) == 2 else
+                          f"[{link[0]},{_JSON_TEXT[link[1]]},{link[2]}]" for link in links])
         self._sink(
             f'{{"kind":{_JSON_TEXT[kind]},"payload":{{"cumulative_quanta":{cumulative_quanta},'
-            f'"frame_hex":"{frame.hex()}","meter_id":{meter_id},'
+            f'"frame_hex":"{frame.hex()}","links":[{fates}],"meter_id":{meter_id},'
             f'"resource":{_JSON_TEXT[resource]},"session":{session}}},'
-            f'"seq":{self.seq},"sim_time_ms":{t}}}\n')
-        self.seq += 1
-
-    def ingest(self, t: int, meter_id: int, session: int, concentrator_id: int,
-               rx_time_ms: int, outcome: str, frame: bytes) -> None:
-        """A ``center_ingest`` record: one copy the center received, and its outcome."""
-        self._sink(
-            f'{{"kind":"center_ingest","payload":{{"concentrator_id":{concentrator_id},'
-            f'"frame_hex":"{frame.hex()}","meter_id":{meter_id},'
-            f'"outcome":{_JSON_TEXT[outcome]},"rx_time_ms":{rx_time_ms},'
-            f'"session":{session}}},"seq":{self.seq},"sim_time_ms":{t}}}\n')
-        self.seq += 1
-
-    def drop(self, t: int, meter_id: int, session: int, concentrator_id: int,
-             stage: str) -> None:
-        """A ``drop`` record: one copy lost on the radio link or the uplink."""
-        self._sink(
-            f'{{"kind":"drop","payload":{{"concentrator_id":{concentrator_id},'
-            f'"meter_id":{meter_id},"session":{session},"stage":{_JSON_TEXT[stage]}}},'
             f'"seq":{self.seq},"sim_time_ms":{t}}}\n')
         self.seq += 1
 
@@ -127,9 +110,7 @@ class EventLog:
 
 def write_events(fh, records) -> None:
     """Append ``records`` to an open text file, one canonical line each."""
-    for rec in records:
-        fh.write(rec.to_json())
-        fh.write("\n")
+    fh.writelines(rec.to_json() + "\n" for rec in records)
 
 
 #: the integers of a line as the templates write them: no sign or leading zero,
@@ -140,8 +121,8 @@ _HEX = rb'"((?:[0-9a-f]{2})*)"'
 
 
 def _words(words) -> bytes:
-    """A group matching any of ``words`` as its JSON text."""
-    return b"(" + b"|".join(re.escape(_JSON_TEXT[word].encode()) for word in words) + b")"
+    """A non-capturing group matching any of ``words`` as its JSON text."""
+    return b"(?:" + b"|".join(re.escape(_JSON_TEXT[word].encode()) for word in words) + b")"
 
 
 def _line(kind: EventKind, payload: bytes) -> re.Pattern:
@@ -150,37 +131,37 @@ def _line(kind: EventKind, payload: bytes) -> re.Pattern:
         re.escape(_JSON_TEXT[kind].encode()), payload, _WHOLE, _WHOLE))
 
 
-_EMISSION = (b'"cumulative_quanta":%s,"frame_hex":%s,"meter_id":%s,"resource":%s,"session":%s'
-             % (_WHOLE, _HEX, _WHOLE, _words(ResourceKind), _WHOLE))
+#: one entry of an emission's ``links``: a concentrator id, then a drop stage,
+#: or an ingest's outcome and reception time
+_LINK = rb"\[%s,(?:%s|%s,%s)\]" % (_WHOLE, _words(("radio", "uplink")),
+                                   _words(IngestOutcome), _SIGNED)
+#: an emission's payload; its groups are ``frame_hex`` and the text inside ``links``
+_EMISSION = (rb'"cumulative_quanta":%s,"frame_hex":%s,"links":\[((?:%s(?:,%s)*)?)\],'
+             rb'"meter_id":%s,"resource":%s,"session":%s'
+             % (_WHOLE, _HEX, _LINK, _LINK, _WHOLE, _words(ResourceKind), _WHOLE))
 
 #: one pattern per record kind, keyed by the kind's word: the inverse of its
 #: ``EventLog`` template, so a line that matches is a line the writer writes
 _LINE = {kind.encode(): _line(kind, payload) for kind, payload in (
     (EventKind.QUANTUM_EVENT, _EMISSION),
     (EventKind.HEARTBEAT, _EMISSION),
-    (EventKind.CENTER_INGEST,
-     b'"concentrator_id":(%s),"frame_hex":%s,"meter_id":%s,"outcome":%s,'
-     b'"rx_time_ms":(%s),"session":%s' % (_WHOLE, _HEX, _WHOLE, _words(IngestOutcome),
-                                           _SIGNED, _WHOLE)),
-    (EventKind.DROP, b'"concentrator_id":%s,"meter_id":%s,"session":%s,"stage":%s'
-     % (_WHOLE, _WHOLE, _WHOLE, _words(("radio", "uplink")))),
     (EventKind.TI_READING, b'"meter_id":%s,"poll_index":%s,"register_du":%s,"unit":%s'
      % (_WHOLE, _WHOLE, _SIGNED, _words(BASE_UNIT.values()))),
 )}
-_INGEST = _LINE[EventKind.CENTER_INGEST.encode()]
+_TI_READING = _LINE[EventKind.TI_READING.encode()]
 
 #: a logged outcome's JSON text, as the word that JSON reads from it
 _OUTCOME = {_JSON_TEXT[outcome].encode(): outcome.value for outcome in IngestOutcome}
 
 
 def read_events(path: Path) -> Iterator[tuple[int, bytes, int, int, object]]:
-    """Each ``center_ingest`` of the log, one line at a time, as (seq, frame,
-    concentrator_id, rx_time_ms, logged outcome); ``seq`` must run 0, 1, 2, ...
-
-    Each line must match its kind's template (``_LINE``), and a line of
-    another kind yields nothing and builds nothing.  A line that does not
-    match, or that holds an integer too long to read, raises MalformedLog
-    naming it and the ``seq`` it should carry.
+    """Each copy the center ingested, a log line at a time, as (seq, frame,
+    concentrator_id, rx_time_ms, logged outcome): one per ingest entry of an
+    emission's ``links``, sharing its ``seq`` and one frame.  ``seq`` must
+    run 0, 1, 2, ...  Each line must match its kind's template (``_LINE``); a
+    line with no ingest entry decodes no frame.  A line that does not match,
+    holds an integer too long to read, or whose ``links`` are out of
+    concentrator-id order raises MalformedLog naming it and its due ``seq``.
     """
     seq = 0
     with open(path, "rb") as fh:
@@ -191,18 +172,31 @@ def read_events(path: Path) -> Iterator[tuple[int, bytes, int, int, object]]:
                 raise MalformedLog(f"{path} line {lineno}: seq {seq}: not a line EventLog writes")
             try:
                 got = int(match[match.lastindex])
-                if pattern is _INGEST:
-                    cid, frame_hex, outcome, rx_time_ms, _ = match.groups()
-                    ingest = (got, bytes.fromhex(frame_hex.decode()), int(cid), int(rx_time_ms),
-                              _OUTCOME[outcome])
+                copies = _copies(match[2]) if pattern is not _TI_READING and match[2] else ()
             except ValueError:   # more digits than int() reads: sys.get_int_max_str_digits()
                 raise MalformedLog(f"{path} line {lineno}: seq {seq}: an integer too long to read"
                                    ) from None
             if got != seq:
                 raise MalformedLog(f"{path} line {lineno}: seq {got}, expected {seq}")
+            if copies is None:
+                raise MalformedLog(f"{path} line {lineno}: seq {seq}: links not in "
+                                   "concentrator-id order")
             seq += 1
-            if pattern is _INGEST:
-                yield ingest
+            if copies:
+                frame = bytes.fromhex(match[1].decode())
+                for cid, rx_time_ms, outcome in copies:
+                    yield got, frame, cid, rx_time_ms, outcome
+
+
+def _copies(links: bytes) -> list[tuple[int, int, str]] | None:
+    """(concentrator_id, rx_time_ms, outcome) per ingest entry of the checked
+    text inside ``links``, or None if its concentrator ids do not strictly rise."""
+    entries = [entry.split(b",") for entry in links[1:-1].split(b"],[")]
+    cids = [int(entry[0]) for entry in entries]
+    if any(a >= b for a, b in zip(cids, cids[1:])):
+        return None
+    return [(cid, int(entry[2]), _OUTCOME[entry[1]])
+            for cid, entry in zip(cids, entries) if len(entry) == 3]
 
 
 def write_ledger_snapshots(path: Path, text: Iterable[str]) -> None:
@@ -245,12 +239,13 @@ def _is_line(line: bytes, ledger: SessionLedger) -> bool:
 def replay_center(ingests) -> MonitoringCenter:
     """Rebuild a fresh center from a log's ingests, as ``read_events`` yields them.
 
-    Every ``center_ingest`` carries the full frame plus reception metadata, so
-    the rebuilt ledgers must equal the originals exactly if the log is
-    faithful.  Each logged frame goes to the center, whose header read is the
-    only one, except that a meter's first logged copy is read once more to
-    register the meter.  A frame the center cannot take, or an ``outcome``
-    that it does not return, raises MalformedLog naming the record's ``seq``.
+    Every ingested copy is logged with the full frame plus reception
+    metadata, so the rebuilt ledgers must equal the originals exactly if the
+    log is faithful.  Each logged frame goes to the center, whose header
+    read is the only one, except that a meter's first logged copy is read
+    once more to register the meter.  A frame the center cannot take, or an ``outcome``
+    that it does not return, raises MalformedLog naming the record's ``seq``,
+    and for an outcome the copy's concentrator too.
     """
     registry = Registry()
     center = MonitoringCenter(registry)
@@ -266,7 +261,8 @@ def replay_center(ingests) -> MonitoringCenter:
         except ValueError as exc:
             raise MalformedLog(f"seq {seq}: {exc}") from None
         if outcome != logged:
-            raise MalformedLog(f"seq {seq}: outcome {logged!r}, replay gives {outcome.value!r}")
+            raise MalformedLog(f"seq {seq}: concentrator {concentrator_id:#x}: outcome "
+                               f"{logged!r}, replay gives {outcome.value!r}")
     return center
 
 
@@ -275,5 +271,4 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

@@ -6,12 +6,14 @@ guarantees it cannot be addressed or reconfigured over the air.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .domain import (
     DEFAULT_QUANTUM_DU,
+    ConfigError,
     MS_PER_DAY,
     MS_PER_HOUR,
     MessageType,
@@ -38,23 +40,23 @@ class MeterConfig:
     max_flow_du_per_hour: Fraction | None = None
 
     def __post_init__(self) -> None:
+        where = f"meter {self.id:#x}"
         if self.quantum_du is None:
             object.__setattr__(self, "quantum_du", DEFAULT_QUANTUM_DU[self.kind])
-        for name in ("battery_capacity", "tx_cost", "idle_drain_per_hour", "drift_rate"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.max_flow_du_per_hour is not None:
-            object.__setattr__(self, "max_flow_du_per_hour", Fraction(self.max_flow_du_per_hour))
-        where = f"meter {self.id:#x}"
+        for name in ("battery_capacity", "tx_cost", "idle_drain_per_hour", "drift_rate",
+                     "max_flow_du_per_hour"):
+            value = getattr(self, name)
+            if value is None and name == "max_flow_du_per_hour":   # none declared
+                continue
+            # the rule of ``concentrator.probability``: a bool is not a number
+            number = isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+            if not (number and 0 <= value < math.inf):
+                raise ConfigError(f"{where}: {name}: expected a nonnegative number, got {value!r}")
+            object.__setattr__(self, name, Fraction(value))
         if whole_number(self.quantum_du, f"{where}: quantum_du") <= 0:
-            raise ValueError("quantum must be positive")
+            raise ConfigError(f"{where}: quantum must be positive")
         if whole_number(self.heartbeat_interval_ms, f"{where}: heartbeat_interval_ms") <= 0:
-            raise ValueError("heartbeat interval must be positive")
-        if self.battery_capacity < 0 or self.tx_cost < 0:
-            raise ValueError("battery parameters must be nonnegative")
-        if self.idle_drain_per_hour < 0 or self.drift_rate < 0:
-            raise ValueError("idle drain and drift rate must be nonnegative")
-        if self.max_flow_du_per_hour is not None and self.max_flow_du_per_hour < 0:
-            raise ValueError("max flow must be nonnegative")
+            raise ConfigError(f"{where}: heartbeat interval must be positive")
 
 
 class MeterRun:

@@ -146,7 +146,8 @@ def _generate_traces(scenario: ScenarioConfig) -> dict[int, ConsumptionTrace]:
 
 def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult:
     """Run the event-driven mode end to end and ingest at the center, handing
-    each record to ``log`` as it happens; with no log none is built."""
+    each emission, with the fate of its copy on each link, to ``log`` as it
+    happens; with no log none is built."""
     registry = scenario.build_registry()
     conc = {c.id: c for c in scenario.concentrators()}
     # per meter, (concentrator, radio threshold, uplink threshold) by concentrator id
@@ -168,18 +169,17 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
 
     rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM))
     counts: dict[int, int] = {}
-    for t, mid, session, frame in emissions:
+    for t, mid, _, frame in emissions:
         counts[mid] = counts.get(mid, 0) + 1
-        if log is not None:
-            log.emission(t, frame)
+        fates = []
         for cid, lost in broadcast(links[mid], rng):
             if lost is None:
                 report = receive(conc[cid], frame, t)
-                outcome = center.ingest(report)
-                if log is not None:
-                    log.ingest(t, mid, session, cid, report.rx_time_ms, outcome, frame)
-            elif log is not None:
-                log.drop(t, mid, session, cid, lost)
+                fates.append((cid, center.ingest(report), report.rx_time_ms))
+            else:
+                fates.append((cid, lost))
+        if log is not None:
+            log.emission(t, frame, fates)
 
     metrics: dict[int, DetailMetric] = {}
     ledgers = center.ledgers()

@@ -119,21 +119,20 @@ def read_records(path: Path) -> Iterator[EventLogRecord]:
 
 
 #: each kind's payload fields, as ``EventLog`` writes them: "whole" is an int
-#: of at least 0, "signed" any int, "hex" lowercase hex of whole bytes, and a
-#: set is the words the field may hold
-_EMISSION_FIELDS = {"cumulative_quanta": "whole", "frame_hex": "hex", "meter_id": "whole",
-                    "resource": {kind.value for kind in ResourceKind}, "session": "whole"}
+#: of at least 0, "signed" any int, "hex" lowercase hex of whole bytes,
+#: "links" a list of link entries, and a set is the words the field may hold
+_EMISSION_FIELDS = {"cumulative_quanta": "whole", "frame_hex": "hex", "links": "links",
+                    "meter_id": "whole", "resource": {kind.value for kind in ResourceKind},
+                    "session": "whole"}
 _TEMPLATE_FIELDS = {
     EventKind.QUANTUM_EVENT: _EMISSION_FIELDS,
     EventKind.HEARTBEAT: _EMISSION_FIELDS,
-    EventKind.CENTER_INGEST: {"concentrator_id": "whole", "frame_hex": "hex", "meter_id": "whole",
-                              "outcome": {outcome.value for outcome in IngestOutcome},
-                              "rx_time_ms": "signed", "session": "whole"},
-    EventKind.DROP: {"concentrator_id": "whole", "meter_id": "whole", "session": "whole",
-                     "stage": {"radio", "uplink"}},
     EventKind.TI_READING: {"meter_id": "whole", "poll_index": "whole", "register_du": "signed",
                            "unit": set(BASE_UNIT.values())},
 }
+#: the fields of a link entry after its concentrator id, by the entry's length
+_LINK_FIELDS = {2: ({"radio", "uplink"},),
+                3: ({outcome.value for outcome in IngestOutcome}, "signed")}
 
 
 def _has_type(value, field_type) -> bool:
@@ -144,6 +143,10 @@ def _has_type(value, field_type) -> bool:
             return False
     if field_type in ("whole", "signed"):
         return type(value) is int and (field_type == "signed" or value >= 0)
+    if field_type == "links":
+        return type(value) is list and all(
+            type(link) is list and len(link) in _LINK_FIELDS and _has_type(link[0], "whole")
+            and all(map(_has_type, link[1:], _LINK_FIELDS[len(link)])) for link in value)
     return type(value) is str and value in field_type
 
 
@@ -160,23 +163,31 @@ def is_written_line(line: bytes) -> bool:
             and all(_has_type(rec.payload[key], kind) for key, kind in fields.items()))
 
 
+def links_in_order(rec: EventLogRecord) -> bool:
+    """Whether a record's ``links``, if it has any, name strictly increasing
+    concentrator ids: one entry per link of the meter, in concentrator-id order."""
+    cids = [link[0] for link in rec.payload.get("links", ())]
+    return all(a < b for a, b in zip(cids, cids[1:]))
+
+
 def reference_ingests(records) -> Iterator[tuple]:
     """(seq, frame, concentrator_id, rx_time_ms, logged outcome) of each
-    ``center_ingest`` in ``records``, read with the field checks and messages
-    that replay made on whole records."""
+    ingest entry of each emission in ``records``, read with the field checks
+    and messages that replay made on whole records."""
     for rec in records:
-        if rec.kind is not EventKind.CENTER_INGEST:
+        if rec.kind is EventKind.TI_READING:
             continue
         try:
             frame = bytes.fromhex(rec.payload["frame_hex"])
-            cid = whole_number(rec.payload["concentrator_id"], "concentrator_id")
-            rx_time_ms = whole_number(rec.payload["rx_time_ms"], "rx_time_ms")
-            logged = rec.payload["outcome"]
+            for link in rec.payload["links"]:
+                if len(link) == 3:
+                    cid, logged, rx_time_ms = link
+                    yield (rec.seq, frame, whole_number(cid, "concentrator_id"),
+                           whole_number(rx_time_ms, "rx_time_ms"), logged)
         except KeyError as exc:
             raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None
         except (TypeError, ValueError) as exc:
             raise MalformedLog(f"seq {rec.seq}: {exc}") from None
-        yield rec.seq, frame, cid, rx_time_ms, logged
 
 
 def read_csv(path: Path) -> tuple[list[str], list[dict]]:
@@ -486,7 +497,9 @@ class ReferenceRun:
     loss is above 0, again in concentrator-id order.  A draw below its loss,
     compared as exact fractions, loses the copy.  Each delivered copy reaches
     a ``ReferenceCenter`` at the emission time plus its concentrator's skew,
-    with its true session index.
+    with its true session index.  The emission's record lists each copy's
+    fate as its ``links``, in concentrator-id order: its drop stage, or the
+    center's outcome and the reception time.
 
     Polls go out at k · poll interval, k = 1, 2, ... up to the horizon, to
     every meter in meter id order.  A meter's battery is stepped poll by
@@ -540,19 +553,18 @@ class ReferenceRun:
                 if lost[i] is None and uplink[cid] > 0 and Fraction(rng.random()) < uplink[cid]:
                     lost[i] = "uplink"
 
-            yield t, msg.message_type.value, {
-                "cumulative_quanta": msg.state.cumulative_quanta, "frame_hex": frame.hex(),
-                "meter_id": mid, "resource": msg.kind.value, "session": msg.session}
+            fates = []
             for (cid, _), stage in zip(links[mid], lost):
                 if stage is None:
                     rx_time = t + skew[cid]
                     outcome = self.center.ingest(index, ConcentratorReport(frame, cid, rx_time))
-                    yield t, "center_ingest", {
-                        "concentrator_id": cid, "frame_hex": frame.hex(), "meter_id": mid,
-                        "outcome": outcome, "rx_time_ms": rx_time, "session": msg.session}
+                    fates.append([cid, outcome, rx_time])
                 else:
-                    yield t, "drop", {"concentrator_id": cid, "meter_id": mid,
-                                      "session": msg.session, "stage": stage}
+                    fates.append([cid, stage])
+            yield t, msg.message_type.value, {
+                "cumulative_quanta": msg.state.cumulative_quanta, "frame_hex": frame.hex(),
+                "links": fates, "meter_id": mid, "resource": msg.kind.value,
+                "session": msg.session}
 
     def _ti(self):
         """(sim_time_ms, kind, payload) of each ``run_ti`` record."""

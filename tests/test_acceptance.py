@@ -210,20 +210,18 @@ def test_04_multipath_dedup_equivalence():
             assert rec.report_count == 3
 
     # replaying the same reports in 10 shuffled orders changes nothing
-    ingests = [rec.payload for rec in tri_records
-               if rec.kind is EventKind.CENTER_INGEST]
+    ingests = [(bytes.fromhex(rec.payload["frame_hex"]), cid, rx_time_ms)
+               for rec in tri_records
+               for cid, _, *rx in rec.payload["links"] for rx_time_ms in rx]
     reference = "".join(res_tri.center.snapshots())
     rng = random.Random(2024)
     registry = tri.build_registry()
     for _ in range(10):
         rng.shuffle(ingests)
         center = MonitoringCenter(registry)
-        for payload in ingests:
+        for frame, cid, rx_time_ms in ingests:
             center.ingest(ConcentratorReport(
-                frame=bytes.fromhex(payload["frame_hex"]),
-                concentrator_id=payload["concentrator_id"],
-                rx_time_ms=payload["rx_time_ms"],
-            ))
+                frame=frame, concentrator_id=cid, rx_time_ms=rx_time_ms))
         assert "".join(center.snapshots()) == reference
     _verdict(4, "multipath dedup equivalence")
 
@@ -390,8 +388,9 @@ def test_10_deterministic_replay(tmp_path):
     lines = log.read_text().splitlines()
     for i, line in enumerate(lines):
         obj = json.loads(line)
-        if obj["kind"] == "center_ingest":
-            obj["payload"]["rx_time_ms"] += 1
+        ingests = [link for link in obj["payload"].get("links", ()) if len(link) == 3]
+        if ingests:
+            ingests[0][2] += 1
             lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
             break
     log.write_text("\n".join(lines) + "\n")

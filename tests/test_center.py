@@ -380,8 +380,8 @@ def test_center_matches_the_brute_force_reference(plan):
     """Streams from 1-3 meters over 1-4 skewed concentrators, with losses,
     duplicates, exact replays, forged frames, jumps of up to 2**31 - 1
     sessions and shuffled arrivals: the center's outcomes, snapshots and
-    reconstructions are the reference's, and replaying its ingest records
-    rebuilds it."""
+    reconstructions are the reference's, and replaying its log, one line
+    per arrival with that copy as its one ingest entry, rebuilds it."""
     _, meters, (a, b) = plan
     registry = Registry()
     for k, (kind, _) in enumerate(meters):
@@ -394,8 +394,8 @@ def test_center_matches_the_brute_force_reference(plan):
     for mid, index, report in _arrivals(plan):
         outcome = center.ingest(report)
         assert outcome == reference.ingest(index, report)
-        log.ingest(report.rx_time_ms, mid, index % 2**32, report.concentrator_id,
-                   report.rx_time_ms, outcome, report.frame)
+        log.emission(report.rx_time_ms, report.frame,
+                     [(report.concentrator_id, outcome, report.rx_time_ms)])
     assert "".join(center.snapshots()) == reference.ledgers_text()
     window = (min(a, b), max(a, b))
     assert center.reconstruct_all(window) == reference.reconstruct_all(window)

@@ -101,17 +101,17 @@ def test_run_is_reproducible_by_hash(tmp_path):
 # purpose and says why in CHANGES.md.
 SHIPPED_DIGESTS = {
     "default.json": (
-        "d7691be657c97dd753ef29796ba9bb7116f13018866648fe2513f04ed59eab93",
+        "a19a68409e4d8a95303eccad7252d35a9819a2eada71cdf22e2a1c79ebf1e01f",
         "a931ab1d7a75cf6b1da23089ffc3475046e92e105a78f37c81a4f0686343054d",
         "0d6892f58721e19cb0cda43ccd6bf5144348d495b1f4d41974fc773c8b3e3632",
     ),
     "night_idle.json": (
-        "3edc25c6bb7ff4da32d0c37b84fe7fbcb3b465b8bbfc467e03c2040a32066fd5",
+        "6818274ac7e76d1b27e39cfb64e05ee4e637ab9a2b94fa0170417a9210feef8b",
         "1bc3b61047e6efbde9b910eccc32a634edab7c5910c1dd685615edd76642decb",
         "e65cd4ad9dd8303ef22ca1af8bf9c03f2715fe9b15fbe263b3acba1985c0748c",
     ),
     "zero_consumption_48h.json": (
-        "8ba0fe2fb4c903333cfd8741d3dbcd9ac239c0ddcaf368a10a8122c262d7cea8",
+        "fefc81f4b67a7e26bc747133fcd1e7c8ccde5d2abd8283b61eb142b194464fc3",
         "45b55a83a7bc94d41f6b7c8f3694bce8341d455f95cd0cf4dee3e689e351a2c6",
         "71aae9756026165d14c4b03f1e069bfe79b716b2c24fcdeb3d86f8ba501277ac",
     ),
@@ -143,39 +143,76 @@ def test_shipped_scenarios_match_golden_hashes(shipped_run):
 #: the shipped scenarios do not
 WORKLOAD_DIGESTS = {
     "district_week": (
-        "f7161f402803d3e341b9f1a66a07d09dd6fd992077d42e5a4087440e345e6e27",
+        "8c092cef81500551c7844edd3773c084bced008170860368995bbca89a897371",
         "bb66655ff5e30c79004e967bb7283046ce7de9c9330a3a44d71a891edddda489",
         "4adbc1534e8bb5f9b60f268553ff035111d522e6a25c6b85055f37672fa42c2c",
     ),
     "idle_fleet": (
-        "eec0453dc014360b494a381eae227fdb49390820e8b1ae8c5b2177ed794a7605",
+        "75090ad9ce0150f33963bffae09121a314abc64b9159f668edebfb5e87860655",
         "c1acb7bf3121c92e75ca4e79a0f96967767c484ccb9339ce7eb6f97045776df7",
         "7c21aff79ae1874a532a6e2e78354ccdc998ba9bff8ba3720395f7437e824de3",
     ),
     "lossy_multipath": (
-        "07d18767741416f42b4972eb9c92a57f7f7ae1f6034901e4229983432df0fa19",
+        "7f8ecbfc92448433c49bda63a0b18a2efdb23064cf93ee598128243d90c0faef",
         "f57052c8b7011931442978c596730a34a3f1109ada4a813e9ad58b8c6beea626",
         "8737d135b3b02ec77d04f48a7bbcc6a9826b9eb5c6150b05877b7ad8e7ad1c21",
     ),
 }
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
-def test_benchmark_workloads_match_their_digests(workload, tmp_path, monkeypatch):
+@pytest.fixture(scope="module", params=sorted(WORKLOAD_DIGESTS))
+def workload_run(request, tmp_path_factory):
+    """(name, output directory) of one ``risim run`` per benchmark workload at seed 7."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(workloads.WORKLOADS[workload](7)))
-    out = tmp_path / "out"
-    monkeypatch.delenv("RI_SIM_SEED", raising=False)
-    assert main(["run", str(scenario), "--out", str(out)]) == 0
+    base = tmp_path_factory.mktemp("workload")
+    scenario = base / "scenario.json"
+    scenario.write_text(json.dumps(workloads.WORKLOADS[request.param](7)))
+    out = base / "out"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("RI_SIM_SEED", raising=False)
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+    return request.param, out
+
+
+def test_benchmark_workloads_match_their_digests(workload_run):
+    workload, out = workload_run
     assert main(["replay", str(out)]) == 0
     digests = tuple(
         hashlib.sha256((out / f).read_bytes()).hexdigest()
         for f in ("events.ndjson", "ledgers.ndjson", "metrics.csv")
     )
     assert digests == WORKLOAD_DIGESTS[workload]
+
+
+#: radio drops, uplink drops and ingests of each workload's seed-7 run: the
+#: ``drop`` lines by stage and the ``center_ingest`` lines that its log held
+#: when each copy had a line of its own
+WORKLOAD_FATES = {
+    "district_week": {"radio": 4611, "uplink": 132, "ingest": 26101},
+    "idle_fleet": {"radio": 48, "uplink": 0, "ingest": 2304},
+    "lossy_multipath": {"radio": 30030, "uplink": 612, "ingest": 29503},
+}
+
+
+def test_benchmark_workloads_log_every_copy_once(workload_run):
+    """Each emission line lists one entry per link of its meter, in
+    concentrator-id order, and the entries of a run add up, stage by stage,
+    to the copies the log used to give a line each."""
+    workload, out = workload_run
+    n_links = {sm.config.id: len(sm.links)
+               for sm in load_scenario(out.parent / "scenario.json").meters()}
+    fates = {"radio": 0, "uplink": 0, "ingest": 0}
+    for rec in read_records(out / "events.ndjson"):
+        if rec.kind is EventKind.TI_READING:
+            continue
+        links = rec.payload["links"]
+        cids = [link[0] for link in links]
+        assert len(links) == n_links[rec.payload["meter_id"]] and cids == sorted(set(cids))
+        for link in links:
+            fates[link[1] if len(link) == 2 else "ingest"] += 1
+    assert fates == WORKLOAD_FATES[workload]
 
 
 def test_shipped_ri_rows_account_for_every_quantum(shipped_run):
@@ -251,8 +288,14 @@ def test_meters_installed_with_empty_battery_run_and_replay(tmp_path):
                 if r.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT)]
 
 
+def _ingests(payload):
+    """The ingest entries of an emission's links, [cid, outcome, rx_time_ms];
+    none for a ``ti_reading``."""
+    return [link for link in payload.get("links", ()) if len(link) == 3]
+
+
 def _shift_rx_time(payload):
-    payload["rx_time_ms"] += 1
+    _ingests(payload)[0][2] += 1
 
 
 def _truncate_frame(payload):
@@ -268,21 +311,26 @@ def _odd_length_frame(payload):
 
 
 def _drop_concentrator(payload):
-    del payload["concentrator_id"]
+    del _ingests(payload)[0][0]
 
 
 def _rx_time_a_string(payload):
-    payload["rx_time_ms"] = str(payload["rx_time_ms"])
+    entry = _ingests(payload)[0]
+    entry[2] = str(entry[2])
 
 
 def _concentrator_a_list_on_a_copy(payload):
-    if payload["outcome"] != "duplicate":
+    copies = [link for link in _ingests(payload) if link[1] == "duplicate"]
+    if not copies:
         return False
-    payload["concentrator_id"] = [payload["concentrator_id"]]
+    copies[0][0] = [copies[0][0]]
 
 
 def _accepted_logged_as_duplicate(payload):
-    payload["outcome"] = "duplicate"
+    accepted = [link for link in _ingests(payload) if link[1] == "accepted"]
+    if not accepted:
+        return False
+    accepted[0][1] = "duplicate"
 
 
 @pytest.mark.parametrize("log, tamper", [
@@ -302,7 +350,8 @@ def _accepted_logged_as_duplicate(payload):
 def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
     """A tampered log fails replay; an unreadable one fails in one stderr line.
 
-    A tamper that returns False skips that ingest record for a later one.  A
+    Each tamper edits the ingest entries of an emission's ``links``, or its
+    frame; one that returns False skips that emission for a later one.  A
     second concentrator, 5 ms slow, hears duplicate copies of most frames.
     """
     scn = _write_scenario(tmp_path)
@@ -320,7 +369,7 @@ def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
             lines[i] = line[: len(line) // 2]
             break
         obj = json.loads(line)
-        if obj["kind"] == "center_ingest" and tamper(obj["payload"]) is not False:
+        if _ingests(obj["payload"]) and tamper(obj["payload"]) is not False:
             lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
             where = f"seq {obj['seq']}:"
             break
@@ -350,14 +399,15 @@ def _crlf(line):
 
 
 def test_replay_refuses_a_log_the_templates_would_not_write(tmp_path, capsys):
-    """Replay reads a log only as ``risim run`` writes it: an ingest line with
-    JSON's default spaced separators, its frame in uppercase hex or a CRLF
-    ending is refused, each in one stderr line naming the line and its seq."""
+    """Replay reads a log only as ``risim run`` writes it: an emission line
+    with an ingest entry, written with JSON's default spaced separators, its
+    frame in uppercase hex or a CRLF ending, is refused, each in one stderr
+    line naming the line and its seq."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     written = (out / "events.ndjson").read_text().splitlines()
-    i = next(i for i, line in enumerate(written) if '"kind":"center_ingest"' in line)
+    i = next(i for i, line in enumerate(written) if _ingests(json.loads(line)["payload"]))
     for edit in (_spaced, _uppercase_hex, _crlf):
         lines = list(written)
         lines[i] = edit(lines[i])
@@ -367,6 +417,125 @@ def test_replay_refuses_a_log_the_templates_would_not_write(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.endswith(f" line {i + 1}: seq {i}: not a line EventLog writes\n"), err
         assert err.startswith("malformed log: ") and err.count("\n") == 1, err
+
+
+def _two_concentrator_run(tmp_path):
+    """The log lines of a run whose meters each link to two concentrators,
+    the second 5 ms slow, and the index of the first emission line that has
+    two ingest entries."""
+    scn = _write_scenario(tmp_path)
+    obj = json.loads(scn.read_text())
+    obj["buildings"][0]["concentrators"].append({"serial": 2, "clock_skew_ms": 5})
+    scn.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    main(["run", str(scn), "--out", str(out)])
+    lines = (out / "events.ndjson").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if len(_ingests(json.loads(line)["payload"])) == 2)
+    return out, lines, i
+
+
+def _cids_reversed(links):
+    links.reverse()
+
+
+def _cid_repeated(links):
+    links[1][0] = links[0][0]
+
+
+def _unknown_stage(links):
+    links[0][1:] = ["lost"]
+
+
+def _unknown_outcome(links):
+    links[0][1] = "refused"
+
+
+def _ingest_without_rx_time(links):
+    del links[0][2]
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_cids_reversed, "links not in concentrator-id order"),
+    (_cid_repeated, "links not in concentrator-id order"),
+    (_unknown_stage, "not a line EventLog writes"),
+    (_unknown_outcome, "not a line EventLog writes"),
+    (_ingest_without_rx_time, "not a line EventLog writes"),
+])
+def test_replay_refuses_links_out_of_the_grammar(tmp_path, capsys, edit, reason):
+    """An emission's links are one entry per link in strictly increasing
+    concentrator-id order, each a drop stage or an outcome and a reception
+    time: cids reversed or repeated, a stage or outcome outside the
+    vocabulary, or an ingest with no reception time, is one stderr line
+    naming the line and its seq."""
+    out, lines, i = _two_concentrator_run(tmp_path)
+    obj = json.loads(lines[i])
+    edit(obj["payload"]["links"])
+    lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    (out / "events.ndjson").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"malformed log: {out / 'events.ndjson'} line {i + 1}: seq {i}: {reason}\n"
+
+
+def _earlier_format(lines: list[str]) -> list[str]:
+    """A log as versions that wrote one line per copy wrote it: each
+    emission line without its links, then a ``drop`` or ``center_ingest``
+    line per link, numbered on."""
+    old = []
+    for line in lines:
+        obj = json.loads(line)
+        links = obj["payload"].pop("links", [])
+        copies = []
+        for cid, word, *rx_time_ms in links:
+            same = {"concentrator_id": cid, "meter_id": obj["payload"]["meter_id"],
+                    "session": obj["payload"]["session"]}
+            copies.append(("drop", {**same, "stage": word}) if not rx_time_ms else (
+                "center_ingest", {**same, "frame_hex": obj["payload"]["frame_hex"],
+                                  "outcome": word, "rx_time_ms": rx_time_ms[0]}))
+        for kind, payload in [(obj["kind"], obj["payload"]), *copies]:
+            old.append(json.dumps({"kind": kind, "payload": payload, "seq": len(old),
+                                   "sim_time_ms": obj["sim_time_ms"]},
+                                  sort_keys=True, separators=(",", ":")))
+    return old
+
+
+@pytest.mark.parametrize("kind", ["drop", "center_ingest", None])
+def test_replay_refuses_a_log_of_the_earlier_format(tmp_path, capsys, kind):
+    """A ``drop`` or ``center_ingest`` line, which logs once gave each copy,
+    in place of an emission line, or a whole log written in that format
+    (``None``), is one ``malformed log`` line naming the line and its seq."""
+    out, lines, _ = _two_concentrator_run(tmp_path)
+    if kind is None:
+        lines, i = _earlier_format(lines), 0
+    else:
+        i, rec = next((i, rec) for i, line in enumerate(lines)
+                      for rec in map(json.loads, _earlier_format([line])) if rec["kind"] == kind)
+        rec["seq"] = i
+        lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    (out / "events.ndjson").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"malformed log: {out / 'events.ndjson'} line {i + 1}: seq {i}: "
+                   "not a line EventLog writes\n")
+
+
+def test_replay_names_the_concentrator_of_an_outcome_it_does_not_reproduce(tmp_path, capsys):
+    """A duplicate copy logged as accepted fails replay in one line naming
+    the emission's seq and the concentrator of that copy."""
+    out, lines, i = _two_concentrator_run(tmp_path)
+    obj = json.loads(lines[i])
+    first, second = _ingests(obj["payload"])
+    assert (first[1], second[1]) == ("accepted", "duplicate")
+    second[1] = "accepted"
+    lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    (out / "events.ndjson").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"malformed log: seq {i}: concentrator {second[0]:#x}: outcome 'accepted', "
+        "replay gives 'duplicate'\n")
 
 
 def test_replay_reads_integers_of_any_length(tmp_path, capsys):
@@ -379,7 +548,7 @@ def test_replay_reads_integers_of_any_length(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(scn), "--out", str(out), "--mode", "both"]) == 0
     lines = (out / "events.ndjson").read_text().splitlines()
-    assert len(lines) == 11 and '"rx_time_ms":30000000000000000000,' in lines[1]
+    assert len(lines) == 8 and '"accepted",30000000000000000000]' in lines[0]
     capsys.readouterr()
     assert main(["replay", str(out)]) == 0
     assert capsys.readouterr().out == "replay ok: 1 ledgers match\n"
@@ -389,14 +558,16 @@ def test_replay_reads_integers_of_any_length(tmp_path, capsys):
                     reason="int() reads integers of any length here")
 @pytest.mark.parametrize("field", ["seq", "rx_time_ms"])
 def test_replay_refuses_an_integer_too_long_to_read(tmp_path, capsys, field):
-    """A 5,000-digit integer matches the template, but int() refuses it
-    (Python caps a conversion at 4,300 digits): one line naming the line."""
+    """A 5,000-digit integer, as a line's ``seq`` or as an ingest entry's
+    reception time, matches the template, but int() refuses it (Python caps
+    a conversion at 4,300 digits): one line naming the line."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     lines = (out / "events.ndjson").read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line)
-    lines[i] = re.sub(f'"{field}":[0-9]+', f'"{field}":' + "7" * 5000, lines[i])
+    i = next(i for i, line in enumerate(lines) if _ingests(json.loads(line)["payload"]))
+    where = '"seq":' if field == "seq" else '"accepted",'
+    lines[i] = re.sub(f'{where}[0-9]+', where + "7" * 5000, lines[i], count=1)
     (out / "events.ndjson").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
@@ -436,7 +607,7 @@ def _seq_a_float(lines, i):
 
 
 def _half_ms_on_an_ingest_line(lines, i):
-    j = next(j for j in range(i, len(lines)) if '"kind":"center_ingest"' in lines[j])
+    j = next(j for j in range(i, len(lines)) if _ingests(json.loads(lines[j])["payload"]))
     return _set_top_field(lines, j, "sim_time_ms", lambda t: t + 0.5)
 
 
@@ -464,17 +635,19 @@ def _not_utf8(lines, i):
                                   _kind_retired, _nested_too_deeply, _payload_a_number,
                                   _not_utf8])
 def test_replay_rejects_a_seq_gap_or_repeat(tmp_path, capsys, edit):
-    """``seq`` runs 0, 1, 2, ...; a lost or repeated drop line is caught
-    although the ledgers it leaves behind still match, and so is a ``seq``
-    or ``sim_time_ms`` that is not a whole number, a kind the log no longer
-    has, a line nested too deeply to parse, a ``payload`` that is not a
-    JSON object on a line replay would otherwise skip, and a line that is
-    not UTF-8: each is not a line the templates write."""
+    """``seq`` runs 0, 1, 2, ...; a lost or repeated emission line whose
+    copies were all dropped is caught although the ledgers it leaves behind
+    still match, and so is a ``seq`` or ``sim_time_ms`` that is not a whole
+    number, a kind the log no longer has, a line nested too deeply to parse,
+    a ``payload`` that is not a JSON object on a line replay would otherwise
+    skip, and a line that is not UTF-8: each is not a line the templates
+    write."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     lines = (out / "events.ndjson").read_text().splitlines()
-    first = next(i for i, line in enumerate(lines) if '"kind":"drop"' in line)
+    first = next(i for i, line in enumerate(lines)
+                 if re.search(r'"links":\[\[\d+,"radio"\]\]', line))
     where = edit(lines, first)
     (out / "events.ndjson").write_bytes(_encoded("\n".join(lines) + "\n"))
     capsys.readouterr()
@@ -831,7 +1004,7 @@ def test_events_log_fields_are_self_describing(tmp_path):
     kinds = {r.kind.value for r in records}
     assert "quantum_event" in kinds and "ti_reading" in kinds
     for rec in records:
-        if rec.kind.value == "center_ingest":
-            assert {"frame_hex", "concentrator_id", "rx_time_ms", "outcome"} <= set(rec.payload)
+        if rec.kind.value == "quantum_event":
+            assert {"frame_hex", "links", "meter_id", "session"} <= set(rec.payload)
         if rec.kind.value == "ti_reading":
             assert {"meter_id", "poll_index", "register_du", "unit"} <= set(rec.payload)

@@ -185,3 +185,54 @@ def test_an_integer_field_of_the_python_api_is_a_config_error(field, value, show
         replace(meter if field in _METER_INTS else sc, **{field: value})
     assert str(err.value) == f"{where} {field}: expected an integer, got {shown}"
 
+
+
+_METER_NUMBERS = ("battery_capacity", "tx_cost", "idle_drain_per_hour", "drift_rate",
+                  "max_flow_du_per_hour")
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    (field, value, shown)
+    for field in _METER_NUMBERS
+    for value, shown in [(True, "True"), ("1.5", "'1.5'"), (None, "None"),
+                         (float("inf"), "inf"), (float("nan"), "nan")]
+    if (field, value) != ("max_flow_du_per_hour", None)
+])
+def test_a_number_field_of_the_python_api_is_a_config_error(field, value, shown):
+    """A meter's battery, costs, drift and maximum flow are an int, float or
+    Fraction, the rule a loss follows: a bool, a string, None (but for a
+    maximum flow, where it means none is declared) or a float that is not
+    finite is a ConfigError naming the meter and the field."""
+    meter = scenario_from_dict(_scenario_dict()).meters()[0].config
+    with pytest.raises(ConfigError) as err:
+        replace(meter, **{field: value})
+    assert str(err.value) == (f"meter {meter.id:#x}: {field}: expected a nonnegative number, "
+                              f"got {shown}")
+
+
+@pytest.mark.parametrize("field", _METER_NUMBERS)
+def test_a_number_field_of_the_python_api_is_held_exactly(field):
+    meter = scenario_from_dict(_scenario_dict()).meters()[0].config
+    for value in (3, 1.5, Fraction(2, 7)):
+        held = getattr(replace(meter, **{field: value}), field)
+        assert type(held) is Fraction and held == Fraction(value)
+    assert replace(meter, max_flow_du_per_hour=None).max_flow_du_per_hour is None
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("quantum_du", 0, "quantum must be positive"),
+    ("quantum_du", -1000, "quantum must be positive"),
+    ("heartbeat_interval_ms", 0, "heartbeat interval must be positive"),
+    *[(field, -1, f"{field}: expected a nonnegative number, got -1")
+      for field in _METER_NUMBERS],
+    ("drift_rate", Fraction(-1, 10**9),
+     "drift_rate: expected a nonnegative number, got Fraction(-1, 1000000000)"),
+    ("tx_cost", -0.5, "tx_cost: expected a nonnegative number, got -0.5"),
+])
+def test_a_meter_range_error_is_a_config_error_naming_the_meter(field, value, message):
+    """Still a ValueError, so a caller that catches ValueError catches it."""
+    meter = scenario_from_dict(_scenario_dict()).meters()[0].config
+    with pytest.raises(ConfigError) as err:
+        replace(meter, **{field: value})
+    assert str(err.value) == f"meter {meter.id:#x}: {message}"
+    assert isinstance(err.value, ValueError)

@@ -25,19 +25,26 @@ from risim.eventlog import (
     write_events,
 )
 
-from oracles import (accepted_count, from_json, is_written_line, read_csv, read_records,
-                     reference_ingests, write_records)
+from oracles import (accepted_count, from_json, is_written_line, links_in_order, read_csv,
+                     read_records, reference_ingests, write_records)
+
+
+def _frame(mid=1, session=0, resource=ResourceKind.GAS, mtype=MessageType.QUANTUM_EVENT,
+           cumulative=1) -> bytes:
+    return encode_frame(MeterMessage(
+        mid, session, resource, mtype, QualityVector(resource, NOMINAL_QUALITY_DU[resource]),
+        MeterState(cumulative_quanta=cumulative)))
 
 
 def test_json_lines_are_canonical():
-    rec = EventLogRecord(3, 1500, EventKind.DROP,
-                         {"meter_id": 9, "concentrator_id": 4, "session": 0,
-                          "stage": "uplink"})
+    rec = EventLogRecord(3, 1500, EventKind.HEARTBEAT,
+                         {"meter_id": 9, "links": [[4, "uplink"], [5, "accepted", 1502]],
+                          "session": 0})
     line = rec.to_json()
     # keys alphabetical, no whitespace: byte-stable across runs
     assert line == (
-        '{"kind":"drop","payload":{"concentrator_id":4,"meter_id":9,'
-        '"session":0,"stage":"uplink"},"seq":3,"sim_time_ms":1500}'
+        '{"kind":"heartbeat","payload":{"links":[[4,"uplink"],[5,"accepted",1502]],'
+        '"meter_id":9,"session":0},"seq":3,"sim_time_ms":1500}'
     )
     assert from_json(line) == rec
 
@@ -51,16 +58,16 @@ def test_protocol_lists_exactly_the_record_kinds():
 
 
 def test_payload_key_order_does_not_change_bytes():
-    a = EventLogRecord(0, 0, EventKind.DROP, {"x": 1, "a": 2})
-    b = EventLogRecord(0, 0, EventKind.DROP, {"a": 2, "x": 1})
+    a = EventLogRecord(0, 0, EventKind.HEARTBEAT, {"x": 1, "a": 2})
+    b = EventLogRecord(0, 0, EventKind.HEARTBEAT, {"a": 2, "x": 1})
     assert a.to_json() == b.to_json()
 
 
 def test_negative_fields_rejected():
     with pytest.raises(ValueError):
-        EventLogRecord(-1, 0, EventKind.DROP, {})
+        EventLogRecord(-1, 0, EventKind.HEARTBEAT, {})
     with pytest.raises(ValueError):
-        EventLogRecord(0, -5, EventKind.DROP, {})
+        EventLogRecord(0, -5, EventKind.HEARTBEAT, {})
 
 
 def test_event_file_round_trip(tmp_path):
@@ -91,11 +98,8 @@ def test_replay_ignores_non_ingest_records(tmp_path):
     path = tmp_path / "events.ndjson"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         log = EventLog(fh.write)
-        log.emission(10, encode_frame(MeterMessage(
-            1, 0, ResourceKind.GAS, MessageType.QUANTUM_EVENT,
-            QualityVector(ResourceKind.GAS, NOMINAL_QUALITY_DU[ResourceKind.GAS]),
-            MeterState(cumulative_quanta=1))))
-        log.drop(10, 1, 0, 2, "radio")
+        log.emission(10, _frame(), [(2, "radio"), (3, "uplink")])
+        log.emission(10, _frame(session=1), [])
         log.ti_reading(20, 1, 1, 5, "l")
     assert list(read_events(path)) == []
     assert replay_center(read_events(path)).ledgers() == {}
@@ -117,13 +121,13 @@ def test_replay_rebuilds_from_frames(tmp_path):
         )
         frames.append(encode_frame(msg))
     records = [
-        EventLogRecord(i, 1000 * (i + 1), EventKind.CENTER_INGEST, {
+        EventLogRecord(i, 1000 * (i + 1), EventKind.QUANTUM_EVENT, {
+            "cumulative_quanta": i + 1,
             "frame_hex": frames[i].hex(),
-            "concentrator_id": concentrator_id(2),
-            "rx_time_ms": 1000 * (i + 1),
+            "links": [[concentrator_id(2), "accepted", 1000 * (i + 1)]],
             "meter_id": mid,
+            "resource": "heat",
             "session": i,
-            "outcome": "accepted",
         })
         for i in range(3)
     ]
@@ -136,7 +140,7 @@ def test_replay_rebuilds_from_frames(tmp_path):
 def test_log_file_is_plain_json_lines(tmp_path):
     path = tmp_path / "events.ndjson"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_events(fh, [EventLogRecord(0, 0, EventKind.DROP, {"meter_id": 1})])
+        write_events(fh, [EventLogRecord(0, 0, EventKind.HEARTBEAT, {"meter_id": 1})])
     for line in path.read_text().splitlines():
         obj = json.loads(line)  # every line parses standalone
         assert set(obj) == {"kind", "payload", "seq", "sim_time_ms"}
@@ -150,14 +154,27 @@ _WHOLE = st.integers(min_value=0, max_value=2**64)
 _WIRE32 = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+_SIGNED = st.integers(min_value=-2**64, max_value=2**64)
+
+
+@st.composite
+def _links(draw):
+    """0-8 link entries in increasing concentrator-id order, ids and
+    reception times past 64 bits, each a radio or uplink drop or an ingest
+    with any outcome."""
+    cids = sorted(draw(st.sets(_WHOLE, max_size=8)))
+    fates = st.sampled_from([("radio",), ("uplink",)]) | st.tuples(
+        st.sampled_from(list(IngestOutcome)), _SIGNED)
+    return [(cid, *draw(fates)) for cid in cids]
+
+
 @st.composite
 def _template_calls(draw):
     """(method name, arguments, kind, sim_time_ms, payload) for one record of
     any kind, with ints up to 2**64 and every string its field can hold; an
     emission is its frame, whose meter id, session and counter are drawn in
-    the wire's 64 and 32 bits."""
-    t, mid, session = draw(_WHOLE), draw(_WHOLE), draw(_WHOLE)
-    frame = draw(st.binary(max_size=64))
+    the wire's 64 and 32 bits, and its links."""
+    t, mid = draw(_WHOLE), draw(_WHOLE)
     which = draw(st.sampled_from(list(EventKind)))
     if which in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT):
         resource = draw(st.sampled_from(list(ResourceKind)))
@@ -167,21 +184,11 @@ def _template_calls(draw):
             mid, session, resource, MessageType(which.value),
             QualityVector(resource, NOMINAL_QUALITY_DU[resource]),
             MeterState(battery=draw(st.integers(0, 200)), cumulative_quanta=cumulative)))
-        return ("emission", (t, frame),
+        links = draw(_links())
+        return ("emission", (t, frame, links),
                 which, t, {"cumulative_quanta": cumulative, "frame_hex": frame.hex(),
-                           "meter_id": mid, "resource": resource.value, "session": session})
-    if which is EventKind.CENTER_INGEST:
-        cid, rx = draw(_WHOLE), draw(_WHOLE)
-        outcome = draw(st.sampled_from(list(IngestOutcome)))
-        return ("ingest", (t, mid, session, cid, rx, outcome, frame),
-                which, t, {"concentrator_id": cid, "frame_hex": frame.hex(), "meter_id": mid,
-                           "outcome": outcome.value, "rx_time_ms": rx, "session": session})
-    if which is EventKind.DROP:
-        cid = draw(_WHOLE)
-        stage = draw(st.sampled_from(["radio", "uplink"]))
-        return ("drop", (t, mid, session, cid, stage),
-                which, t, {"concentrator_id": cid, "meter_id": mid, "session": session,
-                           "stage": stage})
+                           "links": [list(link) for link in links], "meter_id": mid,
+                           "resource": resource.value, "session": session})
     poll, register = draw(_WHOLE), draw(_WHOLE)
     unit = draw(st.sampled_from(sorted(set(BASE_UNIT.values()))))
     return ("ti_reading", (t, mid, poll, register, unit),
@@ -207,7 +214,9 @@ def test_templates_write_the_reference_line(start, calls):
 def test_templates_refuse_a_string_outside_the_vocabulary():
     log = EventLog([].append)
     with pytest.raises(KeyError):
-        log.drop(0, 1, 0, 2, 'up"link')
+        log.emission(0, _frame(), [(2, 'up"link')])
+    with pytest.raises(KeyError):
+        log.emission(0, _frame(), [(2, "radio"), (3, "lost", 5)])
     with pytest.raises(KeyError):
         log.ti_reading(0, 1, 1, 0, "m\u00b3")
     assert log.seq == 0
@@ -221,9 +230,9 @@ def test_an_emission_of_a_malformed_frame_writes_nothing():
     log = EventLog(lines.append)
     for bad in (frame[:-1], b"\x02" + frame[1:], frame[:2], frame[:-5] + b"\x08" + frame[-4:]):
         with pytest.raises(MalformedFrame):
-            log.emission(0, bad)
+            log.emission(0, bad, [(2, "radio")])
     assert log.seq == 0 and lines == []
-    log.emission(0, frame)
+    log.emission(0, frame, [(2, "radio")])
     assert log.seq == 1 and len(lines) == 1
 
 
@@ -249,13 +258,9 @@ def test_every_word_a_template_writes_is_read_by_its_kinds_pattern():
     log = EventLog(lines.append)
     for resource in ResourceKind:
         for mtype in MessageType:
-            log.emission(0, encode_frame(MeterMessage(
-                1, 0, resource, mtype,
-                QualityVector(resource, NOMINAL_QUALITY_DU[resource]), MeterState())))
-    for outcome in IngestOutcome:
-        log.ingest(0, 1, 0, 2, -3, outcome, b"\x01")
-    for stage in ("radio", "uplink"):
-        log.drop(0, 1, 0, 2, stage)
+            log.emission(0, _frame(resource=resource, mtype=mtype), [])
+    log.emission(0, _frame(), [(2, "radio"), (3, "uplink"),
+                               *((4 + i, outcome, -3) for i, outcome in enumerate(IngestOutcome))])
     for unit in BASE_UNIT.values():
         log.ti_reading(0, 1, 0, -4, unit)
     assert {word for word, text in _JSON_TEXT.items()
@@ -268,7 +273,7 @@ def test_every_word_a_template_writes_is_read_by_its_kinds_pattern():
 #: number and a 25-digit integer, or another whole number
 _HOSTILE = st.sampled_from([True, 1.5, "5", -1, 10**24 + 7]) | st.integers(0, 10**20)
 _EDITS = ["value", "prefix", "remove", "reorder", "spaces", "upper", "crlf", "blank", "repeat",
-          "delete"]
+          "delete", "entry", "disorder"]
 
 
 @st.composite
@@ -277,7 +282,10 @@ def _log_lines(draw):
     them was edited: a field set to a hostile value, a "0", "-", "+" or " "
     written before a field's value, a key removed or moved first, spaces
     after the separators, uppercase hex, a CRLF ending, or a blank line
-    before it; or one line repeated or deleted."""
+    before it; one element of a link entry set to a hostile value or
+    removed; an emission's links put out of concentrator-id order, by
+    swapping its first two entries or repeating its only one; or one line
+    repeated or deleted."""
     lines = []
     log = EventLog(lines.append)
     for method, args, _, _, _ in draw(st.lists(_template_calls(), min_size=1, max_size=6)):
@@ -285,6 +293,24 @@ def _log_lines(draw):
     edit = draw(st.sampled_from([None, *_EDITS]))
     if edit is None:
         return lines, False
+    if edit in ("entry", "disorder"):
+        linked = [i for i, line in enumerate(lines) if json.loads(line)["payload"].get("links")]
+        if not linked:
+            return lines, False
+        i = draw(st.sampled_from(linked))
+        obj = json.loads(lines[i])
+        links = obj["payload"]["links"]
+        if edit == "disorder":
+            links[:2] = links[1::-1] if len(links) > 1 else links * 2
+        else:
+            entry = draw(st.sampled_from(links))
+            at = draw(st.integers(0, len(entry) - 1))
+            if draw(st.booleans()):
+                entry[at] = draw(_HOSTILE)
+            else:
+                del entry[at]
+        lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return lines, True
     i = draw(st.integers(0, len(lines) - 1))
     obj = json.loads(lines[i])
     node, key = draw(st.sampled_from([(obj, key) for key in sorted(obj)] +
@@ -347,13 +373,16 @@ def test_read_events_matches_the_whole_record_reader(log_path, drawn):
     record does, and so replay rebuilds the same ledgers or raises the same
     message; each such line is matched by its kind's pattern.  On a log
     edited so that some line is not one the templates write, as
-    ``is_written_line`` tells, it yields the ingests before the first such
-    line and then raises a MalformedLog naming that line."""
+    ``is_written_line`` tells, or whose links are not in concentrator-id
+    order, it yields the ingests before the first such line and then raises
+    a MalformedLog naming that line and what is wrong with it."""
     lines, edited = drawn
     log_path.write_bytes("".join(lines).encode())
     written = [is_written_line(line.encode()) for line in lines]
-    assert edited or all(written)
-    if all(written):
+    ordered = [written_line and links_in_order(from_json(line))
+               for written_line, line in zip(written, lines)]
+    assert edited or all(ordered)
+    if all(ordered):
         assert _read_all(read_events(log_path)) == _read_all(
             reference_ingests(read_records(log_path)))
         assert _replayed(read_events(log_path)) == _replayed(
@@ -361,11 +390,12 @@ def test_read_events_matches_the_whole_record_reader(log_path, drawn):
         for line in lines:
             assert _LINE[json.loads(line)["kind"].encode()].fullmatch(line.encode()), line
         return
-    bad = written.index(False)
+    bad = ordered.index(False)
     head = log_path.with_name("head.ndjson")
     head.write_bytes("".join(lines[:bad]).encode())
     want, head_error = _read_all(reference_ingests(read_records(head)))
     assert head_error is None
     got, message = _read_all(read_events(log_path))
     assert got == want
-    assert message == f"{log_path} line {bad + 1}: seq {bad}: not a line EventLog writes"
+    reason = "links not in concentrator-id order" if written[bad] else "not a line EventLog writes"
+    assert message == f"{log_path} line {bad + 1}: seq {bad}: {reason}"

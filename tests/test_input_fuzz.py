@@ -1,9 +1,11 @@
 """Bounded fuzz of outside input: one scalar of a scenario or of a logged
-ingest record (a payload field, ``seq`` or ``sim_time_ms``) is replaced
+emission that the center ingested a copy of (a payload field, a field of
+an ingest entry of its ``links``, ``seq`` or ``sim_time_ms``) is replaced
 with a value of the wrong kind, a scenario object gains a key the loader
 does not read, or one byte of a logged frame is changed, and the CLI must
-answer with its exit code and at most one stderr line, never a traceback.  A logged frame forged to a far
-session must not cost replay memory in proportion to the jump."""
+answer with its exit code and at most one stderr line, never a traceback.
+A logged frame forged to a far session must not cost replay memory in
+proportion to the jump."""
 
 from __future__ import annotations
 
@@ -64,6 +66,9 @@ WHOLE_NUMBER_KEYS = {"seed", "serial", "clock_skew_ms", "max_skew_ms",
 
 #: the fields of a log record outside its payload, both whole numbers
 TOP_LEVEL = ("seq", "sim_time_ms")
+
+#: the fields of an ingest entry of an emission's ``links``, by position
+INGEST_ENTRY = ("concentrator_id", "outcome", "rx_time_ms")
 
 #: every key the loader reads at some level of a scenario file
 READ_KEYS = {key for keys in (*_KEYS.values(), *_TRACE_PARAMS.values()) for key in keys}
@@ -147,11 +152,15 @@ def run_dir(tmp_path_factory):
 @given(data=st.data(), value=st.sampled_from(HOSTILE))
 def test_log_ingest_field_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, value):
     lines = (run_dir / "events.ndjson").read_text().splitlines()
-    ingests = [i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line]
-    i = data.draw(st.sampled_from(ingests))
+    i = data.draw(st.sampled_from(_ingested(lines)))
     rec = json.loads(lines[i])
-    field = data.draw(st.sampled_from([*sorted(rec["payload"]), *TOP_LEVEL]))
-    (rec if field in TOP_LEVEL else rec["payload"])[field] = value
+    field = data.draw(st.sampled_from([*sorted(rec["payload"]), *TOP_LEVEL, *INGEST_ENTRY]))
+    if field in INGEST_ENTRY:
+        entry = data.draw(st.sampled_from([link for link in rec["payload"]["links"]
+                                           if len(link) == 3]))
+        entry[INGEST_ENTRY.index(field)] = value
+    else:
+        (rec if field in TOP_LEVEL else rec["payload"])[field] = value
     lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copy(run_dir / "ledgers.ndjson", tmp)
@@ -162,6 +171,12 @@ def test_log_ingest_field_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, va
         assert err.count("\n") == 1, (field, value, err)
     if field in TOP_LEVEL:
         assert code == 1, (field, value)
+
+
+def _ingested(lines: list[str]) -> list[int]:
+    """The indices of the emission lines with at least one ingest entry."""
+    return [i for i, line in enumerate(lines)
+            if any(len(link) == 3 for link in json.loads(line)["payload"].get("links", ()))]
 
 
 def _at(frame: bytes, offset: int, value: int) -> bytes:
@@ -185,8 +200,7 @@ FRAME_MUTATIONS = {
 @given(data=st.data(), mutation=st.sampled_from(sorted(FRAME_MUTATIONS)))
 def test_log_frame_byte_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, mutation):
     lines = (run_dir / "events.ndjson").read_text().splitlines()
-    ingests = [i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line]
-    i = data.draw(st.sampled_from(ingests))
+    i = data.draw(st.sampled_from(_ingested(lines)))
     rec = json.loads(lines[i])
     frame = bytes.fromhex(rec["payload"]["frame_hex"])
     rec["payload"]["frame_hex"] = FRAME_MUTATIONS[mutation](frame).hex()
@@ -203,11 +217,12 @@ def test_log_frame_byte_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, muta
 
 
 def test_log_frame_forged_to_the_widest_forward_jump_replays_in_bounded_memory(run_dir):
-    """One ingest frame re-encoded to session 2**31 - 1, the widest jump the
-    wrap rule reads as forward: replay names the one meter that no longer
-    matches, and its memory stays a small multiple of the run's bytes."""
+    """The frame of one emission that the center ingested, re-encoded to
+    session 2**31 - 1, the widest jump the wrap rule reads as forward:
+    replay names the one meter that no longer matches, and its memory stays
+    a small multiple of the run's bytes."""
     lines = (run_dir / "events.ndjson").read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if '"kind":"center_ingest"' in line)
+    i = _ingested(lines)[0]
     rec = json.loads(lines[i])
     msg = replace(decode_frame(bytes.fromhex(rec["payload"]["frame_hex"])), session=2**31 - 1)
     rec["payload"].update(frame_hex=encode_frame(msg).hex(), session=msg.session)

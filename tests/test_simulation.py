@@ -160,14 +160,14 @@ def test_event_stream_counts_are_consistent():
     records = []
     res = run_ri(sc, EventLog(record_sink(records)))
     by_kind = Counter(rec.kind for rec in records)
-    drops = Counter(rec.payload["stage"] for rec in records if rec.kind is EventKind.DROP)
+    fates = Counter(link[1] if len(link) == 2 else "ingest"
+                    for rec in records for link in rec.payload["links"])
     emitted = by_kind[EventKind.QUANTUM_EVENT]
-    ingested = by_kind[EventKind.CENTER_INGEST]
-    assert emitted == 15
-    assert ingested + drops["radio"] + drops["uplink"] == emitted  # one link per meter
+    assert emitted == 15 and len(records) == emitted
+    assert fates["ingest"] + fates["radio"] + fates["uplink"] == emitted  # one link per meter
     # one concentrator with a lossless uplink: the ledger holds each copy heard once
     heard = accepted_count(res.center.ledgers()[meter_id(1)])
-    assert ingested + drops["uplink"] == heard
+    assert fates["ingest"] + fates["uplink"] == heard
     # sequence numbers are gapless and start at zero
     assert [rec.seq for rec in records] == list(range(len(records)))
 
@@ -203,26 +203,26 @@ def _lossy_scenarios(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_lossy_scenarios())
-def test_each_emission_is_followed_by_one_outcome_line_per_link(sc):
-    """An emission line, then per link in concentrator-id order a radio drop,
-    an uplink drop or an ingest of that copy; a loss of 0 or 1 rules stages out."""
+def test_each_emission_lists_one_outcome_per_link(sc):
+    """Each emission line lists, per link in concentrator-id order, a radio
+    drop, an uplink drop or an ingest of that copy, so radio drops, uplink
+    drops and ingests add up to the meter's links; a loss of 0 or 1 rules
+    stages out, and an ingest is stamped with its concentrator's skew."""
     links = {sm.config.id: dict(sm.links) for sm in sc.meters()}
     uplink = {c.id: c.uplink_loss for c in sc.concentrators()}
+    skew = {c.id: c.clock_skew_ms for c in sc.concentrators()}
     records = []
     run_ri(sc, EventLog(record_sink(records)))
-    i = 0
-    while i < len(records):
-        emission = records[i]
+    for emission in records:
         assert emission.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT)
-        mid, session = emission.payload["meter_id"], emission.payload["session"]
-        cids = sorted(links[mid])
-        outcomes = records[i + 1:i + 1 + len(cids)]
-        assert all(r.kind in (EventKind.DROP, EventKind.CENTER_INGEST) for r in outcomes)
-        assert [r.payload["concentrator_id"] for r in outcomes] == cids
-        for rec, cid in zip(outcomes, cids):
-            assert (rec.sim_time_ms, rec.payload["meter_id"], rec.payload["session"]) == (
-                emission.sim_time_ms, mid, session)
-            stage = rec.payload["stage"] if rec.kind is EventKind.DROP else "ingest"
+        mid = emission.payload["meter_id"]
+        outcomes = emission.payload["links"]
+        assert [entry[0] for entry in outcomes] == sorted(links[mid])
+        for entry in outcomes:
+            cid = entry[0]
+            stage = entry[1] if len(entry) == 2 else "ingest"
+            if stage == "ingest":
+                assert entry[2] == emission.sim_time_ms + skew[cid]
             link, up = links[mid][cid], uplink[cid]
             allowed = {"radio"} if link > 0 else set()
             if link < 1 and up > 0:
@@ -230,7 +230,6 @@ def test_each_emission_is_followed_by_one_outcome_line_per_link(sc):
             if link < 1 and up < 1:
                 allowed.add("ingest")
             assert stage in allowed
-        i += 1 + len(cids)
 
 
 @st.composite
@@ -407,7 +406,7 @@ def test_run_and_replay_build_no_message_and_encode_nothing(tmp_path):
     replayed = replay_center(read_events(path))
     profile.disable()
     assert "".join(replayed.snapshots()) == "".join(res.center.snapshots())
-    outcomes = Counter(r.payload["outcome"] for r in records if r.kind is EventKind.CENTER_INGEST)
+    outcomes = Counter(link[1] for r in records for link in r.payload["links"] if len(link) == 3)
     assert outcomes["accepted"] > 0 and outcomes["duplicate"] > 0
     calls = _calls(profile, MeterMessage=MeterMessage.__post_init__,
                    MeterState=MeterState.__post_init__, encode_frame=encode_frame)
@@ -432,8 +431,8 @@ def test_logged_runs_build_no_record_and_dump_no_json():
     assert [rec.to_json() + "\n" for rec in records] == lines
     assert [rec.seq for rec in records] == list(range(log.seq))
     assert set(rec.kind for rec in records) == set(EventKind)
-    assert {rec.payload["stage"] for rec in records if rec.kind is EventKind.DROP} == {
-        "radio", "uplink"}
+    assert {link[1] for rec in records for link in rec.payload.get("links", ())
+            if len(link) == 2} == {"radio", "uplink"}
 
 
 def test_replay_of_a_written_log_builds_no_record_and_loads_no_json(tmp_path):
@@ -505,9 +504,8 @@ def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     res = run_ri(sc, EventLog(lines.append))
     profile.disable()
     records = [from_json(line) for line in lines]
-    kinds = Counter(rec.kind for rec in records)
-    emissions = kinds[EventKind.QUANTUM_EVENT] + kinds[EventKind.HEARTBEAT]
-    ingests = kinds[EventKind.CENTER_INGEST]
+    emissions = len(records)
+    ingests = sum(len(link) == 3 for rec in records for link in rec.payload["links"])
     assert emissions > 0 and ingests > emissions
     assert _calls(profile, frame_header=frame_header) == {"frame_header": emissions + ingests}
     path = write_records(tmp_path / "events.ndjson", records)
@@ -517,7 +515,7 @@ def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     profile.disable()
     assert "".join(replayed.snapshots()) == "".join(res.center.snapshots())
     meters = len({rec.payload["meter_id"] for rec in records
-                  if rec.kind is EventKind.CENTER_INGEST})
+                  if any(len(link) == 3 for link in rec.payload["links"])})
     assert meters > 0
     assert _calls(profile, frame_header=frame_header) == {"frame_header": ingests + 2 * meters}
 
