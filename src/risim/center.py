@@ -38,6 +38,17 @@ _DAY = 24 * _HOUR
 #: each message type as its JSON text, looked up once per snapshot row
 _TYPE_TEXT = {mtype: json.dumps(mtype) for mtype in MessageType}
 
+#: how many consecutive unrolled sessions share one block of a ledger; a
+#: power of two, so that a session's block and slot are a shift and a mask
+BLOCK_SESSIONS = 16
+_SHIFT = BLOCK_SESSIONS.bit_length() - 1
+_LAST = BLOCK_SESSIONS - 1
+#: where a block's columns start: frames at 0, then earliest reception
+#: times, earliest concentrator indices and senders; its length
+_RX, _FROM, _SENDERS, _SLOTS = (BLOCK_SESSIONS * k for k in range(1, 5))
+#: concentrator indices below this are a session's senders as bits of an int
+_MASK_BITS = 64
+
 
 class NoData(ValueError):
     """Raised when a query needs at least one accepted report and has none."""
@@ -50,7 +61,7 @@ class InsufficientData(ValueError):
 class IngestOutcome(str, Enum):
     ACCEPTED = "accepted"        # new session
     DUPLICATE = "duplicate"      # same session from another path
-    STALE = "stale"              # byte-for-byte replay of a seen report
+    STALE = "stale"              # same session again from a concentrator that sent it
     CONFLICT = "conflict"        # same session, different payload: tamper signal
 
 
@@ -124,24 +135,26 @@ class SessionLedger:
     ``modulus`` is the counter's range; only tests shrink it, to make wraps
     cheap to reach.
 
-    An accepted session is one row, keyed by its unrolled number: its frame,
-    its earliest reception (time, and concentrator as an index into the
-    ledger's id table) and how many distinct copies arrived.  The message
-    type and the lifetime counter are read from the frame when asked.  The
-    copies other than a row's earliest are kept in one table per ledger,
-    only to tell an exact replay from a new copy.
+    The accepted sessions live in blocks of ``BLOCK_SESSIONS`` consecutive
+    unrolled numbers, one list per block keyed by its number over the block
+    size.  The list holds four columns of one slot per session: its frame
+    (None while nothing was accepted there), its earliest reception time,
+    the earliest concentrator as an index into the ledger's id table, and
+    the concentrator indices that sent a copy.  Those senders are None while
+    the earliest concentrator is the only one, then a bitmask while every
+    index is below ``_MASK_BITS``, and a set of indices past that, so they
+    grow with the copies and not with the indices.  The message type
+    and the lifetime counter are read from the frame when asked.  Nothing
+    else is allocated per session that was reported by one concentrator.
     """
 
     def __init__(self, meter_id: int, *, modulus: int = SESSION_MOD) -> None:
         self.meter_id = meter_id
         self.modulus = modulus
-        # unrolled session -> (frame, rx_time_ms, concentrator index, report count)
-        self._rows: dict[int, tuple[bytes, int, int, int]] = {}
+        # unrolled session >> _SHIFT -> [frames, rx_time_ms, indices, senders]
+        self._blocks: dict[int, list] = {}
         self._concentrators: list[int] = []         # concentrator ids by index
         self._index: dict[int, int] = {}            # concentrator id -> index
-        # (session, index, rx_time_ms) of every copy but each row's earliest; a
-        # dict used as a set, since its table takes about half a set's bytes
-        self._others: dict[tuple[int, int, int], None] = {}
         self._max_abs: int | None = None  # highest accepted, the unroll reference
         self.stale_replays = 0
         self.conflict_sessions: set[int] = set()
@@ -150,7 +163,7 @@ class SessionLedger:
 
     @property
     def is_empty(self) -> bool:
-        return not self._rows
+        return not self._blocks
 
     @property
     def highest_session(self) -> int | None:
@@ -158,40 +171,52 @@ class SessionLedger:
 
     @property
     def first_covered(self) -> int | None:
-        if not self._rows:
+        if not self._blocks:
             return None
-        return min(min(self._rows), 0) % self.modulus
+        key = min(self._blocks)
+        if key >= 0:
+            return 0
+        frames = self._blocks[key]
+        lowest = next(i for i in range(BLOCK_SESSIONS) if frames[i] is not None)
+        return ((key << _SHIFT) + lowest) % self.modulus
 
     def accepted_sessions(self) -> list[SessionRow]:
         """Every accepted session as its snapshot row, in session order."""
-        ids = self._concentrators
-        return [SessionRow(a % self.modulus, rx, ids[c], frame_type(frame),
-                           frame_quanta(frame), count)
-                for a, (frame, rx, c, count) in sorted(self._rows.items())]
+        ids, modulus, blocks, rows = self._concentrators, self.modulus, self._blocks, []
+        for key in sorted(blocks):
+            block, a = blocks[key], key << _SHIFT
+            for frame, rx, c, senders in zip(block[:_RX], block[_RX:_FROM],
+                                             block[_FROM:_SENDERS], block[_SENDERS:]):
+                if frame is not None:
+                    rows.append(SessionRow(a % modulus, rx, ids[c], frame_type(frame),
+                                           frame_quanta(frame), _count(senders)))
+                a += 1
+        return rows
 
     def quantum_times(self) -> list[int]:
         """The reception times of the accepted quantum events, in no particular order."""
-        return [rx for frame, rx, _, _ in self._rows.values()
-                if frame_type(frame) is MessageType.QUANTUM_EVENT]
+        return [rx for block in self._blocks.values()
+                for frame, rx in zip(block[:_RX], block[_RX:_FROM])
+                if frame is not None and frame_type(frame) is MessageType.QUANTUM_EVENT]
 
     def _unroll(self, session: int) -> int:
         """Map a wire counter value onto the unbounded internal axis."""
         base = 0 if self._max_abs is None else self._max_abs
-        delta = session_delta(base % self.modulus, session, self.modulus)
-        # most duplicates name the highest session: hand back the int that keys
-        # its row, so that the copy's entry in _others allocates no other
-        return base + delta if delta else base
+        return base + session_delta(base % self.modulus, session, self.modulus)
 
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, report: ConcentratorReport) -> IngestOutcome:
         """Fold one concentrator report into the ledger.
 
-        Duplicates from different paths keep the earliest reception time
-        (ties broken by lowest concentrator id); an exact replay is a
-        counted no-op; a frame whose bytes differ from the accepted one is
-        flagged as tamper evidence and the first is kept.  A frame that
-        breaks the decoder rules raises MalformedFrame and changes nothing.
+        A copy is a (session, concentrator) pair: only a concentrator's
+        first report of a session counts.  Copies from different
+        concentrators keep the earliest reception time (ties broken by
+        lowest concentrator id); a later report of the accepted bytes from
+        the same concentrator is a counted no-op, whatever its reception
+        time; a frame whose bytes differ from the accepted one is flagged as
+        tamper evidence and the first is kept.  A frame that breaks the decoder
+        rules raises MalformedFrame and changes nothing.
         """
         _, _, mid, session, _ = frame_header(report.frame)
         if mid != self.meter_id:
@@ -205,26 +230,37 @@ class SessionLedger:
         id is this ledger's."""
         frame, cid, rx = report
         abs_session = self._unroll(session)
-        row = self._rows.get(abs_session)
-        if row is None:
-            self._rows[abs_session] = (frame, rx, self._concentrator(cid), 1)
+        block = self._blocks.get(abs_session >> _SHIFT)
+        i = abs_session & _LAST
+        kept = None if block is None else block[i]
+        if kept is None:
+            if block is None:
+                block = self._blocks[abs_session >> _SHIFT] = [None] * _SLOTS
+            block[i], block[i + _RX], block[i + _FROM] = frame, rx, self._concentrator(cid)
             if self._max_abs is None or abs_session > self._max_abs:
                 self._max_abs = abs_session
             return IngestOutcome.ACCEPTED
-        kept, first_rx, first_c, count = row
         if frame != kept:
             self.conflict_sessions.add(abs_session)
             return IngestOutcome.CONFLICT
         c = self._concentrator(cid)
-        if (rx == first_rx and c == first_c) or (abs_session, c, rx) in self._others:
+        senders = block[i + _SENDERS]
+        if senders is None:   # the earliest concentrator is the only sender
+            first = block[i + _FROM]
+            senders = 1 << first if first < _MASK_BITS else {first}
+        mask = type(senders) is int
+        if senders >> c & 1 if mask else c in senders:
             self.stale_replays += 1
             return IngestOutcome.STALE
-        if (rx, cid) < (first_rx, self._concentrators[first_c]):
-            self._others[abs_session, first_c, first_rx] = None
-            self._rows[abs_session] = (kept, rx, c, count + 1)
+        if not mask:
+            senders.add(c)
+        elif c < _MASK_BITS:
+            senders |= 1 << c
         else:
-            self._others[abs_session, c, rx] = None
-            self._rows[abs_session] = (kept, first_rx, first_c, count + 1)
+            senders = {k for k in range(_MASK_BITS) if senders >> k & 1} | {c}
+        block[i + _SENDERS] = senders
+        if (rx, cid) < (block[i + _RX], self._concentrators[block[i + _FROM]]):
+            block[i + _RX], block[i + _FROM] = rx, c
         return IngestOutcome.DUPLICATE
 
     def _concentrator(self, cid: int) -> int:
@@ -249,20 +285,22 @@ class SessionLedger:
         every run is bounded, and its size does not depend on how many
         sessions it spans.
         """
-        rows = self._rows
-        runs = []
+        blocks, modulus, runs = self._blocks, self.modulus, []
         t_lo, below = 0, None   # the accepted session below, None for installation
         unseen = 0  # lowest session not yet accounted for
-        for a in sorted(rows):
-            frame, rx, _, _ = rows[a]
-            if a > unseen:
-                base = 0 if below is None else frame_quanta(below)
-                lost = (frame_quanta(frame) - base) % 2**32
-                if frame_type(frame) is MessageType.QUANTUM_EVENT:
-                    lost -= 1
-                runs.append(LostRun(unseen % self.modulus, a - unseen, t_lo, rx, lost))
-            t_lo, below = rx, frame
-            unseen = a + 1
+        for key in sorted(blocks):
+            block, a = blocks[key], key << _SHIFT
+            for frame, rx in zip(block[:_RX], block[_RX:_FROM]):
+                if frame is not None:
+                    if a > unseen:
+                        base = 0 if below is None else frame_quanta(below)
+                        lost = (frame_quanta(frame) - base) % 2**32
+                        if frame_type(frame) is MessageType.QUANTUM_EVENT:
+                            lost -= 1
+                        runs.append(LostRun(unseen % modulus, a - unseen, t_lo, rx, lost))
+                    t_lo, below = rx, frame
+                    unseen = a + 1
+                a += 1
         return runs
 
     # -- reconstruction ----------------------------------------------------
@@ -281,7 +319,7 @@ class SessionLedger:
         t0, t1 = window
         if t0 > t1:
             raise ValueError(f"window is not ordered: {window}")
-        if not self._rows:
+        if not self._blocks:
             raise NoData(f"ledger for meter {self.meter_id:#x} is empty")
         if quantum_du <= 0:
             raise ValueError("quantum must be positive")
@@ -384,17 +422,23 @@ class SessionLedger:
     def snapshot_text(self) -> Iterator[str]:
         """The snapshot's ``ledgers.ndjson`` line, ending in a newline, in
         pieces of one session row each: the text of ``json.dumps(snapshot(),
-        sort_keys=True, separators=(",", ":"))``, built from the rows without
+        sort_keys=True, separators=(",", ":"))``, built from the blocks without
         a dict per session.  ``sessions`` sorts after every other key, so the
         head is the rest of the snapshot dumped with its closing brace cut."""
         yield json.dumps(self._head(), sort_keys=True, separators=(",", ":"))[:-1]
         yield ',"sessions":['
-        ids, modulus, sep = self._concentrators, self.modulus, ""
-        for a, (frame, rx, c, count) in sorted(self._rows.items()):
-            yield (f'{sep}{{"cumulative_quanta":{frame_quanta(frame)},"report_count":{count},'
-                   f'"rx_concentrator":{ids[c]},"rx_time_ms":{rx},"session":{a % modulus},'
-                   f'"type":{_TYPE_TEXT[frame_type(frame)]}}}')
-            sep = ","
+        ids, modulus, blocks, sep = self._concentrators, self.modulus, self._blocks, ""
+        for key in sorted(blocks):
+            block, a = blocks[key], key << _SHIFT
+            for frame, rx, c, senders in zip(block[:_RX], block[_RX:_FROM],
+                                             block[_FROM:_SENDERS], block[_SENDERS:]):
+                if frame is not None:
+                    yield (f'{sep}{{"cumulative_quanta":{frame_quanta(frame)},'
+                           f'"report_count":{_count(senders)},"rx_concentrator":{ids[c]},'
+                           f'"rx_time_ms":{rx},"session":{a % modulus},'
+                           f'"type":{_TYPE_TEXT[frame_type(frame)]}}}')
+                    sep = ","
+                a += 1
         yield "]}\n"
 
 
@@ -414,7 +458,13 @@ class MonitoringCenter:
 
     def ingest(self, report: ConcentratorReport) -> IngestOutcome:
         """Route a report to its meter's ledger, reading its header once."""
-        _, _, mid, session, _ = frame_header(report.frame)
+        return self.fold(report, frame_header(report.frame))
+
+    def fold(self, report: ConcentratorReport, header: tuple) -> IngestOutcome:
+        """``ingest`` for a report whose frame's header, as ``frame_header``
+        reads it, is ``header``: a reader of a log reads it once for every
+        copy of a frame."""
+        _, _, mid, session, _ = header
         return self.ledger(mid)._fold(report, session)
 
     def ledgers(self) -> dict[int, SessionLedger]:
@@ -435,6 +485,13 @@ class MonitoringCenter:
         order, in the pieces that ``SessionLedger.snapshot_text`` gives."""
         for mid in sorted(self._ledgers):
             yield from self._ledgers[mid].snapshot_text()
+
+
+def _count(senders) -> int:
+    """How many concentrators a session's senders slot names."""
+    if senders is None:
+        return 1
+    return senders.bit_count() if type(senders) is int else len(senders)
 
 
 def place_lost(t_lo, t_hi, k: int, profile: ConsumerProfile | None = None) -> list[Fraction]:

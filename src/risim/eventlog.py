@@ -16,7 +16,15 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .center import IngestOutcome, MonitoringCenter, SessionLedger
-from .domain import BASE_UNIT, ConcentratorReport, Registry, ResourceKind, frame_header
+from .domain import (
+    BASE_UNIT,
+    ConcentratorReport,
+    MalformedFrame,
+    MessageType,
+    Registry,
+    ResourceKind,
+    frame_header,
+)
 from .domain import decode_frame  # unused here; perfbench's tracer patches this name
 
 
@@ -135,9 +143,10 @@ def _line(kind: EventKind, payload: bytes) -> re.Pattern:
 #: or an ingest's outcome and reception time
 _LINK = rb"\[%s,(?:%s|%s,%s)\]" % (_WHOLE, _words(("radio", "uplink")),
                                    _words(IngestOutcome), _SIGNED)
-#: an emission's payload; its groups are ``frame_hex`` and the text inside ``links``
-_EMISSION = (rb'"cumulative_quanta":%s,"frame_hex":%s,"links":\[((?:%s(?:,%s)*)?)\],'
-             rb'"meter_id":%s,"resource":%s,"session":%s'
+#: an emission's payload; its groups are ``cumulative_quanta``, ``frame_hex``,
+#: the text inside ``links``, ``meter_id``, ``resource`` and ``session``
+_EMISSION = (rb'"cumulative_quanta":(%s),"frame_hex":%s,"links":\[((?:%s(?:,%s)*)?)\],'
+             rb'"meter_id":(%s),"resource":(%s),"session":(%s)'
              % (_WHOLE, _HEX, _LINK, _LINK, _WHOLE, _words(ResourceKind), _WHOLE))
 
 #: one pattern per record kind, keyed by the kind's word: the inverse of its
@@ -150,29 +159,40 @@ _LINE = {kind.encode(): _line(kind, payload) for kind, payload in (
 )}
 _TI_READING = _LINE[EventKind.TI_READING.encode()]
 
+#: the fields of an emission line that its frame's header gives, in the
+#: order of ``frame_header``'s tuple, and the text of each resource and type
+_FRAME_FIELDS = ("resource", "kind", "meter_id", "session", "cumulative_quanta")
+_RESOURCE_TEXT = {kind: _JSON_TEXT[kind].encode() for kind in ResourceKind}
+_TYPE_WORD = {mtype: mtype.value.encode() for mtype in MessageType}
+
 #: a logged outcome's JSON text, as the word that JSON reads from it
 _OUTCOME = {_JSON_TEXT[outcome].encode(): outcome.value for outcome in IngestOutcome}
 
 
-def read_events(path: Path) -> Iterator[tuple[int, bytes, int, int, object]]:
+def read_events(path: Path) -> Iterator[tuple[int, bytes, tuple, int, int, object]]:
     """Each copy the center ingested, a log line at a time, as (seq, frame,
-    concentrator_id, rx_time_ms, logged outcome): one per ingest entry of an
-    emission's ``links``, sharing its ``seq`` and one frame.  ``seq`` must
-    run 0, 1, 2, ...  Each line must match its kind's template (``_LINE``); a
-    line with no ingest entry decodes no frame.  A line that does not match,
-    holds an integer too long to read, or whose ``links`` are out of
-    concentrator-id order raises MalformedLog naming it and its due ``seq``.
+    header, concentrator_id, rx_time_ms, logged outcome): one per ingest
+    entry of an emission's ``links``, sharing its ``seq``, one frame and
+    one header, the frame's as ``frame_header`` reads it.  ``seq`` must
+    run 0, 1, 2, ...  Each line must match its kind's template (``_LINE``).
+    A line that does not match, holds an integer too long to read, or whose
+    ``links`` are out of concentrator-id order raises MalformedLog naming it
+    and its due ``seq``.  Each emission's frame is decoded and its header
+    read once; a frame that breaks the decoder rules raises MalformedLog
+    naming the ``seq``, and a frame-derived field that is not the header's
+    raises MalformedLog naming the line, its ``seq`` and the field.
     """
     seq = 0
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            pattern = _LINE.get(line[9:line.find(b'"', 9)])   # the word after {"kind":"
+            word = line[9:line.find(b'"', 9)]   # the word after {"kind":"
+            pattern = _LINE.get(word)
             match = pattern.fullmatch(line) if pattern else None
             if match is None:
                 raise MalformedLog(f"{path} line {lineno}: seq {seq}: not a line EventLog writes")
             try:
                 got = int(match[match.lastindex])
-                copies = _copies(match[2]) if pattern is not _TI_READING and match[2] else ()
+                copies = _copies(match[3]) if pattern is not _TI_READING and match[3] else ()
             except ValueError:   # more digits than int() reads: sys.get_int_max_str_digits()
                 raise MalformedLog(f"{path} line {lineno}: seq {seq}: an integer too long to read"
                                    ) from None
@@ -182,10 +202,22 @@ def read_events(path: Path) -> Iterator[tuple[int, bytes, int, int, object]]:
                 raise MalformedLog(f"{path} line {lineno}: seq {seq}: links not in "
                                    "concentrator-id order")
             seq += 1
-            if copies:
-                frame = bytes.fromhex(match[1].decode())
-                for cid, rx_time_ms, outcome in copies:
-                    yield got, frame, cid, rx_time_ms, outcome
+            if pattern is _TI_READING:
+                continue
+            frame = bytes.fromhex(match[2].decode())
+            try:
+                header = resource, mtype, mid, session, cumulative = frame_header(frame)
+            except MalformedFrame as exc:
+                raise MalformedLog(f"seq {got}: {exc}") from None
+            logged = (match[5], word, match[4], match[6], match[1])
+            derived = (_RESOURCE_TEXT[resource], _TYPE_WORD[mtype],
+                       b"%d" % mid, b"%d" % session, b"%d" % cumulative)
+            if logged != derived:
+                field = next(name for name, a, b in zip(_FRAME_FIELDS, logged, derived) if a != b)
+                raise MalformedLog(f"{path} line {lineno}: seq {got}: {field} is not the "
+                                   "one its frame_hex gives")
+            for cid, rx_time_ms, outcome in copies:
+                yield got, frame, header, cid, rx_time_ms, outcome
 
 
 def _copies(links: bytes) -> list[tuple[int, int, str]] | None:
@@ -206,34 +238,57 @@ def write_ledger_snapshots(path: Path, text: Iterable[str]) -> None:
         fh.writelines(text)
 
 
+#: the longest read that skipping the rest of a ledger line makes
+_READ_PIECE = 1 << 16
+
+
 def check_ledger_lines(path: Path, ledgers: dict[int, SessionLedger]) -> Iterator[str]:
     """Where ``ledgers.ndjson`` differs from ``ledgers``, which holds them in
-    meter id order, one line at a time: the n-th line must be the n-th
-    ledger's line as ``SessionLedger.snapshot_text`` writes it.  Each
-    mismatch is named by the meter whose line it is not, by a line that no
-    ledger is left for, or by a meter that has no line.
+    meter id order: the n-th line must be the n-th ledger's line as
+    ``SessionLedger.snapshot_text`` writes it.  Each rendered piece is
+    compared with a read of the file no longer than the piece, so no line is
+    held whole.  Each mismatch is named by the meter whose line it is not,
+    by a line that no ledger is left for, or by a meter that has no line.
     """
-    in_order = iter(ledgers.values())
+    lineno = 0
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            ledger = next(in_order, None)
-            if ledger is None:
-                yield f"{path.name} line {lineno}: replay rebuilt {len(ledgers)} ledgers"
-            elif not _is_line(line, ledger):
+        for ledger in ledgers.values():
+            matches = _matches_line(fh, ledger)
+            if matches is None:
+                yield f"meter {ledger.meter_id:#x}: {path.name} has no line for it"
+                continue
+            lineno += 1
+            if not matches:
                 yield f"meter {ledger.meter_id:#x}"
-    for ledger in in_order:
-        yield f"meter {ledger.meter_id:#x}: {path.name} has no line for it"
+        while _skip_line(fh):
+            lineno += 1
+            yield f"{path.name} line {lineno}: replay rebuilt {len(ledgers)} ledgers"
 
 
-def _is_line(line: bytes, ledger: SessionLedger) -> bool:
-    """Whether ``line`` is ``ledger``'s line, compared a rendered piece at a time."""
-    at = 0
-    for piece in ledger.snapshot_text():
+def _matches_line(fh, ledger: SessionLedger) -> bool | None:
+    """Whether the next line of ``fh`` is ``ledger``'s line, read a rendered
+    piece at a time and, on a mismatch, read to its end; None at the end of
+    the file."""
+    for n, piece in enumerate(ledger.snapshot_text()):
         piece = piece.encode()
-        if not line.startswith(piece, at):
+        got = fh.readline(len(piece))
+        if got != piece:
+            if n == 0 and not got:
+                return None
+            if not got.endswith(b"\n"):
+                _skip_line(fh)
             return False
-        at += len(piece)
-    return at == len(line)
+    return True
+
+
+def _skip_line(fh) -> bool:
+    """Read to the end of the current line of ``fh`` in bounded pieces;
+    whether any of it was left."""
+    got = fh.readline(_READ_PIECE)
+    left = bool(got)
+    while got and not got.endswith(b"\n"):
+        got = fh.readline(_READ_PIECE)
+    return left
 
 
 def replay_center(ingests) -> MonitoringCenter:
@@ -241,23 +296,24 @@ def replay_center(ingests) -> MonitoringCenter:
 
     Every ingested copy is logged with the full frame plus reception
     metadata, so the rebuilt ledgers must equal the originals exactly if the
-    log is faithful.  Each logged frame goes to the center, whose header
-    read is the only one, except that a meter's first logged copy is read
-    once more to register the meter.  A frame the center cannot take, or an ``outcome``
-    that it does not return, raises MalformedLog naming the record's ``seq``,
-    and for an outcome the copy's concentrator too.
+    log is faithful.  Each logged frame goes to the center with the header
+    that ``read_events`` read once per line, which routes the copy, and
+    registers the meter on its first logged copy.  A frame whose meter id
+    the registry refuses, or an ``outcome`` that the center does not return,
+    raises MalformedLog naming the record's ``seq``, and for an outcome the
+    copy's concentrator too.
     """
     registry = Registry()
     center = MonitoringCenter(registry)
-    for seq, frame, concentrator_id, rx_time_ms, logged in ingests:
+    for seq, frame, header, concentrator_id, rx_time_ms, logged in ingests:
         report = ConcentratorReport(frame, concentrator_id, rx_time_ms)
         try:
             try:
-                outcome = center.ingest(report)
+                outcome = center.fold(report, header)
             except KeyError:  # the meter's first logged copy: register it
-                kind, _, mid, _, _ = frame_header(frame)
+                kind, _, mid, _, _ = header
                 registry.add_meter(mid, kind)
-                outcome = center.ingest(report)
+                outcome = center.fold(report, header)
         except ValueError as exc:
             raise MalformedLog(f"seq {seq}: {exc}") from None
         if outcome != logged:

@@ -170,20 +170,36 @@ def links_in_order(rec: EventLogRecord) -> bool:
     return all(a < b for a, b in zip(cids, cids[1:]))
 
 
-def reference_ingests(records) -> Iterator[tuple]:
-    """(seq, frame, concentrator_id, rx_time_ms, logged outcome) of each
-    ingest entry of each emission in ``records``, read with the field checks
-    and messages that replay made on whole records."""
-    for rec in records:
+def reference_ingests(path: Path) -> Iterator[tuple]:
+    """(seq, frame, header, concentrator_id, rx_time_ms, logged outcome) of
+    each ingest entry of each emission in the log at ``path``, read by
+    ``read_records`` with the field checks and messages that replay made on
+    whole records.  Each emission's frame is decoded by ``decode_frame``,
+    its header is the decoded message's (kind, message type, meter id,
+    session, cumulative quanta), and those are compared with the line's
+    fields; the line of a record is
+    taken to be its ``seq`` + 1, as in a log with no blank line."""
+    for rec in read_records(path):
         if rec.kind is EventKind.TI_READING:
             continue
         try:
             frame = bytes.fromhex(rec.payload["frame_hex"])
+            msg = decode_frame(frame)
+            header = (msg.kind, msg.message_type, msg.meter_id, msg.session,
+                      msg.state.cumulative_quanta)
+            for field, derived in zip(("resource", "kind", "meter_id", "session",
+                                       "cumulative_quanta"), header):
+                logged = rec.kind if field == "kind" else rec.payload[field]
+                if logged != derived:
+                    raise MalformedLog(f"{path} line {rec.seq + 1}: seq {rec.seq}: {field} is "
+                                       "not the one its frame_hex gives")
             for link in rec.payload["links"]:
                 if len(link) == 3:
                     cid, logged, rx_time_ms = link
-                    yield (rec.seq, frame, whole_number(cid, "concentrator_id"),
+                    yield (rec.seq, frame, header, whole_number(cid, "concentrator_id"),
                            whole_number(rx_time_ms, "rx_time_ms"), logged)
+        except MalformedLog:
+            raise
         except KeyError as exc:
             raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None
         except (TypeError, ValueError) as exc:
@@ -205,9 +221,10 @@ class ReferenceCenter:
     It is told each report's true session index, counted from the meter's
     installation at 0, so it never unrolls a wire number.  It decodes every
     frame with ``decode_frame`` and keeps each session under its index: the
-    bytes that arrived first, and every distinct (concentrator, reception
-    time) copy of those bytes.  The session's reception is the earliest
-    copy, the lowest concentrator id breaking a tie.  The lost sessions are
+    bytes that arrived first, and per concentrator that sent those bytes the
+    reception time of its first report of them; a later report from that
+    concentrator is stale.  The session's reception is the earliest copy,
+    the lowest concentrator id breaking a tie.  The lost sessions are
     the indices from 0 up to the highest kept one that nothing was kept
     under.  A snapshot writes an index as its wire number, the index modulo
     ``modulus``, the session counter's range.
@@ -223,23 +240,23 @@ class ReferenceCenter:
         """The outcome of one report: accepted, duplicate, stale or conflict."""
         msg = decode_frame(report.frame)
         sessions = self.sessions.setdefault(msg.meter_id, {})
-        copy = (report.concentrator_id, report.rx_time_ms)
         kept = sessions.get(index)
         if kept is None:
-            sessions[index] = {"frame": report.frame, "message": msg, "copies": {copy}}
+            sessions[index] = {"frame": report.frame, "message": msg,
+                               "copies": {report.concentrator_id: report.rx_time_ms}}
             return "accepted"
         if report.frame != kept["frame"]:
             self.conflicts.setdefault(msg.meter_id, set()).add(index)
             return "conflict"
-        if copy in kept["copies"]:
+        if report.concentrator_id in kept["copies"]:
             return "stale"
-        kept["copies"].add(copy)
+        kept["copies"][report.concentrator_id] = report.rx_time_ms
         return "duplicate"
 
     @staticmethod
     def _received(session: dict) -> tuple[int, int]:
         """(reception time, concentrator) of a session's earliest copy."""
-        return min((rx_time, concentrator) for concentrator, rx_time in session["copies"])
+        return min((rx_time, concentrator) for concentrator, rx_time in session["copies"].items())
 
     def lost_runs(self, meter: int) -> list[tuple[int, int, dict | None, dict]]:
         """(first index, count, session before, session after) of every

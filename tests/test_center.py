@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import risim.center
 from risim.center import (
+    BLOCK_SESSIONS,
     ConsumerProfile,
     IngestOutcome,
     InsufficientData,
@@ -457,14 +458,15 @@ def _workload(name: str, seed: int) -> dict:
     return workloads.WORKLOADS[name](seed)
 
 
-def test_center_holds_at_most_250_bytes_per_accepted_session(monkeypatch):
-    """A session is its frame and its earliest reception.  The copies an
-    in-process ``run_ri`` of district_week (seed 7, log discarded) hands the
-    center are ingested again into a fresh center under tracemalloc, which
-    traces only that: what stays allocated in center.py is at most 250 bytes
-    per accepted session.  A record object with a set of copies per session
-    took 462."""
-    scenario = scenario_from_dict(_workload("district_week", 7))
+@pytest.mark.parametrize("workload", ["district_week", "lossy_multipath"])
+def test_center_holds_at_most_80_bytes_per_accepted_session(monkeypatch, workload):
+    """A session is four slots of a block.  The copies an in-process
+    ``run_ri`` of the workload (seed 7, log discarded) hands the center are
+    ingested again into a fresh center under tracemalloc, which traces only
+    that: what stays allocated in center.py is at most 80 bytes per
+    accepted session.  A row per session and a table of the other copies
+    took 211 on district_week and 303 on lossy_multipath."""
+    scenario = scenario_from_dict(_workload(workload, 7))
     reports = []
     ingest = MonitoringCenter.ingest
     monkeypatch.setattr(MonitoringCenter, "ingest",
@@ -484,26 +486,110 @@ def test_center_holds_at_most_250_bytes_per_accepted_session(monkeypatch):
     sessions = sum(len(ledger.accepted_sessions()) for ledger in center.ledgers().values())
     assert sessions > 10_000
     held_bytes = sum(stat.size for stat in held.statistics("filename"))
-    assert held_bytes <= 250 * sessions, f"{held_bytes / sessions:.0f} B per session"
+    assert held_bytes <= 80 * sessions, f"{held_bytes / sessions:.0f} B per session"
+
+
+def test_sessions_a_block_apart_hold_at_most_a_kibibyte_each():
+    """Sessions spread one to a block, the sparsest a ledger can be, hold at
+    most 1 KiB each in center.py: a block is a few slots, not a page."""
+    ledger = SessionLedger(MID)
+    reports = [_report(n * BLOCK_SESSIONS, 1000 + n) for n in range(2000)]
+    tracemalloc.start()
+    try:
+        _feed(ledger, reports)
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, risim.center.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert len(ledger.accepted_sessions()) == 2000
+    assert len(ledger.lost_runs()) == 1999
+    held_bytes = sum(stat.size for stat in held.statistics("filename"))
+    assert held_bytes <= 1024 * 2000, f"{held_bytes / 2000:.0f} B per session"
+
+
+def _center_bytes() -> int:
+    """What center.py holds, by tracemalloc, which must be tracing."""
+    held = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, risim.center.__file__)])
+    return sum(stat.size for stat in held.statistics("filename"))
+
+
+def test_a_ledger_heard_by_many_concentrators_holds_a_bounded_record_per_copy():
+    """A session reported by 10,000 concentrators gives them ledger indices
+    up to 9,999; later sessions hold what their copies need, whatever the
+    index of the concentrators that sent them: a session sent by the last
+    one alone holds no more than a session of a one-concentrator ledger,
+    and a second copy from another concentrator a few hundred bytes."""
+    n = 10_000
+    cids = [concentrator_id(k) for k in range(1, n + 1)]
+    frame = _report(0, 0).frame
+    fan = [ConcentratorReport(frame, cid, 1000 + k) for k, cid in enumerate(cids)]
+    alone = [ConcentratorReport(_report(s, s * 1000).frame, cids[-1], s * 1000)
+             for s in range(1, n + 1)]
+    seconds = [ConcentratorReport(frame, cids[0], rx + 1) for frame, _, rx in alone]
+    ledger = SessionLedger(MID)
+    tracemalloc.start()
+    try:
+        fanned = _feed(ledger, fan)
+        held = [_center_bytes()]
+        assert set(_feed(ledger, alone)) == {IngestOutcome.ACCEPTED}
+        held.append(_center_bytes())
+        assert set(_feed(ledger, seconds)) == {IngestOutcome.DUPLICATE}
+        held.append(_center_bytes())
+    finally:
+        tracemalloc.stop()
+    assert fanned.count(IngestOutcome.DUPLICATE) == n - 1
+    assert set(_feed(ledger, fan[-3:] + seconds[:3])) == {IngestOutcome.STALE}
+    rows = ledger.accepted_sessions()
+    assert [row.report_count for row in rows] == [n] + [2] * n
+    assert {row.rx_concentrator for row in rows[1:]} == {cids[-1]}
+    per_concentrator, per_session, per_second = (
+        held[0] / n, (held[1] - held[0]) / n, (held[2] - held[1]) / n)
+    assert per_concentrator <= 256, f"{per_concentrator:.0f} B per concentrator"
+    assert per_session <= 80, f"{per_session:.0f} B per session"
+    assert per_second <= 256, f"{per_second:.0f} B per second copy"
 
 
 def test_session_flood_keeps_one_record():
     """20,000 copies of one session from one concentrator, each at its own
-    reception time, fold into one session cheaply."""
+    reception time, fold into one session cheaply: the first is accepted,
+    each later one is stale and moves nothing, and none holds memory."""
     frame = _report(0, 0).frame
     times = list(range(1000, 21_000))
     random.Random(5).shuffle(times)
     reports = [ConcentratorReport(frame, CID1, t) for t in times]
     ledger = SessionLedger(MID)
-    start = time.perf_counter()
-    outcomes = _feed(ledger, reports)
-    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        outcomes = _feed(ledger, reports)
+        elapsed = time.perf_counter() - start
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, risim.center.__file__)])
+    finally:
+        tracemalloc.stop()
     assert outcomes[0] is IngestOutcome.ACCEPTED
-    assert set(outcomes[1:]) == {IngestOutcome.DUPLICATE}
+    assert outcomes.count(IngestOutcome.STALE) == 19_999
     [rec] = ledger.accepted_sessions()
-    assert rec.report_count == 20_000
-    assert rec.rx_time_ms == 1000
+    assert rec.report_count == 1
+    assert rec.rx_time_ms == times[0]
+    assert ledger.stale_replays == 19_999
+    assert sum(stat.size for stat in held.statistics("filename")) < 4096
     assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+def test_an_earlier_resend_from_the_same_concentrator_moves_nothing():
+    """A concentrator's second report of a session is stale even when it
+    carries an earlier reception time: the session keeps the reception of
+    the copies counted, the first from each concentrator."""
+    ledger = SessionLedger(MID)
+    assert ledger.ingest(_report(0, 5000, cid=CID2)) is IngestOutcome.ACCEPTED
+    assert ledger.ingest(_report(0, 4000, cid=CID1)) is IngestOutcome.DUPLICATE
+    assert ledger.ingest(_report(0, 1000, cid=CID2)) is IngestOutcome.STALE
+    assert ledger.ingest(_report(0, 3000, cid=CID1)) is IngestOutcome.STALE
+    [rec] = ledger.accepted_sessions()
+    assert (rec.rx_time_ms, rec.rx_concentrator, rec.report_count) == (4000, CID1, 2)
+    assert ledger.stale_replays == 2
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from risim.cli import main
 from risim.config import load_scenario
 from risim.eventlog import (
     EventKind,
+    check_ledger_lines,
     read_events,
     replay_center,
 )
@@ -333,17 +334,50 @@ def _accepted_logged_as_duplicate(payload):
     accepted[0][1] = "duplicate"
 
 
+def _ingested(edit):
+    """``edit`` of an emission's payload, made on an emission with an ingest entry."""
+    return lambda obj: edit(obj["payload"]) if _ingests(obj["payload"]) else False
+
+
+def _frame_field(field, change, ingested):
+    """An edit of an emission line's frame-derived ``field`` by ``change``,
+    made on an emission with an ingest entry, or on one with none; it
+    returns the field's name."""
+    def edit(obj):
+        if bool(_ingests(obj["payload"])) != ingested:
+            return False
+        node = obj if field == "kind" else obj["payload"]
+        node[field] = change(node[field])
+        return field
+    return edit
+
+
+#: a change to each frame-derived field that keeps the line one the
+#: templates write
+_FIELD_CHANGES = {
+    "cumulative_quanta": lambda n: n + 1000,
+    "session": lambda n: n + 1,
+    "meter_id": lambda n: n + 1,
+    "resource": lambda word: "gas" if word != "gas" else "heat",
+    "kind": lambda word: "heartbeat" if word == "quantum_event" else "quantum_event",
+}
+_RX_TIME_SHIFTED = _ingested(_shift_rx_time)
+
+
 @pytest.mark.parametrize("log, tamper", [
-    pytest.param("events.ndjson", _shift_rx_time, id="rx_time_shifted"),
-    pytest.param("events.ndjson", _truncate_frame, id="frame_truncated"),
-    pytest.param("events.ndjson", _non_hex_frame, id="frame_not_hex"),
-    pytest.param("events.ndjson", _odd_length_frame, id="frame_odd_length"),
-    pytest.param("events.ndjson", _drop_concentrator, id="payload_key_missing"),
-    pytest.param("events.ndjson", _rx_time_a_string, id="rx_time_a_string"),
-    pytest.param("events.ndjson", _concentrator_a_list_on_a_copy,
+    pytest.param("events.ndjson", _RX_TIME_SHIFTED, id="rx_time_shifted"),
+    pytest.param("events.ndjson", _ingested(_truncate_frame), id="frame_truncated"),
+    pytest.param("events.ndjson", _ingested(_non_hex_frame), id="frame_not_hex"),
+    pytest.param("events.ndjson", _ingested(_odd_length_frame), id="frame_odd_length"),
+    pytest.param("events.ndjson", _ingested(_drop_concentrator), id="payload_key_missing"),
+    pytest.param("events.ndjson", _ingested(_rx_time_a_string), id="rx_time_a_string"),
+    pytest.param("events.ndjson", _ingested(_concentrator_a_list_on_a_copy),
                  id="concentrator_a_list_on_a_copy"),
-    pytest.param("events.ndjson", _accepted_logged_as_duplicate,
+    pytest.param("events.ndjson", _ingested(_accepted_logged_as_duplicate),
                  id="accepted_logged_as_duplicate"),
+    *(pytest.param("events.ndjson", _frame_field(field, change, ingested),
+                   id=f"{field}_edited_{'with' if ingested else 'without'}_ingests")
+      for field, change in _FIELD_CHANGES.items() for ingested in (True, False)),
     pytest.param("events.ndjson", None, id="events_not_json"),
     pytest.param("ledgers.ndjson", None, id="ledgers_not_json"),
 ])
@@ -351,8 +385,10 @@ def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
     """A tampered log fails replay; an unreadable one fails in one stderr line.
 
     Each tamper edits the ingest entries of an emission's ``links``, or its
-    frame; one that returns False skips that emission for a later one.  A
-    second concentrator, 5 ms slow, hears duplicate copies of most frames.
+    frame, or one of the fields its frame gives, which fails naming the line,
+    its seq and the field; one that returns False skips that emission for a
+    later one.  A second concentrator, 5 ms slow, hears duplicate copies of
+    most frames.
     """
     scn = _write_scenario(tmp_path)
     obj = json.loads(scn.read_text())
@@ -369,14 +405,19 @@ def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
             lines[i] = line[: len(line) // 2]
             break
         obj = json.loads(line)
-        if _ingests(obj["payload"]) and tamper(obj["payload"]) is not False:
+        if "links" not in obj["payload"]:
+            continue
+        field = tamper(obj)
+        if field is not False:
             lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-            where = f"seq {obj['seq']}:"
+            where = (f"seq {obj['seq']}:" if field is None else
+                     f" line {i + 1}: seq {obj['seq']}: {field} is not the one its frame_hex "
+                     "gives\n")
             break
     (out / log).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
-    if tamper is not _shift_rx_time:
+    if tamper is not _RX_TIME_SHIFTED:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert where in err
@@ -726,6 +767,74 @@ def test_replay_names_a_repeated_or_reordered_ledger(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
     assert capsys.readouterr().err == message + "\n"
+
+
+def _ledgers_cut_after_the_first_line(text):
+    first, rest = text.split("\n", 1)
+    return first + "\n", [f"replay mismatch at meter {json.loads(line)['meter_id']:#x}: "
+                          "ledgers.ndjson has no line for it" for line in rest.splitlines()]
+
+
+def _ledgers_cut_in_the_last_line(text):
+    last = text.splitlines()[-1]
+    return text[:-len(last) // 2], [f"replay mismatch at meter {json.loads(last)['meter_id']:#x}"]
+
+
+def _ledgers_without_the_last_newline(text):
+    last = text.splitlines()[-1]
+    return text[:-1], [f"replay mismatch at meter {json.loads(last)['meter_id']:#x}"]
+
+
+def _ledgers_empty(text):
+    return "", [f"replay mismatch at meter {json.loads(line)['meter_id']:#x}: "
+                "ledgers.ndjson has no line for it" for line in text.splitlines()]
+
+
+def _ledgers_with_two_lines_more(text):
+    n = text.count("\n")
+    return text + "{}\nx", [f"replay mismatch at ledgers.ndjson line {n + k}: replay rebuilt "
+                            f"{n} ledgers" for k in (1, 2)]
+
+
+@pytest.mark.parametrize("edit", [_ledgers_cut_after_the_first_line, _ledgers_cut_in_the_last_line,
+                                  _ledgers_without_the_last_newline, _ledgers_empty,
+                                  _ledgers_with_two_lines_more])
+def test_replay_names_a_missing_cut_or_extra_ledger_line(tmp_path, capsys, edit):
+    """The end of ``ledgers.ndjson`` is read as the writer ends it: a ledger
+    with no line, a last line cut short or left without its newline, and
+    each line past the last ledger are named, one stderr line each."""
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    main(["run", str(scn), "--out", str(out)])
+    ledgers = out / "ledgers.ndjson"
+    text, messages = edit(ledgers.read_text())
+    assert messages
+    ledgers.write_text(text)
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    assert capsys.readouterr().err == "".join(message + "\n" for message in messages)
+
+
+def test_ledger_check_holds_no_line_whole(tmp_path):
+    """A 4 MB ledger line, and a 4 MB line past the last ledger, are each
+    read in bounded pieces: checking them peaks under 1 MB."""
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    main(["run", str(scn), "--out", str(out)])
+    ledgers_path = out / "ledgers.ndjson"
+    lines = ledgers_path.read_text().splitlines()
+    ledgers_path.write_text("\n".join(["9" * 4_000_000, *lines[1:], "9" * 4_000_000]) + "\n")
+    ledgers = replay_center(read_events(out / "events.ndjson")).ledgers()
+    tracemalloc.start()
+    try:
+        mismatches = list(check_ledger_lines(ledgers_path, ledgers))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mismatches == [f"meter {json.loads(lines[0])['meter_id']:#x}",
+                          f"ledgers.ndjson line {len(lines) + 1}: replay rebuilt "
+                          f"{len(lines)} ledgers"]
+    assert peak < 2**20, peak
 
 
 def _replay_peak_bytes(path) -> int:
