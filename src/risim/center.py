@@ -65,16 +65,10 @@ class IngestOutcome(str, Enum):
     CONFLICT = "conflict"        # same session, different payload: tamper signal
 
 
-class SessionRow(NamedTuple):
-    """One accepted session as its snapshot row, built when asked: type and
-    counter are read from the kept frame."""
-
-    session: int
-    rx_time_ms: int
-    rx_concentrator: int
-    type: MessageType
-    cumulative_quanta: int
-    report_count: int
+#: the outcomes as module globals: a fold returns one per copy, and reading a
+#: member off its Enum class costs about 14 times as much on Python 3.11
+_ACCEPTED, _DUPLICATE, _STALE, _CONFLICT = (IngestOutcome.ACCEPTED, IngestOutcome.DUPLICATE,
+                                           IngestOutcome.STALE, IngestOutcome.CONFLICT)
 
 
 class LostRun(NamedTuple):
@@ -180,19 +174,6 @@ class SessionLedger:
         lowest = next(i for i in range(BLOCK_SESSIONS) if frames[i] is not None)
         return ((key << _SHIFT) + lowest) % self.modulus
 
-    def accepted_sessions(self) -> list[SessionRow]:
-        """Every accepted session as its snapshot row, in session order."""
-        ids, modulus, blocks, rows = self._concentrators, self.modulus, self._blocks, []
-        for key in sorted(blocks):
-            block, a = blocks[key], key << _SHIFT
-            for frame, rx, c, senders in zip(block[:_RX], block[_RX:_FROM],
-                                             block[_FROM:_SENDERS], block[_SENDERS:]):
-                if frame is not None:
-                    rows.append(SessionRow(a % modulus, rx, ids[c], frame_type(frame),
-                                           frame_quanta(frame), _count(senders)))
-                a += 1
-        return rows
-
     def quantum_times(self) -> list[int]:
         """The reception times of the accepted quantum events, in no particular order."""
         return [rx for block in self._blocks.values()
@@ -218,50 +199,59 @@ class SessionLedger:
         tamper evidence and the first is kept.  A frame that breaks the decoder
         rules raises MalformedFrame and changes nothing.
         """
-        _, _, mid, session, _ = frame_header(report.frame)
+        frame, cid, rx = report
+        _, _, mid, session, _ = frame_header(frame)
         if mid != self.meter_id:
             raise ValueError(
                 f"report for meter {mid:#x} fed to ledger of {self.meter_id:#x}"
             )
-        return self._fold(report, session)
+        return self._fold_emission(frame, session, ((cid, rx),))[0]
 
-    def _fold(self, report: ConcentratorReport, session: int) -> IngestOutcome:
-        """``ingest`` for a report whose header has been read and whose meter
-        id is this ledger's."""
-        frame, cid, rx = report
+    def _fold_emission(self, frame: bytes, session: int, copies) -> list[IngestOutcome]:
+        """``ingest`` for every (concentrator_id, rx_time_ms) copy of one frame
+        in turn, whose header has been read and whose meter id is this
+        ledger's: the session is unrolled once, and one outcome per copy is
+        returned.  A copy accepted here moves the unroll reference to its own
+        session at most, so the later copies unroll to it as well."""
         abs_session = self._unroll(session)
-        block = self._blocks.get(abs_session >> _SHIFT)
-        i = abs_session & _LAST
-        kept = None if block is None else block[i]
-        if kept is None:
-            if block is None:
-                block = self._blocks[abs_session >> _SHIFT] = [None] * _SLOTS
-            block[i], block[i + _RX], block[i + _FROM] = frame, rx, self._concentrator(cid)
-            if self._max_abs is None or abs_session > self._max_abs:
-                self._max_abs = abs_session
-            return IngestOutcome.ACCEPTED
-        if frame != kept:
-            self.conflict_sessions.add(abs_session)
-            return IngestOutcome.CONFLICT
-        c = self._concentrator(cid)
-        senders = block[i + _SENDERS]
-        if senders is None:   # the earliest concentrator is the only sender
-            first = block[i + _FROM]
-            senders = 1 << first if first < _MASK_BITS else {first}
-        mask = type(senders) is int
-        if senders >> c & 1 if mask else c in senders:
-            self.stale_replays += 1
-            return IngestOutcome.STALE
-        if not mask:
-            senders.add(c)
-        elif c < _MASK_BITS:
-            senders |= 1 << c
-        else:
-            senders = {k for k in range(_MASK_BITS) if senders >> k & 1} | {c}
-        block[i + _SENDERS] = senders
-        if (rx, cid) < (block[i + _RX], self._concentrators[block[i + _FROM]]):
-            block[i + _RX], block[i + _FROM] = rx, c
-        return IngestOutcome.DUPLICATE
+        key, i = abs_session >> _SHIFT, abs_session & _LAST
+        block = self._blocks.get(key)
+        outcomes = []
+        for cid, rx in copies:
+            kept = None if block is None else block[i]
+            if kept is None:
+                if block is None:
+                    block = self._blocks[key] = [None] * _SLOTS
+                block[i], block[i + _RX], block[i + _FROM] = frame, rx, self._concentrator(cid)
+                if self._max_abs is None or abs_session > self._max_abs:
+                    self._max_abs = abs_session
+                outcomes.append(_ACCEPTED)
+                continue
+            if frame != kept:
+                self.conflict_sessions.add(abs_session)
+                outcomes.append(_CONFLICT)
+                continue
+            c = self._concentrator(cid)
+            senders = block[i + _SENDERS]
+            if senders is None:   # the earliest concentrator is the only sender
+                first = block[i + _FROM]
+                senders = 1 << first if first < _MASK_BITS else {first}
+            mask = type(senders) is int
+            if senders >> c & 1 if mask else c in senders:
+                self.stale_replays += 1
+                outcomes.append(_STALE)
+                continue
+            if not mask:
+                senders.add(c)
+            elif c < _MASK_BITS:
+                senders |= 1 << c
+            else:
+                senders = {k for k in range(_MASK_BITS) if senders >> k & 1} | {c}
+            block[i + _SENDERS] = senders
+            if (rx, cid) < (block[i + _RX], self._concentrators[block[i + _FROM]]):
+                block[i + _RX], block[i + _FROM] = rx, c
+            outcomes.append(_DUPLICATE)
+        return outcomes
 
     def _concentrator(self, cid: int) -> int:
         """The index of concentrator ``cid`` in this ledger's id table, added if new."""
@@ -415,16 +405,13 @@ class SessionLedger:
             "conflicts": sorted(a % self.modulus for a in self.conflict_sessions),
         }
 
-    def snapshot(self) -> dict:
-        """Canonical JSON-safe view; two equal ledgers give equal snapshots."""
-        return {**self._head(), "sessions": [row._asdict() for row in self.accepted_sessions()]}
-
     def snapshot_text(self) -> Iterator[str]:
-        """The snapshot's ``ledgers.ndjson`` line, ending in a newline, in
-        pieces of one session row each: the text of ``json.dumps(snapshot(),
-        sort_keys=True, separators=(",", ":"))``, built from the blocks without
-        a dict per session.  ``sessions`` sorts after every other key, so the
-        head is the rest of the snapshot dumped with its closing brace cut."""
+        """The ledger's snapshot as its ``ledgers.ndjson`` line, ending in a
+        newline, in pieces of one session row each: the object's canonical
+        JSON (``sort_keys``, no spaces), built from the blocks without a dict
+        per session; two equal ledgers give equal text.  ``sessions`` sorts
+        after every other key, so the head is the rest of the object dumped
+        with its closing brace cut."""
         yield json.dumps(self._head(), sort_keys=True, separators=(",", ":"))[:-1]
         yield ',"sessions":['
         ids, modulus, blocks, sep = self._concentrators, self.modulus, self._blocks, ""
@@ -458,14 +445,20 @@ class MonitoringCenter:
 
     def ingest(self, report: ConcentratorReport) -> IngestOutcome:
         """Route a report to its meter's ledger, reading its header once."""
-        return self.fold(report, frame_header(report.frame))
+        frame, cid, rx = report
+        _, _, mid, session, _ = frame_header(frame)
+        return self.fold_emission(frame, mid, session, ((cid, rx),))[0]
 
-    def fold(self, report: ConcentratorReport, header: tuple) -> IngestOutcome:
-        """``ingest`` for a report whose frame's header, as ``frame_header``
-        reads it, is ``header``: a reader of a log reads it once for every
-        copy of a frame."""
-        _, _, mid, session, _ = header
-        return self.ledger(mid)._fold(report, session)
+    def fold_emission(self, frame: bytes, meter_id: int, session: int,
+                      copies) -> list[IngestOutcome]:
+        """Every copy of one transmission, ``ingest`` for each in turn: the
+        frame of meter ``meter_id``'s session ``session``, as its header gives
+        them, heard as the (concentrator_id, rx_time_ms) ``copies`` in
+        concentrator-id order.  Returns one outcome per copy.  The ledger is
+        looked up once, and with no copies none is created."""
+        if not copies:
+            return []
+        return self.ledger(meter_id)._fold_emission(frame, session, copies)
 
     def ledgers(self) -> dict[int, SessionLedger]:
         return dict(sorted(self._ledgers.items()))

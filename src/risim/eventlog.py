@@ -18,7 +18,6 @@ from typing import Iterable, Iterator
 from .center import IngestOutcome, MonitoringCenter, SessionLedger
 from .domain import (
     BASE_UNIT,
-    ConcentratorReport,
     MalformedFrame,
     MessageType,
     Registry,
@@ -169,15 +168,16 @@ _TYPE_WORD = {mtype: mtype.value.encode() for mtype in MessageType}
 _OUTCOME = {_JSON_TEXT[outcome].encode(): outcome.value for outcome in IngestOutcome}
 
 
-def read_events(path: Path) -> Iterator[tuple[int, bytes, tuple, int, int, object]]:
-    """Each copy the center ingested, a log line at a time, as (seq, frame,
-    header, concentrator_id, rx_time_ms, logged outcome): one per ingest
-    entry of an emission's ``links``, sharing its ``seq``, one frame and
-    one header, the frame's as ``frame_header`` reads it.  ``seq`` must
-    run 0, 1, 2, ...  Each line must match its kind's template (``_LINE``).
-    A line that does not match, holds an integer too long to read, or whose
-    ``links`` are out of concentrator-id order raises MalformedLog naming it
-    and its due ``seq``.  Each emission's frame is decoded and its header
+def read_events(path: Path) -> Iterator[tuple[int, bytes, tuple, list]]:
+    """The copies the center ingested, a log line at a time, as (seq, frame,
+    header, copies): one item per emission line with an ingest entry in its
+    ``links``, where ``header`` is the frame's as ``frame_header`` reads it
+    and ``copies`` is (concentrator_id, rx_time_ms, logged outcome) per
+    ingest entry, in concentrator-id order.  ``seq`` must run 0, 1, 2, ...
+    Each line must match its kind's template (``_LINE``).  A line that does
+    not match, holds an integer too long to read, or whose ``links`` are out
+    of concentrator-id order raises MalformedLog naming it and its due
+    ``seq``.  Each emission's frame is decoded and its header
     read once; a frame that breaks the decoder rules raises MalformedLog
     naming the ``seq``, and a frame-derived field that is not the header's
     raises MalformedLog naming the line, its ``seq`` and the field.
@@ -216,8 +216,8 @@ def read_events(path: Path) -> Iterator[tuple[int, bytes, tuple, int, int, objec
                 field = next(name for name, a, b in zip(_FRAME_FIELDS, logged, derived) if a != b)
                 raise MalformedLog(f"{path} line {lineno}: seq {got}: {field} is not the "
                                    "one its frame_hex gives")
-            for cid, rx_time_ms, outcome in copies:
-                yield got, frame, header, cid, rx_time_ms, outcome
+            if copies:
+                yield got, frame, header, copies
 
 
 def _copies(links: bytes) -> list[tuple[int, int, str]] | None:
@@ -296,29 +296,31 @@ def replay_center(ingests) -> MonitoringCenter:
 
     Every ingested copy is logged with the full frame plus reception
     metadata, so the rebuilt ledgers must equal the originals exactly if the
-    log is faithful.  Each logged frame goes to the center with the header
-    that ``read_events`` read once per line, which routes the copy, and
-    registers the meter on its first logged copy.  A frame whose meter id
-    the registry refuses, or an ``outcome`` that the center does not return,
-    raises MalformedLog naming the record's ``seq``, and for an outcome the
-    copy's concentrator too.
+    log is faithful.  Each line's copies go to the center in one
+    ``fold_emission``, with the frame and the meter id and session of the
+    header that ``read_events`` read once per line; the meter's first
+    logged line registers it.  A frame whose meter id the registry refuses,
+    or an ``outcome`` that the center does not return, raises MalformedLog
+    naming the record's ``seq``, and for an outcome the first copy's
+    concentrator whose logged outcome differs.
     """
     registry = Registry()
     center = MonitoringCenter(registry)
-    for seq, frame, header, concentrator_id, rx_time_ms, logged in ingests:
-        report = ConcentratorReport(frame, concentrator_id, rx_time_ms)
+    for seq, frame, header, copies in ingests:
+        kind, _, mid, session, _ = header
+        heard = [(cid, rx_time_ms) for cid, rx_time_ms, _ in copies]
         try:
             try:
-                outcome = center.fold(report, header)
-            except KeyError:  # the meter's first logged copy: register it
-                kind, _, mid, _, _ = header
+                outcomes = center.fold_emission(frame, mid, session, heard)
+            except KeyError:  # the meter's first logged line: register it
                 registry.add_meter(mid, kind)
-                outcome = center.fold(report, header)
+                outcomes = center.fold_emission(frame, mid, session, heard)
         except ValueError as exc:
             raise MalformedLog(f"seq {seq}: {exc}") from None
-        if outcome != logged:
-            raise MalformedLog(f"seq {seq}: concentrator {concentrator_id:#x}: outcome "
-                               f"{logged!r}, replay gives {outcome.value!r}")
+        for (cid, _, logged), outcome in zip(copies, outcomes):
+            if outcome != logged:
+                raise MalformedLog(f"seq {seq}: concentrator {cid:#x}: outcome "
+                                   f"{logged!r}, replay gives {outcome.value!r}")
     return center
 
 

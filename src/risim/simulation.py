@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .center import MonitoringCenter, SessionLedger, place_lost
-from .concentrator import ConcentratorConfig, broadcast, loss_threshold, probability, receive
+from .concentrator import ConcentratorConfig, broadcast, loss_threshold, probability
+from .concentrator import receive  # unused here; perfbench's tracer patches this name
 from .domain import (
     BASE_UNIT,
     ConfigError,
@@ -150,6 +151,7 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
     happens; with no log none is built."""
     registry = scenario.build_registry()
     conc = {c.id: c for c in scenario.concentrators()}
+    skew = {cid: c.clock_skew_ms for cid, c in conc.items()}
     # per meter, (concentrator, radio threshold, uplink threshold) by concentrator id
     links = {sm.config.id: tuple(sorted((cid, loss_threshold(loss),
                                          loss_threshold(conc[cid].uplink_loss))
@@ -169,17 +171,16 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
 
     rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM))
     counts: dict[int, int] = {}
-    for t, mid, _, frame in emissions:
+    for t, mid, session, frame in emissions:
         counts[mid] = counts.get(mid, 0) + 1
-        fates = []
-        for cid, lost in broadcast(links[mid], rng):
-            if lost is None:
-                report = receive(conc[cid], frame, t)
-                fates.append((cid, center.ingest(report), report.rx_time_ms))
-            else:
-                fates.append((cid, lost))
+        fates = broadcast(links[mid], rng)
+        # each copy that reaches the center, stamped by its concentrator's clock
+        copies = [(cid, t + skew[cid]) for cid, lost in fates if lost is None]
+        outcomes = center.fold_emission(frame, mid, session, copies) if copies else ()
         if log is not None:
-            log.emission(t, frame, fates)
+            folded = iter(outcomes)
+            log.emission(t, frame, [(cid, lost) if lost else (cid, next(folded), t + skew[cid])
+                                    for cid, lost in fates])
 
     metrics: dict[int, DetailMetric] = {}
     ledgers = center.ledgers()

@@ -1,7 +1,9 @@
 """Reference helpers that only tests call, kept out of the package so the
 oracles share no code with what they check beyond the trace's own
 ``cumulative_du`` and generator, the frame codec, the seed mixer, the
-result types and the log record's JSON form."""
+result types and the log record's JSON form.  ``snapshot`` and
+``accepted_sessions`` are no oracles: they read a ledger's own
+``ledgers.ndjson`` line back, for assertions on its fields."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from risim.center import IngestOutcome, ReconstructionResult, SessionLedger
 from risim.domain import (
@@ -48,8 +50,30 @@ def battery_lifetime(cfg: MeterConfig, trace: ConsumptionTrace) -> int | None:
     return run.depleted_at_ms
 
 
+class SessionRow(NamedTuple):
+    """One accepted session as its snapshot row."""
+
+    session: int
+    rx_time_ms: int
+    rx_concentrator: int
+    type: MessageType
+    cumulative_quanta: int
+    report_count: int
+
+
+def snapshot(ledger: SessionLedger) -> dict:
+    """A ledger's snapshot as a dict: its ``ledgers.ndjson`` line read back."""
+    return json.loads("".join(ledger.snapshot_text()))
+
+
+def accepted_sessions(ledger: SessionLedger) -> list[SessionRow]:
+    """Every accepted session of a ledger as its snapshot row, in session order."""
+    return [SessionRow(**{**row, "type": MessageType(row["type"])})
+            for row in snapshot(ledger)["sessions"]]
+
+
 def accepted_count(ledger: SessionLedger) -> int:
-    return len(ledger.accepted_sessions())
+    return len(accepted_sessions(ledger))
 
 
 def consumed_between(trace: ConsumptionTrace, a_ms, b_ms) -> Fraction:
@@ -171,14 +195,14 @@ def links_in_order(rec: EventLogRecord) -> bool:
 
 
 def reference_ingests(path: Path) -> Iterator[tuple]:
-    """(seq, frame, header, concentrator_id, rx_time_ms, logged outcome) of
-    each ingest entry of each emission in the log at ``path``, read by
-    ``read_records`` with the field checks and messages that replay made on
-    whole records.  Each emission's frame is decoded by ``decode_frame``,
-    its header is the decoded message's (kind, message type, meter id,
-    session, cumulative quanta), and those are compared with the line's
-    fields; the line of a record is
-    taken to be its ``seq`` + 1, as in a log with no blank line."""
+    """(seq, frame, header, copies) of each emission with an ingest entry in
+    the log at ``path``, where ``copies`` is (concentrator_id, rx_time_ms,
+    logged outcome) per ingest entry, read by ``read_records`` with the
+    field checks and messages that replay made on whole records.  Each
+    emission's frame is decoded by ``decode_frame``, its header is the
+    decoded message's (kind, message type, meter id, session, cumulative
+    quanta), and those are compared with the line's fields; the line of a
+    record is taken to be its ``seq`` + 1, as in a log with no blank line."""
     for rec in read_records(path):
         if rec.kind is EventKind.TI_READING:
             continue
@@ -193,17 +217,17 @@ def reference_ingests(path: Path) -> Iterator[tuple]:
                 if logged != derived:
                     raise MalformedLog(f"{path} line {rec.seq + 1}: seq {rec.seq}: {field} is "
                                        "not the one its frame_hex gives")
-            for link in rec.payload["links"]:
-                if len(link) == 3:
-                    cid, logged, rx_time_ms = link
-                    yield (rec.seq, frame, header, whole_number(cid, "concentrator_id"),
-                           whole_number(rx_time_ms, "rx_time_ms"), logged)
+            copies = [(whole_number(link[0], "concentrator_id"),
+                       whole_number(link[2], "rx_time_ms"), link[1])
+                      for link in rec.payload["links"] if len(link) == 3]
         except MalformedLog:
             raise
         except KeyError as exc:
             raise MalformedLog(f"seq {rec.seq}: payload has no {exc} field") from None
         except (TypeError, ValueError) as exc:
             raise MalformedLog(f"seq {rec.seq}: {exc}") from None
+        if copies:
+            yield rec.seq, frame, header, copies
 
 
 def read_csv(path: Path) -> tuple[list[str], list[dict]]:

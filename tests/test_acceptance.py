@@ -42,7 +42,7 @@ from risim.simulation import (
 )
 from risim.traces import ConsumptionTrace, TraceSpec, generate_trace
 
-from oracles import battery_lifetime, record_sink, scaled, total_du
+from oracles import accepted_sessions, battery_lifetime, record_sink, scaled, snapshot, total_du
 
 
 def _verdict(num: int, name: str) -> None:
@@ -151,7 +151,7 @@ def test_03_exact_recovery_under_loss():
             ledger = res.center.ledgers().get(mid)
             if ledger is None or ledger.is_empty:
                 continue
-            accepted = {row["session"] for row in ledger.snapshot()["sessions"]}
+            accepted = {row["session"] for row in snapshot(ledger)["sessions"]}
             lost = set(emitted) - accepted
             top_accepted = max(accepted)
             recon = ledger.reconstruct(quantum, (0, sc.horizon_ms))
@@ -198,7 +198,7 @@ def test_04_multipath_dedup_equivalence():
     res_uni = run_ri(uni)
 
     def without_report_counts(center):
-        snaps = [lg.snapshot() for lg in center.ledgers().values()]
+        snaps = [snapshot(lg) for lg in center.ledgers().values()]
         for snap in snaps:
             for row in snap["sessions"]:
                 del row["report_count"]
@@ -206,7 +206,7 @@ def test_04_multipath_dedup_equivalence():
 
     assert without_report_counts(res_tri.center) == without_report_counts(res_uni.center)
     for lg in res_tri.center.ledgers().values():
-        for rec in lg.accepted_sessions():
+        for rec in accepted_sessions(lg):
             assert rec.report_count == 3
 
     # replaying the same reports in 10 shuffled orders changes nothing
@@ -431,7 +431,7 @@ def test_11_profile_guided_restoration():
             for rec in records
             if rec.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT)
         }
-        by_wire = {row["session"]: row for row in ledger.snapshot()["sessions"]}
+        by_wire = {row["session"]: row for row in snapshot(ledger)["sessions"]}
         run_uni = run_pro = 0.0
         n_lost = 0
         for run in ledger.lost_runs():

@@ -53,7 +53,7 @@ from risim.config import scenario_from_dict
 from risim.eventlog import EventLog, read_events, replay_center
 from risim.simulation import reconstruction_steps, run_ri
 
-from oracles import ReferenceCenter, record_sink, write_records
+from oracles import ReferenceCenter, accepted_sessions, record_sink, snapshot, write_records
 
 MID = meter_id(3)
 WATER_QUALITY = NOMINAL_QUALITY_DU[ResourceKind.COLD_WATER]
@@ -100,17 +100,17 @@ def test_outcome_sequence():
     # same session, different payload bytes: tamper evidence
     assert ledger.ingest(_report(0, 1500, quanta=9)) is IngestOutcome.CONFLICT
     assert ledger.lost_runs() == []
-    snap = ledger.snapshot()
+    snap = snapshot(ledger)
     assert snap["conflicts"] == [0]
     # first payload is kept
-    assert ledger.accepted_sessions()[0].cumulative_quanta == 1
+    assert accepted_sessions(ledger)[0].cumulative_quanta == 1
 
 
 def test_dedup_keeps_earliest_reception():
     ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 5000, cid=CID2))
     ledger.ingest(_report(0, 3000, cid=CID1))
-    rec = ledger.accepted_sessions()[0]
+    rec = accepted_sessions(ledger)[0]
     assert rec.rx_time_ms == 3000
     assert rec.rx_concentrator == CID1
     assert rec.report_count == 2
@@ -120,7 +120,7 @@ def test_dedup_tie_breaks_on_lowest_concentrator():
     ledger = SessionLedger(MID)
     ledger.ingest(_report(0, 3000, cid=CID2))
     ledger.ingest(_report(0, 3000, cid=CID1))
-    rec = ledger.accepted_sessions()[0]
+    rec = accepted_sessions(ledger)[0]
     assert rec.rx_concentrator == CID1
     assert rec.report_count == 2
 
@@ -137,7 +137,7 @@ def test_snapshot_identical_for_any_arrival_order():
         rng.shuffle(shuffled)
         ledger = SessionLedger(MID)
         _feed(ledger, shuffled)
-        snap = ledger.snapshot()
+        snap = snapshot(ledger)
         if reference is None:
             reference = snap
         assert snap == reference
@@ -148,9 +148,9 @@ def test_reingesting_duplicates_is_idempotent():
     ledger = SessionLedger(MID)
     reports = [_report(s, 1000 * s) for s in range(5)]
     _feed(ledger, reports)
-    snap1 = ledger.snapshot()
+    snap1 = snapshot(ledger)
     _feed(ledger, reports)  # byte-exact replays leave even the report counts
-    snap2 = ledger.snapshot()
+    snap2 = snapshot(ledger)
     assert snap1 == snap2
     assert ledger.stale_replays == 5
 
@@ -262,7 +262,7 @@ def test_wrap_oracle_brute_force_small_modulus():
                 LostRun(a % mod, b - a + 1, 10 * (a - 1) if a > 0 else 0, 10 * (b + 1), b - a + 1)
                 for a, b in runs
             ], where
-            assert ledger.snapshot()["gaps"] == [
+            assert snapshot(ledger)["gaps"] == [
                 [a % mod, b - a + 1] for a, b in runs
             ], where
     assert arrivals_below_lowest > 0
@@ -279,7 +279,7 @@ def test_forged_session_jump_allocates_no_gap_entries():
         try:
             _feed(ledger, reports)
             runs = ledger.lost_runs()
-            snap = ledger.snapshot()
+            snap = snapshot(ledger)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -405,6 +405,59 @@ def test_center_matches_the_brute_force_reference(plan):
         assert "".join(replay_center(read_events(path)).snapshots()) == reference.ledgers_text()
 
 
+#: reception times, some of them negative or past 64 bits
+_FOLD_RX = st.one_of(st.integers(-3, 3), st.sampled_from([-2**63 - 1, 2**64, 2**64 + 5, 10**30]))
+#: a transmission's copies as (concentrator number, reception time): a few
+#: of 90 concentrators, repeats included, or a fan from the first 60 to 90,
+#: the k-th k ms before its reception time
+_FOLD_COPIES = st.lists(st.tuples(st.integers(1, 90), _FOLD_RX), max_size=6) | st.builds(
+    lambda n, rx: [(k, rx - k) for k in range(1, n + 1)], st.integers(60, 90), _FOLD_RX)
+#: transmissions as (meter number, session index, forged, copies)
+_FOLDS = st.lists(st.tuples(st.integers(1, 2), st.integers(0, 3 * BLOCK_SESSIONS), st.booleans(),
+                            _FOLD_COPIES), max_size=12)
+#: a session heard by 70 concentrators and then by an 80th, one whose first
+#: copy comes from a concentrator past the 64th, a repeat within one call,
+#: a forged frame, and a transmission that every copy of was lost
+_WIDE_FOLDS = [(1, 0, False, [(k, 1000 - k) for k in range(1, 71)]),
+               (1, 0, False, [(80, -5), (80, 7), (3, 2**64)]),
+               (1, 0, True, [(2, 1)]),
+               (1, 5, False, [(75, 10), (75, 10), (76, 10**30), (1, 10)]),
+               (2, 3, False, [])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(emissions=_FOLDS)
+@example(emissions=_WIDE_FOLDS)
+def test_fold_emission_is_ingest_copy_by_copy(emissions):
+    """Transmissions from two meters, each a session index, a frame that may
+    be forged (another battery byte) and its copies in concentrator-id
+    order, with repeats, reception times that are negative or past 64 bits,
+    and more than 64 concentrators per ledger: ``fold_emission`` gives per
+    copy the outcome that ``ReferenceCenter.ingest`` and
+    ``MonitoringCenter.ingest`` give one copy at a time, and the same
+    ledgers and reconstructions.  A transmission with no copy creates no
+    ledger."""
+    kinds = {meter_id(1): ResourceKind.COLD_WATER, meter_id(2): ResourceKind.GAS}
+    registry = Registry()
+    for mid, kind in kinds.items():
+        registry.add_meter(mid, kind)
+    folded, ingested = MonitoringCenter(registry), MonitoringCenter(registry)
+    reference = ReferenceCenter({mid: registry.meter(mid).quantum_du for mid in kinds})
+    for k, index, forged, copies in emissions:
+        mid = meter_id(k)
+        frame = _frame(mid, kinds[mid], index, index % 3 != 0, index,
+                       battery=199 if forged else 200)
+        copies = sorted(((concentrator_id(c), rx) for c, rx in copies), key=lambda copy: copy[0])
+        reports = [ConcentratorReport(frame, cid, rx) for cid, rx in copies]
+        outcomes = folded.fold_emission(frame, mid, index, copies)
+        assert outcomes == [reference.ingest(index, report) for report in reports]
+        assert outcomes == [ingested.ingest(report) for report in reports]
+    assert "".join(folded.snapshots()) == reference.ledgers_text() == "".join(ingested.snapshots())
+    for window in ((0, 40), (-2**63 - 1, 10**30)):
+        assert (folded.reconstruct_all(window) == reference.reconstruct_all(window)
+                == ingested.reconstruct_all(window))
+
+
 #: concentrator ids, two of them past 64 bits, and reception times, three of
 #: them past 64 bits: replay's JSON fallback reads integers of any size
 _LEDGER_IDS = st.sampled_from([CID1, CID2, 2**64 + 7, 2**70])
@@ -446,7 +499,7 @@ def test_ledger_line_is_the_reference_snapshot_dumped(modulus, copies):
         sent.append((index, report))
         assert ledger.ingest(report) == reference.ingest(index, report)
     assert "".join(ledger.snapshot_text()) == reference.ledgers_text()
-    assert ledger.snapshot() == reference.snapshot(MID)
+    assert snapshot(ledger) == reference.snapshot(MID)
 
 
 def _workload(name: str, seed: int) -> dict:
@@ -460,30 +513,31 @@ def _workload(name: str, seed: int) -> dict:
 
 @pytest.mark.parametrize("workload", ["district_week", "lossy_multipath"])
 def test_center_holds_at_most_80_bytes_per_accepted_session(monkeypatch, workload):
-    """A session is four slots of a block.  The copies an in-process
+    """A session is four slots of a block.  The emissions an in-process
     ``run_ri`` of the workload (seed 7, log discarded) hands the center are
-    ingested again into a fresh center under tracemalloc, which traces only
+    folded again into a fresh center under tracemalloc, which traces only
     that: what stays allocated in center.py is at most 80 bytes per
     accepted session.  A row per session and a table of the other copies
     took 211 on district_week and 303 on lossy_multipath."""
     scenario = scenario_from_dict(_workload(workload, 7))
-    reports = []
-    ingest = MonitoringCenter.ingest
-    monkeypatch.setattr(MonitoringCenter, "ingest",
-                        lambda center, report: reports.append(report) or ingest(center, report))
+    emissions = []
+    fold = MonitoringCenter.fold_emission
+    monkeypatch.setattr(MonitoringCenter, "fold_emission",
+                        lambda center, *emission: emissions.append(emission)
+                        or fold(center, *emission))
     run = run_ri(scenario, EventLog(lambda line: None))
     monkeypatch.undo()
     center = MonitoringCenter(scenario.build_registry())
     tracemalloc.start()
     try:
-        for report in reports:
-            center.ingest(report)
+        for emission in emissions:
+            center.fold_emission(*emission)
         held = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.Filter(True, risim.center.__file__)])
     finally:
         tracemalloc.stop()
     assert "".join(center.snapshots()) == "".join(run.center.snapshots())
-    sessions = sum(len(ledger.accepted_sessions()) for ledger in center.ledgers().values())
+    sessions = sum(len(accepted_sessions(ledger)) for ledger in center.ledgers().values())
     assert sessions > 10_000
     held_bytes = sum(stat.size for stat in held.statistics("filename"))
     assert held_bytes <= 80 * sessions, f"{held_bytes / sessions:.0f} B per session"
@@ -501,7 +555,7 @@ def test_sessions_a_block_apart_hold_at_most_a_kibibyte_each():
             [tracemalloc.Filter(True, risim.center.__file__)])
     finally:
         tracemalloc.stop()
-    assert len(ledger.accepted_sessions()) == 2000
+    assert len(accepted_sessions(ledger)) == 2000
     assert len(ledger.lost_runs()) == 1999
     held_bytes = sum(stat.size for stat in held.statistics("filename"))
     assert held_bytes <= 1024 * 2000, f"{held_bytes / 2000:.0f} B per session"
@@ -540,7 +594,7 @@ def test_a_ledger_heard_by_many_concentrators_holds_a_bounded_record_per_copy():
         tracemalloc.stop()
     assert fanned.count(IngestOutcome.DUPLICATE) == n - 1
     assert set(_feed(ledger, fan[-3:] + seconds[:3])) == {IngestOutcome.STALE}
-    rows = ledger.accepted_sessions()
+    rows = accepted_sessions(ledger)
     assert [row.report_count for row in rows] == [n] + [2] * n
     assert {row.rx_concentrator for row in rows[1:]} == {cids[-1]}
     per_concentrator, per_session, per_second = (
@@ -570,7 +624,7 @@ def test_session_flood_keeps_one_record():
         tracemalloc.stop()
     assert outcomes[0] is IngestOutcome.ACCEPTED
     assert outcomes.count(IngestOutcome.STALE) == 19_999
-    [rec] = ledger.accepted_sessions()
+    [rec] = accepted_sessions(ledger)
     assert rec.report_count == 1
     assert rec.rx_time_ms == times[0]
     assert ledger.stale_replays == 19_999
@@ -587,7 +641,7 @@ def test_an_earlier_resend_from_the_same_concentrator_moves_nothing():
     assert ledger.ingest(_report(0, 4000, cid=CID1)) is IngestOutcome.DUPLICATE
     assert ledger.ingest(_report(0, 1000, cid=CID2)) is IngestOutcome.STALE
     assert ledger.ingest(_report(0, 3000, cid=CID1)) is IngestOutcome.STALE
-    [rec] = ledger.accepted_sessions()
+    [rec] = accepted_sessions(ledger)
     assert (rec.rx_time_ms, rec.rx_concentrator, rec.report_count) == (4000, CID1, 2)
     assert ledger.stale_replays == 2
 
@@ -1016,7 +1070,7 @@ def test_center_rejects_hostile_frame_and_changes_nothing(mutation, session):
     center = MonitoringCenter(registry)
     center.ingest(_report(0, 1000))
     center.ingest(_report(2, 3000))
-    before = center.ledger(MID).snapshot()
+    before = snapshot(center.ledger(MID))
     good = _report(session, 2000, cid=CID2)
     bad = good._replace(frame=HOSTILE_FRAMES[mutation](good.frame))
     with pytest.raises(MalformedFrame):
@@ -1025,7 +1079,7 @@ def test_center_rejects_hostile_frame_and_changes_nothing(mutation, session):
         center.ingest(bad)
     with pytest.raises(MalformedFrame):
         center.ledger(MID).ingest(bad)
-    assert center.ledger(MID).snapshot() == before
+    assert snapshot(center.ledger(MID)) == before
     assert center.ledger(MID).stale_replays == 0
 
 

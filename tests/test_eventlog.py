@@ -25,8 +25,8 @@ from risim.eventlog import (
     write_events,
 )
 
-from oracles import (accepted_count, from_json, is_written_line, links_in_order, read_csv,
-                     read_records, reference_ingests, write_records)
+from oracles import (accepted_count, accepted_sessions, from_json, is_written_line,
+                     links_in_order, read_csv, read_records, reference_ingests, write_records)
 
 
 def _frame(mid=1, session=0, resource=ResourceKind.GAS, mtype=MessageType.QUANTUM_EVENT,
@@ -134,7 +134,7 @@ def test_replay_rebuilds_from_frames(tmp_path):
     center = replay_center(read_events(write_records(tmp_path / "events.ndjson", records)))
     ledger = center.ledgers()[mid]
     assert accepted_count(ledger) == 3
-    assert [r.rx_time_ms for r in ledger.accepted_sessions()] == [1000, 2000, 3000]
+    assert [r.rx_time_ms for r in accepted_sessions(ledger)] == [1000, 2000, 3000]
 
 
 def test_log_file_is_plain_json_lines(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risim.concentrator import ConcentratorConfig
+from risim.concentrator import ConcentratorConfig, receive
 from risim.domain import (
     ConfigError,
     MS_PER_DAY,
@@ -49,8 +49,8 @@ from risim.simulation import (
 )
 from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
 
-from oracles import (ReferenceRun, accepted_count, consumed_between, from_json, record_sink,
-                     total_du, write_records)
+from oracles import (ReferenceRun, accepted_count, accepted_sessions, consumed_between,
+                     from_json, record_sink, snapshot, total_du, write_records)
 
 CID = concentrator_id(1)
 
@@ -318,7 +318,7 @@ def test_lossy_run_accounting_invariant():
         if ledger is None or ledger.is_empty:
             continue
         recon = ledger.reconstruct(1000, (0, sc.horizon_ms))
-        top = ledger.accepted_sessions()[-1]
+        top = accepted_sessions(ledger)[-1]
         assert recon.quanta_received + recon.quanta_recovered == top.cumulative_quanta
 
 
@@ -343,8 +343,8 @@ def test_different_channel_seeds_same_traces_when_pinned():
     meters = [(_water(1), TraceSpec("diurnal", {"daily_total_du": 30_000}, seed=42))]
     res_a = run_ri(_scenario(meters, horizon_ms=MS_PER_DAY, seed=1))
     res_b = run_ri(_scenario(meters, horizon_ms=MS_PER_DAY, seed=2))
-    snap_a = [lg.snapshot() for lg in res_a.center.ledgers().values()]
-    snap_b = [lg.snapshot() for lg in res_b.center.ledgers().values()]
+    snap_a = [snapshot(lg) for lg in res_a.center.ledgers().values()]
+    snap_b = [snapshot(lg) for lg in res_b.center.ledgers().values()]
     assert snap_a == snap_b
 
 
@@ -358,7 +358,7 @@ def test_multi_concentrator_duplicates_collapse():
     res = run_ri(sc)
     ledger = res.center.ledgers()[meter_id(1)]
     assert accepted_count(ledger) == 6
-    for rec in ledger.accepted_sessions():
+    for rec in accepted_sessions(ledger):
         assert rec.report_count == 3  # heard by all three, stored once
 
 
@@ -493,12 +493,20 @@ def test_reconstruction_steps_compare_no_fraction():
 
 
 def test_each_delivered_copy_has_its_header_read_once(tmp_path):
-    """The center reads a copy's header once, to route it and to fold it into
-    the ledger: a logged run reads one header per emission (for its record)
-    and one per ingest.  Replay reads one per emission, to check the line's
-    fields against it, and hands it with the frame to the center for every
-    copy of the line, the first copy of a meter registering it."""
+    """The center takes an emission's copies as the meter id and session the
+    meter yields with the frame, so it reads no header: a logged run reads
+    one header per emission, for its record, and an unlogged run reads none
+    and stamps no copy through ``receive``.
+    Replay reads one per emission, to check the line's fields against it,
+    and hands its meter id and session with the frame to the center for the
+    line's copies, the first line of a meter registering it."""
     sc = _lossy_on_three_concentrators()
+    profile = cProfile.Profile()
+    profile.enable()
+    unlogged = run_ri(sc)
+    profile.disable()
+    assert _calls(profile, frame_header=frame_header, receive=receive) == {
+        "frame_header": 0, "receive": 0}
     lines = []
     profile = cProfile.Profile()
     profile.enable()
@@ -508,7 +516,9 @@ def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     emissions = len(records)
     ingests = sum(len(link) == 3 for rec in records for link in rec.payload["links"])
     assert emissions > 0 and ingests > emissions
-    assert _calls(profile, frame_header=frame_header) == {"frame_header": emissions + ingests}
+    assert _calls(profile, frame_header=frame_header, receive=receive) == {
+        "frame_header": emissions, "receive": 0}
+    assert "".join(res.center.snapshots()) == "".join(unlogged.center.snapshots())
     path = write_records(tmp_path / "events.ndjson", records)
     profile = cProfile.Profile()
     profile.enable()
@@ -527,7 +537,7 @@ def test_clock_skew_shifts_reception_times():
     )
     res = run_ri(sc)
     ledger = res.center.ledgers()[meter_id(1)]
-    times = [rec.rx_time_ms for rec in ledger.accepted_sessions()]
+    times = [rec.rx_time_ms for rec in accepted_sessions(ledger)]
     assert times == [k * 360_000 + 400 for k in range(1, 11)]
 
 
