@@ -21,6 +21,9 @@ from .domain import (
 )
 
 
+#: the stages at which a copy is lost: its radio link, or its concentrator's uplink
+RADIO, UPLINK = DROP_STAGES = ("radio", "uplink")
+
 #: ``random.random()`` returns k / DRAW_SCALE for a whole k in [0, DRAW_SCALE)
 DRAW_SCALE = 2**53
 
@@ -77,9 +80,9 @@ def broadcast(links, rng: random.Random) -> list[tuple[int, str | None]]:
     fates = []
     for (cid, _, uplink), ok in zip(links, heard):
         if not ok:
-            fates.append((cid, "radio"))
+            fates.append((cid, RADIO))
         elif uplink > 0 and rng.random() * DRAW_SCALE < uplink:
-            fates.append((cid, "uplink"))
+            fates.append((cid, UPLINK))
         else:
             fates.append((cid, None))
     return fates

@@ -8,9 +8,11 @@ documented field by field in protocol.md at the repository root.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 MS_PER_MINUTE = 60_000
@@ -31,6 +33,8 @@ _SERIAL_BITS = 56
 FLAG_TAMPER = 0x01
 FLAG_SENSOR_FAULT = 0x02
 FLAG_CLOCKLESS_IDLE = 0x04
+#: the flags byte's bits that no flag names: a frame with any of them set is malformed
+_RESERVED_FLAGS = 0xFF & ~(FLAG_TAMPER | FLAG_SENSOR_FAULT | FLAG_CLOCKLESS_IDLE)
 
 
 class ResourceKind(str, Enum):
@@ -123,6 +127,15 @@ def whole_number(value, field: str) -> int:
     if type(value) is not int:
         raise ConfigError(f"{field}: expected an integer, got {value!r}")
     return value
+
+
+def nonnegative_number(value, field: str) -> Fraction:
+    """A nonnegative number input field as an exact Fraction: an int, float or
+    Fraction; a bool, a string or a float that is not finite is refused."""
+    number = isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+    if not (number and 0 <= value < math.inf):
+        raise ConfigError(f"{field}: expected a nonnegative number, got {value!r}")
+    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -242,35 +255,26 @@ class ConcentratorReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # frame codec
 
-def frame_size(kind: ResourceKind) -> int:
-    """Encoded frame length in bytes for the given kind."""
-    return 21 + 2 * len(QUALITY_FIELDS[kind])
-
-
 #: per kind tag, a frame's meter id, session, battery, flags and cumulative quanta
 _HEADER = {tag: struct.Struct(f"<3xQI{2 * len(QUALITY_FIELDS[kind])}xBBI")
            for kind, tag in _KIND_TAG.items()}
 
 
+def frame_size(kind: ResourceKind) -> int:
+    """Encoded frame length in bytes for the given kind."""
+    return _HEADER[_KIND_TAG[kind]].size
+
+
 def encode_frame(msg: MeterMessage) -> bytes:
-    """Serialize a message to its little-endian wire frame."""
-    head = struct.pack(
-        "<BBBQI",
-        FRAME_VERSION,
-        _KIND_TAG[msg.kind],
-        _TYPE_TAG[msg.message_type],
-        msg.meter_id,
-        msg.session,
-    )
-    qual = struct.pack(f"<{len(msg.quality.values)}h", *msg.quality.values)
+    """Serialize a message to its little-endian wire frame, by ``frame_builder``."""
     st = msg.state
     flags = (
         (FLAG_TAMPER if st.tamper_flag else 0)
         | (FLAG_SENSOR_FAULT if st.sensor_fault else 0)
         | (FLAG_CLOCKLESS_IDLE if st.clockless_idle else 0)
     )
-    tail = struct.pack("<BBI", st.battery, flags, st.cumulative_quanta % 2**32)
-    return head + qual + tail
+    build = frame_builder(msg.meter_id, msg.kind, msg.message_type, msg.quality.values)
+    return build(msg.session, st.battery, flags, st.cumulative_quanta % 2**32)
 
 
 def frame_header(data: bytes) -> tuple[ResourceKind, MessageType, int, int, int]:
@@ -301,7 +305,7 @@ def frame_header(data: bytes) -> tuple[ResourceKind, MessageType, int, int, int]
     mid, session, battery, flags, cumulative = layout.unpack(data)
     if battery > 200:
         raise MalformedFrame(f"battery byte out of range: {battery}")
-    if flags & 0xF8:   # bits 3-7 are reserved
+    if flags & _RESERVED_FLAGS:
         raise MalformedFrame(f"reserved flag bits set: {flags:#04x}")
     return kind, mtype, mid, session, cumulative
 
@@ -319,24 +323,25 @@ def frame_quanta(data: bytes) -> int:
 def decode_frame(data: bytes) -> MeterMessage:
     """Parse a wire frame into a message; raises MalformedFrame as ``frame_header`` does."""
     kind, mtype, mid, session, cumulative = frame_header(data)
-    nfields = len(QUALITY_FIELDS[kind])
-    quality = QualityVector(kind, struct.unpack_from(f"<{nfields}h", data, 15))
-    battery, flags = data[15 + 2 * nfields], data[16 + 2 * nfields]
+    # the quality block starts after the version, tags, meter id and session
+    *values, battery, flags = struct.unpack_from(f"<{len(QUALITY_FIELDS[kind])}hBB", data, 15)
+    quality = QualityVector(kind, tuple(values))
     state = MeterState(battery, bool(flags & FLAG_TAMPER), bool(flags & FLAG_SENSOR_FAULT),
                        bool(flags & FLAG_CLOCKLESS_IDLE), cumulative)
     return MeterMessage(mid, session, kind, mtype, quality, state)
 
 
-def frame_builder(meter_id: int, kind: ResourceKind, mtype: MessageType):
+def frame_builder(meter_id: int, kind: ResourceKind, mtype: MessageType,
+                  quality: tuple[int, ...]):
     """``build(session, battery, flags, cumulative)`` for one meter's frames
-    of one type: what ``encode_frame`` gives for the kind's nominal quality,
-    as a fixed prefix plus one ``struct.pack``."""
+    of one type and quality values, as a fixed prefix plus one ``struct.pack``:
+    the one packer of frames, which ``encode_frame`` calls too."""
     prefix = struct.pack("<BBBQ", FRAME_VERSION, _KIND_TAG[kind], _TYPE_TAG[mtype], meter_id)
-    quality = struct.pack(f"<{len(QUALITY_FIELDS[kind])}h", *NOMINAL_QUALITY_DU[kind])
-    pack = struct.Struct(f"<I{len(quality)}sBBI").pack
+    block = struct.pack(f"<{len(QUALITY_FIELDS[kind])}h", *quality)
+    pack = struct.Struct(f"<I{len(block)}sBBI").pack
 
     def build(session: int, battery: int, flags: int, cumulative: int) -> bytes:
-        return prefix + pack(session, quality, battery, flags, cumulative)
+        return prefix + pack(session, block, battery, flags, cumulative)
     return build
 
 
@@ -359,18 +364,18 @@ class Registry:
     def add_meter(self, ident: int, kind: ResourceKind,
                   quantum_du: int | None = None) -> None:
         if id_namespace(ident) != METER_NAMESPACE:
-            raise ValueError(f"not a meter id: {ident:#x}")
+            raise ConfigError(f"not a meter id: {ident:#x}")
         if ident in self._meters:
             raise DuplicateIdError(f"duplicate meter id: {ident:#x}")
         if quantum_du is None:
             quantum_du = DEFAULT_QUANTUM_DU[kind]
         if quantum_du <= 0:
-            raise ValueError("quantum must be positive")
+            raise ConfigError("quantum must be positive")
         self._meters[ident] = MeterInfo(kind, quantum_du)
 
     def add_concentrator(self, ident: int) -> None:
         if id_namespace(ident) != CONCENTRATOR_NAMESPACE:
-            raise ValueError(f"not a concentrator id: {ident:#x}")
+            raise ConfigError(f"not a concentrator id: {ident:#x}")
         if ident in self._concentrators:
             raise DuplicateIdError(f"duplicate concentrator id: {ident:#x}")
         self._concentrators.add(ident)

@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .center import IngestOutcome, MonitoringCenter, SessionLedger
+from .concentrator import DROP_STAGES
 from .domain import (
     BASE_UNIT,
     MalformedFrame,
@@ -38,40 +38,13 @@ class EventKind(str, Enum):
     TI_READING = "ti_reading"
 
 
-@dataclass(frozen=True)
-class EventLogRecord:
-    """One simulator event; ``payload`` holds the kind-specific fields."""
-
-    seq: int
-    sim_time_ms: int
-    kind: EventKind
-    payload: dict
-
-    def __post_init__(self) -> None:
-        if self.seq < 0 or self.sim_time_ms < 0:
-            raise ValueError("sequence number and time must be nonnegative")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind.value,
-                "payload": self.payload,
-                "seq": self.seq,
-                "sim_time_ms": self.sim_time_ms,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-
 #: the payload values that are strings from a closed set, each as its JSON
 #: text; a template looks its strings up here, so a string outside the set
 #: raises KeyError instead of writing a line that the reader would refuse.
 #: Members are their own words, so a member and its value find the same entry.
 _JSON_TEXT = {
     text: json.dumps(text)
-    for text in (*EventKind, *ResourceKind, *IngestOutcome, *BASE_UNIT.values(),
-                 "radio", "uplink")   # the last two are the drop stages
+    for text in (*EventKind, *ResourceKind, *IngestOutcome, *BASE_UNIT.values(), *DROP_STAGES)
 }
 
 
@@ -80,9 +53,10 @@ class EventLog:
     runs that share a log share its numbering, so ``ti`` goes on where ``ri``
     stopped.
 
-    There is one method per record kind.  Each writes the line that
-    ``EventLogRecord.to_json`` gives for the same record, ending in a newline,
-    from one template, with no record object in between.
+    There is one method per record kind.  Each writes its line, ending in a
+    newline, from one template, with no record object in between: the only
+    writer of event lines.  ``EventLogRecord.to_json`` in ``tests/oracles.py``
+    is the reference that the tests hold each line to.
     """
 
     def __init__(self, sink) -> None:
@@ -116,7 +90,7 @@ class EventLog:
 
 
 def write_events(fh, records) -> None:
-    """Append ``records`` to an open text file, one canonical line each."""
+    """Append ``records`` to an open text file, one ``to_json()`` line each."""
     fh.writelines(rec.to_json() + "\n" for rec in records)
 
 
@@ -140,8 +114,7 @@ def _line(kind: EventKind, payload: bytes) -> re.Pattern:
 
 #: one entry of an emission's ``links``: a concentrator id, then a drop stage,
 #: or an ingest's outcome and reception time
-_LINK = rb"\[%s,(?:%s|%s,%s)\]" % (_WHOLE, _words(("radio", "uplink")),
-                                   _words(IngestOutcome), _SIGNED)
+_LINK = rb"\[%s,(?:%s|%s,%s)\]" % (_WHOLE, _words(DROP_STAGES), _words(IngestOutcome), _SIGNED)
 #: an emission's payload; its groups are ``cumulative_quanta``, ``frame_hex``,
 #: the text inside ``links``, ``meter_id``, ``resource`` and ``session``
 _EMISSION = (rb'"cumulative_quanta":(%s),"frame_hex":%s,"links":\[((?:%s(?:,%s)*)?)\],'

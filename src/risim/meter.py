@@ -6,7 +6,6 @@ guarantees it cannot be addressed or reconfigured over the air.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -16,10 +15,12 @@ from .domain import (
     ConfigError,
     MS_PER_DAY,
     MS_PER_HOUR,
+    NOMINAL_QUALITY_DU,
     MessageType,
     ResourceKind,
     SESSION_MOD,
     frame_builder,
+    nonnegative_number,
     whole_number,
 )
 from .traces import ConsumptionTrace
@@ -48,11 +49,7 @@ class MeterConfig:
             value = getattr(self, name)
             if value is None and name == "max_flow_du_per_hour":   # none declared
                 continue
-            # the rule of ``concentrator.probability``: a bool is not a number
-            number = isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
-            if not (number and 0 <= value < math.inf):
-                raise ConfigError(f"{where}: {name}: expected a nonnegative number, got {value!r}")
-            object.__setattr__(self, name, Fraction(value))
+            object.__setattr__(self, name, nonnegative_number(value, f"{where}: {name}"))
         if whole_number(self.quantum_du, f"{where}: quantum_du") <= 0:
             raise ConfigError(f"{where}: quantum must be positive")
         if whole_number(self.heartbeat_interval_ms, f"{where}: heartbeat_interval_ms") <= 0:
@@ -93,8 +90,9 @@ class MeterRun:
         q, interval = cfg.quantum_du, cfg.heartbeat_interval_ms
         dn, dd = cfg.drift_rate.numerator, cfg.drift_rate.denominator
         meter = cfg.id
-        quantum_frame = frame_builder(meter, cfg.kind, MessageType.QUANTUM_EVENT)
-        heartbeat_frame = frame_builder(meter, cfg.kind, MessageType.HEARTBEAT)
+        quality = NOMINAL_QUALITY_DU[cfg.kind]
+        quantum_frame = frame_builder(meter, cfg.kind, MessageType.QUANTUM_EVENT, quality)
+        heartbeat_frame = frame_builder(meter, cfg.kind, MessageType.HEARTBEAT, quality)
         # In wire units the battery at instant A/Q after s sends is
         # 200 − r·s − g·A/Q.  Over unit·Q, with unit = rd·gd, its numerator is
         # Q·left − per_ms·A, where left = (200 − r·s)·unit and per_ms = g·unit:

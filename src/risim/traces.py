@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .domain import MS_PER_DAY, MS_PER_HOUR, ConfigError, whole_number
+from .domain import MS_PER_DAY, MS_PER_HOUR, ConfigError, nonnegative_number, whole_number
 
 _MASK64 = 2**64 - 1
 
@@ -153,12 +153,12 @@ def generate_trace(spec: TraceSpec, seed: int, horizon_ms: int,
 
 
 def _constant_params(params: dict) -> Fraction:
-    return Fraction(params["rate_du_per_hour"])
+    return nonnegative_number(params["rate_du_per_hour"], "rate_du_per_hour")
 
 
 def _diurnal_params(params: dict) -> tuple[Fraction, int, tuple]:
     """Daily total, jitter and hourly shape; raises on an invalid recipe."""
-    daily = Fraction(params["daily_total_du"])
+    daily = nonnegative_number(params["daily_total_du"], "daily_total_du")
     jitter = whole_number(params.get("jitter_pct", 20), "jitter_pct")
     shape = params.get("shape", DIURNAL_SHAPE)
     if not isinstance(shape, (list, tuple)) or len(shape) != 24:
@@ -180,12 +180,12 @@ def _pair(value, field: str) -> tuple[int, int]:
 
 def _appliance_params(params: dict) -> tuple[Fraction, tuple, Fraction, tuple]:
     """Base rate, bursts per day, burst rate and burst duration range."""
-    base = Fraction(params.get("base_rate_du_per_hour", 0))
+    base = nonnegative_number(params.get("base_rate_du_per_hour", 0), "base_rate_du_per_hour")
     n_lo, n_hi = _pair(params.get("bursts_per_day", (2, 6)), "bursts_per_day")
-    burst_rate = Fraction(params["burst_rate_du_per_hour"])
+    burst_rate = nonnegative_number(params["burst_rate_du_per_hour"], "burst_rate_du_per_hour")
     d_lo, d_hi = _pair(params.get("burst_duration_ms", (5 * 60_000, 30 * 60_000)),
                        "burst_duration_ms")
-    if burst_rate < 0 or base < 0 or d_lo <= 0 or d_hi < d_lo or not 0 <= n_lo <= n_hi:
+    if d_lo <= 0 or d_hi < d_lo or not 0 <= n_lo <= n_hi:
         raise ValueError("bad appliance parameters")
     if n_hi > MAX_BURSTS_PER_DAY:
         raise ValueError(f"bursts_per_day must be at most {MAX_BURSTS_PER_DAY}, got {n_hi}")

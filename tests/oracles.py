@@ -1,9 +1,11 @@
 """Reference helpers that only tests call, kept out of the package so the
 oracles share no code with what they check beyond the trace's own
-``cumulative_du`` and generator, the frame codec, the seed mixer, the
-result types and the log record's JSON form.  ``snapshot`` and
-``accepted_sessions`` are no oracles: they read a ledger's own
-``ledgers.ndjson`` line back, for assertions on its fields."""
+``cumulative_du`` and generator, the frame decoder, the seed mixer and the
+result types.  The package has one packer of frames (``frame_builder``) and
+one writer of event lines (``EventLog``); ``reference_frame`` and
+``EventLogRecord.to_json`` are the independent renderings they are checked
+against.  ``snapshot`` and ``accepted_sessions`` are no oracles: they read a
+ledger's own ``ledgers.ndjson`` line back, for assertions on its fields."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import csv
 import json
 import math
 import random
+import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +22,10 @@ from typing import Iterator, NamedTuple
 from risim.center import IngestOutcome, ReconstructionResult, SessionLedger
 from risim.domain import (
     BASE_UNIT,
+    FLAG_CLOCKLESS_IDLE,
+    FLAG_SENSOR_FAULT,
+    FLAG_TAMPER,
+    FRAME_VERSION,
     MS_PER_HOUR,
     NOMINAL_QUALITY_DU,
     SESSION_MOD,
@@ -29,10 +36,9 @@ from risim.domain import (
     QualityVector,
     ResourceKind,
     decode_frame,
-    encode_frame,
     whole_number,
 )
-from risim.eventlog import EventKind, EventLogRecord, MalformedLog, write_events
+from risim.eventlog import EventKind, MalformedLog, write_events
 from risim.meter import MeterConfig, MeterRun
 from risim.simulation import ScenarioConfig
 from risim.traces import CHANNEL_STREAM, ConsumptionTrace, generate_trace, mix_seed
@@ -94,6 +100,55 @@ def scaled(trace: ConsumptionTrace, factor) -> ConsumptionTrace:
         tuple((t, r * f) for t, r in trace.breakpoints),
         trace.horizon_ms,
     )
+
+
+#: the wire tags of protocol.md's frame layout
+_KIND_TAGS = {ResourceKind.COLD_WATER: 1, ResourceKind.HOT_WATER: 2, ResourceKind.ELECTRICITY: 3,
+              ResourceKind.HEAT: 4, ResourceKind.GAS: 5, ResourceKind.GENERIC_SENSOR: 6}
+_TYPE_TAGS = {MessageType.QUANTUM_EVENT: 1, MessageType.HEARTBEAT: 2}
+
+
+def reference_frame(msg: MeterMessage) -> bytes:
+    """A message's wire frame, packed field by field from protocol.md's layout:
+    the header, the quality block and the trailer, one ``struct.pack`` each."""
+    head = struct.pack("<BBBQI", FRAME_VERSION, _KIND_TAGS[msg.kind],
+                       _TYPE_TAGS[msg.message_type], msg.meter_id, msg.session)
+    qual = struct.pack(f"<{len(msg.quality.values)}h", *msg.quality.values)
+    st = msg.state
+    flags = ((FLAG_TAMPER if st.tamper_flag else 0)
+             | (FLAG_SENSOR_FAULT if st.sensor_fault else 0)
+             | (FLAG_CLOCKLESS_IDLE if st.clockless_idle else 0))
+    tail = struct.pack("<BBI", st.battery, flags, st.cumulative_quanta % 2**32)
+    return head + qual + tail
+
+
+@dataclass(frozen=True)
+class EventLogRecord:
+    """One simulator event; ``payload`` holds the kind-specific fields.
+    ``to_json`` is the reference rendering of an event line: the package
+    writes its lines from ``EventLog``'s templates, and each must be the
+    line that ``to_json`` gives for the record it parses to."""
+
+    seq: int
+    sim_time_ms: int
+    kind: EventKind
+    payload: dict
+
+    def __post_init__(self) -> None:
+        if self.seq < 0 or self.sim_time_ms < 0:
+            raise ValueError("sequence number and time must be nonnegative")
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "kind": self.kind.value,
+                "payload": self.payload,
+                "seq": self.seq,
+                "sim_time_ms": self.sim_time_ms,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
 
 
 def from_json(line: str) -> EventLogRecord:
@@ -530,8 +585,8 @@ class ReferenceRun:
     """``run_ri`` and ``run_ti`` written from protocol.md's rules, to check them
     against.
 
-    Each meter's frames come from ``_StepRun``, encoded with
-    ``encode_frame``.  All emissions are taken in (time, meter, session)
+    Each meter's frames come from ``_StepRun``, packed by
+    ``reference_frame``.  All emissions are taken in (time, meter, session)
     order, and one ``random.Random(mix_seed(seed, CHANNEL_STREAM))`` decides
     every copy: all radio draws of an emission in concentrator-id order,
     then one uplink draw for each heard copy whose concentrator's uplink
@@ -587,7 +642,7 @@ class ReferenceRun:
 
         rng = random.Random(mix_seed(sc.seed, CHANNEL_STREAM))
         for t, mid, index, msg in emissions:
-            frame = encode_frame(msg)
+            frame = reference_frame(msg)
             radio = [Fraction(rng.random()) < loss for _, loss in links[mid]]
             lost = ["radio" if dropped else None for dropped in radio]
             for i, (cid, _) in enumerate(links[mid]):

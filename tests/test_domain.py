@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from risim.domain import (
     BASE_UNIT,
     DEFAULT_QUANTUM_DU,
+    ConfigError,
     DuplicateIdError,
     MalformedFrame,
     MessageType,
@@ -24,12 +25,16 @@ from risim.domain import (
     encode_frame,
     frame_builder,
     frame_header,
+    frame_quanta,
     frame_size,
+    frame_type,
     id_namespace,
     id_serial,
     meter_id,
     session_delta,
 )
+
+from oracles import reference_frame
 
 
 def _message(kind=ResourceKind.COLD_WATER, session=0, serial=1,
@@ -204,21 +209,25 @@ def _frames(draw):
             cumulative_quanta=draw(st.integers(0, 2**32 - 1)),
         ),
     )
-    return encode_frame(msg), msg, flags
+    return reference_frame(msg), msg, flags
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_frames())
 def test_header_read_and_builder_match_the_codec(case):
+    """The package's one packer, through ``frame_builder`` and through
+    ``encode_frame``, gives the reference frame for every drawn quality, flag
+    byte and kind, and every reader of a frame agrees with its layout."""
     frame, msg, flags = case
-    assert frame_header(frame) == (msg.kind, msg.message_type, msg.meter_id,
-                                   msg.session, msg.state.cumulative_quanta)
+    assert encode_frame(msg) == frame
+    build = frame_builder(msg.meter_id, msg.kind, msg.message_type, msg.quality.values)
+    assert build(msg.session, msg.state.battery, flags, msg.state.cumulative_quanta) == frame
+    header = frame_header(frame)
+    assert header == (msg.kind, msg.message_type, msg.meter_id,
+                      msg.session, msg.state.cumulative_quanta)
+    assert (frame_type(frame), frame_quanta(frame)) == (header[1], header[4])
+    assert frame_size(header[0]) == len(frame)
     assert decode_frame(frame) == msg
-    assert encode_frame(decode_frame(frame)) == frame
-    if msg.quality.values == NOMINAL_QUALITY_DU[msg.kind]:
-        build = frame_builder(msg.meter_id, msg.kind, msg.message_type)
-        assert build(msg.session, msg.state.battery, flags,
-                     msg.state.cumulative_quanta) == frame
 
 
 #: offsets of the version, kind, type, battery and flags bytes
@@ -275,11 +284,15 @@ def test_registry_rejects_duplicates_and_wrong_namespace():
     reg.add_meter(meter_id(1), ResourceKind.COLD_WATER)
     with pytest.raises(DuplicateIdError):
         reg.add_meter(meter_id(1), ResourceKind.HOT_WATER)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="not a meter id"):
         reg.add_meter(concentrator_id(2), ResourceKind.GAS)
+    with pytest.raises(ConfigError, match="quantum must be positive"):
+        reg.add_meter(meter_id(2), ResourceKind.GAS, 0)
     reg.add_concentrator(concentrator_id(1))
     with pytest.raises(DuplicateIdError):
         reg.add_concentrator(concentrator_id(1))
+    with pytest.raises(ConfigError, match="not a concentrator id"):
+        reg.add_concentrator(meter_id(3))
     assert reg.meter(meter_id(1)).quantum_du == 1000
 
 

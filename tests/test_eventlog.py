@@ -17,7 +17,6 @@ from risim.eventlog import (
     _LINE,
     EventKind,
     EventLog,
-    EventLogRecord,
     MalformedLog,
     read_events,
     replay_center,
@@ -25,8 +24,9 @@ from risim.eventlog import (
     write_events,
 )
 
-from oracles import (accepted_count, accepted_sessions, from_json, is_written_line,
-                     links_in_order, read_csv, read_records, reference_ingests, write_records)
+from oracles import (EventLogRecord, accepted_count, accepted_sessions, from_json,
+                     is_written_line, links_in_order, read_csv, read_records, reference_ingests,
+                     write_records)
 
 
 def _frame(mid=1, session=0, resource=ResourceKind.GAS, mtype=MessageType.QUANTUM_EVENT,

@@ -26,14 +26,13 @@ from risim.domain import (
     MeterMessage,
     ResourceKind,
     decode_frame,
-    encode_frame,
     meter_id,
 )
 from risim.meter import MeterConfig, MeterRun
 from risim.traces import ConsumptionTrace
 
 from oracles import (_StepRun, battery_lifetime, effective_quantum_du, heartbeat_check,
-                     ingest_flow, scaled, total_du)
+                     ingest_flow, reference_frame, scaled, total_du)
 
 MID = meter_id(7)
 
@@ -472,6 +471,6 @@ def test_schedule_matches_step_references(schedule):
     assert [(mid, session) for _, mid, session, _ in events] == [
         (m.meter_id, m.session) for m in (decode_frame(frame) for _, frame in got)]
     for ref in (_StepRun(cfg, trace), _ThreeBranchRun(cfg, trace)):
-        assert [(t, encode_frame(m)) for t, m in ref.events()] == got
+        assert [(t, reference_frame(m)) for t, m in ref.events()] == got
         assert ref.depleted_at_ms == run.depleted_at_ms
         assert ref.battery_remaining == run.battery_remaining

@@ -29,7 +29,7 @@ from risim.domain import (
     frame_header,
     meter_id,
 )
-from risim.eventlog import EventKind, EventLog, EventLogRecord, read_events, replay_center
+from risim.eventlog import EventKind, EventLog, read_events, replay_center
 from risim.meter import MeterConfig, MeterRun
 from risim.simulation import (
     Building,
@@ -49,8 +49,8 @@ from risim.simulation import (
 )
 from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
 
-from oracles import (ReferenceRun, accepted_count, accepted_sessions, consumed_between,
-                     from_json, record_sink, snapshot, total_du, write_records)
+from oracles import (EventLogRecord, ReferenceRun, accepted_count, accepted_sessions,
+                     consumed_between, from_json, record_sink, snapshot, total_du, write_records)
 
 CID = concentrator_id(1)
 
@@ -573,6 +573,40 @@ def test_validation_rejects_bad_scenarios():
                 concentrators=(ConcentratorConfig(CID),),
             ),),
         )
+
+
+@pytest.mark.parametrize("kind, params, field", [
+    ("constant", {"rate_du_per_hour": True}, "rate_du_per_hour"),
+    ("constant", {"rate_du_per_hour": "5"}, "rate_du_per_hour"),
+    ("constant", {"rate_du_per_hour": -5}, "rate_du_per_hour"),
+    ("constant", {"rate_du_per_hour": float("inf")}, "rate_du_per_hour"),
+    ("constant", {"rate_du_per_hour": float("nan")}, "rate_du_per_hour"),
+    ("diurnal", {"daily_total_du": True}, "daily_total_du"),
+    ("diurnal", {"daily_total_du": Fraction(-1, 3)}, "daily_total_du"),
+    ("appliance", {"burst_rate_du_per_hour": 3000, "base_rate_du_per_hour": False},
+     "base_rate_du_per_hour"),
+    ("appliance", {"burst_rate_du_per_hour": 3000, "base_rate_du_per_hour": -0.5},
+     "base_rate_du_per_hour"),
+    ("appliance", {"burst_rate_du_per_hour": -1}, "burst_rate_du_per_hour"),
+    ("appliance", {"burst_rate_du_per_hour": float("inf")}, "burst_rate_du_per_hour"),
+])
+def test_a_bad_trace_rate_is_a_config_error_naming_it(kind, params, field):
+    """A trace's rates and daily total follow a meter's number rule: a bool, a
+    string, a negative or a float that is not finite is refused when the
+    TraceSpec is built, by a ConfigError naming the parameter."""
+    with pytest.raises(ConfigError) as err:
+        TraceSpec(kind, params)
+    assert str(err.value) == (f"{kind} trace: {field}: expected a nonnegative number, "
+                              f"got {params[field]!r}")
+
+
+@pytest.mark.parametrize("ident", [concentrator_id(5), -1, 2**64, True])
+def test_a_foreign_meter_id_is_a_config_error(ident):
+    """A scenario's meter id outside the meter namespace is refused as a
+    ConfigError, as every other scenario-level refusal is."""
+    meter = MeterConfig(id=ident, kind=ResourceKind.COLD_WATER)
+    with pytest.raises(ConfigError, match="not a meter id"):
+        _scenario([(meter, TraceSpec("zero"))], horizon_ms=MS_PER_HOUR)
 
 
 # ---------------------------------------------------------------------------
