@@ -51,7 +51,7 @@ class ConcentratorConfig:
     uplink_loss: Fraction = Fraction(0)   # 0 means a reliable wired uplink
 
     def __post_init__(self) -> None:
-        if id_namespace(self.id) != CONCENTRATOR_NAMESPACE:
+        if id_namespace(whole_number(self.id, "concentrator id")) != CONCENTRATOR_NAMESPACE:
             raise ConfigError(f"not a concentrator id: {self.id:#x}")
         skew = whole_number(self.clock_skew_ms, f"concentrator {self.id:#x}: clock_skew_ms")
         bound = whole_number(self.max_skew_ms, f"concentrator {self.id:#x}: max_skew_ms")

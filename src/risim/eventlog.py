@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from binascii import unhexlify
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -95,10 +96,12 @@ def write_events(fh, records) -> None:
 
 
 #: the integers of a line as the templates write them: no sign or leading zero,
-#: of any length, and a minus sign for the fields that may be negative
+#: of any length, and a minus sign for the fields that may be negative; and
+#: ``frame_hex`` as one run of lowercase hex digits, whose count ``read_events``
+#: checks is even
 _WHOLE = rb"(?:0|[1-9][0-9]*)"
 _SIGNED = rb"(?:0|-?[1-9][0-9]*)"
-_HEX = rb'"((?:[0-9a-f]{2})*)"'
+_HEX = rb'"([0-9a-f]*)"'
 
 
 def _words(words) -> bytes:
@@ -147,13 +150,19 @@ def read_events(path: Path) -> Iterator[tuple[int, bytes, tuple, list]]:
     ``links``, where ``header`` is the frame's as ``frame_header`` reads it
     and ``copies`` is (concentrator_id, rx_time_ms, logged outcome) per
     ingest entry, in concentrator-id order.  ``seq`` must run 0, 1, 2, ...
-    Each line must match its kind's template (``_LINE``).  A line that does
-    not match, holds an integer too long to read, or whose ``links`` are out
-    of concentrator-id order raises MalformedLog naming it and its due
-    ``seq``.  Each emission's frame is decoded and its header
-    read once; a frame that breaks the decoder rules raises MalformedLog
-    naming the ``seq``, and a frame-derived field that is not the header's
-    raises MalformedLog naming the line, its ``seq`` and the field.
+
+    Each line must match its kind's template (``_LINE``), with an even number
+    of ``frame_hex`` digits.  A line that does not raises MalformedLog naming
+    it and its due ``seq``, and so does a line that holds an integer too long
+    to read or whose ``links`` are out of concentrator-id order.  A line with
+    more than one fault gets the first of these messages that applies: not a
+    line EventLog writes; an integer too long to read, in its ``seq``, in a
+    concentrator id, or in a reception time if the ids rise; a ``seq`` that is
+    not the due one; links not in concentrator-id order.  Each emission's
+    frame is decoded and its header read once; a frame that breaks the
+    decoder rules raises MalformedLog naming the ``seq``, and a frame-derived
+    field that is not the header's raises MalformedLog naming the line, its
+    ``seq`` and the field.
     """
     seq = 0
     with open(path, "rb") as fh:
@@ -161,11 +170,12 @@ def read_events(path: Path) -> Iterator[tuple[int, bytes, tuple, list]]:
             word = line[9:line.find(b'"', 9)]   # the word after {"kind":"
             pattern = _LINE.get(word)
             match = pattern.fullmatch(line) if pattern else None
-            if match is None:
+            emission = pattern is not _TI_READING
+            if match is None or emission and len(match[2]) & 1:   # frame_hex of whole bytes
                 raise MalformedLog(f"{path} line {lineno}: seq {seq}: not a line EventLog writes")
             try:
                 got = int(match[match.lastindex])
-                copies = _copies(match[3]) if pattern is not _TI_READING and match[3] else ()
+                copies = _copies(match[3]) if emission and match[3] else ()
             except ValueError:   # more digits than int() reads: sys.get_int_max_str_digits()
                 raise MalformedLog(f"{path} line {lineno}: seq {seq}: an integer too long to read"
                                    ) from None
@@ -175,9 +185,9 @@ def read_events(path: Path) -> Iterator[tuple[int, bytes, tuple, list]]:
                 raise MalformedLog(f"{path} line {lineno}: seq {seq}: links not in "
                                    "concentrator-id order")
             seq += 1
-            if pattern is _TI_READING:
+            if not emission:
                 continue
-            frame = bytes.fromhex(match[2].decode())
+            frame = unhexlify(match[2])
             try:
                 header = resource, mtype, mid, session, cumulative = frame_header(frame)
             except MalformedFrame as exc:
@@ -195,13 +205,26 @@ def read_events(path: Path) -> Iterator[tuple[int, bytes, tuple, list]]:
 
 def _copies(links: bytes) -> list[tuple[int, int, str]] | None:
     """(concentrator_id, rx_time_ms, outcome) per ingest entry of the checked
-    text inside ``links``, or None if its concentrator ids do not strictly rise."""
-    entries = [entry.split(b",") for entry in links[1:-1].split(b"],[")]
-    cids = [int(entry[0]) for entry in entries]
-    if any(a >= b for a, b in zip(cids, cids[1:])):
-        return None
-    return [(cid, int(entry[2]), _OUTCOME[entry[1]])
-            for cid, entry in zip(cids, entries) if len(entry) == 3]
+    text inside ``links``, or None if its concentrator ids do not strictly rise.
+    An id too long to read raises ValueError wherever it is; a reception time
+    too long to read raises it only if the ids rise."""
+    copies, last, unread = [], -1, None
+    for entry in links[1:-1].split(b"],["):
+        cid, _, fate = entry.partition(b",")
+        cid = int(cid)
+        if cid <= last:
+            copies = None
+        last = cid
+        if copies is not None:
+            outcome, _, rx = fate.partition(b",")
+            if rx:
+                try:
+                    copies.append((cid, int(rx), _OUTCOME[outcome]))
+                except ValueError as exc:   # an order fault later in links comes first
+                    unread = exc
+    if unread is not None and copies is not None:
+        raise unread
+    return copies
 
 
 def write_ledger_snapshots(path: Path, text: Iterable[str]) -> None:

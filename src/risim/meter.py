@@ -41,7 +41,7 @@ class MeterConfig:
     max_flow_du_per_hour: Fraction | None = None
 
     def __post_init__(self) -> None:
-        where = f"meter {self.id:#x}"
+        where = f"meter {whole_number(self.id, 'meter id'):#x}"
         if self.quantum_du is None:
             object.__setattr__(self, "quantum_du", DEFAULT_QUANTUM_DU[self.kind])
         for name in ("battery_capacity", "tx_cost", "idle_drain_per_hour", "drift_rate",

@@ -63,13 +63,20 @@ class TraceSpec:
 
     def __post_init__(self) -> None:
         """Check the recipe here, so a bad one fails before any run starts."""
-        read = TRACE_KINDS.get(self.kind) if isinstance(self.kind, str) else None
-        if read is None:
+        recipe = TRACE_KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if recipe is None:
             known = ", ".join(TRACE_KINDS)
             raise ConfigError(f"unknown trace kind {self.kind!r} (expected {known})")
         if self.seed is not None:
             whole_number(self.seed, "trace seed")
+        read, names = recipe
         try:
+            if not isinstance(self.params, dict):
+                raise TypeError(f"params must be a dict, got {self.params!r}")
+            for name in self.params:
+                if name not in names:
+                    raise ValueError(f"unknown parameter {name!r} "
+                                     f"(expected {', '.join(names) or 'none'})")
             read(self.params)
         except KeyError as exc:
             raise ConfigError(f"{self.kind} trace needs parameter {exc}") from None
@@ -192,12 +199,13 @@ def _appliance_params(params: dict) -> tuple[Fraction, tuple, Fraction, tuple]:
     return base, (n_lo, n_hi), burst_rate, (d_lo, d_hi)
 
 
-#: each trace kind and the reader that checks its parameters
+#: each trace kind: the reader that checks its parameters, and their names
 TRACE_KINDS = {
-    "zero": lambda params: None,
-    "constant": _constant_params,
-    "diurnal": _diurnal_params,
-    "appliance": _appliance_params,
+    "zero": (lambda params: None, ()),
+    "constant": (_constant_params, ("rate_du_per_hour",)),
+    "diurnal": (_diurnal_params, ("daily_total_du", "jitter_pct", "shape")),
+    "appliance": (_appliance_params, ("base_rate_du_per_hour", "bursts_per_day",
+                                      "burst_rate_du_per_hour", "burst_duration_ms")),
 }
 
 

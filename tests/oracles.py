@@ -1,7 +1,8 @@
 """Reference helpers that only tests call, kept out of the package so the
 oracles share no code with what they check beyond the trace's own
-``cumulative_du`` and generator, the frame decoder, the seed mixer and the
-result types.  The package has one packer of frames (``frame_builder``) and
+``cumulative_du`` and generator, the frame decoder, the seed mixer, the
+result types and ``rmse_text``, whose rounding a property of its own
+checks.  The package has one packer of frames (``frame_builder``) and
 one writer of event lines (``EventLog``); ``reference_frame`` and
 ``EventLogRecord.to_json`` are the independent renderings they are checked
 against.  ``snapshot`` and ``accepted_sessions`` are no oracles: they read a
@@ -40,7 +41,7 @@ from risim.domain import (
 )
 from risim.eventlog import EventKind, MalformedLog, write_events
 from risim.meter import MeterConfig, MeterRun
-from risim.simulation import ScenarioConfig
+from risim.simulation import ScenarioConfig, rmse_text
 from risim.traces import CHANNEL_STREAM, ConsumptionTrace, generate_trace, mix_seed
 
 
@@ -382,6 +383,33 @@ class ReferenceCenter:
         return "".join(json.dumps(snap, sort_keys=True, separators=(",", ":")) + "\n"
                        for snap in self.snapshots())
 
+    def lost_quanta(self, meter: int) -> list[tuple[int, int, int]]:
+        """(t_lo, t_hi, quanta) of every lost run: the reception times of the
+        sessions bounding it, time zero below the run from 0, and the quantum
+        events it lost, the difference of their lifetime counters modulo
+        2**32 less the upper bound's own quantum."""
+        out = []
+        for _, _, before, after in self.lost_runs(meter):
+            t_lo, base = ((0, 0) if before is None else
+                          (self._received(before)[0], before["message"].state.cumulative_quanta))
+            lost = (after["message"].state.cumulative_quanta - base) % 2**32
+            lost -= after["message"].message_type is MessageType.QUANTUM_EVENT
+            out.append((t_lo, self._received(after)[0], lost))
+        return out
+
+    def steps(self, meter: int) -> list[tuple[int | Fraction, int]]:
+        """(time, deciunits) jumps of a meter's reconstructed curve: a quantum
+        at the reception of each kept quantum event, and one at each quantum
+        a run lost, the quanta cutting [t_lo, t_hi] into equal parts, or all
+        at t_lo when a skewed clock stamped t_hi <= t_lo."""
+        quantum = self.quantum_du[meter]
+        jumps = [(self._received(s)[0], quantum) for s in self.sessions.get(meter, {}).values()
+                 if s["message"].message_type is MessageType.QUANTUM_EVENT]
+        for t_lo, t_hi, lost in self.lost_quanta(meter):
+            jumps.extend((t_lo + Fraction(max(t_hi - t_lo, 0) * i, lost + 1), quantum)
+                         for i in range(1, lost + 1))
+        return jumps
+
     def reconstruct(self, meter: int, window: tuple[int, int]) -> ReconstructionResult:
         """Received quanta inside the window, plus each lost run's quanta
         (the difference of its bounding lifetime counters, modulo 2**32,
@@ -394,12 +422,7 @@ class ReferenceCenter:
                        if s["message"].message_type is MessageType.QUANTUM_EVENT
                        and t0 <= self._received(s)[0] <= t1)
         recovered = trailing = 0
-        for _, _, before, after in self.lost_runs(meter):
-            t_lo, base = ((0, 0) if before is None else
-                          (self._received(before)[0], before["message"].state.cumulative_quanta))
-            t_hi = self._received(after)[0]
-            lost = (after["message"].state.cumulative_quanta - base) % 2**32
-            lost -= after["message"].message_type is MessageType.QUANTUM_EVENT
+        for t_lo, t_hi, lost in self.lost_quanta(meter):
             if lost > 0 and t0 <= t_lo:
                 if t_hi <= t1:
                     recovered += lost
@@ -581,6 +604,28 @@ class _StepRun:
 # reference run: run_ri's records and ledgers from protocol.md
 
 
+def grid_mean_square(trace: ConsumptionTrace | None, steps, grid_ms: int,
+                     horizon_ms: int) -> Fraction:
+    """The mean squared error of a (time, increment) step curve against the
+    trace on the metric grid, by walking every grid point and evaluating the
+    trace there."""
+    if horizon_ms == 0 or trace is None:
+        return Fraction(0)
+    ordered = sorted(steps, key=lambda s: s[0])
+    acc = Fraction(0)
+    n = 0
+    level = 0
+    idx = 0
+    for t in range(0, horizon_ms + 1, grid_ms):
+        while idx < len(ordered) and ordered[idx][0] <= t:
+            level += ordered[idx][1]
+            idx += 1
+        err = trace.cumulative_du(t) - level
+        acc += err * err
+        n += 1
+    return acc / n
+
+
 class ReferenceRun:
     """``run_ri`` and ``run_ti`` written from protocol.md's rules, to check them
     against.
@@ -620,6 +665,49 @@ class ReferenceRun:
             for t, kind, payload in part():
                 yield {"seq": seq, "sim_time_ms": t, "kind": kind, "payload": payload}
                 seq += 1
+
+    def metrics_rows(self) -> list[list[str]]:
+        """The rows of ``metrics.csv`` of a run in ``both`` mode, as text.  They
+        are built from this run's records, which it reads itself, so it is
+        called on a ReferenceRun whose records have not been read.
+
+        An ``ri`` row per meter, in meter id order, counts by reception time
+        over ``[min(0, smallest skew), horizon + max(0, largest skew)]``, with
+        the center's reconstruction of that window, and its step curve is the
+        center's ``steps``.  Then a ``ti`` row per meter: its amount is the
+        last register, and its step curve jumps by each register increment at
+        its poll.  A row's messages are the meter's records, its bytes those
+        of their frames, or 23 per reading, and ``rmse_du`` is ``rmse_text``
+        of the grid walk's mean square."""
+        sc = self.scenario
+        records = list(self.records("both"))
+        traces = self._traces()
+        skews = [c.clock_skew_ms for c in sc.concentrators()]
+        window = (min(0, *skews), sc.horizon_ms + max(0, *skews))
+        recon = {r.meter_id: r for r in self.center.reconstruct_all(window)}
+        meters = sorted((sm.config for sm in sc.meters()), key=lambda cfg: cfg.id)
+
+        def rmse(mid: int, steps) -> str:
+            return rmse_text(grid_mean_square(traces[mid], steps, sc.rmse_grid_ms, sc.horizon_ms))
+
+        rows = []
+        for cfg in meters:
+            sent = [r["payload"]["frame_hex"] for r in records
+                    if r["kind"] != "ti_reading" and r["payload"]["meter_id"] == cfg.id]
+            got = recon[cfg.id]
+            rows.append(["ri", f"{cfg.id:#x}", *window, got.quanta_received, got.quanta_recovered,
+                         got.amount_du, got.trailing_uncertainty_du, BASE_UNIT[cfg.kind],
+                         rmse(cfg.id, self.center.steps(cfg.id)), len(sent),
+                         sum(len(frame_hex) // 2 for frame_hex in sent)])
+        for cfg in meters:
+            polls = [(r["sim_time_ms"], r["payload"]["register_du"]) for r in records
+                     if r["kind"] == "ti_reading" and r["payload"]["meter_id"] == cfg.id]
+            steps = [(t, register - before)
+                     for (t, register), (_, before) in zip(polls, [(0, 0), *polls])]
+            rows.append(["ti", f"{cfg.id:#x}", 0, sc.horizon_ms, "", "",
+                         polls[-1][1] if polls else 0, "", BASE_UNIT[cfg.kind],
+                         rmse(cfg.id, steps), len(polls), 23 * len(polls)])
+        return [[str(value) for value in row] for row in rows]
 
     def _traces(self) -> dict[int, ConsumptionTrace]:
         sc = self.scenario

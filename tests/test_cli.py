@@ -617,6 +617,65 @@ def test_replay_refuses_an_integer_too_long_to_read(tmp_path, capsys, field):
                   "an integer too long to read\n"
 
 
+#: a number that the edits below write where a 5,000-digit integer goes,
+#: since json.dumps refuses to write one
+_TOO_LONG = 86_753_098_675_309
+
+
+def _disorder_then_a_long_cid(obj):
+    obj["payload"]["links"].reverse()
+    obj["payload"]["links"].append([_TOO_LONG, "radio"])
+    return "an integer too long to read"
+
+
+def _a_long_rx_time_then_disorder(obj):
+    obj["payload"]["links"].reverse()
+    obj["payload"]["links"][0][2] = _TOO_LONG
+    return "links not in concentrator-id order"
+
+
+def _disorder_then_a_long_rx_time(obj):
+    obj["payload"]["links"].reverse()
+    obj["payload"]["links"][1][2] = _TOO_LONG
+    return "links not in concentrator-id order"
+
+
+def _a_long_rx_time_and_a_wrong_seq(obj):
+    obj["payload"]["links"][0][2] = _TOO_LONG
+    obj["seq"] += 5
+    return "an integer too long to read"
+
+
+def _odd_frame_hex_and_a_wrong_seq(obj):
+    obj["payload"]["frame_hex"] = obj["payload"]["frame_hex"][:-1]
+    obj["seq"] += 5
+    return "not a line EventLog writes"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() reads integers of any length here")
+@pytest.mark.parametrize("edit", [_disorder_then_a_long_cid, _a_long_rx_time_then_disorder,
+                                  _disorder_then_a_long_rx_time, _a_long_rx_time_and_a_wrong_seq,
+                                  _odd_frame_hex_and_a_wrong_seq])
+def test_replay_gives_a_line_with_two_faults_one_message(tmp_path, capsys, edit):
+    """A line with two faults gets the message of the one that comes first
+    in the order that ``read_events`` states, wherever each sits on the line:
+    a concentrator id too long to read before links out of order, links out
+    of order before a reception time too long to read, which comes before a
+    ``seq`` that is not the due one, and a line that is not one EventLog
+    writes before that ``seq``."""
+    out, lines, i = _two_concentrator_run(tmp_path)
+    obj = json.loads(lines[i])
+    reason = edit(obj)
+    lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":")).replace(
+        str(_TOO_LONG), "7" * 5000)
+    (out / "events.ndjson").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"malformed log: {out / 'events.ndjson'} line {i + 1}: seq {i}: {reason}\n"
+
+
 def _delete_line(lines, i):
     del lines[i]
     return f"line {i + 1}: seq {i + 1}, expected {i}"

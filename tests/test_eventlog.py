@@ -273,7 +273,7 @@ def test_every_word_a_template_writes_is_read_by_its_kinds_pattern():
 #: number and a 25-digit integer, or another whole number
 _HOSTILE = st.sampled_from([True, 1.5, "5", -1, 10**24 + 7]) | st.integers(0, 10**20)
 _EDITS = ["value", "prefix", "remove", "reorder", "spaces", "upper", "crlf", "blank", "repeat",
-          "delete", "entry", "disorder"]
+          "delete", "entry", "disorder", "odd"]
 
 
 @st.composite
@@ -284,8 +284,8 @@ def _log_lines(draw):
     after the separators, uppercase hex, a CRLF ending, or a blank line
     before it; one element of a link entry set to a hostile value or
     removed; an emission's links put out of concentrator-id order, by
-    swapping its first two entries or repeating its only one; or one line
-    repeated or deleted."""
+    swapping its first two entries or repeating its only one; one digit of
+    an emission's frame_hex deleted; or one line repeated or deleted."""
     lines = []
     log = EventLog(lines.append)
     for method, args, _, _, _ in draw(st.lists(_template_calls(), min_size=1, max_size=6)):
@@ -310,6 +310,15 @@ def _log_lines(draw):
             else:
                 del entry[at]
         lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return lines, True
+    if edit == "odd":
+        emissions = [i for i, line in enumerate(lines) if '"frame_hex":"' in line]
+        if not emissions:
+            return lines, False
+        i = draw(st.sampled_from(emissions))
+        start = lines[i].index('"frame_hex":"') + len('"frame_hex":"')
+        at = draw(st.integers(start, lines[i].index('"', start) - 1))
+        lines[i] = lines[i][:at] + lines[i][at + 1:]
         return lines, True
     i = draw(st.integers(0, len(lines) - 1))
     obj = json.loads(lines[i])

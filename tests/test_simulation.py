@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risim.cli import METRICS_HEADER, _metrics_rows
 from risim.concentrator import ConcentratorConfig, receive
 from risim.domain import (
     ConfigError,
@@ -29,7 +30,7 @@ from risim.domain import (
     frame_header,
     meter_id,
 )
-from risim.eventlog import EventKind, EventLog, read_events, replay_center
+from risim.eventlog import EventKind, EventLog, read_events, replay_center, write_csv
 from risim.meter import MeterConfig, MeterRun
 from risim.simulation import (
     Building,
@@ -50,7 +51,8 @@ from risim.simulation import (
 from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
 
 from oracles import (EventLogRecord, ReferenceRun, accepted_count, accepted_sessions,
-                     consumed_between, from_json, record_sink, snapshot, total_du, write_records)
+                     consumed_between, from_json, grid_mean_square, read_csv, record_sink,
+                     snapshot, total_du, write_records)
 
 CID = concentrator_id(1)
 
@@ -289,6 +291,26 @@ def test_run_ri_matches_the_reference_run(sc):
     assert [{"seq": r.seq, "sim_time_ms": r.sim_time_ms, "kind": r.kind, "payload": r.payload}
             for r in records] == list(ref.records("both"))
     assert "".join(res.center.snapshots()) == ref.center.ledgers_text()
+
+
+@pytest.fixture(scope="module")
+def metrics_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("metrics") / "metrics.csv"
+
+
+@settings(max_examples=100, deadline=None)
+@given(sc=_reference_scenarios())
+def test_metrics_rows_match_the_reference_run(metrics_path, sc):
+    """The ``metrics.csv`` rows that ``risim run --mode both`` writes, each
+    mode's ``_metrics_rows`` through ``write_csv`` and read back, are those
+    ReferenceRun builds: its center's received, recovered and trailing
+    quanta and amount, its records' message and byte counts, and the RMSE of
+    a grid walk over its step curves."""
+    rows = _metrics_rows("ri", sc, run_ri(sc)) + _metrics_rows("ti", sc, run_ti(sc))
+    write_csv(metrics_path, METRICS_HEADER, rows)
+    header, got = read_csv(metrics_path)
+    assert header == METRICS_HEADER
+    assert [list(row.values()) for row in got] == ReferenceRun(sc).metrics_rows()
 
 
 def test_crossing_times_match_closed_form_schedule():
@@ -603,10 +625,43 @@ def test_a_bad_trace_rate_is_a_config_error_naming_it(kind, params, field):
 @pytest.mark.parametrize("ident", [concentrator_id(5), -1, 2**64, True])
 def test_a_foreign_meter_id_is_a_config_error(ident):
     """A scenario's meter id outside the meter namespace is refused as a
-    ConfigError, as every other scenario-level refusal is."""
-    meter = MeterConfig(id=ident, kind=ResourceKind.COLD_WATER)
-    with pytest.raises(ConfigError, match="not a meter id"):
+    ConfigError, as every other scenario-level refusal is; ``True`` is no
+    integer, so its MeterConfig already refuses it."""
+    with pytest.raises(ConfigError, match="not a meter id" if type(ident) is int else
+                       "meter id: expected an integer, got True"):
+        meter = MeterConfig(id=ident, kind=ResourceKind.COLD_WATER)
         _scenario([(meter, TraceSpec("zero"))], horizon_ms=MS_PER_HOUR)
+
+
+@pytest.mark.parametrize("ident", ["a", 1.5, True, None])
+@pytest.mark.parametrize("field, build", [
+    ("meter id", lambda ident: MeterConfig(id=ident, kind=ResourceKind.GAS)),
+    ("concentrator id", ConcentratorConfig),
+], ids=["meter", "concentrator"])
+def test_an_id_that_is_not_an_integer_is_a_config_error(field, build, ident):
+    """A meter's or concentrator's id is read as an integer first, so any
+    other value is a ConfigError naming the field."""
+    with pytest.raises(ConfigError) as err:
+        build(ident)
+    assert str(err.value) == f"{field}: expected an integer, got {ident!r}"
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("constant", {"rate_du_per_hour": 5, "rate": 9000},
+     "unknown parameter 'rate' (expected rate_du_per_hour)"),
+    ("zero", {"rate_du_per_hour": 5}, "unknown parameter 'rate_du_per_hour' (expected none)"),
+    ("diurnal", {"daily_total_du": 5, "jitter": 3},
+     "unknown parameter 'jitter' (expected daily_total_du, jitter_pct, shape)"),
+    ("zero", None, "params must be a dict, got None"),
+], ids=["constant", "zero", "diurnal", "not-a-dict"])
+def test_a_trace_parameter_its_kind_does_not_read_is_a_config_error(kind, params, message):
+    """A TraceSpec refuses a parameter its kind does not read, as the scenario
+    loader refuses an unknown key, by a ConfigError naming it and the
+    parameters that the kind reads; params that are not a dict are refused
+    too."""
+    with pytest.raises(ConfigError) as err:
+        TraceSpec(kind, params)
+    assert str(err.value) == f"{kind} trace: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -729,25 +784,6 @@ def test_poll_registers_equal_cumulative_consumption(traces, horizon, dt, capaci
 # ---------------------------------------------------------------------------
 # reconstruction error on the metric grid
 
-def _grid_mean_square(trace, steps, grid_ms, horizon_ms):
-    """Reference: walk every grid point and evaluate the trace there."""
-    if horizon_ms == 0 or trace is None:
-        return Fraction(0)
-    ordered = sorted(steps, key=lambda s: s[0])
-    acc = Fraction(0)
-    n = 0
-    level = 0
-    idx = 0
-    for t in range(0, horizon_ms + 1, grid_ms):
-        while idx < len(ordered) and ordered[idx][0] <= t:
-            level += ordered[idx][1]
-            idx += 1
-        err = trace.cumulative_du(t) - level
-        acc += err * err
-        n += 1
-    return acc / n
-
-
 _metric_rates = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(min_value=0, max_value=10**7),
@@ -792,7 +828,7 @@ def _metric_cases(draw):
 @given(_metric_cases())
 def test_step_mean_square_equals_grid_walk(case):
     trace, steps, grid, horizon = case
-    assert _step_mean_square(trace, steps, grid, horizon) == _grid_mean_square(
+    assert _step_mean_square(trace, steps, grid, horizon) == grid_mean_square(
         trace, steps, grid, horizon)
 
 
