@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .concentrator import ConcentratorConfig
+from .concentrator import ConcentratorConfig, probability
 from .domain import (
     ConfigError,
     MS_PER_HOUR,
@@ -23,11 +23,12 @@ from .domain import (
     concentrator_id,
     id_serial,
     meter_id,
+    resource_kind,
     whole_number,
 )
 from .meter import MeterConfig
 from .simulation import Building, ScenarioConfig, SimMeter
-from .traces import TraceSpec
+from .traces import TRACE_KINDS, TraceSpec
 
 #: deciunits per named quantity unit, scoped by resource kind
 QUANTITY_UNITS: dict[ResourceKind, dict[str, int]] = {
@@ -146,56 +147,104 @@ def parse_sweep_values(param: str, text: str,
 
     "dr" points are quantities in the given kind's units; "dt" points are
     durations and need no kind.  Labels keep the author's spelling for
-    output tables.
+    output tables.  Only ``detail_sweep`` checks the parameter and values.
     """
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise ConfigError("sweep values list is empty")
+    if param == "dr" and kind is None:
+        raise ConfigError("quantum sweep values need a resource kind")
     out = []
     for item in items:
         if param == "dr":
-            if kind is None:
-                raise ConfigError("quantum sweep values need a resource kind")
-            value = parse_quantity_du(item, kind, "sweep value")
-        elif param == "dt":
-            value = parse_duration_ms(item, "sweep value")
+            out.append((parse_quantity_du(item, kind, "sweep value"), item))
         else:
-            raise ConfigError(f"sweep parameter must be 'dr' or 'dt', got {param!r}")
-        if value <= 0:
-            raise ConfigError(f"sweep value must be positive: {item!r}")
-        out.append((value, item))
+            out.append((parse_duration_ms(item, "sweep value"), item))
     return out
 
 
 # ---------------------------------------------------------------------------
 # scenario assembly
+#
+# Per object, each file key that sets a field maps to that field and the
+# reader of its value.  The loader passes a field only when the file sets its
+# key, so a default lives only in the dataclass that declares it, and the
+# value checks in the object it builds.
 
-_KIND_BY_NAME = {k.value: k for k in ResourceKind}
+def _decimal(value, kind, field) -> Fraction:
+    return _fraction(value, field)
+
+
+def _duration(value, kind, field) -> int:
+    return parse_duration_ms(value, field)
+
+
+def _duration_pair(value, kind, field) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{field} must be a [low, high] pair")
+    low, high = value
+    return parse_duration_ms(low, f"{field} low"), parse_duration_ms(high, f"{field} high")
+
+
+_SCENARIO_FIELDS = {
+    "seed": ("seed", None),
+    "horizon": ("horizon_ms", _duration),
+    "mode": ("mode", None),
+    "poll_interval": ("ti_poll_interval_ms", _duration),
+    "metric_grid": ("rmse_grid_ms", _duration),
+}
+
+_CONCENTRATOR_FIELDS = {
+    "clock_skew_ms": ("clock_skew_ms", None),
+    "max_skew_ms": ("max_skew_ms", None),
+    "uplink_loss": ("uplink_loss", _decimal),
+}
+
+_METER_FIELDS = {
+    "quantum": ("quantum_du", parse_quantity_du),
+    "heartbeat_interval": ("heartbeat_interval_ms", _duration),
+    "battery_capacity": ("battery_capacity", _decimal),
+    "tx_cost": ("tx_cost", _decimal),
+    "idle_drain_per_hour": ("idle_drain_per_hour", _decimal),
+    "drift_rate": ("drift_rate", _decimal),
+    "max_flow": ("max_flow_du_per_hour", parse_rate_du_per_hour),
+}
+
+_TRACE_FIELDS = {"seed": ("seed", None)}
+
+_TRACE_PARAM_FIELDS = {
+    "rate": ("rate_du_per_hour", parse_rate_du_per_hour),
+    "daily_total": ("daily_total_du", _quantity_fraction_du),
+    "jitter_pct": ("jitter_pct", None),
+    "shape": ("shape", None),
+    "base_rate": ("base_rate_du_per_hour", parse_rate_du_per_hour),
+    "burst_rate": ("burst_rate_du_per_hour", parse_rate_du_per_hour),
+    "bursts_per_day": ("bursts_per_day", None),
+    "burst_duration": ("burst_duration_ms", _duration_pair),
+}
 
 #: every key the loader reads, per object; any other key is a config error
 _KEYS = {
-    "scenario": ("seed", "horizon", "mode", "poll_interval", "metric_grid", "buildings"),
+    "scenario": (*_SCENARIO_FIELDS, "buildings"),
     "building": ("concentrators", "radio_loss", "meters"),
-    "concentrator": ("serial", "clock_skew_ms", "max_skew_ms", "uplink_loss"),
-    "meter": ("serial", "kind", "quantum", "heartbeat_interval", "battery_capacity",
-              "tx_cost", "idle_drain_per_hour", "drift_rate", "max_flow", "trace", "links"),
+    "concentrator": ("serial", *_CONCENTRATOR_FIELDS),
+    "meter": ("serial", "kind", *_METER_FIELDS, "trace", "links"),
     "link": ("concentrator", "loss"),
-    "trace": ("kind", "params", "seed"),
+    "trace": ("kind", "params", *_TRACE_FIELDS),
 }
 
 #: every trace parameter the loader reads, per trace kind
 _TRACE_PARAMS = {
-    "zero": (),
-    "constant": ("rate",),
-    "diurnal": ("daily_total", "jitter_pct", "shape"),
-    "appliance": ("base_rate", "burst_rate", "bursts_per_day", "burst_duration"),
+    tkind: tuple(key for key, (field, _) in _TRACE_PARAM_FIELDS.items() if field in names)
+    for tkind, (_, names) in TRACE_KINDS.items()
 }
 
-_TRACE_RATE_PARAMS = {
-    "rate": "rate_du_per_hour",
-    "base_rate": "base_rate_du_per_hour",
-    "burst_rate": "burst_rate_du_per_hour",
-}
+
+def _fields(obj: dict, table: dict, kind: ResourceKind | None, where: str) -> dict:
+    """The fields that ``obj`` sets, each read from its key's value (taken as
+    it is where the table names no reader)."""
+    return {field: read(obj[key], kind, f"{where}{key}") if read else obj[key]
+            for key, (field, read) in table.items() if key in obj}
 
 
 def _known_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
@@ -216,77 +265,43 @@ def _trace_spec(obj: dict, kind: ResourceKind, where: str) -> TraceSpec:
         raise ConfigError(f"{where}: trace params must be an object")
     if isinstance(tkind, str) and tkind in _TRACE_PARAMS:
         _known_keys(params, _TRACE_PARAMS[tkind], f"{where}: {tkind} trace params")
-    converted: dict = {}
-    for name, raw in params.items():
-        if name in _TRACE_RATE_PARAMS:
-            converted[_TRACE_RATE_PARAMS[name]] = parse_rate_du_per_hour(
-                raw, kind, f"{where}: trace param {name}"
-            )
-        elif name == "daily_total":
-            converted["daily_total_du"] = _quantity_fraction_du(
-                raw, kind, f"{where}: trace param daily_total"
-            )
-        elif name == "burst_duration":
-            if not isinstance(raw, list) or len(raw) != 2:
-                raise ConfigError(f"{where}: burst_duration must be a [low, high] pair")
-            lo, hi = raw
-            converted["burst_duration_ms"] = (
-                parse_duration_ms(lo, f"{where}: burst_duration low"),
-                parse_duration_ms(hi, f"{where}: burst_duration high"),
-            )
-        else:
-            converted[name] = raw
     try:
-        return TraceSpec(kind=tkind, params=converted, seed=obj.get("seed"))
+        params = _fields(params, _TRACE_PARAM_FIELDS, kind, "trace param ")
+        return TraceSpec(kind=tkind, params=params, **_fields(obj, _TRACE_FIELDS, kind, "trace "))
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _meter_from_dict(obj: dict, building_idx: int) -> tuple[MeterConfig, TraceSpec, list | None]:
+def _meter_from_dict(obj: dict, building_idx: int, cid_by_serial: dict[int, int],
+                     radio_loss: Fraction) -> SimMeter:
     if not isinstance(obj, dict):
         raise ConfigError(f"building {building_idx}: every meter must be an object")
     serial = whole_number(obj.get("serial"), f"building {building_idx}: meter serial")
     where = f"meter {serial}"
     _known_keys(obj, _KEYS["meter"], where)
-    kind_name = obj.get("kind")
-    kind = _KIND_BY_NAME.get(kind_name) if isinstance(kind_name, str) else None
-    if kind is None:
-        known = ", ".join(sorted(_KIND_BY_NAME))
-        raise ConfigError(f"{where}: unknown kind {kind_name!r} (expected {known})")
+    kind = resource_kind(obj.get("kind"), f"{where}: kind")
     try:
-        quantum = obj.get("quantum")
-        cfg = MeterConfig(
-            id=meter_id(serial),
-            kind=kind,
-            quantum_du=(
-                parse_quantity_du(quantum, kind, f"{where}: quantum")
-                if quantum is not None
-                else None
-            ),
-            heartbeat_interval_ms=parse_duration_ms(
-                obj.get("heartbeat_interval", "24h"), f"{where}: heartbeat_interval"
-            ),
-            battery_capacity=_fraction(
-                obj.get("battery_capacity", 10**6), f"{where}: battery_capacity"
-            ),
-            tx_cost=_fraction(obj.get("tx_cost", 1), f"{where}: tx_cost"),
-            idle_drain_per_hour=_fraction(
-                obj.get("idle_drain_per_hour", 0), f"{where}: idle_drain_per_hour"
-            ),
-            drift_rate=_fraction(obj.get("drift_rate", 0), f"{where}: drift_rate"),
-            max_flow_du_per_hour=(
-                parse_rate_du_per_hour(obj["max_flow"], kind, f"{where}: max_flow")
-                if "max_flow" in obj
-                else None
-            ),
-        )
+        mid = meter_id(serial)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{where}: {exc}") from None
+    cfg = MeterConfig(id=mid, kind=kind, **_fields(obj, _METER_FIELDS, kind, f"{where}: "))
     trace = _trace_spec(obj.get("trace", {"kind": "zero"}), kind, where)
     links = obj.get("links")
-    return cfg, trace, links
+    if links is None:
+        return SimMeter(cfg, trace, tuple((cid, radio_loss) for cid in cid_by_serial.values()))
+    if not isinstance(links, list):
+        raise ConfigError(f"{where}: links must be a list")
+    return SimMeter(cfg, trace, tuple(_link(link, cid_by_serial, where) for link in links))
+
+
+def _link(obj: dict, cid_by_serial: dict[int, int], where: str) -> tuple[int, Fraction]:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: every link must be an object")
+    _known_keys(obj, _KEYS["link"], f"{where}: link")
+    cserial = whole_number(obj.get("concentrator"), f"{where}: link concentrator")
+    if cserial not in cid_by_serial:
+        raise ConfigError(f"{where}: link to unknown concentrator {cserial!r}")
+    return cid_by_serial[cserial], _fraction(obj.get("loss", 0), f"{where}: link loss")
 
 
 def _building_from_dict(obj: dict, idx: int) -> Building:
@@ -307,44 +322,16 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
             cid = concentrator_id(serial)
         except ValueError as exc:
             raise ConfigError(f"building {idx}: {exc}") from None
-        concentrators.append(
-            ConcentratorConfig(
-                id=cid,
-                clock_skew_ms=whole_number(c.get("clock_skew_ms", 0), f"{where}: clock_skew_ms"),
-                max_skew_ms=whole_number(c.get("max_skew_ms", 1000), f"{where}: max_skew_ms"),
-                uplink_loss=_fraction(c.get("uplink_loss", 0), f"{where}: uplink_loss"),
-            )
-        )
+        concentrators.append(ConcentratorConfig(
+            id=cid, **_fields(c, _CONCENTRATOR_FIELDS, None, f"{where}: ")))
     cid_by_serial = {id_serial(c.id): c.id for c in concentrators}
-    radio_loss = _fraction(obj.get("radio_loss", 0), f"building {idx}: radio_loss")
+    where = f"building {idx}: radio_loss"
+    radio_loss = probability(_fraction(obj.get("radio_loss", 0), where), where)
     m_objs = obj.get("meters", [])
     if not isinstance(m_objs, list):
         raise ConfigError(f"building {idx}: meters must be a list")
-    meters = []
-    for m_obj in m_objs:
-        cfg, trace, links_obj = _meter_from_dict(m_obj, idx)
-        if links_obj is not None:
-            if not isinstance(links_obj, list):
-                raise ConfigError(f"meter {m_obj['serial']}: links must be a list")
-            links = []
-            for link in links_obj:
-                if not isinstance(link, dict):
-                    raise ConfigError(f"meter {m_obj['serial']}: every link must be an object")
-                _known_keys(link, _KEYS["link"], f"meter {m_obj['serial']}: link")
-                cserial = whole_number(
-                    link.get("concentrator"), f"meter {m_obj['serial']}: link concentrator"
-                )
-                cid = cid_by_serial.get(cserial)
-                if cid is None:
-                    raise ConfigError(
-                        f"meter {m_obj['serial']}: link to unknown concentrator {cserial!r}"
-                    )
-                loss = _fraction(link.get("loss", 0), f"meter {m_obj['serial']}: link loss")
-                links.append((cid, loss))
-        else:
-            links = [(cid, radio_loss) for cid in cid_by_serial.values()]
-        meters.append(SimMeter(config=cfg, trace=trace, links=tuple(links)))
-    return Building(meters=tuple(meters), concentrators=tuple(concentrators))
+    meters = tuple(_meter_from_dict(m, idx, cid_by_serial, radio_loss) for m in m_objs)
+    return Building(meters=meters, concentrators=tuple(concentrators))
 
 
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
@@ -356,17 +343,11 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
     buildings = obj.get("buildings")
     if not buildings or not isinstance(buildings, list):
         raise ConfigError("scenario needs a list of at least one building")
+    # a file without a seed runs seed 0; a ScenarioConfig always names its own
+    fields = {"seed": 0, **_fields(obj, _SCENARIO_FIELDS, None, "")}
     return ScenarioConfig(
-        seed=obj.get("seed", 0),
-        horizon_ms=parse_duration_ms(obj["horizon"], "horizon"),
-        mode=obj.get("mode", "ri"),
-        ti_poll_interval_ms=parse_duration_ms(
-            obj.get("poll_interval", "1h"), "poll_interval"
-        ),
-        rmse_grid_ms=parse_duration_ms(obj.get("metric_grid", "1min"), "metric_grid"),
-        buildings=tuple(
-            _building_from_dict(b, i) for i, b in enumerate(buildings)
-        ),
+        buildings=tuple(_building_from_dict(b, i) for i, b in enumerate(buildings)),
+        **fields,
     )
 
 

@@ -134,8 +134,18 @@ def nonnegative_number(value, field: str) -> Fraction:
     Fraction; a bool, a string or a float that is not finite is refused."""
     number = isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
     if not (number and 0 <= value < math.inf):
-        raise ConfigError(f"{field}: expected a nonnegative number, got {value!r}")
+        raise ConfigError(f"{field}: expected a nonnegative number, "
+                          f"got {value if number else repr(value)}")
     return Fraction(value)
+
+
+def resource_kind(value, field: str) -> ResourceKind:
+    """A resource kind input field, a ``ResourceKind`` or its word, as the member."""
+    try:
+        return ResourceKind(value)
+    except ValueError:
+        known = ", ".join(sorted(k.value for k in ResourceKind))
+        raise ConfigError(f"{field}: expected one of {known}, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .domain import (
     SESSION_MOD,
     frame_builder,
     nonnegative_number,
+    resource_kind,
     whole_number,
 )
 from .traces import ConsumptionTrace
@@ -31,7 +32,7 @@ class MeterConfig:
     """Static per-device parameters fixed at installation."""
 
     id: int
-    kind: ResourceKind
+    kind: ResourceKind                     # or its word; held as the member
     quantum_du: int | None = None          # None picks the kind's default
     heartbeat_interval_ms: int = MS_PER_DAY
     battery_capacity: Fraction = Fraction(10**6)
@@ -42,6 +43,7 @@ class MeterConfig:
 
     def __post_init__(self) -> None:
         where = f"meter {whole_number(self.id, 'meter id'):#x}"
+        object.__setattr__(self, "kind", resource_kind(self.kind, f"{where}: kind"))
         if self.quantum_du is None:
             object.__setattr__(self, "quantum_du", DEFAULT_QUANTUM_DU[self.kind])
         for name in ("battery_capacity", "tx_cost", "idle_drain_per_hour", "drift_rate",

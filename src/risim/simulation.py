@@ -374,14 +374,16 @@ def detail_sweep(scenario: ScenarioConfig, param: str,
     """One run per value with the trace stream held fixed.
 
     ``param`` is "dr" (emission quantum, deciunits) or "dt" (poll interval,
-    ms); ``values`` pairs each number with its display label.
+    ms); ``values`` pairs each number with its display label.  Both are
+    checked before the first run.
     """
     if param not in ("dr", "dt"):
         raise ConfigError(f"sweep parameter must be 'dr' or 'dt', got {param!r}")
-    rows = []
     for value, label in values:
         if value <= 0:
             raise ConfigError(f"sweep value must be positive: {label}")
+    rows = []
+    for value, label in values:
         if param == "dr":
             variant = replace(scenario, buildings=tuple(
                 replace(b, meters=tuple(

@@ -1032,6 +1032,8 @@ def _bursts_per_day(value):
                  "uplink_loss", id="uplink_loss_a_boolean"),
     pytest.param(lambda o: o["buildings"][0].update(radio_loss=True),
                  "radio_loss", id="radio_loss_a_boolean"),
+    pytest.param(lambda o: o["buildings"][0].update(radio_loss=1.5),
+                 "radio_loss", id="radio_loss_above_one"),
     pytest.param(lambda o: _meters(o)[0].update(links=[{"concentrator": 1, "loss": True}]),
                  "meter 1", id="link_loss_a_boolean"),
     pytest.param(lambda o: _meters(o)[1].update(trace={"kind": "appliance", "params": {

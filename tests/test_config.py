@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from risim.config import (
+    _TRACE_PARAM_FIELDS,
     parse_duration_ms,
     parse_quantity_du,
     parse_rate_du_per_hour,
@@ -15,6 +16,7 @@ from risim.config import (
     scenario_from_dict,
 )
 from risim.domain import ConfigError, ResourceKind
+from risim.traces import TRACE_KINDS
 
 WATER = ResourceKind.COLD_WATER
 ELEC = ResourceKind.ELECTRICITY
@@ -89,6 +91,19 @@ def test_sweep_value_lists():
         parse_sweep_values("dr", "", WATER)
     with pytest.raises(ConfigError):
         parse_sweep_values("dr", "100ml", None)
+
+
+def test_every_trace_parameter_has_one_file_key():
+    """The per-kind lists of file keys derive from this table, so a trace
+    parameter that no key sets could never be given in a file."""
+    fields = [field for field, _ in _TRACE_PARAM_FIELDS.values()]
+    assert sorted(fields) == sorted(name for _, names in TRACE_KINDS.values() for name in names)
+
+
+def test_sweep_values_are_only_parsed():
+    """A sweep's values are checked by the sweep that runs them."""
+    assert parse_sweep_values("dr", "0ml", WATER) == [(0, "0ml")]
+    assert parse_sweep_values("dt", "0s", None) == [(0, "0s")]
 
 
 def _scenario_dict(**meter_extra):
@@ -226,7 +241,7 @@ def test_a_number_field_of_the_python_api_is_held_exactly(field):
     *[(field, -1, f"{field}: expected a nonnegative number, got -1")
       for field in _METER_NUMBERS],
     ("drift_rate", Fraction(-1, 10**9),
-     "drift_rate: expected a nonnegative number, got Fraction(-1, 1000000000)"),
+     "drift_rate: expected a nonnegative number, got -1/1000000000"),
     ("tx_cost", -0.5, "tx_cost: expected a nonnegative number, got -0.5"),
 ])
 def test_a_meter_range_error_is_a_config_error_naming_the_meter(field, value, message):
@@ -236,3 +251,13 @@ def test_a_meter_range_error_is_a_config_error_naming_the_meter(field, value, me
         replace(meter, **{field: value})
     assert str(err.value) == f"meter {meter.id:#x}: {message}"
     assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("value, shown", [(-1, "-1"), (-0.5, "-1/2")])
+def test_a_number_from_a_file_is_shown_as_a_number(value, shown):
+    """A file's decimals are read as exact fractions; a refusal shows one as
+    ``-1/2``, not as the ``Fraction(-1, 2)`` that holds it."""
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(_scenario_dict(tx_cost=value))
+    assert str(err.value).endswith(f"tx_cost: expected a nonnegative number, got {shown}")
+    assert "Fraction(" not in str(err.value)

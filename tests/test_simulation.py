@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risim import simulation
 from risim.cli import METRICS_HEADER, _metrics_rows
 from risim.concentrator import ConcentratorConfig, receive
 from risim.domain import (
@@ -615,11 +616,13 @@ def test_validation_rejects_bad_scenarios():
 def test_a_bad_trace_rate_is_a_config_error_naming_it(kind, params, field):
     """A trace's rates and daily total follow a meter's number rule: a bool, a
     string, a negative or a float that is not finite is refused when the
-    TraceSpec is built, by a ConfigError naming the parameter."""
+    TraceSpec is built, by a ConfigError naming the parameter and showing a
+    number as written, a Fraction as ``-1/3``."""
+    value = params[field]
     with pytest.raises(ConfigError) as err:
         TraceSpec(kind, params)
-    assert str(err.value) == (f"{kind} trace: {field}: expected a nonnegative number, "
-                              f"got {params[field]!r}")
+    shown = repr(value) if isinstance(value, (bool, str)) else value
+    assert str(err.value) == f"{kind} trace: {field}: expected a nonnegative number, got {shown}"
 
 
 @pytest.mark.parametrize("ident", [concentrator_id(5), -1, 2**64, True])
@@ -644,6 +647,24 @@ def test_an_id_that_is_not_an_integer_is_a_config_error(field, build, ident):
     with pytest.raises(ConfigError) as err:
         build(ident)
     assert str(err.value) == f"{field}: expected an integer, got {ident!r}"
+
+
+@pytest.mark.parametrize("quantum", [None, 1000])
+@pytest.mark.parametrize("kind", ["water", 5, None])
+def test_a_meter_kind_that_is_not_a_resource_kind_is_a_config_error(kind, quantum):
+    """With a quantum or without, a kind that is neither a ResourceKind nor
+    its word is refused by the MeterConfig, naming the meter and the field."""
+    with pytest.raises(ConfigError) as err:
+        MeterConfig(id=meter_id(1), kind=kind, quantum_du=quantum)
+    assert str(err.value).startswith(f"meter {meter_id(1):#x}: kind: ")
+    assert repr(kind) in str(err.value)
+
+
+def test_a_meter_kind_given_as_its_word_is_held_as_the_member():
+    meter = MeterConfig(id=meter_id(1), kind="cold_water")
+    assert meter.kind is ResourceKind.COLD_WATER
+    assert meter.quantum_du == 1000
+    assert meter == MeterConfig(id=meter_id(1), kind=ResourceKind.COLD_WATER)
 
 
 @pytest.mark.parametrize("kind, params, message", [
@@ -868,6 +889,15 @@ def test_poll_interval_sweep_tradeoff_is_monotone():
     for prev, cur in zip(rows, rows[1:]):
         assert cur.mean_square_du >= prev.mean_square_du
         assert cur.message_count < prev.message_count
+
+
+def test_sweep_checks_every_value_before_it_runs_one(monkeypatch):
+    sc = _scenario([(_water(1), TraceSpec("zero"))], horizon_ms=1000)
+    runs = []
+    monkeypatch.setattr(simulation, "run_ri", lambda *a, **kw: runs.append(a))
+    with pytest.raises(ConfigError, match="sweep value must be positive: 0ml"):
+        detail_sweep(sc, "dr", [(500, "50ml"), (0, "0ml")])
+    assert runs == []
 
 
 def test_sweep_rejects_unknown_parameter():
