@@ -10,20 +10,22 @@ exactly too.  Only the *times* of lost events need estimating.
 from __future__ import annotations
 
 import json
+import struct
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .domain import (
+    FRAME_SUMMARY,
+    TYPE_TAG,
     ConcentratorReport,
     MessageType,
     Registry,
     SESSION_MOD,
     encode_frame,  # unused here; perfbench's tracer patches this name
     frame_header,
-    frame_quanta,
-    frame_type,
     session_delta,
 )
 
@@ -35,17 +37,24 @@ PROFILE_SMOOTHING_EPS = Fraction(1, 1000)
 _HOUR = 3_600_000
 _DAY = 24 * _HOUR
 
-#: each message type as its JSON text, looked up once per snapshot row
-_TYPE_TEXT = {mtype: json.dumps(mtype) for mtype in MessageType}
+#: each message type tag as its type's JSON text, looked up once per snapshot row
+_TYPE_TEXT = {tag: json.dumps(mtype) for mtype, tag in TYPE_TAG.items()}
+_QUANTUM = TYPE_TAG[MessageType.QUANTUM_EVENT]
 
 #: how many consecutive unrolled sessions share one block of a ledger; a
 #: power of two, so that a session's block and slot are a shift and a mask
 BLOCK_SESSIONS = 16
 _SHIFT = BLOCK_SESSIONS.bit_length() - 1
 _LAST = BLOCK_SESSIONS - 1
-#: where a block's columns start: frames at 0, then earliest reception
-#: times, earliest concentrator indices and senders; its length
-_RX, _FROM, _SENDERS, _SLOTS = (BLOCK_SESSIONS * k for k in range(1, 5))
+#: a new block's reception times and earliest concentrator indices, copied
+#: by slicing, which allocates the exact size
+_TIMES = array("q", bytes(8 * BLOCK_SESSIONS))
+_FROMS = array("I", bytes(4 * BLOCK_SESSIONS))
+#: per frame length, what writes a frame into its slot of a block's frames:
+#: a struct's ``pack_into`` takes about half the time of a slice assignment
+_PUT = {size: struct.Struct(f"{size}s").pack_into for size in FRAME_SUMMARY}
+#: the senders column of a block that no second copy reached
+_NO_SENDERS = (None,) * BLOCK_SESSIONS
 #: concentrator indices below this are a session's senders as bits of an int
 _MASK_BITS = 64
 
@@ -130,23 +139,28 @@ class SessionLedger:
     cheap to reach.
 
     The accepted sessions live in blocks of ``BLOCK_SESSIONS`` consecutive
-    unrolled numbers, one list per block keyed by its number over the block
-    size.  The list holds four columns of one slot per session: its frame
-    (None while nothing was accepted there), its earliest reception time,
-    the earliest concentrator as an index into the ledger's id table, and
-    the concentrator indices that sent a copy.  Those senders are None while
-    the earliest concentrator is the only one, then a bitmask while every
-    index is below ``_MASK_BITS``, and a set of indices past that, so they
-    grow with the copies and not with the indices.  The message type
-    and the lifetime counter are read from the frame when asked.  Nothing
-    else is allocated per session that was reported by one concentrator.
+    unrolled numbers, one tuple per block keyed by its number over the block
+    size, of four columns with one slot per session and no object of a
+    session's own.  The frames lie side by side in one ``bytearray``, each
+    as long as the ledger's first accepted frame; a slot is empty while its
+    version byte is 0, which no frame has.  The earliest reception times
+    are an ``array('q')``, or a list once one of them is outside 64 bits,
+    and the earliest concentrators an ``array('I')`` of indices into the
+    ledger's id table.  The last column, the concentrator indices that sent
+    a copy, is made on the block's first second copy; per session it holds
+    None while the earliest concentrator is the only sender, then a bitmask
+    while every index is below ``_MASK_BITS``, and a set of indices past
+    that, so it grows with the copies and not with the indices.  The
+    message type and the lifetime counter are read from the frames, a block
+    at a time, when asked.
     """
 
     def __init__(self, meter_id: int, *, modulus: int = SESSION_MOD) -> None:
         self.meter_id = meter_id
         self.modulus = modulus
-        # unrolled session >> _SHIFT -> [frames, rx_time_ms, indices, senders]
-        self._blocks: dict[int, list] = {}
+        # unrolled session >> _SHIFT -> (frames, rx_time_ms, indices, senders)
+        self._blocks: dict[int, tuple] = {}
+        self._size = 0                    # the length of every frame kept
         self._concentrators: list[int] = []         # concentrator ids by index
         self._index: dict[int, int] = {}            # concentrator id -> index
         self._max_abs: int | None = None  # highest accepted, the unroll reference
@@ -170,20 +184,19 @@ class SessionLedger:
         key = min(self._blocks)
         if key >= 0:
             return 0
-        frames = self._blocks[key]
-        lowest = next(i for i in range(BLOCK_SESSIONS) if frames[i] is not None)
+        slots = self._summary(self._blocks[key][0])
+        lowest = next(i for i, (version, _, _) in enumerate(slots) if version)
         return ((key << _SHIFT) + lowest) % self.modulus
 
     def quantum_times(self) -> list[int]:
         """The reception times of the accepted quantum events, in no particular order."""
-        return [rx for block in self._blocks.values()
-                for frame, rx in zip(block[:_RX], block[_RX:_FROM])
-                if frame is not None and frame_type(frame) is MessageType.QUANTUM_EVENT]
+        summary = self._summary
+        return [rx for frames, times, _, _ in self._blocks.values()
+                for (_, tag, _), rx in zip(summary(frames), times) if tag == _QUANTUM]
 
-    def _unroll(self, session: int) -> int:
-        """Map a wire counter value onto the unbounded internal axis."""
-        base = 0 if self._max_abs is None else self._max_abs
-        return base + session_delta(base % self.modulus, session, self.modulus)
+    def _summary(self, frames: bytearray) -> Iterator[tuple[int, int, int]]:
+        """(version, type tag, cumulative quanta) per slot of a block's frames."""
+        return FRAME_SUMMARY[self._size].iter_unpack(frames)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -197,7 +210,9 @@ class SessionLedger:
         the same concentrator is a counted no-op, whatever its reception
         time; a frame whose bytes differ from the accepted one is flagged as
         tamper evidence and the first is kept.  A frame that breaks the decoder
-        rules raises MalformedFrame and changes nothing.
+        rules raises MalformedFrame, and one of another meter or of another
+        length than the ledger's frames raises ValueError; neither changes
+        anything.
         """
         frame, cid, rx = report
         _, _, mid, session, _ = frame_header(frame)
@@ -208,50 +223,88 @@ class SessionLedger:
         return self._fold_emission(frame, session, ((cid, rx),))[0]
 
     def _fold_emission(self, frame: bytes, session: int, copies) -> list[IngestOutcome]:
-        """``ingest`` for every (concentrator_id, rx_time_ms) copy of one frame
-        in turn, whose header has been read and whose meter id is this
-        ledger's: the session is unrolled once, and one outcome per copy is
-        returned.  A copy accepted here moves the unroll reference to its own
-        session at most, so the later copies unroll to it as well."""
-        abs_session = self._unroll(session)
+        """``ingest`` for each of one or more (concentrator_id, rx_time_ms)
+        copies of one frame in turn, whose header has been read and whose
+        meter id is this ledger's: the session is unrolled, and the frame
+        compared with the kept one, once, and one outcome per copy is
+        returned.  A frame of another length than the ledger's raises
+        ValueError before any copy is folded."""
+        size = len(frame)
+        if size != self._size:
+            if self._blocks:
+                raise ValueError(f"meter {self.meter_id:#x}: a {size}-byte frame fed to "
+                                 f"a ledger of {self._size}-byte frames")
+            self._size = size
+        top = self._max_abs or 0   # the unroll reference: the highest accepted
+        abs_session = top + session_delta(top % self.modulus, session, self.modulus)
         key, i = abs_session >> _SHIFT, abs_session & _LAST
+        off = i * size
         block = self._blocks.get(key)
-        outcomes = []
-        for cid, rx in copies:
-            kept = None if block is None else block[i]
-            if kept is None:
-                if block is None:
-                    block = self._blocks[key] = [None] * _SLOTS
-                block[i], block[i + _RX], block[i + _FROM] = frame, rx, self._concentrator(cid)
-                if self._max_abs is None or abs_session > self._max_abs:
-                    self._max_abs = abs_session
-                outcomes.append(_ACCEPTED)
-                continue
-            if frame != kept:
+        if block is None:
+            block = self._blocks[key] = (bytearray(BLOCK_SESSIONS * size),
+                                         _TIMES[:], _FROMS[:], None)
+        frames, times, froms, senders = block
+        if frames[off]:   # a frame is kept in the slot
+            if not frames.startswith(frame, off):
                 self.conflict_sessions.add(abs_session)
-                outcomes.append(_CONFLICT)
-                continue
-            c = self._concentrator(cid)
-            senders = block[i + _SENDERS]
-            if senders is None:   # the earliest concentrator is the only sender
-                first = block[i + _FROM]
-                senders = 1 << first if first < _MASK_BITS else {first}
-            mask = type(senders) is int
-            if senders >> c & 1 if mask else c in senders:
+                return [_CONFLICT] * len(copies)
+            outcomes = []
+        else:   # the first copy is accepted
+            cid, rx = copies[0]
+            _PUT[size](frames, off, frame)
+            try:
+                times[i] = rx
+            except OverflowError:
+                times = self._widen(key, i, rx)
+            c = self._index.get(cid)
+            froms[i] = self._concentrator(cid) if c is None else c
+            if abs_session > top or self._max_abs is None:
+                self._max_abs = abs_session
+            if len(copies) == 1:
+                return [_ACCEPTED]
+            outcomes = [_ACCEPTED]
+            copies = copies[1:]
+        for cid, rx in copies:   # the kept frame again
+            c = self._index.get(cid)
+            if c is None:
+                c = self._concentrator(cid)
+            if senders is None:   # the block's first second copy
+                senders = [None] * BLOCK_SESSIONS
+                self._blocks[key] = frames, times, froms, senders
+            sent = senders[i]
+            if sent is None:   # the earliest concentrator is the only sender
+                first = froms[i]
+                sent = 1 << first if first < _MASK_BITS else {first}
+            mask = type(sent) is int
+            if sent >> c & 1 if mask else c in sent:
                 self.stale_replays += 1
                 outcomes.append(_STALE)
                 continue
             if not mask:
-                senders.add(c)
+                sent.add(c)
             elif c < _MASK_BITS:
-                senders |= 1 << c
+                sent |= 1 << c
             else:
-                senders = {k for k in range(_MASK_BITS) if senders >> k & 1} | {c}
-            block[i + _SENDERS] = senders
-            if (rx, cid) < (block[i + _RX], self._concentrators[block[i + _FROM]]):
-                block[i + _RX], block[i + _FROM] = rx, c
+                sent = {k for k in range(_MASK_BITS) if sent >> k & 1} | {c}
+            senders[i] = sent
+            earliest = times[i]
+            if rx < earliest or rx == earliest and cid < self._concentrators[froms[i]]:
+                try:
+                    times[i] = rx
+                except OverflowError:
+                    times = self._widen(key, i, rx)
+                froms[i] = c
             outcomes.append(_DUPLICATE)
         return outcomes
+
+    def _widen(self, key: int, i: int, rx: int) -> list:
+        """Block ``key``'s reception times as a list, which holds ``rx`` at
+        slot ``i`` where the ``array('q')`` could not, put in the block."""
+        frames, times, froms, senders = self._blocks[key]
+        times = list(times)
+        times[i] = rx
+        self._blocks[key] = frames, times, froms, senders
+        return times
 
     def _concentrator(self, cid: int) -> int:
         """The index of concentrator ``cid`` in this ledger's id table, added if new."""
@@ -276,19 +329,19 @@ class SessionLedger:
         sessions it spans.
         """
         blocks, modulus, runs = self._blocks, self.modulus, []
-        t_lo, below = 0, None   # the accepted session below, None for installation
+        t_lo, below = 0, 0   # the accepted session below, or installation: time, quanta
         unseen = 0  # lowest session not yet accounted for
         for key in sorted(blocks):
-            block, a = blocks[key], key << _SHIFT
-            for frame, rx in zip(block[:_RX], block[_RX:_FROM]):
-                if frame is not None:
+            frames, times, _, _ = blocks[key]
+            a = key << _SHIFT
+            for (version, tag, quanta), rx in zip(self._summary(frames), times):
+                if version:
                     if a > unseen:
-                        base = 0 if below is None else frame_quanta(below)
-                        lost = (frame_quanta(frame) - base) % 2**32
-                        if frame_type(frame) is MessageType.QUANTUM_EVENT:
+                        lost = (quanta - below) % 2**32
+                        if tag == _QUANTUM:
                             lost -= 1
                         runs.append(LostRun(unseen % modulus, a - unseen, t_lo, rx, lost))
-                    t_lo, below = rx, frame
+                    t_lo, below = rx, quanta
                     unseen = a + 1
                 a += 1
         return runs
@@ -416,14 +469,15 @@ class SessionLedger:
         yield ',"sessions":['
         ids, modulus, blocks, sep = self._concentrators, self.modulus, self._blocks, ""
         for key in sorted(blocks):
-            block, a = blocks[key], key << _SHIFT
-            for frame, rx, c, senders in zip(block[:_RX], block[_RX:_FROM],
-                                             block[_FROM:_SENDERS], block[_SENDERS:]):
-                if frame is not None:
-                    yield (f'{sep}{{"cumulative_quanta":{frame_quanta(frame)},'
-                           f'"report_count":{_count(senders)},"rx_concentrator":{ids[c]},'
+            frames, times, froms, senders = blocks[key]
+            a = key << _SHIFT
+            for (version, tag, quanta), rx, c, sent in zip(self._summary(frames), times, froms,
+                                                          senders or _NO_SENDERS):
+                if version:
+                    yield (f'{sep}{{"cumulative_quanta":{quanta},'
+                           f'"report_count":{_count(sent)},"rx_concentrator":{ids[c]},'
                            f'"rx_time_ms":{rx},"session":{a % modulus},'
-                           f'"type":{_TYPE_TEXT[frame_type(frame)]}}}')
+                           f'"type":{_TYPE_TEXT[tag]}}}')
                     sep = ","
                 a += 1
         yield "]}\n"

@@ -52,17 +52,14 @@ _QTY_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([A-Za-z][A-Za-z0-9]*)\s*$")
 
 
 def _fraction(value, field: str) -> Fraction:
-    """Exact rational from an int, decimal float, or numeric string."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{field}: expected a number, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (float, str)):
-        try:
-            return Fraction(str(value).strip())
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{field}: not a number: {value!r}") from None
-    raise ConfigError(f"{field}: expected a number, got {type(value).__name__}")
+    """Exact rational from a JSON integer or decimal: a boolean or a string,
+    even one of digits, is refused, as the Python API refuses it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
+    try:
+        return Fraction(str(value))
+    except ValueError:   # JSON's NaN and Infinity
+        raise ConfigError(f"{field}: not a number: {value!r}") from None
 
 
 def parse_duration_ms(value, field: str) -> int:

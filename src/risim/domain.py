@@ -106,8 +106,9 @@ _KIND_TAG = {
 }
 _TAG_KIND = {tag: kind for kind, tag in _KIND_TAG.items()}
 
-_TYPE_TAG = {MessageType.QUANTUM_EVENT: 1, MessageType.HEARTBEAT: 2}
-_TAG_TYPE = {tag: mt for mt, tag in _TYPE_TAG.items()}
+#: each message type's tag, the frame's byte 2
+TYPE_TAG = {MessageType.QUANTUM_EVENT: 1, MessageType.HEARTBEAT: 2}
+_TAG_TYPE = {tag: mt for mt, tag in TYPE_TAG.items()}
 
 
 class MalformedFrame(ValueError):
@@ -268,6 +269,10 @@ class ConcentratorReport(NamedTuple):
 #: per kind tag, a frame's meter id, session, battery, flags and cumulative quanta
 _HEADER = {tag: struct.Struct(f"<3xQI{2 * len(QUALITY_FIELDS[kind])}xBBI")
            for kind, tag in _KIND_TAG.items()}
+#: per frame length, a frame's version byte, type tag and cumulative quanta:
+#: what a ledger reads back from the frames it keeps side by side in one buffer
+FRAME_SUMMARY = {layout.size: struct.Struct(f"<BxB{layout.size - 7}xI")
+                 for layout in _HEADER.values()}
 
 
 def frame_size(kind: ResourceKind) -> int:
@@ -320,16 +325,6 @@ def frame_header(data: bytes) -> tuple[ResourceKind, MessageType, int, int, int]
     return kind, mtype, mid, session, cumulative
 
 
-def frame_type(data: bytes) -> MessageType:
-    """The message type of a frame that ``frame_header`` accepted: its byte 2."""
-    return _TAG_TYPE[data[2]]
-
-
-def frame_quanta(data: bytes) -> int:
-    """The cumulative quanta of a frame that ``frame_header`` accepted: its last 4 bytes."""
-    return int.from_bytes(data[-4:], "little")
-
-
 def decode_frame(data: bytes) -> MeterMessage:
     """Parse a wire frame into a message; raises MalformedFrame as ``frame_header`` does."""
     kind, mtype, mid, session, cumulative = frame_header(data)
@@ -346,7 +341,7 @@ def frame_builder(meter_id: int, kind: ResourceKind, mtype: MessageType,
     """``build(session, battery, flags, cumulative)`` for one meter's frames
     of one type and quality values, as a fixed prefix plus one ``struct.pack``:
     the one packer of frames, which ``encode_frame`` calls too."""
-    prefix = struct.pack("<BBBQ", FRAME_VERSION, _KIND_TAG[kind], _TYPE_TAG[mtype], meter_id)
+    prefix = struct.pack("<BBBQ", FRAME_VERSION, _KIND_TAG[kind], TYPE_TAG[mtype], meter_id)
     block = struct.pack(f"<{len(QUALITY_FIELDS[kind])}h", *quality)
     pack = struct.Struct(f"<I{len(block)}sBBI").pack
 

@@ -123,6 +123,16 @@ def reference_frame(msg: MeterMessage) -> bytes:
     return head + qual + tail
 
 
+def frame_type(data: bytes) -> MessageType:
+    """The message type of a well-formed frame: its byte 2."""
+    return next(mtype for mtype, tag in _TYPE_TAGS.items() if tag == data[2])
+
+
+def frame_quanta(data: bytes) -> int:
+    """The cumulative quanta of a well-formed frame: its last 4 bytes."""
+    return int.from_bytes(data[-4:], "little")
+
+
 @dataclass(frozen=True)
 class EventLogRecord:
     """One simulator event; ``payload`` holds the kind-specific fields.

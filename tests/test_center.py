@@ -512,34 +512,27 @@ def _workload(name: str, seed: int) -> dict:
 
 
 @pytest.mark.parametrize("workload", ["district_week", "lossy_multipath"])
-def test_center_holds_at_most_80_bytes_per_accepted_session(monkeypatch, workload):
-    """A session is four slots of a block.  The emissions an in-process
-    ``run_ri`` of the workload (seed 7, log discarded) hands the center are
-    folded again into a fresh center under tracemalloc, which traces only
-    that: what stays allocated in center.py is at most 80 bytes per
-    accepted session.  A row per session and a table of the other copies
-    took 211 on district_week and 303 on lossy_multipath."""
+def test_center_holds_at_most_80_bytes_per_accepted_session(tmp_path, workload):
+    """A session is a slot of a block's typed columns.  A center rebuilt by
+    ``replay_center`` from the log of the workload's run (seed 7) under
+    tracemalloc keeps at most 80 bytes per accepted session alive, counted
+    over every allocation site: its frames, reception times, indices and
+    tables, whatever module allocated them.  A list of four slots per
+    session and a ``bytes`` frame and reception-time int each held 126 on
+    district_week and 127 on lossy_multipath."""
     scenario = scenario_from_dict(_workload(workload, 7))
-    emissions = []
-    fold = MonitoringCenter.fold_emission
-    monkeypatch.setattr(MonitoringCenter, "fold_emission",
-                        lambda center, *emission: emissions.append(emission)
-                        or fold(center, *emission))
-    run = run_ri(scenario, EventLog(lambda line: None))
-    monkeypatch.undo()
-    center = MonitoringCenter(scenario.build_registry())
+    path = tmp_path / "events.ndjson"
+    with open(path, "w") as fh:
+        run = run_ri(scenario, EventLog(fh.write))
     tracemalloc.start()
     try:
-        for emission in emissions:
-            center.fold_emission(*emission)
-        held = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.Filter(True, risim.center.__file__)])
+        center = replay_center(read_events(path))
+        held_bytes, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert "".join(center.snapshots()) == "".join(run.center.snapshots())
     sessions = sum(len(accepted_sessions(ledger)) for ledger in center.ledgers().values())
     assert sessions > 10_000
-    held_bytes = sum(stat.size for stat in held.statistics("filename"))
     assert held_bytes <= 80 * sessions, f"{held_bytes / sessions:.0f} B per session"
 
 
@@ -630,6 +623,48 @@ def test_session_flood_keeps_one_record():
     assert ledger.stale_replays == 19_999
     assert sum(stat.size for stat in held.statistics("filename")) < 4096
     assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+def test_a_block_keeps_reception_times_past_64_bits_beside_ordinary_ones():
+    """Reception times outside 64 bits, accepted into one block and moved
+    into another by an earlier duplicate, sit beside ordinary ones: the
+    ledger's snapshot, lost runs and reconstructions are the reference's."""
+    ledger = SessionLedger(MID)
+    reference = ReferenceCenter({MID: 1000})
+    times = [5, 2**63, 7, -2**63 - 1, 2**63 - 1, 10**30, -2**63, 9]
+    copies = [(s, rx, CID1) for s, rx in enumerate(times)]
+    # the next block: ordinary times, then a second copy earlier than 64 bits reach
+    copies += [(BLOCK_SESSIONS + s, 100 + s, CID1) for s in range(3)]
+    copies.append((BLOCK_SESSIONS + 1, -2**64, CID2))
+    for session, rx, cid in copies:
+        report = _report(session, rx, cid=cid)
+        assert ledger.ingest(report) == reference.ingest(session, report)
+    assert "".join(ledger.snapshot_text()) == reference.ledgers_text()
+    assert sorted(ledger.quantum_times()) == sorted(times + [100, -2**64, 102])
+    assert [(run.first, run.count) for run in ledger.lost_runs()] == [(8, 8)]
+    window = (-2**64, 10**30)
+    assert ledger.reconstruct(1000, window) == reference.reconstruct_all(window)[0]
+
+
+def test_a_frame_of_another_length_is_refused_before_any_copy_is_folded():
+    """A 23-byte gas frame fed to a cold-water meter's ledger, whose frames
+    are 25 bytes, raises ValueError naming the meter and both lengths, alone
+    or among copies, and the ledger is as it was."""
+    registry = Registry()
+    registry.add_meter(MID, ResourceKind.COLD_WATER)
+    center = MonitoringCenter(registry)
+    assert center.ingest(_report(0, 1000)) is IngestOutcome.ACCEPTED
+    before = "".join(center.snapshots())
+    gas = _frame(MID, ResourceKind.GAS, 1, True, 2)
+    message = f"meter {MID:#x}: a 23-byte frame fed to a ledger of 25-byte frames"
+    with pytest.raises(ValueError) as err:
+        center.ingest(ConcentratorReport(gas, CID1, 2000))
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        center.fold_emission(gas, MID, 0, [(CID1, 2000), (CID2, 2001)])
+    assert str(err.value) == message
+    assert "".join(center.snapshots()) == before
+    assert center.ingest(_report(1, 2000)) is IngestOutcome.ACCEPTED
 
 
 def test_an_earlier_resend_from_the_same_concentrator_moves_nothing():

@@ -579,6 +579,32 @@ def test_replay_names_the_concentrator_of_an_outcome_it_does_not_reproduce(tmp_p
         "replay gives 'duplicate'\n")
 
 
+def test_replay_refuses_a_frame_of_another_length_than_its_meters(tmp_path, capsys):
+    """A line whose frame and resource are both forged to gas, for a
+    cold-water meter whose earlier lines the center holds, is one
+    ``malformed log`` line naming its seq, the meter and both frame lengths."""
+    out, lines, _ = _two_concentrator_run(tmp_path)
+    heard = set()
+    for i, line in enumerate(lines):
+        obj = json.loads(line)
+        payload = obj["payload"]
+        if _ingests(payload):
+            if payload["meter_id"] in heard and payload["resource"] == "cold_water":
+                break
+            heard.add(payload["meter_id"])
+    frame = bytes.fromhex(payload["frame_hex"])
+    # gas is kind tag 5, with one quality field where water has two
+    payload["frame_hex"] = (frame[:1] + bytes([5]) + frame[2:17] + frame[19:]).hex()
+    payload["resource"] = "gas"
+    lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    (out / "events.ndjson").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"malformed log: seq {obj['seq']}: meter {payload['meter_id']:#x}: a 23-byte frame "
+        "fed to a ledger of 25-byte frames\n")
+
+
 def test_replay_reads_integers_of_any_length(tmp_path, capsys):
     """A gas meter whose heartbeats fall 3 * 10**19 ms apart writes 20-digit
     times, and its log replays ok."""

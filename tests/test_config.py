@@ -253,6 +253,38 @@ def test_a_meter_range_error_is_a_config_error_naming_the_meter(field, value, me
     assert isinstance(err.value, ValueError)
 
 
+def _string_in(key: str, value: str) -> dict:
+    """``_scenario_dict`` with ``value``, a string, in exact-decimal key ``key``."""
+    obj = _scenario_dict()
+    building = obj["buildings"][0]
+    if key == "uplink_loss":
+        building["concentrators"][0][key] = value
+    elif key == "radio_loss":
+        building[key] = value
+    elif key == "loss":
+        building["meters"][0]["links"] = [{"concentrator": 1, key: value}]
+    else:
+        building["meters"][0][key] = value
+    return obj
+
+
+@pytest.mark.parametrize("value", ["0", "1", "0.1"])
+@pytest.mark.parametrize("key, where", [
+    ("uplink_loss", "concentrator 1: uplink_loss"),
+    ("radio_loss", "building 0: radio_loss"),
+    ("loss", "meter 1: link loss"),
+    *[(key, f"meter 1: {key}")
+      for key in ("battery_capacity", "tx_cost", "idle_drain_per_hour", "drift_rate")],
+])
+def test_a_string_in_an_exact_decimal_key_is_a_config_error_naming_it(key, where, value):
+    """A file's exact decimals are JSON numbers: a string of digits is
+    refused, as the Python API refuses a string in the same field."""
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(_string_in(key, value))
+    assert str(err.value) == f"{where}: expected a number, got {value!r}"
+    scenario_from_dict(_string_in(key, float(value)))
+
+
 @pytest.mark.parametrize("value, shown", [(-1, "-1"), (-0.5, "-1/2")])
 def test_a_number_from_a_file_is_shown_as_a_number(value, shown):
     """A file's decimals are read as exact fractions; a refusal shows one as

@@ -10,6 +10,8 @@ from risim.domain import (
     DEFAULT_QUANTUM_DU,
     ConfigError,
     DuplicateIdError,
+    FRAME_SUMMARY,
+    FRAME_VERSION,
     MalformedFrame,
     MessageType,
     NOMINAL_QUALITY_DU,
@@ -25,16 +27,14 @@ from risim.domain import (
     encode_frame,
     frame_builder,
     frame_header,
-    frame_quanta,
     frame_size,
-    frame_type,
     id_namespace,
     id_serial,
     meter_id,
     session_delta,
 )
 
-from oracles import reference_frame
+from oracles import frame_quanta, frame_type, reference_frame
 
 
 def _message(kind=ResourceKind.COLD_WATER, session=0, serial=1,
@@ -226,6 +226,7 @@ def test_header_read_and_builder_match_the_codec(case):
     assert header == (msg.kind, msg.message_type, msg.meter_id,
                       msg.session, msg.state.cumulative_quanta)
     assert (frame_type(frame), frame_quanta(frame)) == (header[1], header[4])
+    assert FRAME_SUMMARY[len(frame)].unpack(frame) == (FRAME_VERSION, frame[2], header[4])
     assert frame_size(header[0]) == len(frame)
     assert decode_frame(frame) == msg
 
