@@ -15,6 +15,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 from .domain import (
@@ -24,6 +25,7 @@ from .domain import (
     MessageType,
     Registry,
     SESSION_MOD,
+    TYPE_TAG_AT,
     encode_frame,  # unused here; perfbench's tracer patches this name
     frame_header,
     session_delta,
@@ -188,11 +190,12 @@ class SessionLedger:
         lowest = next(i for i, (version, _, _) in enumerate(slots) if version)
         return ((key << _SHIFT) + lowest) % self.modulus
 
-    def quantum_times(self) -> list[int]:
-        """The reception times of the accepted quantum events, in no particular order."""
-        summary = self._summary
-        return [rx for frames, times, _, _ in self._blocks.values()
-                for (_, tag, _), rx in zip(summary(frames), times) if tag == _QUANTUM]
+    def quantum_times(self) -> Iterator[int]:
+        """The reception times of the accepted quantum events, in no particular
+        order, read from the blocks one at a time."""
+        size, is_quantum = self._size, _QUANTUM.__eq__
+        for frames, times, _, _ in self._blocks.values():
+            yield from compress(times, map(is_quantum, frames[TYPE_TAG_AT::size]))
 
     def _summary(self, frames: bytearray) -> Iterator[tuple[int, int, int]]:
         """(version, type tag, cumulative quanta) per slot of a block's frames."""
@@ -403,7 +406,7 @@ class SessionLedger:
         Requires at least a full day's span of accepted events so every
         wall-clock hour had a chance to be observed.
         """
-        times = self.quantum_times()
+        times = list(self.quantum_times())
         if not times:
             raise InsufficientData("no accepted quantum events to learn from")
         span = max(times) - min(times)
@@ -546,11 +549,24 @@ def place_lost(t_lo, t_hi, k: int, profile: ConsumerProfile | None = None) -> li
     the points that cut it into k + 1 equal parts, or with a profile into
     k + 1 parts of equal profile mass.  All k sit at t_lo when a skewed clock
     stamped the run's upper bound no later than its lower one."""
-    if t_hi <= t_lo:
-        return [Fraction(t_lo)] * k
-    if profile is not None:
+    if profile is not None and t_hi > t_lo:
         return _profile_quantiles(profile, t_lo, t_hi, k)
-    return [t_lo + (t_hi - t_lo) * Fraction(i, k + 1) for i in range(1, k + 1)]
+    return [Fraction(n, k + 1) for n in _lost_numerators(t_lo, t_hi, k)]
+
+
+def lost_grid_indices(t_lo, t_hi, k: int, grid_ms: int) -> Iterator[int]:
+    """⌈t / grid_ms⌉ for each time t that ``place_lost`` gives a run's k lost
+    events with no profile, in order, in integers: the first index of a
+    grid of step ``grid_ms`` at or after each event."""
+    scale = (k + 1) * grid_ms
+    return (-(-n // scale) for n in _lost_numerators(t_lo, t_hi, k))
+
+
+def _lost_numerators(t_lo, t_hi, k: int):
+    """The uniform times of a run's k lost events, each times k + 1: t_lo·(k+1) +
+    (t_hi − t_lo)·i for i = 1..k, or t_lo·(k+1) for all k when t_hi ≤ t_lo."""
+    base, step = t_lo * (k + 1), max(t_hi - t_lo, 0)
+    return (base + step * i for i in range(1, k + 1))
 
 
 def _profile_quantiles(profile: ConsumerProfile, t_lo: int, t_hi: int,

@@ -16,6 +16,7 @@ from .domain import (
     CONCENTRATOR_NAMESPACE,
     ConcentratorReport,
     ConfigError,
+    device_name,
     id_namespace,
     whole_number,
 )
@@ -53,14 +54,12 @@ class ConcentratorConfig:
     def __post_init__(self) -> None:
         if id_namespace(whole_number(self.id, "concentrator id")) != CONCENTRATOR_NAMESPACE:
             raise ConfigError(f"not a concentrator id: {self.id:#x}")
-        skew = whole_number(self.clock_skew_ms, f"concentrator {self.id:#x}: clock_skew_ms")
-        bound = whole_number(self.max_skew_ms, f"concentrator {self.id:#x}: max_skew_ms")
+        where = device_name("concentrator", self.id)
+        skew = whole_number(self.clock_skew_ms, f"{where}: clock_skew_ms")
+        bound = whole_number(self.max_skew_ms, f"{where}: max_skew_ms")
         if abs(skew) > bound:
-            raise ConfigError(
-                f"concentrator {self.id:#x}: clock skew {skew} ms "
-                f"exceeds the declared bound {bound} ms"
-            )
-        loss = probability(self.uplink_loss, f"concentrator {self.id:#x}: uplink loss")
+            raise ConfigError(f"{where}: clock skew {skew} ms exceeds the declared bound {bound} ms")
+        loss = probability(self.uplink_loss, f"{where}: uplink loss")
         object.__setattr__(self, "uplink_loss", loss)
 
 

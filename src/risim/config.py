@@ -21,6 +21,7 @@ from .domain import (
     MS_PER_HOUR,
     ResourceKind,
     concentrator_id,
+    device_name,
     id_serial,
     meter_id,
     resource_kind,
@@ -274,13 +275,13 @@ def _meter_from_dict(obj: dict, building_idx: int, cid_by_serial: dict[int, int]
     if not isinstance(obj, dict):
         raise ConfigError(f"building {building_idx}: every meter must be an object")
     serial = whole_number(obj.get("serial"), f"building {building_idx}: meter serial")
-    where = f"meter {serial}"
-    _known_keys(obj, _KEYS["meter"], where)
-    kind = resource_kind(obj.get("kind"), f"{where}: kind")
     try:
         mid = meter_id(serial)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"building {building_idx}: {exc}") from None
+    where = device_name("meter", mid)
+    _known_keys(obj, _KEYS["meter"], where)
+    kind = resource_kind(obj.get("kind"), f"{where}: kind")
     cfg = MeterConfig(id=mid, kind=kind, **_fields(obj, _METER_FIELDS, kind, f"{where}: "))
     trace = _trace_spec(obj.get("trace", {"kind": "zero"}), kind, where)
     links = obj.get("links")
@@ -313,12 +314,12 @@ def _building_from_dict(obj: dict, idx: int) -> Building:
         if not isinstance(c, dict):
             raise ConfigError(f"building {idx}: every concentrator must be an object")
         serial = whole_number(c.get("serial"), f"building {idx}: concentrator serial")
-        where = f"concentrator {serial}"
-        _known_keys(c, _KEYS["concentrator"], where)
         try:
             cid = concentrator_id(serial)
         except ValueError as exc:
             raise ConfigError(f"building {idx}: {exc}") from None
+        where = device_name("concentrator", cid)
+        _known_keys(c, _KEYS["concentrator"], where)
         concentrators.append(ConcentratorConfig(
             id=cid, **_fields(c, _CONCENTRATOR_FIELDS, None, f"{where}: ")))
     cid_by_serial = {id_serial(c.id): c.id for c in concentrators}

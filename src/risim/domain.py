@@ -173,6 +173,16 @@ def id_serial(ident: int) -> int:
     return ident & (2**_SERIAL_BITS - 1)
 
 
+def device_name(word: str, ident: int) -> str:
+    """How an error names a device: ``word`` ("meter" or "concentrator"), its
+    serial and its id in brackets, as in ``meter 1 [0x100000000000001]``.  An
+    id outside the word's namespace has no serial there, so it is shown
+    alone: ``meter [0x200000000000005]``."""
+    namespace = METER_NAMESPACE if word == "meter" else CONCENTRATOR_NAMESPACE
+    serial = f" {id_serial(ident)}" if id_namespace(ident) == namespace else ""
+    return f"{word}{serial} [{ident:#x}]"
+
+
 # ---------------------------------------------------------------------------
 # session arithmetic
 
@@ -273,6 +283,8 @@ _HEADER = {tag: struct.Struct(f"<3xQI{2 * len(QUALITY_FIELDS[kind])}xBBI")
 #: what a ledger reads back from the frames it keeps side by side in one buffer
 FRAME_SUMMARY = {layout.size: struct.Struct(f"<BxB{layout.size - 7}xI")
                  for layout in _HEADER.values()}
+#: the offset of a frame's message type tag, after its version and kind bytes
+TYPE_TAG_AT = 2
 
 
 def frame_size(kind: ResourceKind) -> int:
@@ -371,7 +383,7 @@ class Registry:
         if id_namespace(ident) != METER_NAMESPACE:
             raise ConfigError(f"not a meter id: {ident:#x}")
         if ident in self._meters:
-            raise DuplicateIdError(f"duplicate meter id: {ident:#x}")
+            raise DuplicateIdError(f"{device_name('meter', ident)}: duplicate id")
         if quantum_du is None:
             quantum_du = DEFAULT_QUANTUM_DU[kind]
         if quantum_du <= 0:
@@ -382,7 +394,7 @@ class Registry:
         if id_namespace(ident) != CONCENTRATOR_NAMESPACE:
             raise ConfigError(f"not a concentrator id: {ident:#x}")
         if ident in self._concentrators:
-            raise DuplicateIdError(f"duplicate concentrator id: {ident:#x}")
+            raise DuplicateIdError(f"{device_name('concentrator', ident)}: duplicate id")
         self._concentrators.add(ident)
 
     def meter(self, ident: int) -> MeterInfo:

@@ -19,6 +19,7 @@ from .domain import (
     MessageType,
     ResourceKind,
     SESSION_MOD,
+    device_name,
     frame_builder,
     nonnegative_number,
     resource_kind,
@@ -42,7 +43,7 @@ class MeterConfig:
     max_flow_du_per_hour: Fraction | None = None
 
     def __post_init__(self) -> None:
-        where = f"meter {whole_number(self.id, 'meter id'):#x}"
+        where = device_name("meter", whole_number(self.id, "meter id"))
         object.__setattr__(self, "kind", resource_kind(self.kind, f"{where}: kind"))
         if self.quantum_du is None:
             object.__setattr__(self, "quantum_du", DEFAULT_QUANTUM_DU[self.kind])

@@ -11,11 +11,14 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
+from operator import mul, sub
 
-from .center import MonitoringCenter, SessionLedger, place_lost
+from .center import MonitoringCenter, SessionLedger, lost_grid_indices
 from .concentrator import ConcentratorConfig, broadcast, loss_threshold, probability
 from .concentrator import receive  # unused here; perfbench's tracer patches this name
 from .domain import (
@@ -24,6 +27,7 @@ from .domain import (
     MS_PER_HOUR,
     MS_PER_MINUTE,
     Registry,
+    device_name,
     encode_frame,  # unused here; perfbench's tracer patches this name
     frame_size,
     whole_number,
@@ -97,14 +101,16 @@ class ScenarioConfig:
         registry = self.build_registry()   # raises on duplicate ids
         known = set(registry.concentrator_ids())
         for sm in self.meters():
-            mid, cids = sm.config.id, [cid for cid, _ in sm.links]
+            meter, cids = device_name("meter", sm.config.id), [cid for cid, _ in sm.links]
             for cid, loss in sm.links:
                 if cid not in known:
-                    raise ConfigError(f"meter {mid:#x} links to undeclared concentrator {cid:#x}")
+                    raise ConfigError(f"{meter}: link to undeclared "
+                                      f"{device_name('concentrator', cid)}")
                 if cids.count(cid) > 1:
-                    raise ConfigError(f"meter {mid:#x}: duplicate link to concentrator {cid:#x}")
-                probability(loss, f"meter {mid:#x}: link loss")
-        orphans = [f"{sm.config.id:#x}" for sm in self.meters() if not sm.links]
+                    raise ConfigError(f"{meter}: duplicate link to "
+                                      f"{device_name('concentrator', cid)}")
+                probability(loss, f"{meter}: link loss")
+        orphans = [device_name("meter", sm.config.id) for sm in self.meters() if not sm.links]
         if orphans:
             raise ConfigError(f"meters with no concentrator link: {', '.join(orphans)}")
 
@@ -188,8 +194,9 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
         mid = sm.config.id
         trace = traces.get(mid)
         ledger = ledgers.get(mid)
-        steps = reconstruction_steps(ledger, sm.config.quantum_du) if ledger else []
-        mse = _step_mean_square(trace, steps, scenario.rmse_grid_ms, scenario.horizon_ms)
+        indices = reconstruction_steps(ledger, scenario.rmse_grid_ms) if ledger else []
+        mse = _step_mean_square(trace, indices, sm.config.quantum_du,
+                                scenario.rmse_grid_ms, scenario.horizon_ms)
         metrics[mid] = DetailMetric(
             meter_id=mid,
             message_count=counts.get(mid, 0),
@@ -223,16 +230,18 @@ def run_ti(scenario: ScenarioConfig, log: EventLog | None = None) -> TiRunResult
                     log.ti_reading(t, mid, k, register, unit)
 
     metrics: dict[int, DetailMetric] = {}
+    grid = scenario.rmse_grid_ms
     for sm in meters:
         mid = sm.config.id
-        mse = _step_mean_square(
-            traces.get(mid), _as_increments(readings.get(mid, [])),
-            scenario.rmse_grid_ms, scenario.horizon_ms,
-        )
+        polls = readings.get(mid, [])
+        registers = [register for _, register in polls]
+        mse = _step_mean_square(traces.get(mid), [-(-t // grid) for t, _ in polls],
+                                list(map(sub, registers, [0, *registers])), grid,
+                                scenario.horizon_ms)
         metrics[mid] = DetailMetric(
             meter_id=mid,
-            message_count=len(readings.get(mid, [])),
-            bytes_sent=TI_READING_BYTES * len(readings.get(mid, [])),
+            message_count=len(polls),
+            bytes_sent=TI_READING_BYTES * len(polls),
             mean_square_du=mse,
         )
     return TiRunResult(readings, metrics, traces)
@@ -276,77 +285,99 @@ def _ti_polls_sent(cfg: MeterConfig, dt: int, n_polls: int) -> int:
     return max(0, min(n_polls, math.ceil(headroom / per_poll) - 1))
 
 
-def _as_increments(levels: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Convert (time, cumulative) readings to (time, increment) jumps."""
-    out = []
-    prev = 0
-    for t, level in levels:
-        out.append((t, level - prev))
-        prev = level
-    return out
+def reconstruction_steps(ledger: SessionLedger | None, grid_ms: int) -> list[int]:
+    """The sorted metric grid indices where the center's reconstructed curve
+    steps up by one quantum: ⌈t / grid_ms⌉ of each step's time t, or 0 for a
+    time before the origin.
 
-
-def reconstruction_steps(ledger: SessionLedger | None,
-                         quantum_du: int) -> list[tuple[int | Fraction, int]]:
-    """(time, increment_du) jumps of the center's reconstructed curve, in no
-    particular order: ``_step_mean_square`` places and sorts them.
-
-    Accepted quantum events jump at their integer reception times; quanta
-    recovered inside bounded gaps jump at the uniform times ``place_lost``
-    gives between the bounding receptions, keeping every step exactly one
-    quantum tall.
+    Accepted quantum events step at their integer reception times, read
+    from the ledger's blocks; quanta recovered inside bounded gaps step at
+    the uniform times ``place_lost`` gives between the bounding receptions,
+    whose indices ``lost_grid_indices`` takes in integers.
     """
     if ledger is None or ledger.is_empty:
         return []
-    jumps: list[tuple[int | Fraction, int]] = [(t, quantum_du) for t in ledger.quantum_times()]
+    indices = [-(-t // grid_ms) for t in ledger.quantum_times()]
     for run in ledger.lost_runs():
-        jumps.extend((t, quantum_du) for t in place_lost(run.t_lo, run.t_hi, run.quanta))
-    return jumps
+        indices.extend(lost_grid_indices(run.t_lo, run.t_hi, run.quanta, grid_ms))
+    indices.sort()
+    below = bisect_left(indices, 0)
+    indices[:below] = repeat(0, below)
+    return indices
 
 
-def _step_mean_square(trace: ConsumptionTrace | None, steps, grid_ms: int,
-                      horizon_ms: int) -> Fraction:
+def _step_mean_square(trace: ConsumptionTrace | None, indices: list[int],
+                      heights: int | list[int], grid_ms: int, horizon_ms: int) -> Fraction:
     """Exact mean squared deciunit error of a step curve on the metric grid.
 
-    The grid points are k·grid_ms for k = 0..horizon_ms // grid_ms, and a
-    (time, integer increment) step counts at every point at or after its
-    time.  Between the grid indices where a trace segment or a step begins,
-    the error is linear in k, so the squared sum of each such piece is a
-    closed form in its length, Σk and Σk².  Scaled by
-    MS_PER_HOUR · lcm(rate denominators), every term is an integer, so the
-    cost is O(segments + steps) and the result is exact.
+    The grid points are k·grid_ms for k = 0..N − 1, N = horizon_ms // grid_ms
+    + 1.  The curve starts at 0 and steps up by ``heights[j]``, or by
+    ``heights`` for every step when it is one int, at grid index
+    ``indices[j]``; the indices are sorted and nonnegative, and one of N or
+    more is past the grid.  With C the trace and S the curve at each grid
+    point, the sum of (C − S)² is ΣC² − 2·ΣC·S + ΣS²:
+
+    - C is linear in k across each trace segment, so ΣC² and the prefix sums
+      P(x) = Σ_{k<x} C(k) are closed forms per segment;
+    - ΣC·S = Σ_j h_j·(P(N) − P(x_j)); per segment it takes the sums of h,
+      h·x and h·x² over the indices inside it, which bisect finds;
+    - ΣS² = Σ_j L_j²·(x_{j+1} − x_j), x_m = N, with L_j the level after step
+      j, is L_{m−1}²·N − Σ_j x_j·(L_j² − L_{j−1}²), in one pass.
+
+    Scaled by MS_PER_HOUR · lcm(rate denominators) every term is an integer,
+    so the result is exact.  The big-integer work is per segment; a step
+    costs a few small-integer products and additions, and with one height
+    for every step only its index is read.
     """
     if horizon_ms == 0 or trace is None:
         return Fraction(0)
+    uniform = type(heights) is int
     n_points = horizon_ms // grid_ms + 1
-    # the first grid index at or after each step's time
-    jumps = sorted(
-        (-(-t.numerator // (t.denominator * grid_ms)), inc) for t, inc in steps if inc
-    )
+    m = bisect_left(indices, n_points)   # the steps on the grid
     segments = trace.segments()
     lcm = math.lcm(*(rate.denominator for _, _, rate in segments))
     scale = MS_PER_HOUR * lcm
     # past its horizon the trace holds its total
     segments.append((trace.horizon_ms, n_points * grid_ms, Fraction(0)))
-    acc = 0
-    consumed = 0   # scaled consumption at the segment start
-    level = 0      # scaled step curve
-    j = 0
+    c_squares = 0    # ΣC², scaled twice
+    c_steps = 0      # Σ_j h_j·P(x_j), scaled once
+    prefix = 0       # P at the segment's first index, scaled
+    consumed = 0     # scaled consumption at the segment start
+    lo = 0           # the first step at or after the segment's first index
     for start, end, rate in segments:
         slope = lcm * rate.numerator // rate.denominator   # scaled du per ms
         k = -(-start // grid_ms)
-        stop = min(-(-end // grid_ms), n_points)
-        while k < stop:
-            while j < len(jumps) and jumps[j][0] <= k:
-                level += scale * jumps[j][1]
-                j += 1
-            nxt = min(stop, jumps[j][0]) if j < len(jumps) else stop
-            n = nxt - k
-            a = consumed + slope * (k * grid_ms - start) - level   # error at k
-            b = slope * grid_ms                                    # per grid step
-            acc += n * a * a + a * b * n * (n - 1) + b * b * ((n - 1) * n * (2 * n - 1) // 6)
-            k = nxt
+        n = min(-(-end // grid_ms), n_points) - k
+        if n > 0:
+            # C(k + y) = a + b·y and P(k + y) = prefix + a·y + b·y(y − 1)/2
+            a, b = consumed + slope * (k * grid_ms - start), slope * grid_ms
+            c_squares += n * a * a + a * b * n * (n - 1) + b * b * ((n - 1) * n * (2 * n - 1) // 6)
+            hi = bisect_left(indices, k + n, lo, m)
+            if hi > lo:
+                xs = indices[lo:hi]
+                if uniform:
+                    i0, i1, i2 = (heights * (hi - lo), heights * sum(xs),
+                                  heights * sum(map(mul, xs, xs)))
+                else:
+                    hs = heights[lo:hi]
+                    i0, i1, i2 = sum(hs), sum(map(mul, hs, xs)), sum(map(mul, hs, map(mul, xs, xs)))
+                # Σh·y = i1 − k·i0 and Σh·y(y − 1) = i2 − (2k + 1)·i1 + k(k + 1)·i0
+                c_steps += (prefix * i0 + a * (i1 - k * i0)
+                            + b * (i2 - (2 * k + 1) * i1 + k * (k + 1) * i0) // 2)
+                lo = hi
+            prefix += n * a + b * (n * (n - 1) // 2)
         consumed += slope * (end - start)
+    on_grid = islice(indices, m)
+    if uniform:   # L_j = h·(j + 1), so L_j² − L_{j−1}² = h²·(2j + 1)
+        level = heights * m
+        s_squares = level * level * n_points - heights * heights * sum(
+            map(mul, on_grid, range(1, 2 * m, 2)))
+    else:
+        squares = [level * level for level in accumulate(heights[:m], initial=0)]
+        level = sum(heights[:m])
+        s_squares = squares[-1] * n_points - sum(map(mul, on_grid, map(sub, squares[1:], squares)))
+    c_s = level * prefix - c_steps                 # ΣC·S, scaled once
+    acc = c_squares - 2 * scale * c_s + scale * scale * s_squares
     return Fraction(acc, scale * scale * n_points)
 
 
@@ -511,7 +542,7 @@ def worst_case_load(scenario: ScenarioConfig) -> LoadReport:
         cfg = sm.config
         flow = cfg.max_flow_du_per_hour
         if flow is None:
-            raise ConfigError(f"meter {cfg.id:#x} declares no max flow rate")
+            raise ConfigError(f"{device_name('meter', cfg.id)}: no max flow rate declared")
         bound_per_hour += flow / cfg.quantum_du
         if flow and horizon:
             period = Fraction(cfg.quantum_du) * MS_PER_HOUR / flow   # ms per event

@@ -5,7 +5,9 @@ result types and ``rmse_text``, whose rounding a property of its own
 checks.  The package has one packer of frames (``frame_builder``) and
 one writer of event lines (``EventLog``); ``reference_frame`` and
 ``EventLogRecord.to_json`` are the independent renderings they are checked
-against.  ``snapshot`` and ``accepted_sessions`` are no oracles: they read a
+against.  ``piecewise_mean_square`` and ``time_steps`` are the metric as
+it was summed before it went to integer grid indices: a (time, increment)
+step per quantum, placed by ``place_lost``.  ``snapshot`` and ``accepted_sessions`` are no oracles: they read a
 ledger's own ``ledgers.ndjson`` line back, for assertions on its fields."""
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from risim.center import IngestOutcome, ReconstructionResult, SessionLedger
+from risim.center import IngestOutcome, ReconstructionResult, SessionLedger, place_lost
 from risim.domain import (
     BASE_UNIT,
     FLAG_CLOCKLESS_IDLE,
@@ -634,6 +636,65 @@ def grid_mean_square(trace: ConsumptionTrace | None, steps, grid_ms: int,
         acc += err * err
         n += 1
     return acc / n
+
+
+def piecewise_mean_square(trace: ConsumptionTrace | None, steps, grid_ms: int,
+                          horizon_ms: int) -> Fraction:
+    """The mean squared error of a (time, increment) step curve against the
+    trace on the metric grid, piece by piece: between the grid indices where
+    a trace segment or a step begins the error is linear in k, so each
+    piece's squared sum is a closed form in its length, Σk and Σk², with one
+    big-integer update per step."""
+    if horizon_ms == 0 or trace is None:
+        return Fraction(0)
+    n_points = horizon_ms // grid_ms + 1
+    jumps = sorted(
+        (-(-t.numerator // (t.denominator * grid_ms)), inc) for t, inc in steps if inc
+    )
+    segments = trace.segments()
+    lcm = math.lcm(*(rate.denominator for _, _, rate in segments))
+    scale = MS_PER_HOUR * lcm
+    segments.append((trace.horizon_ms, n_points * grid_ms, Fraction(0)))
+    acc = 0
+    consumed = 0
+    level = 0
+    j = 0
+    for start, end, rate in segments:
+        slope = lcm * rate.numerator // rate.denominator
+        k = -(-start // grid_ms)
+        stop = min(-(-end // grid_ms), n_points)
+        while k < stop:
+            while j < len(jumps) and jumps[j][0] <= k:
+                level += scale * jumps[j][1]
+                j += 1
+            nxt = min(stop, jumps[j][0]) if j < len(jumps) else stop
+            n = nxt - k
+            a = consumed + slope * (k * grid_ms - start) - level
+            b = slope * grid_ms
+            acc += n * a * a + a * b * n * (n - 1) + b * b * ((n - 1) * n * (2 * n - 1) // 6)
+            k = nxt
+        consumed += slope * (end - start)
+    return Fraction(acc, scale * scale * n_points)
+
+
+def time_steps(ledger: SessionLedger | None, quantum_du: int) -> list[tuple[int | Fraction, int]]:
+    """(time, increment_du) jumps of the center's reconstructed curve, in no
+    particular order: each accepted quantum event at its reception time, and
+    each quantum recovered in a bounded gap at the time ``place_lost`` gives
+    it."""
+    if ledger is None or ledger.is_empty:
+        return []
+    jumps: list[tuple[int | Fraction, int]] = [(t, quantum_du) for t in ledger.quantum_times()]
+    for run in ledger.lost_runs():
+        jumps.extend((t, quantum_du) for t in place_lost(run.t_lo, run.t_hi, run.quanta))
+    return jumps
+
+
+def grid_steps(steps, grid_ms: int) -> tuple[list[int], list[int]]:
+    """(time, increment) steps as the sorted grid indices ⌈t / grid_ms⌉,
+    clamped at 0, and their increments in the same order."""
+    ordered = sorted((max(0, math.ceil(Fraction(t) / grid_ms)), inc) for t, inc in steps)
+    return [k for k, _ in ordered], [inc for _, inc in ordered]
 
 
 class ReferenceRun:

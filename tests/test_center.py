@@ -9,6 +9,7 @@ consumption amount to an exact value.
 from __future__ import annotations
 
 import importlib.util
+import math
 import random
 import tempfile
 import time
@@ -31,6 +32,7 @@ from risim.center import (
     NoData,
     SessionLedger,
     _profile_quantiles,
+    lost_grid_indices,
     place_lost,
 )
 from risim.domain import (
@@ -53,7 +55,8 @@ from risim.config import scenario_from_dict
 from risim.eventlog import EventLog, read_events, replay_center
 from risim.simulation import reconstruction_steps, run_ri
 
-from oracles import ReferenceCenter, accepted_sessions, record_sink, snapshot, write_records
+from oracles import (ReferenceCenter, accepted_sessions, record_sink, snapshot, time_steps,
+                     write_records)
 
 MID = meter_id(3)
 WATER_QUALITY = NOMINAL_QUALITY_DU[ResourceKind.COLD_WATER]
@@ -758,6 +761,21 @@ def test_unbounded_trailing_loss_is_invisible():
     assert ledger.lost_runs() == []
 
 
+def test_reconstruct_allocates_nothing_per_quantum():
+    """Received quanta are counted off the ledger's blocks: reconstructing
+    a window over 4,000 of them takes no list of their times."""
+    ledger = SessionLedger(MID)
+    _feed(ledger, [_report(s, 1000 * (s + 1)) for s in range(1, 4001)])
+    tracemalloc.start()
+    try:
+        result = ledger.reconstruct(1000, (0, 10**7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.quanta_received, result.quanta_recovered) == (4000, 1)
+    assert peak < 8 * 1024, f"{peak} B"
+
+
 def test_reconstruct_errors():
     ledger = SessionLedger(MID)
     with pytest.raises(NoData):
@@ -953,9 +971,29 @@ def test_a_run_stamped_backwards_places_its_lost_events_at_its_lower_bound():
     [run] = ledger.lost_runs()
     assert (run.t_lo, run.t_hi, run.quanta) == (500, 100, 1)
     assert ledger.interpolate_lost_times(run) == [(1, 500)]
-    assert sorted(reconstruction_steps(ledger, 1000)) == [(100, 1000), (500, 1000), (500, 1000)]
+    assert sorted(time_steps(ledger, 1000)) == [(100, 1000), (500, 1000), (500, 1000)]
+    assert reconstruction_steps(ledger, 1) == [100, 500, 500]
+    assert reconstruction_steps(ledger, 300) == [1, 2, 2]
     profile = ConsumerProfile(MID, (Fraction(1, 24),) * 24)
     assert place_lost(500, 100, 2, profile) == place_lost(500, 500, 2) == [500, 500]
+
+
+_bounds = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                   st.integers(min_value=-2**70, max_value=2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_lo=_bounds, t_hi=_bounds, k=st.integers(min_value=0, max_value=12),
+       grid=st.one_of(st.integers(min_value=1, max_value=100), st.just(60_000),
+                      st.integers(min_value=1, max_value=2**66)))
+@example(t_lo=500, t_hi=100, k=2, grid=7)
+@example(t_lo=-2**64, t_hi=2**65 + 3, k=5, grid=60_000)
+def test_lost_grid_indices_are_the_ceilings_of_place_lost(t_lo, t_hi, k, grid):
+    """The metric places a lost quantum at the first grid point at or after
+    the time ``place_lost`` gives it, in integers: for bounds stamped
+    backwards, negative and past 64 bits alike."""
+    assert list(lost_grid_indices(t_lo, t_hi, k, grid)) == [
+        math.ceil(t / grid) for t in place_lost(t_lo, t_hi, k)]
 
 
 # ---------------------------------------------------------------------------

@@ -1041,7 +1041,7 @@ def _bursts_per_day(value):
     pytest.param(lambda o: _meters(o)[0]["trace"]["params"].update(jitter_pct=150),
                  "meter 1", id="jitter_out_of_range"),
     pytest.param(lambda o: _meters(o)[1].update(serial=1),
-                 "duplicate meter id", id="duplicate_meter_serial"),
+                 "meter 1 [0x100000000000001]: duplicate id", id="duplicate_meter_serial"),
     pytest.param(lambda o: o["buildings"][0].update(meters=5),
                  "building 0", id="meters_not_a_list"),
     pytest.param(lambda o: _meters(o)[0].update(kind=["gas"]),

@@ -36,6 +36,7 @@ from risim.simulation import Building, ScenarioConfig, SimMeter
 from risim.traces import TraceSpec
 
 MID = meter_id(1)
+MID_NAME = f"meter 1 [{MID:#x}]"
 CID1 = concentrator_id(1)
 CID2 = concentrator_id(2)
 
@@ -82,10 +83,10 @@ def test_a_loss_that_is_not_a_number_is_a_config_error(loss, shown):
     for an uplink and for a link alike."""
     with pytest.raises(ConfigError) as err:
         ConcentratorConfig(id=CID1, uplink_loss=loss)
-    assert str(err.value) == f"concentrator {CID1:#x}: uplink loss must be a probability, got {shown}"
+    assert str(err.value) == f"concentrator 1 [{CID1:#x}]: uplink loss must be a probability, got {shown}"
     with pytest.raises(ConfigError) as err:
         _scenario((CID1, loss))
-    assert str(err.value) == f"meter {MID:#x}: link loss must be a probability, got {shown}"
+    assert str(err.value) == f"{MID_NAME}: link loss must be a probability, got {shown}"
 
 
 @pytest.mark.parametrize("field", ["clock_skew_ms", "max_skew_ms"])
@@ -96,7 +97,7 @@ def test_a_skew_that_is_not_a_whole_number_is_a_config_error(field, value, shown
     loader reads them: anything else is a ConfigError naming the concentrator."""
     with pytest.raises(ConfigError) as err:
         ConcentratorConfig(id=CID1, **{field: value})
-    assert str(err.value) == f"concentrator {CID1:#x}: {field}: expected an integer, got {shown}"
+    assert str(err.value) == f"concentrator 1 [{CID1:#x}]: {field}: expected an integer, got {shown}"
 
 
 def _scenario(*links):
@@ -109,13 +110,13 @@ def _scenario(*links):
 def test_scenario_rejects_duplicate_link():
     with pytest.raises(ConfigError) as err:
         _scenario((CID1, 0.1), (CID1, 0.2))
-    assert str(err.value) == f"meter {MID:#x}: duplicate link to concentrator {CID1:#x}"
+    assert str(err.value) == f"{MID_NAME}: duplicate link to concentrator 1 [{CID1:#x}]"
 
 
 def test_scenario_rejects_bad_link_loss():
     with pytest.raises(ConfigError) as err:
         _scenario((CID1, -0.1))
-    assert str(err.value) == f"meter {MID:#x}: link loss must be a probability, got -0.1"
+    assert str(err.value) == f"{MID_NAME}: link loss must be a probability, got -0.1"
 
 
 def test_coverage_check_names_orphans():
@@ -126,7 +127,8 @@ def test_coverage_check_names_orphans():
     with pytest.raises(ConfigError) as err:
         replace(covered, buildings=(building,))
     assert str(err.value) == (
-        f"meters with no concentrator link: {meter_id(98):#x}, {meter_id(99):#x}")
+        f"meters with no concentrator link: meter 98 [{meter_id(98):#x}], "
+        f"meter 99 [{meter_id(99):#x}]")
 
 
 def _run(tmp_path, name, scenario) -> dict[str, bytes]:

@@ -15,7 +15,7 @@ from risim.config import (
     parse_sweep_values,
     scenario_from_dict,
 )
-from risim.domain import ConfigError, ResourceKind
+from risim.domain import ConfigError, ResourceKind, concentrator_id, meter_id
 from risim.traces import TRACE_KINDS
 
 WATER = ResourceKind.COLD_WATER
@@ -149,6 +149,33 @@ def test_scenario_errors_name_the_meter():
     assert "meter 1" in str(err.value)
 
 
+def _concentrator_set(**extra) -> dict:
+    obj = _scenario_dict()
+    obj["buildings"][0]["concentrators"][0].update(extra)
+    return obj
+
+
+@pytest.mark.parametrize("obj, device, message", [
+    (_scenario_dict(bogus=1), "meter 1 [0x100000000000001]",
+     "unknown key 'bogus' (expected "),
+    (_scenario_dict(tx_cost=-1), "meter 1 [0x100000000000001]",
+     "tx_cost: expected a nonnegative number, got -1"),
+    (_scenario_dict(heartbeat_interval="0s"), "meter 1 [0x100000000000001]",
+     "heartbeat interval must be positive"),
+    (_concentrator_set(bogus=1), "concentrator 1 [0x200000000000001]",
+     "unknown key 'bogus' (expected "),
+    (_concentrator_set(clock_skew_ms=5000), "concentrator 1 [0x200000000000001]",
+     "clock skew 5000 ms exceeds the declared bound 1000 ms"),
+], ids=["meter-key", "meter-tx-cost", "meter-heartbeat", "concentrator-key",
+        "concentrator-skew"])
+def test_a_device_has_one_name_in_its_errors(obj, device, message):
+    """The loader's own checks and the device's value checks name a device
+    alike: its serial, then its id in brackets."""
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(obj)
+    assert str(err.value).startswith(f"{device}: {message}")
+
+
 def test_scenario_missing_pieces():
     with pytest.raises(ConfigError):
         scenario_from_dict({"buildings": []})
@@ -195,7 +222,7 @@ def test_an_integer_field_of_the_python_api_is_a_config_error(field, value, show
     else is a ConfigError naming the field, and the meter for a meter's."""
     sc = scenario_from_dict(_scenario_dict())
     meter = sc.meters()[0].config
-    where = f"meter {meter.id:#x}:" if field in _METER_INTS else "scenario"
+    where = f"meter 1 [{meter.id:#x}]:" if field in _METER_INTS else "scenario"
     with pytest.raises(ConfigError) as err:
         replace(meter if field in _METER_INTS else sc, **{field: value})
     assert str(err.value) == f"{where} {field}: expected an integer, got {shown}"
@@ -221,7 +248,7 @@ def test_a_number_field_of_the_python_api_is_a_config_error(field, value, shown)
     meter = scenario_from_dict(_scenario_dict()).meters()[0].config
     with pytest.raises(ConfigError) as err:
         replace(meter, **{field: value})
-    assert str(err.value) == (f"meter {meter.id:#x}: {field}: expected a nonnegative number, "
+    assert str(err.value) == (f"meter 1 [{meter.id:#x}]: {field}: expected a nonnegative number, "
                               f"got {shown}")
 
 
@@ -249,7 +276,7 @@ def test_a_meter_range_error_is_a_config_error_naming_the_meter(field, value, me
     meter = scenario_from_dict(_scenario_dict()).meters()[0].config
     with pytest.raises(ConfigError) as err:
         replace(meter, **{field: value})
-    assert str(err.value) == f"meter {meter.id:#x}: {message}"
+    assert str(err.value) == f"meter 1 [{meter.id:#x}]: {message}"
     assert isinstance(err.value, ValueError)
 
 
@@ -270,10 +297,10 @@ def _string_in(key: str, value: str) -> dict:
 
 @pytest.mark.parametrize("value", ["0", "1", "0.1"])
 @pytest.mark.parametrize("key, where", [
-    ("uplink_loss", "concentrator 1: uplink_loss"),
+    ("uplink_loss", f"concentrator 1 [{concentrator_id(1):#x}]: uplink_loss"),
     ("radio_loss", "building 0: radio_loss"),
-    ("loss", "meter 1: link loss"),
-    *[(key, f"meter 1: {key}")
+    ("loss", f"meter 1 [{meter_id(1):#x}]: link loss"),
+    *[(key, f"meter 1 [{meter_id(1):#x}]: {key}")
       for key in ("battery_capacity", "tx_cost", "idle_drain_per_hour", "drift_rate")],
 ])
 def test_a_string_in_an_exact_decimal_key_is_a_config_error_naming_it(key, where, value):

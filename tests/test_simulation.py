@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import cProfile
 import enum
+import fractions
+import importlib.util
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 from risim import simulation
 from risim.cli import METRICS_HEADER, _metrics_rows
 from risim.concentrator import ConcentratorConfig, receive
+from risim.config import scenario_from_dict
 from risim.domain import (
     ConfigError,
     MS_PER_DAY,
@@ -52,8 +57,9 @@ from risim.simulation import (
 from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
 
 from oracles import (EventLogRecord, ReferenceRun, accepted_count, accepted_sessions,
-                     consumed_between, from_json, grid_mean_square, read_csv, record_sink,
-                     snapshot, total_du, write_records)
+                     consumed_between, from_json, grid_mean_square, grid_steps,
+                     piecewise_mean_square, read_csv, record_sink, snapshot, time_steps,
+                     total_du, write_records)
 
 CID = concentrator_id(1)
 
@@ -494,25 +500,65 @@ def test_logged_run_and_its_snapshots_call_nothing_in_enum():
 
 
 def test_reconstruction_steps_compare_no_fraction():
-    """Received quanta jump at their integer reception times and the steps
-    are left unsorted, since ``_step_mean_square`` orders them itself: a
-    lossy ledger's steps cost no Fraction comparison, and their order does
-    not change the metric."""
-    sc = _lossy_on_three_concentrators()
-    res = run_ri(sc)
+    """Received quanta step at the grid index of their integer reception
+    times and recovered ones at an index taken in integers, so a ledger's
+    metric makes as many calls into ``fractions.py`` (its trace's rates)
+    whatever the number of lost quanta.  The indices are sorted ints, the
+    ceilings of the reference's (time, increment) steps, and the metric is
+    the reference's."""
     mid = meter_id(1)
-    ledger = res.center.ledgers()[mid]
-    assert any(run.quanta for run in ledger.lost_runs())
-    profile = cProfile.Profile()
-    profile.enable()
-    steps = reconstruction_steps(ledger, 1000)
-    profile.disable()
-    assert _calls(profile, richcmp=Fraction._richcmp) == {"richcmp": 0}
-    assert {type(t) for t, _ in steps} == {int, Fraction}
-    mse = _step_mean_square(res.traces[mid], steps, MS_PER_MINUTE, sc.horizon_ms)
+    meters = [(_water(1), TraceSpec("constant", {"rate_du_per_hour": 60_000}))]
+    sc = _scenario(meters, horizon_ms=6 * MS_PER_HOUR, loss=Fraction(1, 2))
+    lossless = _scenario(meters, horizon_ms=6 * MS_PER_HOUR)
+
+    def metric(res):
+        ledger = res.center.ledgers()[mid]
+        profile = cProfile.Profile()
+        profile.enable()
+        indices = reconstruction_steps(ledger, MS_PER_MINUTE)
+        mse = _step_mean_square(res.traces[mid], indices, 1000, MS_PER_MINUTE, sc.horizon_ms)
+        profile.disable()
+        profile.create_stats()
+        calls = sum(stat[1] for (filename, _, _), stat in profile.stats.items()
+                    if filename == fractions.__file__)
+        assert mse == res.metrics[mid].mean_square_du
+        assert mse == piecewise_mean_square(res.traces[mid], time_steps(ledger, 1000),
+                                            MS_PER_MINUTE, sc.horizon_ms)
+        assert {type(k) for k in indices} == {int} and indices == sorted(indices)
+        assert indices == grid_steps(time_steps(ledger, 1000), MS_PER_MINUTE)[0]
+        return calls, sum(run.quanta for run in ledger.lost_runs())
+
+    lossy, clean = metric(run_ri(sc)), metric(run_ri(lossless))
+    assert lossy[1] > 100 and clean[1] == 0
+    assert lossy[0] == clean[0] > 0
+
+
+def test_the_metric_of_the_largest_district_meter_takes_at_most_64_bytes_a_step():
+    """Under tracemalloc the run's metric for the district_week meter with the
+    most steps (seed 7) peaks at no more than 64 bytes per step: one list of
+    grid indices built off the ledger's blocks.  A (time, increment) tuple per
+    step and a Fraction per recovered quantum took 138 to 178."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sc = scenario_from_dict(workloads.WORKLOADS["district_week"](7))
+    res = run_ri(sc)
+    ledgers = res.center.ledgers()
+    sm = max(sc.meters(), key=lambda sm: len(reconstruction_steps(ledgers[sm.config.id],
+                                                                  sc.rmse_grid_ms)))
+    mid = sm.config.id
+    tracemalloc.start()
+    try:
+        indices = reconstruction_steps(ledgers[mid], sc.rmse_grid_ms)
+        mse = _step_mean_square(res.traces[mid], indices, sm.config.quantum_du,
+                                sc.rmse_grid_ms, sc.horizon_ms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert mse == res.metrics[mid].mean_square_du
-    assert mse == _step_mean_square(res.traces[mid], sorted(steps, reverse=True),
-                                    MS_PER_MINUTE, sc.horizon_ms)
+    assert len(indices) > 5000
+    assert peak <= 64 * len(indices), f"{peak / len(indices):.0f} B per step"
 
 
 def test_each_delivered_copy_has_its_header_read_once(tmp_path):
@@ -656,7 +702,7 @@ def test_a_meter_kind_that_is_not_a_resource_kind_is_a_config_error(kind, quantu
     its word is refused by the MeterConfig, naming the meter and the field."""
     with pytest.raises(ConfigError) as err:
         MeterConfig(id=meter_id(1), kind=kind, quantum_du=quantum)
-    assert str(err.value).startswith(f"meter {meter_id(1):#x}: kind: ")
+    assert str(err.value).startswith(f"meter 1 [{meter_id(1):#x}]: kind: ")
     assert repr(kind) in str(err.value)
 
 
@@ -846,11 +892,19 @@ def _metric_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_metric_cases())
-def test_step_mean_square_equals_grid_walk(case):
+@given(_metric_cases(), st.booleans())
+def test_step_mean_square_equals_grid_walk(case, one_height):
+    """The closed form over the steps' grid indices, with a height per step
+    or one for all, is the grid walk's mean square and the piecewise
+    reference's."""
     trace, steps, grid, horizon = case
-    assert _step_mean_square(trace, steps, grid, horizon) == grid_mean_square(
-        trace, steps, grid, horizon)
+    if one_height:
+        steps = [(t, 7) for t, _ in steps]
+    indices, increments = grid_steps(steps, grid)
+    heights = 7 if one_height else increments
+    expected = grid_mean_square(trace, steps, grid, horizon)
+    assert _step_mean_square(trace, indices, heights, grid, horizon) == expected
+    assert piecewise_mean_square(trace, steps, grid, horizon) == expected
 
 
 def test_step_mean_square_of_a_month_on_a_one_ms_grid():
@@ -860,7 +914,8 @@ def test_step_mean_square_of_a_month_on_a_one_ms_grid():
     horizon = 30 * MS_PER_DAY
     trace = ConsumptionTrace(1, ((0, rate),), horizon)
     expected = (rate / MS_PER_HOUR) ** 2 * Fraction(horizon * (2 * horizon + 1), 6)
-    assert _step_mean_square(trace, [], 1, horizon) == expected
+    assert _step_mean_square(trace, [], 1, 1, horizon) == expected
+    assert _step_mean_square(trace, [], [], 1, horizon) == expected
 
 
 # ---------------------------------------------------------------------------

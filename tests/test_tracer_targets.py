@@ -74,3 +74,30 @@ def test_a_logged_run_calls_the_channel_targets_once_per_emission_and_copy(monke
     assert fates[2] > 0                                   # drops
     assert calls["broadcast"] == kinds[EventKind.QUANTUM_EVENT] + kinds[EventKind.HEARTBEAT] > 0
     assert fates[3] > 0 and calls["receive"] == 0         # ingests, none through receive
+
+
+def test_a_run_calls_the_metric_targets_once_per_meter(monkeypatch):
+    # simulation.metrics_s is the time in these two names; a run that
+    # computed its metric some other way would read 0 there and fail nothing
+    # else.  run_ri rebuilds each ledgered meter's steps and takes their mean
+    # square, and run_ti takes the mean square of each meter's polls
+    targets = [(module, path) for key, module, path in _targets()
+               if key == "simulation.metrics"]
+    assert targets == [("risim.simulation", "reconstruction_steps"),
+                       ("risim.simulation", "_step_mean_square")]
+    calls = Counter()
+    for _, name in targets:
+        def counted(*args, _real=getattr(risim.simulation, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(risim.simulation, name, counted)
+    scenario = replace(load_scenario(_ROOT / "scenarios" / "default.json"),
+                       horizon_ms=6 * MS_PER_HOUR)
+    meters = len(scenario.meters())
+    ri = risim.simulation.run_ri(scenario)
+    ledgered = len(ri.center.ledgers())
+    assert calls == {"reconstruction_steps": ledgered, "_step_mean_square": meters}
+    assert 0 < ledgered == meters
+    calls.clear()
+    risim.simulation.run_ti(scenario)
+    assert calls == {"_step_mean_square": meters}
