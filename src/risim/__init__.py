@@ -5,100 +5,45 @@ lossy radio; concentrators stamp reception times and forward; a monitoring
 center deduplicates, detects losses from the gapless session numbering, and
 reconstructs consumption exactly.  A conventional fixed-interval polling
 mode is included as the comparison baseline.
+
+``import risim`` loads no submodule: each public name is imported from its
+home module on first use, so a program compiles only the modules it uses.
 """
 
-from .center import (
-    ConsumerProfile,
-    IngestOutcome,
-    InsufficientData,
-    LostRun,
-    MonitoringCenter,
-    NoData,
-    ReconstructionResult,
-    SessionLedger,
-)
-from .concentrator import ConcentratorConfig, broadcast, receive
-from .config import load_scenario, scenario_from_dict
-from .domain import (
-    ConcentratorReport,
-    ConfigError,
-    DuplicateIdError,
-    MalformedFrame,
-    MessageType,
-    MeterMessage,
-    MeterState,
-    QualityVector,
-    Registry,
-    ResourceKind,
-    concentrator_id,
-    decode_frame,
-    encode_frame,
-    meter_id,
-)
-from .eventlog import EventLog
-from .meter import MeterConfig, MeterRun
-from .simulation import (
-    Building,
-    CompareRow,
-    LoadBoundExceeded,
-    LoadReport,
-    ScenarioConfig,
-    SimMeter,
-    compare_runs,
-    detail_sweep,
-    rmse_text,
-    run_ri,
-    run_ti,
-    worst_case_load,
-)
-from .traces import ConsumptionTrace, TraceSpec, generate_trace
+from importlib import import_module
 
-__all__ = [
-    "Building",
-    "CompareRow",
-    "ConcentratorConfig",
-    "ConcentratorReport",
-    "ConfigError",
-    "ConsumerProfile",
-    "ConsumptionTrace",
-    "DuplicateIdError",
-    "EventLog",
-    "IngestOutcome",
-    "InsufficientData",
-    "LoadBoundExceeded",
-    "LoadReport",
-    "LostRun",
-    "MalformedFrame",
-    "MessageType",
-    "MeterConfig",
-    "MeterMessage",
-    "MeterRun",
-    "MeterState",
-    "MonitoringCenter",
-    "NoData",
-    "QualityVector",
-    "ReconstructionResult",
-    "Registry",
-    "ResourceKind",
-    "ScenarioConfig",
-    "SessionLedger",
-    "SimMeter",
-    "TraceSpec",
-    "broadcast",
-    "compare_runs",
-    "concentrator_id",
-    "decode_frame",
-    "detail_sweep",
-    "encode_frame",
-    "generate_trace",
-    "load_scenario",
-    "meter_id",
-    "receive",
-    "rmse_text",
-    "run_ri",
-    "run_ti",
-    "scenario_from_dict",
-    "worst_case_load",
-]
+#: each public name by its home module
+_HOMES = {
+    "center": ("ConsumerProfile", "IngestOutcome", "InsufficientData", "LostRun",
+               "MonitoringCenter", "NoData", "ReconstructionResult", "SessionLedger"),
+    "concentrator": ("ConcentratorConfig", "broadcast", "receive"),
+    "config": ("Building", "ScenarioConfig", "SimMeter", "load_scenario",
+               "scenario_from_dict"),
+    "domain": ("ConcentratorReport", "ConfigError", "DuplicateIdError", "MalformedFrame",
+               "MessageType", "MeterMessage", "MeterState", "QualityVector", "Registry",
+               "ResourceKind", "concentrator_id", "decode_frame", "encode_frame", "meter_id"),
+    "eventlog": ("EventLog",),
+    "meter": ("MeterConfig", "MeterRun"),
+    "simulation": ("CompareRow", "LoadBoundExceeded", "LoadReport", "compare_runs",
+                   "detail_sweep", "rmse_text", "run_ri", "run_ti", "worst_case_load"),
+    "traces": ("ConsumptionTrace", "TraceSpec", "generate_trace"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _HOMES:   # a home module, as ``risim.simulation``
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

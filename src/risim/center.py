@@ -26,6 +26,7 @@ from .domain import (
     Registry,
     SESSION_MOD,
     TYPE_TAG_AT,
+    device_name,
     encode_frame,  # unused here; perfbench's tracer patches this name
     frame_header,
     session_delta,
@@ -221,7 +222,8 @@ class SessionLedger:
         _, _, mid, session, _ = frame_header(frame)
         if mid != self.meter_id:
             raise ValueError(
-                f"report for meter {mid:#x} fed to ledger of {self.meter_id:#x}"
+                f"report for {device_name('meter', mid)} fed to the ledger of "
+                f"{device_name('meter', self.meter_id)}"
             )
         return self._fold_emission(frame, session, ((cid, rx),))[0]
 
@@ -235,8 +237,8 @@ class SessionLedger:
         size = len(frame)
         if size != self._size:
             if self._blocks:
-                raise ValueError(f"meter {self.meter_id:#x}: a {size}-byte frame fed to "
-                                 f"a ledger of {self._size}-byte frames")
+                raise ValueError(f"{device_name('meter', self.meter_id)}: a {size}-byte "
+                                 f"frame fed to a ledger of {self._size}-byte frames")
             self._size = size
         top = self._max_abs or 0   # the unroll reference: the highest accepted
         abs_session = top + session_delta(top % self.modulus, session, self.modulus)
@@ -366,7 +368,7 @@ class SessionLedger:
         if t0 > t1:
             raise ValueError(f"window is not ordered: {window}")
         if not self._blocks:
-            raise NoData(f"ledger for meter {self.meter_id:#x} is empty")
+            raise NoData(f"ledger for {device_name('meter', self.meter_id)} is empty")
         if quantum_du <= 0:
             raise ValueError("quantum must be positive")
         received = sum(1 for t in self.quantum_times() if t0 <= t <= t1)
@@ -496,7 +498,7 @@ class MonitoringCenter:
     def ledger(self, meter_id: int) -> SessionLedger:
         if meter_id not in self._ledgers:
             if not self.registry.has_meter(meter_id):
-                raise KeyError(f"meter not registered: {meter_id:#x}")
+                raise KeyError(f"{device_name('meter', meter_id)}: not registered")
             self._ledgers[meter_id] = SessionLedger(meter_id)
         return self._ledgers[meter_id]
 

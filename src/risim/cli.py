@@ -7,33 +7,66 @@ overrides every other seed source, then --seed, then the scenario file.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .config import load_scenario, parse_sweep_values, single_kind
-from .domain import BASE_UNIT, ConfigError
-from .eventlog import (
-    EventLog,
-    MalformedLog,
-    check_ledger_lines,
-    read_events,
-    replay_center,
-    write_csv,
-    write_ledger_snapshots,
-)
-from .eventlog import write_events  # unused here; perfbench's tracer patches this name
-from .simulation import (
-    ScenarioConfig,
-    compare_runs,
-    detail_sweep,
-    rmse_text,
-    run_ri,
-    run_ti,
-)
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
+
+#: the risim modules each command runs.  ``main`` imports them before it
+#: imports argparse and builds the parser: a module compiled while those are
+#: alive raises the process's peak memory by its compile's transient.
+_COMMAND_MODULES = {
+    "run": ("config", "simulation", "eventlog"),
+    "sweep": ("config", "simulation", "eventlog"),
+    "compare": ("config", "simulation", "eventlog"),
+    "replay": ("eventlog",),
+}
+
+#: the names the commands call through this module's globals, by home
+#: module, so that a caller may patch them here (perfbench's tracer does).
+#: Each is bound on first use: ``main`` binds those of its command's modules,
+#: and a lookup of one from outside binds it too; neither overwrites a name
+#: already bound, so a command calls whatever was patched in.
+_PATCHABLE = {
+    "run_ri": "simulation",
+    "run_ti": "simulation",
+    "write_events": "eventlog",   # unused here; perfbench's tracer patches this name
+    "write_ledger_snapshots": "eventlog",
+    "write_csv": "eventlog",
+    "read_events": "eventlog",
+    "replay_center": "eventlog",
+}
+
+
+def __getattr__(name: str):
+    if name not in _PATCHABLE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _bind(name)
+
+
+def _bind(name: str):
+    """A patchable name's value, bound from its home module unless already bound."""
+    return globals().setdefault(name, getattr(_module(_PATCHABLE[name]), name))
+
+
+def _module(name: str):
+    return import_module(f".{name}", __package__)
+
+
+def _load(command: str | None) -> None:
+    """Import the modules that ``command`` runs and bind their patchable names."""
+    modules = _COMMAND_MODULES.get(command, ())
+    for module in modules:
+        _module(module)
+    for name, home in _PATCHABLE.items():
+        if home in modules:
+            _bind(name)
+
 
 METRICS_HEADER = [
     "mode", "meter_id", "window_start_ms", "window_end_ms",
@@ -50,7 +83,9 @@ COMPARE_HEADER = [
 ]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="risim",
         description="Event-driven utility metering simulator",
@@ -84,6 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_seed(scenario: ScenarioConfig, cli_seed: int | None) -> ScenarioConfig:
+    from .domain import ConfigError
+
     env = os.environ.get("RI_SIM_SEED")
     if env is not None:
         try:
@@ -96,6 +133,9 @@ def _apply_seed(scenario: ScenarioConfig, cli_seed: int | None) -> ScenarioConfi
 
 
 def _metrics_rows(mode: str, scenario: ScenarioConfig, result) -> list[list]:
+    from .domain import BASE_UNIT
+    from .simulation import rmse_text
+
     rows = []
     window = (0, scenario.horizon_ms)
     kinds = {sm.config.id: sm.config.kind for sm in scenario.meters()}
@@ -128,6 +168,9 @@ def _metrics_rows(mode: str, scenario: ScenarioConfig, result) -> list[list]:
 
 
 def _cmd_run(args) -> int:
+    from .config import load_scenario
+    from .eventlog import EventLog
+
     scenario = _apply_seed(load_scenario(args.scenario), args.seed)
     mode = args.mode or scenario.mode
     out = Path(args.out)
@@ -150,6 +193,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .config import load_scenario, parse_sweep_values, single_kind
+    from .simulation import detail_sweep, rmse_text
+
     scenario = _apply_seed(load_scenario(args.scenario), args.seed)
     kind = single_kind(scenario) if args.param == "dr" else None
     values = parse_sweep_values(args.param, args.values, kind)
@@ -165,6 +211,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .config import load_scenario
+    from .eventlog import EventLog
+    from .simulation import compare_runs, rmse_text
+
     scenario = _apply_seed(load_scenario(args.scenario), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,6 +234,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from .eventlog import check_ledger_lines
+
     rundir = Path(args.rundir)
     ledgers = replay_center(read_events(rundir / "events.ndjson")).ledgers()
     mismatches = 0
@@ -197,7 +249,14 @@ def _cmd_replay(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # risim has no global options, so the first argument names the command;
+    # a missing or unknown one loads nothing and falls to argparse's error
+    _load(argv[0] if argv else None)
     args = _build_parser().parse_args(argv)
+    from .domain import ConfigError
+    from .eventlog import MalformedLog
+
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,

@@ -14,16 +14,14 @@ from fractions import Fraction
 
 from .domain import (
     CONCENTRATOR_NAMESPACE,
+    RADIO,
+    UPLINK,
     ConcentratorReport,
     ConfigError,
     device_name,
     id_namespace,
     whole_number,
 )
-
-
-#: the stages at which a copy is lost: its radio link, or its concentrator's uplink
-RADIO, UPLINK = DROP_STAGES = ("radio", "uplink")
 
 #: ``random.random()`` returns k / DRAW_SCALE for a whole k in [0, DRAW_SCALE)
 DRAW_SCALE = 2**53

@@ -96,6 +96,10 @@ class MessageType(str, Enum):
     HEARTBEAT = "heartbeat"
 
 
+#: the stages at which a copy is lost: its radio link, or its concentrator's uplink
+RADIO, UPLINK = DROP_STAGES = ("radio", "uplink")
+
+
 _KIND_TAG = {
     ResourceKind.COLD_WATER: 1,
     ResourceKind.HOT_WATER: 2,

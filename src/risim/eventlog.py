@@ -16,13 +16,14 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .center import IngestOutcome, MonitoringCenter, SessionLedger
-from .concentrator import DROP_STAGES
 from .domain import (
     BASE_UNIT,
+    DROP_STAGES,
     MalformedFrame,
     MessageType,
     Registry,
     ResourceKind,
+    device_name,
     frame_header,
 )
 from .domain import decode_frame  # unused here; perfbench's tracer patches this name
@@ -109,10 +110,11 @@ def _words(words) -> bytes:
     return b"(?:" + b"|".join(re.escape(_JSON_TEXT[word].encode()) for word in words) + b")"
 
 
-def _line(kind: EventKind, payload: bytes) -> re.Pattern:
-    """The pattern of a ``kind`` line with these payload fields; ``seq`` is its last group."""
+def _line(kinds, payload: bytes) -> re.Pattern:
+    """The pattern of a line of any of ``kinds`` with these payload fields;
+    ``seq`` is its last group."""
     return re.compile(b'{"kind":%s,"payload":{%s},"seq":(%s),"sim_time_ms":%s}\n' % (
-        re.escape(_JSON_TEXT[kind].encode()), payload, _WHOLE, _WHOLE))
+        _words(kinds), payload, _WHOLE, _WHOLE))
 
 
 #: one entry of an emission's ``links``: a concentrator id, then a drop stage,
@@ -124,15 +126,17 @@ _EMISSION = (rb'"cumulative_quanta":(%s),"frame_hex":%s,"links":\[((?:%s(?:,%s)*
              rb'"meter_id":(%s),"resource":(%s),"session":(%s)'
              % (_WHOLE, _HEX, _LINK, _LINK, _WHOLE, _words(ResourceKind), _WHOLE))
 
-#: one pattern per record kind, keyed by the kind's word: the inverse of its
-#: ``EventLog`` template, so a line that matches is a line the writer writes
-_LINE = {kind.encode(): _line(kind, payload) for kind, payload in (
-    (EventKind.QUANTUM_EVENT, _EMISSION),
-    (EventKind.HEARTBEAT, _EMISSION),
-    (EventKind.TI_READING, b'"meter_id":%s,"poll_index":%s,"register_du":%s,"unit":%s'
-     % (_WHOLE, _WHOLE, _SIGNED, _words(BASE_UNIT.values()))),
-)}
-_TI_READING = _LINE[EventKind.TI_READING.encode()]
+#: the pattern of each record kind, keyed by the kind's word: the inverse of
+#: its ``EventLog`` template, so a line that matches is a line the writer
+#: writes.  Both emission kinds share one pattern; ``read_events`` picks it by
+#: the line's own word, so that word is the line's kind.
+_EMISSION_LINE = _line((EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT), _EMISSION)
+_TI_READING = _line((EventKind.TI_READING,),
+                    b'"meter_id":%s,"poll_index":%s,"register_du":%s,"unit":%s'
+                    % (_WHOLE, _WHOLE, _SIGNED, _words(BASE_UNIT.values())))
+_LINE = {EventKind.QUANTUM_EVENT.encode(): _EMISSION_LINE,
+         EventKind.HEARTBEAT.encode(): _EMISSION_LINE,
+         EventKind.TI_READING.encode(): _TI_READING}
 
 #: the fields of an emission line that its frame's header gives, in the
 #: order of ``frame_header``'s tuple, and the text of each resource and type
@@ -251,11 +255,11 @@ def check_ledger_lines(path: Path, ledgers: dict[int, SessionLedger]) -> Iterato
         for ledger in ledgers.values():
             matches = _matches_line(fh, ledger)
             if matches is None:
-                yield f"meter {ledger.meter_id:#x}: {path.name} has no line for it"
+                yield f"{device_name('meter', ledger.meter_id)}: {path.name} has no line for it"
                 continue
             lineno += 1
             if not matches:
-                yield f"meter {ledger.meter_id:#x}"
+                yield device_name("meter", ledger.meter_id)
         while _skip_line(fh):
             lineno += 1
             yield f"{path.name} line {lineno}: replay rebuilt {len(ledgers)} ledgers"
@@ -315,7 +319,7 @@ def replay_center(ingests) -> MonitoringCenter:
             raise MalformedLog(f"seq {seq}: {exc}") from None
         for (cid, _, logged), outcome in zip(copies, outcomes):
             if outcome != logged:
-                raise MalformedLog(f"seq {seq}: concentrator {cid:#x}: outcome "
+                raise MalformedLog(f"seq {seq}: {device_name('concentrator', cid)}: outcome "
                                    f"{logged!r}, replay gives {outcome.value!r}")
     return center
 

@@ -19,22 +19,20 @@ from itertools import accumulate, islice, repeat
 from operator import mul, sub
 
 from .center import MonitoringCenter, SessionLedger, lost_grid_indices
-from .concentrator import ConcentratorConfig, broadcast, loss_threshold, probability
+from .concentrator import broadcast, loss_threshold
 from .concentrator import receive  # unused here; perfbench's tracer patches this name
+from .config import ScenarioConfig
 from .domain import (
     BASE_UNIT,
     ConfigError,
     MS_PER_HOUR,
-    MS_PER_MINUTE,
-    Registry,
     device_name,
     encode_frame,  # unused here; perfbench's tracer patches this name
     frame_size,
-    whole_number,
 )
 from .eventlog import EventLog
 from .meter import MeterConfig, MeterRun
-from .traces import CHANNEL_STREAM, ConsumptionTrace, TraceSpec, generate_trace, mix_seed
+from .traces import CHANNEL_STREAM, ConsumptionTrace, generate_trace, mix_seed
 
 #: bytes of one polling-mode register reading on the wire: a 3-byte header,
 #: 8-byte meter id, 8-byte register, 4-byte poll counter
@@ -43,76 +41,6 @@ TI_READING_BYTES = 23
 
 class LoadBoundExceeded(RuntimeError):
     """Measured channel load exceeded its analytic ceiling."""
-
-
-@dataclass(frozen=True)
-class SimMeter:
-    """One meter in a scenario: device config, demand recipe, radio links."""
-
-    config: MeterConfig
-    trace: TraceSpec
-    links: tuple[tuple[int, Fraction], ...]   # (concentrator_id, loss)
-
-
-@dataclass(frozen=True)
-class Building:
-    meters: tuple[SimMeter, ...]
-    concentrators: tuple[ConcentratorConfig, ...]
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A whole scenario; it checks itself when built, ``replace`` included."""
-
-    seed: int
-    horizon_ms: int
-    buildings: tuple[Building, ...]
-    mode: str = "ri"                       # ri | ti | both
-    ti_poll_interval_ms: int = MS_PER_HOUR
-    rmse_grid_ms: int = MS_PER_MINUTE
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def meters(self) -> list[SimMeter]:
-        return [m for b in self.buildings for m in b.meters]
-
-    def concentrators(self) -> list[ConcentratorConfig]:
-        return [c for b in self.buildings for c in b.concentrators]
-
-    def build_registry(self) -> Registry:
-        reg = Registry()
-        for sm in self.meters():
-            reg.add_meter(sm.config.id, sm.config.kind, sm.config.quantum_du)
-        for c in self.concentrators():
-            reg.add_concentrator(c.id)
-        return reg
-
-    def validate(self) -> None:
-        whole_number(self.seed, "scenario seed")
-        if self.mode not in ("ri", "ti", "both"):
-            raise ConfigError(f"unknown mode: {self.mode!r}")
-        if whole_number(self.horizon_ms, "scenario horizon_ms") < 0:
-            raise ConfigError("horizon must be nonnegative")
-        if whole_number(self.ti_poll_interval_ms, "scenario ti_poll_interval_ms") <= 0:
-            raise ConfigError("poll interval must be positive")
-        if whole_number(self.rmse_grid_ms, "scenario rmse_grid_ms") <= 0:
-            raise ConfigError("metric grid must be positive")
-        registry = self.build_registry()   # raises on duplicate ids
-        known = set(registry.concentrator_ids())
-        for sm in self.meters():
-            meter, cids = device_name("meter", sm.config.id), [cid for cid, _ in sm.links]
-            for cid, loss in sm.links:
-                if cid not in known:
-                    raise ConfigError(f"{meter}: link to undeclared "
-                                      f"{device_name('concentrator', cid)}")
-                if cids.count(cid) > 1:
-                    raise ConfigError(f"{meter}: duplicate link to "
-                                      f"{device_name('concentrator', cid)}")
-                probability(loss, f"{meter}: link loss")
-        orphans = [device_name("meter", sm.config.id) for sm in self.meters() if not sm.links]
-        if orphans:
-            raise ConfigError(f"meters with no concentrator link: {', '.join(orphans)}")
 
 
 @dataclass

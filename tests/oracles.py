@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from risim.center import IngestOutcome, ReconstructionResult, SessionLedger, place_lost
+from risim.config import ScenarioConfig
 from risim.domain import (
     BASE_UNIT,
     FLAG_CLOCKLESS_IDLE,
@@ -43,7 +44,7 @@ from risim.domain import (
 )
 from risim.eventlog import EventKind, MalformedLog, write_events
 from risim.meter import MeterConfig, MeterRun
-from risim.simulation import ScenarioConfig, rmse_text
+from risim.simulation import rmse_text
 from risim.traces import CHANNEL_STREAM, ConsumptionTrace, generate_trace, mix_seed
 
 

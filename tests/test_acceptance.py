@@ -18,6 +18,7 @@ import pytest
 from risim.center import InsufficientData, MonitoringCenter
 from risim.cli import main
 from risim.concentrator import ConcentratorConfig
+from risim.config import Building, ScenarioConfig, SimMeter
 from risim.domain import (
     DEFAULT_QUANTUM_DU,
     MS_PER_DAY,
@@ -32,9 +33,6 @@ from risim.domain import (
 from risim.eventlog import EventKind, EventLog
 from risim.meter import MeterConfig, MeterRun
 from risim.simulation import (
-    Building,
-    ScenarioConfig,
-    SimMeter,
     compare_runs,
     detail_sweep,
     run_ri,

@@ -48,6 +48,7 @@ from risim.domain import (
     SESSION_MOD,
     concentrator_id,
     decode_frame,
+    device_name,
     encode_frame,
     meter_id,
 )
@@ -659,7 +660,8 @@ def test_a_frame_of_another_length_is_refused_before_any_copy_is_folded():
     assert center.ingest(_report(0, 1000)) is IngestOutcome.ACCEPTED
     before = "".join(center.snapshots())
     gas = _frame(MID, ResourceKind.GAS, 1, True, 2)
-    message = f"meter {MID:#x}: a 23-byte frame fed to a ledger of 25-byte frames"
+    message = (f"{device_name('meter', MID)}: a 23-byte frame fed to a ledger of "
+               "25-byte frames")
     with pytest.raises(ValueError) as err:
         center.ingest(ConcentratorReport(gas, CID1, 2000))
     assert str(err.value) == message
@@ -668,6 +670,21 @@ def test_a_frame_of_another_length_is_refused_before_any_copy_is_folded():
     assert str(err.value) == message
     assert "".join(center.snapshots()) == before
     assert center.ingest(_report(1, 2000)) is IngestOutcome.ACCEPTED
+
+
+def test_the_center_names_a_meter_as_a_configuration_error_does():
+    other = meter_id(4)
+    with pytest.raises(ValueError) as err:
+        SessionLedger(other).ingest(_report(0, 1000))
+    assert str(err.value) == (f"report for {device_name('meter', MID)} fed to the ledger "
+                              f"of {device_name('meter', other)}")
+    with pytest.raises(NoData) as err:
+        SessionLedger(MID).reconstruct(1000, (0, HOUR))
+    assert str(err.value) == f"ledger for {device_name('meter', MID)} is empty"
+    with pytest.raises(KeyError) as err:
+        MonitoringCenter(Registry()).ledger(MID)
+    assert err.value.args == (f"{device_name('meter', MID)}: not registered",)
+    assert device_name("meter", MID) == "meter 3 [0x100000000000003]"
 
 
 def test_an_earlier_resend_from_the_same_concentrator_moves_nothing():

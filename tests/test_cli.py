@@ -17,6 +17,7 @@ import pytest
 import risim
 from risim.cli import main
 from risim.config import load_scenario
+from risim.domain import device_name
 from risim.eventlog import (
     EventKind,
     check_ledger_lines,
@@ -38,17 +39,76 @@ def _encoded(text: str) -> bytes:
     return text.encode("utf-8", "surrogateescape")
 
 
+def _fresh_python(probe: str, *args: str) -> str:
+    """What ``probe`` prints in a fresh interpreter that imports this risim."""
+    src = str(Path(risim.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+#: a probe's last line: the risim modules its interpreter has loaded, as JSON
+_LOADED = "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('risim'))))"
+
+
 def test_cli_import_leaves_numpy_out():
     # risim has no runtime dependency: a fresh interpreter that imports the
     # CLI must not pull in numpy
-    src = str(Path(risim.__file__).resolve().parents[1])
-    probe = "import sys, risim.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
+    out = _fresh_python("import sys, risim.cli; print('numpy' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_import_risim_loads_no_submodule():
+    # every submodule compiles in each fresh process that loads it, so the
+    # package resolves its names on first use; dir() lists them all the same
+    out = _fresh_python("import json, sys, risim\n"
+                        "print(json.dumps(sorted(set(risim.__all__) - set(dir(risim)))))"
+                        + _LOADED)
+    assert out.splitlines() == ["[]", '["risim"]']
+
+
+def test_a_home_module_is_an_attribute_of_the_package_on_first_use():
+    out = _fresh_python("import json, sys, risim\n"
+                        "print(risim.center.SessionLedger is risim.SessionLedger)" + _LOADED)
+    assert out.splitlines() == ["True", '["risim", "risim.center", "risim.domain"]']
+
+
+def test_loading_a_scenario_loads_only_the_loader_and_what_it_builds():
+    out = _fresh_python("import json, sys, risim.config\nrisim.config.load_scenario(sys.argv[1])"
+                        + _LOADED, str(SCENARIOS / "default.json"))
+    assert json.loads(out) == ["risim", "risim.concentrator", "risim.config", "risim.domain",
+                               "risim.meter", "risim.traces"]
+
+
+def test_replay_loads_only_the_center_the_codec_and_the_log_reader(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(_write_scenario(tmp_path)), "--out", str(out)]) == 0
+    # the module run as ``python -m risim.cli replay DIR`` runs it
+    probe = ("import json, runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('risim.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    assert exc.code == 0, exc.code" + _LOADED)
+    replayed, loaded = _fresh_python(probe, "replay", str(out)).splitlines()
+    assert replayed == "replay ok: 2 ledgers match"
+    assert json.loads(loaded) == ["risim", "risim.center", "risim.domain", "risim.eventlog"]
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    for name in risim.__all__:
+        obj = getattr(risim, name)
+        assert obj.__module__.startswith("risim."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+
+def test_star_import_binds_every_public_name():
+    names = {}
+    exec("from risim import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == risim.__all__
+    assert all(value is getattr(risim, name) for name, value in names.items())
 
 
 def _write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -401,7 +461,7 @@ def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
         if tamper is None:
             # cut mid-object: no longer the line the writer wrote
             where = (f"line {i + 1}:" if log == "events.ndjson" else
-                     f"replay mismatch at meter {json.loads(line)['meter_id']:#x}\n")
+                     f"replay mismatch at {device_name('meter', json.loads(line)['meter_id'])}\n")
             lines[i] = line[: len(line) // 2]
             break
         obj = json.loads(line)
@@ -575,8 +635,8 @@ def test_replay_names_the_concentrator_of_an_outcome_it_does_not_reproduce(tmp_p
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"malformed log: seq {i}: concentrator {second[0]:#x}: outcome 'accepted', "
-        "replay gives 'duplicate'\n")
+        f"malformed log: seq {i}: {device_name('concentrator', second[0])}: "
+        "outcome 'accepted', replay gives 'duplicate'\n")
 
 
 def test_replay_refuses_a_frame_of_another_length_than_its_meters(tmp_path, capsys):
@@ -601,8 +661,8 @@ def test_replay_refuses_a_frame_of_another_length_than_its_meters(tmp_path, caps
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"malformed log: seq {obj['seq']}: meter {payload['meter_id']:#x}: a 23-byte frame "
-        "fed to a ledger of 25-byte frames\n")
+        f"malformed log: seq {obj['seq']}: {device_name('meter', payload['meter_id'])}: "
+        "a 23-byte frame fed to a ledger of 25-byte frames\n")
 
 
 def test_replay_reads_integers_of_any_length(tmp_path, capsys):
@@ -822,7 +882,8 @@ def test_replay_refuses_ledgers_written_with_other_spacing_and_key_order(tmp_pat
         ledgers.write_text("\n".join([first, *written[1:]]) + "\n")
         capsys.readouterr()
         assert main(["replay", str(out)]) == 1
-        assert capsys.readouterr().err == f"replay mismatch at meter {snap['meter_id']:#x}\n"
+        assert capsys.readouterr().err == (
+            f"replay mismatch at {device_name('meter', snap['meter_id'])}\n")
 
 
 def _repeat_first_ledger(lines):
@@ -833,7 +894,7 @@ def _repeat_first_ledger(lines):
 
 def _swap_first_ledgers(lines):
     lines[0], lines[1] = lines[1], lines[0]
-    return "\n".join(f"replay mismatch at meter {json.loads(line)['meter_id']:#x}"
+    return "\n".join(f"replay mismatch at {device_name('meter', json.loads(line)['meter_id'])}"
                      for line in (lines[1], lines[0]))
 
 
@@ -856,22 +917,24 @@ def test_replay_names_a_repeated_or_reordered_ledger(tmp_path, capsys, edit):
 
 def _ledgers_cut_after_the_first_line(text):
     first, rest = text.split("\n", 1)
-    return first + "\n", [f"replay mismatch at meter {json.loads(line)['meter_id']:#x}: "
-                          "ledgers.ndjson has no line for it" for line in rest.splitlines()]
+    return first + "\n", [
+        f"replay mismatch at {device_name('meter', json.loads(line)['meter_id'])}: "
+        "ledgers.ndjson has no line for it" for line in rest.splitlines()]
 
 
 def _ledgers_cut_in_the_last_line(text):
     last = text.splitlines()[-1]
-    return text[:-len(last) // 2], [f"replay mismatch at meter {json.loads(last)['meter_id']:#x}"]
+    return text[:-len(last) // 2], [
+        f"replay mismatch at {device_name('meter', json.loads(last)['meter_id'])}"]
 
 
 def _ledgers_without_the_last_newline(text):
     last = text.splitlines()[-1]
-    return text[:-1], [f"replay mismatch at meter {json.loads(last)['meter_id']:#x}"]
+    return text[:-1], [f"replay mismatch at {device_name('meter', json.loads(last)['meter_id'])}"]
 
 
 def _ledgers_empty(text):
-    return "", [f"replay mismatch at meter {json.loads(line)['meter_id']:#x}: "
+    return "", [f"replay mismatch at {device_name('meter', json.loads(line)['meter_id'])}: "
                 "ledgers.ndjson has no line for it" for line in text.splitlines()]
 
 
@@ -916,7 +979,7 @@ def test_ledger_check_holds_no_line_whole(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mismatches == [f"meter {json.loads(lines[0])['meter_id']:#x}",
+    assert mismatches == [device_name('meter', json.loads(lines[0])['meter_id']),
                           f"ledgers.ndjson line {len(lines) + 1}: replay rebuilt "
                           f"{len(lines)} ledgers"]
     assert peak < 2**20, peak

@@ -19,6 +19,7 @@ from risim.concentrator import (
     loss_threshold,
     receive,
 )
+from risim.config import Building, ScenarioConfig, SimMeter
 from risim.domain import (
     ConfigError,
     NOMINAL_QUALITY_DU,
@@ -32,7 +33,6 @@ from risim.domain import (
     meter_id,
 )
 from risim.meter import MeterConfig
-from risim.simulation import Building, ScenarioConfig, SimMeter
 from risim.traces import TraceSpec
 
 MID = meter_id(1)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from risim.cli import main
 from risim.config import _KEYS, _TRACE_PARAMS
-from risim.domain import decode_frame, encode_frame
+from risim.domain import decode_frame, device_name, encode_frame
 
 HOSTILE = [True, 1.5, -1, "x", None, [], {}]
 
@@ -238,7 +238,7 @@ def test_log_frame_forged_to_the_widest_forward_jump_replays_in_bounded_memory(r
         finally:
             tracemalloc.stop()
     assert code == 1, err
-    assert err == f"replay mismatch at meter {msg.meter_id:#x}\n"
+    assert err == f"replay mismatch at {device_name('meter', msg.meter_id)}\n"
     # an unforged replay peaks at about 1.8 times the run's bytes; a
     # 10**6 jump listed session by session peaked at about 900 times
     assert peak < 4 * run_bytes, (peak, run_bytes)

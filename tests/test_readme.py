@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from risim.concentrator import ConcentratorConfig
-from risim.config import _KEYS, _TRACE_PARAMS, scenario_from_dict
+from risim.config import (_KEYS, _TRACE_PARAMS, Building, ScenarioConfig, SimMeter,
+                          scenario_from_dict)
 from risim.domain import MS_PER_DAY, ResourceKind, concentrator_id, meter_id
 from risim.meter import MeterConfig
-from risim.simulation import Building, ScenarioConfig, SimMeter
 from risim.traces import TraceSpec, generate_trace
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from risim import simulation
 from risim.cli import METRICS_HEADER, _metrics_rows
 from risim.concentrator import ConcentratorConfig, receive
-from risim.config import scenario_from_dict
+from risim.config import Building, ScenarioConfig, SimMeter, scenario_from_dict
 from risim.domain import (
     ConfigError,
     MS_PER_DAY,
@@ -39,9 +39,6 @@ from risim.domain import (
 from risim.eventlog import EventKind, EventLog, read_events, replay_center, write_csv
 from risim.meter import MeterConfig, MeterRun
 from risim.simulation import (
-    Building,
-    ScenarioConfig,
-    SimMeter,
     TI_READING_BYTES,
     _step_mean_square,
     _ti_lifetime_estimate,

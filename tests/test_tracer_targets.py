@@ -10,6 +10,10 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -101,3 +105,29 @@ def test_a_run_calls_the_metric_targets_once_per_meter(monkeypatch):
     calls.clear()
     risim.simulation.run_ti(scenario)
     assert calls == {"_step_mean_square": meters}
+
+
+def test_the_cli_names_the_tracer_patches_are_the_ones_its_commands_call(tmp_path):
+    # risim.cli binds these names on first use, never over a bound one; a
+    # command that called a binding of its own would leave the tracer's
+    # wrapper uncalled, and its key would read 0.  A run of a two-mode
+    # scenario and its replay call each cli target once, bar write_events,
+    # which is there for the tracer alone
+    scenario = json.loads((_ROOT / "scenarios" / "default.json").read_text())
+    scenario["horizon"] = "6h"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(risim.simulation.__file__).resolve().parents[1])}
+    calls = Counter()
+    for command in (["run", str(path), "--out", str(out)], ["replay", str(out)]):
+        dump = tmp_path / f"{command[0]}.trace.json"
+        subprocess.run([sys.executable, str(_TRACER), "--dump", str(dump), "--", *command],
+                       env=env, capture_output=True, check=True)
+        traced = json.loads(dump.read_text())
+        assert traced["missing"] == []
+        calls.update(traced["calls"])
+    cli_targets = [(key, path) for key, module, path in _targets() if module == "risim.cli"]
+    assert len(cli_targets) == 7
+    expected = Counter(key for key, path in cli_targets if path != "write_events")
+    assert {key: calls[key] for key, _ in cli_targets} == expected
