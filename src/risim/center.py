@@ -331,15 +331,21 @@ class SessionLedger:
         from the installation origin (time zero, zero lifetime quanta).
         Nothing above the highest accepted session is known to be lost, so
         every run is bounded, and its size does not depend on how many
-        sessions it spans.
+        sessions it spans.  A full block with no hole before it adds no run,
+        so only its last slot is read.
         """
         blocks, modulus, runs = self._blocks, self.modulus, []
+        size, summary = self._size, FRAME_SUMMARY.get(self._size)
         t_lo, below = 0, 0   # the accepted session below, or installation: time, quanta
         unseen = 0  # lowest session not yet accounted for
         for key in sorted(blocks):
             frames, times, _, _ = blocks[key]
             a = key << _SHIFT
-            for (version, tag, quanta), rx in zip(self._summary(frames), times):
+            if a <= unseen and 0 not in frames[::size]:
+                t_lo, below = times[_LAST], summary.unpack_from(frames, _LAST * size)[2]
+                unseen = a + BLOCK_SESSIONS
+                continue
+            for (version, tag, quanta), rx in zip(summary.iter_unpack(frames), times):
                 if version:
                     if a > unseen:
                         lost = (quanta - below) % 2**32

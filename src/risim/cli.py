@@ -157,11 +157,9 @@ def _metrics_rows(mode: str, scenario: ScenarioConfig, result) -> list[list]:
     else:
         for mid in sorted(kinds):
             m = result.metrics[mid]
-            readings = result.readings.get(mid, [])
-            register = readings[-1][1] if readings else 0
             rows.append([
                 "ti", f"{mid:#x}", window[0], window[1],
-                "", "", register, "", BASE_UNIT[kinds[mid]],
+                "", "", result.last_register[mid], "", BASE_UNIT[kinds[mid]],
                 rmse_text(m.mean_square_du), m.message_count, m.bytes_sent,
             ])
     return rows

@@ -15,8 +15,9 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, repeat, zip_longest
 from operator import mul, sub
+from typing import Iterator
 
 from .center import MonitoringCenter, SessionLedger, lost_grid_indices
 from .concentrator import broadcast, loss_threshold
@@ -63,9 +64,24 @@ class RiRunResult:
 
 @dataclass
 class TiRunResult:
-    readings: dict[int, list[tuple[int, int]]]
+    """A polling run: its metrics, its traces and each meter's last
+    register, 0 for a meter that sent no poll.  The registers of every
+    poll are not kept; ``readings`` recomputes one meter's from its trace."""
+
     metrics: dict[int, DetailMetric]
     traces: dict[int, ConsumptionTrace]
+    last_register: dict[int, int]
+    poll_interval_ms: int
+
+    def readings(self, meter_id: int) -> list[tuple[int, int]]:
+        """(k·Δt, register) of each poll meter ``meter_id`` sent, in poll
+        order; [] for a meter that sent none."""
+        dt = self.poll_interval_ms
+        count = self.metrics[meter_id].message_count
+        if not count:
+            return []
+        return [(k * dt, register) for k, register
+                in enumerate(_registers(self.traces[meter_id], dt, count), 1)]
 
 
 def _generate_traces(scenario: ScenarioConfig) -> dict[int, ConsumptionTrace]:
@@ -136,67 +152,77 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
 
 def run_ti(scenario: ScenarioConfig, log: EventLog | None = None) -> TiRunResult:
     """Run the polling baseline: every meter reports its register each Δt
-    while its battery lasts, one ``ti_reading`` record per poll to ``log``."""
+    while its battery lasts, one ``ti_reading`` record per poll to ``log``.
+
+    The registers are streamed, never held for every meter at once: the log
+    takes them poll by poll, every meter's generator advanced in lockstep,
+    and the metric one meter's list at a time, from a second pass.
+    """
     traces = _generate_traces(scenario)
     dt = scenario.ti_poll_interval_ms
+    grid = scenario.rmse_grid_ms
 
     meters = sorted(scenario.meters(), key=lambda m: m.config.id)
     n_polls = scenario.horizon_ms // dt if scenario.horizon_ms else 0
-    poll_times = [k * dt for k in range(1, n_polls + 1)]
-    readings: dict[int, list[tuple[int, int]]] = {}
-    for sm in meters:
-        polls = _ti_polls_sent(sm.config, dt, n_polls)
-        if polls:
-            readings[sm.config.id] = _registers_at(traces[sm.config.id], poll_times[:polls])
+    sent = {sm.config.id: _ti_polls_sent(sm.config, dt, n_polls) for sm in meters}
     if log is not None:
-        polled = [(sm.config.id, BASE_UNIT[sm.config.kind], readings[sm.config.id])
-                  for sm in meters if sm.config.id in readings]
-        for k in range(1, n_polls + 1):
-            for mid, unit, meter_readings in polled:
-                if k <= len(meter_readings):
-                    t, register = meter_readings[k - 1]
+        polled = [(sm.config.id, BASE_UNIT[sm.config.kind]) for sm in meters if sent[sm.config.id]]
+        # a meter whose battery stops it early yields the fill value from then on
+        streams = zip_longest(*(_registers(traces[mid], dt, sent[mid]) for mid, _ in polled))
+        for k, registers in enumerate(streams, 1):
+            t = k * dt
+            for (mid, unit), register in zip(polled, registers):
+                if register is not None:
                     log.ti_reading(t, mid, k, register, unit)
 
     metrics: dict[int, DetailMetric] = {}
-    grid = scenario.rmse_grid_ms
+    last_register: dict[int, int] = {}
     for sm in meters:
         mid = sm.config.id
-        polls = readings.get(mid, [])
-        registers = [register for _, register in polls]
-        mse = _step_mean_square(traces.get(mid), [-(-t // grid) for t, _ in polls],
+        polls = sent[mid]
+        registers = list(_registers(traces[mid], dt, polls)) if polls else []
+        indices = [-(-t // grid) for t in range(dt, polls * dt + 1, dt)]   # ⌈k·dt / grid⌉
+        mse = _step_mean_square(traces.get(mid), indices,
                                 list(map(sub, registers, [0, *registers])), grid,
                                 scenario.horizon_ms)
+        last_register[mid] = registers[-1] if registers else 0
         metrics[mid] = DetailMetric(
             meter_id=mid,
-            message_count=len(polls),
-            bytes_sent=TI_READING_BYTES * len(polls),
+            message_count=polls,
+            bytes_sent=TI_READING_BYTES * polls,
             mean_square_du=mse,
         )
-    return TiRunResult(readings, metrics, traces)
+    return TiRunResult(metrics, traces, last_register, dt)
 
 
-def _registers_at(trace: ConsumptionTrace, times: list[int]) -> list[tuple[int, int]]:
-    """(t, whole deciunits consumed through t) for each of ``times``.
+def _registers(trace: ConsumptionTrace, dt: int, count: int) -> Iterator[int]:
+    """⌊consumed(k·dt)⌋, the whole deciunits the trace has consumed by poll
+    k, for k = 1..count; count·dt is inside the trace's horizon.
 
-    The times are increasing and inside the trace's horizon, so one forward
-    pass over the trace's segments reads them all.
+    One forward pass over the trace's segments.  Scaled by MS_PER_HOUR ·
+    lcm(rate denominators), as in ``_step_mean_square``, consumption is an
+    integer linear in k across a segment, so each register there is one
+    floor division of a term of an arithmetic progression.
     """
-    out = []
-    i = 0
-    consumed = Fraction(0)
-    for start, end, rate in trace.segments():
-        if i == len(times):
-            break
-        # consumed + rate·(t − start)/1 h = (c·b·1 h + d·a·(t − start)) / (d·b·1 h)
-        c, d = consumed.numerator, consumed.denominator
-        a, b = rate.numerator, rate.denominator
-        top, per_ms, scale = c * b * MS_PER_HOUR, d * a, d * b * MS_PER_HOUR
-        while i < len(times) and times[i] <= end:
-            t = times[i]
-            out.append((t, (top + per_ms * (t - start)) // scale))
-            i += 1
-        consumed += rate * (end - start) / MS_PER_HOUR
-    return out
+    segments = trace.segments()
+    lcm = math.lcm(*(rate.denominator for _, _, rate in segments))
+    floor = (MS_PER_HOUR * lcm).__rfloordiv__   # a scaled amount in whole deciunits
+    k = 1            # the next poll
+    consumed = 0     # scaled consumption at the segment start
+    for start, end, rate in segments:
+        if k > count:
+            return
+        last = min(count, end // dt)   # the last poll inside the segment
+        slope = lcm * rate.numerator // rate.denominator   # scaled du per ms
+        if last >= k:
+            first = consumed + slope * (k * dt - start)
+            if slope:
+                step = slope * dt
+                yield from map(floor, range(first, first + step * (last - k) + 1, step))
+            else:
+                yield from repeat(floor(first), last - k + 1)
+            k = last + 1
+        consumed += slope * (end - start)
 
 
 def _ti_polls_sent(cfg: MeterConfig, dt: int, n_polls: int) -> int:

@@ -7,7 +7,9 @@ one writer of event lines (``EventLog``); ``reference_frame`` and
 ``EventLogRecord.to_json`` are the independent renderings they are checked
 against.  ``piecewise_mean_square`` and ``time_steps`` are the metric as
 it was summed before it went to integer grid indices: a (time, increment)
-step per quantum, placed by ``place_lost``.  ``snapshot`` and ``accepted_sessions`` are no oracles: they read a
+step per quantum, placed by ``place_lost``.  ``slot_lost_runs`` is the
+ledger's lost-run walk before it skipped full blocks, every slot read from
+the ledger's blocks.  ``snapshot`` and ``accepted_sessions`` are no oracles: they read a
 ledger's own ``ledgers.ndjson`` line back, for assertions on its fields."""
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from risim.center import IngestOutcome, ReconstructionResult, SessionLedger, place_lost
+from risim.center import (BLOCK_SESSIONS, IngestOutcome, LostRun, ReconstructionResult,
+                          SessionLedger, place_lost)
 from risim.config import ScenarioConfig
 from risim.domain import (
     BASE_UNIT,
@@ -39,6 +42,7 @@ from risim.domain import (
     MeterState,
     QualityVector,
     ResourceKind,
+    TYPE_TAG,
     decode_frame,
     whole_number,
 )
@@ -689,6 +693,30 @@ def time_steps(ledger: SessionLedger | None, quantum_du: int) -> list[tuple[int 
     for run in ledger.lost_runs():
         jumps.extend((t, quantum_du) for t in place_lost(run.t_lo, run.t_hi, run.quanta))
     return jumps
+
+
+def slot_lost_runs(ledger: SessionLedger) -> list[LostRun]:
+    """``SessionLedger.lost_runs`` as it was written before it skipped full
+    blocks: every slot of every block is read, in session order, and each
+    accepted session after a hole closes a run."""
+    shift = BLOCK_SESSIONS.bit_length() - 1
+    runs = []
+    t_lo, below = 0, 0   # the accepted session below, or installation: time, quanta
+    unseen = 0           # lowest session not yet accounted for
+    for key in sorted(ledger._blocks):
+        frames, times, _, _ = ledger._blocks[key]
+        a = key << shift
+        for (version, tag, quanta), rx in zip(ledger._summary(frames), times):
+            if version:
+                if a > unseen:
+                    lost = (quanta - below) % 2**32
+                    if tag == TYPE_TAG[MessageType.QUANTUM_EVENT]:
+                        lost -= 1
+                    runs.append(LostRun(unseen % ledger.modulus, a - unseen, t_lo, rx, lost))
+                t_lo, below = rx, quanta
+                unseen = a + 1
+            a += 1
+    return runs
 
 
 def grid_steps(steps, grid_ms: int) -> tuple[list[int], list[int]]:

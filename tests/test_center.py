@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import risim.center
@@ -56,8 +56,8 @@ from risim.config import scenario_from_dict
 from risim.eventlog import EventLog, read_events, replay_center
 from risim.simulation import reconstruction_steps, run_ri
 
-from oracles import (ReferenceCenter, accepted_sessions, record_sink, snapshot, time_steps,
-                     write_records)
+from oracles import (ReferenceCenter, accepted_sessions, record_sink, slot_lost_runs, snapshot,
+                     time_steps, write_records)
 
 MID = meter_id(3)
 WATER_QUALITY = NOMINAL_QUALITY_DU[ResourceKind.COLD_WATER]
@@ -186,6 +186,40 @@ def test_lost_quanta_counted_across_lifetime_counter_wrap():
     ledger.ingest(_report(2, 3000, quanta=1))
     assert ledger.lost_runs() == [LostRun(1, 1, 1000, 3000, 1)]
     assert ledger.reconstruct(1000, (0, 10_000)).quanta_recovered == 1
+
+
+#: a block's slots as bits: every slot, or none, or one missing at either edge
+_FULL = 2**BLOCK_SESSIONS - 1
+_EDGE_MASKS = (_FULL, 0, _FULL - 1, _FULL >> 1, 1, 1 << (BLOCK_SESSIONS - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    modulus=st.sampled_from([SESSION_MOD, 8 * BLOCK_SESSIONS]),
+    first_key=st.integers(min_value=-3, max_value=3),
+    masks=st.lists(st.one_of(st.sampled_from(_EDGE_MASKS), st.integers(0, _FULL)),
+                   min_size=1, max_size=12),
+    beat_every=st.integers(min_value=2, max_value=7),
+    quanta0=st.sampled_from([0, 2**32 - 40]),
+)
+def test_lost_runs_equal_the_slot_by_slot_walk(modulus, first_key, masks, beat_every, quanta0):
+    """``lost_runs`` skips a full block with no hole before it; it gives the
+    runs of the walk over every slot, with full blocks, holes at block
+    edges, negative keys (sessions below the first one fed), session
+    wraps of a 128-session counter and lifetime counters that wrap."""
+    sessions = [(first_key + j) * BLOCK_SESSIONS + i
+                for j, mask in enumerate(masks) for i in range(BLOCK_SESSIONS) if mask >> i & 1]
+    assume(sessions)
+    # fed in order, each session is read forward from the one before
+    assume(all(b - a < modulus // 2 for a, b in zip(sessions, sessions[1:])))
+    lo = sessions[0]
+    ledger = SessionLedger(MID, modulus=modulus)
+    for s in sessions:
+        beat = s % beat_every == 0
+        quanta = quanta0 + sum(u % beat_every != 0 for u in range(lo, s + 1))
+        _feed(ledger, [_report(s % modulus, 1000 + 10 * (s - lo), quanta=quanta % 2**32,
+                               mtype=MessageType.HEARTBEAT if beat else MessageType.QUANTUM_EVENT)])
+    assert ledger.lost_runs() == slot_lost_runs(ledger)
 
 
 def _cap_bursts(lost, lo, hi, cap):

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import risim
-from risim.cli import main
-from risim.config import load_scenario
+from risim.cli import SWEEP_HEADER, main
+from risim.config import load_scenario, parse_sweep_values
 from risim.domain import device_name
 from risim.eventlog import (
     EventKind,
@@ -24,6 +24,7 @@ from risim.eventlog import (
     read_events,
     replay_center,
 )
+from risim.simulation import _ti_polls_sent, detail_sweep, rmse_text
 
 from oracles import read_csv, read_records
 
@@ -1223,6 +1224,36 @@ def test_sweep_writes_one_row_per_value(tmp_path):
     assert [r["label"] for r in rows] == ["50ml", "100ml", "200ml"]
     counts = [int(r["message_count"]) for r in rows]
     assert counts[0] > counts[1] > counts[2]
+
+
+def test_sweep_dt_rows_are_the_polling_sweep(tmp_path):
+    """``sweep --param dt`` writes ``detail_sweep``'s rows, one per poll
+    interval, and counts the polls every meter sent: the second meter's
+    battery lasts 6 polls."""
+    scn = _write_scenario(tmp_path, buildings=[{
+        "concentrators": [{"serial": 1}],
+        "meters": [
+            {"serial": 1, "kind": "cold_water",
+             "trace": {"kind": "diurnal", "params": {"daily_total": "200l"}}},
+            {"serial": 2, "kind": "electricity", "quantum": "10Wh", "battery_capacity": 5.5,
+             "trace": {"kind": "constant", "params": {"rate": "500Wh/h"}}},
+        ],
+    }])
+    out = tmp_path / "sw"
+    assert main(["sweep", str(scn), "--param", "dt",
+                 "--values", "7min,15min,1h", "--out", str(out)]) == 0
+    scenario = load_scenario(scn)
+    values = parse_sweep_values("dt", "7min,15min,1h")
+    header, rows = read_csv(out / "sweep.csv")
+    assert header == SWEEP_HEADER
+    assert [list(r.values()) for r in rows] == [
+        [str(r.value), r.label, rmse_text(r.mean_square_du), str(r.message_count),
+         str(r.bytes_sent)]
+        for r in detail_sweep(scenario, "dt", values)]
+    polls = [sum(_ti_polls_sent(sm.config, dt, scenario.horizon_ms // dt)
+                 for sm in scenario.meters()) for dt, _ in values]
+    assert polls == [102 + 6, 48 + 6, 12 + 6]
+    assert [int(r["message_count"]) for r in rows] == polls
 
 
 def test_sweep_dr_on_mixed_kinds_is_config_error(tmp_path):

@@ -11,6 +11,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,15 @@ def _scenario(meters, horizon_ms, seed=11, loss=0.0, concentrators=None, **kw):
 
 def _water(serial, **kw):
     return MeterConfig(id=meter_id(serial), kind=ResourceKind.COLD_WATER, **kw)
+
+
+def _workload(name: str, seed: int) -> dict:
+    """A benchmark workload's scenario, as ``perfbench/workloads.py`` generates it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[name](seed)
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +545,7 @@ def test_the_metric_of_the_largest_district_meter_takes_at_most_64_bytes_a_step(
     most steps (seed 7) peaks at no more than 64 bytes per step: one list of
     grid indices built off the ledger's blocks.  A (time, increment) tuple per
     step and a Fraction per recovered quantum took 138 to 178."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    sc = scenario_from_dict(workloads.WORKLOADS["district_week"](7))
+    sc = scenario_from_dict(_workload("district_week", 7))
     res = run_ri(sc)
     ledgers = res.center.ledgers()
     sm = max(sc.meters(), key=lambda sm: len(reconstruction_steps(ledgers[sm.config.id],
@@ -738,7 +744,7 @@ def test_polling_reads_floor_of_register():
         ti_poll_interval_ms=MS_PER_HOUR,
     )
     res = run_ti(sc)
-    assert res.readings[meter_id(1)] == [
+    assert res.readings(meter_id(1)) == [
         (MS_PER_HOUR, 2500),
         (2 * MS_PER_HOUR, 5000),
         (3 * MS_PER_HOUR, 7500),
@@ -784,13 +790,39 @@ def test_polling_stops_when_the_battery_runs_out():
     )
     records = []
     _, ti, rows = compare_runs(sc, EventLog(record_sink(records)))
-    assert ti.readings[meter_id(1)] == [(MS_PER_HOUR, 2500), (2 * MS_PER_HOUR, 5000)]
+    assert ti.readings(meter_id(1)) == [(MS_PER_HOUR, 2500), (2 * MS_PER_HOUR, 5000)]
     assert ti.metrics[meter_id(1)].message_count == 2
     polls = [r.payload["poll_index"] for r in records if r.kind is EventKind.TI_READING]
     assert polls == [1, 2]
     # the closed-form lifetime, 2.5 h, falls between the last poll sent and the next
     life = next(r for r in rows if r.mode == "ti").battery_lifetime_ms
     assert 2 * MS_PER_HOUR <= life < 3 * MS_PER_HOUR
+
+
+def test_polling_holds_one_meters_registers_at_a_time():
+    """The tracemalloc peak of ``run_ti`` with a log, on idle_fleet's building
+    copied to 16 and to 64 meters over a week, grows by at most 8 KB per
+    added meter: the registers are streamed to the log and to the metric,
+    not kept for every poll of every meter.  Holding a (time, register)
+    tuple per poll grew it by about 53 KB per meter."""
+    def peak(n: int) -> int:
+        workload = _workload("idle_fleet", 1)
+        building = workload["buildings"][0]
+        meters = building["meters"]
+        building["meters"] = [{**meters[i % len(meters)], "serial": i + 1} for i in range(n)]
+        sc = scenario_from_dict({**workload, "horizon": "7d"})
+        lines = count()
+        tracemalloc.start()
+        try:
+            run_ti(sc, EventLog(lambda line: next(lines)))
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert next(lines) == n * sc.horizon_ms // sc.ti_poll_interval_ms
+        return top
+
+    small, large = peak(16), peak(64)
+    assert large - small <= 8 * 1024 * (64 - 16), f"{(large - small) / 48:.0f} B per meter"
 
 
 @settings(max_examples=200, deadline=None)
@@ -821,28 +853,35 @@ def test_polls_sent_follow_the_per_poll_battery_rule(capacity, tx_cost, drain, d
     horizon=st.integers(min_value=1, max_value=2 * MS_PER_DAY),
     dt=st.sampled_from([MS_PER_MINUTE, 7 * MS_PER_MINUTE, MS_PER_HOUR, 5 * MS_PER_HOUR]),
     capacity=st.integers(min_value=0, max_value=40),
+    stagger=st.integers(min_value=0, max_value=12),
 )
-def test_poll_registers_equal_cumulative_consumption(traces, horizon, dt, capacity):
+def test_poll_registers_equal_cumulative_consumption(traces, horizon, dt, capacity, stagger):
+    """Each meter's readings, and each logged register, are the whole
+    deciunits its trace consumed by the poll; with ``stagger`` the meters'
+    batteries stop them at different polls."""
     params = {
         "appliance": {"base_rate_du_per_hour": Fraction(7, 3),
                       "burst_rate_du_per_hour": 5000, "bursts_per_day": (0, 30),
                       "burst_duration_ms": (1, 3 * MS_PER_HOUR)},
         "diurnal": {"daily_total_du": Fraction(10_001, 3)},
     }
-    meters = [(_water(i + 1, battery_capacity=capacity),
+    meters = [(_water(i + 1, battery_capacity=capacity + i * stagger),
                TraceSpec(kind, params[kind], seed=seed))
               for i, (kind, seed) in enumerate(traces)]
     records = []
     res = run_ti(_scenario(meters, horizon, ti_poll_interval_ms=dt), EventLog(record_sink(records)))
+    expected = []
     for cfg, _ in meters:
         trace = res.traces[cfg.id]
         sent = _ti_polls_sent(cfg, dt, horizon // dt)
-        assert res.readings.get(cfg.id, []) == [
+        assert res.readings(cfg.id) == [
             (k * dt, int(trace.cumulative_du(k * dt))) for k in range(1, sent + 1)]
+        expected += [(k, cfg.id, int(trace.cumulative_du(k * dt))) for k in range(1, sent + 1)]
     polls = [(r.payload["poll_index"], r.payload["meter_id"], r.payload["register_du"])
              for r in records]
     assert polls == sorted(polls)
-    assert len(polls) == sum(len(v) for v in res.readings.values())
+    assert len(polls) == sum(len(res.readings(cfg.id)) for cfg, _ in meters)
+    assert polls == sorted(expected)
 
 
 # ---------------------------------------------------------------------------
