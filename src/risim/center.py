@@ -167,6 +167,7 @@ class SessionLedger:
         self._concentrators: list[int] = []         # concentrator ids by index
         self._index: dict[int, int] = {}            # concentrator id -> index
         self._max_abs: int | None = None  # highest accepted, the unroll reference
+        self._lost: tuple[LostRun, ...] | None = None   # lost_runs() until a fold moves it
         self.stale_replays = 0
         self.conflict_sessions: set[int] = set()
 
@@ -225,9 +226,9 @@ class SessionLedger:
                 f"report for {device_name('meter', mid)} fed to the ledger of "
                 f"{device_name('meter', self.meter_id)}"
             )
-        return self._fold_emission(frame, session, ((cid, rx),))[0]
+        return self.fold_copies(frame, session, ((cid, rx),))[0]
 
-    def _fold_emission(self, frame: bytes, session: int, copies) -> list[IngestOutcome]:
+    def fold_copies(self, frame: bytes, session: int, copies) -> list[IngestOutcome]:
         """``ingest`` for each of one or more (concentrator_id, rx_time_ms)
         copies of one frame in turn, whose header has been read and whose
         meter id is this ledger's: the session is unrolled, and the frame
@@ -255,6 +256,7 @@ class SessionLedger:
                 return [_CONFLICT] * len(copies)
             outcomes = []
         else:   # the first copy is accepted
+            self._lost = None
             cid, rx = copies[0]
             _PUT[size](frames, off, frame)
             try:
@@ -294,6 +296,7 @@ class SessionLedger:
             senders[i] = sent
             earliest = times[i]
             if rx < earliest or rx == earliest and cid < self._concentrators[froms[i]]:
+                self._lost = None   # a run's bound may have moved
                 try:
                     times[i] = rx
                 except OverflowError:
@@ -331,9 +334,18 @@ class SessionLedger:
         from the installation origin (time zero, zero lifetime quanta).
         Nothing above the highest accepted session is known to be lost, so
         every run is bounded, and its size does not depend on how many
-        sessions it spans.  A full block with no hole before it adds no run,
-        so only its last slot is read.
+        sessions it spans.
+
+        The runs are found once and kept until a fold accepts a session or
+        lowers a session's reception time; each call returns a new list.
         """
+        if self._lost is None:
+            self._lost = tuple(self._find_lost_runs())
+        return list(self._lost)
+
+    def _find_lost_runs(self) -> list[LostRun]:
+        """``lost_runs``, walked from the blocks.  A full block with no hole
+        before it adds no run, so only its last slot is read."""
         blocks, modulus, runs = self._blocks, self.modulus, []
         size, summary = self._size, FRAME_SUMMARY.get(self._size)
         t_lo, below = 0, 0   # the accepted session below, or installation: time, quanta
@@ -523,7 +535,7 @@ class MonitoringCenter:
         looked up once, and with no copies none is created."""
         if not copies:
             return []
-        return self.ledger(meter_id)._fold_emission(frame, session, copies)
+        return self.ledger(meter_id).fold_copies(frame, session, copies)
 
     def ledgers(self) -> dict[int, SessionLedger]:
         return dict(sorted(self._ledgers.items()))

@@ -27,9 +27,10 @@ from .domain import (
 DRAW_SCALE = 2**53
 
 
-def loss_threshold(loss) -> int:
-    """ceil(loss · DRAW_SCALE): a draw is lost when it is below, i.e. when ``random() < loss``."""
-    return -(-Fraction(loss) * DRAW_SCALE // 1)
+def loss_threshold(loss) -> float:
+    """ceil(loss · DRAW_SCALE) / DRAW_SCALE, a float that holds it exactly: a
+    draw is lost when ``random()`` is below it, i.e. when ``random() < loss``."""
+    return -(-Fraction(loss) * DRAW_SCALE // 1) / DRAW_SCALE
 
 
 def probability(loss, what: str) -> Fraction:
@@ -73,12 +74,12 @@ def broadcast(links, rng: random.Random) -> list[tuple[int, str | None]]:
     threshold is above 0.  Returns (concentrator_id, lost) per link, where
     ``lost`` is None for a copy that reaches the center, else its drop stage.
     """
-    heard = [rng.random() * DRAW_SCALE >= radio for _, radio, _ in links]
+    heard = [rng.random() >= radio for _, radio, _ in links]
     fates = []
     for (cid, _, uplink), ok in zip(links, heard):
         if not ok:
             fates.append((cid, RADIO))
-        elif uplink > 0 and rng.random() * DRAW_SCALE < uplink:
+        elif uplink > 0 and rng.random() < uplink:
             fates.append((cid, UPLINK))
         else:
             fates.append((cid, None))

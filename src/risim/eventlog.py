@@ -19,12 +19,17 @@ from .center import IngestOutcome, MonitoringCenter, SessionLedger
 from .domain import (
     BASE_UNIT,
     DROP_STAGES,
+    FRAME_SUMMARY,
+    RADIO,
+    TYPE_TAG,
+    UPLINK,
     MalformedFrame,
     MessageType,
     Registry,
     ResourceKind,
     device_name,
     frame_header,
+    frame_size,
 )
 from .domain import decode_frame  # unused here; perfbench's tracer patches this name
 
@@ -50,15 +55,24 @@ _JSON_TEXT = {
 }
 
 
+#: an emission line's text up to its counter, per frame type tag
+_EMISSION_HEAD = {tag: f'{{"kind":{_JSON_TEXT[mtype]},"payload":{{"cumulative_quanta":'
+                  for mtype, tag in TYPE_TAG.items()}
+#: an ingest entry's outcome as its JSON text; any other string raises KeyError
+_OUTCOME_TEXT = {outcome: _JSON_TEXT[outcome] for outcome in IngestOutcome}
+
+
 class EventLog:
     """Numbers each record with the next ``seq`` and hands its line to ``sink``;
     runs that share a log share its numbering, so ``ti`` goes on where ``ri``
     stopped.
 
-    There is one method per record kind.  Each writes its line, ending in a
-    newline, from one template, with no record object in between: the only
-    writer of event lines.  ``EventLogRecord.to_json`` in ``tests/oracles.py``
-    is the reference that the tests hold each line to.
+    There is one template per record kind.  Each writes its line, ending in a
+    newline, with no record object in between: the only writer of event
+    lines.  An emission's template is ``MeterLines.write``: a run writes
+    through one ``MeterLines`` per meter, and ``emission`` uses it too.
+    ``EventLogRecord.to_json`` in ``tests/oracles.py`` is the reference that
+    the tests hold each line to.
     """
 
     def __init__(self, sink) -> None:
@@ -70,16 +84,21 @@ class EventLog:
         with its meter id, session, kind, resource and counter read from the
         frame, and its copy's fate on each link: (concentrator_id, drop stage)
         or (concentrator_id, outcome, rx_time_ms).  A frame that breaks the
-        decoder rules raises MalformedFrame."""
-        resource, kind, meter_id, session, cumulative_quanta = frame_header(frame)
-        fates = ",".join([f"[{link[0]},{_JSON_TEXT[link[1]]}]" if len(link) == 2 else
-                          f"[{link[0]},{_JSON_TEXT[link[1]]},{link[2]}]" for link in links])
-        self._sink(
-            f'{{"kind":{_JSON_TEXT[kind]},"payload":{{"cumulative_quanta":{cumulative_quanta},'
-            f'"frame_hex":"{frame.hex()}","links":[{fates}],"meter_id":{meter_id},'
-            f'"resource":{_JSON_TEXT[resource]},"session":{session}}},'
-            f'"seq":{self.seq},"sim_time_ms":{t}}}\n')
-        self.seq += 1
+        decoder rules raises MalformedFrame, and a word outside a fate's
+        vocabulary KeyError; either writes nothing."""
+        resource, _, meter_id, session, _ = frame_header(frame)
+        lines = MeterLines(self, meter_id, resource, [link[0] for link in links])
+        entries, heard, outcomes = [], [], []
+        for texts, link in zip(lines.links, links):
+            if len(link) == 2:
+                if link[1] not in DROP_STAGES:
+                    raise KeyError(link[1])
+                entries.append(texts[link[1]])
+            else:
+                heard.append((len(entries), link[2]))
+                outcomes.append(link[1])
+                entries.append(texts[None])
+        lines.write(t, frame, session, entries, heard, outcomes)
 
     def ti_reading(self, t: int, meter_id: int, poll_index: int, register_du: int,
                    unit: str) -> None:
@@ -89,6 +108,47 @@ class EventLog:
             f'"poll_index":{poll_index},"register_du":{register_du},'
             f'"unit":{_JSON_TEXT[unit]}}},"seq":{self.seq},"sim_time_ms":{t}}}\n')
         self.seq += 1
+
+
+class MeterLines:
+    """The emission lines of one meter's frames, written to ``log``; the
+    meter's links go to the concentrators ``cids``, in id order.
+
+    What is the same on each of them is formatted once: the meter id and
+    resource, and per link, in concentrator-id order, the entry of a copy
+    dropped at each stage and the head of an ingest entry.  ``links`` holds
+    these per link, keyed by the stage, and by None for the ingest's head.
+    A line then formats only its counter, ``frame_hex``, each ingest's
+    outcome and reception time, its session, ``seq`` and time.
+    """
+
+    __slots__ = ("_log", "_summary", "_tail", "links")
+
+    def __init__(self, log: EventLog, meter_id: int, resource: ResourceKind, cids) -> None:
+        self._log = log
+        self._summary = FRAME_SUMMARY[frame_size(resource)].unpack
+        self._tail = f'],"meter_id":{meter_id},"resource":{_JSON_TEXT[resource]},"session":'
+        self.links = tuple({RADIO: f"[{cid},{_JSON_TEXT[RADIO]}]",
+                            UPLINK: f"[{cid},{_JSON_TEXT[UPLINK]}]",
+                            None: f"[{cid},"} for cid in cids)
+
+    def write(self, t: int, frame: bytes, session: int, entries: list[str],
+              heard=(), outcomes=()) -> None:
+        """The line of one of the meter's frames, sent at ``t`` as session
+        ``session``: ``entries`` holds each link's text from ``links``, and
+        ``heard`` the (index in ``entries``, rx_time_ms) of each ingest, whose
+        entry this completes with its outcome from ``outcomes``.  The frame's
+        type tag and counter are read with one ``FRAME_SUMMARY`` unpack, and
+        nothing of it is checked: it is one the meter sent.  An outcome that
+        is not an ``IngestOutcome`` raises KeyError and writes nothing."""
+        for (i, rx), outcome in zip(heard, outcomes):
+            entries[i] = f"{entries[i]}{_OUTCOME_TEXT[outcome]},{rx}]"
+        _, tag, cumulative_quanta = self._summary(frame)
+        log = self._log
+        log._sink(f'{_EMISSION_HEAD[tag]}{cumulative_quanta},"frame_hex":"{frame.hex()}",'
+                  f'"links":[{",".join(entries)}{self._tail}{session}}},'
+                  f'"seq":{log.seq},"sim_time_ms":{t}}}\n')
+        log.seq += 1
 
 
 def write_events(fh, records) -> None:

@@ -31,7 +31,7 @@ from .domain import (
     encode_frame,  # unused here; perfbench's tracer patches this name
     frame_size,
 )
-from .eventlog import EventLog
+from .eventlog import EventLog, MeterLines
 from .meter import MeterConfig, MeterRun
 from .traces import CHANNEL_STREAM, ConsumptionTrace, generate_trace, mix_seed
 
@@ -98,15 +98,17 @@ def _generate_traces(scenario: ScenarioConfig) -> dict[int, ConsumptionTrace]:
 def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult:
     """Run the event-driven mode end to end and ingest at the center, handing
     each emission, with the fate of its copy on each link, to ``log`` as it
-    happens; with no log none is built."""
+    happens; with no log none is built.
+
+    Each transmission is one pass: one walk over its fates builds the
+    copies that reach the center and, with a log, the line's link entries
+    from the meter's ``MeterLines``; the copies are folded into the meter's
+    ledger, looked up once per run and made on its first copy, and their
+    outcomes complete the ingest entries.
+    """
     registry = scenario.build_registry()
-    conc = {c.id: c for c in scenario.concentrators()}
-    skew = {cid: c.clock_skew_ms for cid, c in conc.items()}
-    # per meter, (concentrator, radio threshold, uplink threshold) by concentrator id
-    links = {sm.config.id: tuple(sorted((cid, loss_threshold(loss),
-                                         loss_threshold(conc[cid].uplink_loss))
-                                        for cid, loss in sm.links))
-             for sm in scenario.meters()}
+    skew = {c.id: c.clock_skew_ms for c in scenario.concentrators()}
+    uplink = {c.id: loss_threshold(c.uplink_loss) for c in scenario.concentrators()}
     traces = _generate_traces(scenario)
     center = MonitoringCenter(registry)
 
@@ -115,22 +117,46 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
         for sm in scenario.meters()
         if sm.config.id in traces
     }
+    # per meter: its (concentrator, radio threshold, uplink threshold) links
+    # by concentrator id, each link's clock skew, and with a log its lines
+    meters = {}
+    for sm in scenario.meters():
+        losses = sorted(sm.links)   # (concentrator, radio loss) by concentrator id
+        cids = [cid for cid, _ in losses]
+        meters[sm.config.id] = (
+            tuple((cid, loss_threshold(loss), uplink[cid]) for cid, loss in losses),
+            [skew[cid] for cid in cids],
+            None if log is None else MeterLines(log, sm.config.id, sm.config.kind, cids))
     # each meter yields (time, meter, session, frame) tuples in order, so merging
     # them gives the global (time, meter, session) order without holding them all
     emissions = heapq.merge(*(run.events() for run in runs.values()))
 
     rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM))
-    counts: dict[int, int] = {}
+    counts = dict.fromkeys(runs, 0)
+    folds = {}   # meter id -> its ledger's fold_copies, from its first copy on
     for t, mid, session, frame in emissions:
-        counts[mid] = counts.get(mid, 0) + 1
-        fates = broadcast(links[mid], rng)
+        counts[mid] += 1
+        links, lags, lines = meters[mid]
+        fates = broadcast(links, rng)
         # each copy that reaches the center, stamped by its concentrator's clock
-        copies = [(cid, t + skew[cid]) for cid, lost in fates if lost is None]
-        outcomes = center.fold_emission(frame, mid, session, copies) if copies else ()
-        if log is not None:
-            folded = iter(outcomes)
-            log.emission(t, frame, [(cid, lost) if lost else (cid, next(folded), t + skew[cid])
-                                    for cid, lost in fates])
+        if lines is None:
+            copies = [(cid, t + lag) for (cid, lost), lag in zip(fates, lags) if lost is None]
+        else:
+            copies, entries, heard = [], [], []
+            for (cid, lost), lag, texts in zip(fates, lags, lines.links):
+                if lost is None:
+                    rx = t + lag
+                    copies.append((cid, rx))
+                    heard.append((len(entries), rx))
+                entries.append(texts[lost])
+        outcomes = ()
+        if copies:
+            fold = folds.get(mid)
+            if fold is None:
+                fold = folds[mid] = center.ledger(mid).fold_copies
+            outcomes = fold(frame, session, copies)
+        if lines is not None:
+            lines.write(t, frame, session, entries, heard, outcomes)
 
     metrics: dict[int, DetailMetric] = {}
     ledgers = center.ledgers()

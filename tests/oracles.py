@@ -185,8 +185,13 @@ def from_json(line: str) -> EventLogRecord:
 
 def record_sink(records: list):
     """An ``EventLog`` sink that parses each line it is given back into a
-    record, through ``from_json``, and appends it to ``records``."""
-    return lambda line: records.append(from_json(line))
+    record, through ``from_json``, and appends it to ``records``; it asserts
+    that the line is that record's ``to_json`` line, byte for byte."""
+    def sink(line: str) -> None:
+        rec = from_json(line)
+        assert line == rec.to_json() + "\n", line
+        records.append(rec)
+    return sink
 
 
 def write_records(path: Path, records) -> Path:

@@ -201,12 +201,18 @@ _EDGE_MASKS = (_FULL, 0, _FULL - 1, _FULL >> 1, 1, 1 << (BLOCK_SESSIONS - 1))
                    min_size=1, max_size=12),
     beat_every=st.integers(min_value=2, max_value=7),
     quanta0=st.sampled_from([0, 2**32 - 40]),
+    earlier=st.lists(st.integers(min_value=0, max_value=200), max_size=12),
 )
-def test_lost_runs_equal_the_slot_by_slot_walk(modulus, first_key, masks, beat_every, quanta0):
+def test_lost_runs_equal_the_slot_by_slot_walk(modulus, first_key, masks, beat_every, quanta0,
+                                               earlier):
     """``lost_runs`` skips a full block with no hole before it; it gives the
     runs of the walk over every slot, with full blocks, holes at block
     edges, negative keys (sessions below the first one fed), session
-    wraps of a 128-session counter and lifetime counters that wrap."""
+    wraps of a 128-session counter and lifetime counters that wrap.  It is
+    asked after every fold, so the runs it keeps between folds must follow
+    each accepted session and each duplicate of an ``earlier`` session
+    received sooner than its kept copy; a change to the list it returned
+    is not kept."""
     sessions = [(first_key + j) * BLOCK_SESSIONS + i
                 for j, mask in enumerate(masks) for i in range(BLOCK_SESSIONS) if mask >> i & 1]
     assume(sessions)
@@ -214,12 +220,24 @@ def test_lost_runs_equal_the_slot_by_slot_walk(modulus, first_key, masks, beat_e
     assume(all(b - a < modulus // 2 for a, b in zip(sessions, sessions[1:])))
     lo = sessions[0]
     ledger = SessionLedger(MID, modulus=modulus)
-    for s in sessions:
+    fed = []
+    for n, s in enumerate(sessions):
         beat = s % beat_every == 0
         quanta = quanta0 + sum(u % beat_every != 0 for u in range(lo, s + 1))
-        _feed(ledger, [_report(s % modulus, 1000 + 10 * (s - lo), quanta=quanta % 2**32,
-                               mtype=MessageType.HEARTBEAT if beat else MessageType.QUANTUM_EVENT)])
-    assert ledger.lost_runs() == slot_lost_runs(ledger)
+        fed.append(_report(s % modulus, 1000 + 10 * (s - lo), quanta=quanta % 2**32,
+                           mtype=MessageType.HEARTBEAT if beat else MessageType.QUANTUM_EVENT))
+        _feed(ledger, fed[-1:])
+        runs = ledger.lost_runs()
+        assert runs == slot_lost_runs(ledger)
+        runs.append(runs[0] if runs else None)
+        if n < len(earlier):
+            # a new concentrator's copy of a session fed before, heard sooner;
+            # within half the counter's range, so it is read as a past session
+            near = [report for u, report in zip(sessions, fed) if s - u < modulus // 2]
+            frame, _, rx = near[earlier[n] % len(near)]
+            assert ledger.ingest(ConcentratorReport(frame, concentrator_id(2 + n), rx - 1 - n)
+                                 ) is IngestOutcome.DUPLICATE
+        assert ledger.lost_runs() == slot_lost_runs(ledger)
 
 
 def _cap_bursts(lost, lo, hi, cap):

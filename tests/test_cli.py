@@ -10,11 +10,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import risim
+from risim.center import SessionLedger
 from risim.cli import SWEEP_HEADER, main
 from risim.config import load_scenario, parse_sweep_values
 from risim.domain import device_name
@@ -275,6 +277,31 @@ def test_benchmark_workloads_log_every_copy_once(workload_run):
         for link in links:
             fates[link[1] if len(link) == 2 else "ingest"] += 1
     assert fates == WORKLOAD_FATES[workload]
+
+
+def test_a_run_walks_each_ledgers_lost_runs_once(tmp_path, monkeypatch):
+    """``reconstruction_steps``, ``SessionLedger.reconstruct`` and each
+    snapshot's ``gaps`` all read a ledger's lost runs; ``risim run --mode
+    both`` on district_week walks its blocks for them once per ledger."""
+    walks = Counter()
+    find = SessionLedger._find_lost_runs
+
+    def counted(ledger):
+        walks[ledger.meter_id] += 1
+        return find(ledger)
+    monkeypatch.setattr(SessionLedger, "_find_lost_runs", counted)
+    monkeypatch.delenv("RI_SIM_SEED", raising=False)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(workloads.WORKLOADS["district_week"](1)))
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out), "--mode", "both"]) == 0
+    ledgers = [json.loads(line)["meter_id"]
+               for line in (out / "ledgers.ndjson").read_text().splitlines()]
+    assert len(ledgers) == 4
+    assert walks == dict.fromkeys(ledgers, 1)
 
 
 def test_shipped_ri_rows_account_for_every_quantum(shipped_run):

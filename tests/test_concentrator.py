@@ -227,8 +227,12 @@ def test_broadcast_draws_uplinks_after_every_radio_draw():
 # loss thresholds
 
 def _draws_around(t, data) -> list[int]:
-    """The draws on both sides of threshold ``t``, plus one drawn anywhere."""
-    near = [k for k in (t - 1, t) if 0 <= k < DRAW_SCALE]
+    """The draws k (``random()`` returning k / DRAW_SCALE) on both sides of
+    threshold ``t``, plus one drawn anywhere; ``t`` is a whole number of
+    draws, which the float holds exactly."""
+    n = int(t * DRAW_SCALE)
+    assert Fraction(t) == Fraction(n, DRAW_SCALE)
+    near = [k for k in (n - 1, n) if 0 <= k < DRAW_SCALE]
     return near + [data.draw(st.integers(0, DRAW_SCALE - 1))]
 
 
@@ -236,19 +240,19 @@ def _draws_around(t, data) -> list[int]:
 def test_loss_threshold_loses_exactly_the_draws_below_the_loss(loss, data):
     t = loss_threshold(loss)
     for k in _draws_around(t, data):
-        assert (k < t) == (Fraction(k, DRAW_SCALE) < loss)
+        assert (k / DRAW_SCALE < t) == (Fraction(k, DRAW_SCALE) < loss)
 
 
 @given(loss=st.floats(min_value=0, max_value=1), data=st.data())
 def test_loss_threshold_decides_a_float_loss_as_a_float_compare(loss, data):
     t = loss_threshold(loss)
     for k in _draws_around(t, data):
-        assert (k < t) == (k / DRAW_SCALE < loss)
+        assert (k / DRAW_SCALE < t) == (k / DRAW_SCALE < loss)
 
 
 def test_loss_threshold_endpoints():
     assert loss_threshold(0) == loss_threshold(0.0) == 0
-    assert loss_threshold(1) == loss_threshold(1.0) == DRAW_SCALE
+    assert loss_threshold(1) == loss_threshold(1.0) == 1
 
 
 def test_broadcast_decides_each_draw_as_a_float_compare():

@@ -11,13 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from risim.center import IngestOutcome
 from risim.domain import (BASE_UNIT, NOMINAL_QUALITY_DU, MalformedFrame, MessageType,
-                          MeterMessage, MeterState, QualityVector, ResourceKind, encode_frame)
+                          MeterMessage, MeterState, QualityVector, ResourceKind, encode_frame,
+                          frame_header)
 from risim.eventlog import (
     _JSON_TEXT,
     _LINE,
     EventKind,
     EventLog,
     MalformedLog,
+    MeterLines,
     read_events,
     replay_center,
     write_csv,
@@ -196,14 +198,45 @@ def _template_calls(draw):
                        "unit": unit})
 
 
+def _through_meter_lines(log: EventLog, t: int, frame: bytes, links) -> None:
+    """``log.emission(t, frame, links)`` as a run writes it: through the
+    ``MeterLines`` of the frame's meter, each link's entry taken from its
+    ``links`` by the copy's drop stage, or None for an ingest, whose
+    outcome and reception time ``write`` adds."""
+    resource, _, mid, session, _ = frame_header(frame)
+    lines = MeterLines(log, mid, resource, [link[0] for link in links])
+    entries, heard, outcomes = [], [], []
+    for texts, (_, fate, *rx) in zip(lines.links, links):
+        if rx:
+            heard.append((len(entries), *rx))
+            outcomes.append(fate)
+            fate = None
+        entries.append(texts[fate])
+    lines.write(t, frame, session, entries, heard, outcomes)
+
+
+#: the writers of an emission line: the validating ``EventLog.emission``,
+#: and a meter's ``MeterLines``, which a run writes through
+_EMITTERS = {"emission": EventLog.emission, "meter_lines": _through_meter_lines}
+
+
+def _call(log: EventLog, method: str, args, emitter: str) -> None:
+    """``log``'s ``method`` on ``args``, an emission through ``emitter``."""
+    if method == "emission":
+        _EMITTERS[emitter](log, *args)
+    else:
+        getattr(log, method)(*args)
+
+
 @settings(max_examples=400, deadline=None)
-@given(start=_WHOLE, calls=st.lists(_template_calls(), min_size=1, max_size=6))
-def test_templates_write_the_reference_line(start, calls):
+@given(start=_WHOLE, calls=st.lists(_template_calls(), min_size=1, max_size=6),
+       emitter=st.sampled_from(sorted(_EMITTERS)))
+def test_templates_write_the_reference_line(start, calls, emitter):
     lines = []
     log = EventLog(lines.append)
     log.seq = start
     for method, args, _, _, _ in calls:
-        getattr(log, method)(*args)
+        _call(log, method, args, emitter)
     assert log.seq == start + len(calls)
     assert lines == [
         EventLogRecord(start + i, t, kind, payload).to_json() + "\n"
@@ -212,14 +245,18 @@ def test_templates_write_the_reference_line(start, calls):
 
 
 def test_templates_refuse_a_string_outside_the_vocabulary():
-    log = EventLog([].append)
-    with pytest.raises(KeyError):
-        log.emission(0, _frame(), [(2, 'up"link')])
-    with pytest.raises(KeyError):
-        log.emission(0, _frame(), [(2, "radio"), (3, "lost", 5)])
+    lines = []
+    log = EventLog(lines.append)
+    for emit in _EMITTERS.values():
+        with pytest.raises(KeyError):
+            emit(log, 0, _frame(), [(2, 'up"link')])
+        with pytest.raises(KeyError):
+            emit(log, 0, _frame(), [(2, "radio"), (3, "lost", 5)])
+        with pytest.raises(KeyError):
+            emit(log, 0, _frame(), [(2, "accepted", 5), (3, "lost", 5)])
     with pytest.raises(KeyError):
         log.ti_reading(0, 1, 1, 0, "m\u00b3")
-    assert log.seq == 0
+    assert log.seq == 0 and lines == []
 
 
 def test_an_emission_of_a_malformed_frame_writes_nothing():
@@ -253,20 +290,26 @@ def test_a_protocol_word_is_its_own_string(member):
 
 def test_every_word_a_template_writes_is_read_by_its_kinds_pattern():
     """The writer's vocabulary and the reader's cannot drift apart: lines
-    that use every word of ``_JSON_TEXT`` each match their kind's pattern."""
-    lines = []
-    log = EventLog(lines.append)
-    for resource in ResourceKind:
-        for mtype in MessageType:
-            log.emission(0, _frame(resource=resource, mtype=mtype), [])
-    log.emission(0, _frame(), [(2, "radio"), (3, "uplink"),
-                               *((4 + i, outcome, -3) for i, outcome in enumerate(IngestOutcome))])
-    for unit in BASE_UNIT.values():
-        log.ti_reading(0, 1, 0, -4, unit)
-    assert {word for word, text in _JSON_TEXT.items()
-            if any(text in line for line in lines)} == set(_JSON_TEXT)
-    for line in lines:
-        assert _LINE[json.loads(line)["kind"].encode()].fullmatch(line.encode()), line
+    that use every word of ``_JSON_TEXT``, written by each emission writer,
+    each match their kind's pattern, with the widest ids and negative
+    reception times."""
+    wide = 2**64 - 1
+    for emit in _EMITTERS.values():
+        lines = []
+        log = EventLog(lines.append)
+        for resource in ResourceKind:
+            for mtype in MessageType:
+                emit(log, 0, _frame(mid=wide, resource=resource, mtype=mtype), [])
+        emit(log, 0, _frame(mid=wide), [
+            (2, "radio"), (3, "uplink"),
+            *((4 + i, outcome, -3) for i, outcome in enumerate(IngestOutcome)),
+            (wide - 1, "accepted", -2**63), (wide, "uplink")])
+        for unit in BASE_UNIT.values():
+            log.ti_reading(0, 1, 0, -4, unit)
+        assert {word for word, text in _JSON_TEXT.items()
+                if any(text in line for line in lines)} == set(_JSON_TEXT)
+        for line in lines:
+            assert _LINE[json.loads(line)["kind"].encode()].fullmatch(line.encode()), line
 
 
 #: what an edit sets one field to: the fuzz's hostile values, a negative

@@ -18,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import risim.center
+import risim.eventlog
 from risim import simulation
 from risim.cli import METRICS_HEADER, _metrics_rows
 from risim.concentrator import ConcentratorConfig, receive
-from risim.config import Building, ScenarioConfig, SimMeter, scenario_from_dict
+from risim.config import Building, ScenarioConfig, SimMeter, load_scenario, scenario_from_dict
 from risim.domain import (
     ConfigError,
     MS_PER_DAY,
@@ -566,9 +568,10 @@ def test_the_metric_of_the_largest_district_meter_takes_at_most_64_bytes_a_step(
 
 def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     """The center takes an emission's copies as the meter id and session the
-    meter yields with the frame, so it reads no header: a logged run reads
-    one header per emission, for its record, and an unlogged run reads none
-    and stamps no copy through ``receive``.
+    meter yields with the frame, so it reads no header, and neither does a
+    run's log, whose ``MeterLines`` reads the type and counter off the
+    frame: a run, logged or not, reads none and stamps no copy through
+    ``receive``.
     Replay reads one per emission, to check the line's fields against it,
     and hands its meter id and session with the frame to the center for the
     line's copies, the first line of a meter registering it."""
@@ -589,7 +592,7 @@ def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     ingests = sum(len(link) == 3 for rec in records for link in rec.payload["links"])
     assert emissions > 0 and ingests > emissions
     assert _calls(profile, frame_header=frame_header, receive=receive) == {
-        "frame_header": emissions, "receive": 0}
+        "frame_header": 0, "receive": 0}
     assert "".join(res.center.snapshots()) == "".join(unlogged.center.snapshots())
     path = write_records(tmp_path / "events.ndjson", records)
     profile = cProfile.Profile()
@@ -598,6 +601,30 @@ def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     profile.disable()
     assert "".join(replayed.snapshots()) == "".join(res.center.snapshots())
     assert _calls(profile, frame_header=frame_header) == {"frame_header": emissions}
+
+
+def test_a_logged_run_reads_no_frame_header_and_read_events_one_per_emission(
+        tmp_path, monkeypatch):
+    """The run's log writes each line through the meter's ``MeterLines``,
+    which reads the type and counter off the frame's bytes, and the center
+    takes the meter id and session that the meter yields: no ``frame_header``
+    call in ``risim.eventlog`` or ``risim.center``.  ``read_events`` still
+    reads each emission line's header, to check its fields against it."""
+    calls = Counter()
+    for module in (risim.eventlog, risim.center):
+        def counted(frame, _real=module.frame_header, _name=module.__name__):
+            calls[_name] += 1
+            return _real(frame)
+        monkeypatch.setattr(module, "frame_header", counted)
+    scenario = replace(load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                                     / "default.json"), horizon_ms=6 * MS_PER_HOUR)
+    path = tmp_path / "events.ndjson"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        run_ri(scenario, EventLog(fh.write))
+    assert calls == {}
+    emissions = len(path.read_bytes().splitlines())
+    assert emissions > 0 and list(read_events(path))
+    assert calls == {"risim.eventlog": emissions}
 
 
 def test_clock_skew_shifts_reception_times():
