@@ -83,11 +83,15 @@ class EventLog:
         """A ``quantum_event`` or ``heartbeat`` record: one frame a meter sent,
         with its meter id, session, kind, resource and counter read from the
         frame, and its copy's fate on each link: (concentrator_id, drop stage)
-        or (concentrator_id, outcome, rx_time_ms).  A frame that breaks the
-        decoder rules raises MalformedFrame, and a word outside a fate's
-        vocabulary KeyError; either writes nothing."""
+        or (concentrator_id, outcome, rx_time_ms), in concentrator-id order.
+        A frame that breaks the decoder rules raises MalformedFrame, a word
+        outside a fate's vocabulary KeyError, and concentrator ids that are
+        negative or do not strictly rise ValueError; each writes nothing."""
         resource, _, meter_id, session, _ = frame_header(frame)
-        lines = MeterLines(self, meter_id, resource, [link[0] for link in links])
+        cids = [link[0] for link in links]
+        if any(cid <= last for last, cid in zip([-1, *cids], cids)):
+            raise ValueError(f"links not in concentrator-id order: {cids}")
+        lines = MeterLines(self, meter_id, resource, cids)
         entries, heard, outcomes = [], [], []
         for texts, link in zip(lines.links, links):
             if len(link) == 2:
@@ -112,7 +116,8 @@ class EventLog:
 
 class MeterLines:
     """The emission lines of one meter's frames, written to ``log``; the
-    meter's links go to the concentrators ``cids``, in id order.
+    meter's links go to the concentrators ``cids``, in id order.  A run with
+    no log takes only its ``links``.
 
     What is the same on each of them is formatted once: the meter id and
     resource, and per link, in concentrator-id order, the entry of a copy
@@ -124,7 +129,7 @@ class MeterLines:
 
     __slots__ = ("_log", "_summary", "_tail", "links")
 
-    def __init__(self, log: EventLog, meter_id: int, resource: ResourceKind, cids) -> None:
+    def __init__(self, log: EventLog | None, meter_id: int, resource: ResourceKind, cids) -> None:
         self._log = log
         self._summary = FRAME_SUMMARY[frame_size(resource)].unpack
         self._tail = f'],"meter_id":{meter_id},"resource":{_JSON_TEXT[resource]},"session":'

@@ -83,8 +83,8 @@ class MeterRun:
         self.battery_remaining = cfg.battery_capacity
         self.depleted_at_ms: int | None = None
 
-    def events(self) -> Iterator[tuple[int, int, int, bytes]]:
-        """(emission ms, meter id, session, frame) per transmission, in order."""
+    def events(self) -> Iterator[tuple[int, int, bytes]]:
+        """(emission ms, session, frame) per transmission, in order."""
         cfg = self.cfg
         cap, cost, drain = cfg.battery_capacity, cfg.tx_cost, cfg.idle_drain_per_hour
         if cap <= 0:
@@ -92,10 +92,9 @@ class MeterRun:
             return
         q, interval = cfg.quantum_du, cfg.heartbeat_interval_ms
         dn, dd = cfg.drift_rate.numerator, cfg.drift_rate.denominator
-        meter = cfg.id
         quality = NOMINAL_QUALITY_DU[cfg.kind]
-        quantum_frame = frame_builder(meter, cfg.kind, MessageType.QUANTUM_EVENT, quality)
-        heartbeat_frame = frame_builder(meter, cfg.kind, MessageType.HEARTBEAT, quality)
+        quantum_frame = frame_builder(cfg.id, cfg.kind, MessageType.QUANTUM_EVENT, quality)
+        heartbeat_frame = frame_builder(cfg.id, cfg.kind, MessageType.HEARTBEAT, quality)
         # In wire units the battery at instant A/Q after s sends is
         # 200 − r·s − g·A/Q.  Over unit·Q, with unit = rd·gd, its numerator is
         # Q·left − per_ms·A, where left = (200 − r·s)·unit and per_ms = g·unit:
@@ -156,7 +155,7 @@ class MeterRun:
                         byte += 1
                 last_tx = t
                 session = (sent - 1) % SESSION_MOD
-                yield t, meter, session, build(session, byte, 0, quanta % 2**32)
+                yield t, session, build(session, byte, 0, quanta % 2**32)
                 if level <= 0:
                     self._die(t, self._battery(sent, Fraction(at_a, at_q)))
                     return

@@ -1,21 +1,21 @@
 """Deterministic discrete-event engine and the polling baseline.
 
-One run advances a single merged event stream in (time, meter, session)
-order.  All randomness flows from the scenario seed through two derived
-streams: trace generation (per meter) and channel losses, so a given config
-plus seed reproduces its event log byte for byte.
+A run takes one meter at a time, in meter id order, each to its end: its
+emissions in time order, or its polls in poll order.  All randomness flows
+from the scenario seed through two streams derived per meter: its trace
+and its channel losses, so a meter's records depend on no other meter, and
+a given config plus seed reproduces its event log byte for byte.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, islice, repeat, zip_longest
+from itertools import accumulate, islice, repeat
 from operator import mul, sub
 from typing import Iterator
 
@@ -96,82 +96,64 @@ def _generate_traces(scenario: ScenarioConfig) -> dict[int, ConsumptionTrace]:
 
 
 def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult:
-    """Run the event-driven mode end to end and ingest at the center, handing
-    each emission, with the fate of its copy on each link, to ``log`` as it
-    happens; with no log none is built.
+    """Run the event-driven mode end to end and ingest at the center, one
+    meter at a time in meter id order, handing each of its emissions, in
+    time order, with the fate of its copy on each link, to ``log`` as it
+    happens; with no log no line is written.
 
-    Each transmission is one pass: one walk over its fates builds the
-    copies that reach the center and, with a log, the line's link entries
-    from the meter's ``MeterLines``; the copies are folded into the meter's
-    ledger, looked up once per run and made on its first copy, and their
-    outcomes complete the ingest entries.
+    A meter's channel draws come from its own stream, so nothing it sends
+    depends on another meter.  Each transmission is one pass: one walk over
+    its fates builds the copies that reach the center and the line's link
+    entries from the meter's ``MeterLines``; the copies are folded into the
+    meter's ledger, made on its first copy, and their outcomes complete the
+    ingest entries, which a log then writes.
     """
     registry = scenario.build_registry()
     skew = {c.id: c.clock_skew_ms for c in scenario.concentrators()}
     uplink = {c.id: loss_threshold(c.uplink_loss) for c in scenario.concentrators()}
     traces = _generate_traces(scenario)
     center = MonitoringCenter(registry)
+    grid = scenario.rmse_grid_ms
 
-    runs = {
-        sm.config.id: MeterRun(sm.config, traces[sm.config.id])
-        for sm in scenario.meters()
-        if sm.config.id in traces
-    }
-    # per meter: its (concentrator, radio threshold, uplink threshold) links
-    # by concentrator id, each link's clock skew, and with a log its lines
-    meters = {}
-    for sm in scenario.meters():
-        losses = sorted(sm.links)   # (concentrator, radio loss) by concentrator id
-        cids = [cid for cid, _ in losses]
-        meters[sm.config.id] = (
-            tuple((cid, loss_threshold(loss), uplink[cid]) for cid, loss in losses),
-            [skew[cid] for cid in cids],
-            None if log is None else MeterLines(log, sm.config.id, sm.config.kind, cids))
-    # each meter yields (time, meter, session, frame) tuples in order, so merging
-    # them gives the global (time, meter, session) order without holding them all
-    emissions = heapq.merge(*(run.events() for run in runs.values()))
-
-    rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM))
-    counts = dict.fromkeys(runs, 0)
-    folds = {}   # meter id -> its ledger's fold_copies, from its first copy on
-    for t, mid, session, frame in emissions:
-        counts[mid] += 1
-        links, lags, lines = meters[mid]
-        fates = broadcast(links, rng)
-        # each copy that reaches the center, stamped by its concentrator's clock
-        if lines is None:
-            copies = [(cid, t + lag) for (cid, lost), lag in zip(fates, lags) if lost is None]
-        else:
-            copies, entries, heard = [], [], []
-            for (cid, lost), lag, texts in zip(fates, lags, lines.links):
-                if lost is None:
-                    rx = t + lag
-                    copies.append((cid, rx))
-                    heard.append((len(entries), rx))
-                entries.append(texts[lost])
-        outcomes = ()
-        if copies:
-            fold = folds.get(mid)
-            if fold is None:
-                fold = folds[mid] = center.ledger(mid).fold_copies
-            outcomes = fold(frame, session, copies)
-        if lines is not None:
-            lines.write(t, frame, session, entries, heard, outcomes)
-
+    runs: dict[int, MeterRun] = {}
     metrics: dict[int, DetailMetric] = {}
-    ledgers = center.ledgers()
-    for sm in scenario.meters():
-        mid = sm.config.id
+    for sm in sorted(scenario.meters(), key=lambda m: m.config.id):
+        cfg = sm.config
+        mid = cfg.id
         trace = traces.get(mid)
-        ledger = ledgers.get(mid)
-        indices = reconstruction_steps(ledger, scenario.rmse_grid_ms) if ledger else []
-        mse = _step_mean_square(trace, indices, sm.config.quantum_du,
-                                scenario.rmse_grid_ms, scenario.horizon_ms)
+        sent = 0
+        ledger = None   # made on the meter's first copy that reaches the center
+        if trace is not None:
+            losses = sorted(sm.links)   # (concentrator, radio loss) by concentrator id
+            links = tuple((cid, loss_threshold(loss), uplink[cid]) for cid, loss in losses)
+            lags = [skew[cid] for cid, _ in losses]
+            lines = MeterLines(log, mid, cfg.kind, [cid for cid, _ in losses])
+            rng = random.Random(mix_seed(scenario.seed, CHANNEL_STREAM, mid))
+            run = runs[mid] = MeterRun(cfg, trace)
+            for t, session, frame in run.events():
+                sent += 1
+                # each copy that reaches the center, stamped by its concentrator's clock
+                copies, entries, heard = [], [], []
+                for (cid, lost), lag, texts in zip(broadcast(links, rng), lags, lines.links):
+                    if lost is None:
+                        rx = t + lag
+                        copies.append((cid, rx))
+                        heard.append((len(entries), rx))
+                    entries.append(texts[lost])
+                outcomes = ()
+                if copies:
+                    if ledger is None:
+                        ledger = center.ledger(mid)
+                    outcomes = ledger.fold_copies(frame, session, copies)
+                if log is not None:
+                    lines.write(t, frame, session, entries, heard, outcomes)
+        indices = reconstruction_steps(ledger, grid)
         metrics[mid] = DetailMetric(
             meter_id=mid,
-            message_count=counts.get(mid, 0),
-            bytes_sent=counts.get(mid, 0) * frame_size(sm.config.kind),
-            mean_square_du=mse,
+            message_count=sent,
+            bytes_sent=sent * frame_size(cfg.kind),
+            mean_square_du=_step_mean_square(trace, indices, cfg.quantum_du, grid,
+                                             scenario.horizon_ms),
         )
     return RiRunResult(center, metrics, traces, runs)
 
@@ -180,33 +162,26 @@ def run_ti(scenario: ScenarioConfig, log: EventLog | None = None) -> TiRunResult
     """Run the polling baseline: every meter reports its register each Δt
     while its battery lasts, one ``ti_reading`` record per poll to ``log``.
 
-    The registers are streamed, never held for every meter at once: the log
-    takes them poll by poll, every meter's generator advanced in lockstep,
-    and the metric one meter's list at a time, from a second pass.
+    The meters go one at a time in meter id order, so only one meter's
+    registers are alive at once: each list is computed once, logged poll by
+    poll and summed into the meter's metric, then dropped.
     """
     traces = _generate_traces(scenario)
     dt = scenario.ti_poll_interval_ms
     grid = scenario.rmse_grid_ms
-
-    meters = sorted(scenario.meters(), key=lambda m: m.config.id)
     n_polls = scenario.horizon_ms // dt if scenario.horizon_ms else 0
-    sent = {sm.config.id: _ti_polls_sent(sm.config, dt, n_polls) for sm in meters}
-    if log is not None:
-        polled = [(sm.config.id, BASE_UNIT[sm.config.kind]) for sm in meters if sent[sm.config.id]]
-        # a meter whose battery stops it early yields the fill value from then on
-        streams = zip_longest(*(_registers(traces[mid], dt, sent[mid]) for mid, _ in polled))
-        for k, registers in enumerate(streams, 1):
-            t = k * dt
-            for (mid, unit), register in zip(polled, registers):
-                if register is not None:
-                    log.ti_reading(t, mid, k, register, unit)
 
     metrics: dict[int, DetailMetric] = {}
     last_register: dict[int, int] = {}
-    for sm in meters:
-        mid = sm.config.id
-        polls = sent[mid]
+    for sm in sorted(scenario.meters(), key=lambda m: m.config.id):
+        cfg = sm.config
+        mid = cfg.id
+        polls = _ti_polls_sent(cfg, dt, n_polls)
         registers = list(_registers(traces[mid], dt, polls)) if polls else []
+        if log is not None:
+            unit = BASE_UNIT[cfg.kind]
+            for k, register in enumerate(registers, 1):
+                log.ti_reading(k * dt, mid, k, register, unit)
         indices = [-(-t // grid) for t in range(dt, polls * dt + 1, dt)]   # ⌈k·dt / grid⌉
         mse = _step_mean_square(traces.get(mid), indices,
                                 list(map(sub, registers, [0, *registers])), grid,

@@ -735,23 +735,25 @@ class ReferenceRun:
     """``run_ri`` and ``run_ti`` written from protocol.md's rules, to check them
     against.
 
-    Each meter's frames come from ``_StepRun``, packed by
-    ``reference_frame``.  All emissions are taken in (time, meter, session)
-    order, and one ``random.Random(mix_seed(seed, CHANNEL_STREAM))`` decides
-    every copy: all radio draws of an emission in concentrator-id order,
-    then one uplink draw for each heard copy whose concentrator's uplink
-    loss is above 0, again in concentrator-id order.  A draw below its loss,
-    compared as exact fractions, loses the copy.  Each delivered copy reaches
-    a ``ReferenceCenter`` at the emission time plus its concentrator's skew,
+    Meters are taken one at a time in meter id order, each to its end.  A
+    meter's frames come from ``_StepRun``, packed by ``reference_frame``, in
+    time order, and the meter's own ``random.Random(mix_seed(seed,
+    CHANNEL_STREAM, meter_id))`` decides each of their copies: all radio
+    draws of an emission in concentrator-id order, then one uplink draw for
+    each heard copy whose concentrator's uplink loss is above 0, again in
+    concentrator-id order.  A draw below its loss, compared as exact
+    fractions, loses the copy.  Each delivered copy reaches a
+    ``ReferenceCenter`` at the emission time plus its concentrator's skew,
     with its true session index.  The emission's record lists each copy's
     fate as its ``links``, in concentrator-id order: its drop stage, or the
     center's outcome and the reception time.
 
-    Polls go out at k · poll interval, k = 1, 2, ... up to the horizon, to
-    every meter in meter id order.  A meter's battery is stepped poll by
-    poll: it loses the idle drain of each interval, and a poll is sent, and
-    costs ``tx_cost``, only while the battery is above zero before it.  The
-    reading is the whole deciunits the trace has consumed by the poll.
+    Polls go out at k · poll interval, k = 1, 2, ... up to the horizon, one
+    meter at a time in meter id order, each meter's in poll order.  A
+    meter's battery is stepped poll by poll: it loses the idle drain of
+    each interval, and a poll is sent, and costs ``tx_cost``, only while the
+    battery is above zero before it.  The reading is the whole deciunits
+    the trace has consumed by the poll.
     """
 
     def __init__(self, scenario: ScenarioConfig) -> None:
@@ -827,33 +829,30 @@ class ReferenceRun:
         links = {sm.config.id: sorted((cid, Fraction(loss)) for cid, loss in sm.links)
                  for sm in sc.meters()}
         traces = self._traces()
-        emissions = []
-        for sm in sc.meters():
-            for index, (t, msg) in enumerate(_StepRun(sm.config, traces[sm.config.id]).events()):
-                emissions.append((t, sm.config.id, index, msg))
-        emissions.sort(key=lambda e: e[:3])
+        for cfg in sorted((sm.config for sm in sc.meters()), key=lambda cfg: cfg.id):
+            mid = cfg.id
+            rng = random.Random(mix_seed(sc.seed, CHANNEL_STREAM, mid))
+            for index, (t, msg) in enumerate(_StepRun(cfg, traces[mid]).events()):
+                frame = reference_frame(msg)
+                radio = [Fraction(rng.random()) < loss for _, loss in links[mid]]
+                lost = ["radio" if dropped else None for dropped in radio]
+                for i, (cid, _) in enumerate(links[mid]):
+                    if (lost[i] is None and uplink[cid] > 0
+                            and Fraction(rng.random()) < uplink[cid]):
+                        lost[i] = "uplink"
 
-        rng = random.Random(mix_seed(sc.seed, CHANNEL_STREAM))
-        for t, mid, index, msg in emissions:
-            frame = reference_frame(msg)
-            radio = [Fraction(rng.random()) < loss for _, loss in links[mid]]
-            lost = ["radio" if dropped else None for dropped in radio]
-            for i, (cid, _) in enumerate(links[mid]):
-                if lost[i] is None and uplink[cid] > 0 and Fraction(rng.random()) < uplink[cid]:
-                    lost[i] = "uplink"
-
-            fates = []
-            for (cid, _), stage in zip(links[mid], lost):
-                if stage is None:
-                    rx_time = t + skew[cid]
-                    outcome = self.center.ingest(index, ConcentratorReport(frame, cid, rx_time))
-                    fates.append([cid, outcome, rx_time])
-                else:
-                    fates.append([cid, stage])
-            yield t, msg.message_type.value, {
-                "cumulative_quanta": msg.state.cumulative_quanta, "frame_hex": frame.hex(),
-                "links": fates, "meter_id": mid, "resource": msg.kind.value,
-                "session": msg.session}
+                fates = []
+                for (cid, _), stage in zip(links[mid], lost):
+                    if stage is None:
+                        rx_time = t + skew[cid]
+                        outcome = self.center.ingest(index, ConcentratorReport(frame, cid, rx_time))
+                        fates.append([cid, outcome, rx_time])
+                    else:
+                        fates.append([cid, stage])
+                yield t, msg.message_type.value, {
+                    "cumulative_quanta": msg.state.cumulative_quanta, "frame_hex": frame.hex(),
+                    "links": fates, "meter_id": mid, "resource": msg.kind.value,
+                    "session": msg.session}
 
     def _ti(self):
         """(sim_time_ms, kind, payload) of each ``run_ti`` record."""
@@ -861,13 +860,13 @@ class ReferenceRun:
         dt = sc.ti_poll_interval_ms
         meters = sorted((sm.config for sm in sc.meters()), key=lambda cfg: cfg.id)
         traces = self._traces()
-        battery = {cfg.id: cfg.battery_capacity for cfg in meters}
-        for k in range(1, sc.horizon_ms // dt + 1):
-            t = k * dt
-            for cfg in meters:
-                battery[cfg.id] -= cfg.idle_drain_per_hour * Fraction(dt, MS_PER_HOUR)
-                if battery[cfg.id] > 0:
-                    battery[cfg.id] -= cfg.tx_cost
+        for cfg in meters:
+            battery = cfg.battery_capacity
+            for k in range(1, sc.horizon_ms // dt + 1):
+                t = k * dt
+                battery -= cfg.idle_drain_per_hour * Fraction(dt, MS_PER_HOUR)
+                if battery > 0:
+                    battery -= cfg.tx_cost
                     yield t, "ti_reading", {
                         "meter_id": cfg.id, "poll_index": k,
                         "register_du": math.floor(traces[cfg.id].cumulative_du(t)),

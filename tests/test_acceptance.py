@@ -82,7 +82,7 @@ def test_01_conservation_and_quantization():
         cfg = MeterConfig(id=mid, kind=ResourceKind.COLD_WATER,
                           quantum_du=quantum,
                           heartbeat_interval_ms=30 * MS_PER_DAY)
-        events = [(t, session) for t, _, session, _ in MeterRun(cfg, trace).events()]
+        events = [(t, session) for t, session, _ in MeterRun(cfg, trace).events()]
         expected = total_du(trace) // quantum
         assert len(events) == expected, f"trial {trial}"
         # refine the trace: split every segment in half, same rates
@@ -93,7 +93,7 @@ def test_01_conservation_and_quantization():
             if mid_t > a:
                 refined.append((mid_t, rate))
         trace2 = ConsumptionTrace(mid, tuple(refined), horizon)
-        events2 = [(t, session) for t, _, session, _ in MeterRun(cfg, trace2).events()]
+        events2 = [(t, session) for t, session, _ in MeterRun(cfg, trace2).events()]
         assert events2 == events, f"trial {trial}: segmentation changed emissions"
     elapsed = time.monotonic() - t_start
     assert elapsed < 10, f"took {elapsed:.1f}s"

@@ -165,9 +165,9 @@ def test_run_is_reproducible_by_hash(tmp_path):
 # purpose and says why in CHANGES.md.
 SHIPPED_DIGESTS = {
     "default.json": (
-        "a19a68409e4d8a95303eccad7252d35a9819a2eada71cdf22e2a1c79ebf1e01f",
-        "a931ab1d7a75cf6b1da23089ffc3475046e92e105a78f37c81a4f0686343054d",
-        "0d6892f58721e19cb0cda43ccd6bf5144348d495b1f4d41974fc773c8b3e3632",
+        "4444eee9e030749011a2cca15d353bcd2705d85e535f4c89949da480b150de1a",
+        "c6cdad60d342583c5c03953bf6eb10c09a99d7b9e71aa2dfd14e4645522d9f37",
+        "674b2223c1423d9f576137f859ac7fa58f7c3dae167f944cd6cd638536ad3161",
     ),
     "night_idle.json": (
         "6818274ac7e76d1b27e39cfb64e05ee4e637ab9a2b94fa0170417a9210feef8b",
@@ -207,19 +207,19 @@ def test_shipped_scenarios_match_golden_hashes(shipped_run):
 #: the shipped scenarios do not
 WORKLOAD_DIGESTS = {
     "district_week": (
-        "8c092cef81500551c7844edd3773c084bced008170860368995bbca89a897371",
-        "bb66655ff5e30c79004e967bb7283046ce7de9c9330a3a44d71a891edddda489",
-        "4adbc1534e8bb5f9b60f268553ff035111d522e6a25c6b85055f37672fa42c2c",
+        "b22d7823b639258e401de20e781c08a63dcc72e8d925996031718b406590cc44",
+        "d3a12ff776f03c3793da1a784192101115c05f5339772a39d0018fcf7d854e7a",
+        "e572afb90930980848e5a4b527eaae3ced4a2dd8489f952758b85cc910a81955",
     ),
     "idle_fleet": (
-        "75090ad9ce0150f33963bffae09121a314abc64b9159f668edebfb5e87860655",
-        "c1acb7bf3121c92e75ca4e79a0f96967767c484ccb9339ce7eb6f97045776df7",
-        "7c21aff79ae1874a532a6e2e78354ccdc998ba9bff8ba3720395f7437e824de3",
+        "998efce740ace18ce381df048743d813ca616cf4565cf81a56d9a64fbe358cf2",
+        "348d462a3cfa3863776df170760265a70daf9f922c3e30a5d7f66dcf6fd53818",
+        "e4a89d97ceff868a5ab446b421e23493307e7f1a88c3010e4713e528084a4efb",
     ),
     "lossy_multipath": (
-        "7f8ecbfc92448433c49bda63a0b18a2efdb23064cf93ee598128243d90c0faef",
-        "f57052c8b7011931442978c596730a34a3f1109ada4a813e9ad58b8c6beea626",
-        "8737d135b3b02ec77d04f48a7bbcc6a9826b9eb5c6150b05877b7ad8e7ad1c21",
+        "5caea16c5555dc821b8bac0e10465a9c8603b406d936d46c6d8bc18c8bfc84a7",
+        "50383073b57b71d755dc60e1cd84207d3ee605e10340c9c148550c80b0f6b62b",
+        "accbed379f9b349862c78ac970bbe51af53fca48353d56f588d87e8af99b90f0",
     ),
 }
 
@@ -254,9 +254,9 @@ def test_benchmark_workloads_match_their_digests(workload_run):
 #: ``drop`` lines by stage and the ``center_ingest`` lines that its log held
 #: when each copy had a line of its own
 WORKLOAD_FATES = {
-    "district_week": {"radio": 4611, "uplink": 132, "ingest": 26101},
-    "idle_fleet": {"radio": 48, "uplink": 0, "ingest": 2304},
-    "lossy_multipath": {"radio": 30030, "uplink": 612, "ingest": 29503},
+    "district_week": {"radio": 4578, "uplink": 149, "ingest": 26117},
+    "idle_fleet": {"radio": 46, "uplink": 0, "ingest": 2306},
+    "lossy_multipath": {"radio": 29861, "uplink": 608, "ingest": 29676},
 }
 
 

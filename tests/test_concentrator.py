@@ -141,8 +141,9 @@ def _run(tmp_path, name, scenario) -> dict[str, bytes]:
 
 def test_broadcast_draws_in_concentrator_id_order(tmp_path):
     # links and concentrators listed in reverse are still drawn low id first,
-    # so the random stream is consumed identically however the config was
-    # written, and every artifact is byte-identical
+    # and meters listed in reverse still run in id order, each on its own
+    # random stream, so the streams are consumed identically however the
+    # config was written, and every artifact is byte-identical
     concentrators = [{"serial": n, "clock_skew_ms": 3 * n, "uplink_loss": loss}
                      for n, loss in ((1, 0.3), (2, 0), (3, 0.5))]
     meters = [
@@ -159,8 +160,11 @@ def test_broadcast_draws_in_concentrator_id_order(tmp_path):
     reverse = {"seed": 5, "horizon": "3h", "buildings": [{
         "concentrators": concentrators[::-1],
         "meters": [{**m, "links": m["links"][::-1]} for m in meters]}]}
+    meters_reversed = {**forward, "buildings": [
+        {"concentrators": concentrators, "meters": meters[::-1]}]}
     got = _run(tmp_path, "forward", forward)
     assert _run(tmp_path, "reverse", reverse) == got
+    assert _run(tmp_path, "meters_reversed", meters_reversed) == got
     assert got["events.ndjson"].count(b',"uplink"]') > 0
 
 

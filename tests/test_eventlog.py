@@ -273,6 +273,76 @@ def test_an_emission_of_a_malformed_frame_writes_nothing():
     assert log.seq == 1 and len(lines) == 1
 
 
+@pytest.mark.parametrize("links", [
+    [(3, "radio"), (2, "radio")],
+    [(2, "accepted", 5), (2, "duplicate", 5)],
+    [(-1, "radio")],
+], ids=["descending", "repeated", "negative"])
+def test_an_emission_whose_concentrator_ids_do_not_rise_from_zero_writes_nothing(
+        tmp_path, links):
+    """``read_events`` refuses the line of such links, so ``emission``
+    writes none: it raises before the line, and ``seq`` stays."""
+    path = tmp_path / "events.ndjson"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _through_meter_lines(EventLog(fh.write), 0, _frame(), links)
+    with pytest.raises(MalformedLog):
+        list(read_events(path))
+    lines = []
+    log = EventLog(lines.append)
+    log.seq = 4
+    with pytest.raises(ValueError, match="links not in concentrator-id order"):
+        log.emission(0, _frame(), links)
+    assert log.seq == 4 and lines == []
+
+
+def test_templates_refuse_a_string_outside_the_vocabulary():
+    lines = []
+    log = EventLog(lines.append)
+    for emit in _EMITTERS.values():
+        with pytest.raises(KeyError):
+            emit(log, 0, _frame(), [(2, 'up"link')])
+        with pytest.raises(KeyError):
+            emit(log, 0, _frame(), [(2, "radio"), (3, "lost", 5)])
+        with pytest.raises(KeyError):
+            emit(log, 0, _frame(), [(2, "accepted", 5), (3, "lost", 5)])
+    with pytest.raises(KeyError):
+        log.ti_reading(0, 1, 1, 0, "m\u00b3")
+    assert log.seq == 0 and lines == []
+
+
+def test_an_emission_of_a_malformed_frame_writes_nothing():
+    frame = encode_frame(MeterMessage(
+        7, 3, ResourceKind.GAS, MessageType.HEARTBEAT,
+        QualityVector(ResourceKind.GAS, NOMINAL_QUALITY_DU[ResourceKind.GAS]), MeterState()))
+    lines = []
+    log = EventLog(lines.append)
+    for bad in (frame[:-1], b"\x02" + frame[1:], frame[:2], frame[:-5] + b"\x08" + frame[-4:]):
+        with pytest.raises(MalformedFrame):
+            log.emission(0, bad, [(2, "radio")])
+    assert log.seq == 0 and lines == []
+    log.emission(0, frame, [(2, "radio")])
+    assert log.seq == 1 and len(lines) == 1
+
+
+_C2, _C3 = 2, 3
+
+
+@pytest.mark.parametrize("links", [
+    [(_C3, "radio"), (_C2, "radio")],
+    [(_C2, "accepted", 5), (_C2, "duplicate", 5)],
+    [(-1, "radio")],
+], ids=["descending", "repeated", "negative"])
+def test_an_emission_whose_concentrator_ids_do_not_rise_from_zero_writes_nothing(links):
+    """``read_events`` refuses such links, as not in concentrator-id order or
+    not a line EventLog writes, so ``emission`` writes no line for them."""
+    lines = []
+    log = EventLog(lines.append)
+    log.seq = 4
+    with pytest.raises(ValueError, match="links not in concentrator-id order"):
+        log.emission(0, _frame(), links)
+    assert log.seq == 4 and lines == []
+
+
 @pytest.mark.parametrize("member", [*ResourceKind, *MessageType, *IngestOutcome, *EventKind],
                          ids=lambda member: f"{type(member).__name__}.{member.name}")
 def test_a_protocol_word_is_its_own_string(member):

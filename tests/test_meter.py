@@ -54,7 +54,7 @@ def _flow_trace(chunks) -> ConsumptionTrace:
 
 def _sent(run: MeterRun) -> list[tuple[int, MeterMessage]]:
     """(time, message) per frame of ``run``, read back by the library codec."""
-    return [(t, decode_frame(frame)) for t, _, _, frame in run.events()]
+    return [(t, decode_frame(frame)) for t, _, frame in run.events()]
 
 
 def _run_flow(cfg, chunks):
@@ -466,9 +466,9 @@ def test_schedule_matches_step_references(schedule):
     cfg, trace = schedule
     run = MeterRun(cfg, trace)
     events = list(run.events())
-    got = [(t, frame) for t, _, _, frame in events]
+    got = [(t, frame) for t, _, frame in events]
     # each frame goes out with its own meter id and session
-    assert [(mid, session) for _, mid, session, _ in events] == [
+    assert [(cfg.id, session) for _, session, _ in events] == [
         (m.meter_id, m.session) for m in (decode_frame(frame) for _, frame in got)]
     for ref in (_StepRun(cfg, trace), _ThreeBranchRun(cfg, trace)):
         assert [(t, reference_frame(m)) for t, m in ref.events()] == got

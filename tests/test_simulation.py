@@ -7,6 +7,7 @@ import enum
 import fractions
 import importlib.util
 import json
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -307,6 +308,43 @@ def test_run_ri_matches_the_reference_run(sc):
     assert [{"seq": r.seq, "sim_time_ms": r.sim_time_ms, "kind": r.kind, "payload": r.payload}
             for r in records] == list(ref.records("both"))
     assert "".join(res.center.snapshots()) == ref.center.ledgers_text()
+
+
+def _alone(sc: ScenarioConfig, mid: int) -> ScenarioConfig:
+    """``sc`` with meter ``mid`` as its only meter and every concentrator kept."""
+    return replace(sc, buildings=tuple(
+        replace(b, meters=tuple(sm for sm in b.meters if sm.config.id == mid))
+        for b in sc.buildings))
+
+
+#: the ``seq`` field of an event line, which the payload before it cannot hold
+_SEQ = re.compile(r',"seq":\d+,')
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reference_scenarios())
+def test_a_run_is_its_meters_one_meter_runs_in_id_order(sc):
+    """In either mode a run's event lines are those of one-meter runs of its
+    meters, one after another in meter id order, with ``seq`` renumbered; so
+    are its ledger lines and its ``metrics.csv`` rows, meter by meter.  A
+    one-meter run keeps every concentrator, so its metric window is the
+    fleet's; a concentrator it has no link to takes none of its draws."""
+    mids = sorted(sm.config.id for sm in sc.meters())
+    for mode, run in (("ri", run_ri), ("ti", run_ti)):
+        lines = []
+        res = run(sc, EventLog(lines.append))
+        joined, ledgers, rows = [], [], []
+        for mid in mids:
+            alone = _alone(sc, mid)
+            got = run(alone, EventLog(joined.append))
+            rows += _metrics_rows(mode, alone, got)
+            if mode == "ri":
+                ledgers += got.center.snapshots()
+        assert lines == [_SEQ.sub(f',"seq":{seq},', line, count=1)
+                         for seq, line in enumerate(joined)]
+        assert _metrics_rows(mode, sc, res) == rows
+        if mode == "ri":
+            assert "".join(res.center.snapshots()) == "".join(ledgers)
 
 
 @pytest.fixture(scope="module")
@@ -852,6 +890,27 @@ def test_polling_holds_one_meters_registers_at_a_time():
     assert large - small <= 8 * 1024 * (64 - 16), f"{(large - small) / 48:.0f} B per meter"
 
 
+def test_polling_computes_each_meters_registers_once(monkeypatch):
+    """A logged ``run_ti`` calls ``_registers`` once per meter that sends a
+    poll: the log and the metric take the same list."""
+    calls = Counter()
+    registers = simulation._registers
+
+    def counted(trace, dt, count):
+        calls[trace.meter_id] += 1
+        return registers(trace, dt, count)
+
+    monkeypatch.setattr(simulation, "_registers", counted)
+    constant = TraceSpec("constant", {"rate_du_per_hour": 3000})
+    sc = _scenario([(_water(1), constant), (_water(2, battery_capacity=0), constant),
+                    (_water(3), TraceSpec("zero"))],
+                   6 * MS_PER_HOUR, ti_poll_interval_ms=MS_PER_HOUR)
+    lines = []
+    res = run_ti(sc, EventLog(lines.append))
+    assert calls == {meter_id(1): 1, meter_id(3): 1}
+    assert len(lines) == 12 and res.metrics[meter_id(2)].message_count == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     capacity=st.fractions(min_value=0, max_value=60, max_denominator=6),
@@ -903,8 +962,9 @@ def test_poll_registers_equal_cumulative_consumption(traces, horizon, dt, capaci
         sent = _ti_polls_sent(cfg, dt, horizon // dt)
         assert res.readings(cfg.id) == [
             (k * dt, int(trace.cumulative_du(k * dt))) for k in range(1, sent + 1)]
-        expected += [(k, cfg.id, int(trace.cumulative_du(k * dt))) for k in range(1, sent + 1)]
-    polls = [(r.payload["poll_index"], r.payload["meter_id"], r.payload["register_du"])
+        expected += [(cfg.id, k, int(trace.cumulative_du(k * dt))) for k in range(1, sent + 1)]
+    # meter by meter in id order, each meter's polls in order
+    polls = [(r.payload["meter_id"], r.payload["poll_index"], r.payload["register_du"])
              for r in records]
     assert polls == sorted(polls)
     assert len(polls) == sum(len(res.readings(cfg.id)) for cfg, _ in meters)
@@ -1099,7 +1159,7 @@ def _quantum_event_times(sc: ScenarioConfig) -> list[int]:
     for sm in sc.meters() if sc.horizon_ms else ():
         trace = generate_trace(sm.trace, sc.seed, sc.horizon_ms, sm.config.id)
         times.extend(
-            t for t, _, _, frame in MeterRun(sm.config, trace).events()
+            t for t, _, frame in MeterRun(sm.config, trace).events()
             if decode_frame(frame).message_type is MessageType.QUANTUM_EVENT
         )
     return times
