@@ -40,6 +40,7 @@ class MalformedLog(ValueError):
 
 
 class EventKind(str, Enum):
+    METER = "meter"
     QUANTUM_EVENT = "quantum_event"
     HEARTBEAT = "heartbeat"
     TI_READING = "ti_reading"
@@ -60,6 +61,9 @@ _EMISSION_HEAD = {tag: f'{{"kind":{_JSON_TEXT[mtype]},"payload":{{"cumulative_qu
                   for mtype, tag in TYPE_TAG.items()}
 #: an ingest entry's outcome as its JSON text; any other string raises KeyError
 _OUTCOME_TEXT = {outcome: _JSON_TEXT[outcome] for outcome in IngestOutcome}
+#: a link entry's text by its copy's drop stage, the same on every line; an
+#: ingest's (None) is a placeholder that ``MeterLines.write`` fills in
+LINK_TEXT = {RADIO: f"[{_JSON_TEXT[RADIO]}]", UPLINK: f"[{_JSON_TEXT[UPLINK]}]", None: None}
 
 
 class EventLog:
@@ -69,8 +73,10 @@ class EventLog:
 
     There is one template per record kind.  Each writes its line, ending in a
     newline, with no record object in between: the only writer of event
-    lines.  An emission's template is ``MeterLines.write``: a run writes
-    through one ``MeterLines`` per meter, and ``emission`` uses it too.
+    lines.  A meter's lines are written through its ``MeterLines``, which
+    writes the ``meter`` line that heads them and each emission line: a run
+    makes one per meter, and ``emission`` makes one when its frame's meter
+    is not ``meter``'s, the meter whose lines are being written.
     ``EventLogRecord.to_json`` in ``tests/oracles.py`` is the reference that
     the tests hold each line to.
     """
@@ -78,31 +84,41 @@ class EventLog:
     def __init__(self, sink) -> None:
         self._sink = sink
         self.seq = 0   # the next record's seq, so also the count emitted
+        self.meter: MeterLines | None = None
 
     def emission(self, t: int, frame: bytes, links) -> None:
         """A ``quantum_event`` or ``heartbeat`` record: one frame a meter sent,
-        with its meter id, session, kind, resource and counter read from the
-        frame, and its copy's fate on each link: (concentrator_id, drop stage)
-        or (concentrator_id, outcome, rx_time_ms), in concentrator-id order.
-        A frame that breaks the decoder rules raises MalformedFrame, a word
-        outside a fate's vocabulary KeyError, and concentrator ids that are
-        negative or do not strictly rise ValueError; each writes nothing."""
+        with its meter id, session, kind and counter read from the frame, and
+        its copy's fate on each link: (concentrator_id, drop stage) or
+        (concentrator_id, outcome, rx_time_ms), in concentrator-id order.  A
+        frame of a meter other than the current one first gets its meter
+        line, with the frame's resource and the links' concentrator ids.
+
+        A frame that breaks the decoder rules raises MalformedFrame, and a
+        word outside a fate's vocabulary KeyError.  ValueError is raised for
+        concentrator ids that are negative or do not strictly rise, a meter id
+        below the current meter's, and, for the current meter, concentrator
+        ids or a resource that are not its meter line's.  Each writes nothing.
+        """
         resource, _, meter_id, session, _ = frame_header(frame)
-        cids = [link[0] for link in links]
-        if any(cid <= last for last, cid in zip([-1, *cids], cids)):
-            raise ValueError(f"links not in concentrator-id order: {cids}")
-        lines = MeterLines(self, meter_id, resource, cids)
-        entries, heard, outcomes = [], [], []
-        for texts, link in zip(lines.links, links):
+        entries = []
+        for link in links:
             if len(link) == 2:
                 if link[1] not in DROP_STAGES:
                     raise KeyError(link[1])
-                entries.append(texts[link[1]])
+                entries.append(LINK_TEXT[link[1]])
             else:
-                heard.append((len(entries), link[2]))
-                outcomes.append(link[1])
-                entries.append(texts[None])
-        lines.write(t, frame, session, entries, heard, outcomes)
+                entries.append(f"[{_OUTCOME_TEXT[link[1]]},{link[2]}]")
+        cids = [link[0] for link in links]
+        lines = self.meter
+        if lines is None or lines.meter_id != meter_id:
+            lines = MeterLines(self, meter_id, resource, cids)
+        elif lines.cids != cids:
+            raise ValueError(f"links {cids} are not the concentrators {lines.cids} "
+                             f"of meter {meter_id}'s line")
+        elif lines.resource != resource:
+            raise ValueError(f"a {resource.value} frame of a {lines.resource.value} meter")
+        lines.write(t, frame, session, entries)
 
     def ti_reading(self, t: int, meter_id: int, poll_index: int, register_du: int,
                    unit: str) -> None:
@@ -115,41 +131,57 @@ class EventLog:
 
 
 class MeterLines:
-    """The emission lines of one meter's frames, written to ``log``; the
-    meter's links go to the concentrators ``cids``, in id order.  A run with
-    no log takes only its ``links``.
+    """The lines of one meter, whose links go to the concentrators ``cids``,
+    in id order, written to ``log``: made with a log, it writes the
+    ``meter`` line with the meter's id, resource and ``cids``, and becomes
+    the log's current ``meter``; ``write`` writes each emission line.  A
+    run with no log writes nothing.  A meter id that is not above the log's
+    current meter's, or ``cids`` that are negative or do not strictly rise,
+    raise ValueError and write nothing.
 
-    What is the same on each of them is formatted once: the meter id and
-    resource, and per link, in concentrator-id order, the entry of a copy
-    dropped at each stage and the head of an ingest entry.  ``links`` holds
-    these per link, keyed by the stage, and by None for the ingest's head.
-    A line then formats only its counter, ``frame_hex``, each ingest's
-    outcome and reception time, its session, ``seq`` and time.
+    What is the same on each emission line is formatted once: the meter id.
+    A line then formats only its counter, ``frame_hex``, its links' entries,
+    each ingest's outcome and reception time, its session, ``seq`` and time.
     """
 
-    __slots__ = ("_log", "_summary", "_tail", "links")
+    __slots__ = ("_log", "_summary", "_tail", "meter_id", "resource", "cids")
 
     def __init__(self, log: EventLog | None, meter_id: int, resource: ResourceKind, cids) -> None:
         self._log = log
         self._summary = FRAME_SUMMARY[frame_size(resource)].unpack
-        self._tail = f'],"meter_id":{meter_id},"resource":{_JSON_TEXT[resource]},"session":'
-        self.links = tuple({RADIO: f"[{cid},{_JSON_TEXT[RADIO]}]",
-                            UPLINK: f"[{cid},{_JSON_TEXT[UPLINK]}]",
-                            None: f"[{cid},"} for cid in cids)
+        self._tail = f'],"meter_id":{meter_id},"session":'
+        self.meter_id, self.resource, self.cids = meter_id, resource, list(cids)
+        if log is None:
+            return
+        if any(cid <= last for last, cid in zip([-1, *self.cids], self.cids)):
+            raise ValueError(f"links not in concentrator-id order: {self.cids}")
+        if log.meter is not None and meter_id <= log.meter.meter_id:
+            raise ValueError(f"meter {meter_id} after meter {log.meter.meter_id}: a log "
+                             "takes its meters in increasing id order")
+        log._sink(f'{{"kind":"meter","payload":{{"concentrators":[{",".join(map(str, self.cids))}],'
+                  f'"meter_id":{meter_id},"resource":{_JSON_TEXT[resource]}}},'
+                  f'"seq":{log.seq},"sim_time_ms":0}}\n')
+        log.seq += 1
+        log.meter = self
 
-    def write(self, t: int, frame: bytes, session: int, entries: list[str],
+    def write(self, t: int, frame: bytes, session: int, entries: list,
               heard=(), outcomes=()) -> None:
         """The line of one of the meter's frames, sent at ``t`` as session
-        ``session``: ``entries`` holds each link's text from ``links``, and
-        ``heard`` the (index in ``entries``, rx_time_ms) of each ingest, whose
-        entry this completes with its outcome from ``outcomes``.  The frame's
-        type tag and counter are read with one ``FRAME_SUMMARY`` unpack, and
-        nothing of it is checked: it is one the meter sent.  An outcome that
-        is not an ``IngestOutcome`` raises KeyError and writes nothing."""
-        for (i, rx), outcome in zip(heard, outcomes):
-            entries[i] = f"{entries[i]}{_OUTCOME_TEXT[outcome]},{rx}]"
-        _, tag, cumulative_quanta = self._summary(frame)
+        ``session``: ``entries`` holds each link's text, in ``cids`` order,
+        from ``LINK_TEXT``, and ``heard`` the (index in ``entries``,
+        rx_time_ms) of each ingest, whose entry this makes with its outcome
+        from ``outcomes``.  The frame's type tag and counter are read with one
+        ``FRAME_SUMMARY`` unpack, and nothing of it is checked: it is one the
+        meter sent.  An outcome that is not an ``IngestOutcome`` raises
+        KeyError, and a write after the next meter's line ValueError; each
+        writes nothing."""
         log = self._log
+        if log.meter is not self:
+            raise ValueError(f"meter {self.meter_id}'s lines ended at meter "
+                             f"{log.meter.meter_id}'s line")
+        for (i, rx), outcome in zip(heard, outcomes):
+            entries[i] = f"[{_OUTCOME_TEXT[outcome]},{rx}]"
+        _, tag, cumulative_quanta = self._summary(frame)
         log._sink(f'{_EMISSION_HEAD[tag]}{cumulative_quanta},"frame_hex":"{frame.hex()}",'
                   f'"links":[{",".join(entries)}{self._tail}{session}}},'
                   f'"seq":{log.seq},"sim_time_ms":{t}}}\n')
@@ -175,38 +207,44 @@ def _words(words) -> bytes:
     return b"(?:" + b"|".join(re.escape(_JSON_TEXT[word].encode()) for word in words) + b")"
 
 
-def _line(kinds, payload: bytes) -> re.Pattern:
-    """The pattern of a line of any of ``kinds`` with these payload fields;
-    ``seq`` is its last group."""
+def _line(kinds, payload: bytes, time: bytes = _WHOLE) -> re.Pattern:
+    """The pattern of a line of any of ``kinds`` with these payload fields and
+    a ``sim_time_ms`` of ``time``; ``seq`` is its last group."""
     return re.compile(b'{"kind":%s,"payload":{%s},"seq":(%s),"sim_time_ms":%s}\n' % (
-        _words(kinds), payload, _WHOLE, _WHOLE))
+        _words(kinds), payload, _WHOLE, time))
 
 
-#: one entry of an emission's ``links``: a concentrator id, then a drop stage,
-#: or an ingest's outcome and reception time
-_LINK = rb"\[%s,(?:%s|%s,%s)\]" % (_WHOLE, _words(DROP_STAGES), _words(IngestOutcome), _SIGNED)
+#: one entry of an emission's ``links``, whose concentrator is its meter
+#: line's at the same position: a drop stage, or an ingest's outcome and
+#: reception time
+_LINK = rb"\[(?:%s|%s,%s)\]" % (_words(DROP_STAGES), _words(IngestOutcome), _SIGNED)
 #: an emission's payload; its groups are ``cumulative_quanta``, ``frame_hex``,
-#: the text inside ``links``, ``meter_id``, ``resource`` and ``session``
+#: the text inside ``links``, ``meter_id`` and ``session``
 _EMISSION = (rb'"cumulative_quanta":(%s),"frame_hex":%s,"links":\[((?:%s(?:,%s)*)?)\],'
-             rb'"meter_id":(%s),"resource":(%s),"session":(%s)'
-             % (_WHOLE, _HEX, _LINK, _LINK, _WHOLE, _words(ResourceKind), _WHOLE))
+             rb'"meter_id":(%s),"session":(%s)' % (_WHOLE, _HEX, _LINK, _LINK, _WHOLE, _WHOLE))
 
 #: the pattern of each record kind, keyed by the kind's word: the inverse of
 #: its ``EventLog`` template, so a line that matches is a line the writer
 #: writes.  Both emission kinds share one pattern; ``read_events`` picks it by
-#: the line's own word, so that word is the line's kind.
+#: the line's own word, so that word is the line's kind.  A meter line's
+#: groups are the text inside ``concentrators``, ``meter_id`` and ``resource``.
+_METER_LINE = _line((EventKind.METER,), rb'"concentrators":\[((?:%s(?:,%s)*)?)\],'
+                    rb'"meter_id":(%s),"resource":(%s)'
+                    % (_WHOLE, _WHOLE, _WHOLE, _words(ResourceKind)), b"0")
 _EMISSION_LINE = _line((EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT), _EMISSION)
 _TI_READING = _line((EventKind.TI_READING,),
                     b'"meter_id":%s,"poll_index":%s,"register_du":%s,"unit":%s'
                     % (_WHOLE, _WHOLE, _SIGNED, _words(BASE_UNIT.values())))
-_LINE = {EventKind.QUANTUM_EVENT.encode(): _EMISSION_LINE,
+_LINE = {EventKind.METER.encode(): _METER_LINE,
+         EventKind.QUANTUM_EVENT.encode(): _EMISSION_LINE,
          EventKind.HEARTBEAT.encode(): _EMISSION_LINE,
          EventKind.TI_READING.encode(): _TI_READING}
 
 #: the fields of an emission line that its frame's header gives, in the
-#: order of ``frame_header``'s tuple, and the text of each resource and type
-_FRAME_FIELDS = ("resource", "kind", "meter_id", "session", "cumulative_quanta")
-_RESOURCE_TEXT = {kind: _JSON_TEXT[kind].encode() for kind in ResourceKind}
+#: order of ``frame_header``'s tuple after the resource, which its meter line
+#: gives; the text of each resource, and the word of each type
+_FRAME_FIELDS = ("kind", "meter_id", "session", "cumulative_quanta")
+_RESOURCE = {_JSON_TEXT[kind].encode(): kind for kind in ResourceKind}
 _TYPE_WORD = {mtype: mtype.value.encode() for mtype in MessageType}
 
 #: a logged outcome's JSON text, as the word that JSON reads from it
@@ -218,42 +256,58 @@ def read_events(path: Path) -> Iterator[tuple[int, bytes, tuple, list]]:
     header, copies): one item per emission line with an ingest entry in its
     ``links``, where ``header`` is the frame's as ``frame_header`` reads it
     and ``copies`` is (concentrator_id, rx_time_ms, logged outcome) per
-    ingest entry, in concentrator-id order.  ``seq`` must run 0, 1, 2, ...
+    ingest entry, in concentrator-id order, its concentrator the one at its
+    position in the ``concentrators`` of the meter line before it.  ``seq``
+    must run 0, 1, 2, ...
 
     Each line must match its kind's template (``_LINE``), with an even number
     of ``frame_hex`` digits.  A line that does not raises MalformedLog naming
-    it and its due ``seq``, and so does a line that holds an integer too long
-    to read or whose ``links`` are out of concentrator-id order.  A line with
-    more than one fault gets the first of these messages that applies: not a
-    line EventLog writes; an integer too long to read, in its ``seq``, in a
-    concentrator id, or in a reception time if the ids rise; a ``seq`` that is
-    not the due one; links not in concentrator-id order.  Each emission's
-    frame is decoded and its header read once; a frame that breaks the
-    decoder rules raises MalformedLog naming the ``seq``, and a frame-derived
-    field that is not the header's raises MalformedLog naming the line, its
-    ``seq`` and the field.
+    it and its due ``seq``, and so does each fault below.  A line with more
+    than one fault gets the first message that applies: not a line EventLog
+    writes; an integer too long to read, in its ``seq``, a reception time, or
+    a meter line's meter id or concentrator ids; a ``seq`` that is not the
+    due one.  Then, on a meter line: concentrator ids that do not strictly
+    rise; a meter id not above the last meter line's, so that each meter's
+    lines are one run, meters in id order.  On an emission line: a frame
+    that breaks the decoder rules, whose message names the ``seq``; a
+    frame-derived field that is not the header's, named; no meter line
+    before it; a ``meter_id`` that is not its meter line's; a ``links``
+    count that is not its meter line's; a frame whose resource is not its
+    meter line's.  Each emission's frame is decoded and its header read once.
     """
     seq = 0
+    meter = None   # (meter_id text, resource, concentrator ids) of the last meter line
+    last_mid = -1
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             word = line[9:line.find(b'"', 9)]   # the word after {"kind":"
             pattern = _LINE.get(word)
             match = pattern.fullmatch(line) if pattern else None
-            emission = pattern is not _TI_READING
+            emission = pattern is _EMISSION_LINE
             if match is None or emission and len(match[2]) & 1:   # frame_hex of whole bytes
                 raise MalformedLog(f"{path} line {lineno}: seq {seq}: not a line EventLog writes")
             try:
                 got = int(match[match.lastindex])
-                copies = _copies(match[3]) if emission and match[3] else ()
+                if emission:
+                    n_links, heard = _entries(match[3])
+                elif pattern is _METER_LINE:
+                    meter_id = int(match[2])
+                    cids = [int(cid) for cid in match[1].split(b",")] if match[1] else []
             except ValueError:   # more digits than int() reads: sys.get_int_max_str_digits()
                 raise MalformedLog(f"{path} line {lineno}: seq {seq}: an integer too long to read"
                                    ) from None
             if got != seq:
                 raise MalformedLog(f"{path} line {lineno}: seq {got}, expected {seq}")
-            if copies is None:
-                raise MalformedLog(f"{path} line {lineno}: seq {seq}: links not in "
-                                   "concentrator-id order")
             seq += 1
+            if pattern is _METER_LINE:
+                if any(b <= a for a, b in zip(cids, cids[1:])):
+                    raise MalformedLog(f"{path} line {lineno}: seq {got}: concentrators not "
+                                       "in id order")
+                if meter_id <= last_mid:
+                    raise MalformedLog(f"{path} line {lineno}: seq {got}: meter_id is not above "
+                                       "the last meter line's")
+                last_mid, meter = meter_id, (match[2], _RESOURCE[match[3]], cids)
+                continue
             if not emission:
                 continue
             frame = unhexlify(match[2])
@@ -261,39 +315,42 @@ def read_events(path: Path) -> Iterator[tuple[int, bytes, tuple, list]]:
                 header = resource, mtype, mid, session, cumulative = frame_header(frame)
             except MalformedFrame as exc:
                 raise MalformedLog(f"seq {got}: {exc}") from None
-            logged = (match[5], word, match[4], match[6], match[1])
-            derived = (_RESOURCE_TEXT[resource], _TYPE_WORD[mtype],
-                       b"%d" % mid, b"%d" % session, b"%d" % cumulative)
+            logged = (word, match[4], match[5], match[1])
+            derived = (_TYPE_WORD[mtype], b"%d" % mid, b"%d" % session, b"%d" % cumulative)
             if logged != derived:
                 field = next(name for name, a, b in zip(_FRAME_FIELDS, logged, derived) if a != b)
                 raise MalformedLog(f"{path} line {lineno}: seq {got}: {field} is not the "
                                    "one its frame_hex gives")
-            if copies:
-                yield got, frame, header, copies
+            if meter is None:
+                raise MalformedLog(f"{path} line {lineno}: seq {got}: an emission before any "
+                                   "meter line")
+            meter_text, meter_resource, cids = meter
+            if match[4] != meter_text:
+                raise MalformedLog(f"{path} line {lineno}: seq {got}: meter_id is not its "
+                                   "meter line's")
+            if n_links != len(cids):
+                raise MalformedLog(f"{path} line {lineno}: seq {got}: links are not one per "
+                                   "concentrator of its meter line")
+            if resource is not meter_resource:
+                raise MalformedLog(f"{path} line {lineno}: seq {got}: its meter line's "
+                                   "resource is not the one its frame_hex gives")
+            if heard:
+                yield got, frame, header, [(cids[i], rx, outcome) for i, rx, outcome in heard]
 
 
-def _copies(links: bytes) -> list[tuple[int, int, str]] | None:
-    """(concentrator_id, rx_time_ms, outcome) per ingest entry of the checked
-    text inside ``links``, or None if its concentrator ids do not strictly rise.
-    An id too long to read raises ValueError wherever it is; a reception time
-    too long to read raises it only if the ids rise."""
-    copies, last, unread = [], -1, None
-    for entry in links[1:-1].split(b"],["):
-        cid, _, fate = entry.partition(b",")
-        cid = int(cid)
-        if cid <= last:
-            copies = None
-        last = cid
-        if copies is not None:
-            outcome, _, rx = fate.partition(b",")
-            if rx:
-                try:
-                    copies.append((cid, int(rx), _OUTCOME[outcome]))
-                except ValueError as exc:   # an order fault later in links comes first
-                    unread = exc
-    if unread is not None and copies is not None:
-        raise unread
-    return copies
+def _entries(links: bytes) -> tuple[int, list[tuple[int, int, str]]]:
+    """The number of entries in the checked text inside ``links``, and (index,
+    rx_time_ms, outcome) per ingest entry; a reception time too long to read
+    raises ValueError."""
+    if not links:
+        return 0, []
+    entries = links[1:-1].split(b"],[")
+    heard = []
+    for i, entry in enumerate(entries):
+        outcome, _, rx = entry.partition(b",")
+        if rx:
+            heard.append((i, int(rx), _OUTCOME[outcome]))
+    return len(entries), heard
 
 
 def write_ledger_snapshots(path: Path, text: Iterable[str]) -> None:

@@ -31,7 +31,7 @@ from .domain import (
     encode_frame,  # unused here; perfbench's tracer patches this name
     frame_size,
 )
-from .eventlog import EventLog, MeterLines
+from .eventlog import LINK_TEXT, EventLog, MeterLines
 from .meter import MeterConfig, MeterRun
 from .traces import CHANNEL_STREAM, ConsumptionTrace, generate_trace, mix_seed
 
@@ -99,12 +99,12 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
     """Run the event-driven mode end to end and ingest at the center, one
     meter at a time in meter id order, handing each of its emissions, in
     time order, with the fate of its copy on each link, to ``log`` as it
-    happens; with no log no line is written.
+    happens, after the meter's line; with no log no line is written.
 
     A meter's channel draws come from its own stream, so nothing it sends
     depends on another meter.  Each transmission is one pass: one walk over
     its fates builds the copies that reach the center and the line's link
-    entries from the meter's ``MeterLines``; the copies are folded into the
+    entries from ``LINK_TEXT``; the copies are folded into the
     meter's ledger, made on its first copy, and their outcomes complete the
     ingest entries, which a log then writes.
     """
@@ -134,12 +134,12 @@ def run_ri(scenario: ScenarioConfig, log: EventLog | None = None) -> RiRunResult
                 sent += 1
                 # each copy that reaches the center, stamped by its concentrator's clock
                 copies, entries, heard = [], [], []
-                for (cid, lost), lag, texts in zip(broadcast(links, rng), lags, lines.links):
+                for (cid, lost), lag in zip(broadcast(links, rng), lags):
                     if lost is None:
                         rx = t + lag
                         copies.append((cid, rx))
                         heard.append((len(entries), rx))
-                    entries.append(texts[lost])
+                    entries.append(LINK_TEXT[lost])
                 outcomes = ()
                 if copies:
                     if ledger is None:

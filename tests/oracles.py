@@ -186,12 +186,29 @@ def from_json(line: str) -> EventLogRecord:
 def record_sink(records: list):
     """An ``EventLog`` sink that parses each line it is given back into a
     record, through ``from_json``, and appends it to ``records``; it asserts
-    that the line is that record's ``to_json`` line, byte for byte."""
+    that the line is that record's ``to_json`` line, byte for byte, and one
+    that a template writes (``is_written_line``)."""
     def sink(line: str) -> None:
         rec = from_json(line)
-        assert line == rec.to_json() + "\n", line
+        assert line == rec.to_json() + "\n" and is_written_line(line.encode()), line
         records.append(rec)
     return sink
+
+
+def emissions(records) -> Iterator[EventLogRecord]:
+    """The emission records of a log, in order, each read with its meter
+    line: its payload gets the meter's ``resource``, and each ``links`` entry
+    the concentrator id at its position in the meter's ``concentrators``
+    before its fate, as [cid, stage] or [cid, outcome, rx_time_ms]."""
+    meter = None
+    for rec in records:
+        if rec.kind is EventKind.METER:
+            meter = rec.payload
+        elif rec.kind is not EventKind.TI_READING:
+            links = [[cid, *entry] for cid, entry in zip(meter["concentrators"],
+                                                          rec.payload["links"], strict=True)]
+            yield replace(rec, payload={**rec.payload, "links": links,
+                                        "resource": meter["resource"]})
 
 
 def write_records(path: Path, records) -> Path:
@@ -221,20 +238,23 @@ def read_records(path: Path) -> Iterator[EventLogRecord]:
 
 
 #: each kind's payload fields, as ``EventLog`` writes them: "whole" is an int
-#: of at least 0, "signed" any int, "hex" lowercase hex of whole bytes,
-#: "links" a list of link entries, and a set is the words the field may hold
+#: of at least 0, "signed" any int, "hex" lowercase hex of whole bytes, "ids"
+#: a list of wholes, "links" a list of link entries, and a set is the words
+#: the field may hold
 _EMISSION_FIELDS = {"cumulative_quanta": "whole", "frame_hex": "hex", "links": "links",
-                    "meter_id": "whole", "resource": {kind.value for kind in ResourceKind},
-                    "session": "whole"}
+                    "meter_id": "whole", "session": "whole"}
 _TEMPLATE_FIELDS = {
+    EventKind.METER: {"concentrators": "ids", "meter_id": "whole",
+                      "resource": {kind.value for kind in ResourceKind}},
     EventKind.QUANTUM_EVENT: _EMISSION_FIELDS,
     EventKind.HEARTBEAT: _EMISSION_FIELDS,
     EventKind.TI_READING: {"meter_id": "whole", "poll_index": "whole", "register_du": "signed",
                            "unit": set(BASE_UNIT.values())},
 }
-#: the fields of a link entry after its concentrator id, by the entry's length
-_LINK_FIELDS = {2: ({"radio", "uplink"},),
-                3: ({outcome.value for outcome in IngestOutcome}, "signed")}
+#: the fields of a link entry, by the entry's length: a drop stage, or an
+#: ingest's outcome and reception time
+_LINK_FIELDS = {1: ({"radio", "uplink"},),
+                2: ({outcome.value for outcome in IngestOutcome}, "signed")}
 
 
 def _has_type(value, field_type) -> bool:
@@ -245,59 +265,80 @@ def _has_type(value, field_type) -> bool:
             return False
     if field_type in ("whole", "signed"):
         return type(value) is int and (field_type == "signed" or value >= 0)
+    if field_type == "ids":
+        return type(value) is list and all(_has_type(cid, "whole") for cid in value)
     if field_type == "links":
         return type(value) is list and all(
-            type(link) is list and len(link) in _LINK_FIELDS and _has_type(link[0], "whole")
-            and all(map(_has_type, link[1:], _LINK_FIELDS[len(link)])) for link in value)
+            type(link) is list and len(link) in _LINK_FIELDS
+            and all(map(_has_type, link, _LINK_FIELDS[len(link)])) for link in value)
     return type(value) is str and value in field_type
 
 
 def is_written_line(line: bytes) -> bool:
     """Whether ``line`` is one that an ``EventLog`` template writes: its bytes
     are ``from_json(line).to_json()`` and a newline, its payload keys are its
-    kind's, and every value is of its field's type and vocabulary."""
+    kind's, every value is of its field's type and vocabulary, and a meter
+    line's time is 0."""
     try:
         rec = from_json(line.decode("utf-8"))
     except (KeyError, TypeError, ValueError, RecursionError):
         return False
     fields = _TEMPLATE_FIELDS[rec.kind]
     return ((rec.to_json() + "\n").encode() == line and set(rec.payload) == set(fields)
-            and all(_has_type(rec.payload[key], kind) for key, kind in fields.items()))
-
-
-def links_in_order(rec: EventLogRecord) -> bool:
-    """Whether a record's ``links``, if it has any, name strictly increasing
-    concentrator ids: one entry per link of the meter, in concentrator-id order."""
-    cids = [link[0] for link in rec.payload.get("links", ())]
-    return all(a < b for a, b in zip(cids, cids[1:]))
+            and all(_has_type(rec.payload[key], kind) for key, kind in fields.items())
+            and (rec.kind is not EventKind.METER or rec.sim_time_ms == 0))
 
 
 def reference_ingests(path: Path) -> Iterator[tuple]:
     """(seq, frame, header, copies) of each emission with an ingest entry in
     the log at ``path``, where ``copies`` is (concentrator_id, rx_time_ms,
     logged outcome) per ingest entry, read by ``read_records`` with the
-    field checks and messages that replay made on whole records.  Each
-    emission's frame is decoded by ``decode_frame``, its header is the
+    field checks and messages that replay made on whole records, and the
+    meter-major checks of protocol.md.  A meter record's concentrator ids
+    must strictly rise and its meter id exceed the last meter record's.
+    Each emission's frame is decoded by ``decode_frame``, its header is the
     decoded message's (kind, message type, meter id, session, cumulative
-    quanta), and those are compared with the line's fields; the line of a
-    record is taken to be its ``seq`` + 1, as in a log with no blank line."""
+    quanta), and those are compared with the line's fields; then the
+    emission must follow a meter record of its meter id, with one ``links``
+    entry per concentrator of it, and its frame must be of its resource.
+    The line of a record is taken to be its ``seq`` + 1, as in a log with no
+    blank line."""
+    meter = None   # the payload of the last meter record
     for rec in read_records(path):
+        where = f"{path} line {rec.seq + 1}: seq {rec.seq}"
         if rec.kind is EventKind.TI_READING:
+            continue
+        if rec.kind is EventKind.METER:
+            cids = rec.payload["concentrators"]
+            if cids != sorted(set(cids)):
+                raise MalformedLog(f"{where}: concentrators not in id order")
+            if meter is not None and rec.payload["meter_id"] <= meter["meter_id"]:
+                raise MalformedLog(f"{where}: meter_id is not above the last meter line's")
+            meter = rec.payload
             continue
         try:
             frame = bytes.fromhex(rec.payload["frame_hex"])
             msg = decode_frame(frame)
             header = (msg.kind, msg.message_type, msg.meter_id, msg.session,
                       msg.state.cumulative_quanta)
-            for field, derived in zip(("resource", "kind", "meter_id", "session",
-                                       "cumulative_quanta"), header):
+            for field, derived in zip(("kind", "meter_id", "session", "cumulative_quanta"),
+                                      header[1:]):
                 logged = rec.kind if field == "kind" else rec.payload[field]
                 if logged != derived:
-                    raise MalformedLog(f"{path} line {rec.seq + 1}: seq {rec.seq}: {field} is "
-                                       "not the one its frame_hex gives")
-            copies = [(whole_number(link[0], "concentrator_id"),
-                       whole_number(link[2], "rx_time_ms"), link[1])
-                      for link in rec.payload["links"] if len(link) == 3]
+                    raise MalformedLog(f"{where}: {field} is not the one its frame_hex gives")
+            if meter is None:
+                raise MalformedLog(f"{where}: an emission before any meter line")
+            if rec.payload["meter_id"] != meter["meter_id"]:
+                raise MalformedLog(f"{where}: meter_id is not its meter line's")
+            links = rec.payload["links"]
+            if len(links) != len(meter["concentrators"]):
+                raise MalformedLog(f"{where}: links are not one per concentrator of its "
+                                   "meter line")
+            if msg.kind != meter["resource"]:
+                raise MalformedLog(f"{where}: its meter line's resource is not the one its "
+                                   "frame_hex gives")
+            copies = [(cid, whole_number(link[1], "rx_time_ms"), link[0])
+                      for cid, link in zip(meter["concentrators"], links) if len(link) == 2]
         except MalformedLog:
             raise
         except KeyError as exc:
@@ -735,7 +776,9 @@ class ReferenceRun:
     """``run_ri`` and ``run_ti`` written from protocol.md's rules, to check them
     against.
 
-    Meters are taken one at a time in meter id order, each to its end.  A
+    Meters are taken one at a time in meter id order, each to its end, and
+    each meter's records start with its meter record, at time 0: its links'
+    concentrator ids in increasing order, its id and its resource.  A
     meter's frames come from ``_StepRun``, packed by ``reference_frame``, in
     time order, and the meter's own ``random.Random(mix_seed(seed,
     CHANNEL_STREAM, meter_id))`` decides each of their copies: all radio
@@ -745,8 +788,8 @@ class ReferenceRun:
     fractions, loses the copy.  Each delivered copy reaches a
     ``ReferenceCenter`` at the emission time plus its concentrator's skew,
     with its true session index.  The emission's record lists each copy's
-    fate as its ``links``, in concentrator-id order: its drop stage, or the
-    center's outcome and the reception time.
+    fate as its ``links``, in concentrator-id order and without the id: its
+    drop stage, or the center's outcome and the reception time.
 
     Polls go out at k · poll interval, k = 1, 2, ... up to the horizon, one
     meter at a time in meter id order, each meter's in poll order.  A
@@ -800,7 +843,7 @@ class ReferenceRun:
         rows = []
         for cfg in meters:
             sent = [r["payload"]["frame_hex"] for r in records
-                    if r["kind"] != "ti_reading" and r["payload"]["meter_id"] == cfg.id]
+                    if "frame_hex" in r["payload"] and r["payload"]["meter_id"] == cfg.id]
             got = recon[cfg.id]
             rows.append(["ri", f"{cfg.id:#x}", *window, got.quanta_received, got.quanta_recovered,
                          got.amount_du, got.trailing_uncertainty_du, BASE_UNIT[cfg.kind],
@@ -831,6 +874,8 @@ class ReferenceRun:
         traces = self._traces()
         for cfg in sorted((sm.config for sm in sc.meters()), key=lambda cfg: cfg.id):
             mid = cfg.id
+            yield 0, "meter", {"concentrators": [cid for cid, _ in links[mid]],
+                               "meter_id": mid, "resource": cfg.kind.value}
             rng = random.Random(mix_seed(sc.seed, CHANNEL_STREAM, mid))
             for index, (t, msg) in enumerate(_StepRun(cfg, traces[mid]).events()):
                 frame = reference_frame(msg)
@@ -846,13 +891,12 @@ class ReferenceRun:
                     if stage is None:
                         rx_time = t + skew[cid]
                         outcome = self.center.ingest(index, ConcentratorReport(frame, cid, rx_time))
-                        fates.append([cid, outcome, rx_time])
+                        fates.append([outcome, rx_time])
                     else:
-                        fates.append([cid, stage])
+                        fates.append([stage])
                 yield t, msg.message_type.value, {
                     "cumulative_quanta": msg.state.cumulative_quanta, "frame_hex": frame.hex(),
-                    "links": fates, "meter_id": mid, "resource": msg.kind.value,
-                    "session": msg.session}
+                    "links": fates, "meter_id": mid, "session": msg.session}
 
     def _ti(self):
         """(sim_time_ms, kind, payload) of each ``run_ti`` record."""

@@ -437,22 +437,28 @@ def test_center_matches_the_brute_force_reference(plan):
     """Streams from 1-3 meters over 1-4 skewed concentrators, with losses,
     duplicates, exact replays, forged frames, jumps of up to 2**31 - 1
     sessions and shuffled arrivals: the center's outcomes, snapshots and
-    reconstructions are the reference's, and replaying its log, one line
-    per arrival with that copy as its one ingest entry, rebuilds it."""
-    _, meters, (a, b) = plan
+    reconstructions are the reference's, and replaying its log, meter by
+    meter, one line per arrival with that copy as its one ingest entry and
+    the meter's other links as radio drops, rebuilds it."""
+    skews, meters, (a, b) = plan
+    cids = [concentrator_id(c + 1) for c in range(len(skews))]
     registry = Registry()
     for k, (kind, _) in enumerate(meters):
         registry.add_meter(meter_id(k + 1), kind)
     center = MonitoringCenter(registry)
     reference = ReferenceCenter({mid: registry.meter(mid).quantum_du
                                  for mid in registry.meter_ids()})
-    records = []
-    log = EventLog(record_sink(records))
+    heard = []
     for mid, index, report in _arrivals(plan):
         outcome = center.ingest(report)
         assert outcome == reference.ingest(index, report)
-        log.emission(report.rx_time_ms, report.frame,
-                     [(report.concentrator_id, outcome, report.rx_time_ms)])
+        heard.append((mid, report, outcome))
+    records = []
+    log = EventLog(record_sink(records))
+    for _, report, outcome in sorted(heard, key=lambda arrival: arrival[0]):
+        log.emission(report.rx_time_ms, report.frame, [
+            (cid, outcome, report.rx_time_ms) if cid == report.concentrator_id else (cid, "radio")
+            for cid in cids])
     assert "".join(center.snapshots()) == reference.ledgers_text()
     window = (min(a, b), max(a, b))
     assert center.reconstruct_all(window) == reference.reconstruct_all(window)

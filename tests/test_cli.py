@@ -28,10 +28,10 @@ from risim.eventlog import (
 )
 from risim.simulation import _ti_polls_sent, detail_sweep, rmse_text
 
-from oracles import read_csv, read_records
+from oracles import emissions, from_json, read_csv, read_records
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: a lone 0xff byte, carried in a str as its surrogate escape
 NOT_UTF8 = b"\xff".decode("utf-8", "surrogateescape")
@@ -114,6 +114,15 @@ def test_star_import_binds_every_public_name():
     assert all(value is getattr(risim, name) for name, value in names.items())
 
 
+def _perfbench(name: str):
+    """The module ``perfbench/{name}.py``, loaded by its path; it is listed in
+    ``sys.modules``, where its dataclasses look their module up."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _write_scenario(tmp_path, name="scenario.json", **overrides):
     scenario = {
         "seed": 31,
@@ -165,17 +174,17 @@ def test_run_is_reproducible_by_hash(tmp_path):
 # purpose and says why in CHANGES.md.
 SHIPPED_DIGESTS = {
     "default.json": (
-        "4444eee9e030749011a2cca15d353bcd2705d85e535f4c89949da480b150de1a",
+        "0cf9f5c43779e397b49dc5a10569671e116332b7284a160ae977e3dc446479a4",
         "c6cdad60d342583c5c03953bf6eb10c09a99d7b9e71aa2dfd14e4645522d9f37",
         "674b2223c1423d9f576137f859ac7fa58f7c3dae167f944cd6cd638536ad3161",
     ),
     "night_idle.json": (
-        "6818274ac7e76d1b27e39cfb64e05ee4e637ab9a2b94fa0170417a9210feef8b",
+        "a7b9fc6e07ffd8e31fd4d87a4fc49aa511a980ebf7f7a294cea1ad7541608820",
         "1bc3b61047e6efbde9b910eccc32a634edab7c5910c1dd685615edd76642decb",
         "e65cd4ad9dd8303ef22ca1af8bf9c03f2715fe9b15fbe263b3acba1985c0748c",
     ),
     "zero_consumption_48h.json": (
-        "fefc81f4b67a7e26bc747133fcd1e7c8ccde5d2abd8283b61eb142b194464fc3",
+        "501c2ff1e1ac7fb19e6145a175254c791c8623363f47ed56438e4c484fe8f514",
         "45b55a83a7bc94d41f6b7c8f3694bce8341d455f95cd0cf4dee3e689e351a2c6",
         "71aae9756026165d14c4b03f1e069bfe79b716b2c24fcdeb3d86f8ba501277ac",
     ),
@@ -207,17 +216,17 @@ def test_shipped_scenarios_match_golden_hashes(shipped_run):
 #: the shipped scenarios do not
 WORKLOAD_DIGESTS = {
     "district_week": (
-        "b22d7823b639258e401de20e781c08a63dcc72e8d925996031718b406590cc44",
+        "15b2db20782d64cb756edfa1ce4fd73bbecd0037559bb7a628e646e3f7cd4c88",
         "d3a12ff776f03c3793da1a784192101115c05f5339772a39d0018fcf7d854e7a",
         "e572afb90930980848e5a4b527eaae3ced4a2dd8489f952758b85cc910a81955",
     ),
     "idle_fleet": (
-        "998efce740ace18ce381df048743d813ca616cf4565cf81a56d9a64fbe358cf2",
+        "30d0bc474175ea73500291b347a2e33d082db4c5ba1e9ceaf670495336605ed9",
         "348d462a3cfa3863776df170760265a70daf9f922c3e30a5d7f66dcf6fd53818",
         "e4a89d97ceff868a5ab446b421e23493307e7f1a88c3010e4713e528084a4efb",
     ),
     "lossy_multipath": (
-        "5caea16c5555dc821b8bac0e10465a9c8603b406d936d46c6d8bc18c8bfc84a7",
+        "1bbd50238dc58ac92fe64b55f25054ccff583b8b1014a64be6ba45ab7adcd473",
         "50383073b57b71d755dc60e1cd84207d3ee605e10340c9c148550c80b0f6b62b",
         "accbed379f9b349862c78ac970bbe51af53fca48353d56f588d87e8af99b90f0",
     ),
@@ -227,9 +236,7 @@ WORKLOAD_DIGESTS = {
 @pytest.fixture(scope="module", params=sorted(WORKLOAD_DIGESTS))
 def workload_run(request, tmp_path_factory):
     """(name, output directory) of one ``risim run`` per benchmark workload at seed 7."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench("workloads")
     base = tmp_path_factory.mktemp("workload")
     scenario = base / "scenario.json"
     scenario.write_text(json.dumps(workloads.WORKLOADS[request.param](7)))
@@ -238,6 +245,30 @@ def workload_run(request, tmp_path_factory):
         mp.delenv("RI_SIM_SEED", raising=False)
         assert main(["run", str(scenario), "--out", str(out)]) == 0
     return request.param, out
+
+
+def _gate_failures(out: Path, scenario: Path) -> list[str]:
+    """The failures that perfbench's gate, ``artifacts.inspect_run``, finds
+    in the run of ``scenario`` in ``out``, once every emission line is seen to
+    carry the fields the gate reads of it: its ``kind``, and its payload's
+    ``meter_id``, ``session`` and ``cumulative_quanta``."""
+    artifacts = _perfbench("artifacts")
+    for line in (out / "events.ndjson").read_text().splitlines():
+        rec = json.loads(line)
+        if rec["kind"] in ("quantum_event", "heartbeat"):
+            assert {"meter_id", "session", "cumulative_quanta"} <= set(rec["payload"]), line
+    facts = artifacts.ScenarioFacts.from_scenario(load_scenario(scenario))
+    return artifacts.inspect_run(out, facts).failures
+
+
+def test_the_benchmark_gate_passes_a_shipped_run(shipped_run):
+    name, out = shipped_run
+    assert _gate_failures(out, SCENARIOS / name) == []
+
+
+def test_the_benchmark_gate_passes_a_workload_run(workload_run):
+    _, out = workload_run
+    assert _gate_failures(out, out.parent / "scenario.json") == []
 
 
 def test_benchmark_workloads_match_their_digests(workload_run):
@@ -261,16 +292,14 @@ WORKLOAD_FATES = {
 
 
 def test_benchmark_workloads_log_every_copy_once(workload_run):
-    """Each emission line lists one entry per link of its meter, in
-    concentrator-id order, and the entries of a run add up, stage by stage,
-    to the copies the log used to give a line each."""
+    """Each emission line lists one entry per link of its meter, in the
+    concentrator-id order of its meter line, and the entries of a run add
+    up, stage by stage, to the copies the log used to give a line each."""
     workload, out = workload_run
     n_links = {sm.config.id: len(sm.links)
                for sm in load_scenario(out.parent / "scenario.json").meters()}
     fates = {"radio": 0, "uplink": 0, "ingest": 0}
-    for rec in read_records(out / "events.ndjson"):
-        if rec.kind is EventKind.TI_READING:
-            continue
+    for rec in emissions(read_records(out / "events.ndjson")):
         links = rec.payload["links"]
         cids = [link[0] for link in links]
         assert len(links) == n_links[rec.payload["meter_id"]] and cids == sorted(set(cids))
@@ -291,9 +320,7 @@ def test_a_run_walks_each_ledgers_lost_runs_once(tmp_path, monkeypatch):
         return find(ledger)
     monkeypatch.setattr(SessionLedger, "_find_lost_runs", counted)
     monkeypatch.delenv("RI_SIM_SEED", raising=False)
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench("workloads")
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(workloads.WORKLOADS["district_week"](1)))
     out = tmp_path / "out"
@@ -378,13 +405,18 @@ def test_meters_installed_with_empty_battery_run_and_replay(tmp_path):
 
 
 def _ingests(payload):
-    """The ingest entries of an emission's links, [cid, outcome, rx_time_ms];
-    none for a ``ti_reading``."""
-    return [link for link in payload.get("links", ()) if len(link) == 3]
+    """The ingest entries of an emission's links, [outcome, rx_time_ms];
+    none for a meter line or a ``ti_reading``."""
+    return [link for link in payload.get("links", ()) if len(link) == 2]
+
+
+def _meter_line_of(lines: list[str], i: int) -> int:
+    """The index of the meter line that heads the emission line ``lines[i]``."""
+    return max(j for j in range(i) if json.loads(lines[j])["kind"] == "meter")
 
 
 def _shift_rx_time(payload):
-    _ingests(payload)[0][2] += 1
+    _ingests(payload)[0][1] += 1
 
 
 def _truncate_frame(payload):
@@ -399,27 +431,27 @@ def _odd_length_frame(payload):
     payload["frame_hex"] += "0"
 
 
-def _drop_concentrator(payload):
+def _drop_outcome(payload):
     del _ingests(payload)[0][0]
 
 
 def _rx_time_a_string(payload):
     entry = _ingests(payload)[0]
-    entry[2] = str(entry[2])
+    entry[1] = str(entry[1])
 
 
-def _concentrator_a_list_on_a_copy(payload):
-    copies = [link for link in _ingests(payload) if link[1] == "duplicate"]
+def _outcome_a_list_on_a_copy(payload):
+    copies = [link for link in _ingests(payload) if link[0] == "duplicate"]
     if not copies:
         return False
     copies[0][0] = [copies[0][0]]
 
 
 def _accepted_logged_as_duplicate(payload):
-    accepted = [link for link in _ingests(payload) if link[1] == "accepted"]
+    accepted = [link for link in _ingests(payload) if link[0] == "accepted"]
     if not accepted:
         return False
-    accepted[0][1] = "duplicate"
+    accepted[0][0] = "duplicate"
 
 
 def _ingested(edit):
@@ -427,13 +459,29 @@ def _ingested(edit):
     return lambda obj: edit(obj["payload"]) if _ingests(obj["payload"]) else False
 
 
+#: each kind tag of a 25-byte frame, to another kind's of that length:
+#: cold and hot water, electricity and heat
+_SAME_LENGTH_KIND = {1: 2, 2: 1, 3: 4, 4: 3}
+
+
+def _other_kind(frame_hex: str) -> str:
+    """A frame changed to the other kind of its length, which decodes."""
+    frame = bytearray.fromhex(frame_hex)
+    frame[1] = _SAME_LENGTH_KIND[frame[1]]
+    return frame.hex()
+
+
 def _frame_field(field, change, ingested):
     """An edit of an emission line's frame-derived ``field`` by ``change``,
     made on an emission with an ingest entry, or on one with none; it
-    returns the field's name."""
+    returns how replay names the field.  The resource is its meter line's,
+    so its edit makes the frame one of another kind instead."""
     def edit(obj):
         if bool(_ingests(obj["payload"])) != ingested:
             return False
+        if field == "resource":
+            obj["payload"]["frame_hex"] = change(obj["payload"]["frame_hex"])
+            return "its meter line's resource"
         node = obj if field == "kind" else obj["payload"]
         node[field] = change(node[field])
         return field
@@ -446,7 +494,7 @@ _FIELD_CHANGES = {
     "cumulative_quanta": lambda n: n + 1000,
     "session": lambda n: n + 1,
     "meter_id": lambda n: n + 1,
-    "resource": lambda word: "gas" if word != "gas" else "heat",
+    "resource": _other_kind,
     "kind": lambda word: "heartbeat" if word == "quantum_event" else "quantum_event",
 }
 _RX_TIME_SHIFTED = _ingested(_shift_rx_time)
@@ -457,10 +505,10 @@ _RX_TIME_SHIFTED = _ingested(_shift_rx_time)
     pytest.param("events.ndjson", _ingested(_truncate_frame), id="frame_truncated"),
     pytest.param("events.ndjson", _ingested(_non_hex_frame), id="frame_not_hex"),
     pytest.param("events.ndjson", _ingested(_odd_length_frame), id="frame_odd_length"),
-    pytest.param("events.ndjson", _ingested(_drop_concentrator), id="payload_key_missing"),
+    pytest.param("events.ndjson", _ingested(_drop_outcome), id="payload_key_missing"),
     pytest.param("events.ndjson", _ingested(_rx_time_a_string), id="rx_time_a_string"),
-    pytest.param("events.ndjson", _ingested(_concentrator_a_list_on_a_copy),
-                 id="concentrator_a_list_on_a_copy"),
+    pytest.param("events.ndjson", _ingested(_outcome_a_list_on_a_copy),
+                 id="outcome_a_list_on_a_copy"),
     pytest.param("events.ndjson", _ingested(_accepted_logged_as_duplicate),
                  id="accepted_logged_as_duplicate"),
     *(pytest.param("events.ndjson", _frame_field(field, change, ingested),
@@ -473,9 +521,9 @@ def test_replay_detects_tampered_log(tmp_path, capsys, log, tamper):
     """A tampered log fails replay; an unreadable one fails in one stderr line.
 
     Each tamper edits the ingest entries of an emission's ``links``, or its
-    frame, or one of the fields its frame gives, which fails naming the line,
-    its seq and the field; one that returns False skips that emission for a
-    later one.  A second concentrator, 5 ms slow, hears duplicate copies of
+    frame, or one of the fields its frame gives, its resource by way of its
+    meter line, which fails naming the line, its seq and the field; one that
+    returns False skips that emission for a later one.  A second concentrator, 5 ms slow, hears duplicate copies of
     most frames.
     """
     scn = _write_scenario(tmp_path)
@@ -563,42 +611,62 @@ def _two_concentrator_run(tmp_path):
     return out, lines, i
 
 
-def _cids_reversed(links):
-    links.reverse()
+def _cids_reversed(cids):
+    cids.reverse()
 
 
-def _cid_repeated(links):
-    links[1][0] = links[0][0]
+def _cid_repeated(cids):
+    cids[1] = cids[0]
 
 
 def _unknown_stage(links):
-    links[0][1:] = ["lost"]
+    links[0][:] = ["lost"]
 
 
 def _unknown_outcome(links):
-    links[0][1] = "refused"
+    links[0][0] = "refused"
 
 
 def _ingest_without_rx_time(links):
-    del links[0][2]
+    del links[0][1]
+
+
+def _entry_with_its_concentrator(links):
+    links[0].insert(0, 7)
+
+
+def _entry_added(links):
+    links.append(["radio"])
+
+
+def _entry_removed(links):
+    del links[0]
 
 
 @pytest.mark.parametrize("edit, reason", [
-    (_cids_reversed, "links not in concentrator-id order"),
-    (_cid_repeated, "links not in concentrator-id order"),
+    (_cids_reversed, "concentrators not in id order"),
+    (_cid_repeated, "concentrators not in id order"),
     (_unknown_stage, "not a line EventLog writes"),
     (_unknown_outcome, "not a line EventLog writes"),
     (_ingest_without_rx_time, "not a line EventLog writes"),
+    (_entry_with_its_concentrator, "not a line EventLog writes"),
+    (_entry_added, "links are not one per concentrator of its meter line"),
+    (_entry_removed, "links are not one per concentrator of its meter line"),
 ])
 def test_replay_refuses_links_out_of_the_grammar(tmp_path, capsys, edit, reason):
-    """An emission's links are one entry per link in strictly increasing
-    concentrator-id order, each a drop stage or an outcome and a reception
-    time: cids reversed or repeated, a stage or outcome outside the
-    vocabulary, or an ingest with no reception time, is one stderr line
-    naming the line and its seq."""
+    """A meter line's concentrator ids strictly increase, and an emission's
+    links are one entry per concentrator of its meter line, in that order,
+    each a drop stage or an outcome and a reception time: ids reversed or
+    repeated on the meter line, a stage or outcome outside the vocabulary,
+    an ingest with no reception time, an entry that names its concentrator,
+    or an entry more or fewer than the meter line's concentrators, is one
+    stderr line naming the line and its seq."""
     out, lines, i = _two_concentrator_run(tmp_path)
+    key = "links"
+    if edit in (_cids_reversed, _cid_repeated):
+        i, key = _meter_line_of(lines, i), "concentrators"
     obj = json.loads(lines[i])
-    edit(obj["payload"]["links"])
+    edit(obj["payload"][key])
     lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     (out / "events.ndjson").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -607,12 +675,71 @@ def test_replay_refuses_links_out_of_the_grammar(tmp_path, capsys, edit, reason)
     assert err == f"malformed log: {out / 'events.ndjson'} line {i + 1}: seq {i}: {reason}\n"
 
 
+#: the ``seq`` field of an event line, which the payload before it cannot hold
+_SEQ_FIELD = re.compile(r',"seq":\d+,')
+
+
+def _renumbered(lines: list[str]) -> list[str]:
+    """``lines`` with each line's ``seq`` set to its index."""
+    return [_SEQ_FIELD.sub(f',"seq":{i},', line, count=1) for i, line in enumerate(lines)]
+
+
+def _meter_blocks(lines: list[str]) -> list[tuple[int, int]]:
+    """The [start, end) of each meter's lines, its meter line first; the
+    ``ti`` lines after the last one are no meter's."""
+    starts = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "meter"]
+    ti = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "ti_reading")
+    return list(zip(starts, [*starts[1:], ti]))
+
+
+def _first_meter_line_deleted(lines):
+    del lines[0]
+    return 0, "an emission before any meter line"
+
+
+def _meters_swapped(lines):
+    (a, b), (_, c) = _meter_blocks(lines)
+    lines[a:c] = lines[b:c] + lines[a:b]
+    return a + c - b, "meter_id is not above the last meter line's"
+
+
+def _an_emission_after_the_next_meters(lines):
+    (_, b), (_, c) = _meter_blocks(lines)
+    lines.insert(c - 1, lines.pop(b - 1))   # to the end of the next meter's lines
+    return c - 1, "meter_id is not its meter line's"
+
+
+def _a_meter_resumed_after_the_next_meters(lines):
+    (a, b), (_, c) = _meter_blocks(lines)
+    lines[c - 1:c - 1] = [lines[a], lines.pop(b - 1)]   # after the next meter's lines
+    return c - 1, "meter_id is not above the last meter line's"
+
+
+@pytest.mark.parametrize("edit", [_first_meter_line_deleted, _meters_swapped,
+                                  _an_emission_after_the_next_meters,
+                                  _a_meter_resumed_after_the_next_meters])
+def test_replay_refuses_a_log_that_is_not_meter_major(tmp_path, capsys, edit):
+    """A log whose lines are not one run per meter, meters in id order, each
+    headed by its meter line, is one that ``risim run`` never writes: an
+    emission with no meter line before it, two meters swapped, or a meter's
+    lines split by the next meter's, with or without a second meter line of
+    its own, are each one stderr line naming the line and its seq, with the
+    lines renumbered so that ``seq`` runs on."""
+    out, lines, _ = _two_concentrator_run(tmp_path)
+    i, reason = edit(lines)
+    (out / "events.ndjson").write_text("\n".join(_renumbered(lines)) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"malformed log: {out / 'events.ndjson'} line {i + 1}: seq {i}: {reason}\n"
+
+
 def _earlier_format(lines: list[str]) -> list[str]:
     """A log as versions that wrote one line per copy wrote it: each
-    emission line without its links, then a ``drop`` or ``center_ingest``
-    line per link, numbered on."""
+    emission line with its resource and without its links, then a ``drop``
+    or ``center_ingest`` line per link, numbered on, and no meter lines."""
     old = []
-    for line in lines:
+    for line in _with_ids(lines):
         obj = json.loads(line)
         links = obj["payload"].pop("links", [])
         copies = []
@@ -629,17 +756,35 @@ def _earlier_format(lines: list[str]) -> list[str]:
     return old
 
 
-@pytest.mark.parametrize("kind", ["drop", "center_ingest", None])
+def _with_ids(lines: list[str]) -> list[str]:
+    """A log as versions with no meter lines wrote it: each emission line
+    with its meter's resource, and each link entry with its concentrator id
+    first, numbered on."""
+    old = []
+    for rec in emissions(map(from_json, lines)):
+        old.append(json.dumps({"kind": rec.kind.value, "payload": rec.payload, "seq": len(old),
+                               "sim_time_ms": rec.sim_time_ms},
+                              sort_keys=True, separators=(",", ":")))
+    return old
+
+
+@pytest.mark.parametrize("kind", ["drop", "center_ingest", None, "ids"])
 def test_replay_refuses_a_log_of_the_earlier_format(tmp_path, capsys, kind):
     """A ``drop`` or ``center_ingest`` line, which logs once gave each copy,
     in place of an emission line, or a whole log written in that format
-    (``None``), is one ``malformed log`` line naming the line and its seq."""
+    (``None``) or in the one with no meter lines, whose link entries name
+    their concentrators (``ids``), is one ``malformed log`` line naming the
+    line and its seq."""
     out, lines, _ = _two_concentrator_run(tmp_path)
     if kind is None:
         lines, i = _earlier_format(lines), 0
+    elif kind == "ids":
+        lines, i = _with_ids(lines), 0
     else:
-        i, rec = next((i, rec) for i, line in enumerate(lines)
-                      for rec in map(json.loads, _earlier_format([line])) if rec["kind"] == kind)
+        i, rec = next((i, rec) for i, line in enumerate(lines) if '"links"' in line
+                      for rec in map(json.loads, _earlier_format(
+                          [lines[_meter_line_of(lines, i)], line]))
+                      if rec["kind"] == kind)
         rec["seq"] = i
         lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     (out / "events.ndjson").write_text("\n".join(lines) + "\n")
@@ -656,41 +801,61 @@ def test_replay_names_the_concentrator_of_an_outcome_it_does_not_reproduce(tmp_p
     out, lines, i = _two_concentrator_run(tmp_path)
     obj = json.loads(lines[i])
     first, second = _ingests(obj["payload"])
-    assert (first[1], second[1]) == ("accepted", "duplicate")
-    second[1] = "accepted"
+    assert (first[0], second[0]) == ("accepted", "duplicate")
+    second[0] = "accepted"
     lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     (out / "events.ndjson").write_text("\n".join(lines) + "\n")
+    _, cid = json.loads(lines[_meter_line_of(lines, i)])["payload"]["concentrators"]
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"malformed log: seq {i}: {device_name('concentrator', second[0])}: "
+        f"malformed log: seq {i}: {device_name('concentrator', cid)}: "
         "outcome 'accepted', replay gives 'duplicate'\n")
 
 
-def test_replay_refuses_a_frame_of_another_length_than_its_meters(tmp_path, capsys):
-    """A line whose frame and resource are both forged to gas, for a
-    cold-water meter whose earlier lines the center holds, is one
-    ``malformed log`` line naming its seq, the meter and both frame lengths."""
+def _forged_after_a_heard_line(tmp_path, forge):
+    """Replay's exit code on the log of a two-concentrator run in which the
+    frame of a cold-water meter's emission, after one the center heard, is
+    replaced by ``forge`` of it; and the message due for that line."""
     out, lines, _ = _two_concentrator_run(tmp_path)
     heard = set()
     for i, line in enumerate(lines):
         obj = json.loads(line)
         payload = obj["payload"]
         if _ingests(payload):
-            if payload["meter_id"] in heard and payload["resource"] == "cold_water":
+            resource = json.loads(lines[_meter_line_of(lines, i)])["payload"]["resource"]
+            if payload["meter_id"] in heard and resource == "cold_water":
                 break
             heard.add(payload["meter_id"])
-    frame = bytes.fromhex(payload["frame_hex"])
-    # gas is kind tag 5, with one quality field where water has two
-    payload["frame_hex"] = (frame[:1] + bytes([5]) + frame[2:17] + frame[19:]).hex()
-    payload["resource"] = "gas"
+    payload["frame_hex"] = forge(bytes.fromhex(payload["frame_hex"])).hex()
     lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     (out / "events.ndjson").write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["replay", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"malformed log: seq {obj['seq']}: {device_name('meter', payload['meter_id'])}: "
-        "a 23-byte frame fed to a ledger of 25-byte frames\n")
+    code = main(["replay", str(out)])
+    return code, (f"malformed log: {out / 'events.ndjson'} line {i + 1}: seq {i}: "
+                    "its meter line's resource is not the one its frame_hex gives\n")
+
+
+def test_replay_refuses_a_frame_of_another_length_than_its_meters(tmp_path, capsys):
+    """A line whose frame is forged to gas, for a cold-water meter whose
+    earlier lines the center holds, is one ``malformed log`` line naming the
+    line and its seq: the frame is not of its meter line's resource, so it
+    never reaches the ledger of the meter's 25-byte frames."""
+    # gas is kind tag 5, with one quality field where water has two
+    code, due = _forged_after_a_heard_line(
+        tmp_path, lambda frame: frame[:1] + bytes([5]) + frame[2:17] + frame[19:])
+    assert code == 1
+    assert capsys.readouterr().err == due
+
+
+def test_replay_refuses_a_frame_of_another_kind_of_its_meters_length(tmp_path, capsys):
+    """A hot-water frame, 25 bytes like a cold-water one, logged under a
+    cold-water meter that the center holds frames of, decodes and would be
+    folded into its ledger; replay checks it against the meter line's
+    resource and refuses it in one ``malformed log`` line."""
+    code, due = _forged_after_a_heard_line(
+        tmp_path, lambda frame: bytes.fromhex(_other_kind(frame.hex())))
+    assert code == 1
+    assert capsys.readouterr().err == due
 
 
 def test_replay_reads_integers_of_any_length(tmp_path, capsys):
@@ -703,7 +868,7 @@ def test_replay_reads_integers_of_any_length(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(scn), "--out", str(out), "--mode", "both"]) == 0
     lines = (out / "events.ndjson").read_text().splitlines()
-    assert len(lines) == 8 and '"accepted",30000000000000000000]' in lines[0]
+    assert len(lines) == 9 and '"accepted",30000000000000000000]' in lines[1]
     capsys.readouterr()
     assert main(["replay", str(out)]) == 0
     assert capsys.readouterr().out == "replay ok: 1 ledgers match\n"
@@ -711,18 +876,22 @@ def test_replay_reads_integers_of_any_length(tmp_path, capsys):
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="int() reads integers of any length here")
-@pytest.mark.parametrize("field", ["seq", "rx_time_ms"])
+@pytest.mark.parametrize("field", ["seq", "rx_time_ms", "concentrator"])
 def test_replay_refuses_an_integer_too_long_to_read(tmp_path, capsys, field):
-    """A 5,000-digit integer, as a line's ``seq`` or as an ingest entry's
-    reception time, matches the template, but int() refuses it (Python caps
-    a conversion at 4,300 digits): one line naming the line."""
+    """A 5,000-digit integer, as a line's ``seq``, as an ingest entry's
+    reception time or as a meter line's concentrator id, matches the
+    template, but int() refuses it (Python caps a conversion at 4,300
+    digits): one line naming the line."""
     scn = _write_scenario(tmp_path)
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     lines = (out / "events.ndjson").read_text().splitlines()
     i = next(i for i, line in enumerate(lines) if _ingests(json.loads(line)["payload"]))
-    where = '"seq":' if field == "seq" else '"accepted",'
-    lines[i] = re.sub(f'{where}[0-9]+', where + "7" * 5000, lines[i], count=1)
+    where = {"seq": '"seq":', "rx_time_ms": '"accepted",', "concentrator": '"concentrators":['}
+    where = where[field]
+    if field == "concentrator":
+        i = _meter_line_of(lines, i)
+    lines[i] = re.sub(f'{re.escape(where)}[0-9]+', where + "7" * 5000, lines[i], count=1)
     (out / "events.ndjson").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
@@ -736,53 +905,77 @@ def test_replay_refuses_an_integer_too_long_to_read(tmp_path, capsys, field):
 _TOO_LONG = 86_753_098_675_309
 
 
-def _disorder_then_a_long_cid(obj):
-    obj["payload"]["links"].reverse()
-    obj["payload"]["links"].append([_TOO_LONG, "radio"])
-    return "an integer too long to read"
+def _edited(lines, i, edit):
+    """``lines[i]`` edited in place by ``edit`` of its JSON object."""
+    obj = json.loads(lines[i])
+    edit(obj)
+    lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _a_long_rx_time_then_disorder(obj):
-    obj["payload"]["links"].reverse()
-    obj["payload"]["links"][0][2] = _TOO_LONG
-    return "links not in concentrator-id order"
+def _disorder_then_a_long_cid(lines, i):
+    j = _meter_line_of(lines, i)
+    _edited(lines, j, lambda obj: obj["payload"]["concentrators"].reverse())
+    _edited(lines, j, lambda obj: obj["payload"]["concentrators"].append(_TOO_LONG))
+    return j, "an integer too long to read"
 
 
-def _disorder_then_a_long_rx_time(obj):
-    obj["payload"]["links"].reverse()
-    obj["payload"]["links"][1][2] = _TOO_LONG
-    return "links not in concentrator-id order"
+def _disorder_then_a_meter_id_not_above(lines, i):
+    j = max(k for k, line in enumerate(lines) if json.loads(line)["kind"] == "meter")
+    _edited(lines, j, lambda obj: obj["payload"]["concentrators"].reverse())
+    _edited(lines, j, lambda obj: obj["payload"].update(meter_id=0))
+    return j, "concentrators not in id order"
 
 
-def _a_long_rx_time_and_a_wrong_seq(obj):
-    obj["payload"]["links"][0][2] = _TOO_LONG
-    obj["seq"] += 5
-    return "an integer too long to read"
+def _a_long_rx_time_then_an_entry_more(lines, i):
+    _edited(lines, i, lambda obj: obj["payload"]["links"].append(["radio"]))
+    _edited(lines, i, lambda obj: obj["payload"]["links"][0].__setitem__(1, _TOO_LONG))
+    return i, "an integer too long to read"
 
 
-def _odd_frame_hex_and_a_wrong_seq(obj):
-    obj["payload"]["frame_hex"] = obj["payload"]["frame_hex"][:-1]
-    obj["seq"] += 5
-    return "not a line EventLog writes"
+def _another_meter_id_than_its_frames_and_its_meter_lines(lines, i):
+    _edited(lines, i, lambda obj: obj["payload"].update(meter_id=obj["payload"]["meter_id"] + 1))
+    return i, "meter_id is not the one its frame_hex gives"
+
+
+def _an_entry_more_then_another_kind(lines, i):
+    _edited(lines, i, lambda obj: obj["payload"]["links"].append(["radio"]))
+    _edited(lines, i, lambda obj: obj["payload"].update(
+        frame_hex=_other_kind(obj["payload"]["frame_hex"])))
+    return i, "links are not one per concentrator of its meter line"
+
+
+def _a_long_rx_time_and_a_wrong_seq(lines, i):
+    _edited(lines, i, lambda obj: obj["payload"]["links"][0].__setitem__(1, _TOO_LONG))
+    _edited(lines, i, lambda obj: obj.update(seq=obj["seq"] + 5))
+    return i, "an integer too long to read"
+
+
+def _odd_frame_hex_and_a_wrong_seq(lines, i):
+    _edited(lines, i, lambda obj: obj["payload"].update(
+        frame_hex=obj["payload"]["frame_hex"][:-1]))
+    _edited(lines, i, lambda obj: obj.update(seq=obj["seq"] + 5))
+    return i, "not a line EventLog writes"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="int() reads integers of any length here")
-@pytest.mark.parametrize("edit", [_disorder_then_a_long_cid, _a_long_rx_time_then_disorder,
-                                  _disorder_then_a_long_rx_time, _a_long_rx_time_and_a_wrong_seq,
-                                  _odd_frame_hex_and_a_wrong_seq])
+@pytest.mark.parametrize("edit", [_disorder_then_a_long_cid, _disorder_then_a_meter_id_not_above,
+                                  _a_long_rx_time_then_an_entry_more,
+                                  _another_meter_id_than_its_frames_and_its_meter_lines,
+                                  _an_entry_more_then_another_kind,
+                                  _a_long_rx_time_and_a_wrong_seq, _odd_frame_hex_and_a_wrong_seq])
 def test_replay_gives_a_line_with_two_faults_one_message(tmp_path, capsys, edit):
     """A line with two faults gets the message of the one that comes first
     in the order that ``read_events`` states, wherever each sits on the line:
-    a concentrator id too long to read before links out of order, links out
-    of order before a reception time too long to read, which comes before a
-    ``seq`` that is not the due one, and a line that is not one EventLog
-    writes before that ``seq``."""
+    a line that is not one EventLog writes, then an integer too long to
+    read, then a ``seq`` that is not the due one; on a meter line, then
+    concentrators out of order before a meter id not above the last; on an
+    emission line, a field that is not its frame's before a meter id that
+    is not its meter line's, and a count of links not its meter line's
+    before a frame of another resource."""
     out, lines, i = _two_concentrator_run(tmp_path)
-    obj = json.loads(lines[i])
-    reason = edit(obj)
-    lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":")).replace(
-        str(_TOO_LONG), "7" * 5000)
+    i, reason = edit(lines, i)
+    lines[i] = lines[i].replace(str(_TOO_LONG), "7" * 5000)
     (out / "events.ndjson").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
@@ -860,8 +1053,7 @@ def test_replay_rejects_a_seq_gap_or_repeat(tmp_path, capsys, edit):
     out = tmp_path / "out"
     main(["run", str(scn), "--out", str(out)])
     lines = (out / "events.ndjson").read_text().splitlines()
-    first = next(i for i, line in enumerate(lines)
-                 if re.search(r'"links":\[\[\d+,"radio"\]\]', line))
+    first = next(i for i, line in enumerate(lines) if '"links":[["radio"]]' in line)
     where = edit(lines, first)
     (out / "events.ndjson").write_bytes(_encoded("\n".join(lines) + "\n"))
     capsys.readouterr()

@@ -165,7 +165,7 @@ def test_broadcast_draws_in_concentrator_id_order(tmp_path):
     got = _run(tmp_path, "forward", forward)
     assert _run(tmp_path, "reverse", reverse) == got
     assert _run(tmp_path, "meters_reversed", meters_reversed) == got
-    assert got["events.ndjson"].count(b',"uplink"]') > 0
+    assert got["events.ndjson"].count(b'["uplink"]') > 0
 
 
 def _links(*losses, uplink=0):

@@ -16,6 +16,7 @@ from risim.domain import (BASE_UNIT, NOMINAL_QUALITY_DU, MalformedFrame, Message
 from risim.eventlog import (
     _JSON_TEXT,
     _LINE,
+    LINK_TEXT,
     EventKind,
     EventLog,
     MalformedLog,
@@ -27,8 +28,7 @@ from risim.eventlog import (
 )
 
 from oracles import (EventLogRecord, accepted_count, accepted_sessions, from_json,
-                     is_written_line, links_in_order, read_csv, read_records, reference_ingests,
-                     write_records)
+                     is_written_line, read_csv, read_records, reference_ingests, write_records)
 
 
 def _frame(mid=1, session=0, resource=ResourceKind.GAS, mtype=MessageType.QUANTUM_EVENT,
@@ -40,12 +40,12 @@ def _frame(mid=1, session=0, resource=ResourceKind.GAS, mtype=MessageType.QUANTU
 
 def test_json_lines_are_canonical():
     rec = EventLogRecord(3, 1500, EventKind.HEARTBEAT,
-                         {"meter_id": 9, "links": [[4, "uplink"], [5, "accepted", 1502]],
+                         {"meter_id": 9, "links": [["uplink"], ["accepted", 1502]],
                           "session": 0})
     line = rec.to_json()
     # keys alphabetical, no whitespace: byte-stable across runs
     assert line == (
-        '{"kind":"heartbeat","payload":{"links":[[4,"uplink"],[5,"accepted",1502]],'
+        '{"kind":"heartbeat","payload":{"links":[["uplink"],["accepted",1502]],'
         '"meter_id":9,"session":0},"seq":3,"sim_time_ms":1500}'
     )
     assert from_json(line) == rec
@@ -101,7 +101,7 @@ def test_replay_ignores_non_ingest_records(tmp_path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         log = EventLog(fh.write)
         log.emission(10, _frame(), [(2, "radio"), (3, "uplink")])
-        log.emission(10, _frame(session=1), [])
+        log.emission(10, _frame(mid=2, session=1), [])
         log.ti_reading(20, 1, 1, 5, "l")
     assert list(read_events(path)) == []
     assert replay_center(read_events(path)).ledgers() == {}
@@ -122,13 +122,13 @@ def test_replay_rebuilds_from_frames(tmp_path):
             state=MeterState(cumulative_quanta=s + 1),
         )
         frames.append(encode_frame(msg))
-    records = [
-        EventLogRecord(i, 1000 * (i + 1), EventKind.QUANTUM_EVENT, {
+    records = [EventLogRecord(0, 0, EventKind.METER, {
+        "concentrators": [concentrator_id(2)], "meter_id": mid, "resource": "heat"})] + [
+        EventLogRecord(i + 1, 1000 * (i + 1), EventKind.QUANTUM_EVENT, {
             "cumulative_quanta": i + 1,
             "frame_hex": frames[i].hex(),
-            "links": [[concentrator_id(2), "accepted", 1000 * (i + 1)]],
+            "links": [["accepted", 1000 * (i + 1)]],
             "meter_id": mid,
-            "resource": "heat",
             "session": i,
         })
         for i in range(3)
@@ -159,59 +159,71 @@ _WIRE32 = st.integers(min_value=0, max_value=2**32 - 1)
 _SIGNED = st.integers(min_value=-2**64, max_value=2**64)
 
 
-@st.composite
-def _links(draw):
-    """0-8 link entries in increasing concentrator-id order, ids and
-    reception times past 64 bits, each a radio or uplink drop or an ingest
-    with any outcome."""
-    cids = sorted(draw(st.sets(_WHOLE, max_size=8)))
-    fates = st.sampled_from([("radio",), ("uplink",)]) | st.tuples(
-        st.sampled_from(list(IngestOutcome)), _SIGNED)
-    return [(cid, *draw(fates)) for cid in cids]
+#: a link's fate as its entry's arguments after the concentrator id: a drop
+#: stage, or an ingest's outcome and a reception time past 64 bits
+_FATES = st.sampled_from([("radio",), ("uplink",)]) | st.tuples(
+    st.sampled_from(list(IngestOutcome)), _SIGNED)
 
 
 @st.composite
 def _template_calls(draw):
-    """(method name, arguments, kind, sim_time_ms, payload) for one record of
-    any kind, with ints up to 2**64 and every string its field can hold; an
-    emission is its frame, whose meter id, session and counter are drawn in
-    the wire's 64 and 32 bits, and its links."""
-    t, mid = draw(_WHOLE), draw(_WHOLE)
-    which = draw(st.sampled_from(list(EventKind)))
-    if which in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT):
-        resource = draw(st.sampled_from(list(ResourceKind)))
-        mid = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    """The calls of a meter-major log and the records they write, as (method
+    name, arguments, kind, sim_time_ms, payload): 1-6 calls of any kind, with
+    ints up to 2**64 and every string its field can hold.  Emissions go
+    meter by meter, meter ids rising in the wire's 64 bits; a meter's frames
+    are of one resource, with sessions and counters in the wire's 32 bits,
+    over the meter's 0-8 links, whose concentrator ids rise, each link with
+    any fate.  A meter's first emission writes the meter's line before its
+    own, which is an item of its own with no method."""
+    items, meter = [], None
+    mids = iter(sorted(draw(st.sets(st.integers(0, 2**64 - 1), min_size=6, max_size=6))))
+    for _ in range(draw(st.integers(1, 6))):
+        t = draw(_WHOLE)
+        which = draw(st.sampled_from([EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT,
+                                      EventKind.TI_READING]))
+        if which is EventKind.TI_READING:
+            mid, poll, register = draw(_WHOLE), draw(_WHOLE), draw(_WHOLE)
+            unit = draw(st.sampled_from(sorted(set(BASE_UNIT.values()))))
+            items.append(("ti_reading", (t, mid, poll, register, unit), which, t,
+                          {"meter_id": mid, "poll_index": poll, "register_du": register,
+                           "unit": unit}))
+            continue
+        if meter is None or draw(st.booleans()):
+            meter = (next(mids), draw(st.sampled_from(list(ResourceKind))),
+                     sorted(draw(st.sets(_WHOLE, max_size=8))))
+            items.append((None, None, EventKind.METER, 0, {
+                "concentrators": meter[2], "meter_id": meter[0], "resource": meter[1].value}))
+        mid, resource, cids = meter
         session, cumulative = draw(_WIRE32), draw(_WIRE32)
         frame = encode_frame(MeterMessage(
             mid, session, resource, MessageType(which.value),
             QualityVector(resource, NOMINAL_QUALITY_DU[resource]),
             MeterState(battery=draw(st.integers(0, 200)), cumulative_quanta=cumulative)))
-        links = draw(_links())
-        return ("emission", (t, frame, links),
-                which, t, {"cumulative_quanta": cumulative, "frame_hex": frame.hex(),
-                           "links": [list(link) for link in links], "meter_id": mid,
-                           "resource": resource.value, "session": session})
-    poll, register = draw(_WHOLE), draw(_WHOLE)
-    unit = draw(st.sampled_from(sorted(set(BASE_UNIT.values()))))
-    return ("ti_reading", (t, mid, poll, register, unit),
-            which, t, {"meter_id": mid, "poll_index": poll, "register_du": register,
-                       "unit": unit})
+        fates = [draw(_FATES) for _ in cids]
+        items.append(("emission", (t, frame, [(cid, *fate) for cid, fate in zip(cids, fates)]),
+                      which, t, {"cumulative_quanta": cumulative, "frame_hex": frame.hex(),
+                                 "links": [list(fate) for fate in fates], "meter_id": mid,
+                                 "session": session}))
+    return items
 
 
 def _through_meter_lines(log: EventLog, t: int, frame: bytes, links) -> None:
     """``log.emission(t, frame, links)`` as a run writes it: through the
-    ``MeterLines`` of the frame's meter, each link's entry taken from its
-    ``links`` by the copy's drop stage, or None for an ingest, whose
-    outcome and reception time ``write`` adds."""
+    ``MeterLines`` of the frame's meter, made when it is not the log's
+    current meter, each link's entry taken from ``LINK_TEXT`` by the copy's
+    drop stage, or None for an ingest, whose outcome and reception time
+    ``write`` adds."""
     resource, _, mid, session, _ = frame_header(frame)
-    lines = MeterLines(log, mid, resource, [link[0] for link in links])
     entries, heard, outcomes = [], [], []
-    for texts, (_, fate, *rx) in zip(lines.links, links):
+    for _, fate, *rx in links:
         if rx:
             heard.append((len(entries), *rx))
             outcomes.append(fate)
             fate = None
-        entries.append(texts[fate])
+        entries.append(LINK_TEXT[fate])
+    lines = log.meter
+    if lines is None or lines.meter_id != mid:
+        lines = MeterLines(log, mid, resource, [link[0] for link in links])
     lines.write(t, frame, session, entries, heard, outcomes)
 
 
@@ -220,17 +232,17 @@ def _through_meter_lines(log: EventLog, t: int, frame: bytes, links) -> None:
 _EMITTERS = {"emission": EventLog.emission, "meter_lines": _through_meter_lines}
 
 
-def _call(log: EventLog, method: str, args, emitter: str) -> None:
-    """``log``'s ``method`` on ``args``, an emission through ``emitter``."""
+def _call(log: EventLog, method: str | None, args, emitter: str) -> None:
+    """``log``'s ``method`` on ``args``, an emission through ``emitter``; a
+    meter line (no method) is written by the emission after it."""
     if method == "emission":
         _EMITTERS[emitter](log, *args)
-    else:
+    elif method is not None:
         getattr(log, method)(*args)
 
 
 @settings(max_examples=400, deadline=None)
-@given(start=_WHOLE, calls=st.lists(_template_calls(), min_size=1, max_size=6),
-       emitter=st.sampled_from(sorted(_EMITTERS)))
+@given(start=_WHOLE, calls=_template_calls(), emitter=st.sampled_from(sorted(_EMITTERS)))
 def test_templates_write_the_reference_line(start, calls, emitter):
     lines = []
     log = EventLog(lines.append)
@@ -245,15 +257,24 @@ def test_templates_write_the_reference_line(start, calls, emitter):
 
 
 def test_templates_refuse_a_string_outside_the_vocabulary():
+    """A word outside a fate's vocabulary raises KeyError and writes no
+    emission line; ``emission`` writes no meter line for it either."""
+    bad_links = ([(2, 'up"link'), (3, "radio")], [(2, "radio"), (3, "lost", 5)],
+                 [(2, "accepted", 5), (3, "lost", 5)])
+    for emit in _EMITTERS.values():
+        lines = []
+        log = EventLog(lines.append)
+        emit(log, 0, _frame(), [(2, "radio"), (3, "radio")])
+        written = list(lines)
+        for links in bad_links:
+            with pytest.raises(KeyError):
+                emit(log, 0, _frame(session=1), links)
+        assert log.seq == 2 and lines == written
     lines = []
     log = EventLog(lines.append)
-    for emit in _EMITTERS.values():
+    for links in bad_links:
         with pytest.raises(KeyError):
-            emit(log, 0, _frame(), [(2, 'up"link')])
-        with pytest.raises(KeyError):
-            emit(log, 0, _frame(), [(2, "radio"), (3, "lost", 5)])
-        with pytest.raises(KeyError):
-            emit(log, 0, _frame(), [(2, "accepted", 5), (3, "lost", 5)])
+            log.emission(0, _frame(), links)
     with pytest.raises(KeyError):
         log.ti_reading(0, 1, 1, 0, "m\u00b3")
     assert log.seq == 0 and lines == []
@@ -270,58 +291,7 @@ def test_an_emission_of_a_malformed_frame_writes_nothing():
             log.emission(0, bad, [(2, "radio")])
     assert log.seq == 0 and lines == []
     log.emission(0, frame, [(2, "radio")])
-    assert log.seq == 1 and len(lines) == 1
-
-
-@pytest.mark.parametrize("links", [
-    [(3, "radio"), (2, "radio")],
-    [(2, "accepted", 5), (2, "duplicate", 5)],
-    [(-1, "radio")],
-], ids=["descending", "repeated", "negative"])
-def test_an_emission_whose_concentrator_ids_do_not_rise_from_zero_writes_nothing(
-        tmp_path, links):
-    """``read_events`` refuses the line of such links, so ``emission``
-    writes none: it raises before the line, and ``seq`` stays."""
-    path = tmp_path / "events.ndjson"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _through_meter_lines(EventLog(fh.write), 0, _frame(), links)
-    with pytest.raises(MalformedLog):
-        list(read_events(path))
-    lines = []
-    log = EventLog(lines.append)
-    log.seq = 4
-    with pytest.raises(ValueError, match="links not in concentrator-id order"):
-        log.emission(0, _frame(), links)
-    assert log.seq == 4 and lines == []
-
-
-def test_templates_refuse_a_string_outside_the_vocabulary():
-    lines = []
-    log = EventLog(lines.append)
-    for emit in _EMITTERS.values():
-        with pytest.raises(KeyError):
-            emit(log, 0, _frame(), [(2, 'up"link')])
-        with pytest.raises(KeyError):
-            emit(log, 0, _frame(), [(2, "radio"), (3, "lost", 5)])
-        with pytest.raises(KeyError):
-            emit(log, 0, _frame(), [(2, "accepted", 5), (3, "lost", 5)])
-    with pytest.raises(KeyError):
-        log.ti_reading(0, 1, 1, 0, "m\u00b3")
-    assert log.seq == 0 and lines == []
-
-
-def test_an_emission_of_a_malformed_frame_writes_nothing():
-    frame = encode_frame(MeterMessage(
-        7, 3, ResourceKind.GAS, MessageType.HEARTBEAT,
-        QualityVector(ResourceKind.GAS, NOMINAL_QUALITY_DU[ResourceKind.GAS]), MeterState()))
-    lines = []
-    log = EventLog(lines.append)
-    for bad in (frame[:-1], b"\x02" + frame[1:], frame[:2], frame[:-5] + b"\x08" + frame[-4:]):
-        with pytest.raises(MalformedFrame):
-            log.emission(0, bad, [(2, "radio")])
-    assert log.seq == 0 and lines == []
-    log.emission(0, frame, [(2, "radio")])
-    assert log.seq == 1 and len(lines) == 1
+    assert log.seq == 2 and len(lines) == 2   # the meter's line, then the emission's
 
 
 _C2, _C3 = 2, 3
@@ -333,14 +303,66 @@ _C2, _C3 = 2, 3
     [(-1, "radio")],
 ], ids=["descending", "repeated", "negative"])
 def test_an_emission_whose_concentrator_ids_do_not_rise_from_zero_writes_nothing(links):
-    """``read_events`` refuses such links, as not in concentrator-id order or
-    not a line EventLog writes, so ``emission`` writes no line for them."""
+    """``read_events`` refuses a meter line whose concentrator ids do not
+    strictly rise, and a negative id is not a line EventLog writes, so
+    neither emission writer writes a line for such links: each raises before
+    the meter's line, and ``seq`` stays."""
+    for emit in _EMITTERS.values():
+        lines = []
+        log = EventLog(lines.append)
+        log.seq = 4
+        with pytest.raises(ValueError, match="links not in concentrator-id order"):
+            emit(log, 0, _frame(), links)
+        assert log.seq == 4 and lines == []
+
+
+def _refused_after_one_line(frame: bytes, links, match: str) -> None:
+    """After an emission of meter 5 over concentrators 2 and 3, an emission
+    of ``frame`` over ``links`` raises ValueError matching ``match`` and
+    writes nothing."""
     lines = []
     log = EventLog(lines.append)
-    log.seq = 4
-    with pytest.raises(ValueError, match="links not in concentrator-id order"):
-        log.emission(0, _frame(), links)
-    assert log.seq == 4 and lines == []
+    log.emission(0, _frame(mid=5), [(2, "radio"), (3, "radio")])
+    written = list(lines)
+    with pytest.raises(ValueError, match=match):
+        log.emission(1, frame, links)
+    assert log.seq == 2 and lines == written
+
+
+def test_a_meters_lines_end_at_the_next_meters_line():
+    """``read_events`` reads an emission under the last meter line before
+    it, so a meter's ``MeterLines`` writes no line once the next meter's
+    line is written."""
+    lines = []
+    log = EventLog(lines.append)
+    first = MeterLines(log, 1, ResourceKind.GAS, [2])
+    MeterLines(log, 2, ResourceKind.GAS, [2])
+    with pytest.raises(ValueError, match="lines ended at meter 2's line"):
+        first.write(0, _frame(mid=1), 0, [LINK_TEXT["radio"]])
+    assert log.seq == 2 and len(lines) == 2
+
+
+def test_an_emission_of_a_meter_below_the_current_one_writes_nothing():
+    """``read_events`` refuses a meter line whose id is not above the last."""
+    _refused_after_one_line(_frame(mid=4), [(2, "radio"), (3, "radio")], "increasing id order")
+
+
+@pytest.mark.parametrize("links", [
+    [(2, "radio")],
+    [(2, "radio"), (4, "radio")],
+    [(2, "radio"), (3, "radio"), (4, "radio")],
+], ids=["fewer", "other", "more"])
+def test_an_emission_over_other_concentrators_than_its_meter_lines_writes_nothing(links):
+    """``read_events`` refuses a count of entries that is not the meter
+    line's, and reads an entry as the copy of the concentrator at its
+    position, so links over other ids would credit the wrong concentrator."""
+    _refused_after_one_line(_frame(mid=5, session=1), links, "are not the concentrators")
+
+
+def test_an_emission_of_another_resource_than_its_meter_lines_writes_nothing():
+    """``read_events`` refuses a frame that is not of its meter line's resource."""
+    _refused_after_one_line(_frame(mid=5, session=1, resource=ResourceKind.HEAT),
+                            [(2, "radio"), (3, "radio")], "a heat frame of a gas meter")
 
 
 @pytest.mark.parametrize("member", [*ResourceKind, *MessageType, *IngestOutcome, *EventKind],
@@ -367,9 +389,10 @@ def test_every_word_a_template_writes_is_read_by_its_kinds_pattern():
     for emit in _EMITTERS.values():
         lines = []
         log = EventLog(lines.append)
-        for resource in ResourceKind:
+        for n, resource in enumerate(ResourceKind, 1):
             for mtype in MessageType:
-                emit(log, 0, _frame(mid=wide, resource=resource, mtype=mtype), [])
+                emit(log, 0, _frame(mid=wide - len(ResourceKind) - 1 + n, resource=resource,
+                                    mtype=mtype), [])
         emit(log, 0, _frame(mid=wide), [
             (2, "radio"), (3, "uplink"),
             *((4 + i, outcome, -3) for i, outcome in enumerate(IngestOutcome)),
@@ -386,37 +409,55 @@ def test_every_word_a_template_writes_is_read_by_its_kinds_pattern():
 #: number and a 25-digit integer, or another whole number
 _HOSTILE = st.sampled_from([True, 1.5, "5", -1, 10**24 + 7]) | st.integers(0, 10**20)
 _EDITS = ["value", "prefix", "remove", "reorder", "spaces", "upper", "crlf", "blank", "repeat",
-          "delete", "entry", "disorder", "odd"]
+          "delete", "entry", "extra", "disorder", "resource", "odd", "unhead", "move"]
+#: the ``seq`` field of a line, which the payload before it cannot hold
+_SEQ = re.compile(r',"seq":[0-9]+,')
+
+
+def _lines_of(lines: list[str], word: str) -> list[int]:
+    """The indices of the lines of ``lines`` whose payload has ``word``, non-empty."""
+    return [i for i, line in enumerate(lines) if json.loads(line)["payload"].get(word)]
 
 
 @st.composite
 def _log_lines(draw):
-    """(lines, edited): 1-6 template lines numbered from 0, and whether one of
-    them was edited: a field set to a hostile value, a "0", "-", "+" or " "
-    written before a field's value, a key removed or moved first, spaces
-    after the separators, uppercase hex, a CRLF ending, or a blank line
-    before it; one element of a link entry set to a hostile value or
-    removed; an emission's links put out of concentrator-id order, by
-    swapping its first two entries or repeating its only one; one digit of
-    an emission's frame_hex deleted; or one line repeated or deleted."""
+    """(lines, edited): 1-6 template calls' lines numbered from 0, and whether
+    one of them was edited: a field set to a hostile value, a "0", "-", "+"
+    or " " written before a field's value, a key removed or moved first,
+    spaces after the separators, uppercase hex, a CRLF ending, or a blank
+    line before it; one element of a link entry set to a hostile value or
+    removed, or an entry added; a meter line's concentrators put out of
+    order, by swapping its first two or repeating its only one, or its
+    resource set to another; one digit of an emission's frame_hex deleted;
+    one line repeated or deleted; or, with every ``seq`` then numbered on
+    from the first line's, a meter line deleted or one line moved."""
     lines = []
     log = EventLog(lines.append)
-    for method, args, _, _, _ in draw(st.lists(_template_calls(), min_size=1, max_size=6)):
-        getattr(log, method)(*args)
+    for method, args, _, _, _ in draw(_template_calls()):
+        if method is not None:
+            getattr(log, method)(*args)
     edit = draw(st.sampled_from([None, *_EDITS]))
     if edit is None:
         return lines, False
-    if edit in ("entry", "disorder"):
-        linked = [i for i, line in enumerate(lines) if json.loads(line)["payload"].get("links")]
-        if not linked:
+    if edit in ("entry", "extra", "disorder", "resource"):
+        word = {"disorder": "concentrators", "resource": "resource"}.get(edit, "links")
+        edited = _lines_of(lines, word)
+        if not edited:
             return lines, False
-        i = draw(st.sampled_from(linked))
+        i = draw(st.sampled_from(edited))
         obj = json.loads(lines[i])
-        links = obj["payload"]["links"]
+        payload = obj["payload"]
         if edit == "disorder":
-            links[:2] = links[1::-1] if len(links) > 1 else links * 2
+            cids = payload["concentrators"]
+            cids[:2] = cids[1::-1] if len(cids) > 1 else cids * 2
+        elif edit == "resource":
+            payload["resource"] = draw(st.sampled_from(
+                [kind.value for kind in ResourceKind if kind != payload["resource"]]))
+        elif edit == "extra":
+            payload["links"].insert(draw(st.integers(0, len(payload["links"]))),
+                                    list(draw(_FATES)))
         else:
-            entry = draw(st.sampled_from(links))
+            entry = draw(st.sampled_from(payload["links"]))
             at = draw(st.integers(0, len(entry) - 1))
             if draw(st.booleans()):
                 entry[at] = draw(_HOSTILE)
@@ -424,6 +465,17 @@ def _log_lines(draw):
                 del entry[at]
         lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
         return lines, True
+    if edit in ("unhead", "move"):
+        picks = [i for i, line in enumerate(lines) if edit == "move" or '"kind":"meter"' in line]
+        if not picks or len(lines) < 2:
+            return lines, False
+        i = draw(st.sampled_from(picks))
+        line = lines.pop(i)
+        if edit == "move":
+            lines.insert(draw(st.integers(0, len(lines)).filter(lambda j: j != i)), line)
+        first = int(_SEQ.search(line if i == 0 else lines[0])[0][7:-1])
+        return [_SEQ.sub(f',"seq":{first + n},', text, count=1)
+                for n, text in enumerate(lines)], True
     if edit == "odd":
         emissions = [i for i, line in enumerate(lines) if '"frame_hex":"' in line]
         if not emissions:
@@ -492,32 +544,29 @@ def log_path(tmp_path_factory) -> Path:
 def test_read_events_matches_the_whole_record_reader(log_path, drawn):
     """On a log of lines that the templates write, ``read_events`` yields the
     ingests, and raises the MalformedLog, that reading every line as a whole
-    record does, and so replay rebuilds the same ledgers or raises the same
-    message; each such line is matched by its kind's pattern.  On a log
-    edited so that some line is not one the templates write, as
-    ``is_written_line`` tells, or whose links are not in concentrator-id
-    order, it yields the ingests before the first such line and then raises
-    a MalformedLog naming that line and what is wrong with it."""
+    record does, with the meter-major checks, and so replay rebuilds the
+    same ledgers or raises the same message; each such line is matched by
+    its kind's pattern, and an unedited log reads whole.  On a log edited so
+    that some line is not one the templates write, as ``is_written_line``
+    tells, it yields the ingests before the first such line and then raises
+    the whole-record reader's MalformedLog for the lines before it, or else
+    one naming that line as not a line EventLog writes."""
     lines, edited = drawn
     log_path.write_bytes("".join(lines).encode())
     written = [is_written_line(line.encode()) for line in lines]
-    ordered = [written_line and links_in_order(from_json(line))
-               for written_line, line in zip(written, lines)]
-    assert edited or all(ordered)
-    if all(ordered):
-        assert _read_all(read_events(log_path)) == _read_all(
-            reference_ingests(log_path))
+    assert edited or all(written)
+    got, message = _read_all(read_events(log_path))
+    if all(written):
+        assert (got, message) == _read_all(reference_ingests(log_path))
+        assert edited or message is None
         assert _replayed(read_events(log_path)) == _replayed(
             reference_ingests(log_path))
         for line in lines:
             assert _LINE[json.loads(line)["kind"].encode()].fullmatch(line.encode()), line
         return
-    bad = ordered.index(False)
-    head = log_path.with_name("head.ndjson")
-    head.write_bytes("".join(lines[:bad]).encode())
-    want, head_error = _read_all(reference_ingests(head))
-    assert head_error is None
-    got, message = _read_all(read_events(log_path))
+    bad = written.index(False)
+    log_path.write_bytes("".join(lines[:bad]).encode())
+    want, head_error = _read_all(reference_ingests(log_path))
     assert got == want
-    reason = "links not in concentrator-id order" if written[bad] else "not a line EventLog writes"
-    assert message == f"{log_path} line {bad + 1}: seq {bad}: {reason}"
+    assert message == (head_error or
+                       f"{log_path} line {bad + 1}: seq {bad}: not a line EventLog writes")

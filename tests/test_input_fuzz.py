@@ -1,6 +1,7 @@
-"""Bounded fuzz of outside input: one scalar of a scenario or of a logged
+"""Bounded fuzz of outside input: one scalar of a scenario, of a logged
 emission that the center ingested a copy of (a payload field, a field of
-an ingest entry of its ``links``, ``seq`` or ``sim_time_ms``) is replaced
+an ingest entry of its ``links``, ``seq`` or ``sim_time_ms``) or of a meter
+line (a payload field, ``seq`` or ``sim_time_ms``) is replaced
 with a value of the wrong kind, a scenario object gains a key the loader
 does not read, or one byte of a logged frame is changed, and the CLI must
 answer with its exit code and at most one stderr line, never a traceback.
@@ -68,7 +69,7 @@ WHOLE_NUMBER_KEYS = {"seed", "serial", "clock_skew_ms", "max_skew_ms",
 TOP_LEVEL = ("seq", "sim_time_ms")
 
 #: the fields of an ingest entry of an emission's ``links``, by position
-INGEST_ENTRY = ("concentrator_id", "outcome", "rx_time_ms")
+INGEST_ENTRY = ("outcome", "rx_time_ms")
 
 #: every key the loader reads at some level of a scenario file
 READ_KEYS = {key for keys in (*_KEYS.values(), *_TRACE_PARAMS.values()) for key in keys}
@@ -152,12 +153,13 @@ def run_dir(tmp_path_factory):
 @given(data=st.data(), value=st.sampled_from(HOSTILE))
 def test_log_ingest_field_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, value):
     lines = (run_dir / "events.ndjson").read_text().splitlines()
-    i = data.draw(st.sampled_from(_ingested(lines)))
+    i = data.draw(st.sampled_from(_ingested(lines) + _meter_lines(lines)))
     rec = json.loads(lines[i])
-    field = data.draw(st.sampled_from([*sorted(rec["payload"]), *TOP_LEVEL, *INGEST_ENTRY]))
-    if field in INGEST_ENTRY:
+    entry_fields = INGEST_ENTRY if "links" in rec["payload"] else ()
+    field = data.draw(st.sampled_from([*sorted(rec["payload"]), *TOP_LEVEL, *entry_fields]))
+    if field in entry_fields:
         entry = data.draw(st.sampled_from([link for link in rec["payload"]["links"]
-                                           if len(link) == 3]))
+                                           if len(link) == 2]))
         entry[INGEST_ENTRY.index(field)] = value
     else:
         (rec if field in TOP_LEVEL else rec["payload"])[field] = value
@@ -176,7 +178,12 @@ def test_log_ingest_field_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, va
 def _ingested(lines: list[str]) -> list[int]:
     """The indices of the emission lines with at least one ingest entry."""
     return [i for i, line in enumerate(lines)
-            if any(len(link) == 3 for link in json.loads(line)["payload"].get("links", ()))]
+            if any(len(link) == 2 for link in json.loads(line)["payload"].get("links", ()))]
+
+
+def _meter_lines(lines: list[str]) -> list[int]:
+    """The indices of the meter lines."""
+    return [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "meter"]
 
 
 def _at(frame: bytes, offset: int, value: int) -> bytes:
@@ -186,7 +193,8 @@ def _at(frame: bytes, offset: int, value: int) -> bytes:
 
 
 #: byte changes to a logged frame: each breaks a decoder rule, except the
-#: swap to another known kind tag, which decodes when the sizes agree
+#: swap to another known kind tag, which decodes when the sizes agree and
+#: then is not its meter line's resource
 FRAME_MUTATIONS = {
     "reserved flag bit": lambda f: _at(f, len(f) - 5, f[-5] | 0x08),
     "battery 201": lambda f: _at(f, len(f) - 6, 201),
@@ -214,6 +222,8 @@ def test_log_frame_byte_fuzz_is_exit_zero_or_one_stderr_line(run_dir, data, muta
         assert err.count("\n") == 1 and "Traceback" not in err, (mutation, err)
     if mutation != "other kind tag":
         assert code == 1 and err.startswith(f"malformed log: seq {rec['seq']}:"), (mutation, err)
+    else:
+        assert code == 1 and f"seq {rec['seq']}: " in err, (mutation, err)
 
 
 def test_log_frame_forged_to_the_widest_forward_jump_replays_in_bounded_memory(run_dir):

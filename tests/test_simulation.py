@@ -58,7 +58,7 @@ from risim.simulation import (
 from risim.traces import DIURNAL_SHAPE, ConsumptionTrace, TraceSpec, generate_trace
 
 from oracles import (EventLogRecord, ReferenceRun, accepted_count, accepted_sessions,
-                     consumed_between, from_json, grid_mean_square, grid_steps,
+                     consumed_between, emissions, from_json, grid_mean_square, grid_steps,
                      piecewise_mean_square, read_csv, record_sink, snapshot, time_steps,
                      total_du, write_records)
 
@@ -180,9 +180,10 @@ def test_event_stream_counts_are_consistent():
     res = run_ri(sc, EventLog(record_sink(records)))
     by_kind = Counter(rec.kind for rec in records)
     fates = Counter(link[1] if len(link) == 2 else "ingest"
-                    for rec in records for link in rec.payload["links"])
+                    for rec in emissions(records) for link in rec.payload["links"])
     emitted = by_kind[EventKind.QUANTUM_EVENT]
-    assert emitted == 15 and len(records) == emitted
+    assert emitted == 15 and len(records) == emitted + 1   # and the meter's line first
+    assert records[0].kind is EventKind.METER
     assert fates["ingest"] + fates["radio"] + fates["uplink"] == emitted  # one link per meter
     # one concentrator with a lossless uplink: the ledger holds each copy heard once
     heard = accepted_count(res.center.ledgers()[meter_id(1)])
@@ -232,7 +233,10 @@ def test_each_emission_lists_one_outcome_per_link(sc):
     skew = {c.id: c.clock_skew_ms for c in sc.concentrators()}
     records = []
     run_ri(sc, EventLog(record_sink(records)))
-    for emission in records:
+    # a meter's line heads its lines; a run of no time runs no meter
+    assert [rec.payload["meter_id"] for rec in records
+            if rec.kind is EventKind.METER] == (sorted(links) if sc.horizon_ms else [])
+    for emission in emissions(records):
         assert emission.kind in (EventKind.QUANTUM_EVENT, EventKind.HEARTBEAT)
         mid = emission.payload["meter_id"]
         outcomes = emission.payload["links"]
@@ -482,7 +486,8 @@ def test_run_and_replay_build_no_message_and_encode_nothing(tmp_path):
     replayed = replay_center(read_events(path))
     profile.disable()
     assert "".join(replayed.snapshots()) == "".join(res.center.snapshots())
-    outcomes = Counter(link[1] for r in records for link in r.payload["links"] if len(link) == 3)
+    outcomes = Counter(link[1] for r in emissions(records) for link in r.payload["links"]
+                       if len(link) == 3)
     assert outcomes["accepted"] > 0 and outcomes["duplicate"] > 0
     calls = _calls(profile, MeterMessage=MeterMessage.__post_init__,
                    MeterState=MeterState.__post_init__, encode_frame=encode_frame)
@@ -507,7 +512,7 @@ def test_logged_runs_build_no_record_and_dump_no_json():
     assert [rec.to_json() + "\n" for rec in records] == lines
     assert [rec.seq for rec in records] == list(range(log.seq))
     assert set(rec.kind for rec in records) == set(EventKind)
-    assert {link[1] for rec in records for link in rec.payload.get("links", ())
+    assert {link[1] for rec in emissions(records) for link in rec.payload["links"]
             if len(link) == 2} == {"radio", "uplink"}
 
 
@@ -626,9 +631,9 @@ def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     res = run_ri(sc, EventLog(lines.append))
     profile.disable()
     records = [from_json(line) for line in lines]
-    emissions = len(records)
-    ingests = sum(len(link) == 3 for rec in records for link in rec.payload["links"])
-    assert emissions > 0 and ingests > emissions
+    sent = list(emissions(records))
+    ingests = sum(len(link) == 3 for rec in sent for link in rec.payload["links"])
+    assert len(sent) > 0 and ingests > len(sent)
     assert _calls(profile, frame_header=frame_header, receive=receive) == {
         "frame_header": 0, "receive": 0}
     assert "".join(res.center.snapshots()) == "".join(unlogged.center.snapshots())
@@ -638,7 +643,7 @@ def test_each_delivered_copy_has_its_header_read_once(tmp_path):
     replayed = replay_center(read_events(path))
     profile.disable()
     assert "".join(replayed.snapshots()) == "".join(res.center.snapshots())
-    assert _calls(profile, frame_header=frame_header) == {"frame_header": emissions}
+    assert _calls(profile, frame_header=frame_header) == {"frame_header": len(sent)}
 
 
 def test_a_logged_run_reads_no_frame_header_and_read_events_one_per_emission(
@@ -660,9 +665,9 @@ def test_a_logged_run_reads_no_frame_header_and_read_events_one_per_emission(
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         run_ri(scenario, EventLog(fh.write))
     assert calls == {}
-    emissions = len(path.read_bytes().splitlines())
-    assert emissions > 0 and list(read_events(path))
-    assert calls == {"risim.eventlog": emissions}
+    sent = sum(b'"frame_hex"' in line for line in path.read_bytes().splitlines())
+    assert sent > 0 and list(read_events(path))
+    assert calls == {"risim.eventlog": sent}
 
 
 def test_clock_skew_shifts_reception_times():
